@@ -13,10 +13,18 @@ from typing import Callable
 
 import numpy as np
 
-from .chart_calculus import Chart, ConnectionCoeffs, TensorFieldSpec, fd_array
+from .chart_calculus import (
+    Chart,
+    ConnectionCoeffs,
+    TensorFieldSpec,
+    covariant_derivative,
+    covariant_derivative_field,
+    fd_array,
+    nan_max,
+)
 from .errors import RepMismatch
 from .lie_core import LieAlgebra
-from .tensor_core import DOWN, LIE, UP, DenseTensor, apply_axis
+from .tensor_core import DOWN, LIE, DenseTensor, axis_action
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,10 @@ class LocalConnectionForm:
         if self.partial_evaluator is not None:
             return np.asarray(self.partial_evaluator(np.asarray(x, float), mu), float)
         return fd_array(self.evaluator, self.chart, x, mu)
+
+    def ad_at(self, x: np.ndarray) -> np.ndarray:
+        """ad(a_mu) for each direction mu: the form's action on lie axes."""
+        return np.stack([self.algebra.ad(v) for v in self.at(x)])
 
     def shifted(self, alpha: TensorFieldSpec) -> "LocalConnectionForm":
         """The connection form plus an adjoint-valued 1-form."""
@@ -87,62 +99,19 @@ class SectionSpec:
         return tuple(f.at(x) for f in self.fields)
 
 
-def ad_on_lie_axes(algebra: LieAlgebra, coeffs: np.ndarray,
-                   t: DenseTensor) -> DenseTensor:
-    """Adjoint action of one algebra element on every lie axis of t."""
-    ad = algebra.ad(np.asarray(coeffs, float))
-    out = np.zeros_like(t.data)
-    for ax, marker in enumerate(t.markers):
-        if marker == LIE:
-            if t.dims[ax] != algebra.dim:
-                raise RepMismatch(
-                    f"lie axis {ax} has dim {t.dims[ax]}, algebra dim {algebra.dim}"
-                )
-            out += apply_axis(ad, t.data, ax)
-    return DenseTensor(t.markers, out)
-
-
-def _component_derivative(a: LocalConnectionForm, gamma: ConnectionCoeffs,
-                          t: TensorFieldSpec, x: np.ndarray) -> DenseTensor:
-    """Mixed covariant derivative of one component; new covariant axis leads."""
-    x = np.asarray(x, float)
-    av = a.at(x)
-    G = gamma.at(x)
-    tx = t.at(x)
-    n = gamma.chart.dim
-    parts = []
-    for mu in range(n):
-        d = t.partial_at(x, mu).data.copy()
-        Gmu = G[:, mu, :]
-        admu = a.algebra.ad(av[mu])
-        for ax, marker in enumerate(t.markers):
-            if marker == UP:
-                d += apply_axis(Gmu, tx.data, ax)
-            elif marker == DOWN:
-                d -= apply_axis(Gmu.T, tx.data, ax)
-            elif marker == LIE:
-                d += apply_axis(admu, tx.data, ax)
-        parts.append(d)
-    return DenseTensor((DOWN,) + tuple(t.markers), np.stack(parts, axis=0))
-
-
 def assoc_covariant_derivative(a: LocalConnectionForm, s: SectionSpec,
                                gamma: ConnectionCoeffs,
                                x: np.ndarray) -> tuple[DenseTensor, ...]:
     """Covariant derivative of every component of a section."""
     if s.algebra is not None and s.algebra.labels != a.algebra.labels:
         raise RepMismatch("section and connection algebras disagree")
-    return tuple(_component_derivative(a, gamma, f, x) for f in s.fields)
+    return tuple(covariant_derivative(gamma, f, x, a.ad_at) for f in s.fields)
 
 
 def assoc_covariant_field(a: LocalConnectionForm, gamma: ConnectionCoeffs,
                           t: TensorFieldSpec) -> TensorFieldSpec:
     """Field wrapper for nesting mixed covariant derivatives."""
-    return TensorFieldSpec(
-        chart=t.chart,
-        markers=(DOWN,) + tuple(t.markers),
-        evaluator=lambda x: _component_derivative(a, gamma, t, x),
-    )
+    return covariant_derivative_field(gamma, t, a.ad_at)
 
 
 def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> DenseTensor:
@@ -211,17 +180,14 @@ def connection_variation_check(eta: SectionSpec, a: LocalConnectionForm,
     """Residual of the variation formula: del' eta = del eta + beta . eta."""
     x = np.asarray(x, float)
     beta = a_prime.at(x) - a.at(x)
-    n = a.chart.dim
-    worst = 0.0
+    worst = []
     for f in eta.fields:
-        d1 = _component_derivative(a_prime, gamma, f, x)
-        d0 = _component_derivative(a, gamma, f, x)
+        d1 = covariant_derivative(gamma, f, x, a_prime.ad_at)
+        d0 = covariant_derivative(gamma, f, x, a.ad_at)
         fx = f.at(x)
-        action = np.stack(
-            [ad_on_lie_axes(a.algebra, beta[mu], fx).data for mu in range(n)]
-        )
-        worst = max(worst, float(np.linalg.norm(d1.data - d0.data - action)))
-    return worst
+        action = np.stack([axis_action(fx, None, a.algebra.ad(b)) for b in beta])
+        worst.append(float(np.linalg.norm(d1.data - d0.data - action)))
+    return nan_max(worst)
 
 
 def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
@@ -231,15 +197,13 @@ def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
     if beta.markers != (DOWN, LIE):
         raise RepMismatch("leibniz_check expects an adjoint-valued 1-form")
     x = np.asarray(x, float)
-    n = a.chart.dim
-    algebra = a.algebra
-    worst = 0.0
+    ad = a.algebra.ad
+    worst = []
     for f in eta.fields:
 
         def product_eval(p: np.ndarray, field: TensorFieldSpec = f) -> DenseTensor:
-            bv = beta.at(p).data
             fv = field.at(p)
-            rows = [ad_on_lie_axes(algebra, bv[nu], fv).data for nu in range(n)]
+            rows = [axis_action(fv, None, ad(b)) for b in beta.at(p).data]
             return DenseTensor((DOWN,) + tuple(field.markers), np.stack(rows))
 
         product = TensorFieldSpec(
@@ -247,34 +211,17 @@ def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
             markers=(DOWN,) + tuple(f.markers),
             evaluator=product_eval,
         )
-        lhs = _component_derivative(a, gamma, product, x).data
-
-        dbeta = _component_derivative(a, gamma, beta, x).data
+        lhs = covariant_derivative(gamma, product, x, a.ad_at).data
+        dbeta = covariant_derivative(gamma, beta, x, a.ad_at).data
         fx = f.at(x)
         term1 = np.stack(
-            [
-                np.stack(
-                    [ad_on_lie_axes(algebra, dbeta[mu, nu], fx).data for nu in range(n)]
-                )
-                for mu in range(n)
-            ]
+            [np.stack([axis_action(fx, None, ad(b)) for b in row]) for row in dbeta]
         )
-        deta = _component_derivative(a, gamma, f, x)
+        deta = covariant_derivative(gamma, f, x, a.ad_at)
         bv = beta.at(x).data
-        term2 = np.stack(
-            [
-                np.stack(
-                    [
-                        ad_on_lie_axes(
-                            algebra,
-                            bv[nu],
-                            DenseTensor(tuple(f.markers), deta.data[mu]),
-                        ).data
-                        for nu in range(n)
-                    ]
-                )
-                for mu in range(n)
-            ]
-        )
-        worst = max(worst, float(np.linalg.norm(lhs - term1 - term2)))
-    return worst
+        term2 = np.stack([
+            np.stack([axis_action(DenseTensor(f.markers, d), None, ad(b)) for b in bv])
+            for d in deta.data
+        ])
+        worst.append(float(np.linalg.norm(lhs - term1 - term2)))
+    return nan_max(worst)

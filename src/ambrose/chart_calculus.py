@@ -13,7 +13,7 @@ data[k, mu, m] v^m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.stats import qmc
@@ -25,7 +25,7 @@ from .errors import (
     OutOfDomain,
     SingularFrame,
 )
-from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis
+from .tensor_core import DOWN, UP, DenseTensor, OrthoFrame, axis_action, to_frame
 
 STEP_SCALE = 1e-3
 
@@ -269,35 +269,33 @@ def levi_civita(g: MetricField) -> ConnectionCoeffs:
 
 
 def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
-                         x: np.ndarray) -> DenseTensor:
-    """Covariant derivative of a purely tensorial field; new covariant axis leads."""
-    for m in t.markers:
-        if m == LIE:
-            raise AxisMismatch("covariant_derivative handles tensor axes only")
+                         x: np.ndarray,
+                         lie: Callable[[np.ndarray], np.ndarray] | None = None,
+                         ) -> DenseTensor:
+    """Covariant derivative of a tensor field; new covariant axis leads.
+
+    Along direction mu the connection matrix G[:, mu, :] acts on the tangent
+    axes (plus on UP, minus transpose on DOWN) and ``lie(x)[mu]`` on the LIE
+    axes, e.g. ad of a bundle connection form."""
     x = np.asarray(x, float)
     G = gamma.at(x)
+    L = lie(x) if lie is not None else None
     tx = t.at(x)
-    n = gamma.chart.dim
     parts = []
-    for mu in range(n):
+    for mu in range(gamma.chart.dim):
         d = t.partial_at(x, mu).data.copy()
-        Gmu = G[:, mu, :]
-        for ax, m in enumerate(t.markers):
-            if m == UP:
-                d += apply_axis(Gmu, tx.data, ax)
-            else:
-                d -= apply_axis(Gmu.T, tx.data, ax)
-        parts.append(d)
+        parts.append(axis_action(tx, G[:, mu, :], None if L is None else L[mu], d))
     return DenseTensor((DOWN,) + tuple(t.markers), np.stack(parts, axis=0))
 
 
-def covariant_derivative_field(gamma: ConnectionCoeffs,
-                               t: TensorFieldSpec) -> TensorFieldSpec:
+def covariant_derivative_field(gamma: ConnectionCoeffs, t: TensorFieldSpec,
+                               lie: Callable[[np.ndarray], np.ndarray] | None = None,
+                               ) -> TensorFieldSpec:
     """Field wrapper so covariant derivatives nest through the FD machinery."""
     return TensorFieldSpec(
         chart=t.chart,
         markers=(DOWN,) + tuple(t.markers),
-        evaluator=lambda x: covariant_derivative(gamma, t, x),
+        evaluator=lambda x: covariant_derivative(gamma, t, x, lie),
     )
 
 
@@ -357,13 +355,6 @@ def torsion(conn: ConnectionCoeffs | FrameFieldConnection,
         G = conn.at(x)
         t = G - G.swapaxes(1, 2)
     return DenseTensor((UP, DOWN, DOWN), t)
-
-
-def difference_torsion(s: DenseTensor) -> DenseTensor:
-    """Alternation T_S(X, Y) = S(X)(Y) - S(Y)(X) of a (1,2) difference tensor."""
-    if s.markers != (UP, DOWN, DOWN):
-        raise AxisMismatch("difference tensor must have markers (up, down, down)")
-    return DenseTensor(s.markers, s.data - s.data.swapaxes(1, 2))
 
 
 def frame_to_coordinate(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
@@ -434,3 +425,21 @@ def ortho_frame_partial(g: MetricField, x: np.ndarray,
     frame = linv.T
     dframe = -frame @ dcoframe @ frame
     return dframe, dcoframe
+
+
+def nan_max(values: Iterable[float]) -> float:
+    """Largest value, 0.0 for none; NaN as soon as any value is NaN."""
+    vals = [float(v) for v in values]
+    return float(np.max(vals)) if vals else 0.0
+
+
+def max_frame_norms(fields: dict[str, TensorFieldSpec], g: MetricField,
+                    points: np.ndarray) -> dict[str, float]:
+    """Largest norm of each named field over the points, each value taken in
+    the orthonormal frame of g at its point."""
+    vals: dict[str, list[float]] = {name: [] for name in fields}
+    for x in points:
+        fr = ortho_frame(g, x)
+        for name, fld in fields.items():
+            vals[name].append(to_frame(fld.at(x), fr).norm())
+    return {name: nan_max(v) for name, v in vals.items()}

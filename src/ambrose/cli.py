@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +26,7 @@ from .chart_calculus import (
     TensorFieldSpec,
     covariant_derivative_field,
     curvature,
+    nan_max,
     sample_interior,
 )
 from .errors import AmbroseError, BadParameters, ConfigError, UnknownFixture
@@ -39,6 +38,7 @@ from .fixtures import (
     smooth_tensor_field,
 )
 from .homogeneity import (
+    KMAX_CAP,
     StabilizerChain,
     TripleSpec,
     VerificationReport,
@@ -51,6 +51,7 @@ from .homogeneity import (
     gauge_residual,
     opozda_section_spec,
     tower_and_chain,
+    verdict,
     with_adjoint_rep,
 )
 from .lie_core import (
@@ -80,8 +81,6 @@ SCENARIOS = (
 
 # Parameters consumed by the runner itself, not by the fixture catalog.
 SCENARIO_PARAMS = ("connection", "perturb", "alpha")
-
-BAD_CHAIN_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies")
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError("points must be a positive integer")
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    if kmax is not None and (not isinstance(kmax, int) or kmax < 1):
-        raise ConfigError("kmax must be a positive integer")
+    if kmax is not None and (not isinstance(kmax, int) or not 1 <= kmax <= KMAX_CAP):
+        raise ConfigError(f"kmax must be an integer in 1..{KMAX_CAP}")
     return RunConfig(
         scenario=scenario,
         fixture=fixture or "",
@@ -211,26 +210,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         kmax=kmax,
         out=out,
     )
-
-
-def thread_count() -> int:
-    raw = os.environ.get("AMBROSE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError("AMBROSE_THREADS must be an integer") from exc
-    return max(1, value)
-
-
-def _map_points(fn, points: np.ndarray) -> list:
-    workers = thread_count()
-    pts = [np.asarray(p, float) for p in np.atleast_2d(points)]
-    if workers == 1 or len(pts) <= 1:
-        return [fn(p) for p in pts]
-    with ThreadPoolExecutor(max_workers=min(workers, len(pts))) as pool:
-        return list(pool.map(fn, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +277,23 @@ def _retolerance(rep: VerificationReport, tols: dict) -> VerificationReport:
     overrides = {k: v for k, v in tols.items() if k in rep.tolerances}
     if not overrides:
         return rep
-    tolerances = dict(rep.tolerances)
-    tolerances.update(overrides)
-    passed = all(rep.residuals[k] < tolerances[k] for k in tolerances)
-    passed = passed and not any(f in rep.flags for f in BAD_CHAIN_FLAGS)
-    passed = passed and "hypotheses-failed" not in rep.flags
-    return replace(rep, tolerances=tolerances, passed=passed)
+    tolerances = {**rep.tolerances, **overrides}
+    return replace(rep, tolerances=tolerances,
+                   passed=verdict(rep.residuals, tolerances, rep.flags))
+
+
+def _check_tolerance_names(rep: VerificationReport, tols: dict) -> None:
+    """Every name must be ``default`` or a tolerance key of the report;
+    selftest keys are matched without their ``scenario.`` prefix."""
+    known = set(rep.tolerances)
+    if rep.scenario == "selftest":
+        known = {k.split(".", 1)[1] for k in known}
+    unknown = sorted(set(tols) - known - {"default"})
+    if unknown:
+        raise ConfigError(
+            f"unknown tolerance name(s) {', '.join(unknown)}; "
+            f"known: default, {', '.join(sorted(known))}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +355,22 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
         _, chain = tower_and_chain(sigma, None, gamma0, fix.g, x, rep, kmax=cfg.kmax)
         return chain
 
-    chains = _map_points(one, points)
+    chains = [one(x) for x in points]
     flags = sorted({f for ch in chains for f in ch.flags})
     if len({ch.dims for ch in chains}) > 1:
         flags.append("dims-vary")
     if len({ch.singer_k for ch in chains}) > 1:
         flags.append("singer-varies")
-    nesting = 0.0
-    closure = 0.0
+    nesting = []
+    closure = []
     for ch in chains:
         for k in range(len(ch.bases) - 1):
             if min(ch.bases[k + 1].shape[1], ch.bases[k].shape[1]) == 0:
                 continue
             angles = principal_angles(ch.bases[k + 1], ch.bases[k])
-            nesting = max(nesting, float(angles.max(initial=0.0)))
-        for basis in ch.bases:
-            closure = max(closure, subalgebra_residual(rep.algebra, basis))
-    residuals = {"nesting_angle": nesting, "subalgebra": closure}
+            nesting.append(nan_max(angles))
+        closure.extend(subalgebra_residual(rep.algebra, b) for b in ch.bases)
+    residuals = {"nesting_angle": nan_max(nesting), "subalgebra": nan_max(closure)}
     tolerances = {
         "nesting_angle": cfg.tols.get("nesting_angle", 1e-6),
         "subalgebra": cfg.tols.get("subalgebra", 1e-7),
@@ -391,18 +380,13 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
     dims = (
         first.dims[: singer_k + 1] if singer_k is not None else first.dims
     )
-    passed = (
-        singer_k is not None
-        and not any(f in flags for f in BAD_CHAIN_FLAGS)
-        and all(residuals[k] < tolerances[k] for k in tolerances)
-    )
     return VerificationReport(
         scenario="singer",
         fixture=fix.name,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=singer_k is not None and verdict(residuals, tolerances, flags),
         stabilizer_dims=tuple(dims),
         singer_k=singer_k,
         flags=tuple(flags),
@@ -415,11 +399,10 @@ def run_check_lh(cfg: RunConfig) -> VerificationReport:
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
     triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    rep = check_lh_triple(
+    return check_lh_triple(
         triple, fix.gamma, fix.a0, points,
         tol=cfg.tols.get("default", 1e-5), fixture=fix.name,
     )
-    return _retolerance(rep, cfg.tols)
 
 
 def run_check_ls(cfg: RunConfig) -> VerificationReport:
@@ -428,10 +411,9 @@ def run_check_ls(cfg: RunConfig) -> VerificationReport:
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
     triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    rep = check_ls_triple(
+    return check_ls_triple(
         triple, points, tol=cfg.tols.get("default", 1e-5), fixture=fix.name
     )
-    return _retolerance(rep, cfg.tols)
 
 
 def run_adapt(cfg: RunConfig) -> VerificationReport:
@@ -463,31 +445,27 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
         raise ConfigError("stabilizer chain did not stabilize within the cap")
     depth = first_chain.singer_k + 1
     levels = derivative_fields(sigma, None, fix.gamma, depth)
-    shift = 0.0
-    tower_res = 0.0
+    shift = []
+    tower_res = []
     for x in points:
-        shift = max(shift, gauge_residual(b, rep_adj, beta_hat, fix.g, x))
+        shift.append(gauge_residual(b, rep_adj, beta_hat, fix.g, x))
         for level in levels:
             for f in level:
                 t_hat = frame_expressed_field(f, fix.g)
-                tower_res = max(tower_res, gauge_residual(b, rep, t_hat, fix.g, x))
-    residuals = {"nabla_beta": shift, "nabla_tower": tower_res}
+                tower_res.append(gauge_residual(b, rep, t_hat, fix.g, x))
+    residuals = {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
     tolerances = {
         "nabla_beta": cfg.tols.get("nabla_beta", 1e-5),
         "nabla_tower": cfg.tols.get("nabla_tower", 1e-5),
     }
     flags = tuple(sorted(set(first_chain.flags)))
-    passed = (
-        all(residuals[k] < tolerances[k] for k in tolerances)
-        and not any(f in flags for f in BAD_CHAIN_FLAGS)
-    )
     return VerificationReport(
         scenario="adapt",
         fixture=fix.name,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=verdict(residuals, tolerances, flags),
         stabilizer_dims=tuple(first_chain.dims[: first_chain.singer_k + 1]),
         singer_k=first_chain.singer_k,
         flags=flags,
@@ -510,7 +488,7 @@ def run_total_space(cfg: RunConfig) -> VerificationReport:
     tol = cfg.tols.get("default", 1e-5)
     rep1 = bar_parallelism_check(model, points, tol=tol, fixture=fix.name)
     rep2 = distribution_parallel_check(model, a0_ref, points, tol=tol, fixture=fix.name)
-    merged = VerificationReport(
+    return VerificationReport(
         scenario="total-space",
         fixture=fix.name,
         points=points,
@@ -519,7 +497,6 @@ def run_total_space(cfg: RunConfig) -> VerificationReport:
         passed=rep1.passed and rep2.passed,
         flags=tuple(sorted(set(rep1.flags) | set(rep2.flags))),
     )
-    return _retolerance(merged, cfg.tols)
 
 
 def run_identities(cfg: RunConfig) -> VerificationReport:
@@ -565,18 +542,16 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
             "leibniz": leibniz_check(beta, eta, a, gamma, x),
         }
 
-    rows = _map_points(one, points)
-    names = tuple(rows[0])
-    residuals = {n: max(row[n] for row in rows) for n in names}
-    tolerances = {n: cfg.tols.get(n, cfg.tols.get("default", 1e-6)) for n in names}
-    passed = all(residuals[n] < tolerances[n] for n in names)
+    rows = [one(x) for x in points]
+    residuals = {n: nan_max(row[n] for row in rows) for n in rows[0]}
+    tolerances = {n: cfg.tols.get(n, cfg.tols.get("default", 1e-6)) for n in residuals}
     return VerificationReport(
         scenario="identities",
         fixture=fix.name,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=verdict(residuals, tolerances),
     )
 
 
@@ -593,7 +568,7 @@ def run_selftest(cfg: RunConfig) -> VerificationReport:
         sub = replace(
             cfg, scenario=scenario, fixture=fixture, params=params, out=None
         )
-        rep = RUNNERS[scenario](sub)
+        rep = _retolerance(RUNNERS[scenario](sub), sub.tols)
         for key, value in rep.residuals.items():
             residuals[f"{scenario}.{key}"] = value
             tolerances[f"{scenario}.{key}"] = rep.tolerances[key]
@@ -624,7 +599,8 @@ RUNNERS = {
 
 
 def run_scenario(cfg: RunConfig) -> dict:
-    rep = RUNNERS[cfg.scenario](cfg)
+    rep = _retolerance(RUNNERS[cfg.scenario](cfg), cfg.tols)
+    _check_tolerance_names(rep, cfg.tols)
     return report_dict(rep, cfg.params)
 
 

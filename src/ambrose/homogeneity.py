@@ -27,9 +27,11 @@ from .chart_calculus import (
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
+    covariant_derivative,
     covariant_derivative_field,
     curvature_field,
     levi_civita,
+    max_frame_norms,
     ortho_frame,
     ortho_frame_partial,
     torsion_field,
@@ -59,6 +61,9 @@ ANGLE_TOL = 1e-6
 DEFAULT_TOL = 1e-5
 KMAX_START = 2
 KMAX_CAP = 4
+
+# flags that fail a report whatever its residuals
+BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed")
 
 
 @dataclass(frozen=True)
@@ -120,21 +125,22 @@ class VerificationReport:
     flags: tuple[str, ...] = ()
 
 
-def section_fields(sigma: SectionSpec) -> tuple[TensorFieldSpec, ...]:
-    return tuple(sigma.fields)
+def verdict(residuals: dict[str, float], tolerances: dict[str, float],
+            flags: tuple[str, ...] | list[str] = ()) -> bool:
+    """Pass iff every residual is below its tolerance (NaN is not) and no
+    flag is in BAD_FLAGS."""
+    return (all(residuals[k] < tolerances[k] for k in tolerances)
+            and not any(f in BAD_FLAGS for f in flags))
 
 
 def derivative_fields(sigma: SectionSpec, b0: LocalConnectionForm | None,
                       gamma0: ConnectionCoeffs, kmax: int,
                       ) -> list[tuple[TensorFieldSpec, ...]]:
     """Field wrappers for sigma and its first kmax iterated derivatives."""
+    lie = None if b0 is None else b0.ad_at
     levels = [tuple(sigma.fields)]
     for _ in range(kmax):
-        if b0 is None:
-            nxt = tuple(covariant_derivative_field(gamma0, f) for f in levels[-1])
-        else:
-            nxt = tuple(assoc_covariant_field(b0, gamma0, f) for f in levels[-1])
-        levels.append(nxt)
+        levels.append(tuple(covariant_derivative_field(gamma0, f, lie) for f in levels[-1]))
     return levels
 
 
@@ -362,27 +368,25 @@ def with_adjoint_rep(rep: TensorRep) -> TensorRep:
     return TensorRep(rep.algebra, rep.vector, rep.algebra.adjoint_rep())
 
 
-def gauge_derivative(b: LocalConnectionForm, rep: TensorRep,
-                     t_hat: TensorFieldSpec, x: np.ndarray) -> DenseTensor:
-    """Covariant derivative of a frame-expressed field: d + action(b_mu)."""
-    from .lie_core import tensor_action
-
-    x = np.asarray(x, float)
-    bv = b.at(x)
-    tx = t_hat.at(x)
-    n = b.chart.dim
-    rows = []
-    for mu in range(n):
-        d = t_hat.partial_at(x, mu).data + tensor_action(bv[mu], tx, rep).data
-        rows.append(d)
-    return DenseTensor((DOWN,) + tuple(t_hat.markers), np.stack(rows))
+def gauge_connection(b: LocalConnectionForm, rep: TensorRep,
+                     ) -> tuple[ConnectionCoeffs, Callable[[np.ndarray], np.ndarray] | None]:
+    """A gauge form as connection matrices for covariant_derivative: rep's
+    vector matrices of b_mu as coefficients, its lie matrices on lie axes."""
+    coeffs = ConnectionCoeffs(
+        chart=b.chart,
+        evaluator=lambda x: np.stack([rep.vector.matrix(v) for v in b.at(x)], axis=1),
+    )
+    if rep.lie is None:
+        return coeffs, None
+    return coeffs, lambda x: np.stack([rep.lie.matrix(v) for v in b.at(x)])
 
 
 def gauge_residual(b: LocalConnectionForm, rep: TensorRep,
                    t_hat: TensorFieldSpec, g: MetricField,
                    x: np.ndarray) -> float:
-    """Frame-invariant norm of the gauge-covariant derivative at x."""
-    d = gauge_derivative(b, rep, t_hat, x)
+    """Frame-invariant norm of the gauge-covariant derivative d + action(b_mu) at x."""
+    gamma, lie = gauge_connection(b, rep)
+    d = covariant_derivative(gamma, t_hat, x, lie)
     fr = ortho_frame(g, x)
     hat = np.tensordot(fr.frame, d.data, axes=(0, 0))
     return float(np.linalg.norm(hat))
@@ -452,14 +456,6 @@ def kirichenko_section_spec(chart: Chart,
     return SectionSpec(chart=chart, fields=tuple(tensors), algebra=algebra)
 
 
-def _frame_norm(t: DenseTensor, fr: OrthoFrame) -> float:
-    return to_frame(t, fr).norm()
-
-
-def _max_over_points(values: list[float]) -> float:
-    return float(max(values)) if values else 0.0
-
-
 def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
                     a: LocalConnectionForm, points: np.ndarray,
                     tol: float = DEFAULT_TOL, fixture: str = "",
@@ -467,31 +463,20 @@ def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
     """Locally homogeneous triple criterion: del R, del T, (del x del^A)F,
     (del x del^A)(A - A0) all parallel."""
     points = np.atleast_2d(np.asarray(points, float))
-    r_field = curvature_field(gamma)
-    t_field = torsion_field(gamma)
-    f_field = curvature_form_field(a)
-    alpha = form_difference(a, triple.a0)
-    dr = covariant_derivative_field(gamma, r_field)
-    dt = covariant_derivative_field(gamma, t_field)
-    df = assoc_covariant_field(a, gamma, f_field)
-    dalpha = assoc_covariant_field(a, gamma, alpha)
-    names = ("nabla_R", "nabla_T", "nabla_F", "nabla_alpha")
-    fields = (dr, dt, df, dalpha)
-    vals: dict[str, list[float]] = {n: [] for n in names}
-    for x in points:
-        fr = ortho_frame(triple.g, x)
-        for name, fld in zip(names, fields):
-            vals[name].append(_frame_norm(fld.at(x), fr))
-    residuals = {n: _max_over_points(v) for n, v in vals.items()}
-    tolerances = {n: tol for n in names}
-    passed = all(residuals[n] < tolerances[n] for n in names)
+    residuals = max_frame_norms({
+        "nabla_R": covariant_derivative_field(gamma, curvature_field(gamma)),
+        "nabla_T": covariant_derivative_field(gamma, torsion_field(gamma)),
+        "nabla_F": assoc_covariant_field(a, gamma, curvature_form_field(a)),
+        "nabla_alpha": assoc_covariant_field(a, gamma, form_difference(a, triple.a0)),
+    }, triple.g, points)
+    tolerances = {n: tol for n in residuals}
     return VerificationReport(
         scenario="check-lh-triple",
         fixture=fixture,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=verdict(residuals, tolerances),
     )
 
 
@@ -501,24 +486,18 @@ def check_ls_triple(triple: TripleSpec, points: np.ndarray,
     """Locally symmetric triple criterion with the Levi-Civita connection."""
     points = np.atleast_2d(np.asarray(points, float))
     gamma = levi_civita(triple.g)
-    dr = covariant_derivative_field(gamma, curvature_field(gamma))
-    df = assoc_covariant_field(triple.a0, gamma, curvature_form_field(triple.a0))
-    names = ("nabla_Rg", "nabla_F0")
-    vals: dict[str, list[float]] = {n: [] for n in names}
-    for x in points:
-        fr = ortho_frame(triple.g, x)
-        vals["nabla_Rg"].append(_frame_norm(dr.at(x), fr))
-        vals["nabla_F0"].append(_frame_norm(df.at(x), fr))
-    residuals = {n: _max_over_points(v) for n, v in vals.items()}
-    tolerances = {n: tol for n in names}
-    passed = all(residuals[n] < tolerances[n] for n in names)
+    residuals = max_frame_norms({
+        "nabla_Rg": covariant_derivative_field(gamma, curvature_field(gamma)),
+        "nabla_F0": assoc_covariant_field(triple.a0, gamma, curvature_form_field(triple.a0)),
+    }, triple.g, points)
+    tolerances = {n: tol for n in residuals}
     return VerificationReport(
         scenario="check-ls-triple",
         fixture=fixture,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=verdict(residuals, tolerances),
     )
 
 
@@ -541,29 +520,23 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
             else lambda x, mu: DenseTensor((DOWN, DOWN), g.partial_at(x, mu))
         ),
     )
-    dg_field = covariant_derivative_field(gamma, g_field)
     s_field = TensorFieldSpec(
         chart=g.chart,
         markers=(UP, DOWN, DOWN),
         evaluator=lambda x: DenseTensor((UP, DOWN, DOWN), gamma.at(x) - gamma0.at(x)),
     )
-    dr_g = covariant_derivative_field(gamma, curvature_field(gamma0))
-    ds = covariant_derivative_field(gamma, s_field)
-    dr = covariant_derivative_field(gamma, curvature_field(gamma))
-    dt = covariant_derivative_field(gamma, torsion_field(gamma))
-    names = ("nabla_Rg", "nabla_S", "nabla_R", "nabla_T")
-    fields = (dr_g, ds, dr, dt)
-    vals: dict[str, list[float]] = {n: [] for n in names}
-    for x in points:
-        fr = ortho_frame(g, x)
-        if _frame_norm(dg_field.at(x), fr) > 1e-7:
-            raise NotMetric("connection is not metric-compatible at a sample point")
-        for name, fld in zip(names, fields):
-            vals[name].append(_frame_norm(fld.at(x), fr))
-    residuals = {n: _max_over_points(v) for n, v in vals.items()}
-    tolerances = {n: tol for n in names}
-    system_one = residuals["nabla_Rg"] < tol and residuals["nabla_S"] < tol
-    system_two = residuals["nabla_R"] < tol and residuals["nabla_T"] < tol
+    residuals = max_frame_norms({
+        "nabla_g": covariant_derivative_field(gamma, g_field),
+        "nabla_Rg": covariant_derivative_field(gamma, curvature_field(gamma0)),
+        "nabla_S": covariant_derivative_field(gamma, s_field),
+        "nabla_R": covariant_derivative_field(gamma, curvature_field(gamma)),
+        "nabla_T": covariant_derivative_field(gamma, torsion_field(gamma)),
+    }, g, points)
+    if not residuals.pop("nabla_g") <= 1e-7:
+        raise NotMetric("connection is not metric-compatible at a sample point")
+    tolerances = {n: tol for n in residuals}
+    system_one = verdict(residuals, {n: tol for n in ("nabla_Rg", "nabla_S")})
+    system_two = verdict(residuals, {n: tol for n in ("nabla_R", "nabla_T")})
     agree = system_one == system_two
     flags = ["systems-agree" if agree else "systems-disagree"]
     flags.append("system-one-holds" if system_one else "system-one-fails")

@@ -12,14 +12,13 @@ import numpy as np
 from scipy.linalg import expm, subspace_angles
 
 from .errors import (
-    AxisMismatch,
     BadParameters,
     NotInvariant,
     NotReductive,
     NotSubalgebra,
     RepMismatch,
 )
-from .tensor_core import DOWN, LIE, UP, DenseTensor, apply_axis
+from .tensor_core import DenseTensor, axis_action
 
 NULL_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -153,31 +152,14 @@ class TensorRep:
 
 
 def tensor_action(b: np.ndarray, eta: DenseTensor, rep: TensorRep) -> DenseTensor:
-    """Leibniz action of algebra element b: plus on value axes, minus transpose
-    on covariant axes, adjoint action on lie axes, summed over axes."""
+    """Leibniz action of algebra element b through its matrices in ``rep``:
+    plus on value axes, minus transpose on covariant axes, adjoint action on
+    lie axes, summed over axes."""
     b = np.asarray(b, float)
     if b.shape != (rep.algebra.dim,):
         raise RepMismatch("algebra coordinates have the wrong length")
-    mat_v = rep.vector.matrix(b)
     mat_l = rep.lie.matrix(b) if rep.lie is not None else None
-    out = np.zeros_like(eta.data)
-    for ax, marker in enumerate(eta.markers):
-        if marker == UP:
-            m = mat_v
-        elif marker == DOWN:
-            m = -mat_v.T
-        elif marker == LIE:
-            if mat_l is None:
-                raise RepMismatch("tensor has lie axes but no lie representation")
-            m = mat_l
-        else:
-            raise AxisMismatch(f"unknown marker {marker!r}")
-        if eta.dims[ax] != m.shape[0]:
-            raise RepMismatch(
-                f"axis {ax} has dim {eta.dims[ax]}, representation dim {m.shape[0]}"
-            )
-        out += apply_axis(m, eta.data, ax)
-    return DenseTensor(eta.markers, out)
+    return DenseTensor(eta.markers, axis_action(eta, rep.vector.matrix(b), mat_l))
 
 
 def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndarray:

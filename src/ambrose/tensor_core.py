@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisMismatch, DegenerateMetric, SingularFrame
+from .errors import AxisMismatch, DegenerateMetric, RepMismatch, SingularFrame
 
 UP = "up"
 DOWN = "down"
@@ -72,6 +72,27 @@ def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
     """Contract ``matrix`` into one axis: out[..., i, ...] = M[i, j] t[..., j, ...]."""
     moved = np.tensordot(matrix, data, axes=(1, axis))
     return np.moveaxis(moved, 0, axis)
+
+
+def axis_action(t: DenseTensor, mat: np.ndarray | None, lie: np.ndarray | None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Add to ``out`` (zeros by default) the action of a connection matrix on
+    every axis of t: +mat on UP axes, -matᵀ on DOWN axes, ``lie`` on LIE
+    axes.  A None ``mat`` leaves the tangent axes alone; LIE axes need ``lie``."""
+    out = np.zeros_like(t.data) if out is None else out
+    for ax, m in enumerate(t.markers):
+        a = lie if m == LIE else mat
+        if a is None:
+            if m == LIE:
+                raise RepMismatch("tensor has lie axes but no lie-axis matrix")
+            continue
+        if t.dims[ax] != a.shape[0]:
+            raise RepMismatch(f"axis {ax} has dim {t.dims[ax]}, matrix dim {a.shape[0]}")
+        if m == DOWN:
+            out -= apply_axis(a.T, t.data, ax)
+        else:
+            out += apply_axis(a, t.data, ax)
+    return out
 
 
 def contract(t: DenseTensor, axis_a: int, axis_b: int,

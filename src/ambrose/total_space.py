@@ -32,14 +32,15 @@ from .chart_calculus import (
     curvature,
     curvature_field,
     fd_array,
+    max_frame_norms,
+    nan_max,
     ortho_frame,
     torsion,
     torsion_field,
 )
 from .errors import RepMismatch, UnsupportedFieldKind
-from .homogeneity import VerificationReport
+from .homogeneity import VerificationReport, verdict
 from .lie_core import AdInvariantInner, LieAlgebra
-from .tensor_core import to_frame
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -244,12 +245,6 @@ class BracketVert(VertExpr):
         return model.algebra.bracket(
             self.left.d_v(model, x, a), self.right.value(x)
         ) + model.algebra.bracket(self.left.value(x), self.right.d_v(model, x, a))
-
-
-def vert_value(model: TotalSpaceModel, expr: VertExpr, x: np.ndarray) -> np.ndarray:
-    if isinstance(expr, BracketVert):
-        return expr.value_in(model, x)
-    return expr.value(x)
 
 
 def bar_connection_apply(model: TotalSpaceModel, u: GeneratedField,
@@ -466,34 +461,24 @@ def bar_curvature(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
     return _pair_curvature(model, uv, vv, wv, x)
 
 
-def _hypotheses_residuals(model: TotalSpaceModel,
-                          points: np.ndarray) -> dict[str, float]:
-    dr = covariant_derivative_field(model.gamma, curvature_field(model.gamma))
-    dt = covariant_derivative_field(model.gamma, torsion_field(model.gamma))
-    df = assoc_covariant_field(model.a, model.gamma, curvature_form_field(model.a))
-    out = {"nabla_R": 0.0, "nabla_T": 0.0, "nabla_F": 0.0}
-    for x in points:
-        fr = ortho_frame(model.g, x)
-        out["nabla_R"] = max(out["nabla_R"], to_frame(dr.at(x), fr).norm())
-        out["nabla_T"] = max(out["nabla_T"], to_frame(dt.at(x), fr).norm())
-        out["nabla_F"] = max(out["nabla_F"], to_frame(df.at(x), fr).norm())
-    return out
-
-
 def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
                           tol: float = DEFAULT_TOL, hyp_tol: float = HYP_TOL,
                           fixture: str = "") -> VerificationReport:
     """Torsion and curvature of the adapted connection are parallel, given
     the base parallelism hypotheses."""
     points = np.atleast_2d(np.asarray(points, float))
-    residuals = _hypotheses_residuals(model, points)
+    residuals = max_frame_norms({
+        "nabla_R": covariant_derivative_field(model.gamma, curvature_field(model.gamma)),
+        "nabla_T": covariant_derivative_field(model.gamma, torsion_field(model.gamma)),
+        "nabla_F": assoc_covariant_field(model.a, model.gamma, curvature_form_field(model.a)),
+    }, model.g, points)
     flags: list[str] = []
-    if max(residuals.values()) > hyp_tol:
+    if not nan_max(residuals.values()) <= hyp_tol:
         flags.append("hypotheses-failed")
     lifts, funds = _frame_fields(model)
     frame = lifts + funds
-    bar_t = 0.0
-    bar_r = 0.0
+    bar_t = []
+    bar_r = []
     for x in points:
         acc_t = 0.0
         for u in frame:
@@ -508,22 +493,21 @@ def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
                     for z in frame:
                         rv = bar_curvature_derivative(model, u, v, w, z, x)
                         acc_r += _tv_norm2(model, rv, x)
-        bar_t = max(bar_t, float(np.sqrt(acc_t)))
-        bar_r = max(bar_r, float(np.sqrt(acc_r)))
-    residuals["nabla_bar_T"] = bar_t
-    residuals["nabla_bar_R"] = bar_r
+        bar_t.append(np.sqrt(acc_t))
+        bar_r.append(np.sqrt(acc_r))
+    residuals["nabla_bar_T"] = nan_max(bar_t)
+    residuals["nabla_bar_R"] = nan_max(bar_r)
     tolerances = {
         "nabla_R": hyp_tol, "nabla_T": hyp_tol, "nabla_F": hyp_tol,
         "nabla_bar_T": tol, "nabla_bar_R": tol,
     }
-    passed = ("hypotheses-failed" not in flags) and bar_t < tol and bar_r < tol
     return VerificationReport(
         scenario="total-space",
         fixture=fixture,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=verdict(residuals, tolerances, flags),
         flags=tuple(flags),
     )
 
@@ -536,17 +520,16 @@ def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
     connection iff the shift form is parallel."""
     points = np.atleast_2d(np.asarray(points, float))
     alpha = form_difference(model.a, a0)
-    dalpha = assoc_covariant_field(model.a, model.gamma, alpha)
-    hyp = 0.0
-    for x in points:
-        fr = ortho_frame(model.g, x)
-        hyp = max(hyp, to_frame(dalpha.at(x), fr).norm())
+    residuals = max_frame_norms(
+        {"alpha_parallel": assoc_covariant_field(model.a, model.gamma, alpha)},
+        model.g, points,
+    )
     flags: list[str] = []
-    if hyp > hyp_tol:
+    if not residuals["alpha_parallel"] <= hyp_tol:
         flags.append("hypotheses-failed")
     lifts, _ = _frame_fields(model)
     vc = _vertical_coframe(model)
-    worst = 0.0
+    worst = []
     for x in points:
         for xf in lifts:
             xv = xf.at(x)
@@ -556,16 +539,15 @@ def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
 
                 dz = base_cov(model, zf.payload, x, xv)
                 resid = conn_cov(model, shift, x, xv) - alpha.at(x).data.T @ dz
-                worst = max(worst, float(np.linalg.norm(vc @ resid)))
-    residuals = {"alpha_parallel": hyp, "distribution": worst}
+                worst.append(np.linalg.norm(vc @ resid))
+    residuals["distribution"] = nan_max(worst)
     tolerances = {"alpha_parallel": hyp_tol, "distribution": tol}
-    passed = ("hypotheses-failed" not in flags) and worst < tol
     return VerificationReport(
         scenario="total-space",
         fixture=fixture,
         points=points,
         residuals=residuals,
         tolerances=tolerances,
-        passed=passed,
+        passed=verdict(residuals, tolerances, flags),
         flags=tuple(flags),
     )

@@ -1,5 +1,5 @@
 """Tests for the command line runner: configuration parsing, deterministic
-serialization, exit codes, report schema, and thread-count independence."""
+serialization, exit codes, report schema, and tolerance-name checks."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 
 from ambrose import cli
 from ambrose.errors import ConfigError, NumericalFailure
+from ambrose.homogeneity import KMAX_CAP
 
 REPORT_KEYS = {
     "scenario", "fixture", "params", "points", "residuals",
@@ -166,23 +167,6 @@ class TestSerialization:
         assert parsed["z"]["k"] is True
 
 
-class TestThreadCount:
-    def test_default_single_thread(self, monkeypatch):
-        monkeypatch.delenv("AMBROSE_THREADS", raising=False)
-        assert cli.thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("AMBROSE_THREADS", "4")
-        assert cli.thread_count() == 4
-        monkeypatch.setenv("AMBROSE_THREADS", "0")
-        assert cli.thread_count() == 1
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("AMBROSE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            cli.thread_count()
-
-
 class TestMainExitCodes:
     def test_passing_scenario_exits_zero(self, capsys):
         code = cli.main([
@@ -219,6 +203,43 @@ class TestMainExitCodes:
         assert code == 1
         assert data["pass"] is False
         assert data["tolerances"]["nabla_R"] == 1e-20
+
+    def test_unknown_tolerance_name_exits_two(self, capsys):
+        args = [
+            "--scenario", "check-lh-triple", "--fixture", "hopf_monopole",
+            "--points", "1", "--tol",
+        ]
+        assert cli.main(args + ["defualt=1e-30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "defualt" in captured.err
+        # a known name is still applied
+        assert cli.main(args + ["nabla_R=1e-30"]) == 1
+        assert json.loads(capsys.readouterr().out)["tolerances"]["nabla_R"] == 1e-30
+
+    def test_selftest_tolerance_names_drop_scenario_prefix(self, capsys):
+        assert cli.main(["--scenario", "selftest", "--tol", "nabla_F0=1e-30"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["tolerances"]["check-ls-triple.nabla_F0"] == 1e-30
+        assert cli.main([
+            "--scenario", "selftest", "--tol", "check-ls-triple.nabla_F0=1e-30",
+        ]) == 2
+
+    def test_kmax_above_cap_exits_two_before_work(self, monkeypatch, capsys):
+        def never(cfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "singer", never)
+        code = cli.main([
+            "--scenario", "singer", "--fixture", "round_sphere2",
+            "--kmax", str(KMAX_CAP + 1),
+        ])
+        assert code == 2
+        assert "kmax" in capsys.readouterr().err
+        assert cli.parse_config([
+            "--scenario", "singer", "--fixture", "round_sphere2",
+            "--kmax", str(KMAX_CAP),
+        ]).kmax == KMAX_CAP
 
     def test_config_error_exits_two(self, capsys):
         assert cli.main(["--scenario", "nonsense"]) == 2
@@ -261,22 +282,12 @@ class TestDeterminism:
         "--param", "n=2", "--points", "3",
     ]
 
-    def test_repeat_runs_byte_identical(self, capsys, monkeypatch):
-        monkeypatch.delenv("AMBROSE_THREADS", raising=False)
+    def test_repeat_runs_byte_identical(self, capsys):
         assert cli.main(self.ARGS) == 0
         first = capsys.readouterr().out
         assert cli.main(self.ARGS) == 0
         second = capsys.readouterr().out
         assert first == second
-
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.delenv("AMBROSE_THREADS", raising=False)
-        assert cli.main(self.ARGS) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("AMBROSE_THREADS", "4")
-        assert cli.main(self.ARGS) == 0
-        threaded = capsys.readouterr().out
-        assert serial == threaded
 
 
 class TestOutputFile:

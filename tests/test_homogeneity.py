@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ambrose.bundle_conn import form_difference
+from ambrose.bundle_conn import LocalConnectionForm, form_difference
 from ambrose.chart_calculus import (
     ConnectionCoeffs,
+    covariant_derivative,
     covariant_derivative_field,
     curvature_field,
     levi_civita,
+    nan_max,
     ortho_frame,
     sample_interior,
 )
@@ -29,7 +31,7 @@ from ambrose.homogeneity import (
     frame_expressed_field,
     frame_gauge_form,
     form_as_field,
-    gauge_derivative,
+    gauge_connection,
     gauge_residual,
     group_action,
     kirichenko_section_spec,
@@ -308,7 +310,8 @@ class TestGaugeForms:
         grad = covariant_derivative_field(gamma, riem)
         for x in sample_interior(fx.chart, 3, seed=10):
             fr = ortho_frame(fx.g, x)
-            d = gauge_derivative(b0, REP2, riem_hat, x)
+            gauge, lie = gauge_connection(b0, REP2)
+            d = covariant_derivative(gauge, riem_hat, x, lie)
             lhs = np.tensordot(fr.frame, d.data, axes=(0, 0))
             rhs = to_frame(grad.at(x), fr).data
             assert np.abs(lhs - rhs).max() < 1e-7
@@ -467,3 +470,31 @@ class TestParallelismCriteria:
         report = check_ls_triple(self.triple(fx), pts)
         assert report.passed
         assert max(report.residuals.values()) < 1e-10
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("values", [[0.0, np.nan], [np.nan, 0.0]])
+    def test_nan_max_propagates_nan(self, values):
+        assert np.isnan(nan_max(values))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_nan_bundle_form_near_one_point_fails(self, bad):
+        """A bundle form that is NaN near any one sample point must not pass."""
+        fx = instantiate("hopf_monopole", {})
+        pts = sample_interior(fx.chart, 3, seed=19)
+
+        def near(x):
+            return np.linalg.norm(np.asarray(x) - pts[bad]) < 0.05
+
+        a = LocalConnectionForm(
+            chart=fx.chart,
+            algebra=fx.algebra,
+            evaluator=lambda x: np.full((2, 3), np.nan) if near(x) else fx.a0.at(x),
+            partial_evaluator=lambda x, mu: (
+                np.full((2, 3), np.nan) if near(x) else fx.a0.partial_at(x, mu)
+            ),
+        )
+        triple = TripleSpec(g=fx.g, algebra=fx.algebra, inner=fx.inner, a0=fx.a0)
+        report = check_lh_triple(triple, fx.gamma, a, pts)
+        assert not report.passed
+        assert np.isnan(report.residuals["nabla_F"])
