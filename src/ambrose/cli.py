@@ -39,6 +39,7 @@ from .fixtures import (
 )
 from .homogeneity import (
     KMAX_CAP,
+    TOLERANCES,
     StabilizerChain,
     TripleSpec,
     VerificationReport,
@@ -49,6 +50,7 @@ from .homogeneity import (
     frame_expressed_field,
     frame_gauge_form,
     gauge_residual,
+    make_report,
     opozda_section_spec,
     tower_and_chain,
     verdict,
@@ -81,6 +83,12 @@ SCENARIOS = (
 
 # Parameters consumed by the runner itself, not by the fixture catalog.
 SCENARIO_PARAMS = ("connection", "perturb", "alpha")
+
+SELFTEST_BATTERY = (
+    ("identities", "euclidean", {"n": 2}),
+    ("singer", "round_sphere2", {}),
+    ("check-ls-triple", "hopf_monopole", {}),
+)
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         action="append",
         metavar="NAME=VALUE",
-        help="override a named tolerance, repeatable",
+        help="override default (every residual) or one residual's tolerance, repeatable",
     )
     parser.add_argument("--kmax", type=int)
     parser.add_argument("--out", help="write the report here instead of stdout")
@@ -175,7 +183,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
     params = dict(base.get("params", {}))
     params.update(_parse_pairs(args.param, "--param", numeric=False))
-    tols = {k: float(v) for k, v in dict(base.get("tols", {})).items()}
+    try:
+        tols = {k: float(v) for k, v in dict(base.get("tols", {})).items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("config file tols must map names to numbers") from exc
     tols.update(_parse_pairs(args.tol, "--tol", numeric=True))
     scenario = args.scenario or base.get("scenario")
     fixture = args.fixture or base.get("fixture")
@@ -200,6 +211,16 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError("seed must be an integer")
     if kmax is not None and (not isinstance(kmax, int) or not 1 <= kmax <= KMAX_CAP):
         raise ConfigError(f"kmax must be an integer in 1..{KMAX_CAP}")
+    # a tolerance name is `default` or a residual key of the scenario; for
+    # selftest, of a scenario of its battery (without the `scenario.` prefix)
+    battery = [s for s, _, _ in SELFTEST_BATTERY] if scenario == "selftest" else [scenario]
+    known = {k for s in battery for k in TOLERANCES[s]}
+    unknown = sorted(set(tols) - known - {"default"})
+    if unknown:
+        raise ConfigError(
+            f"unknown tolerance name(s) {', '.join(unknown)}; "
+            f"known: default, {', '.join(sorted(known))}"
+        )
     return RunConfig(
         scenario=scenario,
         fixture=fixture or "",
@@ -273,27 +294,15 @@ def report_dict(rep: VerificationReport, params: dict) -> dict:
 
 
 def _retolerance(rep: VerificationReport, tols: dict) -> VerificationReport:
-    """Apply named tolerance overrides and recompute the verdict."""
-    overrides = {k: v for k, v in tols.items() if k in rep.tolerances}
+    """Apply tolerance overrides and recompute the verdict: ``default`` sets
+    every tolerance of the report, and a named key wins over it."""
+    overrides = {k: tols.get(k, tols.get("default")) for k in rep.tolerances
+                 if k in tols or "default" in tols}
     if not overrides:
         return rep
     tolerances = {**rep.tolerances, **overrides}
     return replace(rep, tolerances=tolerances,
                    passed=verdict(rep.residuals, tolerances, rep.flags))
-
-
-def _check_tolerance_names(rep: VerificationReport, tols: dict) -> None:
-    """Every name must be ``default`` or a tolerance key of the report;
-    selftest keys are matched without their ``scenario.`` prefix."""
-    known = set(rep.tolerances)
-    if rep.scenario == "selftest":
-        known = {k.split(".", 1)[1] for k in known}
-    unknown = sorted(set(tols) - known - {"default"})
-    if unknown:
-        raise ConfigError(
-            f"unknown tolerance name(s) {', '.join(unknown)}; "
-            f"known: default, {', '.join(sorted(known))}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +380,13 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
             nesting.append(nan_max(angles))
         closure.extend(subalgebra_residual(rep.algebra, b) for b in ch.bases)
     residuals = {"nesting_angle": nan_max(nesting), "subalgebra": nan_max(closure)}
-    tolerances = {
-        "nesting_angle": cfg.tols.get("nesting_angle", 1e-6),
-        "subalgebra": cfg.tols.get("subalgebra", 1e-7),
-    }
     first = chains[0]
     singer_k = first.singer_k
     dims = (
         first.dims[: singer_k + 1] if singer_k is not None else first.dims
     )
-    return VerificationReport(
-        scenario="singer",
-        fixture=fix.name,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=singer_k is not None and verdict(residuals, tolerances, flags),
-        stabilizer_dims=tuple(dims),
-        singer_k=singer_k,
-        flags=tuple(flags),
-    )
+    return make_report("singer", fix.name, points, residuals, flags,
+                       stabilizer_dims=tuple(dims), singer_k=singer_k)
 
 
 def run_check_lh(cfg: RunConfig) -> VerificationReport:
@@ -399,10 +395,7 @@ def run_check_lh(cfg: RunConfig) -> VerificationReport:
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
     triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return check_lh_triple(
-        triple, fix.gamma, fix.a0, points,
-        tol=cfg.tols.get("default", 1e-5), fixture=fix.name,
-    )
+    return check_lh_triple(triple, fix.gamma, fix.a0, points, fixture=fix.name)
 
 
 def run_check_ls(cfg: RunConfig) -> VerificationReport:
@@ -411,9 +404,7 @@ def run_check_ls(cfg: RunConfig) -> VerificationReport:
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
     triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return check_ls_triple(
-        triple, points, tol=cfg.tols.get("default", 1e-5), fixture=fix.name
-    )
+    return check_ls_triple(triple, points, fixture=fix.name)
 
 
 def run_adapt(cfg: RunConfig) -> VerificationReport:
@@ -454,21 +445,10 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
                 t_hat = frame_expressed_field(f, fix.g)
                 tower_res.append(gauge_residual(b, rep, t_hat, fix.g, x))
     residuals = {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
-    tolerances = {
-        "nabla_beta": cfg.tols.get("nabla_beta", 1e-5),
-        "nabla_tower": cfg.tols.get("nabla_tower", 1e-5),
-    }
-    flags = tuple(sorted(set(first_chain.flags)))
-    return VerificationReport(
-        scenario="adapt",
-        fixture=fix.name,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances, flags),
+    return make_report(
+        "adapt", fix.name, points, residuals, sorted(set(first_chain.flags)),
         stabilizer_dims=tuple(first_chain.dims[: first_chain.singer_k + 1]),
         singer_k=first_chain.singer_k,
-        flags=flags,
     )
 
 
@@ -485,18 +465,11 @@ def run_total_space(cfg: RunConfig) -> VerificationReport:
     )
     a0_ref = _reference_form(fix, cfg.params.get("alpha"), "alpha")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    tol = cfg.tols.get("default", 1e-5)
-    rep1 = bar_parallelism_check(model, points, tol=tol, fixture=fix.name)
-    rep2 = distribution_parallel_check(model, a0_ref, points, tol=tol, fixture=fix.name)
-    return VerificationReport(
-        scenario="total-space",
-        fixture=fix.name,
-        points=points,
-        residuals={**rep1.residuals, **rep2.residuals},
-        tolerances={**rep1.tolerances, **rep2.tolerances},
-        passed=rep1.passed and rep2.passed,
-        flags=tuple(sorted(set(rep1.flags) | set(rep2.flags))),
-    )
+    rep1 = bar_parallelism_check(model, points, fixture=fix.name)
+    rep2 = distribution_parallel_check(model, a0_ref, points, fixture=fix.name)
+    return make_report("total-space", fix.name, points,
+                       {**rep1.residuals, **rep2.residuals},
+                       sorted(set(rep1.flags) | set(rep2.flags)))
 
 
 def run_identities(cfg: RunConfig) -> VerificationReport:
@@ -544,27 +517,14 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
 
     rows = [one(x) for x in points]
     residuals = {n: nan_max(row[n] for row in rows) for n in rows[0]}
-    tolerances = {n: cfg.tols.get(n, cfg.tols.get("default", 1e-6)) for n in residuals}
-    return VerificationReport(
-        scenario="identities",
-        fixture=fix.name,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances),
-    )
+    return make_report("identities", fix.name, points, residuals)
 
 
 def run_selftest(cfg: RunConfig) -> VerificationReport:
-    battery = (
-        ("identities", "euclidean", {"n": 2}),
-        ("singer", "round_sphere2", {}),
-        ("check-ls-triple", "hopf_monopole", {}),
-    )
     residuals: dict[str, float] = {}
     tolerances: dict[str, float] = {}
     passed = True
-    for scenario, fixture, params in battery:
+    for scenario, fixture, params in SELFTEST_BATTERY:
         sub = replace(
             cfg, scenario=scenario, fixture=fixture, params=params, out=None
         )
@@ -599,24 +559,17 @@ RUNNERS = {
 
 
 def run_scenario(cfg: RunConfig) -> dict:
-    rep = _retolerance(RUNNERS[cfg.scenario](cfg), cfg.tols)
-    _check_tolerance_names(rep, cfg.tols)
+    rep = RUNNERS[cfg.scenario](cfg)
+    # selftest has applied the overrides to each of its sub-reports
+    if cfg.scenario != "selftest":
+        rep = _retolerance(rep, cfg.tols)
     return report_dict(rep, cfg.params)
 
 
 def _partial_report(cfg: RunConfig, exc: Exception) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "fixture": cfg.fixture,
-        "params": dict(cfg.params),
-        "points": [],
-        "residuals": {},
-        "stabilizer_dims": None,
-        "singer_k": None,
-        "pass": False,
-        "tolerances": {},
-        "flags": ["numerical-failure", f"error: {exc}"],
-    }
+    rep = make_report(cfg.scenario, cfg.fixture, np.zeros((0, 0)), {},
+                      ("numerical-failure", f"error: {exc}"))
+    return report_dict(rep, cfg.params)
 
 
 def _emit(report: dict, out: str | None) -> None:

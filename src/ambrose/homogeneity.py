@@ -9,7 +9,7 @@ form of the connection: del_mu = d_mu + action(b_mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,6 +45,8 @@ from .errors import (
     RepMismatch,
 )
 from .lie_core import (
+    ANGLE_TOL,
+    NULL_TOL,
     AdInvariantInner,
     LieAlgebra,
     LinearRep,
@@ -56,14 +58,34 @@ from .lie_core import (
 )
 from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
 
-NULL_TOL = 1e-8
-ANGLE_TOL = 1e-6
-DEFAULT_TOL = 1e-5
 KMAX_START = 2
 KMAX_CAP = 4
+# orbit_match: accepted relative residual, random starts, sweeps per search
+MATCH_TOL = 1e-6
+MATCH_STARTS = 16
+COMPASS_SWEEPS = 500
 
 # flags that fail a report whatever its residuals
-BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed")
+BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed",
+             "numerical-failure")
+
+# Every report's residual keys with their default tolerances, by scenario.
+# total-space's nabla_R, nabla_T, nabla_F and alpha_parallel are the
+# hypotheses of its criteria.
+TOLERANCES = {
+    "singer": {"nesting_angle": 1e-6, "subalgebra": 1e-7},
+    "adapt": {"nabla_beta": 1e-5, "nabla_tower": 1e-5},
+    "check-lh-triple": dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "nabla_alpha"), 1e-5),
+    "check-ls-triple": dict.fromkeys(("nabla_Rg", "nabla_F0"), 1e-5),
+    "equivalence-check": dict.fromkeys(("nabla_Rg", "nabla_S", "nabla_R", "nabla_T"), 1e-5),
+    "total-space": {
+        **dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "alpha_parallel"), 1e-6),
+        **dict.fromkeys(("nabla_bar_T", "nabla_bar_R", "distribution"), 1e-5),
+    },
+    "identities": dict.fromkeys(
+        ("nabla_g", "bianchi_first", "bianchi_second", "curvature_variation",
+         "connection_variation", "leibniz"), 1e-6),
+}
 
 
 @dataclass(frozen=True)
@@ -133,6 +155,27 @@ def verdict(residuals: dict[str, float], tolerances: dict[str, float],
             and not any(f in BAD_FLAGS for f in flags))
 
 
+def make_report(scenario: str, fixture: str, points: np.ndarray,
+                residuals: dict[str, float],
+                flags: tuple[str, ...] | list[str] = (),
+                stabilizer_dims: tuple[int, ...] | None = None,
+                singer_k: int | None = None) -> VerificationReport:
+    """The scenario's report: each residual gets its default tolerance from
+    TOLERANCES, and ``passed`` is the verdict on them and the flags."""
+    tolerances = {k: TOLERANCES[scenario][k] for k in residuals}
+    return VerificationReport(
+        scenario=scenario,
+        fixture=fixture,
+        points=points,
+        residuals=residuals,
+        tolerances=tolerances,
+        passed=verdict(residuals, tolerances, flags),
+        stabilizer_dims=stabilizer_dims,
+        singer_k=singer_k,
+        flags=tuple(flags),
+    )
+
+
 def derivative_fields(sigma: SectionSpec, b0: LocalConnectionForm | None,
                       gamma0: ConnectionCoeffs, kmax: int,
                       ) -> list[tuple[TensorFieldSpec, ...]]:
@@ -160,9 +203,7 @@ def build_tower(sigma: SectionSpec, b0: LocalConnectionForm | None,
     return DerivativeTower(point=x, frame=fr, kmax=kmax, entries=entries)
 
 
-def stabilizer_chain(tower: DerivativeTower, rep: TensorRep,
-                     rel_tol: float = NULL_TOL,
-                     angle_tol: float = ANGLE_TOL) -> StabilizerChain:
+def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
     """h(k) = kernel of the stacked action matrix over entries 0..k."""
     bases: list[np.ndarray] = []
     flags: list[str] = []
@@ -173,10 +214,10 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep,
         # arithmetic do not present their FD noise as full-rank columns
         scale = float(np.sqrt(sum(t.norm() ** 2 for t in tensors)))
         mat = stacked_action_matrix(tensors, rep)
-        bases.append(nullspace(mat, rel_tol=rel_tol, scale=scale))
+        bases.append(nullspace(mat, scale=scale))
         if mat.any():
             sing = np.linalg.svd(mat, compute_uv=False)
-            cutoff = rel_tol * max(sing[0], scale)
+            cutoff = NULL_TOL * max(sing[0], scale)
             below = sing[sing <= cutoff]
             above = sing[sing > cutoff]
             # kernel and range must be separated by a clear spectral gap
@@ -187,7 +228,7 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep,
     for k in range(len(bases) - 1):
         if dims[k + 1] != dims[k]:
             continue
-        if dims[k] == 0 or principal_angles(bases[k + 1], bases[k]).max() < angle_tol:
+        if dims[k] == 0 or principal_angles(bases[k + 1], bases[k]).max() < ANGLE_TOL:
             singer_k = k
             break
     if singer_k is None:
@@ -261,13 +302,12 @@ def _even_rank_spectrum(t: DenseTensor) -> np.ndarray | None:
 
 
 def _compass_search(f: Callable[[np.ndarray], float], theta0: np.ndarray,
-                    max_sweeps: int = 500, target: float = 1e-14,
-                    ) -> tuple[np.ndarray, float]:
+                    target: float = 1e-14) -> tuple[np.ndarray, float]:
     """Coordinate descent with backtracking step halving."""
     theta = np.asarray(theta0, float).copy()
     val = f(theta)
     step = 0.5
-    for _ in range(max_sweeps):
+    for _ in range(COMPASS_SWEEPS):
         if val < target or step < 1e-10:
             break
         improved = False
@@ -285,8 +325,7 @@ def _compass_search(f: Callable[[np.ndarray], float], theta0: np.ndarray,
 
 
 def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
-                depth: int, rel_tol: float = 1e-6, starts: int = 16,
-                seed: int = 0) -> MatchResult:
+                depth: int) -> MatchResult:
     """Search the identity component for a group element matching the towers."""
     e1 = t1.up_to(depth)
     e2 = t2.up_to(depth)
@@ -319,11 +358,11 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
         return num / scale
 
     m = rep.algebra.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best_theta = np.zeros(m)
     best = objective(best_theta)
-    target = rel_tol**2
-    for s in range(starts):
+    target = MATCH_TOL**2
+    for s in range(MATCH_STARTS):
         theta0 = np.zeros(m) if s == 0 else rng.uniform(-np.pi, np.pi, size=m)
         theta, val = _compass_search(objective, theta0, target=0.01 * target)
         if val < best:
@@ -331,7 +370,7 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
         if best < 0.01 * target:
             break
     residual = float(np.sqrt(best))
-    if residual < rel_tol:
+    if residual < MATCH_TOL:
         return MatchResult(True, best_theta, residual)
     return MatchResult(False, best_theta, residual, "residual")
 
@@ -458,8 +497,7 @@ def kirichenko_section_spec(chart: Chart,
 
 def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
                     a: LocalConnectionForm, points: np.ndarray,
-                    tol: float = DEFAULT_TOL, fixture: str = "",
-                    ) -> VerificationReport:
+                    fixture: str = "") -> VerificationReport:
     """Locally homogeneous triple criterion: del R, del T, (del x del^A)F,
     (del x del^A)(A - A0) all parallel."""
     points = np.atleast_2d(np.asarray(points, float))
@@ -469,20 +507,11 @@ def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
         "nabla_F": assoc_covariant_field(a, gamma, curvature_form_field(a)),
         "nabla_alpha": assoc_covariant_field(a, gamma, form_difference(a, triple.a0)),
     }, triple.g, points)
-    tolerances = {n: tol for n in residuals}
-    return VerificationReport(
-        scenario="check-lh-triple",
-        fixture=fixture,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances),
-    )
+    return make_report("check-lh-triple", fixture, points, residuals)
 
 
 def check_ls_triple(triple: TripleSpec, points: np.ndarray,
-                    tol: float = DEFAULT_TOL, fixture: str = "",
-                    ) -> VerificationReport:
+                    fixture: str = "") -> VerificationReport:
     """Locally symmetric triple criterion with the Levi-Civita connection."""
     points = np.atleast_2d(np.asarray(points, float))
     gamma = levi_civita(triple.g)
@@ -490,20 +519,12 @@ def check_ls_triple(triple: TripleSpec, points: np.ndarray,
         "nabla_Rg": covariant_derivative_field(gamma, curvature_field(gamma)),
         "nabla_F0": assoc_covariant_field(triple.a0, gamma, curvature_form_field(triple.a0)),
     }, triple.g, points)
-    tolerances = {n: tol for n in residuals}
-    return VerificationReport(
-        scenario="check-ls-triple",
-        fixture=fixture,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances),
-    )
+    return make_report("check-ls-triple", fixture, points, residuals)
 
 
 def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
-                           points: np.ndarray, tol: float = DEFAULT_TOL,
-                           fixture: str = "") -> VerificationReport:
+                           points: np.ndarray, fixture: str = "",
+                           ) -> VerificationReport:
     """Two equivalent condition systems for a metric connection C vs C0.
 
     System one: del R^g = 0 and del (C - C0) = 0.  System two: del R^C = 0 and
@@ -534,19 +555,12 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
     }, g, points)
     if not residuals.pop("nabla_g") <= 1e-7:
         raise NotMetric("connection is not metric-compatible at a sample point")
-    tolerances = {n: tol for n in residuals}
-    system_one = verdict(residuals, {n: tol for n in ("nabla_Rg", "nabla_S")})
-    system_two = verdict(residuals, {n: tol for n in ("nabla_R", "nabla_T")})
+    tol = TOLERANCES["equivalence-check"]
+    system_one = verdict(residuals, {n: tol[n] for n in ("nabla_Rg", "nabla_S")})
+    system_two = verdict(residuals, {n: tol[n] for n in ("nabla_R", "nabla_T")})
     agree = system_one == system_two
     flags = ["systems-agree" if agree else "systems-disagree"]
     flags.append("system-one-holds" if system_one else "system-one-fails")
     flags.append("system-two-holds" if system_two else "system-two-fails")
-    return VerificationReport(
-        scenario="equivalence-check",
-        fixture=fixture,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=agree,
-        flags=tuple(flags),
-    )
+    return replace(make_report("equivalence-check", fixture, points, residuals, flags),
+                   passed=agree)

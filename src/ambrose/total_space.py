@@ -39,13 +39,8 @@ from .chart_calculus import (
     torsion_field,
 )
 from .errors import RepMismatch, UnsupportedFieldKind
-from .homogeneity import VerificationReport, verdict
+from .homogeneity import TOLERANCES, VerificationReport, make_report
 from .lie_core import AdInvariantInner, LieAlgebra
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-HYP_TOL = 1e-6
-DEFAULT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -63,19 +58,6 @@ class TotalSpaceModel:
     def __post_init__(self):
         if self.a.algebra.labels != self.algebra.labels:
             raise RepMismatch("connection form algebra differs from model algebra")
-
-
-@dataclass(frozen=True)
-class AdaptedFrameVector:
-    """A single-block tangent vector on the total space."""
-
-    tag: str
-    payload: np.ndarray
-
-    def __post_init__(self):
-        if self.tag not in (HORIZONTAL, VERTICAL):
-            raise UnsupportedFieldKind(f"unknown tag {self.tag!r}")
-        object.__setattr__(self, "payload", np.asarray(self.payload, float))
 
 
 @dataclass(frozen=True)
@@ -461,8 +443,12 @@ def bar_curvature(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
     return _pair_curvature(model, uv, vv, wv, x)
 
 
+def _hypotheses_hold(residuals: dict[str, float]) -> bool:
+    """Each hypothesis residual is within its default tolerance (NaN is not)."""
+    return all(r <= TOLERANCES["total-space"][k] for k, r in residuals.items())
+
+
 def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
-                          tol: float = DEFAULT_TOL, hyp_tol: float = HYP_TOL,
                           fixture: str = "") -> VerificationReport:
     """Torsion and curvature of the adapted connection are parallel, given
     the base parallelism hypotheses."""
@@ -472,9 +458,7 @@ def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
         "nabla_T": covariant_derivative_field(model.gamma, torsion_field(model.gamma)),
         "nabla_F": assoc_covariant_field(model.a, model.gamma, curvature_form_field(model.a)),
     }, model.g, points)
-    flags: list[str] = []
-    if not nan_max(residuals.values()) <= hyp_tol:
-        flags.append("hypotheses-failed")
+    flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
     lifts, funds = _frame_fields(model)
     frame = lifts + funds
     bar_t = []
@@ -497,24 +481,11 @@ def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
         bar_r.append(np.sqrt(acc_r))
     residuals["nabla_bar_T"] = nan_max(bar_t)
     residuals["nabla_bar_R"] = nan_max(bar_r)
-    tolerances = {
-        "nabla_R": hyp_tol, "nabla_T": hyp_tol, "nabla_F": hyp_tol,
-        "nabla_bar_T": tol, "nabla_bar_R": tol,
-    }
-    return VerificationReport(
-        scenario="total-space",
-        fixture=fixture,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances, flags),
-        flags=tuple(flags),
-    )
+    return make_report("total-space", fixture, points, residuals, flags)
 
 
 def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
-                                points: np.ndarray, tol: float = DEFAULT_TOL,
-                                hyp_tol: float = HYP_TOL,
+                                points: np.ndarray,
                                 fixture: str = "") -> VerificationReport:
     """The reference horizontal distribution is parallel for the adapted
     connection iff the shift form is parallel."""
@@ -524,9 +495,7 @@ def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
         {"alpha_parallel": assoc_covariant_field(model.a, model.gamma, alpha)},
         model.g, points,
     )
-    flags: list[str] = []
-    if not residuals["alpha_parallel"] <= hyp_tol:
-        flags.append("hypotheses-failed")
+    flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
     lifts, _ = _frame_fields(model)
     vc = _vertical_coframe(model)
     worst = []
@@ -541,13 +510,4 @@ def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
                 resid = conn_cov(model, shift, x, xv) - alpha.at(x).data.T @ dz
                 worst.append(np.linalg.norm(vc @ resid))
     residuals["distribution"] = nan_max(worst)
-    tolerances = {"alpha_parallel": hyp_tol, "distribution": tol}
-    return VerificationReport(
-        scenario="total-space",
-        fixture=fixture,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances, flags),
-        flags=tuple(flags),
-    )
+    return make_report("total-space", fixture, points, residuals, flags)

@@ -8,7 +8,7 @@ import pytest
 
 from ambrose import cli
 from ambrose.errors import ConfigError, NumericalFailure
-from ambrose.homogeneity import KMAX_CAP
+from ambrose.homogeneity import KMAX_CAP, TOLERANCES, make_report
 
 REPORT_KEYS = {
     "scenario", "fixture", "params", "points", "residuals",
@@ -109,6 +109,11 @@ class TestParseConfig:
         arr.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             cli.parse_config(["--config", str(arr)])
+        for tols in ({"default": "loose"}, [1]):
+            path = tmp_path / "tols.json"
+            path.write_text(json.dumps({"scenario": "selftest", "tols": tols}))
+            with pytest.raises(ConfigError):
+                cli.parse_config(["--config", str(path)])
 
     def test_config_file_seed_type_checked(self, tmp_path):
         path = tmp_path / "run.json"
@@ -221,9 +226,43 @@ class TestMainExitCodes:
         assert cli.main(["--scenario", "selftest", "--tol", "nabla_F0=1e-30"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["tolerances"]["check-ls-triple.nabla_F0"] == 1e-30
+        # default applies to every sub-report once, and the named key wins
+        assert cli.main([
+            "--scenario", "selftest", "--tol", "default=1", "--tol", "nabla_F0=1e-30",
+        ]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["tolerances"]["check-ls-triple.nabla_F0"] == 1e-30
+        assert data["tolerances"]["singer.subalgebra"] == 1.0
         assert cli.main([
             "--scenario", "selftest", "--tol", "check-ls-triple.nabla_F0=1e-30",
         ]) == 2
+
+    def test_default_tolerance_applies_to_singer(self, capsys):
+        code = cli.main([
+            "--scenario", "singer", "--fixture", "berger_sphere",
+            "--param", "connection=metric", "--points", "1",
+            "--tol", "default=1e-30",
+        ])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["tolerances"] == {"nesting_angle": 1e-30, "subalgebra": 1e-30}
+
+    def test_tolerance_names_checked_before_work(self, monkeypatch, capsys, tmp_path):
+        def never(cfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "adapt", never)
+        args = ["--scenario", "adapt", "--fixture", "berger_sphere"]
+        assert cli.main(args + ["--tol", "defualt=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "defualt" in captured.err
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"tols": {"nabla_bta": 1.0}}))
+        assert cli.main(args + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nabla_bta" in captured.err
 
     def test_kmax_above_cap_exits_two_before_work(self, monkeypatch, capsys):
         def never(cfg):
@@ -274,6 +313,46 @@ class TestMainExitCodes:
         assert data["pass"] is True
         assert any(k.startswith("identities.") for k in data["residuals"])
         assert any(k.startswith("singer.") for k in data["residuals"])
+
+
+class TestToleranceTable:
+    # the cheapest run of each scenario; adapt's chain stabilizes at k=0,
+    # so kmax=1 reaches it
+    RUNS = {
+        "singer": ["--fixture", "round_sphere2"],
+        "check-lh-triple": ["--fixture", "trivial_bundle_flat"],
+        "check-ls-triple": ["--fixture", "trivial_bundle_flat"],
+        "adapt": ["--fixture", "berger_sphere", "--kmax", "1"],
+        "total-space": ["--fixture", "trivial_bundle_flat"],
+        "identities": ["--fixture", "euclidean"],
+        "selftest": [],
+    }
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_report_keys_match_table(self, scenario, capsys):
+        cli.main(["--scenario", scenario, "--points", "1", *self.RUNS[scenario]])
+        keys = set(json.loads(capsys.readouterr().out)["tolerances"])
+        if scenario == "selftest":
+            assert keys == {f"{s}.{k}" for s, _, _ in cli.SELFTEST_BATTERY
+                            for k in TOLERANCES[s]}
+        else:
+            assert keys == set(TOLERANCES[scenario])
+
+    @pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS if s != "selftest"])
+    def test_default_sets_every_key_and_a_named_key_wins(self, scenario):
+        table = TOLERANCES[scenario]
+        first = min(table)
+        rep = make_report(scenario, "", np.zeros((1, 2)),
+                          {k: 0.5 * t for k, t in table.items()})
+        assert rep.passed
+        assert rep.tolerances == table
+        tight = cli._retolerance(rep, {"default": 1e-30})
+        assert tight.tolerances == dict.fromkeys(table, 1e-30)
+        assert not tight.passed
+        mixed = cli._retolerance(rep, {"default": 1e-30, first: 1.0})
+        assert mixed.tolerances == {**dict.fromkeys(table, 1e-30), first: 1.0}
+        loose = cli._retolerance(rep, {"default": 1.0})
+        assert loose.passed
 
 
 class TestDeterminism:

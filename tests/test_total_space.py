@@ -11,7 +11,6 @@ from ambrose.errors import RepMismatch, UnsupportedFieldKind
 from ambrose.fixtures import instantiate, smooth_connection_form
 from ambrose.lie_core import algebra_by_name, default_inner
 from ambrose.total_space import (
-    AdaptedFrameVector,
     GeneratedField,
     TotalSpaceModel,
     TotalVector,
@@ -69,10 +68,6 @@ class TestModelAndVectors:
         assert np.allclose(s.vertical, [1.0, 1.0, 0.0])
         assert np.allclose(d.horizontal, u.horizontal)
         assert np.allclose(d.vertical, u.vertical)
-
-    def test_frame_vector_tag_validated(self):
-        with pytest.raises(UnsupportedFieldKind):
-            AdaptedFrameVector(tag="diagonal", payload=np.zeros(2))
 
     def test_generated_field_kinds(self):
         with pytest.raises(UnsupportedFieldKind):
