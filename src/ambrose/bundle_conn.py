@@ -19,7 +19,7 @@ from .chart_calculus import (
     TensorFieldSpec,
     covariant_derivative,
     covariant_derivative_field,
-    fd_array,
+    fd_partials,
     nan_max,
 )
 from .errors import RepMismatch
@@ -29,12 +29,13 @@ from .tensor_core import DOWN, LIE, DenseTensor, axis_action
 
 @dataclass(frozen=True)
 class LocalConnectionForm:
-    """Algebra-valued local connection form: evaluator(x)[mu] over directions."""
+    """Algebra-valued local connection form: evaluator(x)[mu] over directions;
+    optional analytic partials return out[nu, mu] = d_nu of the mu-th row."""
 
     chart: Chart
     algebra: LieAlgebra
     evaluator: Callable[[np.ndarray], np.ndarray]
-    partial_evaluator: Callable[[np.ndarray, int], np.ndarray] | None = None
+    partial_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(self.evaluator(np.asarray(x, float)), float)
@@ -45,10 +46,10 @@ class LocalConnectionForm:
             )
         return a
 
-    def partial_at(self, x: np.ndarray, mu: int) -> np.ndarray:
+    def partial_at(self, x: np.ndarray) -> np.ndarray:
         if self.partial_evaluator is not None:
-            return np.asarray(self.partial_evaluator(np.asarray(x, float), mu), float)
-        return fd_array(self.evaluator, self.chart, x, mu)
+            return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
+        return fd_partials(self.evaluator, self.chart, x)
 
     def ad_at(self, x: np.ndarray) -> np.ndarray:
         """ad(a_mu) for each direction mu: the form's action on lie axes."""
@@ -60,7 +61,7 @@ class LocalConnectionForm:
             raise RepMismatch("shift must be an adjoint-valued 1-form")
         partial = None
         if self.partial_evaluator is not None and alpha.partial_evaluator is not None:
-            partial = lambda x, mu: self.partial_at(x, mu) + alpha.partial_at(x, mu).data
+            partial = lambda x: self.partial_at(x) + alpha.partial_at(x)
         return LocalConnectionForm(
             chart=self.chart,
             algebra=self.algebra,
@@ -76,9 +77,7 @@ def form_difference(a1: LocalConnectionForm,
         raise RepMismatch("connection forms live over different algebras")
     partial = None
     if a1.partial_evaluator is not None and a0.partial_evaluator is not None:
-        partial = lambda x, mu: DenseTensor(
-            (DOWN, LIE), a1.partial_at(x, mu) - a0.partial_at(x, mu)
-        )
+        partial = lambda x: a1.partial_at(x) - a0.partial_at(x)
     return TensorFieldSpec(
         chart=a1.chart,
         markers=(DOWN, LIE),
@@ -117,8 +116,7 @@ def assoc_covariant_field(a: LocalConnectionForm, gamma: ConnectionCoeffs,
 def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> DenseTensor:
     """F[mu, nu] = d_mu a_nu - d_nu a_mu + [a_mu, a_nu], adjoint-valued."""
     x = np.asarray(x, float)
-    n = a.chart.dim
-    da = np.stack([a.partial_at(x, mu) for mu in range(n)])
+    da = a.partial_at(x)
     av = a.at(x)
     br = np.einsum("kij,mi,nj->mnk", a.algebra.structure, av, av)
     f = da - da.transpose(1, 0, 2) + br
@@ -139,8 +137,7 @@ def exterior_cov_derivative(a: LocalConnectionForm, alpha: TensorFieldSpec,
     if alpha.markers != (DOWN, LIE):
         raise RepMismatch("exterior_cov_derivative expects an adjoint-valued 1-form")
     x = np.asarray(x, float)
-    n = a.chart.dim
-    dal = np.stack([alpha.partial_at(x, mu).data for mu in range(n)])
+    dal = alpha.partial_at(x)
     av = a.at(x)
     alv = alpha.at(x).data
     br = np.einsum("kij,mi,nj->mnk", a.algebra.structure, av, alv)
@@ -151,11 +148,9 @@ def exterior_cov_derivative(a: LocalConnectionForm, alpha: TensorFieldSpec,
 def bianchi_residual(a: LocalConnectionForm, x: np.ndarray) -> float:
     """Cyclic-sum norm of the covariant exterior derivative of F at x."""
     x = np.asarray(x, float)
-    n = a.chart.dim
     av = a.at(x)
     fv = curvature_form(a, x).data
-    df = np.stack([fd_array(lambda p: curvature_form(a, p).data, a.chart, x, mu)
-                   for mu in range(n)])
+    df = fd_partials(lambda p: curvature_form(a, p).data, a.chart, x)
     cov = df + np.einsum("kij,mi,nlj->mnlk", a.algebra.structure, av, fv)
     cyc = cov + cov.transpose(1, 2, 0, 3) + cov.transpose(2, 0, 1, 3)
     return float(np.linalg.norm(cyc))

@@ -1,7 +1,10 @@
 """Single-chart differential calculus: metrics, connections, curvature, torsion.
 
-Derivatives are central finite differences with Richardson extrapolation
-unless a field carries analytic partial evaluators.  Everything lives on one
+Every field returns its partials along all coordinates in one call, stacked
+on a leading axis: ``partial_at(x)[mu]`` is the mu-th partial.  Metrics and
+moving frames carry analytic first and second partials; other fields use
+central finite differences with Richardson extrapolation (``fd_partials``)
+unless they carry analytic partial evaluators.  Everything lives on one
 coordinate chart; points are plain coordinate arrays.
 
 Index layout for connection coefficients: data[k, i, j] = coefficient of the
@@ -94,14 +97,22 @@ def fd_array(f: Callable[[np.ndarray], np.ndarray], chart: Chart, x: np.ndarray,
     return (4.0 * central(0.5 * h) - d1) / 3.0
 
 
+def fd_partials(f: Callable[[np.ndarray], np.ndarray], chart: Chart,
+                x: np.ndarray) -> np.ndarray:
+    """Every coordinate partial of an array-valued callable, stacked on a
+    leading axis: out[mu] = fd_array(f, chart, x, mu)."""
+    return np.stack([fd_array(f, chart, x, mu) for mu in range(chart.dim)])
+
+
 @dataclass(frozen=True)
 class TensorFieldSpec:
-    """Tensor field on a chart: evaluator plus optional analytic partials."""
+    """Tensor field on a chart: evaluator plus optional analytic partials,
+    which return the components' partials along every coordinate, stacked."""
 
     chart: Chart
     markers: tuple[str, ...]
     evaluator: Callable[[np.ndarray], DenseTensor]
-    partial_evaluator: Callable[[np.ndarray, int], DenseTensor] | None = None
+    partial_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, x: np.ndarray) -> DenseTensor:
         t = self.evaluator(np.asarray(x, float))
@@ -111,28 +122,23 @@ class TensorFieldSpec:
             )
         return t
 
-    def partial_at(self, x: np.ndarray, mu: int) -> DenseTensor:
+    def partial_at(self, x: np.ndarray) -> np.ndarray:
+        """out[mu] = d_mu of the components, shape (n, *dims)."""
         if self.partial_evaluator is not None:
-            return self.partial_evaluator(np.asarray(x, float), mu)
-        return fd_partial(self, x, mu)
-
-
-def fd_partial(field: TensorFieldSpec, x: np.ndarray, mu: int,
-               richardson: bool = True,
-               step_scale: float = STEP_SCALE) -> DenseTensor:
-    data = fd_array(lambda p: field.at(p).data, field.chart, x, mu,
-                    richardson=richardson, step_scale=step_scale)
-    return DenseTensor(field.markers, data)
+            return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
+        return fd_partials(lambda p: self.at(p).data, self.chart, x)
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Riemannian metric on a chart, with optional analytic derivatives."""
+    """Riemannian metric on a chart with its analytic first and second
+    partials: partial_evaluator(x)[mu] = d_mu g and
+    second_partial_evaluator(x)[mu, nu] = d_mu d_nu g."""
 
     chart: Chart
     evaluator: Callable[[np.ndarray], np.ndarray]
-    partial_evaluator: Callable[[np.ndarray, int], np.ndarray] | None = None
-    second_partial_evaluator: Callable[[np.ndarray, int, int], np.ndarray] | None = None
+    partial_evaluator: Callable[[np.ndarray], np.ndarray]
+    second_partial_evaluator: Callable[[np.ndarray], np.ndarray]
 
     def at(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.evaluator(np.asarray(x, float)), float)
@@ -140,27 +146,22 @@ class MetricField:
             raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
         return g
 
-    def partial_at(self, x: np.ndarray, mu: int) -> np.ndarray:
-        if self.partial_evaluator is not None:
-            return np.asarray(self.partial_evaluator(np.asarray(x, float), mu), float)
-        return fd_array(self.evaluator, self.chart, x, mu)
+    def partial_at(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
 
-    def second_partial_at(self, x: np.ndarray, mu: int, nu: int) -> np.ndarray:
-        if self.second_partial_evaluator is not None:
-            return np.asarray(
-                self.second_partial_evaluator(np.asarray(x, float), mu, nu), float
-            )
-        return fd_array(lambda p: self.partial_at(p, nu), self.chart, x, mu)
+    def second_partial_at(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.second_partial_evaluator(np.asarray(x, float)), float)
 
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Linear connection in the coordinate frame: data[k, i, j] at each point."""
+    """Linear connection in the coordinate frame: data[k, i, j] at each point;
+    optional analytic partials return out[mu, k, i, j]."""
 
     chart: Chart
     evaluator: Callable[[np.ndarray], np.ndarray]
     symmetric_flag: bool = False
-    partial_evaluator: Callable[[np.ndarray, int], np.ndarray] | None = None
+    partial_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
         G = np.asarray(self.evaluator(np.asarray(x, float)), float)
@@ -172,26 +173,30 @@ class ConnectionCoeffs:
             raise BadParameters("symmetric_flag set but coefficients asymmetric")
         return G
 
-    def partial_at(self, x: np.ndarray, mu: int) -> np.ndarray:
+    def partial_at(self, x: np.ndarray) -> np.ndarray:
         if self.partial_evaluator is not None:
-            return np.asarray(self.partial_evaluator(np.asarray(x, float), mu), float)
-        return fd_array(self.evaluator, self.chart, x, mu)
+            return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
+        return fd_partials(self.evaluator, self.chart, x)
 
 
 @dataclass(frozen=True)
 class FrameFieldConnection:
-    """Connection given by moving-frame coefficients over a coframe field.
+    """Connection given by constant moving-frame coefficients over a coframe.
 
     ``coframe(x)`` rows are the frame covectors; the frame vectors are the
     columns of its inverse.  ``gamma`` holds gamma[k, i, j] with respect to
-    that frame, either constant or as an evaluator.
+    that frame.  ``coframe_partial(x)[mu]`` and ``coframe_second(x)[mu, nu]``
+    are the coframe's analytic first and second partials.
     """
 
     chart: Chart
     coframe: Callable[[np.ndarray], np.ndarray]
-    gamma: np.ndarray | Callable[[np.ndarray], np.ndarray]
-    coframe_partial: Callable[[np.ndarray, int], np.ndarray] | None = None
-    coframe_second: Callable[[np.ndarray, int, int], np.ndarray] | None = None
+    gamma: np.ndarray
+    coframe_partial: Callable[[np.ndarray], np.ndarray]
+    coframe_second: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", np.asarray(self.gamma, float))
 
     def coframe_at(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.coframe(np.asarray(x, float)), float)
@@ -204,22 +209,15 @@ class FrameFieldConnection:
             raise SingularFrame(f"coframe not invertible at {x}: {exc}") from exc
         return frame
 
-    def gamma_at(self, x: np.ndarray) -> np.ndarray:
-        if callable(self.gamma):
-            return np.asarray(self.gamma(np.asarray(x, float)), float)
-        return np.asarray(self.gamma, float)
+    def coframe_partial_at(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.coframe_partial(np.asarray(x, float)), float)
 
-    def coframe_partial_at(self, x: np.ndarray, mu: int) -> np.ndarray:
-        if self.coframe_partial is not None:
-            return np.asarray(self.coframe_partial(np.asarray(x, float), mu), float)
-        return fd_array(self.coframe, self.chart, x, mu)
 
-    def has_analytic_partials(self) -> bool:
-        return (
-            self.coframe_partial is not None
-            and self.coframe_second is not None
-            and not callable(self.gamma)
-        )
+def lowered(dg: np.ndarray) -> np.ndarray:
+    """out[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij} from dg[m] = d_m g,
+    over the last three axes (leading axes are carried along)."""
+    p = np.moveaxis(dg, -1, -3)
+    return p + p.swapaxes(-1, -2) - dg
 
 
 def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
@@ -230,41 +228,27 @@ def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric(f"metric not positive definite at {x}") from exc
     ginv = np.linalg.inv(gx)
-    n = g.chart.dim
-    dg = np.stack([g.partial_at(x, mu) for mu in range(n)])
-    p = dg.transpose(2, 0, 1)
-    lowered = p + p.swapaxes(1, 2) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, lowered)
+    return 0.5 * np.einsum("kl,lij->kij", ginv, lowered(g.partial_at(x)))
 
 
-def christoffel_partial(g: MetricField, x: np.ndarray, mu: int) -> np.ndarray:
-    """Analytic derivative of the Levi-Civita coefficients along mu."""
-    gx = g.at(x)
-    ginv = np.linalg.inv(gx)
-    n = g.chart.dim
-    dg = np.stack([g.partial_at(x, m) for m in range(n)])
-    d2g = np.stack([g.second_partial_at(x, mu, m) for m in range(n)])
-    p = dg.transpose(2, 0, 1)
-    lowered = p + p.swapaxes(1, 2) - dg
-    q = d2g.transpose(2, 0, 1)
-    dlowered = q + q.swapaxes(1, 2) - d2g
-    dginv = -ginv @ g.partial_at(x, mu) @ ginv
+def christoffel_partial(g: MetricField, x: np.ndarray) -> np.ndarray:
+    """Analytic partials of the Levi-Civita coefficients: out[mu, k, i, j]."""
+    ginv = np.linalg.inv(g.at(x))
+    dg = g.partial_at(x)
+    dginv = -ginv @ dg @ ginv
     return 0.5 * (
-        np.einsum("kl,lij->kij", dginv, lowered)
-        + np.einsum("kl,lij->kij", ginv, dlowered)
+        np.einsum("mkl,lij->mkij", dginv, lowered(dg))
+        + np.einsum("kl,mlij->mkij", ginv, lowered(g.second_partial_at(x)))
     )
 
 
 def levi_civita(g: MetricField) -> ConnectionCoeffs:
     """Levi-Civita connection as a coefficient field on g's chart."""
-    partial = None
-    if g.partial_evaluator is not None and g.second_partial_evaluator is not None:
-        partial = lambda x, mu: christoffel_partial(g, x, mu)
     return ConnectionCoeffs(
         chart=g.chart,
         evaluator=lambda x: christoffel(g, x),
         symmetric_flag=True,
-        partial_evaluator=partial,
+        partial_evaluator=lambda x: christoffel_partial(g, x),
     )
 
 
@@ -281,11 +265,10 @@ def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
     G = gamma.at(x)
     L = lie(x) if lie is not None else None
     tx = t.at(x)
-    parts = []
+    d = t.partial_at(x).copy()
     for mu in range(gamma.chart.dim):
-        d = t.partial_at(x, mu).data.copy()
-        parts.append(axis_action(tx, G[:, mu, :], None if L is None else L[mu], d))
-    return DenseTensor((DOWN,) + tuple(t.markers), np.stack(parts, axis=0))
+        axis_action(tx, G[:, mu, :], None if L is None else L[mu], d[mu])
+    return DenseTensor((DOWN,) + tuple(t.markers), d)
 
 
 def covariant_derivative_field(gamma: ConnectionCoeffs, t: TensorFieldSpec,
@@ -303,9 +286,7 @@ def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
     """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k] - (i<->j)."""
     x = np.asarray(x, float)
     G = gamma.at(x)
-    n = gamma.chart.dim
-    dG = np.stack([gamma.partial_at(x, i) for i in range(n)])
-    p = dG.transpose(1, 3, 0, 2)
+    p = gamma.partial_at(x).transpose(1, 3, 0, 2)
     q = np.einsum("lim,mjk->lkij", G, G)
     r = p - p.swapaxes(2, 3) + q - q.swapaxes(2, 3)
     return DenseTensor((UP, DOWN, DOWN, DOWN), r)
@@ -323,9 +304,9 @@ def torsion_field(conn: "ConnectionCoeffs | FrameFieldConnection") -> TensorFiel
     partial = None
     if isinstance(conn, ConnectionCoeffs) and conn.partial_evaluator is not None:
 
-        def partial(x: np.ndarray, mu: int) -> DenseTensor:
-            dG = conn.partial_at(x, mu)
-            return DenseTensor((UP, DOWN, DOWN), dG - dG.swapaxes(1, 2))
+        def partial(x: np.ndarray) -> np.ndarray:
+            dG = conn.partial_at(x)
+            return dG - dG.swapaxes(2, 3)
 
     return TensorFieldSpec(
         chart=conn.chart,
@@ -339,9 +320,7 @@ def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.n
     """c[k, i, j] with [e_i, e_j] = c[k, i, j] e_k for the moving frame."""
     x = np.asarray(x, float)
     E = conn.frame_at(x)
-    n = conn.chart.dim
-    dth = np.stack([conn.coframe_partial_at(x, mu) for mu in range(n)])
-    a = np.einsum("mkn,mi,nj->kij", dth, E, E)
+    a = np.einsum("mkn,mi,nj->kij", conn.coframe_partial_at(x), E, E)
     return -(a - a.swapaxes(1, 2))
 
 
@@ -349,7 +328,7 @@ def torsion(conn: ConnectionCoeffs | FrameFieldConnection,
             x: np.ndarray) -> DenseTensor:
     """Torsion T[k, i, j]; frame-field connections include the frame bracket."""
     if isinstance(conn, FrameFieldConnection):
-        gam = conn.gamma_at(x)
+        gam = conn.gamma
         t = gam - gam.swapaxes(1, 2) - frame_structure_functions(conn, x)
     else:
         G = conn.at(x)
@@ -362,45 +341,34 @@ def frame_to_coordinate(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray
     x = np.asarray(x, float)
     th = conn.coframe_at(x)
     E = conn.frame_at(x)
-    gam = conn.gamma_at(x)
-    n = conn.chart.dim
-    dth = np.stack([conn.coframe_partial_at(x, mu) for mu in range(n)])
-    a = dth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", th, th, gam)
+    dth = conn.coframe_partial_at(x)
+    a = dth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", th, th, conn.gamma)
     return np.einsum("lk,kav->lav", E, a)
 
 
-def frame_to_coordinate_partial(conn: FrameFieldConnection, x: np.ndarray,
-                                mu: int) -> np.ndarray:
-    """Analytic mu-derivative of frame_to_coordinate; needs second coframe partials."""
-    if not conn.has_analytic_partials():
-        raise BadParameters("analytic coframe partials not available")
+def frame_to_coordinate_partial(conn: FrameFieldConnection,
+                                x: np.ndarray) -> np.ndarray:
+    """Analytic partials of frame_to_coordinate: out[mu, l, a, v]."""
     x = np.asarray(x, float)
     th = conn.coframe_at(x)
     E = conn.frame_at(x)
-    gam = conn.gamma_at(x)
-    n = conn.chart.dim
-    dth = np.stack([conn.coframe_partial_at(x, m) for m in range(n)])
-    dth_mu = dth[mu]
-    dE = -E @ dth_mu @ E
-    ddth = np.stack(
-        [np.asarray(conn.coframe_second(x, mu, m), float) for m in range(n)]
-    )
+    gam = conn.gamma
+    dth = conn.coframe_partial_at(x)
+    ddth = np.asarray(conn.coframe_second(x), float)
     a = dth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", th, th, gam)
-    da = ddth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", dth_mu, th, gam)
-    da += np.einsum("ia,lv,kil->kav", th, dth_mu, gam)
-    return np.einsum("lk,kav->lav", dE, a) + np.einsum("lk,kav->lav", E, da)
+    dE = -E @ dth @ E
+    da = ddth.transpose(0, 2, 1, 3) + np.einsum("mia,lv,kil->mkav", dth, th, gam)
+    da += np.einsum("ia,mlv,kil->mkav", th, dth, gam)
+    return np.einsum("mlk,kav->mlav", dE, a) + np.einsum("lk,mkav->mlav", E, da)
 
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
     """Coordinate ConnectionCoeffs field for a moving-frame connection."""
-    partial = None
-    if conn.has_analytic_partials():
-        partial = lambda x, mu: frame_to_coordinate_partial(conn, x, mu)
     return ConnectionCoeffs(
         chart=conn.chart,
         evaluator=lambda x: frame_to_coordinate(conn, x),
         symmetric_flag=False,
-        partial_evaluator=partial,
+        partial_evaluator=lambda x: frame_to_coordinate_partial(conn, x),
     )
 
 
@@ -410,21 +378,19 @@ def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
     return OrthoFrame.from_metric(g.at(x), x)
 
 
-def ortho_frame_partial(g: MetricField, x: np.ndarray,
-                        mu: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d frame, d coframe) of the Cholesky frame along coordinate mu."""
+def ortho_frame_partial(g: MetricField,
+                        x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d frame, d coframe) of the Cholesky frame, each stacked over the
+    coordinate directions."""
     x = np.asarray(x, float)
-    gx = g.at(x)
-    dg = g.partial_at(x, mu)
-    lower = np.linalg.cholesky(gx)
+    lower = np.linalg.cholesky(g.at(x))
     linv = np.linalg.inv(lower)
-    phi = linv @ dg @ linv.T
-    # dG = dL L^T + L dL^T forces dL = L (tril(phi, -1) + diag(phi)/2)
-    dlower = lower @ (np.tril(phi, -1) + 0.5 * np.diag(np.diag(phi)))
-    dcoframe = dlower.T
     frame = linv.T
-    dframe = -frame @ dcoframe @ frame
-    return dframe, dcoframe
+    phi = linv @ g.partial_at(x) @ linv.T
+    # dG = dL L^T + L dL^T forces dL = L (tril(phi, -1) + diag(phi)/2)
+    dlower = lower @ (np.tril(phi, -1) + 0.5 * np.eye(len(x)) * phi)
+    dcoframe = dlower.swapaxes(1, 2)
+    return -frame @ dcoframe @ frame, dcoframe
 
 
 def nan_max(values: Iterable[float]) -> float:

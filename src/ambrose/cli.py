@@ -137,6 +137,11 @@ def _parse_pairs(items: list[str] | None, label: str, numeric: bool) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false load as bool, a subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ambrose",
@@ -181,7 +186,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
-    params = dict(base.get("params", {}))
+    params = base.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("config file params must be a JSON object")
+    params = dict(params)
     params.update(_parse_pairs(args.param, "--param", numeric=False))
     try:
         tols = {k: float(v) for k, v in dict(base.get("tols", {})).items()}
@@ -205,11 +213,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError(
                 f"unknown fixture {fixture!r}; available: {', '.join(fixture_names())}"
             )
-    if not isinstance(points, int) or points < 1:
+    if not _is_int(points) or points < 1:
         raise ConfigError("points must be a positive integer")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
-    if kmax is not None and (not isinstance(kmax, int) or not 1 <= kmax <= KMAX_CAP):
+    if kmax is not None and (not _is_int(kmax) or not 1 <= kmax <= KMAX_CAP):
         raise ConfigError(f"kmax must be an integer in 1..{KMAX_CAP}")
     # a tolerance name is `default` or a residual key of the scenario; for
     # selftest, of a scenario of its battery (without the `scenario.` prefix)
@@ -493,7 +501,7 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
         chart=chart,
         markers=(DOWN, DOWN),
         evaluator=lambda x: DenseTensor((DOWN, DOWN), fix.g.at(x)),
-        partial_evaluator=lambda x, mu: DenseTensor((DOWN, DOWN), fix.g.partial_at(x, mu)),
+        partial_evaluator=fix.g.partial_at,
     )
     dg = covariant_derivative_field(gamma, g_field)
     points = sample_interior(chart, cfg.points, cfg.seed)

@@ -1,8 +1,10 @@
 """Catalog of analytic geometric fixtures.
 
-Every metric carries hand-coded first and second coordinate partials so
-Levi-Civita coefficients and curvature evaluate pointwise exactly; finite
-differences then only enter at the outermost derivative level.
+Every metric and moving frame carries hand-coded first and second coordinate
+partials, and every field returns its partials along all coordinates in one
+call, stacked on a leading axis.  Levi-Civita coefficients and curvature thus
+evaluate pointwise exactly; finite differences only enter at the outermost
+derivative level.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ class Fixture:
 
 def _constant_metric(chart: Chart, mat: np.ndarray) -> MetricField:
     n = chart.dim
-    zero = np.zeros((n, n))
     return MetricField(
         chart=chart,
         evaluator=lambda x: mat,
-        partial_evaluator=lambda x, mu: zero,
-        second_partial_evaluator=lambda x, mu, nu: zero,
+        partial_evaluator=lambda x: np.zeros((n, n, n)),
+        second_partial_evaluator=lambda x: np.zeros((n, n, n, n)),
     )
 
 
@@ -86,16 +87,14 @@ def round_sphere2(radius: float = 1.0) -> Fixture:
     def ev(x):
         return np.diag([r2, r2 * np.sin(x[0]) ** 2])
 
-    def p(x, mu):
-        out = np.zeros((2, 2))
-        if mu == 0:
-            out[1, 1] = r2 * np.sin(2 * x[0])
+    def p(x):
+        out = np.zeros((2, 2, 2))
+        out[0, 1, 1] = r2 * np.sin(2 * x[0])
         return out
 
-    def pp(x, mu, nu):
-        out = np.zeros((2, 2))
-        if mu == 0 and nu == 0:
-            out[1, 1] = 2 * r2 * np.cos(2 * x[0])
+    def pp(x):
+        out = np.zeros((2, 2, 2, 2))
+        out[0, 0, 1, 1] = 2 * r2 * np.cos(2 * x[0])
         return out
 
     g = MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
@@ -109,16 +108,14 @@ def hyperbolic_plane() -> Fixture:
     def ev(x):
         return np.diag([1.0 / x[1] ** 2] * 2)
 
-    def p(x, mu):
-        out = np.zeros((2, 2))
-        if mu == 1:
-            out[0, 0] = out[1, 1] = -2.0 / x[1] ** 3
+    def p(x):
+        out = np.zeros((2, 2, 2))
+        out[1, 0, 0] = out[1, 1, 1] = -2.0 / x[1] ** 3
         return out
 
-    def pp(x, mu, nu):
-        out = np.zeros((2, 2))
-        if mu == 1 and nu == 1:
-            out[0, 0] = out[1, 1] = 6.0 / x[1] ** 4
+    def pp(x):
+        out = np.zeros((2, 2, 2, 2))
+        out[1, 1, 0, 0] = out[1, 1, 1, 1] = 6.0 / x[1] ** 4
         return out
 
     g = MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
@@ -146,49 +143,25 @@ def _su2_coframe(x: np.ndarray) -> np.ndarray:
     ])
 
 
-def _su2_coframe_partial(x: np.ndarray, mu: int) -> np.ndarray:
+def _su2_coframe_partial(x: np.ndarray) -> np.ndarray:
     theta, psi = x[1], x[2]
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(psi), np.cos(psi)
-    if mu == 1:
-        return 0.5 * np.array([
-            [-ct * cp, 0.0, 0.0],
-            [ct * sp, 0.0, 0.0],
-            [-st, 0.0, 0.0],
-        ])
-    if mu == 2:
-        return 0.5 * np.array([
-            [st * sp, cp, 0.0],
-            [st * cp, -sp, 0.0],
-            [0.0, 0.0, 0.0],
-        ])
-    return np.zeros((3, 3))
+    out = np.zeros((3, 3, 3))
+    out[1, :, 0] = -ct * cp, ct * sp, -st
+    out[2, :2, :2] = [[st * sp, cp], [st * cp, -sp]]
+    return 0.5 * out
 
 
-def _su2_coframe_second(x: np.ndarray, mu: int, nu: int) -> np.ndarray:
+def _su2_coframe_second(x: np.ndarray) -> np.ndarray:
     theta, psi = x[1], x[2]
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(psi), np.cos(psi)
-    pair = tuple(sorted((mu, nu)))
-    if pair == (1, 1):
-        return 0.5 * np.array([
-            [st * cp, 0.0, 0.0],
-            [-st * sp, 0.0, 0.0],
-            [-ct, 0.0, 0.0],
-        ])
-    if pair == (1, 2):
-        return 0.5 * np.array([
-            [ct * sp, 0.0, 0.0],
-            [ct * cp, 0.0, 0.0],
-            [0.0, 0.0, 0.0],
-        ])
-    if pair == (2, 2):
-        return 0.5 * np.array([
-            [st * cp, -sp, 0.0],
-            [-st * sp, -cp, 0.0],
-            [0.0, 0.0, 0.0],
-        ])
-    return np.zeros((3, 3))
+    out = np.zeros((3, 3, 3, 3))
+    out[1, 1, :, 0] = st * cp, -st * sp, -ct
+    out[1, 2, :, 0] = out[2, 1, :, 0] = ct * sp, ct * cp, 0.0
+    out[2, 2, :2, :2] = [[st * cp, -sp], [-st * sp, -cp]]
+    return 0.5 * out
 
 
 def _berger_metric(chart: Chart, lam: float) -> MetricField:
@@ -198,17 +171,18 @@ def _berger_metric(chart: Chart, lam: float) -> MetricField:
         th = _su2_coframe(x)
         return th.T @ d @ th
 
-    def p(x, mu):
+    def p(x):
         th = _su2_coframe(x)
-        dth = _su2_coframe_partial(x, mu)
-        return dth.T @ d @ th + th.T @ d @ dth
+        dth = _su2_coframe_partial(x)
+        return dth.swapaxes(1, 2) @ d @ th + th.T @ d @ dth
 
-    def pp(x, mu, nu):
+    def pp(x):
         th = _su2_coframe(x)
-        dmu = _su2_coframe_partial(x, mu)
-        dnu = _su2_coframe_partial(x, nu)
-        dd = _su2_coframe_second(x, mu, nu)
-        return dd.T @ d @ th + dmu.T @ d @ dnu + dnu.T @ d @ dmu + th.T @ d @ dd
+        dth = _su2_coframe_partial(x)
+        dd = _su2_coframe_second(x)
+        dmu, dnu = dth[:, None], dth[None, :]
+        return (dd.swapaxes(2, 3) @ d @ th + dmu.swapaxes(2, 3) @ d @ dnu
+                + dnu.swapaxes(2, 3) @ d @ dmu + th.T @ d @ dd)
 
     return MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
                        second_partial_evaluator=pp)
@@ -250,13 +224,6 @@ def round_sphere3() -> Fixture:
                    algebra=fx.algebra)
 
 
-def su2_canonical() -> Fixture:
-    fx = berger_sphere(1.0)
-    return Fixture("su2_canonical", {}, fx.chart, fx.g, fx.gamma,
-                   frame_conn=fx.frame_conn, gamma_canonical=fx.gamma_canonical,
-                   algebra=fx.algebra)
-
-
 def _monopole_form(chart: Chart, algebra: LieAlgebra,
                    charge: int) -> LocalConnectionForm:
     half_q = 0.5 * charge
@@ -266,10 +233,9 @@ def _monopole_form(chart: Chart, algebra: LieAlgebra,
         a[1, 2] = half_q * (1.0 - np.cos(x[0]))
         return a
 
-    def p(x, mu):
-        a = np.zeros((2, algebra.dim))
-        if mu == 0:
-            a[1, 2] = half_q * np.sin(x[0])
+    def p(x):
+        a = np.zeros((2, 2, algebra.dim))
+        a[0, 1, 2] = half_q * np.sin(x[0])
         return a
 
     return LocalConnectionForm(chart=chart, algebra=algebra, evaluator=ev,
@@ -289,18 +255,16 @@ def _parallel_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
         a[1, 1] = -np.sin(theta) * np.cos(phi)
         return DenseTensor((DOWN, LIE), a)
 
-    def p(x, mu):
+    def p(x):
         theta, phi = x[0], x[1]
-        a = np.zeros((2, algebra.dim))
-        if mu == 0:
-            a[1, 0] = -np.cos(theta) * np.sin(phi)
-            a[1, 1] = -np.cos(theta) * np.cos(phi)
-        else:
-            a[0, 0] = -np.sin(phi)
-            a[0, 1] = -np.cos(phi)
-            a[1, 0] = -np.sin(theta) * np.cos(phi)
-            a[1, 1] = np.sin(theta) * np.sin(phi)
-        return DenseTensor((DOWN, LIE), a)
+        a = np.zeros((2, 2, algebra.dim))
+        a[0, 1, 0] = -np.cos(theta) * np.sin(phi)
+        a[0, 1, 1] = -np.cos(theta) * np.cos(phi)
+        a[1, 0, 0] = -np.sin(phi)
+        a[1, 0, 1] = -np.cos(phi)
+        a[1, 1, 0] = -np.sin(theta) * np.cos(phi)
+        a[1, 1, 1] = np.sin(theta) * np.sin(phi)
+        return a
 
     return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev,
                            partial_evaluator=p)
@@ -318,10 +282,10 @@ def _bump_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
         a[0, 0] = bump(x)
         return DenseTensor((DOWN, LIE), a)
 
-    def p(x, mu):
-        a = np.zeros((2, algebra.dim))
-        a[0, 0] = bump(x) * (-2.0 * (x[mu] - (c0 if mu == 0 else c1)) / 0.5)
-        return DenseTensor((DOWN, LIE), a)
+    def p(x):
+        a = np.zeros((2, 2, algebra.dim))
+        a[:, 0, 0] = bump(x) * (-2.0 * (x - (c0, c1)) / 0.5)
+        return a
 
     return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev,
                            partial_evaluator=p)
@@ -356,7 +320,7 @@ def trivial_bundle_flat(algebra: str = "su(2)") -> Fixture:
         chart=base.chart,
         algebra=alg,
         evaluator=lambda x: np.zeros((2, alg.dim)),
-        partial_evaluator=lambda x, mu: np.zeros((2, alg.dim)),
+        partial_evaluator=lambda x: np.zeros((2, 2, alg.dim)),
     )
     return Fixture(
         "trivial_bundle_flat",
@@ -395,9 +359,9 @@ def smooth_tensor_field(chart: Chart, markers: tuple[str, ...], seed: int,
     def ev(x):
         return DenseTensor(markers, amp * np.sin(arg(x)))
 
-    def p(x, mu):
-        scale = 2 * np.pi / wid[mu]
-        return DenseTensor(markers, amp * np.cos(arg(x)) * freq[..., mu] * scale)
+    def p(x):
+        d = (amp * np.cos(arg(x)))[..., None] * freq * (2 * np.pi / wid)
+        return np.moveaxis(d, -1, 0)
 
     return TensorFieldSpec(chart=chart, markers=markers, evaluator=ev,
                            partial_evaluator=p)
@@ -411,7 +375,7 @@ def smooth_connection_form(chart: Chart, algebra: LieAlgebra, seed: int,
         chart=chart,
         algebra=algebra,
         evaluator=lambda x: field.at(x).data,
-        partial_evaluator=lambda x, mu: field.partial_at(x, mu).data,
+        partial_evaluator=field.partial_at,
     )
 
 
@@ -422,7 +386,6 @@ _CATALOG = {
     "hyperbolic_plane": (hyperbolic_plane, set()),
     "round_sphere3": (round_sphere3, set()),
     "berger_sphere": (berger_sphere, {"lam"}),
-    "su2_canonical": (su2_canonical, set()),
     "hopf_monopole": (hopf_monopole, {"charge"}),
     "trivial_bundle_flat": (trivial_bundle_flat, {"algebra"}),
 }

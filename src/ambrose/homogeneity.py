@@ -389,9 +389,9 @@ def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
         x = np.asarray(x, float)
         fr = ortho_frame(g, x)
         G = gamma.at(x)
+        dframes, _ = ortho_frame_partial(g, x)
         rows = []
-        for mu in range(g.chart.dim):
-            dframe, _ = ortho_frame_partial(g, x, mu)
+        for mu, dframe in enumerate(dframes):
             w = fr.coframe @ (dframe + G[:, mu, :] @ fr.frame)
             if np.abs(w + w.T).max() > 1e-6 * max(1.0, np.abs(w).max()):
                 raise NotMetric("connection is not metric: gauge form not antisymmetric")
@@ -535,11 +535,7 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
         chart=g.chart,
         markers=(DOWN, DOWN),
         evaluator=lambda x: DenseTensor((DOWN, DOWN), g.at(x)),
-        partial_evaluator=(
-            None
-            if g.partial_evaluator is None
-            else lambda x, mu: DenseTensor((DOWN, DOWN), g.partial_at(x, mu))
-        ),
+        partial_evaluator=g.partial_at,
     )
     s_field = TensorFieldSpec(
         chart=g.chart,

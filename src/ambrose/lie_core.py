@@ -184,7 +184,8 @@ def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL,
         raise BadParameters("matrix has non-finite entries")
     if mat.size == 0 or not mat.any():
         return np.eye(mat.shape[1])
-    _, sing, vt = np.linalg.svd(mat, full_matrices=True)
+    # thin SVD; a wide matrix needs the full V to span its kernel
+    _, sing, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     cutoff = rel_tol * max(sing[0], scale)
     rank = int((sing > cutoff).sum())
     return vt[rank:].T

@@ -31,7 +31,7 @@ from .chart_calculus import (
     covariant_derivative_field,
     curvature,
     curvature_field,
-    fd_array,
+    fd_partials,
     max_frame_norms,
     nan_max,
     ortho_frame,
@@ -138,8 +138,7 @@ def base_cov(model: TotalSpaceModel, h, x: np.ndarray,
     """Base covariant derivative of the base field h along vector xv at x."""
     x = np.asarray(x, float)
     if callable(h):
-        dh = np.stack([fd_array(h, model.chart, x, mu)
-                       for mu in range(model.chart.dim)])
+        dh = fd_partials(h, model.chart, x)
     else:
         dh = np.zeros((model.chart.dim, model.chart.dim))
     hv = np.asarray(h(x) if callable(h) else h, float)
@@ -152,8 +151,7 @@ def conn_cov(model: TotalSpaceModel, nu, x: np.ndarray,
     """Bundle covariant derivative of the adjoint section nu along xv at x."""
     x = np.asarray(x, float)
     if callable(nu):
-        dn = np.stack([fd_array(nu, model.chart, x, mu)
-                       for mu in range(model.chart.dim)])
+        dn = fd_partials(nu, model.chart, x)
     else:
         dn = np.zeros((model.chart.dim, model.algebra.dim))
     nv = np.asarray(nu(x) if callable(nu) else nu, float)
@@ -292,12 +290,11 @@ def bracket_fields(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
     x = np.asarray(x, float)
     if u.kind == LIFT and v.kind == LIFT:
         xv, yv = u.at(x), v.at(x)
-        du = np.stack([fd_array(u.payload, model.chart, x, mu)
-                       for mu in range(model.chart.dim)]) if callable(u.payload) \
-            else np.zeros((model.chart.dim, model.chart.dim))
-        dv = np.stack([fd_array(v.payload, model.chart, x, mu)
-                       for mu in range(model.chart.dim)]) if callable(v.payload) \
-            else np.zeros((model.chart.dim, model.chart.dim))
+        n = model.chart.dim
+        du = fd_partials(u.payload, model.chart, x) if callable(u.payload) \
+            else np.zeros((n, n))
+        dv = fd_partials(v.payload, model.chart, x) if callable(v.payload) \
+            else np.zeros((n, n))
         hx = np.einsum("m,mk->k", xv, dv) - np.einsum("m,mk->k", yv, du)
         f = curvature_form(model.a, x).data
         return TotalVector(hx, -np.einsum("ijc,i,j->c", f, xv, yv))

@@ -61,7 +61,7 @@ def _metric_field(g) -> TensorFieldSpec:
         chart=g.chart,
         markers=(DOWN, DOWN),
         evaluator=lambda x: DenseTensor((DOWN, DOWN), g.at(x)),
-        partial_evaluator=lambda x, mu: DenseTensor((DOWN, DOWN), g.partial_at(x, mu)),
+        partial_evaluator=g.partial_at,
     )
 
 
@@ -148,7 +148,7 @@ def test_criterion_02_fd_order():
 
 def test_criterion_03_identity_suite():
     worst = 0.0
-    for fixture in ("round_sphere2", "su2_canonical"):
+    for fixture in ("round_sphere2", "round_sphere3"):
         rep = cli.run_identities(_cfg("identities", fixture))
         worst = max(worst, max(rep.residuals.values()))
         assert rep.passed, (fixture, rep.residuals)
@@ -216,7 +216,7 @@ def test_criterion_06_stabilizer_chains():
         ("round_sphere2", {}, "metric"),
         ("hyperbolic_plane", {}, "metric"),
         ("berger_sphere", {"lam": 2.0}, "canonical"),
-        ("su2_canonical", {}, "canonical"),
+        ("round_sphere3", {}, "canonical"),
     )
     worst_angle = 0.0
     for name, params, which in cases:
@@ -245,7 +245,7 @@ def test_criterion_06_stabilizer_chains():
         assert len(singers) == 1, (name, singers)
         if name == "round_sphere2":
             assert singers == {0} and h0_dims == {1}
-        if name == "su2_canonical":
+        if name == "round_sphere3":
             assert h0_dims == {3}
     ok = worst_angle < 1e-6
     _verdict(

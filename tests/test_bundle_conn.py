@@ -61,7 +61,7 @@ class TestLocalConnectionForm:
         )
         x = np.array([0.3, -0.2])
         for mu in range(2):
-            diff = a.partial_at(x, mu) - fd_only.partial_at(x, mu)
+            diff = a.partial_at(x)[mu] - fd_only.partial_at(x)[mu]
             assert np.abs(diff).max() < 1e-9
 
     def test_shifted_adds_pointwise(self):
@@ -73,7 +73,7 @@ class TestLocalConnectionForm:
         assert np.allclose(shifted.at(x), a.at(x) + alpha.at(x).data)
         assert shifted.partial_evaluator is not None
         assert np.allclose(
-            shifted.partial_at(x, 1), a.partial_at(x, 1) + alpha.partial_at(x, 1).data
+            shifted.partial_at(x)[1], a.partial_at(x)[1] + alpha.partial_at(x)[1]
         )
 
     def test_shifted_requires_one_form(self):
@@ -91,7 +91,7 @@ class TestLocalConnectionForm:
         x = np.array([-0.5, 0.2])
         assert np.abs(diff.at(x).data - alpha.at(x).data).max() < 1e-12
         assert np.abs(
-            diff.partial_at(x, 0).data - alpha.partial_at(x, 0).data
+            diff.partial_at(x)[0] - alpha.partial_at(x)[0]
         ).max() < 1e-12
 
     def test_form_difference_algebra_mismatch(self):
@@ -137,13 +137,13 @@ class TestSectionsAndActions:
             chart=chart,
             algebra=SU2,
             evaluator=lambda x: np.stack([e1, np.zeros(3)]),
-            partial_evaluator=lambda x, mu: np.zeros((2, 3)),
+            partial_evaluator=lambda x: np.zeros((2, 2, 3)),
         )
         nu = TensorFieldSpec(
             chart=chart,
             markers=(LIE,),
             evaluator=lambda x: DenseTensor((LIE,), e2),
-            partial_evaluator=lambda x, mu: DenseTensor((LIE,), np.zeros(3)),
+            partial_evaluator=lambda x: np.zeros((2, 3)),
         )
         section = SectionSpec(chart, (nu,), algebra=SU2)
         (out,) = assoc_covariant_derivative(a, section, fx.gamma, np.zeros(2))

@@ -2,6 +2,7 @@
 serialization, exit codes, report schema, and tolerance-name checks."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ class TestParseConfig:
         }))
         with pytest.raises(ConfigError):
             cli.parse_config(["--config", str(path)])
+
+    @pytest.mark.parametrize("entry", [
+        {"params": [1]},
+        {"points": True},
+        {"seed": True},
+        {"kmax": True},
+    ], ids=["params-list", "points-bool", "seed-bool", "kmax-bool"])
+    def test_config_file_types_fail_closed(self, entry, tmp_path, capsys):
+        """params must be an object and points/seed/kmax ints, not bools."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": "selftest", **entry}))
+        assert cli.main(["--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "config error" in out.err
 
 
 class TestSerialization:
@@ -367,6 +383,19 @@ class TestDeterminism:
         assert cli.main(self.ARGS) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestReadmeExample:
+    COMMAND = "ambrose --scenario singer --fixture round_sphere2 --points 2"
+
+    def test_readme_report_matches_run(self, capsys):
+        """The README's quick-start report is what the command prints."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split(self.COMMAND + "\n```\n", 1)[1]
+        assert after.startswith("\n```json\n")
+        expected = after[len("\n```json\n"):].split("```", 1)[0]
+        assert cli.main(self.COMMAND.split()[1:]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestOutputFile:

@@ -490,8 +490,8 @@ class TestFailClosed:
             chart=fx.chart,
             algebra=fx.algebra,
             evaluator=lambda x: np.full((2, 3), np.nan) if near(x) else fx.a0.at(x),
-            partial_evaluator=lambda x, mu: (
-                np.full((2, 3), np.nan) if near(x) else fx.a0.partial_at(x, mu)
+            partial_evaluator=lambda x: (
+                np.full((2, 2, 3), np.nan) if near(x) else fx.a0.partial_at(x)
             ),
         )
         triple = TripleSpec(g=fx.g, algebra=fx.algebra, inner=fx.inner, a0=fx.a0)
