@@ -7,6 +7,11 @@ fields of adjoint sections.  Vertical values produced by the case tables
 track the provenance of each slot: adjoint-section slots differentiate by the
 bundle connection along horizontal directions and are inert vertically, while
 constant slots are inert horizontally and move by the bracket vertically.
+
+The checks do not call the per-tuple case tables, which stay their
+definition: per point they evaluate one orthonormal frame, the torsion,
+curvature and curvature-form tables contracted with it, and one
+finite-difference sweep of those, and assemble every tuple as an einsum.
 """
 
 from __future__ import annotations
@@ -445,6 +450,95 @@ def _hypotheses_hold(residuals: dict[str, float]) -> bool:
     return all(r <= TOLERANCES["total-space"][k] for k, r in residuals.items())
 
 
+def _with_partials(f: Callable[[np.ndarray], list[np.ndarray]], chart: Chart,
+                   x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The arrays f(x) and their coordinate partials from one fd_partials of
+    their concatenation: parts[i][mu] = d_mu of f(x)[i]."""
+    vals = f(x)
+    d = fd_partials(lambda y: np.concatenate([v.ravel() for v in f(y)]), chart, x)
+    cuts = np.cumsum([v.size for v in vals])[:-1]
+    return vals, [p.reshape((chart.dim,) + v.shape)
+                  for v, p in zip(vals, np.split(d, cuts, axis=1))]
+
+
+def _frame_actions(model: TotalSpaceModel, x: np.ndarray,
+                   E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connection matrices at x along each frame vector E_c: Gamma(E_c) on
+    base vectors and ad(a(E_c)) on algebra elements."""
+    gc = np.einsum("kmj,mc->ckj", model.gamma.at(x), E)
+    adc = np.einsum("eij,mi,mc->cej", model.algebra.structure, model.a.at(x), E)
+    return gc, adc
+
+
+def _along_frame(E: np.ndarray, act: np.ndarray, table: np.ndarray,
+                 d: np.ndarray) -> np.ndarray:
+    """Covariant derivative along each frame vector E_c (leading axis) of a
+    table with coordinate partials d, act[c] acting on its leading axis."""
+    return np.tensordot(E, d, axes=(0, 0)) + np.tensordot(act, table, axes=(2, 0))
+
+
+def _slot_terms(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the frame slots of a table (every axis after the first) of the
+    table with that slot's E_b replaced by del_{E_c} E_b = w[c, p, b] E_p;
+    the direction c leads."""
+    out = 0.0
+    for ax in range(1, table.ndim):
+        t = np.moveaxis(np.tensordot(table, w, axes=(ax, 1)), -1, ax)
+        out = out + np.moveaxis(t, -1, 0)
+    return out
+
+
+def _frame_tables(model: TotalSpaceModel, y: np.ndarray) -> list[np.ndarray]:
+    """The orthonormal frame E at y and the case tables on it:
+    HT[:, a, b] = T(E_a, E_b), NF[:, a, b] = F(E_a, E_b) and
+    HR[:, a, b, c] = R(E_a, E_b) E_c."""
+    E = ortho_frame(model.g, y).frame
+    t = torsion(model.gamma, y).data
+    f = curvature_form(model.a, y).data
+    r = curvature(model.gamma, y).data
+    return [E, np.einsum("kij,ia,jb->kab", t, E, E),
+            np.einsum("ijc,ia,jb->cab", f, E, E),
+            np.einsum("lkij,ia,jb,kc->labc", r, E, E, E)]
+
+
+def _bar_norm2(model: TotalSpaceModel, x: np.ndarray) -> tuple[float, float]:
+    """Squared sums at x of del-bar T-bar over all frame triples and of
+    del-bar R-bar over (frame, lift, lift, frame) tuples, as the per-tuple
+    case tables define them, from one frame and one FD sweep of the tables.
+
+    Only lift triples and the vertical Jacobi triple of T-bar, and the
+    lift/lift/lift and lift/lift/fundamental cases of R-bar, are nonzero.
+    The other tuples are exact zeros of the case tables, and so is the
+    fundamental/lift/lift/fundamental case of R-bar: its derivative
+    [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
+    (E, ht, nf, hr), (dE, dht, dnf, dhr) = _with_partials(
+        lambda y: _frame_tables(model, y), model.chart, x)
+    cof = ortho_frame(model.g, x).coframe
+    vc = _vertical_coframe(model)
+    cm = np.linalg.inv(vc)  # columns C_i: the fundamental frame elements
+    gc, adc = _frame_actions(model, x, E)
+    w = cof @ _along_frame(E, gc, E, dE)  # del_{E_c} E_b = w[c, p, b] E_p
+    # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
+    t_h = _along_frame(E, gc, ht, dht) - _slot_terms(ht, w)
+    t_v = _along_frame(E, adc, nf, dnf) - _slot_terms(nf, w)
+    # vertical triples (k, a, b) of T-bar: [C_a, C_b]
+    s = model.algebra.structure
+    br = np.einsum("eij,ia,jb->eab", s, cm, cm)
+    jacobi = (np.einsum("eij,ik,jab->keab", s, cm, br)
+              - np.einsum("eij,ika,jb->keab", s, br, cm)
+              - np.einsum("eij,ia,jkb->keab", s, cm, br))
+    # (c, a, b, d) of R-bar: R(E_a, E_b)E_d for a lift E_d, and
+    # [F(E_a, E_b), C_d] for a fundamental C_d
+    r_h = _along_frame(E, gc, hr, dhr) - _slot_terms(hr, w)
+    r_v = np.einsum("eij,ciab,jd->ceabd", s, t_v, cm)
+
+    def norm2(coframe, t):  # t[tuple index, component, further tuple indices]
+        return float(np.sum(np.tensordot(coframe, t, axes=(1, 1)) ** 2))
+
+    return (norm2(cof, t_h) + norm2(vc, t_v) + norm2(vc, jacobi),
+            norm2(cof, r_h) + norm2(vc, r_v))
+
+
 def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
                           fixture: str = "") -> VerificationReport:
     """Torsion and curvature of the adapted connection are parallel, given
@@ -456,24 +550,10 @@ def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
         "nabla_F": assoc_covariant_field(model.a, model.gamma, curvature_form_field(model.a)),
     }, model.g, points)
     flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
-    lifts, funds = _frame_fields(model)
-    frame = lifts + funds
     bar_t = []
     bar_r = []
     for x in points:
-        acc_t = 0.0
-        for u in frame:
-            for v in frame:
-                for w in frame:
-                    tv = bar_torsion_derivative(model, u, v, w, x)
-                    acc_t += _tv_norm2(model, tv, x)
-        acc_r = 0.0
-        for u in frame:
-            for v in lifts:
-                for w in lifts:
-                    for z in frame:
-                        rv = bar_curvature_derivative(model, u, v, w, z, x)
-                        acc_r += _tv_norm2(model, rv, x)
+        acc_t, acc_r = _bar_norm2(model, x)
         bar_t.append(np.sqrt(acc_t))
         bar_r.append(np.sqrt(acc_r))
     residuals["nabla_bar_T"] = nan_max(bar_t)
@@ -493,18 +573,19 @@ def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
         model.g, points,
     )
     flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
-    lifts, _ = _frame_fields(model)
     vc = _vertical_coframe(model)
+
+    def tables(y):
+        E = ortho_frame(model.g, y).frame
+        return [E, alpha.at(y).data.T @ E]
+
     worst = []
     for x in points:
-        for xf in lifts:
-            xv = xf.at(x)
-            for zf in lifts:
-                def shift(y, zf=zf):
-                    return alpha.at(y).data.T @ zf.at(y)
-
-                dz = base_cov(model, zf.payload, x, xv)
-                resid = conn_cov(model, shift, x, xv) - alpha.at(x).data.T @ dz
-                worst.append(np.linalg.norm(vc @ resid))
+        # the shifts alpha(E_b) of the lifts, differentiated along each E_c
+        (E, sh), (dE, dsh) = _with_partials(tables, model.chart, x)
+        gc, adc = _frame_actions(model, x, E)
+        resid = (_along_frame(E, adc, sh, dsh)
+                 - alpha.at(x).data.T @ _along_frame(E, gc, E, dE))
+        worst.extend(np.linalg.norm(np.tensordot(vc, resid, axes=(1, 1)), axis=0).ravel())
     residuals["distribution"] = nan_max(worst)
     return make_report("total-space", fixture, points, residuals, flags)

@@ -2,10 +2,15 @@
 adapted connection, torsion, curvature, brackets, the parallelism checks, and
 the horizontal-distribution criterion."""
 
+import dataclasses
+import json
+import sys
+
 import numpy as np
 import pytest
 
-from ambrose.bundle_conn import curvature_form
+from ambrose import chart_calculus, cli
+from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import curvature, ortho_frame, sample_interior
 from ambrose.errors import RepMismatch, UnsupportedFieldKind
 from ambrose.fixtures import instantiate, smooth_connection_form
@@ -29,6 +34,7 @@ from ambrose.total_space import (
     lift,
     total_zero,
     xi,
+    _bar_norm2,
     _frame_fields,
     _tv_norm2,
 )
@@ -373,3 +379,115 @@ class TestParallelismChecks:
         assert not report.passed
         assert "hypotheses-failed" in report.flags
         assert report.residuals["distribution"] > 1e-2
+
+
+def tuple_loop_norm2(model, x):
+    """The squared sums of del-bar T-bar and del-bar R-bar at x, from the
+    per-tuple case-table definitions."""
+    lifts, funds = _frame_fields(model)
+    frame = lifts + funds
+    acc_t = sum(_tv_norm2(model, bar_torsion_derivative(model, u, v, w, x), x)
+                for u in frame for v in frame for w in frame)
+    acc_r = sum(_tv_norm2(model, bar_curvature_derivative(model, u, v, w, z, x), x)
+                for u in frame for v in lifts for w in lifts for z in frame)
+    return acc_t, acc_r
+
+
+def generic_model():
+    fx = instantiate("hopf_monopole", {})
+    wild = smooth_connection_form(fx.chart, SU2, seed=5)
+    return TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma,
+                           algebra=fx.algebra, inner=fx.inner, a=wild), fx
+
+
+class TestFrameTables:
+    """The per-point frame tables of bar_parallelism_check against the
+    per-tuple case tables that define them."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: hopf_model(charge=1), lambda: hopf_model(charge=2),
+        flat_model, generic_model,
+    ], ids=["hopf1", "hopf2", "flat", "generic"])
+    def test_squared_sums_match_tuple_loop(self, make):
+        model, fx = make()
+        for x in sample_interior(fx.chart, 2, seed=8):
+            for new, old in zip(_bar_norm2(model, x), tuple_loop_norm2(model, x)):
+                assert new == pytest.approx(old, rel=1e-9, abs=1e-20)
+
+    def test_flat_bundle_sums_are_exact_zero(self):
+        model, fx = flat_model()
+        for x in sample_interior(fx.chart, 2, seed=8):
+            assert _bar_norm2(model, x) == (0.0, 0.0)
+            assert tuple_loop_norm2(model, x) == (0.0, 0.0)
+
+    def test_generic_connection_residual(self):
+        model, fx = generic_model()
+        x = sample_interior(fx.chart, 1, seed=6)[0]
+        acc_t, acc_r = _bar_norm2(model, x)
+        assert np.sqrt(acc_t) == pytest.approx(11.8408, abs=1e-4)
+        assert np.sqrt(acc_r) == pytest.approx(11.8408, abs=1e-4)
+
+
+def nan_form_fixture(bad, pts):
+    """hopf_monopole with a connection form that is NaN near pts[bad]."""
+    fx = instantiate("hopf_monopole", {})
+
+    def near(x):
+        return np.linalg.norm(np.asarray(x) - pts[bad]) < 0.05
+
+    a = LocalConnectionForm(
+        chart=fx.chart,
+        algebra=fx.algebra,
+        evaluator=lambda x: np.full((2, 3), np.nan) if near(x) else fx.a0.at(x),
+        partial_evaluator=lambda x: (
+            np.full((2, 2, 3), np.nan) if near(x) else fx.a0.partial_at(x)
+        ),
+    )
+    return dataclasses.replace(fx, a0=a)
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_nan_form_near_one_point_fails(self, bad, monkeypatch, capsys):
+        """Skipping the zero tuple cases must keep the NaN of a connection
+        form that is NaN near any one sample point."""
+        fx = instantiate("hopf_monopole", {})
+        pts = sample_interior(fx.chart, 3, seed=19)
+        monkeypatch.setattr(cli, "instantiate",
+                            lambda name, params: nan_form_fixture(bad, pts))
+        code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
+                         "--points", "3", "--seed", "19"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["pass"] is False
+        for key in ("nabla_bar_T", "nabla_bar_R", "distribution"):
+            assert data["residuals"][key] == "nan", key
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of fn through every ambrose module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ambrose") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+class TestCallCounts:
+    def test_total_space_calls_per_point(self, monkeypatch, capsys):
+        """The checks evaluate one frame and one FD sweep of their tables
+        per point; the per-tuple case tables take hundreds of FD calls and
+        thousands of frames per point."""
+        fd = count_calls(monkeypatch, chart_calculus.fd_array)
+        frames = count_calls(monkeypatch, chart_calculus.ortho_frame)
+        code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
+                         "--points", "2"])
+        capsys.readouterr()
+        assert code == 0
+        assert 0 < len(fd) <= 10 * 2
+        assert 0 < len(frames) <= 40 * 2
