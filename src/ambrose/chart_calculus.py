@@ -15,11 +15,14 @@ data[k, mu, m] v^m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.stats import qmc
+# numpy loads numpy.random lazily; importing it here keeps that cost in the
+# import instead of the first sample
+from numpy.random import default_rng
 
 from .errors import (
     AxisMismatch,
@@ -64,14 +67,41 @@ class Chart:
             raise OutOfDomain(f"stencil of radius {radius:g} exits the chart box")
 
 
+def scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of Owen's scrambled Halton sequence in
+    [0, 1)^dim (arXiv:1706.02808): axis i uses the i-th prime base b, and
+    each of its ceil(54 / log2 b) - 1 digits is permuted by its own random
+    permutation, drawn with ``default_rng(seed).shuffle``."""
+    rng = default_rng(seed)
+    bases: list[int] = []
+    cand = 2
+    while len(bases) < dim:
+        if all(cand % p for p in bases):
+            bases.append(cand)
+        cand += 1
+    out = np.empty((dim, count))
+    for axis, base in enumerate(bases):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index = np.arange(count)
+        acc = np.zeros(count)
+        weight = 1.0 / base
+        for perm in perms:
+            acc += perm[index % base] * weight
+            index //= base
+            weight /= base
+        out[axis] = acc
+    return out.T
+
+
 def sample_interior(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
     """Scrambled-Halton points at least one margin inside the chart box."""
     if count < 1:
         raise BadParameters("sample count must be at least 1")
     lo = chart.box[:, 0] + chart.margin
     hi = chart.box[:, 1] - chart.margin
-    sampler = qmc.Halton(d=chart.dim, scramble=True, seed=seed)
-    return lo + sampler.random(count) * (hi - lo)
+    return lo + scrambled_halton(chart.dim, count, seed) * (hi - lo)
 
 
 def fd_array(f: Callable[[np.ndarray], np.ndarray], chart: Chart, x: np.ndarray,
@@ -142,7 +172,8 @@ class MetricField:
 
     def at(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.evaluator(np.asarray(x, float)), float)
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
+        # NaN and inf fail the comparison, so they raise too
+        if not (np.abs(g - g.T) <= 1e-12).all():
             raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
         return g
 
@@ -167,9 +198,7 @@ class ConnectionCoeffs:
         G = np.asarray(self.evaluator(np.asarray(x, float)), float)
         if not np.isfinite(G).all():
             raise BadParameters("connection coefficients are not finite")
-        if self.symmetric_flag and not np.allclose(
-            G, G.swapaxes(1, 2), rtol=0.0, atol=1e-12
-        ):
+        if self.symmetric_flag and not (np.abs(G - G.swapaxes(1, 2)) <= 1e-12).all():
             raise BadParameters("symmetric_flag set but coefficients asymmetric")
         return G
 
@@ -262,13 +291,21 @@ def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
     axes (plus on UP, minus transpose on DOWN) and ``lie(x)[mu]`` on the LIE
     axes, e.g. ad of a bundle connection form."""
     x = np.asarray(x, float)
+    return covariant_derivative_of(gamma, t.at(x), t.partial_at(x), x, lie)
+
+
+def covariant_derivative_of(gamma: ConnectionCoeffs, tx: DenseTensor,
+                            partials: np.ndarray, x: np.ndarray,
+                            lie: Callable[[np.ndarray], np.ndarray] | None = None,
+                            ) -> DenseTensor:
+    """covariant_derivative at x of a tensor whose value ``tx`` and
+    coordinate partials ``partials[mu]`` there are already known."""
     G = gamma.at(x)
     L = lie(x) if lie is not None else None
-    tx = t.at(x)
-    d = t.partial_at(x).copy()
+    d = np.array(partials, float)
     for mu in range(gamma.chart.dim):
         axis_action(tx, G[:, mu, :], None if L is None else L[mu], d[mu])
-    return DenseTensor((DOWN,) + tuple(t.markers), d)
+    return DenseTensor((DOWN,) + tuple(tx.markers), d)
 
 
 def covariant_derivative_field(gamma: ConnectionCoeffs, t: TensorFieldSpec,

@@ -65,11 +65,7 @@ from .lie_core import (
 )
 from .tensor_core import DOWN, LIE, DenseTensor, to_frame
 from .chart_calculus import ortho_frame
-from .total_space import (
-    TotalSpaceModel,
-    bar_parallelism_check,
-    distribution_parallel_check,
-)
+from .total_space import TotalSpaceModel, total_space_check
 
 SCENARIOS = (
     "singer",
@@ -473,11 +469,7 @@ def run_total_space(cfg: RunConfig) -> VerificationReport:
     )
     a0_ref = _reference_form(fix, cfg.params.get("alpha"), "alpha")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    rep1 = bar_parallelism_check(model, points, fixture=fix.name)
-    rep2 = distribution_parallel_check(model, a0_ref, points, fixture=fix.name)
-    return make_report("total-space", fix.name, points,
-                       {**rep1.residuals, **rep2.residuals},
-                       sorted(set(rep1.flags) | set(rep2.flags)))
+    return total_space_check(model, a0_ref, points, fixture=fix.name)
 
 
 def run_identities(cfg: RunConfig) -> VerificationReport:

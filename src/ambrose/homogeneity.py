@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bundle_conn import (
     LocalConnectionForm,
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .lie_core import (
     ANGLE_TOL,
-    NULL_TOL,
     AdInvariantInner,
     LieAlgebra,
     LinearRep,
@@ -54,9 +52,10 @@ from .lie_core import (
     nullspace,
     principal_angles,
     reductive_complement,
+    skew_exp,
     stacked_action_matrix,
 )
-from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
+from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis, to_frame
 
 KMAX_START = 2
 KMAX_CAP = 4
@@ -213,16 +212,14 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
         # cutoff floored at the entry scale so levels that vanish in exact
         # arithmetic do not present their FD noise as full-rank columns
         scale = float(np.sqrt(sum(t.norm() ** 2 for t in tensors)))
-        mat = stacked_action_matrix(tensors, rep)
-        bases.append(nullspace(mat, scale=scale))
-        if mat.any():
-            sing = np.linalg.svd(mat, compute_uv=False)
-            cutoff = NULL_TOL * max(sing[0], scale)
-            below = sing[sing <= cutoff]
-            above = sing[sing > cutoff]
-            # kernel and range must be separated by a clear spectral gap
-            if below.size and above.size and above.min() < 10.0 * below.max():
-                ambiguous = True
+        basis, sing, cutoff = nullspace(stacked_action_matrix(tensors, rep), scale=scale,
+                                        spectrum=True)
+        bases.append(basis)
+        below = sing[sing <= cutoff]
+        above = sing[sing > cutoff]
+        # kernel and range must be separated by a clear spectral gap
+        if below.size and above.size and above.min() < 10.0 * below.max():
+            ambiguous = True
     dims = tuple(b.shape[1] for b in bases)
     singer_k: int | None = None
     for k in range(len(bases) - 1):
@@ -258,19 +255,17 @@ def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
 
 
 def group_action(theta: np.ndarray, rep: TensorRep, t: DenseTensor) -> DenseTensor:
-    """Action of exp(theta) on a frame-expressed tensor, axis by axis."""
-    theta = np.asarray(theta, float)
-    gv = expm(rep.vector.matrix(theta))
-    gv_dual = expm(-rep.vector.matrix(theta)).T
-    gl = expm(rep.lie.matrix(theta)) if rep.lie is not None else None
-    data = t.data
-    from .tensor_core import apply_axis
+    """Action of exp(theta) on a frame-expressed tensor, axis by axis.
 
+    The generators are skew, so exp(-X)^T = exp(X): covariant axes transform
+    by the same matrix as contravariant ones."""
+    theta = np.asarray(theta, float)
+    gv = skew_exp(rep.vector.matrix(theta))
+    gl = skew_exp(rep.lie.matrix(theta)) if rep.lie is not None else None
+    data = t.data
     for ax, marker in enumerate(t.markers):
-        if marker == UP:
+        if marker in (UP, DOWN):
             data = apply_axis(gv, data, ax)
-        elif marker == DOWN:
-            data = apply_axis(gv_dual, data, ax)
         else:
             if gl is None:
                 raise RepMismatch("tensor has lie axes but no lie representation")

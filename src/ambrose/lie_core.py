@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, subspace_angles
 
 from .errors import (
     BadParameters,
@@ -173,22 +172,26 @@ def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndar
     return np.stack(cols, axis=1)
 
 
-def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL,
-              scale: float = 0.0) -> np.ndarray:
+def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL, scale: float = 0.0,
+              spectrum: bool = False,
+              ) -> np.ndarray | tuple[np.ndarray, np.ndarray, float]:
     """Orthonormal kernel basis (columns); SVD cutoff at rel_tol x sigma_max.
 
     ``scale`` floors the reference magnitude so a matrix that is pure noise
-    relative to the data it was built from counts as zero."""
+    relative to the data it was built from counts as zero.  With
+    ``spectrum`` the result is (basis, singular values, cutoff); a zero
+    matrix has no singular values."""
     mat = np.asarray(mat, float)
     if not np.isfinite(mat).all():
         raise BadParameters("matrix has non-finite entries")
     if mat.size == 0 or not mat.any():
-        return np.eye(mat.shape[1])
-    # thin SVD; a wide matrix needs the full V to span its kernel
-    _, sing, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    cutoff = rel_tol * max(sing[0], scale)
-    rank = int((sing > cutoff).sum())
-    return vt[rank:].T
+        basis, sing, cutoff = np.eye(mat.shape[1]), np.zeros(0), 0.0
+    else:
+        # thin SVD; a wide matrix needs the full V to span its kernel
+        _, sing, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+        cutoff = rel_tol * max(sing[0], scale)
+        basis = vt[int((sing > cutoff).sum()):].T
+    return (basis, sing, cutoff) if spectrum else basis
 
 
 def orthonormalize(basis: np.ndarray) -> np.ndarray:
@@ -201,11 +204,29 @@ def orthonormalize(basis: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span from a thin SVD, dropping
+    singular values at or below max(shape) * eps * sigma_max."""
+    u, sing, _ = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.amax(sing, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return u[:, : int((sing > cutoff).sum())]
+
+
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans, descending."""
+    """Principal angles between the column spans, descending: cosines from
+    one SVD, and sines from a second for the pairs with cosine^2 >= 1/2,
+    where the arccosine loses precision (Knyazev and Argentati, SIAM J. Sci.
+    Comput. 23, 2002; the algorithm of scipy.linalg.subspace_angles)."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros(0)
-    return subspace_angles(a, b)
+    qa, qb = _orth(np.asarray(a, float)), _orth(np.asarray(b, float))
+    cross = qa.T @ qb
+    cos = np.linalg.svd(cross, compute_uv=False)
+    rest = qb - qa @ cross if qa.shape[1] >= qb.shape[1] else qa - qb @ cross.T
+    mask = cos**2 >= 0.5
+    sin = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0)) \
+        if mask.any() else 0.0
+    return np.where(mask, sin, np.arccos(np.clip(cos[::-1], -1.0, 1.0)))
 
 
 def subspace_contained(small: np.ndarray, big: np.ndarray,
@@ -257,9 +278,23 @@ def reductive_complement(h_basis: np.ndarray, inner: AdInvariantInner) -> np.nda
     return k
 
 
+def skew_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a real skew-symmetric matrix, from the Hermitian eigensystem
+    of 1j * x: if 1j * x = V diag(w) V^H then exp(x) = V diag(exp(-1j w)) V^H.
+
+    Every representation built here (so(n), u(1), su(2) and their adjoints)
+    is skew; any other matrix raises rather than being exponentiated
+    inaccurately."""
+    x = np.asarray(x, float)
+    if not (np.abs(x + x.T) <= 1e-12 * max(1.0, float(np.abs(x).max(initial=0.0)))).all():
+        raise BadParameters("exponential needs a skew-symmetric generator")
+    w, v = np.linalg.eigh(0.5j * (x - x.T))
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
 def group_exp(theta: np.ndarray, rep: LinearRep) -> np.ndarray:
     """Group element exp(sum theta_i rho(b_i)) on the representation space."""
-    return expm(rep.matrix(theta))
+    return skew_exp(rep.matrix(theta))
 
 
 def _eps3() -> np.ndarray:

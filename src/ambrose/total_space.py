@@ -12,6 +12,8 @@ The checks do not call the per-tuple case tables, which stay their
 definition: per point they evaluate one orthonormal frame, the torsion,
 curvature and curvature-form tables contracted with it, and one
 finite-difference sweep of those, and assemble every tuple as an einsum.
+The same sweep gives the curvature partials of the hypotheses and the
+shift-form partials of the distribution criterion.
 """
 
 from __future__ import annotations
@@ -20,24 +22,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cholesky
 
-from .bundle_conn import (
-    LocalConnectionForm,
-    assoc_covariant_field,
-    curvature_form,
-    curvature_form_field,
-    form_difference,
-)
+from .bundle_conn import LocalConnectionForm, curvature_form, form_difference
 from .chart_calculus import (
     Chart,
     ConnectionCoeffs,
     MetricField,
-    covariant_derivative_field,
+    TensorFieldSpec,
+    covariant_derivative,
+    covariant_derivative_of,
     curvature,
-    curvature_field,
     fd_partials,
-    max_frame_norms,
     nan_max,
     ortho_frame,
     torsion,
@@ -46,6 +41,7 @@ from .chart_calculus import (
 from .errors import RepMismatch, UnsupportedFieldKind
 from .homogeneity import TOLERANCES, VerificationReport, make_report
 from .lie_core import AdInvariantInner, LieAlgebra
+from .tensor_core import DOWN, LIE, UP, DenseTensor, to_frame
 
 
 @dataclass(frozen=True)
@@ -330,7 +326,7 @@ def connection_metric(model: TotalSpaceModel, u: TotalVector, v: TotalVector,
 
 def _vertical_coframe(model: TotalSpaceModel) -> np.ndarray:
     # rows w -> orthonormal coordinates for the inner product
-    return cholesky(model.inner.matrix, lower=True).T
+    return np.linalg.cholesky(model.inner.matrix).T
 
 
 def _frame_fields(model: TotalSpaceModel) -> tuple[list[GeneratedField], list[GeneratedField]]:
@@ -445,9 +441,15 @@ def bar_curvature(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
     return _pair_curvature(model, uv, vv, wv, x)
 
 
+# the residuals that are hypotheses of the total-space criteria
+HYPOTHESES = ("nabla_R", "nabla_T", "nabla_F", "alpha_parallel")
+
+
 def _hypotheses_hold(residuals: dict[str, float]) -> bool:
-    """Each hypothesis residual is within its default tolerance (NaN is not)."""
-    return all(r <= TOLERANCES["total-space"][k] for k, r in residuals.items())
+    """Each hypothesis residual present is within its default tolerance (NaN
+    is not)."""
+    tol = TOLERANCES["total-space"]
+    return all(residuals[k] <= tol[k] for k in HYPOTHESES if k in residuals)
 
 
 def _with_partials(f: Callable[[np.ndarray], list[np.ndarray]], chart: Chart,
@@ -488,36 +490,58 @@ def _slot_terms(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_tables(model: TotalSpaceModel, y: np.ndarray) -> list[np.ndarray]:
-    """The orthonormal frame E at y and the case tables on it:
-    HT[:, a, b] = T(E_a, E_b), NF[:, a, b] = F(E_a, E_b) and
-    HR[:, a, b, c] = R(E_a, E_b) E_c."""
+def _frame_tables(model: TotalSpaceModel, y: np.ndarray,
+                  alpha: TensorFieldSpec | None = None) -> list[np.ndarray]:
+    """The orthonormal frame E at y, the curvature form F and the curvature
+    R, and the case tables on E: HT[:, a, b] = T(E_a, E_b),
+    NF[:, a, b] = F(E_a, E_b) and HR[:, a, b, c] = R(E_a, E_b) E_c; given a
+    shift form alpha, also its values alpha(E_b) on the lifts, SH[:, b]."""
     E = ortho_frame(model.g, y).frame
     t = torsion(model.gamma, y).data
     f = curvature_form(model.a, y).data
     r = curvature(model.gamma, y).data
-    return [E, np.einsum("kij,ia,jb->kab", t, E, E),
-            np.einsum("ijc,ia,jb->cab", f, E, E),
-            np.einsum("lkij,ia,jb,kc->labc", r, E, E, E)]
+    tables = [E, f, r, np.einsum("kij,ia,jb->kab", t, E, E),
+              np.einsum("ijc,ia,jb->cab", f, E, E),
+              np.einsum("lkij,ia,jb,kc->labc", r, E, E, E)]
+    if alpha is not None:
+        tables.append(alpha.at(y).data.T @ E)
+    return tables
 
 
-def _bar_norm2(model: TotalSpaceModel, x: np.ndarray) -> tuple[float, float]:
-    """Squared sums at x of del-bar T-bar over all frame triples and of
+def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
+                     alpha: TensorFieldSpec | None = None) -> dict[str, float]:
+    """Every total-space residual at x from one frame and one FD sweep of
+    the frame tables: the hypotheses nabla_R, nabla_T and nabla_F; the norms
+    nabla_bar_T of del-bar T-bar over all frame triples and nabla_bar_R of
     del-bar R-bar over (frame, lift, lift, frame) tuples, as the per-tuple
-    case tables define them, from one frame and one FD sweep of the tables.
+    case tables define them; and, given the shift form alpha, alpha_parallel
+    and distribution.
 
     Only lift triples and the vertical Jacobi triple of T-bar, and the
     lift/lift/lift and lift/lift/fundamental cases of R-bar, are nonzero.
     The other tuples are exact zeros of the case tables, and so is the
     fundamental/lift/lift/fundamental case of R-bar: its derivative
     [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
-    (E, ht, nf, hr), (dE, dht, dnf, dhr) = _with_partials(
-        lambda y: _frame_tables(model, y), model.chart, x)
-    cof = ortho_frame(model.g, x).coframe
+    vals, parts = _with_partials(lambda y: _frame_tables(model, y, alpha), model.chart, x)
+    (E, f, r, ht, nf, hr), (dE, df, dr, dht, dnf, dhr) = vals[:6], parts[:6]
+    gamma, lie = model.gamma, model.a.ad_at
+    fr = ortho_frame(model.g, x)
+
+    def frame_norm(t: DenseTensor) -> float:
+        return to_frame(t, fr).norm()
+
+    out = {
+        "nabla_R": frame_norm(covariant_derivative_of(
+            gamma, DenseTensor((UP, DOWN, DOWN, DOWN), r), dr, x)),
+        "nabla_T": frame_norm(covariant_derivative(gamma, torsion_field(gamma), x)),
+        "nabla_F": frame_norm(covariant_derivative_of(
+            gamma, DenseTensor((DOWN, DOWN, LIE), f), df, x, lie)),
+    }
     vc = _vertical_coframe(model)
     cm = np.linalg.inv(vc)  # columns C_i: the fundamental frame elements
     gc, adc = _frame_actions(model, x, E)
-    w = cof @ _along_frame(E, gc, E, dE)  # del_{E_c} E_b = w[c, p, b] E_p
+    dframe = _along_frame(E, gc, E, dE)
+    w = fr.coframe @ dframe  # del_{E_c} E_b = w[c, p, b] E_p
     # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
     t_h = _along_frame(E, gc, ht, dht) - _slot_terms(ht, w)
     t_v = _along_frame(E, adc, nf, dnf) - _slot_terms(nf, w)
@@ -535,30 +559,44 @@ def _bar_norm2(model: TotalSpaceModel, x: np.ndarray) -> tuple[float, float]:
     def norm2(coframe, t):  # t[tuple index, component, further tuple indices]
         return float(np.sum(np.tensordot(coframe, t, axes=(1, 1)) ** 2))
 
-    return (norm2(cof, t_h) + norm2(vc, t_v) + norm2(vc, jacobi),
-            norm2(cof, r_h) + norm2(vc, r_v))
+    out["nabla_bar_T"] = float(np.sqrt(norm2(fr.coframe, t_h) + norm2(vc, t_v)
+                                       + norm2(vc, jacobi)))
+    out["nabla_bar_R"] = float(np.sqrt(norm2(fr.coframe, r_h) + norm2(vc, r_v)))
+    if alpha is not None:
+        out["alpha_parallel"] = frame_norm(covariant_derivative(gamma, alpha, x, lie))
+        # the shifts alpha(E_b) of the lifts, differentiated along each E_c
+        resid = _along_frame(E, adc, vals[6], parts[6]) - alpha.at(x).data.T @ dframe
+        out["distribution"] = nan_max(
+            np.linalg.norm(np.tensordot(vc, resid, axes=(1, 1)), axis=0).ravel())
+    return out
+
+
+def _check(model: TotalSpaceModel, a0: LocalConnectionForm | None,
+           points: np.ndarray, fixture: str,
+           keys: tuple[str, ...] | None = None) -> VerificationReport:
+    """The largest of each residual of _point_residuals over the points (all
+    of them, or the given keys), flagged when a hypothesis fails."""
+    points = np.atleast_2d(np.asarray(points, float))
+    alpha = None if a0 is None else form_difference(model.a, a0)
+    per_point = [_point_residuals(model, x, alpha) for x in points]
+    keys = tuple(per_point[0]) if keys is None else keys
+    residuals = {k: nan_max(p[k] for p in per_point) for k in keys}
+    flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
+    return make_report("total-space", fixture, points, residuals, flags)
+
+
+def total_space_check(model: TotalSpaceModel, a0: LocalConnectionForm,
+                      points: np.ndarray, fixture: str = "") -> VerificationReport:
+    """Both total-space criteria, bar_parallelism_check's and
+    distribution_parallel_check's, from one FD sweep per point."""
+    return _check(model, a0, points, fixture)
 
 
 def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
                           fixture: str = "") -> VerificationReport:
     """Torsion and curvature of the adapted connection are parallel, given
     the base parallelism hypotheses."""
-    points = np.atleast_2d(np.asarray(points, float))
-    residuals = max_frame_norms({
-        "nabla_R": covariant_derivative_field(model.gamma, curvature_field(model.gamma)),
-        "nabla_T": covariant_derivative_field(model.gamma, torsion_field(model.gamma)),
-        "nabla_F": assoc_covariant_field(model.a, model.gamma, curvature_form_field(model.a)),
-    }, model.g, points)
-    flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
-    bar_t = []
-    bar_r = []
-    for x in points:
-        acc_t, acc_r = _bar_norm2(model, x)
-        bar_t.append(np.sqrt(acc_t))
-        bar_r.append(np.sqrt(acc_r))
-    residuals["nabla_bar_T"] = nan_max(bar_t)
-    residuals["nabla_bar_R"] = nan_max(bar_r)
-    return make_report("total-space", fixture, points, residuals, flags)
+    return _check(model, None, points, fixture)
 
 
 def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
@@ -566,26 +604,4 @@ def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
                                 fixture: str = "") -> VerificationReport:
     """The reference horizontal distribution is parallel for the adapted
     connection iff the shift form is parallel."""
-    points = np.atleast_2d(np.asarray(points, float))
-    alpha = form_difference(model.a, a0)
-    residuals = max_frame_norms(
-        {"alpha_parallel": assoc_covariant_field(model.a, model.gamma, alpha)},
-        model.g, points,
-    )
-    flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
-    vc = _vertical_coframe(model)
-
-    def tables(y):
-        E = ortho_frame(model.g, y).frame
-        return [E, alpha.at(y).data.T @ E]
-
-    worst = []
-    for x in points:
-        # the shifts alpha(E_b) of the lifts, differentiated along each E_c
-        (E, sh), (dE, dsh) = _with_partials(tables, model.chart, x)
-        gc, adc = _frame_actions(model, x, E)
-        resid = (_along_frame(E, adc, sh, dsh)
-                 - alpha.at(x).data.T @ _along_frame(E, gc, E, dE))
-        worst.extend(np.linalg.norm(np.tensordot(vc, resid, axes=(1, 1)), axis=0).ravel())
-    residuals["distribution"] = nan_max(worst)
-    return make_report("total-space", fixture, points, residuals, flags)
+    return _check(model, a0, points, fixture, ("alpha_parallel", "distribution"))

@@ -7,6 +7,7 @@ import pytest
 from ambrose.chart_calculus import (
     Chart,
     ConnectionCoeffs,
+    MetricField,
     TensorFieldSpec,
     christoffel,
     christoffel_partial,
@@ -21,9 +22,10 @@ from ambrose.chart_calculus import (
     ortho_frame,
     ortho_frame_partial,
     sample_interior,
+    scrambled_halton,
     torsion,
 )
-from ambrose.errors import BadParameters, OutOfDomain
+from ambrose.errors import BadParameters, DegenerateMetric, OutOfDomain
 from ambrose.fixtures import instantiate
 from ambrose.tensor_core import DOWN, UP, DenseTensor
 
@@ -61,6 +63,15 @@ class TestChart:
         assert not np.array_equal(pts, other)
         assert (pts >= chart.box[:, 0] + chart.margin).all()
         assert (pts <= chart.box[:, 1] - chart.margin).all()
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_scrambled_halton_equals_scipy_bitwise(self, dim):
+        """Same digit permutations and the same sums as scipy's Halton."""
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for seed in [*range(10), 42, 12345]:
+            for count in (1, 2, 8, 33):
+                ref = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+                assert np.array_equal(scrambled_halton(dim, count, seed), ref), (seed, count)
 
 
 class TestFiniteDifferences:
@@ -286,6 +297,32 @@ class TestTorsionAndFrames:
             )
             assert np.abs(dframe - fd_frame).max() < 1e-9
             assert np.abs(dcoframe - fd_coframe).max() < 1e-9
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 2e-12])
+    def test_metric_symmetry_check_fails_closed(self, entry):
+        """NaN, inf (even placed symmetrically) and an asymmetry just above
+        1e-12 all raise."""
+        chart = Chart(dim=2, box=np.array([[-1.0, 1.0]] * 2), margin=0.05)
+        g = np.eye(2)
+        g[0, 1] = entry
+        if not np.isfinite(entry):
+            g[1, 0] = entry
+        metric = MetricField(chart, lambda x: g, lambda x: np.zeros((2, 2, 2)),
+                             lambda x: np.zeros((2, 2, 2, 2)))
+        with pytest.raises(DegenerateMetric):
+            metric.at(np.zeros(2))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 2e-12])
+    def test_connection_symmetry_check_fails_closed(self, entry):
+        chart = Chart(dim=2, box=np.array([[-1.0, 1.0]] * 2), margin=0.05)
+        coeffs = np.zeros((2, 2, 2))
+        coeffs[0, 0, 1] = entry
+        if not np.isfinite(entry):
+            coeffs[0, 1, 0] = entry
+        conn = ConnectionCoeffs(chart=chart, evaluator=lambda x: coeffs,
+                                symmetric_flag=True)
+        with pytest.raises(BadParameters):
+            conn.at(np.zeros(2))
 
     def test_symmetric_flag_enforced(self):
         chart = Chart(dim=2, box=np.array([[-1.0, 1.0]] * 2), margin=0.05)

@@ -2,6 +2,9 @@
 serialization, exit codes, report schema, and tolerance-name checks."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,17 +388,65 @@ class TestDeterminism:
         assert first == second
 
 
-class TestReadmeExample:
-    COMMAND = "ambrose --scenario singer --fixture round_sphere2 --points 2"
+QUICK_START = "ambrose --scenario singer --fixture round_sphere2 --points 2"
 
+
+def quick_start_report() -> str:
+    """The report the README shows for the QUICK_START command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split(QUICK_START + "\n```\n", 1)[1]
+    assert after.startswith("\n```json\n")
+    return after[len("\n```json\n"):].split("```", 1)[0]
+
+
+class TestReadmeExample:
     def test_readme_report_matches_run(self, capsys):
         """The README's quick-start report is what the command prints."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        after = readme.split(self.COMMAND + "\n```\n", 1)[1]
-        assert after.startswith("\n```json\n")
-        expected = after[len("\n```json\n"):].split("```", 1)[0]
-        assert cli.main(self.COMMAND.split()[1:]) == 0
-        assert capsys.readouterr().out == expected
+        assert cli.main(QUICK_START.split()[1:]) == 0
+        assert capsys.readouterr().out == quick_start_report()
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this ambrose."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        """The CLI imports numpy.random eagerly, so the first sample does not
+        pay for it, and no scipy module."""
+        done = run_python(
+            "import sys, ambrose.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.random' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "True"]
+
+    def test_quick_start_runs_without_scipy(self):
+        blocked = run_python(BLOCK_SCIPY + "import scipy\n")
+        assert "scipy is blocked" in blocked.stderr
+        done = run_python(BLOCK_SCIPY + (
+            "import runpy\n"
+            f"sys.argv = ['ambrose', *{QUICK_START.split()[1:]!r}]\n"
+            "runpy.run_module('ambrose', run_name='__main__')\n"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == quick_start_report()
 
 
 class TestOutputFile:

@@ -26,6 +26,7 @@ from ambrose.lie_core import (
     orthonormalize,
     principal_angles,
     reductive_complement,
+    skew_exp,
     so_generators,
     stacked_action_matrix,
     subalgebra_residual,
@@ -213,6 +214,24 @@ class TestSubspaceMachinery:
         assert principal_angles(e1, e1).max() < 1e-8
         assert principal_angles(e1, np.zeros((2, 0))).size == 0
 
+    @pytest.mark.parametrize("shapes", [(6, 2, 3), (5, 3, 3), (8, 4, 1), (4, 3, 2)])
+    def test_principal_angles_match_scipy(self, shapes):
+        """Random pairs, and nearly nested pairs whose angles are all tiny,
+        against scipy.linalg.subspace_angles."""
+        subspace_angles = pytest.importorskip("scipy.linalg").subspace_angles
+        n, p, q = shapes
+        rng = np.random.default_rng(n * 100 + p * 10 + q)
+        for _ in range(20):
+            a = rng.normal(size=(n, p))
+            b = rng.normal(size=(n, q))
+            nested = a[:, :q] @ rng.normal(size=(min(p, q), q)) if q <= p else \
+                np.hstack([a, rng.normal(size=(n, q - p))])
+            nested = nested + 1e-9 * rng.normal(size=nested.shape)
+            for x, y in ((a, b), (b, a), (nested, a), (a, nested)):
+                ours, ref = principal_angles(x, y), subspace_angles(x, y)
+                assert ours.shape == ref.shape
+                assert np.abs(ours - ref).max() <= 1e-15
+
     def test_subspace_contained(self):
         big = np.eye(3)[:, :2]
         small = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2)
@@ -274,6 +293,43 @@ class TestGroupAndFrameRep:
         rep = LinearRep(so2, so_generators(2))
         g = group_exp(np.array([np.pi / 2]), rep)
         assert np.allclose(g, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
+
+    @staticmethod
+    def generators():
+        su2 = algebra_by_name("su(2)")
+        frame = frame_structure_rep(2, su2)
+        return [*so_generators(2), *so_generators(3), *su2.adjoint_rep().matrices,
+                *frame.vector.matrices, *frame.lie.matrices]
+
+    def test_skew_exp_matches_scipy_expm(self):
+        """The generators of so(2), so(3), su(2) and frame_structure_rep(2,
+        su(2))."""
+        expm = pytest.importorskip("scipy.linalg").expm
+        for x in self.generators():
+            assert np.abs(skew_exp(x) - expm(x)).max() <= 1e-14
+            # the dual action: exp(-x)^T is exp(x) for skew x
+            assert np.abs(skew_exp(-x).T - skew_exp(x)).max() <= 1e-15
+
+    def test_skew_exp_of_large_combinations(self):
+        """Combinations with angles up to pi, as orbit_match draws them: the
+        exponential stays orthogonal to 1e-14, where expm's Pade error grows
+        to about 3e-13, and agrees with expm to within that error."""
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(7)
+        for gens in (so_generators(2), so_generators(3),
+                     algebra_by_name("su(2)").adjoint_rep().matrices):
+            for _ in range(50):
+                x = np.einsum("i,iab->ab", rng.uniform(-np.pi, np.pi, len(gens)), gens)
+                q = skew_exp(x)
+                assert np.abs(q.T @ q - np.eye(len(q))).max() <= 1e-14
+                assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-14)
+                assert np.abs(q - expm(x)).max() <= 1e-12
+
+    def test_skew_exp_rejects_non_skew(self):
+        with pytest.raises(BadParameters):
+            skew_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(BadParameters):
+            skew_exp(np.array([[0.0, np.nan], [-np.nan, 0.0]]))
 
     def test_so_generators_antisymmetric(self):
         for n in (2, 3, 4):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ambrose import chart_calculus, cli
+from ambrose import bundle_conn, chart_calculus, cli
 from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import curvature, ortho_frame, sample_interior
 from ambrose.errors import RepMismatch, UnsupportedFieldKind
@@ -34,8 +34,8 @@ from ambrose.total_space import (
     lift,
     total_zero,
     xi,
-    _bar_norm2,
     _frame_fields,
+    _point_residuals,
     _tv_norm2,
 )
 
@@ -393,6 +393,13 @@ def tuple_loop_norm2(model, x):
     return acc_t, acc_r
 
 
+def bar_norm2(model, x):
+    """The squared sums of del-bar T-bar and del-bar R-bar at x, from the
+    per-point frame tables."""
+    res = _point_residuals(model, x)
+    return res["nabla_bar_T"] ** 2, res["nabla_bar_R"] ** 2
+
+
 def generic_model():
     fx = instantiate("hopf_monopole", {})
     wild = smooth_connection_form(fx.chart, SU2, seed=5)
@@ -411,19 +418,19 @@ class TestFrameTables:
     def test_squared_sums_match_tuple_loop(self, make):
         model, fx = make()
         for x in sample_interior(fx.chart, 2, seed=8):
-            for new, old in zip(_bar_norm2(model, x), tuple_loop_norm2(model, x)):
+            for new, old in zip(bar_norm2(model, x), tuple_loop_norm2(model, x)):
                 assert new == pytest.approx(old, rel=1e-9, abs=1e-20)
 
     def test_flat_bundle_sums_are_exact_zero(self):
         model, fx = flat_model()
         for x in sample_interior(fx.chart, 2, seed=8):
-            assert _bar_norm2(model, x) == (0.0, 0.0)
+            assert bar_norm2(model, x) == (0.0, 0.0)
             assert tuple_loop_norm2(model, x) == (0.0, 0.0)
 
     def test_generic_connection_residual(self):
         model, fx = generic_model()
         x = sample_interior(fx.chart, 1, seed=6)[0]
-        acc_t, acc_r = _bar_norm2(model, x)
+        acc_t, acc_r = bar_norm2(model, x)
         assert np.sqrt(acc_t) == pytest.approx(11.8408, abs=1e-4)
         assert np.sqrt(acc_r) == pytest.approx(11.8408, abs=1e-4)
 
@@ -491,3 +498,19 @@ class TestCallCounts:
         assert code == 0
         assert 0 < len(fd) <= 10 * 2
         assert 0 < len(frames) <= 40 * 2
+
+    def test_one_sweep_per_point(self, monkeypatch, capsys):
+        """The hypotheses, the frame tables and the distribution criterion
+        share one FD sweep: the curvature and the curvature form are
+        evaluated at x and at its 8 stencil points only, and the frame once
+        more at x."""
+        frames = count_calls(monkeypatch, chart_calculus.ortho_frame)
+        curv = count_calls(monkeypatch, chart_calculus.curvature)
+        forms = count_calls(monkeypatch, bundle_conn.curvature_form)
+        code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
+                         "--points", "2"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(curv) <= 9 * 2
+        assert len(forms) <= 9 * 2
+        assert len(frames) <= 10 * 2
