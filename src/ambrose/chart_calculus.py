@@ -186,26 +186,36 @@ class MetricField:
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Linear connection in the coordinate frame: data[k, i, j] at each point;
-    optional analytic partials return out[mu, k, i, j]."""
+    """Linear connection in the coordinate frame: data[k, i, j] at each point.
+    The optional analytic ``partial_evaluator`` returns the coefficients and
+    their partials out[mu, k, i, j] together, so that both come from one
+    evaluation of the underlying geometry."""
 
     chart: Chart
     evaluator: Callable[[np.ndarray], np.ndarray]
     symmetric_flag: bool = False
-    partial_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
+    partial_evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        G = np.asarray(self.evaluator(np.asarray(x, float)), float)
+        return self._checked(self.evaluator(np.asarray(x, float)))
+
+    def _checked(self, G: np.ndarray) -> np.ndarray:
+        G = np.asarray(G, float)
         if not np.isfinite(G).all():
             raise BadParameters("connection coefficients are not finite")
         if self.symmetric_flag and not (np.abs(G - G.swapaxes(1, 2)) <= 1e-12).all():
             raise BadParameters("symmetric_flag set but coefficients asymmetric")
         return G
 
-    def partial_at(self, x: np.ndarray) -> np.ndarray:
+    def jet_at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficients, partials) at x, checked as ``at`` checks them."""
         if self.partial_evaluator is not None:
-            return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
-        return fd_partials(self.evaluator, self.chart, x)
+            G, dG = self.partial_evaluator(np.asarray(x, float))
+            return self._checked(G), np.asarray(dG, float)
+        return self.at(x), fd_partials(self.evaluator, self.chart, x)
+
+    def partial_at(self, x: np.ndarray) -> np.ndarray:
+        return self.jet_at(x)[1]
 
 
 @dataclass(frozen=True)
@@ -249,23 +259,30 @@ def lowered(dg: np.ndarray) -> np.ndarray:
     return p + p.swapaxes(-1, -2) - dg
 
 
-def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Levi-Civita coefficients at x: out[k, i, j] = half g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
+def _christoffel_parts(g: MetricField,
+                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g^{-1}, d g, Levi-Civita coefficients) at x."""
     gx = g.at(x)
     try:
         np.linalg.cholesky(gx)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric(f"metric not positive definite at {x}") from exc
     ginv = np.linalg.inv(gx)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, lowered(g.partial_at(x)))
-
-
-def christoffel_partial(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Analytic partials of the Levi-Civita coefficients: out[mu, k, i, j]."""
-    ginv = np.linalg.inv(g.at(x))
     dg = g.partial_at(x)
+    return ginv, dg, 0.5 * np.einsum("kl,lij->kij", ginv, lowered(dg))
+
+
+def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
+    """Levi-Civita coefficients at x: out[k, i, j] = half g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
+    return _christoffel_parts(g, x)[2]
+
+
+def christoffel_partial(g: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Levi-Civita coefficients and their analytic partials
+    out[mu, k, i, j], from one evaluation of g and its partials."""
+    ginv, dg, G = _christoffel_parts(g, x)
     dginv = -ginv @ dg @ ginv
-    return 0.5 * (
+    return G, 0.5 * (
         np.einsum("mkl,lij->mkij", dginv, lowered(dg))
         + np.einsum("kl,mlij->mkij", ginv, lowered(g.second_partial_at(x)))
     )
@@ -322,8 +339,8 @@ def covariant_derivative_field(gamma: ConnectionCoeffs, t: TensorFieldSpec,
 def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
     """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k] - (i<->j)."""
     x = np.asarray(x, float)
-    G = gamma.at(x)
-    p = gamma.partial_at(x).transpose(1, 3, 0, 2)
+    G, dG = gamma.jet_at(x)
+    p = dG.transpose(1, 3, 0, 2)
     q = np.einsum("lim,mjk->lkij", G, G)
     r = p - p.swapaxes(2, 3) + q - q.swapaxes(2, 3)
     return DenseTensor((UP, DOWN, DOWN, DOWN), r)
@@ -373,30 +390,34 @@ def torsion(conn: ConnectionCoeffs | FrameFieldConnection,
     return DenseTensor((UP, DOWN, DOWN), t)
 
 
-def frame_to_coordinate(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
-    """Coordinate-frame coefficients of a moving-frame connection at x."""
+def _frame_to_coordinate_parts(conn: FrameFieldConnection, x: np.ndarray,
+                               ) -> tuple[np.ndarray, ...]:
+    """(coframe, frame, d coframe, a, coordinate coefficients) at x, where
+    the coefficients are E a."""
     x = np.asarray(x, float)
     th = conn.coframe_at(x)
     E = conn.frame_at(x)
     dth = conn.coframe_partial_at(x)
     a = dth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", th, th, conn.gamma)
-    return np.einsum("lk,kav->lav", E, a)
+    return th, E, dth, a, np.einsum("lk,kav->lav", E, a)
+
+
+def frame_to_coordinate(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
+    """Coordinate-frame coefficients of a moving-frame connection at x."""
+    return _frame_to_coordinate_parts(conn, x)[4]
 
 
 def frame_to_coordinate_partial(conn: FrameFieldConnection,
-                                x: np.ndarray) -> np.ndarray:
-    """Analytic partials of frame_to_coordinate: out[mu, l, a, v]."""
-    x = np.asarray(x, float)
-    th = conn.coframe_at(x)
-    E = conn.frame_at(x)
+                                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """frame_to_coordinate and its analytic partials out[mu, l, a, v], from
+    one evaluation of the coframe and its partials."""
+    th, E, dth, a, G = _frame_to_coordinate_parts(conn, x)
     gam = conn.gamma
-    dth = conn.coframe_partial_at(x)
-    ddth = np.asarray(conn.coframe_second(x), float)
-    a = dth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", th, th, gam)
+    ddth = np.asarray(conn.coframe_second(np.asarray(x, float)), float)
     dE = -E @ dth @ E
     da = ddth.transpose(0, 2, 1, 3) + np.einsum("mia,lv,kil->mkav", dth, th, gam)
     da += np.einsum("ia,mlv,kil->mkav", th, dth, gam)
-    return np.einsum("mlk,kav->mlav", dE, a) + np.einsum("lk,mkav->mlav", E, da)
+    return G, np.einsum("mlk,kav->mlav", dE, a) + np.einsum("lk,mkav->mlav", E, da)
 
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:

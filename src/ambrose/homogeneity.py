@@ -59,10 +59,14 @@ from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis, to_
 
 KMAX_START = 2
 KMAX_CAP = 4
-# orbit_match: accepted relative residual, random starts, sweeps per search
+# orbit_match: accepted relative residual, random starts, Levenberg-Marquardt
+# iterations per start, the damping's start and floor, and the relative
+# decrease of the squared residual below which a start has stalled
 MATCH_TOL = 1e-6
 MATCH_STARTS = 16
-COMPASS_SWEEPS = 500
+LM_ITERS = 100
+LM_DAMPING = (1e-3, 1e-9)
+STALL = 1e-3
 
 # flags that fail a report whatever its residuals
 BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed",
@@ -296,32 +300,39 @@ def _even_rank_spectrum(t: DenseTensor) -> np.ndarray | None:
     return np.sort(np.linalg.eigvalsh(0.5 * (a + a.T)))
 
 
-def _compass_search(f: Callable[[np.ndarray], float], theta0: np.ndarray,
-                    target: float = 1e-14) -> tuple[np.ndarray, float]:
-    """Coordinate descent with backtracking step halving."""
-    theta = np.asarray(theta0, float).copy()
-    val = f(theta)
-    step = 0.5
-    for _ in range(COMPASS_SWEEPS):
-        if val < target or step < 1e-10:
+def _exp_jacobian(ad: np.ndarray) -> np.ndarray:
+    """sum_k ad^k / (k+1)!. For ad = ad(theta) this is the left Jacobian J_l
+    of exp, exp(theta + d) = exp(J_l d) exp(theta) to first order; for
+    ad = ad(-theta) it is the right one, exp(theta + d) = exp(theta)
+    exp(J_r d). The series is cut once a term no longer changes the sum."""
+    out = term = np.eye(len(ad))
+    for k in range(2, 100):
+        term = term @ ad / k
+        if not np.abs(term).max() > 1e-17 * np.abs(out).max():
             break
-        improved = False
-        for i in range(theta.size):
-            for sgn in (1.0, -1.0):
-                trial = theta.copy()
-                trial[i] += sgn * step
-                tv = f(trial)
-                if tv < val:
-                    theta, val = trial, tv
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return theta, val
+        out = out + term
+    return out
 
 
 def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
                 depth: int) -> MatchResult:
-    """Search the identity component for a group element matching the towers."""
+    """Search the identity component for a group element carrying t1's
+    entries up to ``depth`` onto t2's.
+
+    After the chain comparison and the norm and spectrum prescreens, each
+    start (theta = 0, then up to MATCH_STARTS - 1 uniform draws in
+    [-pi, pi]^m) runs Levenberg-Marquardt on the relative residual
+    r(theta) = (exp(theta) a - b) / sqrt(scale) over the entries. The action
+    is orthogonal, so pulling r back by exp(-theta) changes no norm:
+    exp(-theta) r(theta + d) = a - exp(-theta) b + A(a) J_r(theta) d to first
+    order, with A(a) the stacked action matrix at a, built once, and J_r the
+    right Jacobian of exp. A start ends when a step decreases |r|^2 by less
+    than a relative STALL, when the damped linear model predicts no more
+    than that (the damping is exhausted), or when the residual or the solve
+    is not finite; a NaN never matches. The damping also absorbs the
+    stabilizer's rank deficiency, so theta is unique only modulo the
+    stabilizer. Orientation-reversing elements are not searched: towers
+    related only by one fail with reason "residual"."""
     e1 = t1.up_to(depth)
     e2 = t2.up_to(depth)
     if len(e1) != len(e2):
@@ -346,23 +357,58 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
         if s1 is not None and np.abs(s1 - s2).max() > 1e-5 * ref:
             return MatchResult(False, None, np.inf, "prescreen-spectrum")
 
-    def objective(theta: np.ndarray) -> float:
-        num = sum(
-            (group_action(theta, rep, a) - b).norm() ** 2 for a, b in zip(e1, e2)
-        )
-        return num / scale
-
     m = rep.algebra.dim
+    weight = 1.0 / ref
+    a_flat = weight * np.concatenate([a.components for a in e1])
+    action = weight * stacked_action_matrix(e1, rep)
+
+    def pulled_back(theta: np.ndarray) -> tuple[np.ndarray, float]:
+        moved = [group_action(-theta, rep, b).components for b in e2]
+        r = a_flat - weight * np.concatenate(moved)
+        return r, float(r @ r)
+
+    def descend(theta: np.ndarray) -> tuple[np.ndarray, float]:
+        r, val = pulled_back(theta)
+        damping, floor = LM_DAMPING
+        for _ in range(LM_ITERS):
+            if not val > 0.0:
+                break
+            jac = action @ _exp_jacobian(rep.algebra.ad(-theta))
+            grad, hess = jac.T @ r, jac.T @ jac
+            # raise the damping until a step decreases the residual
+            while True:
+                # inv, not solve: every tower already calls inv, and the
+                # first solve call maps about 0.2 MB more of LAPACK
+                try:
+                    step = -np.linalg.inv(hess + damping * np.eye(m)) @ grad
+                except np.linalg.LinAlgError:
+                    return theta, val
+                # stalled when even the damped linear model gains little
+                if not val - float(np.sum((r + jac @ step) ** 2)) >= STALL * val:
+                    return theta, val
+                trial = theta + step
+                t_r, t_val = pulled_back(trial)
+                if np.isnan(t_val):
+                    return theta, val
+                if t_val < val:
+                    break
+                damping *= 10.0
+            decrease = (val - t_val) / val
+            theta, r, val = trial, t_r, t_val
+            damping = max(damping / 10.0, floor)
+            if decrease < STALL:
+                break
+        return theta, val
+
     rng = np.random.default_rng(0)
     best_theta = np.zeros(m)
-    best = objective(best_theta)
-    target = MATCH_TOL**2
+    best = np.inf
     for s in range(MATCH_STARTS):
         theta0 = np.zeros(m) if s == 0 else rng.uniform(-np.pi, np.pi, size=m)
-        theta, val = _compass_search(objective, theta0, target=0.01 * target)
+        theta, val = descend(theta0)
         if val < best:
             best_theta, best = theta, val
-        if best < 0.01 * target:
+        if best < 0.01 * MATCH_TOL**2:
             break
     residual = float(np.sqrt(best))
     if residual < MATCH_TOL:

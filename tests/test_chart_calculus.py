@@ -141,9 +141,25 @@ class TestLeviCivitaAgainstOracle:
         fix = instantiate("round_sphere2", {})
         x = np.array([1.1, 2.0])
         for mu in range(2):
-            d = christoffel_partial(fix.g, x)[mu]
+            d = christoffel_partial(fix.g, x)[1][mu]
             fd = fd_array(lambda p: christoffel(fix.g, p), fix.chart, x, mu)
             assert np.abs(d - fd).max() < 1e-9
+
+    def test_curvature_evaluates_the_metric_once(self):
+        """Levi-Civita curvature takes Γ and ∂Γ from one evaluation of g."""
+        fix = instantiate("berger_sphere", {})
+        calls = []
+
+        def ev(x):
+            calls.append(x)
+            return fix.g.at(x)
+
+        g = MetricField(chart=fix.chart, evaluator=ev, partial_evaluator=fix.g.partial_at,
+                        second_partial_evaluator=fix.g.second_partial_at)
+        x = np.array([1.5, 1.3, 3.1])
+        assert np.array_equal(curvature(levi_civita(g), x).data,
+                              curvature(fix.gamma, x).data)
+        assert len(calls) == 1
 
     def test_lowered_sphere_curvature_sign(self):
         """R_theta-phi-theta-phi = +sin^2(theta) on the unit sphere."""
