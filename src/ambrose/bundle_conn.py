@@ -88,23 +88,10 @@ def form_difference(a1: LocalConnectionForm,
 
 @dataclass(frozen=True)
 class SectionSpec:
-    """Tuple of tensor fields sharing a chart; lie axes carry the algebra."""
+    """Tuple of tensor fields sharing a chart."""
 
     chart: Chart
     fields: tuple[TensorFieldSpec, ...]
-    algebra: LieAlgebra | None = None
-
-    def at(self, x: np.ndarray) -> tuple[DenseTensor, ...]:
-        return tuple(f.at(x) for f in self.fields)
-
-
-def assoc_covariant_derivative(a: LocalConnectionForm, s: SectionSpec,
-                               gamma: ConnectionCoeffs,
-                               x: np.ndarray) -> tuple[DenseTensor, ...]:
-    """Covariant derivative of every component of a section."""
-    if s.algebra is not None and s.algebra.labels != a.algebra.labels:
-        raise RepMismatch("section and connection algebras disagree")
-    return tuple(covariant_derivative(gamma, f, x, a.ad_at) for f in s.fields)
 
 
 def assoc_covariant_field(a: LocalConnectionForm, gamma: ConnectionCoeffs,

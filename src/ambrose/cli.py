@@ -215,6 +215,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError("seed must be an integer")
     if kmax is not None and (not _is_int(kmax) or not 1 <= kmax <= KMAX_CAP):
         raise ConfigError(f"kmax must be an integer in 1..{KMAX_CAP}")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out must be a file name")
     # a tolerance name is `default` or a residual key of the scenario; for
     # selftest, of a scenario of its battery (without the `scenario.` prefix)
     battery = [s for s, _, _ in SELFTEST_BATTERY] if scenario == "selftest" else [scenario]
@@ -397,7 +399,7 @@ def run_check_lh(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     _require_bundle(fix)
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
-    triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=a0)
+    triple = TripleSpec(g=fix.g, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     return check_lh_triple(triple, fix.gamma, fix.a0, points, fixture=fix.name)
 
@@ -406,7 +408,7 @@ def run_check_ls(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     _require_bundle(fix)
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
-    triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=a0)
+    triple = TripleSpec(g=fix.g, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     return check_ls_triple(triple, points, fixture=fix.name)
 
@@ -485,7 +487,6 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
             smooth_tensor_field(chart, (LIE,), cfg.seed + 2, algebra),
             smooth_tensor_field(chart, (DOWN, LIE), cfg.seed + 3, algebra),
         ),
-        algebra=algebra,
     )
     beta = smooth_tensor_field(chart, (DOWN, LIE), cfg.seed + 4, algebra)
     a_prime = a.shifted(alpha)

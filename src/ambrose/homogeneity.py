@@ -22,7 +22,6 @@ from .bundle_conn import (
     form_difference,
 )
 from .chart_calculus import (
-    Chart,
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
@@ -46,7 +45,6 @@ from .errors import (
 from .lie_core import (
     ANGLE_TOL,
     AdInvariantInner,
-    LieAlgebra,
     LinearRep,
     TensorRep,
     nullspace,
@@ -128,12 +126,9 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class TripleSpec:
-    """A metric, a structure algebra with invariant inner product, and a
-    reference connection form on the trivialized bundle."""
+    """A metric and a reference connection form on the trivialized bundle."""
 
     g: MetricField
-    algebra: LieAlgebra
-    inner: AdInvariantInner
     a0: LocalConnectionForm
 
 
@@ -481,16 +476,6 @@ def frame_expressed_field(t: TensorFieldSpec, g: MetricField) -> TensorFieldSpec
     )
 
 
-def form_as_field(b: LocalConnectionForm, g: MetricField) -> TensorFieldSpec:
-    """Frame-expressed adjoint-valued 1-form field b_a = b(e_a)."""
-
-    def ev(x: np.ndarray) -> DenseTensor:
-        fr = ortho_frame(g, x)
-        return DenseTensor((DOWN, LIE), fr.frame.T @ b.at(x))
-
-    return TensorFieldSpec(chart=b.chart, markers=(DOWN, LIE), evaluator=ev)
-
-
 def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
                        chain_field: Callable[[np.ndarray], StabilizerChain],
                        inner: AdInvariantInner) -> LocalConnectionForm:
@@ -527,13 +512,6 @@ def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:
         chart=gamma.chart,
         fields=(torsion_field(gamma), curvature_field(gamma)),
     )
-
-
-def kirichenko_section_spec(chart: Chart,
-                            tensors: tuple[TensorFieldSpec, ...],
-                            algebra: LieAlgebra | None = None) -> SectionSpec:
-    """A finite collection of tensor fields to be made simultaneously parallel."""
-    return SectionSpec(chart=chart, fields=tuple(tensors), algebra=algebra)
 
 
 def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,

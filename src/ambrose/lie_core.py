@@ -89,10 +89,6 @@ class LinearRep:
                     )
         object.__setattr__(self, "matrices", mats)
 
-    @property
-    def space_dim(self) -> int:
-        return self.matrices.shape[1]
-
     def matrix(self, theta: np.ndarray) -> np.ndarray:
         return np.einsum("i,iab->ab", np.asarray(theta, float), self.matrices)
 
@@ -229,16 +225,6 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(mask, sin, np.arccos(np.clip(cos[::-1], -1.0, 1.0)))
 
 
-def subspace_contained(small: np.ndarray, big: np.ndarray,
-                       tol: float = ANGLE_TOL) -> bool:
-    """span(small) inside span(big) up to principal-angle tolerance."""
-    if small.shape[1] == 0:
-        return True
-    if big.shape[1] < small.shape[1]:
-        return False
-    return bool(principal_angles(small, big).max() < tol)
-
-
 def subalgebra_residual(algebra: LieAlgebra, basis: np.ndarray) -> float:
     """Largest component of a basis bracket sticking out of the span."""
     basis = orthonormalize(basis)
@@ -290,11 +276,6 @@ def skew_exp(x: np.ndarray) -> np.ndarray:
         raise BadParameters("exponential needs a skew-symmetric generator")
     w, v = np.linalg.eigh(0.5j * (x - x.T))
     return ((v * np.exp(-1j * w)) @ v.conj().T).real
-
-
-def group_exp(theta: np.ndarray, rep: LinearRep) -> np.ndarray:
-    """Group element exp(sum theta_i rho(b_i)) on the representation space."""
-    return skew_exp(rep.matrix(theta))
 
 
 def _eps3() -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense multi-index tensor values at a point, orthonormal frames, index algebra.
+"""Dense multi-index tensor values at a point, orthonormal frames, axis actions.
 
 Axis markers tag each tensor axis as contravariant (UP), covariant (DOWN) or
 Lie-adjoint (LIE).  Components are stored row-major over the axis dims, so the
@@ -52,21 +52,6 @@ class DenseTensor:
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        if self.markers != other.markers or self.dims != other.dims:
-            raise AxisMismatch("tensor sum needs identical valence and dims")
-        return DenseTensor(self.markers, self.data + other.data)
-
-    def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        if self.markers != other.markers or self.dims != other.dims:
-            raise AxisMismatch("tensor difference needs identical valence and dims")
-        return DenseTensor(self.markers, self.data - other.data)
-
-    def __mul__(self, c: float) -> "DenseTensor":
-        return DenseTensor(self.markers, self.data * float(c))
-
-    __rmul__ = __mul__
-
 
 def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
     """Contract ``matrix`` into one axis: out[..., i, ...] = M[i, j] t[..., j, ...]."""
@@ -93,28 +78,6 @@ def axis_action(t: DenseTensor, mat: np.ndarray | None, lie: np.ndarray | None,
         else:
             out += apply_axis(a, t.data, ax)
     return out
-
-
-def contract(t: DenseTensor, axis_a: int, axis_b: int,
-             lie_metric: np.ndarray | None = None) -> DenseTensor:
-    """Single contraction of an (UP, DOWN) pair, or a LIE pair with a metric."""
-    if axis_a == axis_b:
-        raise AxisMismatch("cannot contract an axis with itself")
-    ma, mb = t.markers[axis_a], t.markers[axis_b]
-    if t.dims[axis_a] != t.dims[axis_b]:
-        raise AxisMismatch("contracted axes must share their dimension")
-    pair = {ma, mb}
-    if pair == {UP, DOWN}:
-        data = np.trace(t.data, axis1=axis_a, axis2=axis_b)
-    elif pair == {LIE}:
-        if lie_metric is None:
-            raise AxisMismatch("lie-lie contraction needs a supplied metric")
-        weighted = apply_axis(np.asarray(lie_metric, float), t.data, axis_a)
-        data = np.trace(weighted, axis1=axis_a, axis2=axis_b)
-    else:
-        raise AxisMismatch(f"cannot contract markers {ma!r} and {mb!r}")
-    keep = [m for i, m in enumerate(t.markers) if i not in (axis_a, axis_b)]
-    return DenseTensor(tuple(keep), data)
 
 
 @dataclass(frozen=True)
@@ -163,15 +126,3 @@ def to_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
         data = apply_axis(f.coframe if m == UP else f.frame.T, data, ax)
     return DenseTensor(t.markers, data)
 
-
-def from_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
-    """Inverse of :func:`to_frame`."""
-    n = f.frame.shape[0]
-    data = t.data
-    for ax, m in enumerate(t.markers):
-        if m == LIE:
-            continue
-        if t.dims[ax] != n:
-            raise AxisMismatch(f"axis {ax} has dim {t.dims[ax]}, frame dim {n}")
-        data = apply_axis(f.frame if m == UP else f.coframe.T, data, ax)
-    return DenseTensor(t.markers, data)

@@ -1,19 +1,22 @@
-"""Connection metric and adapted connection on a locally trivialized
-principal-bundle total space.
+"""Adapted connection on a locally trivialized principal-bundle total space,
+and the total-space parallelism criteria.
 
-Vector fields are restricted to the module generated by horizontal lifts of
-base fields, fundamental fields of constant algebra elements, and vertical
-fields of adjoint sections.  Vertical values produced by the case tables
+The checks evaluate, per point, one orthonormal frame of the connection
+metric, the torsion, curvature and curvature-form tables contracted with it,
+and one finite-difference sweep of those, and assemble every frame tuple of
+del-bar T-bar and del-bar R-bar as an einsum.  The same sweep gives the
+curvature partials of the hypotheses and the shift-form partials of the
+distribution criterion.
+
+The per-tuple case tables (``bar_torsion_derivative``,
+``bar_curvature_derivative``) define those tuples on generated fields:
+horizontal lifts of base fields, fundamental fields of constant algebra
+elements, and vertical fields of adjoint sections.  Their vertical values
 track the provenance of each slot: adjoint-section slots differentiate by the
-bundle connection along horizontal directions and are inert vertically, while
-constant slots are inert horizontally and move by the bracket vertically.
-
-The checks do not call the per-tuple case tables, which stay their
-definition: per point they evaluate one orthonormal frame, the torsion,
-curvature and curvature-form tables contracted with it, and one
-finite-difference sweep of those, and assemble every tuple as an einsum.
-The same sweep gives the curvature partials of the hypotheses and the
-shift-form partials of the distribution criterion.
+bundle connection along horizontal directions and are inert vertically,
+while constant slots are inert horizontally and move by the bracket
+vertically.  The checks do not call them; the tests compare the frame tables
+against them.
 """
 
 from __future__ import annotations
@@ -113,54 +116,30 @@ class GeneratedField:
         return TotalVector(np.zeros(model.chart.dim), v)
 
 
-def lift(payload) -> GeneratedField:
-    return GeneratedField(LIFT, payload)
-
-
-def fundamental(c) -> GeneratedField:
-    return GeneratedField(FUNDAMENTAL, c)
-
-
-def xi(nu) -> GeneratedField:
-    return GeneratedField(ADJOINT, nu)
-
-
-def horizontal_lift_shift(z, a0: LocalConnectionForm, a: LocalConnectionForm,
-                          x: np.ndarray) -> np.ndarray:
-    """The algebra element alpha(Z) by which the two horizontal lifts of Z
-    differ at x, with alpha = a - a0."""
+def _cov(model: TotalSpaceModel, f, marker: str, x: np.ndarray, xv: np.ndarray,
+         lie: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """Covariant derivative along vector xv at x of a field f, constant or
+    callable, whose one axis carries the given marker."""
     x = np.asarray(x, float)
-    zv = np.asarray(z(x) if callable(z) else z, float)
-    return (a.at(x) - a0.at(x)).T @ zv
+    if callable(f):
+        fv, df = np.asarray(f(x), float), fd_partials(f, model.chart, x)
+    else:
+        fv = np.asarray(f, float)
+        df = np.zeros((model.chart.dim,) + fv.shape)
+    return xv @ covariant_derivative_of(
+        model.gamma, DenseTensor((marker,), fv), df, x, lie).data
 
 
 def base_cov(model: TotalSpaceModel, h, x: np.ndarray,
              xv: np.ndarray) -> np.ndarray:
     """Base covariant derivative of the base field h along vector xv at x."""
-    x = np.asarray(x, float)
-    if callable(h):
-        dh = fd_partials(h, model.chart, x)
-    else:
-        dh = np.zeros((model.chart.dim, model.chart.dim))
-    hv = np.asarray(h(x) if callable(h) else h, float)
-    G = model.gamma.at(x)
-    return np.einsum("m,mk->k", xv, dh) + np.einsum("kmj,m,j->k", G, xv, hv)
+    return _cov(model, h, UP, x, xv)
 
 
 def conn_cov(model: TotalSpaceModel, nu, x: np.ndarray,
              xv: np.ndarray) -> np.ndarray:
     """Bundle covariant derivative of the adjoint section nu along xv at x."""
-    x = np.asarray(x, float)
-    if callable(nu):
-        dn = fd_partials(nu, model.chart, x)
-    else:
-        dn = np.zeros((model.chart.dim, model.algebra.dim))
-    nv = np.asarray(nu(x) if callable(nu) else nu, float)
-    av = model.a.at(x)
-    out = np.einsum("m,mi->i", xv, dn)
-    for mu in range(model.chart.dim):
-        out += xv[mu] * model.algebra.bracket(av[mu], nv)
-    return out
+    return _cov(model, nu, LIE, x, xv, model.a.ad_at)
 
 
 class VertExpr:
@@ -247,23 +226,6 @@ def bar_connection_apply(model: TotalSpaceModel, u: GeneratedField,
     return out
 
 
-def bar_torsion(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
-                x: np.ndarray) -> TotalVector:
-    """Torsion case table: horizontal pair gives base torsion plus curvature
-    form; mixed pairs vanish; vertical pairs give the bracket."""
-    x = np.asarray(x, float)
-    if u.kind == LIFT and v.kind == LIFT:
-        xv, yv = u.at(x), v.at(x)
-        t = torsion(model.gamma, x).data
-        f = curvature_form(model.a, x).data
-        return TotalVector(np.einsum("kij,i,j->k", t, xv, yv),
-                           np.einsum("ijc,i,j->c", f, xv, yv))
-    if u.kind != LIFT and v.kind != LIFT:
-        return TotalVector(np.zeros(model.chart.dim),
-                           model.algebra.bracket(u.at(x), v.at(x)))
-    return total_zero(model)
-
-
 def _pair_torsion(model: TotalSpaceModel, uv: TotalVector, vv: TotalVector,
                   x: np.ndarray) -> TotalVector:
     t = torsion(model.gamma, x).data
@@ -283,67 +245,9 @@ def _pair_curvature(model: TotalSpaceModel, uv: TotalVector, vv: TotalVector,
     return TotalVector(h, model.algebra.bracket(fv, wv.vertical))
 
 
-def bracket_fields(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
-                   x: np.ndarray) -> TotalVector:
-    """Lie bracket of generated fields at x: base bracket minus the curvature
-    obstruction for lifts; fundamental pairs bracket in the algebra; a lift
-    and a fundamental field commute."""
-    x = np.asarray(x, float)
-    if u.kind == LIFT and v.kind == LIFT:
-        xv, yv = u.at(x), v.at(x)
-        n = model.chart.dim
-        du = fd_partials(u.payload, model.chart, x) if callable(u.payload) \
-            else np.zeros((n, n))
-        dv = fd_partials(v.payload, model.chart, x) if callable(v.payload) \
-            else np.zeros((n, n))
-        hx = np.einsum("m,mk->k", xv, dv) - np.einsum("m,mk->k", yv, du)
-        f = curvature_form(model.a, x).data
-        return TotalVector(hx, -np.einsum("ijc,i,j->c", f, xv, yv))
-    if u.kind == FUNDAMENTAL and v.kind == FUNDAMENTAL:
-        return TotalVector(np.zeros(model.chart.dim),
-                           model.algebra.bracket(u.at(x), v.at(x)))
-    if LIFT in (u.kind, v.kind) and FUNDAMENTAL in (u.kind, v.kind):
-        return total_zero(model)
-    raise UnsupportedFieldKind("bracket supports lift and fundamental fields")
-
-
-def bar_torsion_direct(model: TotalSpaceModel, u: GeneratedField,
-                       v: GeneratedField, x: np.ndarray) -> TotalVector:
-    """Torsion from its definition, for comparison against the case table."""
-    return (bar_connection_apply(model, u, v, x)
-            - bar_connection_apply(model, v, u, x)
-            - bracket_fields(model, u, v, x))
-
-
-def connection_metric(model: TotalSpaceModel, u: TotalVector, v: TotalVector,
-                      x: np.ndarray) -> float:
-    """g_A: base metric on horizontal parts plus the invariant inner product
-    on vertical parts."""
-    gx = model.g.at(np.asarray(x, float))
-    return float(u.horizontal @ gx @ v.horizontal
-                 + u.vertical @ model.inner.matrix @ v.vertical)
-
-
 def _vertical_coframe(model: TotalSpaceModel) -> np.ndarray:
     # rows w -> orthonormal coordinates for the inner product
     return np.linalg.cholesky(model.inner.matrix).T
-
-
-def _frame_fields(model: TotalSpaceModel) -> tuple[list[GeneratedField], list[GeneratedField]]:
-    n = model.chart.dim
-    lifts = [
-        lift(lambda y, a=a: ortho_frame(model.g, y).frame[:, a]) for a in range(n)
-    ]
-    l_inv = np.linalg.inv(_vertical_coframe(model))
-    funds = [fundamental(l_inv[:, i]) for i in range(model.algebra.dim)]
-    return lifts, funds
-
-
-def _tv_norm2(model: TotalSpaceModel, tv: TotalVector, x: np.ndarray) -> float:
-    fr = ortho_frame(model.g, x)
-    h = fr.coframe @ tv.horizontal
-    w = _vertical_coframe(model) @ tv.vertical
-    return float(h @ h + w @ w)
 
 
 def _bar_torsion_field(model: TotalSpaceModel, v: GeneratedField,
@@ -429,16 +333,6 @@ def bar_curvature_derivative(model: TotalSpaceModel, u: GeneratedField,
     term3 = _pair_curvature(model, vv, dw, zv, x)
     term4 = _pair_curvature(model, vv, wv, dz, x)
     return term1 - term2 - term3 - term4
-
-
-def bar_curvature(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
-                  w: GeneratedField, x: np.ndarray) -> TotalVector:
-    """Curvature case table: nonzero only for horizontal direction pairs."""
-    x = np.asarray(x, float)
-    if u.kind != LIFT or v.kind != LIFT:
-        return total_zero(model)
-    uv, vv, wv = (f.value(model, x) for f in (u, v, w))
-    return _pair_curvature(model, uv, vv, wv, x)
 
 
 # the residuals that are hypotheses of the total-space criteria

@@ -42,12 +42,10 @@ from ambrose.lie_core import frame_structure_rep, principal_angles
 from ambrose.tensor_core import DOWN, DenseTensor, to_frame
 from ambrose.total_space import (
     TotalSpaceModel,
-    _frame_fields,
     bar_parallelism_check,
-    bar_torsion,
-    bar_torsion_direct,
     distribution_parallel_check,
 )
+from oracles import _frame_fields, bar_torsion, bar_torsion_direct
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -303,14 +301,11 @@ def test_criterion_08_adapted_connection():
 def test_criterion_09_triple_criteria():
     fix = instantiate("hopf_monopole", {})
     pts = sample_interior(fix.chart, 8, seed=42)
-    triple = TripleSpec(g=fix.g, algebra=fix.algebra, inner=fix.inner, a0=fix.a0)
+    triple = TripleSpec(g=fix.g, a0=fix.a0)
     lh = check_lh_triple(triple, fix.gamma, fix.a0, pts)
     ls = check_ls_triple(triple, pts)
     clean = max(max(lh.residuals.values()), max(ls.residuals.values()))
-    bumped = TripleSpec(
-        g=fix.g, algebra=fix.algebra, inner=fix.inner,
-        a0=fix.a0.shifted(fix.alpha_bump),
-    )
+    bumped = TripleSpec(g=fix.g, a0=fix.a0.shifted(fix.alpha_bump))
     bad = check_lh_triple(bumped, fix.gamma, fix.a0, pts)
     ok = (
         lh.passed and ls.passed and clean < 1e-5

@@ -132,9 +132,12 @@ class TestParseConfig:
         {"points": True},
         {"seed": True},
         {"kmax": True},
-    ], ids=["params-list", "points-bool", "seed-bool", "kmax-bool"])
+        {"out": 2},
+        {"out": ["x"]},
+    ], ids=["params-list", "points-bool", "seed-bool", "kmax-bool", "out-int", "out-list"])
     def test_config_file_types_fail_closed(self, entry, tmp_path, capsys):
-        """params must be an object and points/seed/kmax ints, not bools."""
+        """params must be an object, points/seed/kmax ints, not bools, and out
+        a string: an int out would name a file descriptor."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scenario": "selftest", **entry}))
         assert cli.main(["--config", str(path)]) == 2

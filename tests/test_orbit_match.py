@@ -67,7 +67,7 @@ class TestOrbitMatchProperties:
         assert match.matched, match.reason
         assert match.residual < 1e-9
         for a, b in zip(tower.up_to(1), rotated.up_to(1)):
-            assert (group_action(match.theta, REP3, a) - b).norm() < 1e-9 * b.norm()
+            assert np.linalg.norm(group_action(match.theta, REP3, a).data - b.data) < 1e-9 * b.norm()
 
     @PROPERTY_SLOW
     @given(seed=seeds)

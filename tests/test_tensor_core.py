@@ -11,8 +11,6 @@ from ambrose.tensor_core import (
     DenseTensor,
     OrthoFrame,
     apply_axis,
-    contract,
-    from_frame,
     to_frame,
 )
 
@@ -35,45 +33,12 @@ class TestDenseTensor:
         t = DenseTensor((UP, DOWN), np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(t.components, [1.0, 2.0, 3.0, 4.0])
 
-    def test_arithmetic(self):
+    def test_norm(self):
         a = DenseTensor((UP,), np.array([1.0, 2.0]))
-        b = DenseTensor((UP,), np.array([0.5, -1.0]))
-        assert np.allclose((a + b).data, [1.5, 1.0])
-        assert np.allclose((a - b).data, [0.5, 3.0])
-        assert np.allclose((2.0 * a).data, [2.0, 4.0])
         assert a.norm() == pytest.approx(np.sqrt(5.0))
-
-    def test_sum_needs_matching_valence(self):
-        a = DenseTensor((UP,), np.zeros(2))
-        b = DenseTensor((DOWN,), np.zeros(2))
-        with pytest.raises(AxisMismatch):
-            a + b
 
 
 class TestContract:
-    def test_up_down_trace(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(3, 3, 3))
-        t = DenseTensor((UP, DOWN, DOWN), data)
-        out = contract(t, 0, 1)
-        assert out.markers == (DOWN,)
-        assert np.allclose(out.data, np.einsum("kkj->j", data))
-
-    def test_lie_pair_needs_metric(self):
-        t = DenseTensor((LIE, LIE), np.eye(3))
-        with pytest.raises(AxisMismatch):
-            contract(t, 0, 1)
-        m = np.diag([2.0, 3.0, 4.0])
-        out = contract(t, 0, 1, lie_metric=m)
-        assert out.data == pytest.approx(9.0)
-
-    def test_same_axis_and_down_down_rejected(self):
-        t = DenseTensor((DOWN, DOWN), np.eye(2))
-        with pytest.raises(AxisMismatch):
-            contract(t, 0, 0)
-        with pytest.raises(AxisMismatch):
-            contract(t, 0, 1)
-
     def test_apply_axis_matches_einsum(self):
         rng = np.random.default_rng(1)
         m = rng.normal(size=(3, 3))
@@ -119,7 +84,9 @@ class TestFrameTransport:
         dims = tuple(m if mk == LIE else n for mk in markers)
         t = DenseTensor(markers, rng.normal(size=dims))
         fr = OrthoFrame.from_metric(random_spd(rng, n), np.zeros(n))
-        back = from_frame(to_frame(t, fr), fr)
+        # swapping frame and coframe gives the inverse change of basis
+        inverse = OrthoFrame(fr.point, fr.coframe, fr.frame)
+        back = to_frame(to_frame(t, fr), inverse)
         assert np.allclose(back.data, t.data, atol=1e-12)
 
     def test_metric_becomes_identity_in_frame(self):

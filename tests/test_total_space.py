@@ -1,6 +1,7 @@
-"""Tests for the total-space model: connection metric, case tables for the
-adapted connection, torsion, curvature, brackets, the parallelism checks, and
-the horizontal-distribution criterion."""
+"""Tests for the total-space model: the case tables of the adapted
+connection and of its torsion and curvature derivatives, the parallelism
+checks, and the horizontal-distribution criterion; and the test-only
+connection metric, torsion, curvature and bracket tables of the oracles."""
 
 import dataclasses
 import json
@@ -20,23 +21,24 @@ from ambrose.total_space import (
     TotalSpaceModel,
     TotalVector,
     bar_connection_apply,
-    bar_curvature,
     bar_curvature_derivative,
     bar_parallelism_check,
-    bar_torsion,
     bar_torsion_derivative,
+    distribution_parallel_check,
+    total_zero,
+    _point_residuals,
+)
+from oracles import (
+    _frame_fields,
+    _tv_norm2,
+    bar_curvature,
+    bar_torsion,
     bar_torsion_direct,
     bracket_fields,
     connection_metric,
-    distribution_parallel_check,
     fundamental,
-    horizontal_lift_shift,
     lift,
-    total_zero,
     xi,
-    _frame_fields,
-    _point_residuals,
-    _tv_norm2,
 )
 
 SU2 = algebra_by_name("su(2)")
@@ -296,19 +298,6 @@ class TestBrackets:
         with pytest.raises(UnsupportedFieldKind):
             bracket_fields(model, xi(lambda y: np.zeros(3)),
                            lift(np.array([1.0, 0.0])), np.array([1.0, 1.0]))
-
-
-class TestLiftShift:
-    def test_shift_is_difference_contraction(self):
-        fx = instantiate("hopf_monopole", {})
-        a = fx.a0.shifted(fx.alpha_bump)
-        x = np.array([0.5 * np.pi, np.pi])
-        z = np.array([1.0, -2.0])
-        expect = (a.at(x) - fx.a0.at(x)).T @ z
-        assert np.allclose(horizontal_lift_shift(z, fx.a0, a, x), expect)
-        assert np.allclose(
-            horizontal_lift_shift(lambda y: z, fx.a0, a, x), expect
-        )
 
 
 class TestDerivativeVanishing:
