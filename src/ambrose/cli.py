@@ -29,7 +29,13 @@ from .chart_calculus import (
     nan_max,
     sample_interior,
 )
-from .errors import AmbroseError, BadParameters, ConfigError, UnknownFixture
+from .errors import (
+    AmbroseError,
+    BadParameters,
+    ConfigError,
+    NumericalFailure,
+    UnknownFixture,
+)
 from .fixtures import (
     Fixture,
     fixture_names,
@@ -44,6 +50,7 @@ from .homogeneity import (
     TripleSpec,
     VerificationReport,
     adapted_connection,
+    build_tower,
     check_lh_triple,
     check_ls_triple,
     derivative_fields,
@@ -52,6 +59,7 @@ from .homogeneity import (
     gauge_residual,
     make_report,
     opozda_section_spec,
+    stabilizer_chain,
     tower_and_chain,
     verdict,
     with_adjoint_rep,
@@ -414,6 +422,15 @@ def run_check_ls(cfg: RunConfig) -> VerificationReport:
 
 
 def run_adapt(cfg: RunConfig) -> VerificationReport:
+    """Adapt the canonical connection to the Levi-Civita one and check that
+    the result parallelizes the shift and the tower up to depth k_S + 1.
+
+    The Singer stage k_S is read from the chain at the first sample point,
+    grown from KMAX_START (or built at --kmax). Under infinitesimal
+    homogeneity k_S is the same at every point, so every other chain, at the
+    other sample points and at the FD stencil points of b, comes from a tower
+    of depth k_S + 1 only; one that does not stabilize at k_S raises
+    NumericalFailure."""
     fix = _fixture(cfg)
     if fix.gamma_canonical is None:
         raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
@@ -423,24 +440,30 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
     b_prime = frame_gauge_form(fix.gamma_canonical, fix.g, rep.vector)
     sigma = opozda_section_spec(fix.gamma)
-    memo: dict[bytes, StabilizerChain] = {}
+    points = sample_interior(fix.chart, cfg.points, cfg.seed)
+    first_chain = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep,
+                                  kmax=cfg.kmax)[1]
+    singer_k = first_chain.singer_k
+    if singer_k is None:
+        raise ConfigError("stabilizer chain did not stabilize within the cap")
+    depth = singer_k + 1
+    memo = {points[0].tobytes(): first_chain}
 
     def chain_field(x: np.ndarray) -> StabilizerChain:
         key = np.asarray(x, float).tobytes()
         if key not in memo:
-            memo[key] = tower_and_chain(
-                sigma, None, fix.gamma, fix.g, x, rep, kmax=cfg.kmax
-            )[1]
+            chain = stabilizer_chain(build_tower(sigma, None, fix.gamma, fix.g, x, depth), rep)
+            if chain.singer_k != singer_k:
+                raise NumericalFailure(
+                    f"stabilizer chain at {x} stabilizes at stage {chain.singer_k}, "
+                    f"not at the first sample point's {singer_k}"
+                )
+            memo[key] = chain
         return memo[key]
 
     b = adapted_connection(b0, b_prime, chain_field, inner)
     beta_hat = frame_expressed_field(form_difference(b, b0), fix.g)
-    points = sample_interior(fix.chart, cfg.points, cfg.seed)
     rep_adj = with_adjoint_rep(rep)
-    first_chain = chain_field(points[0])
-    if first_chain.singer_k is None:
-        raise ConfigError("stabilizer chain did not stabilize within the cap")
-    depth = first_chain.singer_k + 1
     levels = derivative_fields(sigma, None, fix.gamma, depth)
     shift = []
     tower_res = []
@@ -453,8 +476,7 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     residuals = {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
     return make_report(
         "adapt", fix.name, points, residuals, sorted(set(first_chain.flags)),
-        stabilizer_dims=tuple(first_chain.dims[: first_chain.singer_k + 1]),
-        singer_k=first_chain.singer_k,
+        stabilizer_dims=tuple(first_chain.dims[:depth]), singer_k=singer_k,
     )
 
 

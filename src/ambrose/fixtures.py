@@ -9,6 +9,7 @@ derivative level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,22 @@ def _constant_metric(chart: Chart, mat: np.ndarray) -> MetricField:
     )
 
 
+def _number(value, what: str, integer: bool = False) -> float:
+    """A fixture parameter as a finite float, a whole one if integer. A bool,
+    a non-numeric string, inf and nan raise BadParameters."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise BadParameters(f"{what} must be {kind}, got {value!r}")
+    return x
+
+
 def euclidean(n: int = 2) -> Fixture:
-    if not isinstance(n, int) or n < 1 or n > 6:
+    n = int(_number(n, "euclidean dimension", integer=True))
+    if not 1 <= n <= 6:
         raise BadParameters("euclidean dimension must be an integer in 1..6")
     chart = Chart(dim=n, box=np.array([[-1.0, 1.0]] * n), margin=0.05)
     g = _constant_metric(chart, np.eye(n))
@@ -78,7 +93,7 @@ def _sphere2_chart() -> Chart:
 
 
 def round_sphere2(radius: float = 1.0) -> Fixture:
-    r = float(radius)
+    r = _number(radius, "sphere radius")
     if not r > 0:
         raise BadParameters("sphere radius must be positive")
     chart = _sphere2_chart()
@@ -199,7 +214,7 @@ def _su2_frame_connection(chart: Chart) -> FrameFieldConnection:
 
 
 def berger_sphere(lam: float = 2.0) -> Fixture:
-    lam = float(lam)
+    lam = _number(lam, "berger squash parameter")
     if not lam > 0:
         raise BadParameters("berger squash parameter must be positive")
     chart = _su2_chart()
@@ -292,9 +307,7 @@ def _bump_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
 
 
 def hopf_monopole(charge: int = 1) -> Fixture:
-    if not float(charge).is_integer():
-        raise BadParameters("monopole charge must be an integer")
-    charge = int(charge)
+    charge = int(_number(charge, "monopole charge", integer=True))
     base = round_sphere2(1.0)
     algebra = algebra_by_name("su(2)")
     return Fixture(
@@ -407,6 +420,4 @@ def instantiate(name: str, params: dict | None = None) -> Fixture:
         raise BadParameters(
             f"fixture {name!r} does not take parameters {sorted(extra)}"
         )
-    if name == "euclidean" and "n" in params:
-        params["n"] = int(params["n"])
     return builder(**params)

@@ -480,7 +480,13 @@ def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
                        chain_field: Callable[[np.ndarray], StabilizerChain],
                        inner: AdInvariantInner) -> LocalConnectionForm:
     """b = b0 + component of (b' - b0) in the invariant complement of the
-    stabilized subalgebra."""
+    stabilizer h = bases[singer_k + 1] of chain_field(x).
+
+    The paper reads h at the Singer stage k_S, which infinitesimal homogeneity
+    makes the same at every point; chain_field owns that hypothesis.
+    ``cli.run_adapt`` reads k_S from the chain at the first sample point and
+    fails unless every other chain stabilizes at it. A chain that did not
+    stabilize raises NumericalFailure."""
     if b0.algebra.labels != b_prime.algebra.labels:
         raise RepMismatch("connection forms live over different algebras")
 
@@ -489,7 +495,7 @@ def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
         chain = chain_field(x)
         if chain.singer_k is None:
             raise NumericalFailure("stabilizer chain did not stabilize")
-        h = chain.bases[min(chain.singer_k + 1, len(chain.bases) - 1)]
+        h = chain.bases[chain.singer_k + 1]
         try:
             reductive_complement(h, inner)
         except NotInvariant as exc:

@@ -311,6 +311,24 @@ class TestMainExitCodes:
             "--param", "connection=canonical",
         ]) == 2
 
+    @pytest.mark.parametrize("scenario,fixture,param", [
+        ("singer", "berger_sphere", "lam=abc"),
+        ("singer", "berger_sphere", "lam=inf"),
+        ("total-space", "hopf_monopole", "charge=x"),
+        ("identities", "euclidean", "n=2.5"),
+        ("singer", "round_sphere2", "radius=abc"),
+        ("singer", "round_sphere2", "radius=inf"),
+    ])
+    def test_bad_fixture_parameter_exits_two(self, scenario, fixture, param, capsys):
+        """A fixture parameter that is not a finite number, or not a whole
+        one where the fixture needs an integer, is a configuration error."""
+        code = cli.main(["--scenario", scenario, "--fixture", fixture,
+                         "--param", param, "--points", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "config error" in captured.err
+
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         def boom(cfg):
             raise NumericalFailure("solver diverged")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ambrose import cli
+from ambrose import chart_calculus, cli, homogeneity
 from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, form_difference
 from ambrose.chart_calculus import (
     ConnectionCoeffs,
@@ -51,6 +51,7 @@ from ambrose.lie_core import (
     principal_angles,
 )
 from ambrose.tensor_core import DOWN, UP, DenseTensor, OrthoFrame, to_frame
+from test_total_space import count_calls
 
 REP2 = frame_structure_rep(2)
 REP3 = frame_structure_rep(3)
@@ -375,6 +376,56 @@ class TestAdaptedConnection:
             b.at(np.array([1.0, 1.0]))
 
 
+class TestAdaptSingerDepth:
+    """adapt reads the Singer stage k_S at the first sample point and builds
+    every other tower, at the other sample points and at the FD stencil
+    points of the adapted form, only to depth k_S + 1."""
+
+    ARGV = ["--scenario", "adapt", "--fixture", "berger_sphere", "--points", "1"]
+
+    def test_one_grown_tower_then_singer_depth(self, monkeypatch, capsys):
+        grown = count_calls(monkeypatch, homogeneity.tower_and_chain)
+        curv = count_calls(monkeypatch, chart_calculus.curvature)
+        depths = []
+
+        def recorded(sigma, b0, gamma0, g, x, kmax, frame=None):
+            depths.append(kmax)
+            return build_tower(sigma, b0, gamma0, g, x, kmax, frame)
+
+        monkeypatch.setattr(cli, "build_tower", recorded)
+        code = cli.main(self.ARGV)
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert len(grown) == 1
+        assert depths and set(depths) == {data["singer_k"] + 1}
+        # towers grown from KMAX_START at every stencil point take 2 561
+        assert len(curv) <= 600
+
+    @pytest.mark.parametrize("where", ["first-point", "other-points"])
+    def test_other_singer_stage_fails_closed(self, where, monkeypatch, capsys):
+        """A chain that stabilizes at another stage than the first sample
+        point's (earlier, or not within depth k_S + 1) ends the run with
+        exit 3 and a failing report."""
+        if where == "first-point":
+            def later(*args, **kwargs):
+                tower, chain = tower_and_chain(*args, **kwargs)
+                return tower, dataclasses.replace(chain, singer_k=chain.singer_k + 1)
+
+            monkeypatch.setattr(cli, "tower_and_chain", later)
+        else:
+            def truncated(tower, rep):
+                chain = stabilizer_chain(tower, rep)
+                return dataclasses.replace(chain, singer_k=None, flags=("truncated",))
+
+            monkeypatch.setattr(cli, "stabilizer_chain", truncated)
+        code = cli.main(self.ARGV)
+        data = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert data["pass"] is False
+        assert data["flags"][0] == "numerical-failure"
+        assert "stabilizes at stage" in data["flags"][1]
+
+
 class TestEquivalence:
     def test_symmetric_space_both_systems_hold(self):
         fx = instantiate("round_sphere2", {})
@@ -468,23 +519,32 @@ class TestParallelismCriteria:
         assert max(report.residuals.values()) < 1e-10
 
 
-def metric_d2g_nan(fx, near):
+def spoil_metric_d2g(fx, near):
     """The fixture with the metric's second partials spoiled by near."""
     g = dataclasses.replace(fx.g, second_partial_evaluator=near(fx.g.second_partial_evaluator))
     return dataclasses.replace(fx, g=g, gamma=levi_civita(g))
 
 
-def metric_dg_nan(fx, near):
+def spoil_metric_dg(fx, near):
     """The fixture with the metric's first partials spoiled by near."""
     g = dataclasses.replace(fx.g, partial_evaluator=near(fx.g.partial_evaluator))
     return dataclasses.replace(fx, g=g, gamma=levi_civita(g))
 
 
-def coframe_d2_nan(fx, near):
+def spoil_coframe_d2(fx, near):
     """The fixture with the canonical coframe's second partials spoiled by near."""
     conn = dataclasses.replace(fx.frame_conn,
                                coframe_second=near(fx.frame_conn.coframe_second))
     return dataclasses.replace(fx, frame_conn=conn, gamma_canonical=frame_connection_field(conn))
+
+
+# the inputs spoiled near a sample point, with the scenario that reads them
+SPOILED_INPUTS = [
+    (["--scenario", "singer", "--param", "connection=metric"], spoil_metric_d2g,
+     "singer-metric-d2g"),
+    (["--scenario", "singer"], spoil_coframe_d2, "singer-canonical-coframe-d2"),
+    (["--scenario", "adapt"], spoil_metric_dg, "adapt-dg"),
+]
 
 
 class TestFailClosed:
@@ -515,21 +575,23 @@ class TestFailClosed:
         assert np.isnan(report.residuals["nabla_F"])
 
     @pytest.mark.parametrize("bad", [0, 1])
-    @pytest.mark.parametrize("argv,spoil", [
-        (["--scenario", "singer", "--param", "connection=metric"], metric_d2g_nan),
-        (["--scenario", "singer"], coframe_d2_nan),
-        (["--scenario", "adapt"], metric_dg_nan),
-    ], ids=["singer-metric-d2g", "singer-canonical-coframe-d2", "adapt-dg"])
-    def test_nan_input_near_one_point_fails(self, argv, spoil, bad, monkeypatch, capsys):
-        """A berger_sphere input that the scenario reads, NaN near either of
-        two sample points, ends the run with exit 3 and a failing report."""
+    @pytest.mark.parametrize("argv,spoil,value", [
+        pytest.param(argv, spoil, value, id=name + suffix)
+        for argv, spoil, name in SPOILED_INPUTS
+        for value, suffix in ((np.nan, ""), (np.inf, "-inf"), (-np.inf, "-neginf"))
+    ])
+    def test_nan_input_near_one_point_fails(self, argv, spoil, value, bad, monkeypatch,
+                                            capsys):
+        """A berger_sphere input that the scenario reads, NaN or +-inf near
+        either of two sample points, ends the run with exit 3 and a failing
+        report."""
         fx = instantiate("berger_sphere", {})
         pts = sample_interior(fx.chart, 2, seed=19)
 
         def near(f):
             def spoiled(x):
                 v = np.asarray(f(x), float)
-                return np.full(v.shape, np.nan) if np.linalg.norm(x - pts[bad]) < 0.05 else v
+                return np.full(v.shape, value) if np.linalg.norm(x - pts[bad]) < 0.05 else v
             return spoiled
 
         monkeypatch.setattr(cli, "instantiate", lambda name, params: spoil(fx, near))
