@@ -128,10 +128,11 @@ def fd_array(f: Callable[[np.ndarray], np.ndarray], chart: Chart, x: np.ndarray,
 
 
 def fd_partials(f: Callable[[np.ndarray], np.ndarray], chart: Chart,
-                x: np.ndarray) -> np.ndarray:
+                x: np.ndarray, step_scale: float = STEP_SCALE) -> np.ndarray:
     """Every coordinate partial of an array-valued callable, stacked on a
-    leading axis: out[mu] = fd_array(f, chart, x, mu)."""
-    return np.stack([fd_array(f, chart, x, mu) for mu in range(chart.dim)])
+    leading axis: out[mu] = fd_array(f, chart, x, mu, step_scale=step_scale)."""
+    return np.stack([fd_array(f, chart, x, mu, step_scale=step_scale)
+                     for mu in range(chart.dim)])
 
 
 @dataclass(frozen=True)
@@ -354,9 +355,9 @@ def curvature_field(gamma: ConnectionCoeffs) -> TensorFieldSpec:
     )
 
 
-def torsion_field(conn: "ConnectionCoeffs | FrameFieldConnection") -> TensorFieldSpec:
+def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
     partial = None
-    if isinstance(conn, ConnectionCoeffs) and conn.partial_evaluator is not None:
+    if conn.partial_evaluator is not None:
 
         def partial(x: np.ndarray) -> np.ndarray:
             dG = conn.partial_at(x)
@@ -370,24 +371,10 @@ def torsion_field(conn: "ConnectionCoeffs | FrameFieldConnection") -> TensorFiel
     )
 
 
-def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
-    """c[k, i, j] with [e_i, e_j] = c[k, i, j] e_k for the moving frame."""
-    x = np.asarray(x, float)
-    E = conn.frame_at(x)
-    a = np.einsum("mkn,mi,nj->kij", conn.coframe_partial_at(x), E, E)
-    return -(a - a.swapaxes(1, 2))
-
-
-def torsion(conn: ConnectionCoeffs | FrameFieldConnection,
-            x: np.ndarray) -> DenseTensor:
-    """Torsion T[k, i, j]; frame-field connections include the frame bracket."""
-    if isinstance(conn, FrameFieldConnection):
-        gam = conn.gamma
-        t = gam - gam.swapaxes(1, 2) - frame_structure_functions(conn, x)
-    else:
-        G = conn.at(x)
-        t = G - G.swapaxes(1, 2)
-    return DenseTensor((UP, DOWN, DOWN), t)
+def torsion(conn: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
+    """Torsion T[k, i, j] = G[k, i, j] - G[k, j, i]."""
+    G = conn.at(x)
+    return DenseTensor((UP, DOWN, DOWN), G - G.swapaxes(1, 2))
 
 
 def _frame_to_coordinate_parts(conn: FrameFieldConnection, x: np.ndarray,

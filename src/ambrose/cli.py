@@ -19,7 +19,6 @@ from .bundle_conn import (
     bianchi_residual,
     connection_variation_check,
     curvature_variation_check,
-    form_difference,
     leibniz_check,
 )
 from .chart_calculus import (
@@ -27,6 +26,7 @@ from .chart_calculus import (
     covariant_derivative_field,
     curvature,
     nan_max,
+    ortho_frame,
     sample_interior,
 )
 from .errors import (
@@ -49,20 +49,16 @@ from .homogeneity import (
     StabilizerChain,
     TripleSpec,
     VerificationReport,
-    adapted_connection,
+    adapted_residuals,
     build_tower,
     check_lh_triple,
     check_ls_triple,
-    derivative_fields,
-    frame_expressed_field,
     frame_gauge_form,
-    gauge_residual,
     make_report,
     opozda_section_spec,
     stabilizer_chain,
     tower_and_chain,
     verdict,
-    with_adjoint_rep,
 )
 from .lie_core import (
     algebra_by_name,
@@ -72,7 +68,6 @@ from .lie_core import (
     subalgebra_residual,
 )
 from .tensor_core import DOWN, LIE, DenseTensor, to_frame
-from .chart_calculus import ortho_frame
 from .total_space import TotalSpaceModel, total_space_check
 
 SCENARIOS = (
@@ -219,8 +214,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             )
     if not _is_int(points) or points < 1:
         raise ConfigError("points must be a positive integer")
-    if not _is_int(seed):
-        raise ConfigError("seed must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     if kmax is not None and (not _is_int(kmax) or not 1 <= kmax <= KMAX_CAP):
         raise ConfigError(f"kmax must be an integer in 1..{KMAX_CAP}")
     if out is not None and not isinstance(out, str):
@@ -426,57 +421,43 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     the result parallelizes the shift and the tower up to depth k_S + 1.
 
     The Singer stage k_S is read from the chain at the first sample point,
-    grown from KMAX_START (or built at --kmax). Under infinitesimal
-    homogeneity k_S is the same at every point, so every other chain, at the
-    other sample points and at the FD stencil points of b, comes from a tower
-    of depth k_S + 1 only; one that does not stabilize at k_S raises
-    NumericalFailure."""
+    grown from KMAX_START (or built at --kmax), whose tower is reused unless
+    it is shallower than the k_S + 2 that ``adapted_residuals`` reads. Under
+    infinitesimal homogeneity k_S is the same at every point: each other
+    point gets one tower of depth k_S + 2, and a chain that does not
+    stabilize at k_S raises NumericalFailure."""
     fix = _fixture(cfg)
     if fix.gamma_canonical is None:
         raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
-    n = fix.chart.dim
-    rep = frame_structure_rep(n)
+    rep = frame_structure_rep(fix.chart.dim)
     inner = default_inner(rep.algebra)
     b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
     b_prime = frame_gauge_form(fix.gamma_canonical, fix.g, rep.vector)
     sigma = opozda_section_spec(fix.gamma)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    first_chain = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep,
-                                  kmax=cfg.kmax)[1]
+    tower, first_chain = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep,
+                                         kmax=cfg.kmax)
     singer_k = first_chain.singer_k
     if singer_k is None:
         raise ConfigError("stabilizer chain did not stabilize within the cap")
-    depth = singer_k + 1
-    memo = {points[0].tobytes(): first_chain}
-
-    def chain_field(x: np.ndarray) -> StabilizerChain:
-        key = np.asarray(x, float).tobytes()
-        if key not in memo:
-            chain = stabilizer_chain(build_tower(sigma, None, fix.gamma, fix.g, x, depth), rep)
-            if chain.singer_k != singer_k:
-                raise NumericalFailure(
-                    f"stabilizer chain at {x} stabilizes at stage {chain.singer_k}, "
-                    f"not at the first sample point's {singer_k}"
-                )
-            memo[key] = chain
-        return memo[key]
-
-    b = adapted_connection(b0, b_prime, chain_field, inner)
-    beta_hat = frame_expressed_field(form_difference(b, b0), fix.g)
-    rep_adj = with_adjoint_rep(rep)
-    levels = derivative_fields(sigma, None, fix.gamma, depth)
-    shift = []
-    tower_res = []
-    for x in points:
-        shift.append(gauge_residual(b, rep_adj, beta_hat, fix.g, x))
-        for level in levels:
-            for f in level:
-                t_hat = frame_expressed_field(f, fix.g)
-                tower_res.append(gauge_residual(b, rep, t_hat, fix.g, x))
+    depth = singer_k + 2
+    chain = first_chain
+    rows = []
+    for i, x in enumerate(points):
+        if i or tower.kmax < depth:
+            tower = build_tower(sigma, None, fix.gamma, fix.g, x, depth)
+            chain = stabilizer_chain(tower, rep)
+        if chain.singer_k != singer_k:
+            raise NumericalFailure(
+                f"stabilizer chain at {x} stabilizes at stage {chain.singer_k}, "
+                f"not at the first sample point's {singer_k}"
+            )
+        rows.append(adapted_residuals(tower, chain, fix.g, b0, b_prime, rep, inner))
+    shift, tower_res = zip(*rows)
     residuals = {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
     return make_report(
         "adapt", fix.name, points, residuals, sorted(set(first_chain.flags)),
-        stabilizer_dims=tuple(first_chain.dims[:depth]), singer_k=singer_k,
+        stabilizer_dims=tuple(first_chain.dims[:singer_k + 1]), singer_k=singer_k,
     )
 
 

@@ -10,7 +10,6 @@ form of the connection: del_mu = d_mu + action(b_mu).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -25,11 +24,12 @@ from .chart_calculus import (
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
-    covariant_derivative,
     covariant_derivative_field,
     curvature_field,
+    fd_partials,
     levi_civita,
     max_frame_norms,
+    nan_max,
     ortho_frame,
     ortho_frame_partial,
     torsion_field,
@@ -52,11 +52,15 @@ from .lie_core import (
     reductive_complement,
     skew_exp,
     stacked_action_matrix,
+    tensor_action,
 )
 from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis, to_frame
 
 KMAX_START = 2
 KMAX_CAP = 4
+# FD step of beta = b' - b0 in adapted_residuals, as a share of the chart
+# width: differenced once, not nested, beta needs no wide step against noise
+BETA_STEP = 1e-4
 # orbit_match: accepted relative residual, random starts, Levenberg-Marquardt
 # iterations per start, the damping's start and floor, and the relative
 # decrease of the squared residual below which a start has stalled
@@ -443,73 +447,100 @@ def with_adjoint_rep(rep: TensorRep) -> TensorRep:
     return TensorRep(rep.algebra, rep.vector, rep.algebra.adjoint_rep())
 
 
-def gauge_connection(b: LocalConnectionForm, rep: TensorRep,
-                     ) -> tuple[ConnectionCoeffs, Callable[[np.ndarray], np.ndarray] | None]:
-    """A gauge form as connection matrices for covariant_derivative: rep's
-    vector matrices of b_mu as coefficients, its lie matrices on lie axes."""
-    coeffs = ConnectionCoeffs(
-        chart=b.chart,
-        evaluator=lambda x: np.stack([rep.vector.matrix(v) for v in b.at(x)], axis=1),
-    )
-    if rep.lie is None:
-        return coeffs, None
-    return coeffs, lambda x: np.stack([rep.lie.matrix(v) for v in b.at(x)])
+def _form_action(b: np.ndarray, t: DenseTensor, rep: TensorRep) -> np.ndarray:
+    """out[i] = b[i] . t: each row of an algebra-valued form acting on t."""
+    return np.stack([tensor_action(v, t, rep).data for v in b])
 
 
-def gauge_residual(b: LocalConnectionForm, rep: TensorRep,
-                   t_hat: TensorFieldSpec, g: MetricField,
-                   x: np.ndarray) -> float:
-    """Frame-invariant norm of the gauge-covariant derivative d + action(b_mu) at x."""
-    gamma, lie = gauge_connection(b, rep)
-    d = covariant_derivative(gamma, t_hat, x, lie)
-    fr = ortho_frame(g, x)
-    hat = np.tensordot(fr.frame, d.data, axes=(0, 0))
-    return float(np.linalg.norm(hat))
+def gauge_residual(b: np.ndarray, rep: TensorRep, t_hat: DenseTensor,
+                   partials: np.ndarray, frame: OrthoFrame) -> float:
+    """Frame-invariant norm of the gauge-covariant derivative d_mu t_hat +
+    b_mu . t_hat of a frame-expressed tensor at a point, from the gauge
+    form's rows b[mu] and the coordinate partials[mu] of t_hat there."""
+    d = partials + _form_action(b, t_hat, rep)
+    return float(np.linalg.norm(np.tensordot(frame.frame, d, axes=(0, 0))))
 
 
-def frame_expressed_field(t: TensorFieldSpec, g: MetricField) -> TensorFieldSpec:
-    """Re-express a coordinate tensor field in the moving Cholesky frame."""
-    return TensorFieldSpec(
-        chart=t.chart,
-        markers=t.markers,
-        evaluator=lambda x: to_frame(t.at(x), ortho_frame(g, x)),
-    )
+def _entry_pairs(tower: DerivativeTower, depth: int) -> list[tuple[DenseTensor, DenseTensor]]:
+    """(T, Tnext) for each entry T of levels 0..depth, Tnext one level up."""
+    entries = tower.up_to(depth + 1)
+    return list(zip(entries, entries[len(tower.entries[0]):]))
 
 
-def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
-                       chain_field: Callable[[np.ndarray], StabilizerChain],
-                       inner: AdInvariantInner) -> LocalConnectionForm:
-    """b = b0 + component of (b' - b0) in the invariant complement of the
-    stabilizer h = bases[singer_k + 1] of chain_field(x).
-
-    The paper reads h at the Singer stage k_S, which infinitesimal homogeneity
-    makes the same at every point; chain_field owns that hypothesis.
-    ``cli.run_adapt`` reads k_S from the chain at the first sample point and
-    fails unless every other chain stabilizes at it. A chain that did not
-    stabilize raises NumericalFailure."""
+def _adapted_shift(tower: DerivativeTower, chain: StabilizerChain, g: MetricField,
+                   b0: LocalConnectionForm, b_prime: LocalConnectionForm,
+                   rep: TensorRep, inner: AdInvariantInner,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_k, d beta_k) at the tower's point: the frame-expressed part of
+    beta = b' - b0 in the invariant complement of h = bases[singer_k], and
+    its coordinate partials out[mu, a, i]; see adapted_residuals."""
     if b0.algebra.labels != b_prime.algebra.labels:
         raise RepMismatch("connection forms live over different algebras")
+    if chain.singer_k is None:
+        raise NumericalFailure("stabilizer chain did not stabilize")
+    h = chain.bases[chain.singer_k]
+    try:
+        reductive_complement(h, inner)
+    except NotInvariant as exc:
+        raise NotReductive(str(exc)) from exc
+    x, frame = tower.point, tower.frame
+    b0_x = b0.at(x)
+    pairs = _entry_pairs(tower, chain.singer_k)
+    tensors = [t for t, _ in pairs]
+    partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
+                for t, nxt in pairs]
+    u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
+    rank = h.shape[0] - h.shape[1]
+    pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
+    dh = np.stack([
+        -pinv @ stacked_action_matrix(
+            [DenseTensor(t.markers, d[mu]) for t, d in zip(tensors, partials)], rep) @ h
+        for mu in range(len(x))
+    ])
+    m = inner.matrix
+    coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
+    proj = h @ coeff
+    # P is m-self-adjoint: d P is its part off h plus that part's m-adjoint
+    off = (np.eye(len(m)) - proj) @ dh @ coeff
+    dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
 
-    def ev(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        chain = chain_field(x)
-        if chain.singer_k is None:
-            raise NumericalFailure("stabilizer chain did not stabilize")
-        h = chain.bases[chain.singer_k + 1]
-        try:
-            reductive_complement(h, inner)
-        except NotInvariant as exc:
-            raise NotReductive(str(exc)) from exc
-        beta = b_prime.at(x) - b0.at(x)
-        if h.shape[1] == 0:
-            return b0.at(x) + beta
-        m = inner.matrix
-        gram = h.T @ m @ h
-        proj = h @ np.linalg.solve(gram, h.T @ m)
-        beta_k = beta - beta @ proj.T
-        return b0.at(x) + beta_k
+    def beta_hat(y: np.ndarray) -> np.ndarray:
+        return ortho_frame(g, y).frame.T @ (b_prime.at(y) - b0.at(y))
 
-    return LocalConnectionForm(chart=b0.chart, algebra=b0.algebra, evaluator=ev)
+    beta = beta_hat(x)
+    dbeta = fd_partials(beta_hat, g.chart, x, step_scale=BETA_STEP)
+    return (beta - beta @ proj.T,
+            dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1))
+
+
+def adapted_residuals(tower: DerivativeTower, chain: StabilizerChain, g: MetricField,
+                      b0: LocalConnectionForm, b_prime: LocalConnectionForm,
+                      rep: TensorRep, inner: AdInvariantInner) -> tuple[float, float]:
+    """(nabla_beta, nabla_tower) at the tower's point for the adapted gauge
+    form b = b0 + beta_k, beta_k the part of beta = b' - b0 in the
+    inner-orthogonal complement of the Singer-stage stabilizer
+    h = bases[singer_k]: the norms of the b-covariant derivatives of beta_k
+    and, largest over levels 0..singer_k + 1, of the tower entries. b0 must
+    be the frame gauge form of the tower's connection, and the tower must
+    reach level singer_k + 2.
+
+    An entry T has partials d_mu T = coframe[a, mu] Tnext[a] - b0_mu . T,
+    Tnext the entry one level up, and b-covariant derivative
+    Tnext + e_a (x) beta_k[a] . T. The stacked action matrix M of levels
+    0..singer_k has kernel h, so d h = -M^+ (d M) h (Golub and Pereyra, SIAM
+    J. Numer. Anal. 10, 1973), M^+ cut to rank m - dim h so as not to invert
+    FD noise. h is also bases[singer_k + 1], by the definition of the stage;
+    read at singer_k, it needs no entry above level singer_k + 1, the less
+    noisy one. Only beta is differenced, at BETA_STEP. A chain that did not
+    stabilize raises NumericalFailure, and a stabilizer without an invariant
+    complement NotReductive."""
+    beta_k, dbeta_k = _adapted_shift(tower, chain, g, b0, b_prime, rep, inner)
+    frame = tower.frame
+    shift = gauge_residual(b0.at(tower.point) + frame.coframe.T @ beta_k, with_adjoint_rep(rep),
+                           DenseTensor((DOWN, LIE), beta_k), dbeta_k, frame)
+    tower_res = nan_max(np.linalg.norm(nxt.data + _form_action(beta_k, t, rep))
+                        for t, nxt in _entry_pairs(tower, chain.singer_k + 1))
+    return shift, tower_res
 
 
 def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:

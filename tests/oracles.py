@@ -4,6 +4,11 @@ Symbolic Christoffel/Riemann come from sympy and share no code with the
 package; the parallel-transport oracle integrates the transport ODE with
 scipy.  Oracle callables are built once per metric and cached.
 
+The moving-frame structure functions and torsion pin the torsion of the
+canonical connection. The adapted gauge form with a stabilizer chain built
+wherever it is evaluated, FD stencil points included, and its residuals by
+nested FD are the reference for ``homogeneity.adapted_residuals``.
+
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
 adapted frame fields) serves the per-tuple case tables of
@@ -19,9 +24,28 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import solve_ivp
 
-from ambrose.bundle_conn import curvature_form
-from ambrose.chart_calculus import fd_partials, ortho_frame, torsion
-from ambrose.errors import UnsupportedFieldKind
+from ambrose.bundle_conn import LocalConnectionForm, curvature_form, form_difference
+from ambrose.chart_calculus import (
+    ConnectionCoeffs,
+    FrameFieldConnection,
+    MetricField,
+    TensorFieldSpec,
+    covariant_derivative,
+    fd_partials,
+    ortho_frame,
+    torsion,
+)
+from ambrose.errors import NotInvariant, NotReductive, NumericalFailure, UnsupportedFieldKind
+from ambrose.homogeneity import (
+    build_tower,
+    derivative_fields,
+    frame_gauge_form,
+    opozda_section_spec,
+    stabilizer_chain,
+    with_adjoint_rep,
+)
+from ambrose.lie_core import default_inner, frame_structure_rep, reductive_complement
+from ambrose.tensor_core import to_frame
 from ambrose.total_space import (
     ADJOINT,
     FUNDAMENTAL,
@@ -153,6 +177,111 @@ def transport_holonomy_angle(gamma_at, g_at, loop, span=(0.0, 1.0)) -> float:
     coframe = np.linalg.cholesky(np.asarray(g_at(path(span[0])), float)).T
     h0, h1 = coframe @ v0, coframe @ v1
     return float(np.arctan2(h1[1], h1[0]) - np.arctan2(h0[1], h0[0]))
+
+
+def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
+    """c[k, i, j] with [e_i, e_j] = c[k, i, j] e_k for the moving frame."""
+    x = np.asarray(x, float)
+    E = conn.frame_at(x)
+    a = np.einsum("mkn,mi,nj->kij", conn.coframe_partial_at(x), E, E)
+    return -(a - a.swapaxes(1, 2))
+
+
+def frame_torsion(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
+    """Torsion T[k, i, j] of a moving-frame connection in its own frame,
+    including the frame bracket."""
+    gam = conn.gamma
+    return gam - gam.swapaxes(1, 2) - frame_structure_functions(conn, x)
+
+
+def frame_expressed_field(t: TensorFieldSpec, g: MetricField) -> TensorFieldSpec:
+    """Re-express a coordinate tensor field in the moving Cholesky frame."""
+    return TensorFieldSpec(
+        chart=t.chart,
+        markers=t.markers,
+        evaluator=lambda x: to_frame(t.at(x), ortho_frame(g, x)),
+    )
+
+
+def gauge_connection(b: LocalConnectionForm, rep):
+    """A gauge form as connection matrices for covariant_derivative: rep's
+    vector matrices of b_mu as coefficients, its lie matrices on lie axes."""
+    coeffs = ConnectionCoeffs(
+        chart=b.chart,
+        evaluator=lambda x: np.stack([rep.vector.matrix(v) for v in b.at(x)], axis=1),
+    )
+    if rep.lie is None:
+        return coeffs, None
+    return coeffs, lambda x: np.stack([rep.lie.matrix(v) for v in b.at(x)])
+
+
+def field_gauge_residual(b: LocalConnectionForm, rep, t_hat: TensorFieldSpec,
+                         g: MetricField, x: np.ndarray) -> float:
+    """Frame-invariant norm of the gauge-covariant derivative d + action(b_mu)
+    of a frame-expressed field at x, its partials by FD."""
+    gamma, lie = gauge_connection(b, rep)
+    d = covariant_derivative(gamma, t_hat, x, lie)
+    return float(np.linalg.norm(np.tensordot(ortho_frame(g, x).frame, d.data, axes=(0, 0))))
+
+
+def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
+                       chain_field, inner) -> LocalConnectionForm:
+    """b = b0 + component of (b' - b0) in the invariant complement of the
+    stabilizer h = bases[singer_k + 1] of chain_field(x), at every point
+    it is evaluated at."""
+
+    def ev(x: np.ndarray) -> np.ndarray:
+        chain = chain_field(np.asarray(x, float))
+        if chain.singer_k is None:
+            raise NumericalFailure("stabilizer chain did not stabilize")
+        h = chain.bases[chain.singer_k + 1]
+        try:
+            reductive_complement(h, inner)
+        except NotInvariant as exc:
+            raise NotReductive(str(exc)) from exc
+        beta = b_prime.at(x) - b0.at(x)
+        m = inner.matrix
+        proj = h @ np.linalg.solve(h.T @ m @ h, h.T @ m)
+        return b0.at(x) + beta - beta @ proj.T
+
+    return LocalConnectionForm(chart=b0.chart, algebra=b0.algebra, evaluator=ev)
+
+
+def stencil_adapt(fix, singer_k: int, b_prime: LocalConnectionForm | None = None):
+    """The adapted form of b_prime (the canonical connection's frame gauge
+    form by default) to the Levi-Civita one, with each h read off a tower of
+    depth singer_k + 1 built where the form is evaluated, FD stencil points
+    included, and memoized per point. Returns (b, b0, rep)."""
+    rep = frame_structure_rep(fix.chart.dim)
+    inner = default_inner(rep.algebra)
+    b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
+    if b_prime is None:
+        b_prime = frame_gauge_form(fix.gamma_canonical, fix.g, rep.vector)
+    sigma = opozda_section_spec(fix.gamma)
+    memo = {}
+
+    def chain_field(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = stabilizer_chain(
+                build_tower(sigma, None, fix.gamma, fix.g, x, singer_k + 1), rep)
+        return memo[key]
+
+    return adapted_connection(b0, b_prime, chain_field, inner), b0, rep
+
+
+def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int,
+                              b_prime: LocalConnectionForm | None = None,
+                              ) -> tuple[float, float]:
+    """(nabla_beta, nabla_tower) at x from stencil_adapt's form: every
+    frame-expressed field differenced by FD, the tower fields nested."""
+    b, b0, rep = stencil_adapt(fix, singer_k, b_prime)
+    beta_hat = frame_expressed_field(form_difference(b, b0), fix.g)
+    shift = field_gauge_residual(b, with_adjoint_rep(rep), beta_hat, fix.g, x)
+    levels = derivative_fields(opozda_section_spec(fix.gamma), None, fix.gamma, singer_k + 1)
+    tower = max(field_gauge_residual(b, rep, frame_expressed_field(f, fix.g), fix.g, x)
+                for level in levels for f in level)
+    return shift, tower
 
 
 def lift(payload) -> GeneratedField:

@@ -16,7 +16,6 @@ from ambrose.chart_calculus import (
     curvature,
     fd_array,
     frame_connection_field,
-    frame_structure_functions,
     frame_to_coordinate,
     levi_civita,
     ortho_frame,
@@ -29,7 +28,12 @@ from ambrose.errors import BadParameters, DegenerateMetric, OutOfDomain
 from ambrose.fixtures import instantiate
 from ambrose.tensor_core import DOWN, UP, DenseTensor
 
-from oracles import symbolic_geometry, transport_holonomy_angle
+from oracles import (
+    frame_structure_functions,
+    frame_torsion,
+    symbolic_geometry,
+    transport_holonomy_angle,
+)
 
 ORACLE_CASES = [
     ("round_sphere2", {"radius": 1.0}, ("round_sphere2", (1.0,))),
@@ -268,12 +272,16 @@ class TestTorsionAndFrames:
             assert np.abs(c - 2.0 * eps).max() < 1e-12
 
     def test_canonical_torsion_pins_minus_bracket(self):
-        """T(e_1, e_2) = -2 e_3 for the canonical left-invariant connection."""
+        """T(e_1, e_2) = -2 e_3 for the canonical left-invariant connection,
+        and the torsion of its coordinate coefficients is the same tensor."""
         fix = instantiate("round_sphere3", {})
         x = np.array([1.0, 1.2, 2.5])
-        t = torsion(fix.frame_conn, x).data
+        t = frame_torsion(fix.frame_conn, x)
         assert t[2, 0, 1] == pytest.approx(-2.0, abs=1e-12)
         assert t[2, 1, 0] == pytest.approx(2.0, abs=1e-12)
+        th, E = fix.frame_conn.coframe_at(x), fix.frame_conn.frame_at(x)
+        coord = torsion(fix.gamma_canonical, x).data
+        assert np.abs(np.einsum("kl,lmn,mi,nj->kij", th, coord, E, E) - t).max() < 1e-12
 
     def test_canonical_connection_parallelizes_the_frame(self):
         """Coordinate coefficients of the frame connection transport the

@@ -131,13 +131,16 @@ class TestParseConfig:
         {"params": [1]},
         {"points": True},
         {"seed": True},
+        {"seed": -5},
         {"kmax": True},
         {"out": 2},
         {"out": ["x"]},
-    ], ids=["params-list", "points-bool", "seed-bool", "kmax-bool", "out-int", "out-list"])
+    ], ids=["params-list", "points-bool", "seed-bool", "seed-negative", "kmax-bool", "out-int",
+            "out-list"])
     def test_config_file_types_fail_closed(self, entry, tmp_path, capsys):
-        """params must be an object, points/seed/kmax ints, not bools, and out
-        a string: an int out would name a file descriptor."""
+        """params must be an object, points/seed/kmax ints, not bools, the
+        seed not negative, and out a string: an int out would name a file
+        descriptor."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scenario": "selftest", **entry}))
         assert cli.main(["--config", str(path)]) == 2
@@ -324,6 +327,16 @@ class TestMainExitCodes:
         one where the fixture needs an integer, is a configuration error."""
         code = cli.main(["--scenario", scenario, "--fixture", fixture,
                          "--param", param, "--points", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    def test_negative_seed_exits_two(self, capsys):
+        """A negative seed is a configuration error, not a traceback from
+        the sampler."""
+        code = cli.main(["--scenario", "identities", "--fixture", "euclidean",
+                         "--points", "1", "--seed", "-1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -9,12 +9,13 @@ import pytest
 from scipy.linalg import expm
 
 from ambrose import chart_calculus, cli, homogeneity
-from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, form_difference
+from ambrose.bundle_conn import LocalConnectionForm, SectionSpec
 from ambrose.chart_calculus import (
     ConnectionCoeffs,
     covariant_derivative,
     covariant_derivative_field,
     curvature_field,
+    fd_partials,
     frame_connection_field,
     levi_civita,
     nan_max,
@@ -22,21 +23,19 @@ from ambrose.chart_calculus import (
     sample_interior,
 )
 from ambrose.errors import DepthMismatch, NotMetric, NumericalFailure
-from ambrose.fixtures import instantiate
+from ambrose.fixtures import instantiate, smooth_tensor_field
 from ambrose.homogeneity import (
     DerivativeTower,
     StabilizerChain,
     TripleSpec,
-    adapted_connection,
+    _adapted_shift,
+    adapted_residuals,
     build_tower,
     check_lh_triple,
     check_ls_triple,
     derivative_fields,
     equivalence_check_c_c0,
-    frame_expressed_field,
     frame_gauge_form,
-    gauge_connection,
-    gauge_residual,
     group_action,
     opozda_section_spec,
     orbit_match,
@@ -50,7 +49,13 @@ from ambrose.lie_core import (
     frame_structure_rep,
     principal_angles,
 )
-from ambrose.tensor_core import DOWN, UP, DenseTensor, OrthoFrame, to_frame
+from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
+from oracles import (
+    frame_expressed_field,
+    gauge_connection,
+    nested_fd_adapt_residuals,
+    stencil_adapt,
+)
 from test_total_space import count_calls
 
 REP2 = frame_structure_rep(2)
@@ -337,54 +342,91 @@ class TestGaugeForms:
         assert np.allclose(rep.lie.matrices, REP3.algebra.adjoint_rep().matrices)
 
 
+def adapt_inputs(lam, x, depth=2):
+    """Berger's Levi-Civita tower of the given depth at x with its chain,
+    and the frame gauge forms of the Levi-Civita and canonical connections."""
+    fx = instantiate("berger_sphere", {"lam": lam})
+    tower = lc_tower(fx, x, kmax=depth)
+    b0 = frame_gauge_form(fx.gamma, fx.g, REP3.vector)
+    b_prime = frame_gauge_form(fx.gamma_canonical, fx.g, REP3.vector)
+    return fx, tower, stabilizer_chain(tower, REP3), b0, b_prime
+
+
+BERGER_X = sample_interior(instantiate("berger_sphere", {}).chart, 2, seed=11)
+
+
 class TestAdaptedConnection:
+    INNER = default_inner(REP3.algebra)
+
     def test_berger_contracts(self):
-        """The adapted connection parallelizes both the shift and the whole
-        derivative tower on the squashed three-sphere."""
-        fx = instantiate("berger_sphere", {"lam": 2.0})
-        inner = default_inner(REP3.algebra)
-        b0 = frame_gauge_form(fx.gamma, fx.g, REP3.vector)
-        b_prime = frame_gauge_form(fx.gamma_canonical, fx.g, REP3.vector)
-        sigma = opozda_section_spec(fx.gamma)
+        """The adapted connection parallelizes both the shift and the
+        derivative tower up to level singer_k + 1 on the squashed
+        three-sphere."""
+        for x in BERGER_X:
+            fx, tower, chain, b0, b_prime = adapt_inputs(2.0, x)
+            shift, tower_res = adapted_residuals(tower, chain, fx.g, b0, b_prime, REP3,
+                                                 self.INNER)
+            assert shift < 1e-8
+            assert tower_res < 1e-6
 
-        def chain_field(x):
-            return tower_and_chain(sigma, None, fx.gamma, fx.g, x, REP3)[1]
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    @pytest.mark.parametrize("x", BERGER_X)
+    def test_shift_derivative_matches_stencil_fd(self, lam, x):
+        """The partials of beta_k, with the projector's derivative read off
+        the tower, match the FD of beta_k with a stabilizer chain built at
+        every stencil point; without the projector's term they do not."""
+        fx, tower, chain, b0, b_prime = adapt_inputs(lam, x)
+        beta_k, dbeta_k = _adapted_shift(tower, chain, fx.g, b0, b_prime, REP3, self.INNER)
+        b = stencil_adapt(fx, chain.singer_k)[0]
 
-        b = adapted_connection(b0, b_prime, chain_field, inner)
-        beta_hat = frame_expressed_field(form_difference(b, b0), fx.g)
-        x = sample_interior(fx.chart, 1, seed=11)[0]
-        assert gauge_residual(b, with_adjoint_rep(REP3), beta_hat, fx.g, x) < 1e-5
-        levels = derivative_fields(sigma, None, fx.gamma, 1)
-        worst = 0.0
-        for level in levels:
-            for f in level:
-                t_hat = frame_expressed_field(f, fx.g)
-                worst = max(worst, gauge_residual(b, REP3, t_hat, fx.g, x))
-        assert worst < 1e-5
+        def frame_shift(form):
+            return lambda y: ortho_frame(fx.g, y).frame.T @ (form.at(y) - b0.at(y))
+
+        assert np.abs(beta_k - frame_shift(b)(x)).max() < 1e-9
+        assert np.abs(dbeta_k - fd_partials(frame_shift(b), fx.chart, x)).max() < 1e-7
+        h, m = chain.bases[chain.singer_k], self.INNER.matrix
+        proj = h @ np.linalg.solve(h.T @ m @ h, h.T @ m)
+        dbeta = fd_partials(frame_shift(b_prime), fx.chart, x)
+        assert np.abs(dbeta_k - (dbeta - dbeta @ proj.T)).max() > 1e-2
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["b-prime-is-b0", "shifted-b-prime"])
+    def test_matches_nested_fd_reference(self, shifted):
+        """Away from a parallel shift both residuals are large, and they
+        equal the stencil-chain, nested-FD computation."""
+        x = BERGER_X[0]
+        fx, tower, chain, b0, _ = adapt_inputs(2.0, x)
+        b_prime = b0
+        if shifted:
+            b_prime = b0.shifted(smooth_tensor_field(fx.chart, (DOWN, LIE), 3, REP3.algebra))
+        got = adapted_residuals(tower, chain, fx.g, b0, b_prime, REP3, self.INNER)
+        ref = nested_fd_adapt_residuals(fx, x, chain.singer_k, b_prime)
+        assert got[1] > 1.0
+        assert got[0] > 1.0 if shifted else got[0] == 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-8)
+
+    def test_shallow_tower_rejected(self):
+        fx, tower, chain, b0, b_prime = adapt_inputs(2.0, BERGER_X[0], depth=1)
+        with pytest.raises(DepthMismatch):
+            adapted_residuals(tower, chain, fx.g, b0, b_prime, REP3, self.INNER)
 
     def test_unstabilized_chain_raises(self):
-        fx = instantiate("round_sphere2", {})
-        b0 = frame_gauge_form(levi_civita(fx.g), fx.g, REP2.vector)
-        bad_chain = StabilizerChain(
-            bases=(np.zeros((1, 0)),), dims=(0,), singer_k=None,
-            flags=("truncated",),
-        )
-        b = adapted_connection(
-            b0, b0, lambda x: bad_chain, default_inner(REP2.algebra)
-        )
+        fx, tower, chain, b0, b_prime = adapt_inputs(2.0, BERGER_X[0])
+        bad_chain = dataclasses.replace(chain, singer_k=None, flags=("truncated",))
         with pytest.raises(NumericalFailure):
-            b.at(np.array([1.0, 1.0]))
+            adapted_residuals(tower, bad_chain, fx.g, b0, b_prime, REP3, self.INNER)
 
 
 class TestAdaptSingerDepth:
-    """adapt reads the Singer stage k_S at the first sample point and builds
-    every other tower, at the other sample points and at the FD stencil
-    points of the adapted form, only to depth k_S + 1."""
+    """adapt reads the Singer stage k_S off one grown tower at the first
+    sample point and builds one tower of depth k_S + 2 at each other point,
+    none at an FD stencil point."""
 
-    ARGV = ["--scenario", "adapt", "--fixture", "berger_sphere", "--points", "1"]
+    ARGV = ["--scenario", "adapt", "--fixture", "berger_sphere"]
 
-    def test_one_grown_tower_then_singer_depth(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_one_tower_per_point(self, points, monkeypatch, capsys):
         grown = count_calls(monkeypatch, homogeneity.tower_and_chain)
+        fd = count_calls(monkeypatch, chart_calculus.fd_array)
         curv = count_calls(monkeypatch, chart_calculus.curvature)
         depths = []
 
@@ -393,18 +435,20 @@ class TestAdaptSingerDepth:
             return build_tower(sigma, b0, gamma0, g, x, kmax, frame)
 
         monkeypatch.setattr(cli, "build_tower", recorded)
-        code = cli.main(self.ARGV)
+        code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len(grown) == 1
-        assert depths and set(depths) == {data["singer_k"] + 1}
-        # towers grown from KMAX_START at every stencil point take 2 561
-        assert len(curv) <= 600
+        assert depths == [data["singer_k"] + 2] * (points - 1)
+        # one tower per point: 51 fd_array and 183 curvature calls; towers
+        # at the 12 stencil points of each took 138 and 533
+        assert len(fd) <= 60 * points
+        assert len(curv) <= 200 * points
 
     @pytest.mark.parametrize("where", ["first-point", "other-points"])
     def test_other_singer_stage_fails_closed(self, where, monkeypatch, capsys):
         """A chain that stabilizes at another stage than the first sample
-        point's (earlier, or not within depth k_S + 1) ends the run with
+        point's (earlier, or not within depth k_S + 2) ends the run with
         exit 3 and a failing report."""
         if where == "first-point":
             def later(*args, **kwargs):
@@ -418,7 +462,7 @@ class TestAdaptSingerDepth:
                 return dataclasses.replace(chain, singer_k=None, flags=("truncated",))
 
             monkeypatch.setattr(cli, "stabilizer_chain", truncated)
-        code = cli.main(self.ARGV)
+        code = cli.main([*self.ARGV, "--points", "2"])
         data = json.loads(capsys.readouterr().out)
         assert code == 3
         assert data["pass"] is False
@@ -538,12 +582,20 @@ def spoil_coframe_d2(fx, near):
     return dataclasses.replace(fx, frame_conn=conn, gamma_canonical=frame_connection_field(conn))
 
 
+def spoil_coframe_d1(fx, near):
+    """The fixture with the canonical coframe's first partials spoiled by near."""
+    conn = dataclasses.replace(fx.frame_conn,
+                               coframe_partial=near(fx.frame_conn.coframe_partial))
+    return dataclasses.replace(fx, frame_conn=conn, gamma_canonical=frame_connection_field(conn))
+
+
 # the inputs spoiled near a sample point, with the scenario that reads them
 SPOILED_INPUTS = [
     (["--scenario", "singer", "--param", "connection=metric"], spoil_metric_d2g,
      "singer-metric-d2g"),
     (["--scenario", "singer"], spoil_coframe_d2, "singer-canonical-coframe-d2"),
     (["--scenario", "adapt"], spoil_metric_dg, "adapt-dg"),
+    (["--scenario", "adapt"], spoil_coframe_d1, "adapt-canonical-coframe-d1"),
 ]
 
 

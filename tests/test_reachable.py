@@ -40,7 +40,6 @@ RUNS = [
 # per-layer callables are exempt as well
 EXEMPT = {
     "homogeneity.equivalence_check_c_c0": "acceptance criterion 05 calls it; no scenario yet",
-    "chart_calculus.frame_structure_functions": "torsion's frame-connection branch, a test reference",
     "total_space.total_zero": "helper of the per-tuple case tables",
     "total_space.bar_connection_apply": "helper of the per-tuple case tables",
     "total_space.base_cov": "helper of the per-tuple case tables",
