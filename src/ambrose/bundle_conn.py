@@ -13,32 +13,32 @@ from typing import Callable
 
 import numpy as np
 
+from . import jet
 from .chart_calculus import (
     Chart,
     ConnectionCoeffs,
     TensorFieldSpec,
     covariant_derivative,
-    covariant_derivative_field,
-    fd_partials,
+    nabla,
     nan_max,
 )
 from .errors import RepMismatch
+from .jet import Jet, shift, variables
 from .lie_core import LieAlgebra
 from .tensor_core import DOWN, LIE, DenseTensor, axis_action
 
 
 @dataclass(frozen=True)
 class LocalConnectionForm:
-    """Algebra-valued local connection form: evaluator(x)[mu] over directions;
-    optional analytic partials return out[nu, mu] = d_nu of the mu-th row."""
+    """Algebra-valued local connection form: the evaluator maps the
+    coordinate jet to the jet of the rows a[mu], one per direction."""
 
     chart: Chart
     algebra: LieAlgebra
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    partial_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
+    evaluator: Callable[[Jet], Jet]
 
-    def at(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.evaluator(np.asarray(x, float)), float)
+    def jet_at(self, x: np.ndarray, order: int) -> Jet:
+        a = self.evaluator(variables(x, order))
         if a.shape != (self.chart.dim, self.algebra.dim):
             raise RepMismatch(
                 f"form evaluator returned shape {a.shape}, "
@@ -46,27 +46,24 @@ class LocalConnectionForm:
             )
         return a
 
-    def partial_at(self, x: np.ndarray) -> np.ndarray:
-        if self.partial_evaluator is not None:
-            return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
-        return fd_partials(self.evaluator, self.chart, x)
+    def at(self, x: np.ndarray) -> np.ndarray:
+        return self.jet_at(x, 0).value
+
+    def ad_jet(self, x: np.ndarray, order: int) -> Jet:
+        """ad(a_mu) for each direction mu, as a jet: the action on lie axes."""
+        return jet.einsum("kij,mi->mkj", self.algebra.structure, self.jet_at(x, order))
 
     def ad_at(self, x: np.ndarray) -> np.ndarray:
-        """ad(a_mu) for each direction mu: the form's action on lie axes."""
-        return np.stack([self.algebra.ad(v) for v in self.at(x)])
+        return self.ad_jet(x, 0).value
 
     def shifted(self, alpha: TensorFieldSpec) -> "LocalConnectionForm":
         """The connection form plus an adjoint-valued 1-form."""
         if alpha.markers != (DOWN, LIE):
             raise RepMismatch("shift must be an adjoint-valued 1-form")
-        partial = None
-        if self.partial_evaluator is not None and alpha.partial_evaluator is not None:
-            partial = lambda x: self.partial_at(x) + alpha.partial_at(x)
         return LocalConnectionForm(
             chart=self.chart,
             algebra=self.algebra,
-            evaluator=lambda x: self.at(x) + alpha.at(x).data,
-            partial_evaluator=partial,
+            evaluator=lambda X: self.evaluator(X) + alpha.evaluator(X),
         )
 
 
@@ -75,14 +72,10 @@ def form_difference(a1: LocalConnectionForm,
     """a1 - a0 as an adjoint-valued 1-form field."""
     if a1.algebra is not a0.algebra and a1.algebra.labels != a0.algebra.labels:
         raise RepMismatch("connection forms live over different algebras")
-    partial = None
-    if a1.partial_evaluator is not None and a0.partial_evaluator is not None:
-        partial = lambda x: a1.partial_at(x) - a0.partial_at(x)
     return TensorFieldSpec(
         chart=a1.chart,
         markers=(DOWN, LIE),
-        evaluator=lambda x: DenseTensor((DOWN, LIE), a1.at(x) - a0.at(x)),
-        partial_evaluator=partial,
+        evaluator=lambda X: a1.evaluator(X) - a0.evaluator(X),
     )
 
 
@@ -94,27 +87,23 @@ class SectionSpec:
     fields: tuple[TensorFieldSpec, ...]
 
 
-def assoc_covariant_field(a: LocalConnectionForm, gamma: ConnectionCoeffs,
-                          t: TensorFieldSpec) -> TensorFieldSpec:
-    """Field wrapper for nesting mixed covariant derivatives."""
-    return covariant_derivative_field(gamma, t, a.ad_at)
+def _curvature_form_jet(a: LocalConnectionForm, x: np.ndarray, order: int) -> Jet:
+    av = a.jet_at(x, order + 1)
+    da = shift(av)
+    br = jet.einsum("kij,mi,nj->mnk", a.algebra.structure, av, av)
+    return da - da.transpose(1, 0, 2) + br
 
 
 def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> DenseTensor:
     """F[mu, nu] = d_mu a_nu - d_nu a_mu + [a_mu, a_nu], adjoint-valued."""
-    x = np.asarray(x, float)
-    da = a.partial_at(x)
-    av = a.at(x)
-    br = np.einsum("kij,mi,nj->mnk", a.algebra.structure, av, av)
-    f = da - da.transpose(1, 0, 2) + br
-    return DenseTensor((DOWN, DOWN, LIE), f)
+    return DenseTensor((DOWN, DOWN, LIE), _curvature_form_jet(a, x, 0).value)
 
 
 def curvature_form_field(a: LocalConnectionForm) -> TensorFieldSpec:
     return TensorFieldSpec(
         chart=a.chart,
         markers=(DOWN, DOWN, LIE),
-        evaluator=lambda x: curvature_form(a, x),
+        evaluator=lambda X: _curvature_form_jet(a, X.value, X.order),
     )
 
 
@@ -135,10 +124,8 @@ def exterior_cov_derivative(a: LocalConnectionForm, alpha: TensorFieldSpec,
 def bianchi_residual(a: LocalConnectionForm, x: np.ndarray) -> float:
     """Cyclic-sum norm of the covariant exterior derivative of F at x."""
     x = np.asarray(x, float)
-    av = a.at(x)
-    fv = curvature_form(a, x).data
-    df = fd_partials(lambda p: curvature_form(a, p).data, a.chart, x)
-    cov = df + np.einsum("kij,mi,nlj->mnlk", a.algebra.structure, av, fv)
+    f = _curvature_form_jet(a, x, 1)
+    cov = shift(f).value + np.einsum("kij,mi,nlj->mnlk", a.algebra.structure, a.at(x), f.value)
     cyc = cov + cov.transpose(1, 2, 0, 3) + cov.transpose(2, 0, 1, 3)
     return float(np.linalg.norm(cyc))
 
@@ -161,13 +148,12 @@ def connection_variation_check(eta: SectionSpec, a: LocalConnectionForm,
                                gamma: ConnectionCoeffs, x: np.ndarray) -> float:
     """Residual of the variation formula: del' eta = del eta + beta . eta."""
     x = np.asarray(x, float)
-    beta = a_prime.at(x) - a.at(x)
+    beta_ad = a_prime.ad_at(x) - a.ad_at(x)
     worst = []
     for f in eta.fields:
         d1 = covariant_derivative(gamma, f, x, a_prime.ad_at)
         d0 = covariant_derivative(gamma, f, x, a.ad_at)
-        fx = f.at(x)
-        action = np.stack([axis_action(fx, None, a.algebra.ad(b)) for b in beta])
+        action = axis_action(f.markers, f.at(x).data, None, beta_ad)
         worst.append(float(np.linalg.norm(d1.data - d0.data - action)))
     return nan_max(worst)
 
@@ -179,31 +165,20 @@ def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
     if beta.markers != (DOWN, LIE):
         raise RepMismatch("leibniz_check expects an adjoint-valued 1-form")
     x = np.asarray(x, float)
-    ad = a.algebra.ad
+    s = a.algebra.structure
+    G, ad_a = gamma.at(x), a.ad_at(x)
+    b = beta.jet_at(x, 1)
+    ad_b = jet.einsum("kij,mi->mkj", s, b)
+    db = nabla(b, beta.markers, G, ad_a).value
     worst = []
     for f in eta.fields:
-
-        def product_eval(p: np.ndarray, field: TensorFieldSpec = f) -> DenseTensor:
-            fv = field.at(p)
-            rows = [axis_action(fv, None, ad(b)) for b in beta.at(p).data]
-            return DenseTensor((DOWN,) + tuple(field.markers), np.stack(rows))
-
-        product = TensorFieldSpec(
-            chart=eta.chart,
-            markers=(DOWN,) + tuple(f.markers),
-            evaluator=product_eval,
-        )
-        lhs = covariant_derivative(gamma, product, x, a.ad_at).data
-        dbeta = covariant_derivative(gamma, beta, x, a.ad_at).data
-        fx = f.at(x)
-        term1 = np.stack(
-            [np.stack([axis_action(fx, None, ad(b)) for b in row]) for row in dbeta]
-        )
-        deta = covariant_derivative(gamma, f, x, a.ad_at)
-        bv = beta.at(x).data
-        term2 = np.stack([
-            np.stack([axis_action(DenseTensor(f.markers, d), None, ad(b)) for b in bv])
-            for d in deta.data
-        ])
+        eta_j = f.jet_at(x, 1)
+        lhs = nabla(axis_action(f.markers, eta_j, None, ad_b, jet.einsum),
+                    (DOWN,) + tuple(f.markers), G, ad_a).value
+        # (del beta).eta, with the derivative direction leading, and beta.(del eta)
+        term1 = np.stack([axis_action(f.markers, eta_j.value, None, np.einsum("kij,ni->nkj", s, r))
+                          for r in db])
+        deta = nabla(eta_j, f.markers, G, ad_a).value
+        term2 = np.stack([axis_action(f.markers, d, None, ad_b.value) for d in deta])
         worst.append(float(np.linalg.norm(lhs - term1 - term2)))
     return nan_max(worst)

@@ -1,11 +1,13 @@
 """Single-chart differential calculus: metrics, connections, curvature, torsion.
 
-Every field returns its partials along all coordinates in one call, stacked
-on a leading axis: ``partial_at(x)[mu]`` is the mu-th partial.  Metrics and
-moving frames carry analytic first and second partials; other fields use
-central finite differences with Richardson extrapolation (``fd_partials``)
-unless they carry analytic partial evaluators.  Everything lives on one
-coordinate chart; points are plain coordinate arrays.
+Every field has one evaluator. It takes the coordinates as a Taylor jet at a
+point (``jet.variables``) and returns the field as a jet there, so all its
+partials up to any order come from one evaluation: ``jet_at(x, order)`` is
+that jet and ``at(x)`` its value. Connection coefficients, curvature,
+torsion and covariant derivatives are formulas over jets, one order lower
+per derivative. Everything lives on one coordinate chart; points are plain
+coordinate arrays. ``fd_array``, a Richardson-extrapolated central
+difference, is the tests' reference for those partials.
 
 Index layout for connection coefficients: data[k, i, j] = coefficient of the
 k-th basis vector in the derivative along direction i of basis vector j, so
@@ -24,6 +26,7 @@ import numpy as np
 # import instead of the first sample
 from numpy.random import default_rng
 
+from . import jet
 from .errors import (
     AxisMismatch,
     BadParameters,
@@ -31,6 +34,7 @@ from .errors import (
     OutOfDomain,
     SingularFrame,
 )
+from .jet import Jet, shift, variables
 from .tensor_core import DOWN, UP, DenseTensor, OrthoFrame, axis_action, to_frame
 
 STEP_SCALE = 1e-3
@@ -38,7 +42,7 @@ STEP_SCALE = 1e-3
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate box with an interior margin reserved for FD stencils."""
+    """Coordinate box with an interior margin kept clear of the sample points."""
 
     dim: int
     box: np.ndarray
@@ -127,293 +131,198 @@ def fd_array(f: Callable[[np.ndarray], np.ndarray], chart: Chart, x: np.ndarray,
     return (4.0 * central(0.5 * h) - d1) / 3.0
 
 
-def fd_partials(f: Callable[[np.ndarray], np.ndarray], chart: Chart,
-                x: np.ndarray, step_scale: float = STEP_SCALE) -> np.ndarray:
-    """Every coordinate partial of an array-valued callable, stacked on a
-    leading axis: out[mu] = fd_array(f, chart, x, mu, step_scale=step_scale)."""
-    return np.stack([fd_array(f, chart, x, mu, step_scale=step_scale)
-                     for mu in range(chart.dim)])
-
-
 @dataclass(frozen=True)
 class TensorFieldSpec:
-    """Tensor field on a chart: evaluator plus optional analytic partials,
-    which return the components' partials along every coordinate, stacked."""
+    """Tensor field on a chart: the evaluator maps the coordinate jet at a
+    point to the components' jet there."""
 
     chart: Chart
     markers: tuple[str, ...]
-    evaluator: Callable[[np.ndarray], DenseTensor]
-    partial_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
+    evaluator: Callable[[Jet], Jet]
 
-    def at(self, x: np.ndarray) -> DenseTensor:
-        t = self.evaluator(np.asarray(x, float))
-        if t.markers != tuple(self.markers):
+    def jet_at(self, x: np.ndarray, order: int) -> Jet:
+        t = self.evaluator(variables(x, order))
+        if len(t.shape) != len(self.markers):
             raise AxisMismatch(
-                f"evaluator produced markers {t.markers}, declared {self.markers}"
+                f"evaluator produced {len(t.shape)} axes, declared {len(self.markers)}"
             )
         return t
 
+    def at(self, x: np.ndarray) -> DenseTensor:
+        return DenseTensor(self.markers, self.jet_at(x, 0).value)
+
     def partial_at(self, x: np.ndarray) -> np.ndarray:
         """out[mu] = d_mu of the components, shape (n, *dims)."""
-        if self.partial_evaluator is not None:
-            return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
-        return fd_partials(lambda p: self.at(p).data, self.chart, x)
+        return shift(self.jet_at(x, 1)).value
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Riemannian metric on a chart with its analytic first and second
-    partials: partial_evaluator(x)[mu] = d_mu g and
-    second_partial_evaluator(x)[mu, nu] = d_mu d_nu g."""
+    """Riemannian metric on a chart, as a jet evaluator of the matrix."""
 
     chart: Chart
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    partial_evaluator: Callable[[np.ndarray], np.ndarray]
-    second_partial_evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[[Jet], Jet]
+
+    def jet_at(self, x: np.ndarray, order: int) -> Jet:
+        """The jet of g, symmetrized so that the Levi-Civita coefficients
+        and the torsion come out exactly symmetric and zero."""
+        g = self.evaluator(variables(x, order))
+        # NaN and inf fail the comparison, so they raise too
+        if not (np.abs(g.value - g.value.T) <= 1e-12).all():
+            raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
+        return 0.5 * (g + g.transpose(1, 0))
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.evaluator(np.asarray(x, float)), float)
-        # NaN and inf fail the comparison, so they raise too
-        if not (np.abs(g - g.T) <= 1e-12).all():
-            raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
-        return g
-
-    def partial_at(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.partial_evaluator(np.asarray(x, float)), float)
-
-    def second_partial_at(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.second_partial_evaluator(np.asarray(x, float)), float)
+        return self.jet_at(x, 0).value
 
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Linear connection in the coordinate frame: data[k, i, j] at each point.
-    The optional analytic ``partial_evaluator`` returns the coefficients and
-    their partials out[mu, k, i, j] together, so that both come from one
-    evaluation of the underlying geometry."""
+    """Linear connection in the coordinate frame: the jet of data[k, i, j]."""
 
     chart: Chart
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[[Jet], Jet]
     symmetric_flag: bool = False
-    partial_evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
-    def at(self, x: np.ndarray) -> np.ndarray:
-        return self._checked(self.evaluator(np.asarray(x, float)))
-
-    def _checked(self, G: np.ndarray) -> np.ndarray:
-        G = np.asarray(G, float)
-        if not np.isfinite(G).all():
+    def jet_at(self, x: np.ndarray, order: int) -> Jet:
+        G = self.evaluator(variables(x, order))
+        if not np.isfinite(G.c).all():
             raise BadParameters("connection coefficients are not finite")
-        if self.symmetric_flag and not (np.abs(G - G.swapaxes(1, 2)) <= 1e-12).all():
+        v = G.value
+        if self.symmetric_flag and not (np.abs(v - v.swapaxes(1, 2)) <= 1e-12).all():
             raise BadParameters("symmetric_flag set but coefficients asymmetric")
         return G
 
-    def jet_at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficients, partials) at x, checked as ``at`` checks them."""
-        if self.partial_evaluator is not None:
-            G, dG = self.partial_evaluator(np.asarray(x, float))
-            return self._checked(G), np.asarray(dG, float)
-        return self.at(x), fd_partials(self.evaluator, self.chart, x)
+    def at(self, x: np.ndarray) -> np.ndarray:
+        return self.jet_at(x, 0).value
 
     def partial_at(self, x: np.ndarray) -> np.ndarray:
-        return self.jet_at(x)[1]
+        return shift(self.jet_at(x, 1)).value
 
 
 @dataclass(frozen=True)
 class FrameFieldConnection:
     """Connection given by constant moving-frame coefficients over a coframe.
 
-    ``coframe(x)`` rows are the frame covectors; the frame vectors are the
-    columns of its inverse.  ``gamma`` holds gamma[k, i, j] with respect to
-    that frame.  ``coframe_partial(x)[mu]`` and ``coframe_second(x)[mu, nu]``
-    are the coframe's analytic first and second partials.
+    ``coframe`` maps the coordinate jet to the jet of the coframe, whose rows
+    are the frame covectors; the frame vectors are the columns of its
+    inverse. ``gamma`` holds gamma[k, i, j] with respect to that frame.
     """
 
     chart: Chart
-    coframe: Callable[[np.ndarray], np.ndarray]
+    coframe: Callable[[Jet], Jet]
     gamma: np.ndarray
-    coframe_partial: Callable[[np.ndarray], np.ndarray]
-    coframe_second: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, float))
 
-    def coframe_at(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.coframe(np.asarray(x, float)), float)
-
     def frame_at(self, x: np.ndarray) -> np.ndarray:
-        th = self.coframe_at(x)
-        try:
-            frame = np.linalg.inv(th)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFrame(f"coframe not invertible at {x}: {exc}") from exc
-        return frame
-
-    def coframe_partial_at(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.coframe_partial(np.asarray(x, float)), float)
+        return _inverse(self.coframe(variables(x, 0)), x).value
 
 
-def lowered(dg: np.ndarray) -> np.ndarray:
-    """out[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij} from dg[m] = d_m g,
-    over the last three axes (leading axes are carried along)."""
-    p = np.moveaxis(dg, -1, -3)
-    return p + p.swapaxes(-1, -2) - dg
-
-
-def _christoffel_parts(g: MetricField,
-                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g^{-1}, d g, Levi-Civita coefficients) at x."""
-    gx = g.at(x)
+def _inverse(th: Jet, x: np.ndarray) -> Jet:
     try:
-        np.linalg.cholesky(gx)
+        return jet.inv(th)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFrame(f"coframe not invertible at {x}: {exc}") from exc
+
+
+def _christoffel_jet(g: MetricField, x: np.ndarray, order: int) -> Jet:
+    """Levi-Civita coefficients half g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij})
+    as a jet of the given order, from one jet of g one order higher."""
+    gx = g.jet_at(x, order + 1)
+    try:
+        np.linalg.cholesky(gx.value)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric(f"metric not positive definite at {x}") from exc
-    ginv = np.linalg.inv(gx)
-    dg = g.partial_at(x)
-    return ginv, dg, 0.5 * np.einsum("kl,lij->kij", ginv, lowered(dg))
-
-
-def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Levi-Civita coefficients at x: out[k, i, j] = half g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    return _christoffel_parts(g, x)[2]
+    dg = shift(gx)
+    p = dg.transpose(2, 0, 1)  # p[l, i, j] = d_i g_{jl}
+    return 0.5 * jet.einsum("kl,lij->kij", jet.inv(gx), p + p.transpose(0, 2, 1) - dg)
 
 
 def christoffel_partial(g: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Levi-Civita coefficients and their analytic partials
-    out[mu, k, i, j], from one evaluation of g and its partials."""
-    ginv, dg, G = _christoffel_parts(g, x)
-    dginv = -ginv @ dg @ ginv
-    return G, 0.5 * (
-        np.einsum("mkl,lij->mkij", dginv, lowered(dg))
-        + np.einsum("kl,mlij->mkij", ginv, lowered(g.second_partial_at(x)))
-    )
+    """The Levi-Civita coefficients and their partials out[mu, k, i, j]."""
+    G = _christoffel_jet(g, x, 1)
+    return G.value, shift(G).value
 
 
 def levi_civita(g: MetricField) -> ConnectionCoeffs:
     """Levi-Civita connection as a coefficient field on g's chart."""
     return ConnectionCoeffs(
         chart=g.chart,
-        evaluator=lambda x: christoffel(g, x),
+        evaluator=lambda X: _christoffel_jet(g, X.value, X.order),
         symmetric_flag=True,
-        partial_evaluator=lambda x: christoffel_partial(g, x),
     )
+
+
+def nabla(t: Jet, markers: tuple[str, ...], G: Jet | np.ndarray,
+          lie: Jet | np.ndarray | None = None) -> Jet:
+    """Jet of the covariant derivative of a tensor jet, one order lower; the
+    new covariant axis leads. Along direction mu the connection matrix
+    G[:, mu, :] acts on the tangent axes (plus on UP, minus transpose on
+    DOWN) and ``lie[mu]`` on the LIE axes, e.g. ad of a bundle connection
+    form. G and lie may be jets or their values."""
+    mat = G.transpose(1, 0, 2)
+    return shift(t) + axis_action(markers, t, mat, lie, jet.einsum)
 
 
 def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
                          x: np.ndarray,
                          lie: Callable[[np.ndarray], np.ndarray] | None = None,
                          ) -> DenseTensor:
-    """Covariant derivative of a tensor field; new covariant axis leads.
-
-    Along direction mu the connection matrix G[:, mu, :] acts on the tangent
-    axes (plus on UP, minus transpose on DOWN) and ``lie(x)[mu]`` on the LIE
-    axes, e.g. ad of a bundle connection form."""
+    """Covariant derivative of a tensor field at x; new covariant axis leads.
+    ``lie(x)[mu]`` acts on the LIE axes."""
     x = np.asarray(x, float)
-    return covariant_derivative_of(gamma, t.at(x), t.partial_at(x), x, lie)
+    d = nabla(t.jet_at(x, 1), t.markers, gamma.at(x), None if lie is None else lie(x))
+    return DenseTensor((DOWN,) + tuple(t.markers), d.value)
 
 
-def covariant_derivative_of(gamma: ConnectionCoeffs, tx: DenseTensor,
-                            partials: np.ndarray, x: np.ndarray,
-                            lie: Callable[[np.ndarray], np.ndarray] | None = None,
-                            ) -> DenseTensor:
-    """covariant_derivative at x of a tensor whose value ``tx`` and
-    coordinate partials ``partials[mu]`` there are already known."""
-    G = gamma.at(x)
-    L = lie(x) if lie is not None else None
-    d = np.array(partials, float)
-    for mu in range(gamma.chart.dim):
-        axis_action(tx, G[:, mu, :], None if L is None else L[mu], d[mu])
-    return DenseTensor((DOWN,) + tuple(tx.markers), d)
-
-
-def covariant_derivative_field(gamma: ConnectionCoeffs, t: TensorFieldSpec,
-                               lie: Callable[[np.ndarray], np.ndarray] | None = None,
-                               ) -> TensorFieldSpec:
-    """Field wrapper so covariant derivatives nest through the FD machinery."""
-    return TensorFieldSpec(
-        chart=t.chart,
-        markers=(DOWN,) + tuple(t.markers),
-        evaluator=lambda x: covariant_derivative(gamma, t, x, lie),
-    )
+def _curvature_jet(gamma: ConnectionCoeffs, x: np.ndarray, order: int) -> Jet:
+    G = gamma.jet_at(x, order + 1)
+    p = shift(G).transpose(1, 3, 0, 2) + jet.einsum("lim,mjk->lkij", G, G)
+    return p - p.transpose(0, 1, 3, 2)
 
 
 def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
     """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k] - (i<->j)."""
-    x = np.asarray(x, float)
-    G, dG = gamma.jet_at(x)
-    p = dG.transpose(1, 3, 0, 2)
-    q = np.einsum("lim,mjk->lkij", G, G)
-    r = p - p.swapaxes(2, 3) + q - q.swapaxes(2, 3)
-    return DenseTensor((UP, DOWN, DOWN, DOWN), r)
+    return DenseTensor((UP, DOWN, DOWN, DOWN), _curvature_jet(gamma, x, 0).value)
 
 
 def curvature_field(gamma: ConnectionCoeffs) -> TensorFieldSpec:
     return TensorFieldSpec(
         chart=gamma.chart,
         markers=(UP, DOWN, DOWN, DOWN),
-        evaluator=lambda x: curvature(gamma, x),
+        evaluator=lambda X: _curvature_jet(gamma, X.value, X.order),
     )
+
+
+def _torsion_jet(conn: ConnectionCoeffs, x: np.ndarray, order: int) -> Jet:
+    G = conn.jet_at(x, order)
+    return G - G.transpose(0, 2, 1)
 
 
 def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
-    partial = None
-    if conn.partial_evaluator is not None:
-
-        def partial(x: np.ndarray) -> np.ndarray:
-            dG = conn.partial_at(x)
-            return dG - dG.swapaxes(2, 3)
-
+    """Torsion T[k, i, j] = G[k, i, j] - G[k, j, i]."""
     return TensorFieldSpec(
         chart=conn.chart,
         markers=(UP, DOWN, DOWN),
-        evaluator=lambda x: torsion(conn, x),
-        partial_evaluator=partial,
+        evaluator=lambda X: _torsion_jet(conn, X.value, X.order),
     )
 
 
-def torsion(conn: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
-    """Torsion T[k, i, j] = G[k, i, j] - G[k, j, i]."""
-    G = conn.at(x)
-    return DenseTensor((UP, DOWN, DOWN), G - G.swapaxes(1, 2))
-
-
-def _frame_to_coordinate_parts(conn: FrameFieldConnection, x: np.ndarray,
-                               ) -> tuple[np.ndarray, ...]:
-    """(coframe, frame, d coframe, a, coordinate coefficients) at x, where
-    the coefficients are E a."""
-    x = np.asarray(x, float)
-    th = conn.coframe_at(x)
-    E = conn.frame_at(x)
-    dth = conn.coframe_partial_at(x)
-    a = dth.transpose(1, 0, 2) + np.einsum("ia,lv,kil->kav", th, th, conn.gamma)
-    return th, E, dth, a, np.einsum("lk,kav->lav", E, a)
-
-
-def frame_to_coordinate(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
-    """Coordinate-frame coefficients of a moving-frame connection at x."""
-    return _frame_to_coordinate_parts(conn, x)[4]
-
-
-def frame_to_coordinate_partial(conn: FrameFieldConnection,
-                                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """frame_to_coordinate and its analytic partials out[mu, l, a, v], from
-    one evaluation of the coframe and its partials."""
-    th, E, dth, a, G = _frame_to_coordinate_parts(conn, x)
-    gam = conn.gamma
-    ddth = np.asarray(conn.coframe_second(np.asarray(x, float)), float)
-    dE = -E @ dth @ E
-    da = ddth.transpose(0, 2, 1, 3) + np.einsum("mia,lv,kil->mkav", dth, th, gam)
-    da += np.einsum("ia,mlv,kil->mkav", th, dth, gam)
-    return G, np.einsum("mlk,kav->mlav", dE, a) + np.einsum("lk,mkav->mlav", E, da)
+def _frame_connection_jet(conn: FrameFieldConnection, x: np.ndarray, order: int) -> Jet:
+    """Coordinate coefficients E a of a moving-frame connection, with
+    a[k, mu, v] = d_mu th[k, v] + th[i, mu] th[l, v] gamma[k, i, l]."""
+    th = conn.coframe(variables(x, order + 1))
+    a = shift(th).transpose(1, 0, 2) + jet.einsum("ia,lv,kil->kav", th, th, conn.gamma)
+    return jet.einsum("lk,kav->lav", _inverse(th, x), a)
 
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
     """Coordinate ConnectionCoeffs field for a moving-frame connection."""
     return ConnectionCoeffs(
         chart=conn.chart,
-        evaluator=lambda x: frame_to_coordinate(conn, x),
-        symmetric_flag=False,
-        partial_evaluator=lambda x: frame_to_coordinate_partial(conn, x),
+        evaluator=lambda X: _frame_connection_jet(conn, X.value, X.order),
     )
 
 
@@ -423,19 +332,21 @@ def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
     return OrthoFrame.from_metric(g.at(x), x)
 
 
+def frame_jet(g: MetricField, x: np.ndarray, order: int) -> tuple[Jet, Jet]:
+    """(frame, coframe) of the Cholesky orthonormal frame of g as jets."""
+    try:
+        coframe = jet.cholesky(g.jet_at(x, order)).transpose(1, 0)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetric(f"metric not positive definite at {x}: {exc}") from exc
+    return jet.inv(coframe), coframe
+
+
 def ortho_frame_partial(g: MetricField,
                         x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d frame, d coframe) of the Cholesky frame, each stacked over the
     coordinate directions."""
-    x = np.asarray(x, float)
-    lower = np.linalg.cholesky(g.at(x))
-    linv = np.linalg.inv(lower)
-    frame = linv.T
-    phi = linv @ g.partial_at(x) @ linv.T
-    # dG = dL L^T + L dL^T forces dL = L (tril(phi, -1) + diag(phi)/2)
-    dlower = lower @ (np.tril(phi, -1) + 0.5 * np.eye(len(x)) * phi)
-    dcoframe = dlower.swapaxes(1, 2)
-    return -frame @ dcoframe @ frame, dcoframe
+    frame, coframe = frame_jet(g, x, 1)
+    return shift(frame).value, shift(coframe).value
 
 
 def nan_max(values: Iterable[float]) -> float:
@@ -444,13 +355,13 @@ def nan_max(values: Iterable[float]) -> float:
     return float(np.max(vals)) if vals else 0.0
 
 
-def max_frame_norms(fields: dict[str, TensorFieldSpec], g: MetricField,
-                    points: np.ndarray) -> dict[str, float]:
-    """Largest norm of each named field over the points, each value taken in
+def max_frame_norms(fields: dict[str, Callable[[np.ndarray], DenseTensor]],
+                    g: MetricField, points: np.ndarray) -> dict[str, float]:
+    """Largest norm of each named tensor over the points, each value taken in
     the orthonormal frame of g at its point."""
     vals: dict[str, list[float]] = {name: [] for name in fields}
     for x in points:
         fr = ortho_frame(g, x)
         for name, fld in fields.items():
-            vals[name].append(to_frame(fld.at(x), fr).norm())
+            vals[name].append(to_frame(fld(x), fr).norm())
     return {name: nan_max(v) for name, v in vals.items()}

@@ -1,10 +1,10 @@
 """Catalog of analytic geometric fixtures.
 
-Every metric and moving frame carries hand-coded first and second coordinate
-partials, and every field returns its partials along all coordinates in one
-call, stacked on a leading axis.  Levi-Civita coefficients and curvature thus
-evaluate pointwise exactly; finite differences only enter at the outermost
-derivative level.
+Every metric, coframe, connection form, shift field and smooth field is
+written once, as a formula over Taylor jets (``ambrose.jet``): evaluated on
+the coordinate jet at a point, it gives the field and all its partials up to
+the requested order, so every derivative the package takes is exact to
+rounding.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jet
 from .bundle_conn import LocalConnectionForm
 from .chart_calculus import (
     Chart,
@@ -25,8 +26,12 @@ from .chart_calculus import (
     levi_civita,
 )
 from .errors import BadParameters, UnknownFixture
-from .lie_core import AdInvariantInner, LieAlgebra, algebra_by_name, default_inner
-from .tensor_core import DOWN, LIE, DenseTensor
+from .jet import Jet
+from .lie_core import AdInvariantInner, LieAlgebra, algebra_by_name, algebra_dim, default_inner
+from .tensor_core import DOWN, LIE
+
+# largest dimension of a trivial_bundle_flat algebra; su(2)+u(1) has 4
+MAX_ALGEBRA_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -48,13 +53,7 @@ class Fixture:
 
 
 def _constant_metric(chart: Chart, mat: np.ndarray) -> MetricField:
-    n = chart.dim
-    return MetricField(
-        chart=chart,
-        evaluator=lambda x: mat,
-        partial_evaluator=lambda x: np.zeros((n, n, n)),
-        second_partial_evaluator=lambda x: np.zeros((n, n, n, n)),
-    )
+    return MetricField(chart=chart, evaluator=lambda X: X.lift(mat))
 
 
 def _number(value, what: str, integer: bool = False) -> float:
@@ -98,43 +97,19 @@ def round_sphere2(radius: float = 1.0) -> Fixture:
         raise BadParameters("sphere radius must be positive")
     chart = _sphere2_chart()
     r2 = r * r
-
-    def ev(x):
-        return np.diag([r2, r2 * np.sin(x[0]) ** 2])
-
-    def p(x):
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = r2 * np.sin(2 * x[0])
-        return out
-
-    def pp(x):
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 0, 1, 1] = 2 * r2 * np.cos(2 * x[0])
-        return out
-
-    g = MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
-                    second_partial_evaluator=pp)
+    g = MetricField(chart=chart, evaluator=lambda X: jet.array(
+        [[r2, 0.0], [0.0, r2 * jet.sin(X[0]) ** 2]]))
     return Fixture("round_sphere2", {"radius": r}, chart, g, levi_civita(g))
 
 
 def hyperbolic_plane() -> Fixture:
     chart = Chart(dim=2, box=np.array([[-1.0, 1.0], [0.3, 2.5]]), margin=0.05)
 
-    def ev(x):
-        return np.diag([1.0 / x[1] ** 2] * 2)
+    def ev(X):
+        w = 1.0 / X[1] ** 2
+        return jet.array([[w, 0.0], [0.0, w]])
 
-    def p(x):
-        out = np.zeros((2, 2, 2))
-        out[1, 0, 0] = out[1, 1, 1] = -2.0 / x[1] ** 3
-        return out
-
-    def pp(x):
-        out = np.zeros((2, 2, 2, 2))
-        out[1, 1, 0, 0] = out[1, 1, 1, 1] = 6.0 / x[1] ** 4
-        return out
-
-    g = MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
-                    second_partial_evaluator=pp)
+    g = MetricField(chart=chart, evaluator=ev)
     return Fixture("hyperbolic_plane", {}, chart, g, levi_civita(g))
 
 
@@ -147,70 +122,24 @@ def _su2_chart() -> Chart:
     )
 
 
-def _su2_coframe(x: np.ndarray) -> np.ndarray:
-    phi, theta, psi = x[0], x[1], x[2]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(psi), np.cos(psi)
-    return 0.5 * np.array([
+def _su2_coframe(X: Jet) -> Jet:
+    st, ct = jet.sin(X[1]), jet.cos(X[1])
+    sp, cp = jet.sin(X[2]), jet.cos(X[2])
+    return 0.5 * jet.array([
         [-st * cp, sp, 0.0],
         [st * sp, cp, 0.0],
         [ct, 0.0, 1.0],
     ])
 
 
-def _su2_coframe_partial(x: np.ndarray) -> np.ndarray:
-    theta, psi = x[1], x[2]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(psi), np.cos(psi)
-    out = np.zeros((3, 3, 3))
-    out[1, :, 0] = -ct * cp, ct * sp, -st
-    out[2, :2, :2] = [[st * sp, cp], [st * cp, -sp]]
-    return 0.5 * out
-
-
-def _su2_coframe_second(x: np.ndarray) -> np.ndarray:
-    theta, psi = x[1], x[2]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(psi), np.cos(psi)
-    out = np.zeros((3, 3, 3, 3))
-    out[1, 1, :, 0] = st * cp, -st * sp, -ct
-    out[1, 2, :, 0] = out[2, 1, :, 0] = ct * sp, ct * cp, 0.0
-    out[2, 2, :2, :2] = [[st * cp, -sp], [-st * sp, -cp]]
-    return 0.5 * out
-
-
 def _berger_metric(chart: Chart, lam: float) -> MetricField:
     d = np.diag([lam * lam, 1.0, 1.0])
 
-    def ev(x):
-        th = _su2_coframe(x)
-        return th.T @ d @ th
+    def ev(X):
+        th = _su2_coframe(X)
+        return jet.einsum("ai,ab,bj->ij", th, d, th)
 
-    def p(x):
-        th = _su2_coframe(x)
-        dth = _su2_coframe_partial(x)
-        return dth.swapaxes(1, 2) @ d @ th + th.T @ d @ dth
-
-    def pp(x):
-        th = _su2_coframe(x)
-        dth = _su2_coframe_partial(x)
-        dd = _su2_coframe_second(x)
-        dmu, dnu = dth[:, None], dth[None, :]
-        return (dd.swapaxes(2, 3) @ d @ th + dmu.swapaxes(2, 3) @ d @ dnu
-                + dnu.swapaxes(2, 3) @ d @ dmu + th.T @ d @ dd)
-
-    return MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
-                       second_partial_evaluator=pp)
-
-
-def _su2_frame_connection(chart: Chart) -> FrameFieldConnection:
-    return FrameFieldConnection(
-        chart=chart,
-        coframe=_su2_coframe,
-        gamma=np.zeros((3, 3, 3)),
-        coframe_partial=_su2_coframe_partial,
-        coframe_second=_su2_coframe_second,
-    )
+    return MetricField(chart=chart, evaluator=ev)
 
 
 def berger_sphere(lam: float = 2.0) -> Fixture:
@@ -219,7 +148,8 @@ def berger_sphere(lam: float = 2.0) -> Fixture:
         raise BadParameters("berger squash parameter must be positive")
     chart = _su2_chart()
     g = _berger_metric(chart, lam)
-    frame_conn = _su2_frame_connection(chart)
+    frame_conn = FrameFieldConnection(chart=chart, coframe=_su2_coframe,
+                                      gamma=np.zeros((3, 3, 3)))
     return Fixture(
         "berger_sphere",
         {"lam": lam},
@@ -242,68 +172,31 @@ def round_sphere3() -> Fixture:
 def _monopole_form(chart: Chart, algebra: LieAlgebra,
                    charge: int) -> LocalConnectionForm:
     half_q = 0.5 * charge
-
-    def ev(x):
-        a = np.zeros((2, algebra.dim))
-        a[1, 2] = half_q * (1.0 - np.cos(x[0]))
-        return a
-
-    def p(x):
-        a = np.zeros((2, 2, algebra.dim))
-        a[0, 1, 2] = half_q * np.sin(x[0])
-        return a
-
-    return LocalConnectionForm(chart=chart, algebra=algebra, evaluator=ev,
-                               partial_evaluator=p)
+    return LocalConnectionForm(chart=chart, algebra=algebra, evaluator=lambda X: jet.array(
+        [[0.0, 0.0, 0.0], [0.0, 0.0, half_q * (1.0 - jet.cos(X[0]))]]))
 
 
-def _parallel_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
+def _parallel_shift_field(chart: Chart) -> TensorFieldSpec:
     """Adjoint-valued 1-form invariant under the monopole holonomy; rows over
     (theta, phi), values in the su(2) basis."""
 
-    def ev(x):
-        theta, phi = x[0], x[1]
-        a = np.zeros((2, algebra.dim))
-        a[0, 0] = np.cos(phi)
-        a[0, 1] = -np.sin(phi)
-        a[1, 0] = -np.sin(theta) * np.sin(phi)
-        a[1, 1] = -np.sin(theta) * np.cos(phi)
-        return DenseTensor((DOWN, LIE), a)
+    def ev(X):
+        st, sp, cp = jet.sin(X[0]), jet.sin(X[1]), jet.cos(X[1])
+        return jet.array([[cp, -sp, 0.0], [-st * sp, -st * cp, 0.0]])
 
-    def p(x):
-        theta, phi = x[0], x[1]
-        a = np.zeros((2, 2, algebra.dim))
-        a[0, 1, 0] = -np.cos(theta) * np.sin(phi)
-        a[0, 1, 1] = -np.cos(theta) * np.cos(phi)
-        a[1, 0, 0] = -np.sin(phi)
-        a[1, 0, 1] = -np.cos(phi)
-        a[1, 1, 0] = -np.sin(theta) * np.cos(phi)
-        a[1, 1, 1] = np.sin(theta) * np.sin(phi)
-        return a
-
-    return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev,
-                           partial_evaluator=p)
+    return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev)
 
 
 def _bump_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
     """A localized non-parallel shift used as a negative control."""
     c0, c1 = 0.5 * np.pi, np.pi
+    corner = np.zeros((2, algebra.dim))
+    corner[0, 0] = 1.0
 
-    def bump(x):
-        return np.exp(-((x[0] - c0) ** 2 + (x[1] - c1) ** 2) / 0.5)
+    def ev(X):
+        return jet.exp(-((X[0] - c0) ** 2 + (X[1] - c1) ** 2) / 0.5) * corner
 
-    def ev(x):
-        a = np.zeros((2, algebra.dim))
-        a[0, 0] = bump(x)
-        return DenseTensor((DOWN, LIE), a)
-
-    def p(x):
-        a = np.zeros((2, 2, algebra.dim))
-        a[:, 0, 0] = bump(x) * (-2.0 * (x - (c0, c1)) / 0.5)
-        return a
-
-    return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev,
-                           partial_evaluator=p)
+    return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev)
 
 
 def hopf_monopole(charge: int = 1) -> Fixture:
@@ -319,22 +212,20 @@ def hopf_monopole(charge: int = 1) -> Fixture:
         algebra=algebra,
         inner=default_inner(algebra),
         a0=_monopole_form(base.chart, algebra, charge),
-        alpha_parallel=(
-            _parallel_shift_field(base.chart, algebra) if charge == 1 else None
-        ),
+        alpha_parallel=_parallel_shift_field(base.chart) if charge == 1 else None,
         alpha_bump=_bump_shift_field(base.chart, algebra),
     )
 
 
 def trivial_bundle_flat(algebra: str = "su(2)") -> Fixture:
+    if not isinstance(algebra, str):
+        raise BadParameters(f"algebra must be a name such as su(2)+u(1), got {algebra!r}")
+    if algebra_dim(algebra) > MAX_ALGEBRA_DIM:
+        raise BadParameters(f"algebra {algebra!r} has dimension above {MAX_ALGEBRA_DIM}")
     alg = algebra_by_name(algebra)
     base = euclidean(2)
-    zero = LocalConnectionForm(
-        chart=base.chart,
-        algebra=alg,
-        evaluator=lambda x: np.zeros((2, alg.dim)),
-        partial_evaluator=lambda x: np.zeros((2, 2, alg.dim)),
-    )
+    zero = LocalConnectionForm(chart=base.chart, algebra=alg,
+                               evaluator=lambda X: X.lift(np.zeros((2, alg.dim))))
     return Fixture(
         "trivial_bundle_flat",
         {"algebra": algebra},
@@ -351,7 +242,7 @@ def trivial_bundle_flat(algebra: str = "su(2)") -> Fixture:
 def smooth_tensor_field(chart: Chart, markers: tuple[str, ...], seed: int,
                         algebra: LieAlgebra | None = None,
                         amplitude: float = 0.5) -> TensorFieldSpec:
-    """Deterministic smooth trigonometric field with analytic partials."""
+    """Deterministic smooth trigonometric field."""
     rng = np.random.default_rng(seed)
     n = chart.dim
     if LIE in markers and algebra is None:
@@ -365,31 +256,18 @@ def smooth_tensor_field(chart: Chart, markers: tuple[str, ...], seed: int,
     lo = chart.box[:, 0]
     wid = chart.box[:, 1] - chart.box[:, 0]
 
-    def arg(x):
-        u = 2 * np.pi * (np.asarray(x, float) - lo) / wid
-        return np.einsum("...n,n->...", freq, u) + phase
+    def ev(X):
+        u = (X - lo) * (2 * np.pi / wid)
+        return jet.sin(jet.einsum("...n,n->...", freq, u) + phase) * amp
 
-    def ev(x):
-        return DenseTensor(markers, amp * np.sin(arg(x)))
-
-    def p(x):
-        d = (amp * np.cos(arg(x)))[..., None] * freq * (2 * np.pi / wid)
-        return np.moveaxis(d, -1, 0)
-
-    return TensorFieldSpec(chart=chart, markers=markers, evaluator=ev,
-                           partial_evaluator=p)
+    return TensorFieldSpec(chart=chart, markers=markers, evaluator=ev)
 
 
 def smooth_connection_form(chart: Chart, algebra: LieAlgebra, seed: int,
                            amplitude: float = 0.5) -> LocalConnectionForm:
-    """Deterministic smooth algebra-valued form with analytic partials."""
+    """Deterministic smooth algebra-valued form."""
     field = smooth_tensor_field(chart, (DOWN, LIE), seed, algebra, amplitude)
-    return LocalConnectionForm(
-        chart=chart,
-        algebra=algebra,
-        evaluator=lambda x: field.at(x).data,
-        partial_evaluator=field.partial_at,
-    )
+    return LocalConnectionForm(chart=chart, algebra=algebra, evaluator=field.evaluator)
 
 
 _CATALOG = {

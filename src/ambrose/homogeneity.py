@@ -1,10 +1,13 @@
 """Derivative towers, stabilizer chains, the Singer-type invariant, adapted
 connections, and the local homogeneity / local symmetry criteria.
 
-Tower entries are expressed in the Cholesky orthonormal frame at the base
-point, so group actions on them are orthogonal and norms are gauge-invariant.
-Gauge-covariant derivatives of frame-expressed fields use the moving-frame
-form of the connection: del_mu = d_mu + action(b_mu).
+A tower is built from one Taylor jet per point of the section, the
+connection and the bundle form: each level is the covariant derivative of
+the one below, computed on jets one order lower, so no level is
+finite-differenced. Tower entries are expressed in the Cholesky orthonormal
+frame at the base point, so group actions on them are orthogonal and norms
+are gauge-invariant. Gauge-covariant derivatives of frame-expressed fields
+use the moving-frame form of the connection: del_mu = d_mu + action(b_mu).
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import jet
 from .bundle_conn import (
     LocalConnectionForm,
     SectionSpec,
-    assoc_covariant_field,
     curvature_form_field,
     form_difference,
 )
@@ -24,14 +27,14 @@ from .chart_calculus import (
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
-    covariant_derivative_field,
+    covariant_derivative,
     curvature_field,
-    fd_partials,
+    frame_jet,
     levi_civita,
     max_frame_norms,
+    nabla,
     nan_max,
     ortho_frame,
-    ortho_frame_partial,
     torsion_field,
 )
 from .errors import (
@@ -52,15 +55,11 @@ from .lie_core import (
     reductive_complement,
     skew_exp,
     stacked_action_matrix,
-    tensor_action,
 )
-from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis, to_frame
+from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis, axis_action, to_frame
 
 KMAX_START = 2
 KMAX_CAP = 4
-# FD step of beta = b' - b0 in adapted_residuals, as a share of the chart
-# width: differenced once, not nested, beta needs no wide step against noise
-BETA_STEP = 1e-4
 # orbit_match: accepted relative residual, random starts, Levenberg-Marquardt
 # iterations per start, the damping's start and floor, and the relative
 # decrease of the squared residual below which a start has stalled
@@ -178,29 +177,28 @@ def make_report(scenario: str, fixture: str, points: np.ndarray,
     )
 
 
-def derivative_fields(sigma: SectionSpec, b0: LocalConnectionForm | None,
-                      gamma0: ConnectionCoeffs, kmax: int,
-                      ) -> list[tuple[TensorFieldSpec, ...]]:
-    """Field wrappers for sigma and its first kmax iterated derivatives."""
-    lie = None if b0 is None else b0.ad_at
-    levels = [tuple(sigma.fields)]
-    for _ in range(kmax):
-        levels.append(tuple(covariant_derivative_field(gamma0, f, lie) for f in levels[-1]))
-    return levels
-
-
 def build_tower(sigma: SectionSpec, b0: LocalConnectionForm | None,
                 gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                 kmax: int, frame: OrthoFrame | None = None) -> DerivativeTower:
     """Evaluate the derivative tower at x, frame-expressed via the Cholesky
-    orthonormal frame of g (or a caller-supplied orthonormal frame)."""
+    orthonormal frame of g (or a caller-supplied orthonormal frame).
+
+    Level k is carried as a jet of order kmax - k, and level k + 1 is its
+    covariant derivative: the shift of level k plus Gamma0 (and ad(b0) on
+    LIE axes) acting on it, from one jet of each per point."""
     if kmax < 1:
         raise DepthMismatch("tower depth kmax must be at least 1")
     x = np.asarray(x, float)
     fr = ortho_frame(g, x) if frame is None else frame
-    levels = derivative_fields(sigma, b0, gamma0, kmax)
+    G = gamma0.jet_at(x, kmax - 1)
+    lie = None if b0 is None else b0.ad_jet(x, kmax - 1)
+    level = [(f.markers, f.jet_at(x, kmax)) for f in sigma.fields]
+    levels = [level]
+    for _ in range(kmax):
+        level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
+        levels.append(level)
     entries = tuple(
-        tuple(to_frame(f.at(x), fr) for f in level) for level in levels
+        tuple(to_frame(DenseTensor(m, t.value), fr) for m, t in lv) for lv in levels
     )
     return DerivativeTower(point=x, frame=fr, kmax=kmax, entries=entries)
 
@@ -213,7 +211,7 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
     for k in range(len(tower.entries)):
         tensors = tower.up_to(k)
         # cutoff floored at the entry scale so levels that vanish in exact
-        # arithmetic do not present their FD noise as full-rank columns
+        # arithmetic do not present their rounding as full-rank columns
         scale = float(np.sqrt(sum(t.norm() ** 2 for t in tensors)))
         basis, sing, cutoff = nullspace(stacked_action_matrix(tensors, rep), scale=scale,
                                         spectrum=True)
@@ -423,21 +421,18 @@ def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
     must be antisymmetric (the connection must be metric for g)."""
     algebra = so_rep.algebra
     mats = so_rep.matrices
-    pinv = np.linalg.pinv(mats.reshape(algebra.dim, -1).T)
+    pinv = np.linalg.pinv(mats.reshape(algebra.dim, -1).T).reshape(-1, *mats.shape[1:])
 
-    def ev(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        fr = ortho_frame(g, x)
-        G = gamma.at(x)
-        dframes, _ = ortho_frame_partial(g, x)
-        rows = []
-        for mu, dframe in enumerate(dframes):
-            w = fr.coframe @ (dframe + G[:, mu, :] @ fr.frame)
-            if np.abs(w + w.T).max() > 1e-6 * max(1.0, np.abs(w).max()):
-                raise NotMetric("connection is not metric: gauge form not antisymmetric")
-            w = 0.5 * (w - w.T)
-            rows.append(pinv @ w.reshape(-1))
-        return np.array(rows)
+    def ev(X):
+        x, order = X.value, X.order
+        frame, coframe = frame_jet(g, x, order + 1)
+        G = gamma.jet_at(x, order)
+        w = jet.einsum("ai,mib->mab", coframe,
+                       jet.shift(frame) + jet.einsum("imj,jb->mib", G, frame))
+        v = w.value
+        if np.abs(v + v.transpose(0, 2, 1)).max() > 1e-6 * max(1.0, np.abs(v).max()):
+            raise NotMetric("connection is not metric: gauge form not antisymmetric")
+        return jet.einsum("pab,mab->mp", pinv, 0.5 * (w - w.transpose(0, 2, 1)))
 
     return LocalConnectionForm(chart=g.chart, algebra=algebra, evaluator=ev)
 
@@ -449,7 +444,8 @@ def with_adjoint_rep(rep: TensorRep) -> TensorRep:
 
 def _form_action(b: np.ndarray, t: DenseTensor, rep: TensorRep) -> np.ndarray:
     """out[i] = b[i] . t: each row of an algebra-valued form acting on t."""
-    return np.stack([tensor_action(v, t, rep).data for v in b])
+    lie = None if rep.lie is None else np.einsum("mi,iab->mab", b, rep.lie.matrices)
+    return axis_action(t.markers, t.data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
 
 
 def gauge_residual(b: np.ndarray, rep: TensorRep, t_hat: DenseTensor,
@@ -504,11 +500,9 @@ def _adapted_shift(tower: DerivativeTower, chain: StabilizerChain, g: MetricFiel
     off = (np.eye(len(m)) - proj) @ dh @ coeff
     dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
 
-    def beta_hat(y: np.ndarray) -> np.ndarray:
-        return ortho_frame(g, y).frame.T @ (b_prime.at(y) - b0.at(y))
-
-    beta = beta_hat(x)
-    dbeta = fd_partials(beta_hat, g.chart, x, step_scale=BETA_STEP)
+    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, x, 1)[0],
+                          b_prime.jet_at(x, 1) - b0.jet_at(x, 1))
+    beta, dbeta = beta_hat.value, jet.shift(beta_hat).value
     return (beta - beta @ proj.T,
             dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1))
 
@@ -529,11 +523,11 @@ def adapted_residuals(tower: DerivativeTower, chain: StabilizerChain, g: MetricF
     Tnext + e_a (x) beta_k[a] . T. The stacked action matrix M of levels
     0..singer_k has kernel h, so d h = -M^+ (d M) h (Golub and Pereyra, SIAM
     J. Numer. Anal. 10, 1973), M^+ cut to rank m - dim h so as not to invert
-    FD noise. h is also bases[singer_k + 1], by the definition of the stage;
-    read at singer_k, it needs no entry above level singer_k + 1, the less
-    noisy one. Only beta is differenced, at BETA_STEP. A chain that did not
-    stabilize raises NumericalFailure, and a stabilizer without an invariant
-    complement NotReductive."""
+    rounding. h is also bases[singer_k + 1], by the definition of the stage;
+    read at singer_k, it needs no entry above level singer_k + 1. The
+    partials of beta come from first-order jets of the gauge forms and the
+    frame. A chain that did not stabilize raises NumericalFailure, and a
+    stabilizer without an invariant complement NotReductive."""
     beta_k, dbeta_k = _adapted_shift(tower, chain, g, b0, b_prime, rep, inner)
     frame = tower.frame
     shift = gauge_residual(b0.at(tower.point) + frame.coframe.T @ beta_k, with_adjoint_rep(rep),
@@ -551,6 +545,12 @@ def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:
     )
 
 
+def _nabla_of(gamma: ConnectionCoeffs, t: TensorFieldSpec,
+              a: LocalConnectionForm | None = None):
+    """x -> covariant derivative of t at x, with ad(a) on its lie axes."""
+    return lambda x: covariant_derivative(gamma, t, x, None if a is None else a.ad_at)
+
+
 def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
                     a: LocalConnectionForm, points: np.ndarray,
                     fixture: str = "") -> VerificationReport:
@@ -558,10 +558,10 @@ def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
     (del x del^A)(A - A0) all parallel."""
     points = np.atleast_2d(np.asarray(points, float))
     residuals = max_frame_norms({
-        "nabla_R": covariant_derivative_field(gamma, curvature_field(gamma)),
-        "nabla_T": covariant_derivative_field(gamma, torsion_field(gamma)),
-        "nabla_F": assoc_covariant_field(a, gamma, curvature_form_field(a)),
-        "nabla_alpha": assoc_covariant_field(a, gamma, form_difference(a, triple.a0)),
+        "nabla_R": _nabla_of(gamma, curvature_field(gamma)),
+        "nabla_T": _nabla_of(gamma, torsion_field(gamma)),
+        "nabla_F": _nabla_of(gamma, curvature_form_field(a), a),
+        "nabla_alpha": _nabla_of(gamma, form_difference(a, triple.a0), a),
     }, triple.g, points)
     return make_report("check-lh-triple", fixture, points, residuals)
 
@@ -572,8 +572,8 @@ def check_ls_triple(triple: TripleSpec, points: np.ndarray,
     points = np.atleast_2d(np.asarray(points, float))
     gamma = levi_civita(triple.g)
     residuals = max_frame_norms({
-        "nabla_Rg": covariant_derivative_field(gamma, curvature_field(gamma)),
-        "nabla_F0": assoc_covariant_field(triple.a0, gamma, curvature_form_field(triple.a0)),
+        "nabla_Rg": _nabla_of(gamma, curvature_field(gamma)),
+        "nabla_F0": _nabla_of(gamma, curvature_form_field(triple.a0), triple.a0),
     }, triple.g, points)
     return make_report("check-ls-triple", fixture, points, residuals)
 
@@ -587,23 +587,18 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
     del T^C = 0.  Both use del = C; the report asserts their agreement."""
     points = np.atleast_2d(np.asarray(points, float))
     gamma0 = levi_civita(g)
-    g_field = TensorFieldSpec(
-        chart=g.chart,
-        markers=(DOWN, DOWN),
-        evaluator=lambda x: DenseTensor((DOWN, DOWN), g.at(x)),
-        partial_evaluator=g.partial_at,
-    )
+    g_field = TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
     s_field = TensorFieldSpec(
         chart=g.chart,
         markers=(UP, DOWN, DOWN),
-        evaluator=lambda x: DenseTensor((UP, DOWN, DOWN), gamma.at(x) - gamma0.at(x)),
+        evaluator=lambda X: gamma.evaluator(X) - gamma0.evaluator(X),
     )
     residuals = max_frame_norms({
-        "nabla_g": covariant_derivative_field(gamma, g_field),
-        "nabla_Rg": covariant_derivative_field(gamma, curvature_field(gamma0)),
-        "nabla_S": covariant_derivative_field(gamma, s_field),
-        "nabla_R": covariant_derivative_field(gamma, curvature_field(gamma)),
-        "nabla_T": covariant_derivative_field(gamma, torsion_field(gamma)),
+        "nabla_g": _nabla_of(gamma, g_field),
+        "nabla_Rg": _nabla_of(gamma, curvature_field(gamma0)),
+        "nabla_S": _nabla_of(gamma, s_field),
+        "nabla_R": _nabla_of(gamma, curvature_field(gamma)),
+        "nabla_T": _nabla_of(gamma, torsion_field(gamma)),
     }, g, points)
     if not residuals.pop("nabla_g") <= 1e-7:
         raise NotMetric("connection is not metric-compatible at a sample point")

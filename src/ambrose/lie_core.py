@@ -153,19 +153,18 @@ def tensor_action(b: np.ndarray, eta: DenseTensor, rep: TensorRep) -> DenseTenso
     b = np.asarray(b, float)
     if b.shape != (rep.algebra.dim,):
         raise RepMismatch("algebra coordinates have the wrong length")
-    mat_l = rep.lie.matrix(b) if rep.lie is not None else None
-    return DenseTensor(eta.markers, axis_action(eta, rep.vector.matrix(b), mat_l))
+    mat_l = rep.lie.matrix(b)[None] if rep.lie is not None else None
+    return DenseTensor(eta.markers,
+                       axis_action(eta.markers, eta.data, rep.vector.matrix(b)[None], mat_l)[0])
 
 
 def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndarray:
-    """Matrix whose column j stacks the action of basis element j on every tensor."""
-    m = rep.algebra.dim
-    basis = np.eye(m)
-    cols = []
-    for j in range(m):
-        parts = [tensor_action(basis[j], t, rep).components for t in tensors]
-        cols.append(np.concatenate(parts) if parts else np.zeros(0))
-    return np.stack(cols, axis=1)
+    """Matrix whose column j stacks the action of basis element j on every
+    tensor: one contraction per tensor axis over all the generators."""
+    lie = rep.lie.matrices if rep.lie is not None else None
+    rows = [axis_action(t.markers, t.data, rep.vector.matrices, lie).reshape(rep.algebra.dim, -1)
+            for t in tensors]
+    return np.concatenate(rows, axis=1).T if rows else np.zeros((0, rep.algebra.dim))
 
 
 def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL, scale: float = 0.0,
@@ -322,24 +321,38 @@ def algebra_from_matrices(labels: tuple[str, ...], mats: np.ndarray) -> LieAlgeb
     return LieAlgebra(labels, c)
 
 
+# catalog algebras: basis labels, and the multiple of eps that gives the
+# structure constants of the three-dimensional ones
+_CATALOG = {
+    "so(2)": (("J",), 0.0),
+    "so(3)": (("L1", "L2", "L3"), 1.0),
+    "u(1)": (("iota",), 0.0),
+    "su(2)": (("E1", "E2", "E3"), 2.0),
+}
+
+
+def _summands(name: str) -> list[str]:
+    parts = [p.strip() for p in name.split("+")]
+    for p in parts:
+        if p not in _CATALOG:
+            raise BadParameters(f"unknown algebra name {p!r}")
+    return parts
+
+
+def algebra_dim(name: str) -> int:
+    """Dimension of a catalog algebra or '+'-joined sum, from the names alone."""
+    return sum(len(_CATALOG[p][0]) for p in _summands(name))
+
+
 def algebra_by_name(name: str) -> LieAlgebra:
     """Catalog: so(2), so(3), u(1), su(2), plus '+'-joined direct sums."""
-    name = name.strip()
-    if "+" in name:
-        parts = [algebra_by_name(p) for p in name.split("+")]
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = direct_sum(out, nxt)
-        return out
-    if name == "so(2)":
-        return LieAlgebra(("J",), np.zeros((1, 1, 1)))
-    if name == "so(3)":
-        return LieAlgebra(("L1", "L2", "L3"), _eps3().transpose(2, 0, 1))
-    if name == "u(1)":
-        return LieAlgebra(("iota",), np.zeros((1, 1, 1)))
-    if name == "su(2)":
-        return LieAlgebra(("E1", "E2", "E3"), 2.0 * _eps3().transpose(2, 0, 1))
-    raise BadParameters(f"unknown algebra name {name!r}")
+    out = None
+    for p in _summands(name):
+        labels, scale = _CATALOG[p]
+        c = scale * _eps3().transpose(2, 0, 1) if len(labels) == 3 else np.zeros((1, 1, 1))
+        alg = LieAlgebra(labels, c)
+        out = alg if out is None else direct_sum(out, alg)
+    return out
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

@@ -7,6 +7,7 @@ flat serialization order is the C order of the backing array.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,25 +60,30 @@ def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(moved, 0, axis)
 
 
-def axis_action(t: DenseTensor, mat: np.ndarray | None, lie: np.ndarray | None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Add to ``out`` (zeros by default) the action of a connection matrix on
-    every axis of t: +mat on UP axes, -matᵀ on DOWN axes, ``lie`` on LIE
-    axes.  A None ``mat`` leaves the tangent axes alone; LIE axes need ``lie``."""
-    out = np.zeros_like(t.data) if out is None else out
-    for ax, m in enumerate(t.markers):
+def axis_action(markers: tuple[str, ...], data, mat, lie, einsum=np.einsum):
+    """out[b] = the sum over the axes of a tensor of the action on that axis
+    of the b-th matrices: +mat[b] on UP axes, -mat[b]^T on DOWN axes and
+    lie[b] on LIE axes. A None ``mat`` leaves the tangent axes alone; LIE
+    axes need ``lie``. The data and the matrices may be jets, with
+    ``einsum=jet.einsum``: one contraction per axis."""
+    letters = string.ascii_lowercase[:len(markers)]
+    terms = []
+    for ax, m in enumerate(markers):
         a = lie if m == LIE else mat
         if a is None:
             if m == LIE:
                 raise RepMismatch("tensor has lie axes but no lie-axis matrix")
             continue
-        if t.dims[ax] != a.shape[0]:
-            raise RepMismatch(f"axis {ax} has dim {t.dims[ax]}, matrix dim {a.shape[0]}")
-        if m == DOWN:
-            out -= apply_axis(a.T, t.data, ax)
-        else:
-            out += apply_axis(a, t.data, ax)
-    return out
+        if data.shape[ax] != a.shape[-1]:
+            raise RepMismatch(f"axis {ax} has dim {data.shape[ax]}, matrix dim {a.shape[-1]}")
+        j = letters[ax]
+        out = letters.replace(j, "Z")
+        term = einsum(f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}",
+                      a, data)
+        terms.append(-term if m == DOWN else term)
+    if not terms:  # no axis is acted on: the zero action
+        return np.zeros((len(mat if mat is not None else lie),) + tuple(data.shape))
+    return sum(terms[1:], terms[0])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Adapted connection on a locally trivialized principal-bundle total space,
 and the total-space parallelism criteria.
 
-The checks evaluate, per point, one orthonormal frame of the connection
-metric, the torsion, curvature and curvature-form tables contracted with it,
-and one finite-difference sweep of those, and assemble every frame tuple of
-del-bar T-bar and del-bar R-bar as an einsum.  The same sweep gives the
+The checks evaluate, per point, first-order Taylor jets of one orthonormal
+frame of the connection metric and of the torsion, curvature and
+curvature-form tables contracted with it, and assemble every frame tuple of
+del-bar T-bar and del-bar R-bar as an einsum.  The same jets give the
 curvature partials of the hypotheses and the shift-form partials of the
 distribution criterion.
 
@@ -16,7 +16,7 @@ track the provenance of each slot: adjoint-section slots differentiate by the
 bundle connection along horizontal directions and are inert vertically,
 while constant slots are inert horizontally and move by the bracket
 vertically.  The checks do not call them; the tests compare the frame tables
-against them.
+against them, with the partials of generated fields by finite differences.
 """
 
 from __future__ import annotations
@@ -26,25 +26,26 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle_conn import LocalConnectionForm, curvature_form, form_difference
+from . import jet
+from .bundle_conn import LocalConnectionForm, curvature_form, curvature_form_field, form_difference
 from .chart_calculus import (
     Chart,
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
-    covariant_derivative,
-    covariant_derivative_of,
     curvature,
-    fd_partials,
+    curvature_field,
+    fd_array,
+    frame_jet,
+    nabla,
     nan_max,
-    ortho_frame,
-    torsion,
     torsion_field,
 )
 from .errors import RepMismatch, UnsupportedFieldKind
 from .homogeneity import TOLERANCES, VerificationReport, make_report
 from .lie_core import AdInvariantInner, LieAlgebra
-from .tensor_core import DOWN, LIE, UP, DenseTensor, to_frame
+from .jet import Jet, shift
+from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, axis_action, to_frame
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,12 @@ def _cov(model: TotalSpaceModel, f, marker: str, x: np.ndarray, xv: np.ndarray,
     """Covariant derivative along vector xv at x of a field f, constant or
     callable, whose one axis carries the given marker."""
     x = np.asarray(x, float)
+    fv = np.asarray(f(x) if callable(f) else f, float)
+    df = np.zeros((model.chart.dim,) + fv.shape)
     if callable(f):
-        fv, df = np.asarray(f(x), float), fd_partials(f, model.chart, x)
-    else:
-        fv = np.asarray(f, float)
-        df = np.zeros((model.chart.dim,) + fv.shape)
-    return xv @ covariant_derivative_of(
-        model.gamma, DenseTensor((marker,), fv), df, x, lie).data
+        df = np.stack([fd_array(f, model.chart, x, mu) for mu in range(model.chart.dim)])
+    mat = model.gamma.at(x).transpose(1, 0, 2)
+    return xv @ (df + axis_action((marker,), fv, mat, None if lie is None else lie(x)))
 
 
 def base_cov(model: TotalSpaceModel, h, x: np.ndarray,
@@ -228,7 +228,7 @@ def bar_connection_apply(model: TotalSpaceModel, u: GeneratedField,
 
 def _pair_torsion(model: TotalSpaceModel, uv: TotalVector, vv: TotalVector,
                   x: np.ndarray) -> TotalVector:
-    t = torsion(model.gamma, x).data
+    t = torsion_field(model.gamma).at(x).data
     f = curvature_form(model.a, x).data
     h = np.einsum("kij,i,j->k", t, uv.horizontal, vv.horizontal)
     w = np.einsum("ijc,i,j->c", f, uv.horizontal, vv.horizontal)
@@ -255,7 +255,7 @@ def _bar_torsion_field(model: TotalSpaceModel, v: GeneratedField,
     """T-bar(v, w) as (horizontal base field, vertical expression)."""
     if v.kind == LIFT and w.kind == LIFT:
         def h_field(y):
-            t = torsion(model.gamma, y).data
+            t = torsion_field(model.gamma).at(y).data
             return np.einsum("kij,i,j->k", t, v.at(y), w.at(y))
 
         def nu_field(y):
@@ -346,23 +346,13 @@ def _hypotheses_hold(residuals: dict[str, float]) -> bool:
     return all(residuals[k] <= tol[k] for k in HYPOTHESES if k in residuals)
 
 
-def _with_partials(f: Callable[[np.ndarray], list[np.ndarray]], chart: Chart,
-                   x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The arrays f(x) and their coordinate partials from one fd_partials of
-    their concatenation: parts[i][mu] = d_mu of f(x)[i]."""
-    vals = f(x)
-    d = fd_partials(lambda y: np.concatenate([v.ravel() for v in f(y)]), chart, x)
-    cuts = np.cumsum([v.size for v in vals])[:-1]
-    return vals, [p.reshape((chart.dim,) + v.shape)
-                  for v, p in zip(vals, np.split(d, cuts, axis=1))]
-
-
-def _frame_actions(model: TotalSpaceModel, x: np.ndarray,
+def _frame_actions(model: TotalSpaceModel, G: np.ndarray, av: np.ndarray,
                    E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Connection matrices at x along each frame vector E_c: Gamma(E_c) on
-    base vectors and ad(a(E_c)) on algebra elements."""
-    gc = np.einsum("kmj,mc->ckj", model.gamma.at(x), E)
-    adc = np.einsum("eij,mi,mc->cej", model.algebra.structure, model.a.at(x), E)
+    """Connection matrices along each frame vector E_c, from the connection
+    coefficients G and form rows av at a point: Gamma(E_c) on base vectors
+    and ad(a(E_c)) on algebra elements."""
+    gc = np.einsum("kmj,mc->ckj", G, E)
+    adc = np.einsum("eij,mi,mc->cej", model.algebra.structure, av, E)
     return gc, adc
 
 
@@ -384,28 +374,15 @@ def _slot_terms(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_tables(model: TotalSpaceModel, y: np.ndarray,
-                  alpha: TensorFieldSpec | None = None) -> list[np.ndarray]:
-    """The orthonormal frame E at y, the curvature form F and the curvature
-    R, and the case tables on E: HT[:, a, b] = T(E_a, E_b),
-    NF[:, a, b] = F(E_a, E_b) and HR[:, a, b, c] = R(E_a, E_b) E_c; given a
-    shift form alpha, also its values alpha(E_b) on the lifts, SH[:, b]."""
-    E = ortho_frame(model.g, y).frame
-    t = torsion(model.gamma, y).data
-    f = curvature_form(model.a, y).data
-    r = curvature(model.gamma, y).data
-    tables = [E, f, r, np.einsum("kij,ia,jb->kab", t, E, E),
-              np.einsum("ijc,ia,jb->cab", f, E, E),
-              np.einsum("lkij,ia,jb,kc->labc", r, E, E, E)]
-    if alpha is not None:
-        tables.append(alpha.at(y).data.T @ E)
-    return tables
+def _with_partials(t: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """The value of a first-order jet and its partials, out[mu] = d_mu."""
+    return t.value, shift(t).value
 
 
 def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
                      alpha: TensorFieldSpec | None = None) -> dict[str, float]:
-    """Every total-space residual at x from one frame and one FD sweep of
-    the frame tables: the hypotheses nabla_R, nabla_T and nabla_F; the norms
+    """Every total-space residual at x from first-order jets of one frame
+    and of the frame tables: the hypotheses nabla_R, nabla_T and nabla_F; the norms
     nabla_bar_T of del-bar T-bar over all frame triples and nabla_bar_R of
     del-bar R-bar over (frame, lift, lift, frame) tuples, as the per-tuple
     case tables define them; and, given the shift form alpha, alpha_parallel
@@ -416,24 +393,29 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
     The other tuples are exact zeros of the case tables, and so is the
     fundamental/lift/lift/fundamental case of R-bar: its derivative
     [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
-    vals, parts = _with_partials(lambda y: _frame_tables(model, y, alpha), model.chart, x)
-    (E, f, r, ht, nf, hr), (dE, df, dr, dht, dnf, dhr) = vals[:6], parts[:6]
-    gamma, lie = model.gamma, model.a.ad_at
-    fr = ortho_frame(model.g, x)
+    frame, coframe = frame_jet(model.g, x, 1)
+    t = torsion_field(model.gamma).jet_at(x, 1)
+    f = curvature_form_field(model.a).jet_at(x, 1)
+    r = curvature_field(model.gamma).jet_at(x, 1)
+    G, av, lie = model.gamma.at(x), model.a.at(x), model.a.ad_at(x)
+    fr = OrthoFrame(x, frame.value, coframe.value)
 
-    def frame_norm(t: DenseTensor) -> float:
-        return to_frame(t, fr).norm()
+    def frame_norm(t: Jet, markers: tuple[str, ...], lie=None) -> float:
+        d = nabla(t, markers, G, lie).value
+        return to_frame(DenseTensor((DOWN,) + markers, d), fr).norm()
 
     out = {
-        "nabla_R": frame_norm(covariant_derivative_of(
-            gamma, DenseTensor((UP, DOWN, DOWN, DOWN), r), dr, x)),
-        "nabla_T": frame_norm(covariant_derivative(gamma, torsion_field(gamma), x)),
-        "nabla_F": frame_norm(covariant_derivative_of(
-            gamma, DenseTensor((DOWN, DOWN, LIE), f), df, x, lie)),
+        "nabla_R": frame_norm(r, (UP, DOWN, DOWN, DOWN)),
+        "nabla_T": frame_norm(t, (UP, DOWN, DOWN)),
+        "nabla_F": frame_norm(f, (DOWN, DOWN, LIE), lie),
     }
+    E, dE = _with_partials(frame)
+    ht, dht = _with_partials(jet.einsum("kij,ia,jb->kab", t, frame, frame))
+    nf, dnf = _with_partials(jet.einsum("ijc,ia,jb->cab", f, frame, frame))
+    hr, dhr = _with_partials(jet.einsum("lkij,ia,jb,kc->labc", r, frame, frame, frame))
     vc = _vertical_coframe(model)
     cm = np.linalg.inv(vc)  # columns C_i: the fundamental frame elements
-    gc, adc = _frame_actions(model, x, E)
+    gc, adc = _frame_actions(model, G, av, E)
     dframe = _along_frame(E, gc, E, dE)
     w = fr.coframe @ dframe  # del_{E_c} E_b = w[c, p, b] E_p
     # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
@@ -457,9 +439,11 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
                                        + norm2(vc, jacobi)))
     out["nabla_bar_R"] = float(np.sqrt(norm2(fr.coframe, r_h) + norm2(vc, r_v)))
     if alpha is not None:
-        out["alpha_parallel"] = frame_norm(covariant_derivative(gamma, alpha, x, lie))
+        al = alpha.jet_at(x, 1)
+        out["alpha_parallel"] = frame_norm(al, (DOWN, LIE), lie)
         # the shifts alpha(E_b) of the lifts, differentiated along each E_c
-        resid = _along_frame(E, adc, vals[6], parts[6]) - alpha.at(x).data.T @ dframe
+        sh, dsh = _with_partials(jet.einsum("ic,ib->cb", al, frame))
+        resid = _along_frame(E, adc, sh, dsh) - al.value.T @ dframe
         out["distribution"] = nan_max(
             np.linalg.norm(np.tensordot(vc, resid, axes=(1, 1)), axis=0).ravel())
     return out
@@ -482,7 +466,7 @@ def _check(model: TotalSpaceModel, a0: LocalConnectionForm | None,
 def total_space_check(model: TotalSpaceModel, a0: LocalConnectionForm,
                       points: np.ndarray, fixture: str = "") -> VerificationReport:
     """Both total-space criteria, bar_parallelism_check's and
-    distribution_parallel_check's, from one FD sweep per point."""
+    distribution_parallel_check's, from one set of jets per point."""
     return _check(model, a0, points, fixture)
 
 

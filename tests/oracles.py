@@ -5,9 +5,10 @@ package; the parallel-transport oracle integrates the transport ODE with
 scipy.  Oracle callables are built once per metric and cached.
 
 The moving-frame structure functions and torsion pin the torsion of the
-canonical connection. The adapted gauge form with a stabilizer chain built
-wherever it is evaluated, FD stencil points included, and its residuals by
-nested FD are the reference for ``homogeneity.adapted_residuals``.
+canonical connection. The derivative tower by nested central finite
+differences (FD), and the adapted gauge form with a stabilizer chain built
+wherever it is evaluated, FD stencil points included, with its residuals by
+FD, are the reference for ``homogeneity.adapted_residuals``.
 
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
@@ -24,28 +25,32 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import solve_ivp
 
-from ambrose.bundle_conn import LocalConnectionForm, curvature_form, form_difference
+from ambrose import jet
+from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form
 from ambrose.chart_calculus import (
+    Chart,
     ConnectionCoeffs,
     FrameFieldConnection,
     MetricField,
-    TensorFieldSpec,
-    covariant_derivative,
-    fd_partials,
+    fd_array,
     ortho_frame,
-    torsion,
+    torsion_field,
 )
 from ambrose.errors import NotInvariant, NotReductive, NumericalFailure, UnsupportedFieldKind
 from ambrose.homogeneity import (
     build_tower,
-    derivative_fields,
     frame_gauge_form,
     opozda_section_spec,
     stabilizer_chain,
     with_adjoint_rep,
 )
-from ambrose.lie_core import default_inner, frame_structure_rep, reductive_complement
-from ambrose.tensor_core import to_frame
+from ambrose.lie_core import (
+    default_inner,
+    frame_structure_rep,
+    reductive_complement,
+    tensor_action,
+)
+from ambrose.tensor_core import DOWN, LIE, DenseTensor, axis_action, to_frame
 from ambrose.total_space import (
     ADJOINT,
     FUNDAMENTAL,
@@ -61,61 +66,26 @@ from ambrose.total_space import (
 
 
 def _christoffel_exprs(g: sp.Matrix, coords: tuple[sp.Symbol, ...]):
-    n = len(coords)
-    ginv = g.inv()
-    gam = [[[sp.S.Zero] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                expr = sp.S.Zero
-                for l in range(n):
-                    expr += ginv[k, l] * (
-                        sp.diff(g[j, l], coords[i])
-                        + sp.diff(g[i, l], coords[j])
-                        - sp.diff(g[i, j], coords[l])
-                    )
-                gam[k][i][j] = sp.together(expr / 2)
-    return gam
+    r = range(len(coords))
+    # the adjugate over the simplified determinant: sympy's inv() of the
+    # Berger metric takes seconds
+    ginv = g.adjugate() / sp.trigsimp(sp.factor(g.det()))
+    d = [g.diff(c) for c in coords]  # d[m][i, j] = d_m g_ij
+    return [[[sp.together(sum(ginv[k, l] * (d[i][j, l] + d[j][i, l] - d[l][i, j])
+                              for l in r) / 2) for j in r] for i in r] for k in r]
 
 
 def _riemann_exprs(gam, coords):
     """R[l][k][i][j] matching the convention R(e_i, e_j) e_k = R^l_k{ij} e_l."""
-    n = len(coords)
-    out = [
-        [[[sp.S.Zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)
-    ]
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    expr = sp.diff(gam[l][j][k], coords[i]) - sp.diff(
-                        gam[l][i][k], coords[j]
-                    )
-                    for m in range(n):
-                        expr += gam[l][i][m] * gam[m][j][k]
-                        expr -= gam[l][j][m] * gam[m][i][k]
-                    out[l][k][i][j] = expr
-    return out
+    r = range(len(coords))
+    return [[[[sp.diff(gam[l][j][k], coords[i]) - sp.diff(gam[l][i][k], coords[j])
+               + sum(gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in r)
+               for j in r] for i in r] for k in r] for l in r]
 
 
-def _lambdify_nested(exprs, coords, shape):
-    flat = []
-
-    def collect(node):
-        if isinstance(node, list):
-            for item in node:
-                collect(item)
-        else:
-            flat.append(node)
-
-    collect(exprs)
-    fn = sp.lambdify(coords, flat, "numpy")
-
-    def call(x):
-        vals = fn(*np.asarray(x, float))
-        return np.array(vals, float).reshape(shape)
-
-    return call
+def _lambdify_nested(exprs, coords):
+    fn = sp.lambdify(coords, exprs, "numpy")
+    return lambda x: np.array(fn(*np.asarray(x, float)), float)
 
 
 def _metric_matrix(name: str, params: tuple, coords):
@@ -151,11 +121,7 @@ def symbolic_geometry(name: str, params: tuple = ()):
     g = _metric_matrix(name, params, coords)
     gam = _christoffel_exprs(g, coords)
     rie = _riemann_exprs(gam, coords)
-    n = dim
-    return (
-        _lambdify_nested(gam, coords, (n, n, n)),
-        _lambdify_nested(rie, coords, (n, n, n, n)),
-    )
+    return _lambdify_nested(gam, coords), _lambdify_nested(rie, coords)
 
 
 def transport_holonomy_angle(gamma_at, g_at, loop, span=(0.0, 1.0)) -> float:
@@ -179,11 +145,26 @@ def transport_holonomy_angle(gamma_at, g_at, loop, span=(0.0, 1.0)) -> float:
     return float(np.arctan2(h1[1], h1[0]) - np.arctan2(h0[1], h0[0]))
 
 
+def fd_partials(f, chart: Chart, x: np.ndarray) -> np.ndarray:
+    """Every coordinate partial of an array-valued callable by fd_array,
+    stacked on a leading axis."""
+    return np.stack([fd_array(f, chart, x, mu) for mu in range(chart.dim)])
+
+
+def stacked_action_loop(tensors, rep) -> np.ndarray:
+    """The stacked action matrix one generator at a time: column j stacks
+    tensor_action of basis element j on every tensor."""
+    cols = [np.concatenate([tensor_action(e, t, rep).components for t in tensors])
+            for e in np.eye(rep.algebra.dim)]
+    return np.stack(cols, axis=1)
+
+
 def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
     """c[k, i, j] with [e_i, e_j] = c[k, i, j] e_k for the moving frame."""
     x = np.asarray(x, float)
     E = conn.frame_at(x)
-    a = np.einsum("mkn,mi,nj->kij", conn.coframe_partial_at(x), E, E)
+    dth = jet.shift(conn.coframe(jet.variables(x, 1))).value
+    a = np.einsum("mkn,mi,nj->kij", dth, E, E)
     return -(a - a.swapaxes(1, 2))
 
 
@@ -194,39 +175,39 @@ def frame_torsion(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
     return gam - gam.swapaxes(1, 2) - frame_structure_functions(conn, x)
 
 
-def frame_expressed_field(t: TensorFieldSpec, g: MetricField) -> TensorFieldSpec:
-    """Re-express a coordinate tensor field in the moving Cholesky frame."""
-    return TensorFieldSpec(
-        chart=t.chart,
-        markers=t.markers,
-        evaluator=lambda x: to_frame(t.at(x), ortho_frame(g, x)),
-    )
+def fd_tower(sigma: SectionSpec, gamma: ConnectionCoeffs, kmax: int):
+    """(markers, x -> array) for sigma and its first kmax iterated covariant
+    derivatives, each level the FD of the one below."""
+
+    def nabla_fd(f, markers):
+        return lambda x: fd_partials(f, sigma.chart, x) + axis_action(
+            markers, f(x), gamma.at(x).transpose(1, 0, 2), None)
+
+    level = [(f.markers, lambda x, f=f: f.at(x).data) for f in sigma.fields]
+    out = list(level)
+    for _ in range(kmax):
+        level = [((DOWN,) + m, nabla_fd(f, m)) for m, f in level]
+        out.extend(level)
+    return out
 
 
-def gauge_connection(b: LocalConnectionForm, rep):
-    """A gauge form as connection matrices for covariant_derivative: rep's
-    vector matrices of b_mu as coefficients, its lie matrices on lie axes."""
-    coeffs = ConnectionCoeffs(
-        chart=b.chart,
-        evaluator=lambda x: np.stack([rep.vector.matrix(v) for v in b.at(x)], axis=1),
-    )
-    if rep.lie is None:
-        return coeffs, None
-    return coeffs, lambda x: np.stack([rep.lie.matrix(v) for v in b.at(x)])
+def frame_expressed(f, markers, g: MetricField):
+    """x -> the callable coordinate field f re-expressed in the Cholesky frame."""
+    return lambda x: to_frame(DenseTensor(markers, f(x)), ortho_frame(g, x)).data
 
 
-def field_gauge_residual(b: LocalConnectionForm, rep, t_hat: TensorFieldSpec,
-                         g: MetricField, x: np.ndarray) -> float:
-    """Frame-invariant norm of the gauge-covariant derivative d + action(b_mu)
-    of a frame-expressed field at x, its partials by FD."""
-    gamma, lie = gauge_connection(b, rep)
-    d = covariant_derivative(gamma, t_hat, x, lie)
-    return float(np.linalg.norm(np.tensordot(ortho_frame(g, x).frame, d.data, axes=(0, 0))))
+def gauge_derivative(b, rep, t_hat, markers, chart: Chart, x: np.ndarray) -> np.ndarray:
+    """The gauge-covariant derivative d_mu t_hat + b(x)_mu . t_hat of a
+    frame-expressed callable field, its partials by FD."""
+    bx = b(x)
+    lie = None if rep.lie is None else np.einsum("mi,iab->mab", bx, rep.lie.matrices)
+    act = axis_action(markers, t_hat(x), np.einsum("mi,iab->mab", bx, rep.vector.matrices), lie)
+    return fd_partials(t_hat, chart, x) + act
 
 
 def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
-                       chain_field, inner) -> LocalConnectionForm:
-    """b = b0 + component of (b' - b0) in the invariant complement of the
+                       chain_field, inner):
+    """x -> b0 + component of (b' - b0) in the invariant complement of the
     stabilizer h = bases[singer_k + 1] of chain_field(x), at every point
     it is evaluated at."""
 
@@ -244,14 +225,14 @@ def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
         proj = h @ np.linalg.solve(h.T @ m @ h, h.T @ m)
         return b0.at(x) + beta - beta @ proj.T
 
-    return LocalConnectionForm(chart=b0.chart, algebra=b0.algebra, evaluator=ev)
+    return ev
 
 
 def stencil_adapt(fix, singer_k: int, b_prime: LocalConnectionForm | None = None):
-    """The adapted form of b_prime (the canonical connection's frame gauge
-    form by default) to the Levi-Civita one, with each h read off a tower of
-    depth singer_k + 1 built where the form is evaluated, FD stencil points
-    included, and memoized per point. Returns (b, b0, rep)."""
+    """The adapted form x -> b(x) of b_prime (the canonical connection's
+    frame gauge form by default) to the Levi-Civita one, with each h read
+    off a tower of depth singer_k + 1 built where the form is evaluated, FD
+    stencil points included, and memoized per point. Returns (b, b0, rep)."""
     rep = frame_structure_rep(fix.chart.dim)
     inner = default_inner(rep.algebra)
     b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
@@ -276,12 +257,15 @@ def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int,
     """(nabla_beta, nabla_tower) at x from stencil_adapt's form: every
     frame-expressed field differenced by FD, the tower fields nested."""
     b, b0, rep = stencil_adapt(fix, singer_k, b_prime)
-    beta_hat = frame_expressed_field(form_difference(b, b0), fix.g)
-    shift = field_gauge_residual(b, with_adjoint_rep(rep), beta_hat, fix.g, x)
-    levels = derivative_fields(opozda_section_spec(fix.gamma), None, fix.gamma, singer_k + 1)
-    tower = max(field_gauge_residual(b, rep, frame_expressed_field(f, fix.g), fix.g, x)
-                for level in levels for f in level)
-    return shift, tower
+
+    def norm(rep, t_hat, markers):
+        d = gauge_derivative(b, rep, t_hat, markers, fix.chart, x)
+        return float(np.linalg.norm(np.tensordot(ortho_frame(fix.g, x).frame, d, axes=(0, 0))))
+
+    shift = norm(with_adjoint_rep(rep),
+                 lambda y: ortho_frame(fix.g, y).frame.T @ (b(y) - b0.at(y)), (DOWN, LIE))
+    levels = fd_tower(opozda_section_spec(fix.gamma), fix.gamma, singer_k + 1)
+    return shift, max(norm(rep, frame_expressed(f, m, fix.g), m) for m, f in levels)
 
 
 def lift(payload) -> GeneratedField:
@@ -303,7 +287,7 @@ def bar_torsion(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
     x = np.asarray(x, float)
     if u.kind == LIFT and v.kind == LIFT:
         xv, yv = u.at(x), v.at(x)
-        t = torsion(model.gamma, x).data
+        t = torsion_field(model.gamma).at(x).data
         f = curvature_form(model.a, x).data
         return TotalVector(np.einsum("kij,i,j->k", t, xv, yv),
                            np.einsum("ijc,i,j->c", f, xv, yv))

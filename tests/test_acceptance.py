@@ -18,13 +18,12 @@ from ambrose.chart_calculus import (
     Chart,
     ConnectionCoeffs,
     TensorFieldSpec,
-    covariant_derivative_field,
+    covariant_derivative,
     curvature,
     curvature_field,
     fd_array,
     ortho_frame,
     sample_interior,
-    torsion,
     torsion_field,
 )
 from ambrose.fixtures import fixture_names, instantiate
@@ -39,7 +38,7 @@ from ambrose.homogeneity import (
     tower_and_chain,
 )
 from ambrose.lie_core import frame_structure_rep, principal_angles
-from ambrose.tensor_core import DOWN, DenseTensor, to_frame
+from ambrose.tensor_core import DOWN, to_frame
 from ambrose.total_space import (
     TotalSpaceModel,
     bar_parallelism_check,
@@ -55,16 +54,12 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _metric_field(g) -> TensorFieldSpec:
-    return TensorFieldSpec(
-        chart=g.chart,
-        markers=(DOWN, DOWN),
-        evaluator=lambda x: DenseTensor((DOWN, DOWN), g.at(x)),
-        partial_evaluator=g.partial_at,
-    )
+    return TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
 
 
-def _frame_norm(field: TensorFieldSpec, g, x: np.ndarray) -> float:
-    return to_frame(field.at(x), ortho_frame(g, x)).norm()
+def _nabla_frame_norm(gamma: ConnectionCoeffs, field: TensorFieldSpec, g,
+                      x: np.ndarray) -> float:
+    return to_frame(covariant_derivative(gamma, field, x), ortho_frame(g, x)).norm()
 
 
 def _cfg(scenario: str, fixture: str, params=None, points=8, seed=42):
@@ -82,14 +77,14 @@ def test_criterion_01_calculus_layer():
         ("flat_torus", {}),
     ):
         fix = instantiate(name, params)
-        dg = covariant_derivative_field(fix.gamma, _metric_field(fix.g))
+        g_field = _metric_field(fix.g)
         for x in sample_interior(fix.chart, 4, seed=1):
             worst = max(
                 worst,
                 float(np.abs(fix.gamma.at(x)).max()),
                 curvature(fix.gamma, x).norm(),
-                torsion(fix.gamma, x).norm(),
-                dg.at(x).norm(),
+                torsion_field(fix.gamma).at(x).norm(),
+                covariant_derivative(fix.gamma, g_field, x).norm(),
             )
     sphere = instantiate("round_sphere2", {})
     x = np.array([np.pi / 2, 2.0])
@@ -159,9 +154,8 @@ def test_criterion_03_identity_suite():
 
 def test_criterion_04_parallel_curvature_instances():
     def dfield_norm(fix, gamma: ConnectionCoeffs, inner) -> float:
-        field = covariant_derivative_field(gamma, inner)
         return max(
-            _frame_norm(field, fix.g, x)
+            _nabla_frame_norm(gamma, inner, fix.g, x)
             for x in sample_interior(fix.chart, 4, seed=3)
         )
 

@@ -4,29 +4,28 @@ torsion, and moving-frame connections, pinned against symbolic oracles."""
 import numpy as np
 import pytest
 
+from ambrose import jet
 from ambrose.chart_calculus import (
     Chart,
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
-    christoffel,
     christoffel_partial,
     covariant_derivative,
-    covariant_derivative_field,
     curvature,
     fd_array,
     frame_connection_field,
-    frame_to_coordinate,
     levi_civita,
+    nabla,
     ortho_frame,
     ortho_frame_partial,
     sample_interior,
     scrambled_halton,
-    torsion,
+    torsion_field,
 )
 from ambrose.errors import BadParameters, DegenerateMetric, OutOfDomain
 from ambrose.fixtures import instantiate
-from ambrose.tensor_core import DOWN, UP, DenseTensor
+from ambrose.tensor_core import DOWN, UP
 
 from oracles import (
     frame_structure_functions,
@@ -132,7 +131,7 @@ class TestLeviCivitaAgainstOracle:
         fix = instantiate(name, params)
         gam_oracle, _ = symbolic_geometry(*oracle_key)
         for x in sample_interior(fix.chart, 6, seed=5):
-            assert np.abs(christoffel(fix.g, x) - gam_oracle(x)).max() < 1e-11
+            assert np.abs(fix.gamma.at(x) - gam_oracle(x)).max() < 1e-11
 
     @pytest.mark.parametrize("name,params,oracle_key", ORACLE_CASES)
     def test_curvature(self, name, params, oracle_key):
@@ -146,7 +145,7 @@ class TestLeviCivitaAgainstOracle:
         x = np.array([1.1, 2.0])
         for mu in range(2):
             d = christoffel_partial(fix.g, x)[1][mu]
-            fd = fd_array(lambda p: christoffel(fix.g, p), fix.chart, x, mu)
+            fd = fd_array(fix.gamma.at, fix.chart, x, mu)
             assert np.abs(d - fd).max() < 1e-9
 
     def test_curvature_evaluates_the_metric_once(self):
@@ -154,12 +153,11 @@ class TestLeviCivitaAgainstOracle:
         fix = instantiate("berger_sphere", {})
         calls = []
 
-        def ev(x):
-            calls.append(x)
-            return fix.g.at(x)
+        def ev(X):
+            calls.append(X)
+            return fix.g.evaluator(X)
 
-        g = MetricField(chart=fix.chart, evaluator=ev, partial_evaluator=fix.g.partial_at,
-                        second_partial_evaluator=fix.g.second_partial_at)
+        g = MetricField(chart=fix.chart, evaluator=ev)
         x = np.array([1.5, 1.3, 3.1])
         assert np.array_equal(curvature(levi_civita(g), x).data,
                               curvature(fix.gamma, x).data)
@@ -183,7 +181,7 @@ class TestLeviCivitaAgainstOracle:
             lambda t: np.array([0.0, 2 * np.pi]),
         )
         angle = transport_holonomy_angle(
-            lambda x: christoffel(fix.g, x), fix.g.at, loop
+            fix.gamma.at, fix.g.at, loop
         )
         expected = -2 * np.pi * np.cos(theta0)
         expected = np.mod(expected + np.pi, 2 * np.pi) - np.pi
@@ -194,12 +192,8 @@ class TestCovariantDerivative:
     def test_metric_is_parallel(self):
         for name in ("round_sphere2", "hyperbolic_plane", "berger_sphere"):
             fix = instantiate(name, {})
-            g_field = TensorFieldSpec(
-                chart=fix.chart,
-                markers=(DOWN, DOWN),
-                evaluator=lambda x, g=fix.g: DenseTensor((DOWN, DOWN), g.at(x)),
-                partial_evaluator=fix.g.partial_at,
-            )
+            g_field = TensorFieldSpec(chart=fix.chart, markers=(DOWN, DOWN),
+                                      evaluator=fix.g.evaluator)
             for x in sample_interior(fix.chart, 4, seed=8):
                 dg = covariant_derivative(fix.gamma, g_field, x)
                 assert dg.norm() < 1e-12
@@ -207,58 +201,45 @@ class TestCovariantDerivative:
     def test_product_rule_on_scaled_vector(self):
         fix = instantiate("round_sphere2", {})
 
-        def f(x):
-            return np.sin(x[0]) * np.cos(x[1])
+        def f(X):
+            return jet.sin(X[0]) * jet.cos(X[1])
 
-        def v(x):
-            return np.array([np.cos(x[1]), np.sin(x[0])])
+        def v(X):
+            return jet.array([jet.cos(X[1]), jet.sin(X[0])])
 
-        vf = TensorFieldSpec(
-            chart=fix.chart,
-            markers=(UP,),
-            evaluator=lambda x: DenseTensor((UP,), v(x)),
-        )
-        fvf = TensorFieldSpec(
-            chart=fix.chart,
-            markers=(UP,),
-            evaluator=lambda x: DenseTensor((UP,), f(x) * v(x)),
-        )
+        vf = TensorFieldSpec(chart=fix.chart, markers=(UP,), evaluator=v)
+        fvf = TensorFieldSpec(chart=fix.chart, markers=(UP,), evaluator=lambda X: f(X) * v(X))
         x = np.array([1.2, 3.0])
         lhs = covariant_derivative(fix.gamma, fvf, x).data
         df = np.array(
             [np.cos(x[0]) * np.cos(x[1]), -np.sin(x[0]) * np.sin(x[1])]
         )
-        rhs = np.outer(df, v(x)) + f(x) * covariant_derivative(fix.gamma, vf, x).data
-        assert np.abs(lhs - rhs).max() < 1e-9
+        fx, vx = np.sin(x[0]) * np.cos(x[1]), np.array([np.cos(x[1]), np.sin(x[0])])
+        rhs = np.outer(df, vx) + fx * covariant_derivative(fix.gamma, vf, x).data
+        assert np.abs(lhs - rhs).max() < 1e-14
 
     def test_second_derivative_commutator_is_curvature(self):
         """(del_i del_j - del_j del_i) v = R(e_i, e_j) v for torsion-free gamma."""
         fix = instantiate("hyperbolic_plane", {})
 
-        def v(x):
-            return np.array([np.sin(x[0] + x[1]), x[1] ** 2])
+        def v(X):
+            return jet.array([jet.sin(X[0] + X[1]), X[1] ** 2])
 
-        vf = TensorFieldSpec(
-            chart=fix.chart,
-            markers=(UP,),
-            evaluator=lambda x: DenseTensor((UP,), v(x)),
-        )
-        ddv_field = covariant_derivative_field(
-            fix.gamma, covariant_derivative_field(fix.gamma, vf)
-        )
         x = np.array([0.2, 1.3])
-        ddv = ddv_field.at(x).data  # axes (i, j, k): del_i del_j v^k
+        G = fix.gamma.jet_at(x, 1)
+        dv = nabla(v(jet.variables(x, 2)), (UP,), G)
+        ddv = nabla(dv, (DOWN, UP), G).value  # axes (i, j, k): del_i del_j v^k
         comm = ddv - ddv.swapaxes(0, 1)
         r = curvature(fix.gamma, x).data
-        expect = np.einsum("lkij,k->ijl", r, v(x))
-        assert np.abs(comm - expect).max() < 1e-7
+        expect = np.einsum("lkij,k->ijl", r, v(jet.variables(x, 0)).value)
+        assert np.abs(comm - expect).max() < 1e-12
 
 
 class TestTorsionAndFrames:
     def test_levi_civita_torsion_free(self):
         fix = instantiate("berger_sphere", {})
         for x in sample_interior(fix.chart, 4, seed=9):
-            assert torsion(fix.gamma, x).norm() < 1e-12
+            assert torsion_field(fix.gamma).at(x).norm() < 1e-12
 
     def test_su2_frame_structure_functions(self):
         """[e_i, e_j] = 2 eps_ijk e_k for the left-invariant frame."""
@@ -279,8 +260,8 @@ class TestTorsionAndFrames:
         t = frame_torsion(fix.frame_conn, x)
         assert t[2, 0, 1] == pytest.approx(-2.0, abs=1e-12)
         assert t[2, 1, 0] == pytest.approx(2.0, abs=1e-12)
-        th, E = fix.frame_conn.coframe_at(x), fix.frame_conn.frame_at(x)
-        coord = torsion(fix.gamma_canonical, x).data
+        th, E = fix.frame_conn.coframe(jet.variables(x, 0)).value, fix.frame_conn.frame_at(x)
+        coord = torsion_field(fix.gamma_canonical).at(x).data
         assert np.abs(np.einsum("kl,lmn,mi,nj->kij", th, coord, E, E) - t).max() < 1e-12
 
     def test_canonical_connection_parallelizes_the_frame(self):
@@ -303,7 +284,7 @@ class TestTorsionAndFrames:
         gamma_c = fix.gamma_canonical
         x = np.array([1.5, 1.3, 3.1])
         for mu in range(3):
-            fd = fd_array(lambda p: frame_to_coordinate(fix.frame_conn, p),
+            fd = fd_array(frame_connection_field(fix.frame_conn).at,
                           fix.chart, x, mu)
             assert np.abs(gamma_c.partial_at(x)[mu] - fd).max() < 1e-8
 
@@ -331,8 +312,7 @@ class TestTorsionAndFrames:
         g[0, 1] = entry
         if not np.isfinite(entry):
             g[1, 0] = entry
-        metric = MetricField(chart, lambda x: g, lambda x: np.zeros((2, 2, 2)),
-                             lambda x: np.zeros((2, 2, 2, 2)))
+        metric = MetricField(chart, lambda X: X.lift(g))
         with pytest.raises(DegenerateMetric):
             metric.at(np.zeros(2))
 
@@ -343,7 +323,7 @@ class TestTorsionAndFrames:
         coeffs[0, 0, 1] = entry
         if not np.isfinite(entry):
             coeffs[0, 1, 0] = entry
-        conn = ConnectionCoeffs(chart=chart, evaluator=lambda x: coeffs,
+        conn = ConnectionCoeffs(chart=chart, evaluator=lambda X: X.lift(coeffs),
                                 symmetric_flag=True)
         with pytest.raises(BadParameters):
             conn.at(np.zeros(2))
@@ -353,7 +333,7 @@ class TestTorsionAndFrames:
         bad = np.zeros((2, 2, 2))
         bad[0, 0, 1] = 1.0
         conn = ConnectionCoeffs(
-            chart=chart, evaluator=lambda x: bad, symmetric_flag=True
+            chart=chart, evaluator=lambda X: X.lift(bad), symmetric_flag=True
         )
         with pytest.raises(BadParameters):
             conn.at(np.zeros(2))

@@ -321,10 +321,14 @@ class TestMainExitCodes:
         ("identities", "euclidean", "n=2.5"),
         ("singer", "round_sphere2", "radius=abc"),
         ("singer", "round_sphere2", "radius=inf"),
+        ("identities", "trivial_bundle_flat", "algebra=5"),
+        ("identities", "trivial_bundle_flat", "algebra=su(2)+su(2)+su(2)"),
     ])
     def test_bad_fixture_parameter_exits_two(self, scenario, fixture, param, capsys):
         """A fixture parameter that is not a finite number, or not a whole
-        one where the fixture needs an integer, is a configuration error."""
+        one where the fixture needs an integer, is a configuration error;
+        so is an algebra that is not a name, or a sum past
+        fixtures.MAX_ALGEBRA_DIM."""
         code = cli.main(["--scenario", scenario, "--fixture", fixture,
                          "--param", param, "--points", "1"])
         captured = capsys.readouterr()

@@ -1,12 +1,15 @@
-"""Tests for the fixture catalog: parameter validation, analytic metric
-partials, frame data, bundle data, and the seeded smooth-field helpers."""
+"""Tests for the fixture catalog: parameter validation, jet partials of the
+metrics and coframes against finite differences, frame data, bundle data,
+and the seeded smooth-field helpers."""
 
 import numpy as np
 import pytest
 
+from ambrose import jet
 from ambrose.chart_calculus import curvature, fd_array, ortho_frame, sample_interior
 from ambrose.errors import BadParameters, UnknownFixture
 from ambrose.fixtures import (
+    MAX_ALGEBRA_DIM,
     fixture_names,
     instantiate,
     smooth_connection_form,
@@ -78,40 +81,63 @@ METRIC_CASES = [
 ]
 
 
+def partials(j, times=1):
+    """The partials of a jet's value, ``times`` deep, leading axes first."""
+    for _ in range(times):
+        j = jet.shift(j)
+    return j.value
+
+
 class TestAnalyticPartials:
     @pytest.mark.parametrize("name,params", METRIC_CASES)
     def test_metric_partial_matches_fd(self, name, params):
         fx = instantiate(name, params)
         for x in sample_interior(fx.chart, 3, seed=1):
+            dg = partials(fx.g.jet_at(x, 1))
             for mu in range(fx.chart.dim):
                 fd = fd_array(fx.g.at, fx.chart, x, mu)
                 # the hyperbolic metric has large high-order derivatives near
                 # the chart floor, so allow ordinary FD truncation error
-                assert np.abs(fx.g.partial_at(x)[mu] - fd).max() < 1e-7
+                assert np.abs(dg[mu] - fd).max() < 1e-7
 
     @pytest.mark.parametrize("name,params", METRIC_CASES)
     def test_metric_second_partial_matches_fd(self, name, params):
         fx = instantiate(name, params)
         x = sample_interior(fx.chart, 1, seed=2)[0]
+        ddg = partials(fx.g.jet_at(x, 2), 2)
         for mu in range(fx.chart.dim):
             for nu in range(fx.chart.dim):
                 fd = fd_array(
-                    lambda p, m=mu: fx.g.partial_at(p)[m], fx.chart, x, nu
+                    lambda p, m=mu: partials(fx.g.jet_at(p, 1))[m], fx.chart, x, nu
                 )
-                assert np.abs(fx.g.second_partial_at(x)[mu, nu] - fd).max() < 1e-8
+                assert np.abs(ddg[nu, mu] - fd).max() < 1e-8
+
+    @pytest.mark.parametrize("name,params", METRIC_CASES)
+    def test_metric_third_partial_matches_fd(self, name, params):
+        """The jet's third partials, which the deep towers read, against the
+        FD of its second ones."""
+        fx = instantiate(name, params)
+        x = sample_interior(fx.chart, 1, seed=2)[0]
+        d3g = partials(fx.g.jet_at(x, 3), 3)
+        for mu in range(fx.chart.dim):
+            fd = fd_array(lambda p: partials(fx.g.jet_at(p, 2), 2), fx.chart, x, mu)
+            assert np.abs(d3g[mu] - fd).max() < 1e-7
 
     def test_coframe_partials_match_fd(self):
         fx = instantiate("berger_sphere", {"lam": 2.0})
         fc = fx.frame_conn
         x = sample_interior(fx.chart, 1, seed=3)[0]
-        second = fc.coframe_second(x)
-        assert np.array_equal(second, second.swapaxes(0, 1))
+
+        def coframe_partials(p, times):
+            return partials(fc.coframe(jet.variables(p, times)), times)
+
+        second = coframe_partials(x, 2)
+        assert np.abs(second - second.swapaxes(0, 1)).max() < 1e-15
         for mu in range(3):
-            fd = fd_array(fc.coframe_at, fx.chart, x, mu)
-            assert np.abs(fc.coframe_partial_at(x)[mu] - fd).max() < 1e-9
+            fd = fd_array(lambda p: fc.coframe(jet.variables(p, 0)).value, fx.chart, x, mu)
+            assert np.abs(coframe_partials(x, 1)[mu] - fd).max() < 1e-9
             for nu in range(3):
-                fd = fd_array(lambda p, n=nu: fc.coframe_partial_at(p)[n],
-                              fx.chart, x, mu)
+                fd = fd_array(lambda p, n=nu: coframe_partials(p, 1)[n], fx.chart, x, mu)
                 assert np.abs(second[mu, nu] - fd).max() < 1e-8
 
 
@@ -147,7 +173,7 @@ class TestBundleData:
         x = np.array([1.1, 2.3])
         for mu in range(2):
             fd = fd_array(fx.a0.at, fx.chart, x, mu)
-            assert np.abs(fx.a0.partial_at(x)[mu] - fd).max() < 1e-10
+            assert np.abs(partials(fx.a0.jet_at(x, 1))[mu] - fd).max() < 1e-10
 
     def test_parallel_shift_only_for_unit_charge(self):
         assert instantiate("hopf_monopole", {"charge": 1}).alpha_parallel is not None
@@ -169,6 +195,15 @@ class TestBundleData:
         fx = instantiate("trivial_bundle_flat", {"algebra": "so(3)"})
         assert fx.algebra.labels == ("L1", "L2", "L3")
         assert np.allclose(fx.a0.at(np.zeros(2)), 0.0)
+
+    def test_trivial_bundle_algebra_capped(self):
+        """The summed dimension is checked on the names, before any structure
+        constants are built; a non-string algebra is rejected too."""
+        fx = instantiate("trivial_bundle_flat", {"algebra": "su(2)+su(2)+u(1)+so(2)"})
+        assert fx.algebra.dim == MAX_ALGEBRA_DIM == 8
+        for bad in ("su(2)+su(2)+su(2)", 5, None):
+            with pytest.raises(BadParameters):
+                instantiate("trivial_bundle_flat", {"algebra": bad})
 
     def test_base_fixtures_carry_no_bundle(self):
         fx = instantiate("round_sphere2", {})

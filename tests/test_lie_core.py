@@ -12,6 +12,7 @@ from ambrose.errors import (
     RepMismatch,
 )
 from ambrose.lie_core import (
+    algebra_dim,
     AdInvariantInner,
     LieAlgebra,
     LinearRep,
@@ -31,7 +32,11 @@ from ambrose.lie_core import (
     subalgebra_residual,
     tensor_action,
 )
+from ambrose.chart_calculus import sample_interior
+from ambrose.fixtures import instantiate
+from ambrose.homogeneity import build_tower, opozda_section_spec
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor
+from oracles import stacked_action_loop
 
 
 class TestLieAlgebra:
@@ -257,6 +262,49 @@ class TestSubspaceMachinery:
         assert nullspace(mat).shape[1] == 0
         axial = DenseTensor((DOWN, DOWN), np.diag([1.0, 1.0, 3.0]))
         assert nullspace(stacked_action_matrix([axial], rep)).shape[1] == 1
+
+
+STACKED_CASES = [
+    # the orbit-match workload's towers and singer towers with each connection
+    ("berger_sphere", "metric", 2, 3),
+    ("berger_sphere", "metric", 2, 8),
+    ("round_sphere2", "metric", 3, 42),
+    ("berger_sphere", "canonical", 3, 42),
+]
+
+
+def test_algebra_dim_from_names():
+    assert algebra_dim("su(2) + u(1)") == 4
+    assert algebra_dim("so(2)+so(3)+u(1)") == 5
+    with pytest.raises(BadParameters):
+        algebra_dim("su(3)")
+
+
+class TestStackedActionMatrix:
+    @pytest.mark.parametrize("name,conn,kmax,seed", STACKED_CASES)
+    def test_matches_per_generator_loop(self, name, conn, kmax, seed):
+        """One contraction per tensor over all generators gives the matrix
+        that tensor_action, one generator at a time, gives."""
+        fx = instantiate(name, {})
+        gamma = fx.gamma if conn == "metric" else fx.gamma_canonical
+        rep = frame_structure_rep(fx.chart.dim)
+        sigma = opozda_section_spec(gamma)
+        for x in sample_interior(fx.chart, 2, seed):
+            tensors = build_tower(sigma, None, gamma, fx.g, x, kmax).up_to(kmax)
+            ref = stacked_action_loop(tensors, rep)
+            got = stacked_action_matrix(tensors, rep)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+    def test_lie_axes_use_the_lie_rep(self):
+        fx = instantiate("hopf_monopole", {})
+        rep = frame_structure_rep(2, fx.algebra)
+        rng = np.random.default_rng(2)
+        tensors = [DenseTensor((DOWN, DOWN, LIE), rng.normal(size=(2, 2, 3))),
+                   DenseTensor((LIE,), rng.normal(size=3))]
+        got = stacked_action_matrix(tensors, rep)
+        assert np.abs(got - stacked_action_loop(tensors, rep)).max() <= 1e-14
+        assert stacked_action_matrix([], rep).shape == (0, 4)
 
 
 class TestReductiveComplement:

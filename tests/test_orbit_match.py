@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambrose import jet
 from ambrose.chart_calculus import Chart, MetricField, levi_civita, sample_interior
 from ambrose.errors import BadParameters
 from ambrose.fixtures import Fixture, instantiate
@@ -103,23 +104,11 @@ def warped_surface() -> Fixture:
     with r, so towers at points of different r lie in different orbits."""
     chart = Chart(dim=2, box=np.array([[0.5, 1.5], [0.0, 2 * np.pi]]), margin=0.05)
 
-    def ev(x):
-        return np.diag([1.0, (x[0] + x[0] ** 3) ** 2])
+    def ev(X):
+        r = X[0]
+        return jet.array([[1.0, 0.0], [0.0, (r + r**3) ** 2]])
 
-    def p(x):
-        r = x[0]
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = 2 * (r + r**3) * (1 + 3 * r**2)
-        return out
-
-    def pp(x):
-        r = x[0]
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 0, 1, 1] = 2 * ((1 + 3 * r**2) ** 2 + (r + r**3) * 6 * r)
-        return out
-
-    g = MetricField(chart=chart, evaluator=ev, partial_evaluator=p,
-                    second_partial_evaluator=pp)
+    g = MetricField(chart=chart, evaluator=ev)
     return Fixture("warped_surface", {}, chart, g, levi_civita(g))
 
 

@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 import ambrose
-from ambrose import cli
+from ambrose import chart_calculus, cli
 from test_benchmark_layers import layer_names
+from test_total_space import count_calls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,3 +86,13 @@ def test_every_public_function_is_reached(monkeypatch, capsys):
     exempt = set(EXEMPT) | set(layer_names())
     assert sorted(name for name, code in functions.items()
                   if code not in called and name not in exempt) == []
+
+
+def test_no_run_calls_fd_array(monkeypatch, capsys):
+    """Every derivative a scenario takes comes from Taylor jets: no run
+    differentiates by finite differences."""
+    fd = count_calls(monkeypatch, chart_calculus.fd_array)
+    codes = [cli.main([*argv.split(), "--points", "1"]) for argv, _ in RUNS]
+    capsys.readouterr()
+    assert codes == [code for _, code in RUNS]
+    assert fd == []
