@@ -173,7 +173,7 @@ def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
     worst = []
     for f in eta.fields:
         eta_j = f.jet_at(x, 1)
-        lhs = nabla(axis_action(f.markers, eta_j, None, ad_b, jet.einsum),
+        lhs = nabla(axis_action(f.markers, eta_j, None, ad_b),
                     (DOWN,) + tuple(f.markers), G, ad_a).value
         # (del beta).eta, with the derivative direction leading, and beta.(del eta)
         term1 = np.stack([axis_action(f.markers, eta_j.value, None, np.einsum("kij,ni->nkj", s, r))

@@ -263,7 +263,7 @@ def nabla(t: Jet, markers: tuple[str, ...], G: Jet | np.ndarray,
     DOWN) and ``lie[mu]`` on the LIE axes, e.g. ad of a bundle connection
     form. G and lie may be jets or their values."""
     mat = G.transpose(1, 0, 2)
-    return shift(t) + axis_action(markers, t, mat, lie, jet.einsum)
+    return shift(t) + axis_action(markers, t, mat, lie)
 
 
 def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
@@ -355,13 +355,15 @@ def nan_max(values: Iterable[float]) -> float:
     return float(np.max(vals)) if vals else 0.0
 
 
-def max_frame_norms(fields: dict[str, Callable[[np.ndarray], DenseTensor]],
+def max_nabla_norms(gamma: ConnectionCoeffs,
+                    fields: dict[str, tuple[TensorFieldSpec, Callable | None]],
                     g: MetricField, points: np.ndarray) -> dict[str, float]:
-    """Largest norm of each named tensor over the points, each value taken in
-    the orthonormal frame of g at its point."""
+    """Largest norm over the points of the covariant derivative of each named
+    field, with ``lie(x)[mu]`` on its LIE axes for a (field, lie) pair, each
+    value taken in the orthonormal frame of g at its point."""
     vals: dict[str, list[float]] = {name: [] for name in fields}
     for x in points:
         fr = ortho_frame(g, x)
-        for name, fld in fields.items():
-            vals[name].append(to_frame(fld(x), fr).norm())
+        for name, (t, lie) in fields.items():
+            vals[name].append(to_frame(covariant_derivative(gamma, t, x, lie), fr).norm())
     return {name: nan_max(v) for name, v in vals.items()}

@@ -27,11 +27,10 @@ from .chart_calculus import (
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
-    covariant_derivative,
     curvature_field,
     frame_jet,
     levi_civita,
-    max_frame_norms,
+    max_nabla_norms,
     nabla,
     nan_max,
     ortho_frame,
@@ -545,23 +544,17 @@ def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:
     )
 
 
-def _nabla_of(gamma: ConnectionCoeffs, t: TensorFieldSpec,
-              a: LocalConnectionForm | None = None):
-    """x -> covariant derivative of t at x, with ad(a) on its lie axes."""
-    return lambda x: covariant_derivative(gamma, t, x, None if a is None else a.ad_at)
-
-
 def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
                     a: LocalConnectionForm, points: np.ndarray,
                     fixture: str = "") -> VerificationReport:
     """Locally homogeneous triple criterion: del R, del T, (del x del^A)F,
     (del x del^A)(A - A0) all parallel."""
     points = np.atleast_2d(np.asarray(points, float))
-    residuals = max_frame_norms({
-        "nabla_R": _nabla_of(gamma, curvature_field(gamma)),
-        "nabla_T": _nabla_of(gamma, torsion_field(gamma)),
-        "nabla_F": _nabla_of(gamma, curvature_form_field(a), a),
-        "nabla_alpha": _nabla_of(gamma, form_difference(a, triple.a0), a),
+    residuals = max_nabla_norms(gamma, {
+        "nabla_R": (curvature_field(gamma), None),
+        "nabla_T": (torsion_field(gamma), None),
+        "nabla_F": (curvature_form_field(a), a.ad_at),
+        "nabla_alpha": (form_difference(a, triple.a0), a.ad_at),
     }, triple.g, points)
     return make_report("check-lh-triple", fixture, points, residuals)
 
@@ -571,9 +564,9 @@ def check_ls_triple(triple: TripleSpec, points: np.ndarray,
     """Locally symmetric triple criterion with the Levi-Civita connection."""
     points = np.atleast_2d(np.asarray(points, float))
     gamma = levi_civita(triple.g)
-    residuals = max_frame_norms({
-        "nabla_Rg": _nabla_of(gamma, curvature_field(gamma)),
-        "nabla_F0": _nabla_of(gamma, curvature_form_field(triple.a0), triple.a0),
+    residuals = max_nabla_norms(gamma, {
+        "nabla_Rg": (curvature_field(gamma), None),
+        "nabla_F0": (curvature_form_field(triple.a0), triple.a0.ad_at),
     }, triple.g, points)
     return make_report("check-ls-triple", fixture, points, residuals)
 
@@ -593,12 +586,12 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
         markers=(UP, DOWN, DOWN),
         evaluator=lambda X: gamma.evaluator(X) - gamma0.evaluator(X),
     )
-    residuals = max_frame_norms({
-        "nabla_g": _nabla_of(gamma, g_field),
-        "nabla_Rg": _nabla_of(gamma, curvature_field(gamma0)),
-        "nabla_S": _nabla_of(gamma, s_field),
-        "nabla_R": _nabla_of(gamma, curvature_field(gamma)),
-        "nabla_T": _nabla_of(gamma, torsion_field(gamma)),
+    residuals = max_nabla_norms(gamma, {
+        "nabla_g": (g_field, None),
+        "nabla_Rg": (curvature_field(gamma0), None),
+        "nabla_S": (s_field, None),
+        "nabla_R": (curvature_field(gamma), None),
+        "nabla_T": (torsion_field(gamma), None),
     }, g, points)
     if not residuals.pop("nabla_g") <= 1e-7:
         raise NotMetric("connection is not metric-compatible at a sample point")

@@ -175,9 +175,12 @@ def shift(f: Jet) -> Jet:
     return Jet(np.moveaxis(c, -2, 0), f.n, f.order - 1)
 
 
-def einsum(spec: str, *ops) -> Jet:
+def einsum(spec: str, *ops) -> Jet | np.ndarray:
     """np.einsum over the value axes of jets and constant arrays; the
-    coefficient axes of jets multiply as Cauchy products, two at a time."""
+    coefficient axes of jets multiply as Cauchy products, two at a time.
+    Without a jet among the operands it is np.einsum."""
+    if not any(isinstance(o, Jet) for o in ops):
+        return np.einsum(spec, *ops)
     ins, out = spec.replace(" ", "").split("->")
     subs = ins.split(",")
     ops = list(ops)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jet
 from .errors import AxisMismatch, DegenerateMetric, RepMismatch, SingularFrame
 
 UP = "up"
@@ -60,12 +61,12 @@ def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(moved, 0, axis)
 
 
-def axis_action(markers: tuple[str, ...], data, mat, lie, einsum=np.einsum):
+def axis_action(markers: tuple[str, ...], data, mat, lie):
     """out[b] = the sum over the axes of a tensor of the action on that axis
     of the b-th matrices: +mat[b] on UP axes, -mat[b]^T on DOWN axes and
     lie[b] on LIE axes. A None ``mat`` leaves the tangent axes alone; LIE
-    axes need ``lie``. The data and the matrices may be jets, with
-    ``einsum=jet.einsum``: one contraction per axis."""
+    axes need ``lie``. The data and the matrices may be jets: one
+    contraction per axis."""
     letters = string.ascii_lowercase[:len(markers)]
     terms = []
     for ax, m in enumerate(markers):
@@ -78,8 +79,8 @@ def axis_action(markers: tuple[str, ...], data, mat, lie, einsum=np.einsum):
             raise RepMismatch(f"axis {ax} has dim {data.shape[ax]}, matrix dim {a.shape[-1]}")
         j = letters[ax]
         out = letters.replace(j, "Z")
-        term = einsum(f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}",
-                      a, data)
+        spec = f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}"
+        term = jet.einsum(spec, a, data)
         terms.append(-term if m == DOWN else term)
     if not terms:  # no axis is acted on: the zero action
         return np.zeros((len(mat if mat is not None else lie),) + tuple(data.shape))

@@ -66,26 +66,63 @@ from ambrose.total_space import (
 
 
 def _christoffel_exprs(g: sp.Matrix, coords: tuple[sp.Symbol, ...]):
-    r = range(len(coords))
+    n = len(coords)
     # the adjugate over the simplified determinant: sympy's inv() of the
     # Berger metric takes seconds
     ginv = g.adjugate() / sp.trigsimp(sp.factor(g.det()))
-    d = [g.diff(c) for c in coords]  # d[m][i, j] = d_m g_ij
-    return [[[sp.together(sum(ginv[k, l] * (d[i][j, l] + d[j][i, l] - d[l][i, j])
-                              for l in r) / 2) for j in r] for i in r] for k in r]
+    gam = [[[sp.S.Zero] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                expr = sp.S.Zero
+                for l in range(n):
+                    expr += ginv[k, l] * (
+                        sp.diff(g[j, l], coords[i])
+                        + sp.diff(g[i, l], coords[j])
+                        - sp.diff(g[i, j], coords[l])
+                    )
+                gam[k][i][j] = sp.together(expr / 2)
+    return gam
 
 
 def _riemann_exprs(gam, coords):
     """R[l][k][i][j] matching the convention R(e_i, e_j) e_k = R^l_k{ij} e_l."""
-    r = range(len(coords))
-    return [[[[sp.diff(gam[l][j][k], coords[i]) - sp.diff(gam[l][i][k], coords[j])
-               + sum(gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in r)
-               for j in r] for i in r] for k in r] for l in r]
+    n = len(coords)
+    out = [
+        [[[sp.S.Zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)
+    ]
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    expr = sp.diff(gam[l][j][k], coords[i]) - sp.diff(
+                        gam[l][i][k], coords[j]
+                    )
+                    for m in range(n):
+                        expr += gam[l][i][m] * gam[m][j][k]
+                        expr -= gam[l][j][m] * gam[m][i][k]
+                    out[l][k][i][j] = expr
+    return out
 
 
-def _lambdify_nested(exprs, coords):
-    fn = sp.lambdify(coords, exprs, "numpy")
-    return lambda x: np.array(fn(*np.asarray(x, float)), float)
+def _lambdify_nested(exprs, coords, shape):
+    flat = []
+
+    def collect(node):
+        if isinstance(node, list):
+            for item in node:
+                collect(item)
+        else:
+            flat.append(node)
+
+    collect(exprs)
+    fn = sp.lambdify(coords, flat, "numpy")
+
+    def call(x):
+        vals = fn(*np.asarray(x, float))
+        return np.array(vals, float).reshape(shape)
+
+    return call
 
 
 def _metric_matrix(name: str, params: tuple, coords):
@@ -121,7 +158,11 @@ def symbolic_geometry(name: str, params: tuple = ()):
     g = _metric_matrix(name, params, coords)
     gam = _christoffel_exprs(g, coords)
     rie = _riemann_exprs(gam, coords)
-    return _lambdify_nested(gam, coords), _lambdify_nested(rie, coords)
+    n = dim
+    return (
+        _lambdify_nested(gam, coords, (n, n, n)),
+        _lambdify_nested(rie, coords, (n, n, n, n)),
+    )
 
 
 def transport_holonomy_angle(gamma_at, g_at, loop, span=(0.0, 1.0)) -> float:

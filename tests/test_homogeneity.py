@@ -463,6 +463,7 @@ class TestAdaptSingerDepth:
     def test_one_tower_per_point(self, points, monkeypatch, capsys):
         grown = count_calls(monkeypatch, homogeneity.tower_and_chain)
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
+        curv = count_calls(monkeypatch, chart_calculus.curvature)
         depths = []
 
         def recorded(sigma, b0, gamma0, g, x, kmax, frame=None):
@@ -475,8 +476,10 @@ class TestAdaptSingerDepth:
         assert code == 0
         assert len(grown) == 1
         assert depths == [data["singer_k"] + 2] * (points - 1)
-        # the tower, the gauge forms and beta's partials all come from jets
+        # the tower, the gauge forms and beta's partials all come from jets;
+        # the curvature enters through the tower's section, never on its own
         assert fd == []
+        assert curv == []
 
     @pytest.mark.parametrize("where", ["first-point", "other-points"])
     def test_other_singer_stage_fails_closed(self, where, monkeypatch, capsys):

@@ -405,13 +405,10 @@ class TestFrameTables:
         flat_model, generic_model,
     ], ids=["hopf1", "hopf2", "flat", "generic"])
     def test_squared_sums_match_tuple_loop(self, make):
-        """The tuple loop differentiates the generated frame fields by FD,
-        whose noise, about 2e-10 in the norm, sets the absolute floor; the
-        frame tables are exact jets."""
         model, fx = make()
         for x in sample_interior(fx.chart, 2, seed=8):
             for new, old in zip(bar_norm2(model, x), tuple_loop_norm2(model, x)):
-                assert new == pytest.approx(old, rel=1e-9, abs=1e-18)
+                assert new == pytest.approx(old, rel=1e-9, abs=1e-20)
 
     def test_flat_bundle_sums_are_exact_zero(self):
         model, fx = flat_model()
