@@ -8,7 +8,7 @@ connection corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,6 +17,7 @@ from . import jet
 from .chart_calculus import (
     Chart,
     ConnectionCoeffs,
+    LastJet,
     TensorFieldSpec,
     covariant_derivative,
     nabla,
@@ -36,25 +37,30 @@ class LocalConnectionForm:
     chart: Chart
     algebra: LieAlgebra
     evaluator: Callable[[Jet], Jet]
+    memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
+        x = np.atleast_2d(np.asarray(x, float))
+        a = self.memo.get(x, order)
+        if a is not None:
+            return a
         a = self.evaluator(variables(x, order))
         if a.shape != (self.chart.dim, self.algebra.dim):
             raise RepMismatch(
                 f"form evaluator returned shape {a.shape}, "
                 f"expected {(self.chart.dim, self.algebra.dim)}"
             )
-        return a
+        return self.memo.put(x, a)
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        return self.jet_at(x, 0).value
+        return self.jet_at(x, 0).value[..., 0]
 
     def ad_jet(self, x: np.ndarray, order: int) -> Jet:
         """ad(a_mu) for each direction mu, as a jet: the action on lie axes."""
         return jet.einsum("kij,mi->mkj", self.algebra.structure, self.jet_at(x, order))
 
     def ad_at(self, x: np.ndarray) -> np.ndarray:
-        return self.ad_jet(x, 0).value
+        return self.ad_jet(x, 0).value[..., 0]
 
     def shifted(self, alpha: TensorFieldSpec) -> "LocalConnectionForm":
         """The connection form plus an adjoint-valued 1-form."""
@@ -88,6 +94,7 @@ class SectionSpec:
 
 
 def _curvature_form_jet(a: LocalConnectionForm, x: np.ndarray, order: int) -> Jet:
+    """F of the form at a batch of points, from its jet one order higher."""
     av = a.jet_at(x, order + 1)
     da = shift(av)
     br = jet.einsum("kij,mi,nj->mnk", a.algebra.structure, av, av)
@@ -96,14 +103,14 @@ def _curvature_form_jet(a: LocalConnectionForm, x: np.ndarray, order: int) -> Je
 
 def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> DenseTensor:
     """F[mu, nu] = d_mu a_nu - d_nu a_mu + [a_mu, a_nu], adjoint-valued."""
-    return DenseTensor((DOWN, DOWN, LIE), _curvature_form_jet(a, x, 0).value)
+    return DenseTensor((DOWN, DOWN, LIE), _curvature_form_jet(a, x, 0).value[..., 0])
 
 
 def curvature_form_field(a: LocalConnectionForm) -> TensorFieldSpec:
     return TensorFieldSpec(
         chart=a.chart,
         markers=(DOWN, DOWN, LIE),
-        evaluator=lambda X: _curvature_form_jet(a, X.value, X.order),
+        evaluator=lambda X: _curvature_form_jet(a, X.value.T, X.order),
     )
 
 
@@ -125,7 +132,8 @@ def bianchi_residual(a: LocalConnectionForm, x: np.ndarray) -> float:
     """Cyclic-sum norm of the covariant exterior derivative of F at x."""
     x = np.asarray(x, float)
     f = _curvature_form_jet(a, x, 1)
-    cov = shift(f).value + np.einsum("kij,mi,nlj->mnlk", a.algebra.structure, a.at(x), f.value)
+    cov = shift(f).value[..., 0] + np.einsum("kij,mi,nlj->mnlk", a.algebra.structure, a.at(x),
+                                             f.value[..., 0])
     cyc = cov + cov.transpose(1, 2, 0, 3) + cov.transpose(2, 0, 1, 3)
     return float(np.linalg.norm(cyc))
 
@@ -169,16 +177,17 @@ def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
     G, ad_a = gamma.at(x), a.ad_at(x)
     b = beta.jet_at(x, 1)
     ad_b = jet.einsum("kij,mi->mkj", s, b)
-    db = nabla(b, beta.markers, G, ad_a).value
+    db = nabla(b, beta.markers, G, ad_a).value[..., 0]
     worst = []
     for f in eta.fields:
         eta_j = f.jet_at(x, 1)
         lhs = nabla(axis_action(f.markers, eta_j, None, ad_b),
-                    (DOWN,) + tuple(f.markers), G, ad_a).value
+                    (DOWN,) + tuple(f.markers), G, ad_a).value[..., 0]
         # (del beta).eta, with the derivative direction leading, and beta.(del eta)
-        term1 = np.stack([axis_action(f.markers, eta_j.value, None, np.einsum("kij,ni->nkj", s, r))
+        eta_x = eta_j.value[..., 0]
+        term1 = np.stack([axis_action(f.markers, eta_x, None, np.einsum("kij,ni->nkj", s, r))
                           for r in db])
-        deta = nabla(eta_j, f.markers, G, ad_a).value
-        term2 = np.stack([axis_action(f.markers, d, None, ad_b.value) for d in deta])
+        deta = nabla(eta_j, f.markers, G, ad_a).value[..., 0]
+        term2 = np.stack([axis_action(f.markers, d, None, ad_b.value[..., 0]) for d in deta])
         worst.append(float(np.linalg.norm(lhs - term1 - term2)))
     return nan_max(worst)

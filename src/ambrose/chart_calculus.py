@@ -1,12 +1,14 @@
 """Single-chart differential calculus: metrics, connections, curvature, torsion.
 
 Every field has one evaluator. It takes the coordinates as a Taylor jet at a
-point (``jet.variables``) and returns the field as a jet there, so all its
-partials up to any order come from one evaluation: ``jet_at(x, order)`` is
-that jet and ``at(x)`` its value. Connection coefficients, curvature,
-torsion and covariant derivatives are formulas over jets, one order lower
-per derivative. Everything lives on one coordinate chart; points are plain
-coordinate arrays. ``fd_array``, a Richardson-extrapolated central
+batch of points (``jet.variables``) and returns the field as a jet there, so
+all its partials up to any order, at every point of the batch, come from one
+evaluation: ``jet_at(x, order)`` is that jet, at the points x of shape
+(P, n) or at the single point x of shape (n,), and ``at(x)`` its value at a
+single point. Connection coefficients, curvature, torsion and covariant
+derivatives are formulas over jets, one order lower per derivative.
+Everything lives on one coordinate chart; points are plain coordinate
+arrays. ``fd_array``, a Richardson-extrapolated central
 difference, is the tests' reference for those partials.
 
 Index layout for connection coefficients: data[k, i, j] = coefficient of the
@@ -18,7 +20,7 @@ data[k, mu, m] v^m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -35,7 +37,15 @@ from .errors import (
     SingularFrame,
 )
 from .jet import Jet, shift, variables
-from .tensor_core import DOWN, UP, DenseTensor, OrthoFrame, axis_action, to_frame
+from .tensor_core import (
+    DOWN,
+    UP,
+    DenseTensor,
+    OrthoFrame,
+    axis_action,
+    cholesky_frames,
+    to_frame,
+)
 
 STEP_SCALE = 1e-3
 
@@ -131,10 +141,51 @@ def fd_array(f: Callable[[np.ndarray], np.ndarray], chart: Chart, x: np.ndarray,
     return (4.0 * central(0.5 * h) - d1) / 3.0
 
 
+class LastJet:
+    """One-entry memo of a field's jet: the batch of points it was last
+    evaluated at and that jet. A request at those points, or at some of
+    them, of an order no higher is read off the jet by truncation, so a
+    field that several others derive from (the metric under its Christoffel
+    symbols, the connection under torsion and curvature) is evaluated once
+    per batch at the highest order any of them needs."""
+
+    def __init__(self):
+        self.points: np.ndarray | None = None
+        self.jet: Jet | None = None
+
+    def get(self, points: np.ndarray, order: int) -> Jet | None:
+        if self.jet is None or self.jet.order < order or points.shape[1:] != self.points.shape[1:]:
+            return None
+        if np.array_equal(points, self.points):
+            return self.jet.truncate(order)
+        same = (points[:, None] == self.points[None]).all(axis=2)
+        if not same.any(axis=1).all():
+            return None
+        return self.jet.take(same.argmax(axis=1)).truncate(order)
+
+    def put(self, points: np.ndarray, value: Jet) -> Jet:
+        self.points, self.jet = points.copy(), value
+        return value
+
+
+def _memo():
+    return field(default_factory=LastJet, init=False, repr=False, compare=False)
+
+
+def _batch(x: np.ndarray) -> np.ndarray:
+    """Points as a (P, n) batch; a single point (n,) is a batch of one."""
+    return np.atleast_2d(np.asarray(x, float))
+
+
+def _base_points(X: Jet) -> np.ndarray:
+    """The batch of points of a coordinate jet."""
+    return X.value.T
+
+
 @dataclass(frozen=True)
 class TensorFieldSpec:
     """Tensor field on a chart: the evaluator maps the coordinate jet at a
-    point to the components' jet there."""
+    batch of points to the components' jet there."""
 
     chart: Chart
     markers: tuple[str, ...]
@@ -149,11 +200,11 @@ class TensorFieldSpec:
         return t
 
     def at(self, x: np.ndarray) -> DenseTensor:
-        return DenseTensor(self.markers, self.jet_at(x, 0).value)
+        return DenseTensor(self.markers, self.jet_at(x, 0).value[..., 0])
 
     def partial_at(self, x: np.ndarray) -> np.ndarray:
         """out[mu] = d_mu of the components, shape (n, *dims)."""
-        return shift(self.jet_at(x, 1)).value
+        return shift(self.jet_at(x, 1)).value[..., 0]
 
 
 @dataclass(frozen=True)
@@ -162,18 +213,26 @@ class MetricField:
 
     chart: Chart
     evaluator: Callable[[Jet], Jet]
+    memo: LastJet = _memo()
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
-        """The jet of g, symmetrized so that the Levi-Civita coefficients
-        and the torsion come out exactly symmetric and zero."""
+        """The jet of g at a batch of points, symmetrized so that the
+        Levi-Civita coefficients and the torsion come out exactly symmetric
+        and zero. The symmetry check runs once per evaluation, at every
+        point of the batch."""
+        x = _batch(x)
+        g = self.memo.get(x, order)
+        if g is not None:
+            return g
         g = self.evaluator(variables(x, order))
+        v = g.value
         # NaN and inf fail the comparison, so they raise too
-        if not (np.abs(g.value - g.value.T) <= 1e-12).all():
+        if not (np.abs(v - v.swapaxes(0, 1)) <= 1e-12).all():
             raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
-        return 0.5 * (g + g.transpose(1, 0))
+        return self.memo.put(x, 0.5 * (g + g.transpose(1, 0)))
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        return self.jet_at(x, 0).value
+        return self.jet_at(x, 0).value[..., 0]
 
 
 @dataclass(frozen=True)
@@ -183,21 +242,26 @@ class ConnectionCoeffs:
     chart: Chart
     evaluator: Callable[[Jet], Jet]
     symmetric_flag: bool = False
+    memo: LastJet = _memo()
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
+        x = _batch(x)
+        G = self.memo.get(x, order)
+        if G is not None:
+            return G
         G = self.evaluator(variables(x, order))
         if not np.isfinite(G.c).all():
             raise BadParameters("connection coefficients are not finite")
         v = G.value
         if self.symmetric_flag and not (np.abs(v - v.swapaxes(1, 2)) <= 1e-12).all():
             raise BadParameters("symmetric_flag set but coefficients asymmetric")
-        return G
+        return self.memo.put(x, G)
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        return self.jet_at(x, 0).value
+        return self.jet_at(x, 0).value[..., 0]
 
     def partial_at(self, x: np.ndarray) -> np.ndarray:
-        return shift(self.jet_at(x, 1)).value
+        return shift(self.jet_at(x, 1)).value[..., 0]
 
 
 @dataclass(frozen=True)
@@ -217,13 +281,25 @@ class FrameFieldConnection:
         object.__setattr__(self, "gamma", np.asarray(self.gamma, float))
 
     def frame_at(self, x: np.ndarray) -> np.ndarray:
-        return _inverse(self.coframe(variables(x, 0)), x).value
+        return _inverse(self.coframe(variables(x, 0)), _batch(x)).value[..., 0]
 
 
-def _inverse(th: Jet, x: np.ndarray) -> Jet:
+def _first_failure(fn, mats: np.ndarray) -> int:
+    """Index of the first per-point matrix of mats, shape (d, d, P), at which
+    the numpy.linalg function fn raises."""
+    for p in range(mats.shape[-1]):
+        try:
+            fn(mats[..., p])
+        except np.linalg.LinAlgError:
+            return p
+    return 0
+
+
+def _inverse(th: Jet, points: np.ndarray) -> Jet:
     try:
         return jet.inv(th)
     except np.linalg.LinAlgError as exc:
+        x = points[_first_failure(np.linalg.inv, th.value)]
         raise SingularFrame(f"coframe not invertible at {x}: {exc}") from exc
 
 
@@ -232,9 +308,9 @@ def _christoffel_jet(g: MetricField, x: np.ndarray, order: int) -> Jet:
     as a jet of the given order, from one jet of g one order higher."""
     gx = g.jet_at(x, order + 1)
     try:
-        np.linalg.cholesky(gx.value)
+        jet.stacked(np.linalg.cholesky, gx.value)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetric(f"metric not positive definite at {x}") from exc
+        raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
     dg = shift(gx)
     p = dg.transpose(2, 0, 1)  # p[l, i, j] = d_i g_{jl}
     return 0.5 * jet.einsum("kl,lij->kij", jet.inv(gx), p + p.transpose(0, 2, 1) - dg)
@@ -243,14 +319,14 @@ def _christoffel_jet(g: MetricField, x: np.ndarray, order: int) -> Jet:
 def christoffel_partial(g: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Levi-Civita coefficients and their partials out[mu, k, i, j]."""
     G = _christoffel_jet(g, x, 1)
-    return G.value, shift(G).value
+    return G.value[..., 0], shift(G).value[..., 0]
 
 
 def levi_civita(g: MetricField) -> ConnectionCoeffs:
     """Levi-Civita connection as a coefficient field on g's chart."""
     return ConnectionCoeffs(
         chart=g.chart,
-        evaluator=lambda X: _christoffel_jet(g, X.value, X.order),
+        evaluator=lambda X: _christoffel_jet(g, _base_points(X), X.order),
         symmetric_flag=True,
     )
 
@@ -261,7 +337,7 @@ def nabla(t: Jet, markers: tuple[str, ...], G: Jet | np.ndarray,
     new covariant axis leads. Along direction mu the connection matrix
     G[:, mu, :] acts on the tangent axes (plus on UP, minus transpose on
     DOWN) and ``lie[mu]`` on the LIE axes, e.g. ad of a bundle connection
-    form. G and lie may be jets or their values."""
+    form. G and lie may be jets or constant values."""
     mat = G.transpose(1, 0, 2)
     return shift(t) + axis_action(markers, t, mat, lie)
 
@@ -274,69 +350,79 @@ def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
     ``lie(x)[mu]`` acts on the LIE axes."""
     x = np.asarray(x, float)
     d = nabla(t.jet_at(x, 1), t.markers, gamma.at(x), None if lie is None else lie(x))
-    return DenseTensor((DOWN,) + tuple(t.markers), d.value)
+    return DenseTensor((DOWN,) + tuple(t.markers), d.value[..., 0])
 
 
-def _curvature_jet(gamma: ConnectionCoeffs, x: np.ndarray, order: int) -> Jet:
-    G = gamma.jet_at(x, order + 1)
+def curvature_of(G: Jet) -> Jet:
+    """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k]
+    - (i<->j) from the connection jet G, one order lower."""
     p = shift(G).transpose(1, 3, 0, 2) + jet.einsum("lim,mjk->lkij", G, G)
     return p - p.transpose(0, 1, 3, 2)
 
 
+def torsion_of(G: Jet) -> Jet:
+    """Torsion T[k, i, j] = G[k, i, j] - G[k, j, i] from the connection jet G."""
+    return G - G.transpose(0, 2, 1)
+
+
 def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
-    """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k] - (i<->j)."""
-    return DenseTensor((UP, DOWN, DOWN, DOWN), _curvature_jet(gamma, x, 0).value)
+    """Curvature of the connection at x."""
+    return DenseTensor((UP, DOWN, DOWN, DOWN),
+                       curvature_of(gamma.jet_at(x, 1)).value[..., 0])
 
 
 def curvature_field(gamma: ConnectionCoeffs) -> TensorFieldSpec:
     return TensorFieldSpec(
         chart=gamma.chart,
         markers=(UP, DOWN, DOWN, DOWN),
-        evaluator=lambda X: _curvature_jet(gamma, X.value, X.order),
+        evaluator=lambda X: curvature_of(gamma.jet_at(_base_points(X), X.order + 1)),
     )
-
-
-def _torsion_jet(conn: ConnectionCoeffs, x: np.ndarray, order: int) -> Jet:
-    G = conn.jet_at(x, order)
-    return G - G.transpose(0, 2, 1)
 
 
 def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
-    """Torsion T[k, i, j] = G[k, i, j] - G[k, j, i]."""
     return TensorFieldSpec(
         chart=conn.chart,
         markers=(UP, DOWN, DOWN),
-        evaluator=lambda X: _torsion_jet(conn, X.value, X.order),
+        evaluator=lambda X: torsion_of(conn.jet_at(_base_points(X), X.order)),
     )
 
 
-def _frame_connection_jet(conn: FrameFieldConnection, x: np.ndarray, order: int) -> Jet:
+def _frame_connection_jet(conn: FrameFieldConnection, X: Jet) -> Jet:
     """Coordinate coefficients E a of a moving-frame connection, with
-    a[k, mu, v] = d_mu th[k, v] + th[i, mu] th[l, v] gamma[k, i, l]."""
-    th = conn.coframe(variables(x, order + 1))
+    a[k, mu, v] = d_mu th[k, v] + th[i, mu] th[l, v] gamma[k, i, l], from the
+    coframe one order higher than the coordinate jet X."""
+    points = _base_points(X)
+    th = conn.coframe(variables(points, X.order + 1))
     a = shift(th).transpose(1, 0, 2) + jet.einsum("ia,lv,kil->kav", th, th, conn.gamma)
-    return jet.einsum("lk,kav->lav", _inverse(th, x), a)
+    return jet.einsum("lk,kav->lav", _inverse(th, points), a)
 
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
     """Coordinate ConnectionCoeffs field for a moving-frame connection."""
     return ConnectionCoeffs(
         chart=conn.chart,
-        evaluator=lambda X: _frame_connection_jet(conn, X.value, X.order),
+        evaluator=lambda X: _frame_connection_jet(conn, X),
     )
 
 
 def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
     """Cholesky orthonormal frame of g at x."""
-    x = np.asarray(x, float)
-    return OrthoFrame.from_metric(g.at(x), x)
+    return ortho_frames(g, x)[0]
+
+
+def ortho_frames(g: MetricField, points: np.ndarray) -> list[OrthoFrame]:
+    """Cholesky orthonormal frame of g at each point of a batch."""
+    points = _batch(points)
+    return cholesky_frames(np.moveaxis(g.jet_at(points, 0).value, -1, 0), points)
 
 
 def frame_jet(g: MetricField, x: np.ndarray, order: int) -> tuple[Jet, Jet]:
     """(frame, coframe) of the Cholesky orthonormal frame of g as jets."""
+    gx = g.jet_at(x, order)
     try:
-        coframe = jet.cholesky(g.jet_at(x, order)).transpose(1, 0)
+        coframe = jet.cholesky(gx).transpose(1, 0)
     except np.linalg.LinAlgError as exc:
+        x = _batch(x)[_first_failure(np.linalg.cholesky, gx.value)]
         raise DegenerateMetric(f"metric not positive definite at {x}: {exc}") from exc
     return jet.inv(coframe), coframe
 
@@ -346,7 +432,7 @@ def ortho_frame_partial(g: MetricField,
     """(d frame, d coframe) of the Cholesky frame, each stacked over the
     coordinate directions."""
     frame, coframe = frame_jet(g, x, 1)
-    return shift(frame).value, shift(coframe).value
+    return shift(frame).value[..., 0], shift(coframe).value[..., 0]
 
 
 def nan_max(values: Iterable[float]) -> float:

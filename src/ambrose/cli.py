@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,13 +45,15 @@ from .fixtures import (
     smooth_tensor_field,
 )
 from .homogeneity import (
+    CHUNK,
     KMAX_CAP,
     TOLERANCES,
+    DerivativeTower,
     StabilizerChain,
     TripleSpec,
     VerificationReport,
     adapted_residuals,
-    build_tower,
+    build_towers,
     check_lh_triple,
     check_ls_triple,
     frame_gauge_form,
@@ -58,6 +61,7 @@ from .homogeneity import (
     opozda_section_spec,
     stabilizer_chain,
     tower_and_chain,
+    towers_and_chains,
     verdict,
 )
 from .lie_core import (
@@ -368,12 +372,8 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
     sigma = opozda_section_spec(gamma0)
     rep = frame_structure_rep(fix.chart.dim)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-
-    def one(x: np.ndarray) -> StabilizerChain:
-        _, chain = tower_and_chain(sigma, None, gamma0, fix.g, x, rep, kmax=cfg.kmax)
-        return chain
-
-    chains = [one(x) for x in points]
+    chains = [chain for _, chain in
+              towers_and_chains(sigma, None, gamma0, fix.g, points, rep, kmax=cfg.kmax)]
     flags = sorted({f for ch in chains for f in ch.flags})
     if len({ch.dims for ch in chains}) > 1:
         flags.append("dims-vary")
@@ -423,9 +423,9 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     The Singer stage k_S is read from the chain at the first sample point,
     grown from KMAX_START (or built at --kmax), whose tower is reused unless
     it is shallower than the k_S + 2 that ``adapted_residuals`` reads. Under
-    infinitesimal homogeneity k_S is the same at every point: each other
-    point gets one tower of depth k_S + 2, and a chain that does not
-    stabilize at k_S raises NumericalFailure."""
+    infinitesimal homogeneity k_S is the same at every point: the other
+    points get towers of depth k_S + 2, built in batches of at most CHUNK,
+    and a chain that does not stabilize at k_S raises NumericalFailure."""
     fix = _fixture(cfg)
     if fix.gamma_canonical is None:
         raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
@@ -441,18 +441,24 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     if singer_k is None:
         raise ConfigError("stabilizer chain did not stabilize within the cap")
     depth = singer_k + 2
-    chain = first_chain
+
+    def towers() -> Iterator[tuple[DerivativeTower, StabilizerChain]]:
+        start = 0
+        if tower.kmax >= depth:
+            yield tower, first_chain
+            start = 1
+        for i in range(start, len(points), CHUNK):
+            for t in build_towers(sigma, None, fix.gamma, fix.g, points[i:i + CHUNK], depth):
+                yield t, stabilizer_chain(t, rep)
+
     rows = []
-    for i, x in enumerate(points):
-        if i or tower.kmax < depth:
-            tower = build_tower(sigma, None, fix.gamma, fix.g, x, depth)
-            chain = stabilizer_chain(tower, rep)
+    for tw, chain in towers():
         if chain.singer_k != singer_k:
             raise NumericalFailure(
-                f"stabilizer chain at {x} stabilizes at stage {chain.singer_k}, "
+                f"stabilizer chain at {tw.point} stabilizes at stage {chain.singer_k}, "
                 f"not at the first sample point's {singer_k}"
             )
-        rows.append(adapted_residuals(tower, chain, fix.g, b0, b_prime, rep, inner))
+        rows.append(adapted_residuals(tw, chain, fix.g, b0, b_prime, rep, inner))
     shift, tower_res = zip(*rows)
     residuals = {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
     return make_report(

@@ -12,6 +12,7 @@ use the moving-frame form of the connection: del_mu = d_mu + action(b_mu).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from .chart_calculus import (
     max_nabla_norms,
     nabla,
     nan_max,
-    ortho_frame,
+    ortho_frames,
     torsion_field,
 )
 from .errors import (
@@ -55,10 +56,22 @@ from .lie_core import (
     skew_exp,
     stacked_action_matrix,
 )
-from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, apply_axis, axis_action, to_frame
+from .tensor_core import (
+    DOWN,
+    LIE,
+    UP,
+    DenseTensor,
+    OrthoFrame,
+    apply_axis,
+    axis_action,
+    to_frames,
+)
 
 KMAX_START = 2
 KMAX_CAP = 4
+# most sample points in one batch of jets: the memory of a batch grows with
+# its size, so a run over any number of points stays bounded
+CHUNK = 8
 # orbit_match: accepted relative residual, random starts, Levenberg-Marquardt
 # iterations per start, the damping's start and floor, and the relative
 # decrease of the squared residual below which a start has stalled
@@ -179,27 +192,46 @@ def make_report(scenario: str, fixture: str, points: np.ndarray,
 def build_tower(sigma: SectionSpec, b0: LocalConnectionForm | None,
                 gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                 kmax: int, frame: OrthoFrame | None = None) -> DerivativeTower:
-    """Evaluate the derivative tower at x, frame-expressed via the Cholesky
-    orthonormal frame of g (or a caller-supplied orthonormal frame).
+    """The derivative tower at the single point x: build_towers on a batch
+    of one."""
+    return build_towers(sigma, b0, gamma0, g, np.asarray(x, float)[None], kmax,
+                        None if frame is None else [frame])[0]
 
-    Level k is carried as a jet of order kmax - k, and level k + 1 is its
-    covariant derivative: the shift of level k plus Gamma0 (and ad(b0) on
-    LIE axes) acting on it, from one jet of each per point."""
+
+def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
+                 gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
+                 kmax: int, frames: list[OrthoFrame] | None = None,
+                 ) -> list[DerivativeTower]:
+    """The derivative tower at each point of a batch, frame-expressed via the
+    Cholesky orthonormal frame of g (or caller-supplied orthonormal frames).
+
+    Level k is carried as a jet of order kmax - k over the whole batch, and
+    level k + 1 is its covariant derivative: the shift of level k plus
+    Gamma0 (and ad(b0) on LIE axes) acting on it. Gamma0 is evaluated once,
+    at order kmax + 1, the order the curvature of the section reads; the
+    fields of the section, the tower's Gamma0 (order kmax - 1) and the
+    frames read the connection's and the metric's memos, so each is
+    evaluated once per batch."""
     if kmax < 1:
         raise DepthMismatch("tower depth kmax must be at least 1")
-    x = np.asarray(x, float)
-    fr = ortho_frame(g, x) if frame is None else frame
-    G = gamma0.jet_at(x, kmax - 1)
-    lie = None if b0 is None else b0.ad_jet(x, kmax - 1)
-    level = [(f.markers, f.jet_at(x, kmax)) for f in sigma.fields]
+    points = np.atleast_2d(np.asarray(points, float))
+    G = gamma0.jet_at(points, kmax + 1).truncate(kmax - 1)
+    level = [(f.markers, f.jet_at(points, kmax)) for f in sigma.fields]
+    lie = None if b0 is None else b0.ad_jet(points, kmax - 1)
     levels = [level]
     for _ in range(kmax):
         level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
         levels.append(level)
-    entries = tuple(
-        tuple(to_frame(DenseTensor(m, t.value), fr) for m, t in lv) for lv in levels
-    )
-    return DerivativeTower(point=x, frame=fr, kmax=kmax, entries=entries)
+    frames = ortho_frames(g, points) if frames is None else frames
+    coframe = np.stack([f.coframe for f in frames], axis=-1)
+    frame_t = np.stack([f.frame.T for f in frames], axis=-1)
+    # each entry in the frames, point axis first
+    entries = [[(m, np.moveaxis(to_frames(m, t.value, coframe, frame_t), -1, 0)) for m, t in lv]
+               for lv in levels]
+    return [DerivativeTower(
+        point=x, frame=fr, kmax=kmax,
+        entries=tuple(tuple(DenseTensor(m, data[p]) for m, data in lv) for lv in entries))
+        for p, (x, fr) in enumerate(zip(points, frames))]
 
 
 def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
@@ -244,14 +276,32 @@ def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
                     gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                     rep: TensorRep, kmax: int | None = None,
                     ) -> tuple[DerivativeTower, StabilizerChain]:
-    """Build the tower deep enough to observe stabilization, within the cap."""
-    depth = KMAX_START if kmax is None else kmax
-    while True:
-        tower = build_tower(sigma, b0, gamma0, g, x, depth)
-        chain = stabilizer_chain(tower, rep)
-        if kmax is not None or chain.singer_k is not None or depth >= KMAX_CAP:
-            return tower, chain
-        depth += 1
+    """towers_and_chains at the single point x."""
+    return next(towers_and_chains(sigma, b0, gamma0, g, np.asarray(x, float)[None], rep, kmax))
+
+
+def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
+                      gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
+                      rep: TensorRep, kmax: int | None = None,
+                      ) -> Iterator[tuple[DerivativeTower, StabilizerChain]]:
+    """The tower and chain at each point, in point order, built deep enough
+    to observe stabilization within the cap: the points go in batches of at
+    most CHUNK, and only the points of a batch whose chain is truncated are
+    built again, one level deeper, as a smaller batch. At a given kmax every
+    point is built at that depth."""
+    points = np.atleast_2d(np.asarray(points, float))
+    for start in range(0, len(points), CHUNK):
+        todo = list(range(start, min(start + CHUNK, len(points))))
+        done = {}
+        depth = KMAX_START if kmax is None else kmax
+        while todo:
+            for i, tower in zip(todo, build_towers(sigma, b0, gamma0, g, points[todo], depth)):
+                done[i] = tower, stabilizer_chain(tower, rep)
+            if kmax is not None or depth >= KMAX_CAP:
+                break
+            todo = [i for i in todo if done[i][1].singer_k is None]
+            depth += 1
+        yield from (done[i] for i in sorted(done))
 
 
 def group_action(theta: np.ndarray, rep: TensorRep, t: DenseTensor) -> DenseTensor:
@@ -423,13 +473,14 @@ def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
     pinv = np.linalg.pinv(mats.reshape(algebra.dim, -1).T).reshape(-1, *mats.shape[1:])
 
     def ev(X):
-        x, order = X.value, X.order
-        frame, coframe = frame_jet(g, x, order + 1)
-        G = gamma.jet_at(x, order)
+        points, order = X.value.T, X.order
+        frame, coframe = frame_jet(g, points, order + 1)
+        G = gamma.jet_at(points, order)
         w = jet.einsum("ai,mib->mab", coframe,
                        jet.shift(frame) + jet.einsum("imj,jb->mib", G, frame))
         v = w.value
-        if np.abs(v + v.transpose(0, 2, 1)).max() > 1e-6 * max(1.0, np.abs(v).max()):
+        skew = np.abs(v + v.transpose(0, 2, 1, 3)).max(axis=(0, 1, 2))
+        if (skew > 1e-6 * np.maximum(1.0, np.abs(v).max(axis=(0, 1, 2)))).any():
             raise NotMetric("connection is not metric: gauge form not antisymmetric")
         return jet.einsum("pab,mab->mp", pinv, 0.5 * (w - w.transpose(0, 2, 1)))
 
@@ -479,7 +530,8 @@ def _adapted_shift(tower: DerivativeTower, chain: StabilizerChain, g: MetricFiel
     except NotInvariant as exc:
         raise NotReductive(str(exc)) from exc
     x, frame = tower.point, tower.frame
-    b0_x = b0.at(x)
+    b0_jet = b0.jet_at(x, 1)
+    b0_x = b0_jet.value[..., 0]
     pairs = _entry_pairs(tower, chain.singer_k)
     tensors = [t for t, _ in pairs]
     partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
@@ -499,9 +551,8 @@ def _adapted_shift(tower: DerivativeTower, chain: StabilizerChain, g: MetricFiel
     off = (np.eye(len(m)) - proj) @ dh @ coeff
     dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
 
-    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, x, 1)[0],
-                          b_prime.jet_at(x, 1) - b0.jet_at(x, 1))
-    beta, dbeta = beta_hat.value, jet.shift(beta_hat).value
+    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, x, 1)[0], b_prime.jet_at(x, 1) - b0_jet)
+    beta, dbeta = beta_hat.value[..., 0], jet.shift(beta_hat).value[..., 0]
     return (beta - beta @ proj.T,
             dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1))
 

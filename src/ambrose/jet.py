@@ -1,8 +1,8 @@
 """Truncated multivariate Taylor jets.
 
-A jet of order K in n variables holds, for each entry of a value array, the
-Taylor coefficients f_a = d^a f(x) / a! over the multi-indices |a| <= K, on
-the last axis of an ndarray. The multi-indices are graded: the constant term,
+A jet of order K in n variables holds, for each entry of a value array and
+each point x of a batch, the Taylor coefficients f_a = d^a f(x) / a! over
+the multi-indices |a| <= K, on the last axis of an ndarray. The multi-indices are graded: the constant term,
 then e_0 .. e_{n-1}, then the order-2 ones, and so on, so the jet of a lower
 order is a prefix of the coefficient axis. A product is the Cauchy product
 over the pairs (a, b) with |a + b| <= K; that table is built on first use and
@@ -10,8 +10,13 @@ cached per (n, K) (Griewank, Utke and Walther, Math. Comp. 69, 2000;
 Bettencourt, Johnson and Duvenaud, "Taylor-mode automatic differentiation
 for higher-order derivatives", 2019).
 
-Value axes lead and the coefficient axis is last, so contractions with
-constant arrays are plain numpy on ``Jet.c``.
+A jet holds a batch of P points at once. ``Jet.c`` has shape
+``value_shape + (P, ncoef)``: the value axes lead, then the point axis, then
+the coefficient axis, so a formula indexes and contracts the value axes
+alone and runs over every point of the batch in each numpy call; a single
+point is a batch of one. ``einsum`` takes, beside jets, constant arrays
+(one value for every point) and per-point arrays, which carry the point
+axis after their value axes.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
+
+# most elements a pairwise Cauchy product of einsum holds at a time
+PRODUCT_BLOCK = 1 << 21
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +78,8 @@ def _shift_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Jet:
-    """Value array with its Taylor coefficients: c[..., a] for multi-index a."""
+    """Value array with its Taylor coefficients at each point of a batch:
+    c[..., p, a] for point p and multi-index a."""
 
     __array_ufunc__ = None  # numpy operators defer to the Jet ones
 
@@ -81,36 +90,47 @@ class Jet:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.c.shape[:-1]
+        return self.c.shape[:-2]
 
     @property
     def value(self) -> np.ndarray:
+        """The values, shape ``shape + (P,)``."""
         return self.c[..., 0]
 
     def lift(self, a) -> "Jet":
-        """The constant array a as a jet in the same variables and order."""
+        """The constant array a, the same at every point, as a jet in the same
+        variables, points and order."""
         a = np.asarray(a, float)
-        c = np.zeros(a.shape + (size(self.n, self.order),))
-        c[..., 0] = a
+        c = np.zeros(a.shape + self.c.shape[-2:])
+        c[..., 0] = a[..., None]
         return Jet(c, self.n, self.order)
 
     def truncate(self, order: int) -> "Jet":
         return self if order >= self.order else Jet(
             self.c[..., :size(self.n, order)], self.n, order)
 
+    def take(self, points) -> "Jet":
+        """The jet at the given indices of the batch."""
+        return Jet(self.c[..., points, :], self.n, self.order)
+
     def __getitem__(self, item) -> "Jet":
         item = item if isinstance(item, tuple) else (item,)
-        return Jet(self.c[item + (slice(None),)], self.n, self.order)
+        return Jet(self.c[item + (slice(None), slice(None))], self.n, self.order)
 
     def transpose(self, *axes: int) -> "Jet":
-        return Jet(self.c.transpose(*axes, len(axes)), self.n, self.order)
+        return Jet(self.c.transpose(*axes, len(axes), len(axes) + 1), self.n, self.order)
 
-    def _pair(self, other) -> tuple["Jet", "Jet"]:
-        other = other if isinstance(other, Jet) else self.lift(other)
+    def _pair(self, other: "Jet") -> tuple["Jet", "Jet"]:
         k = min(self.order, other.order)
         return self.truncate(k), other.truncate(k)
 
     def __add__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            other = np.asarray(other, float)
+            shape = np.broadcast_shapes(self.c.shape, other.shape + (1, 1))
+            c = np.array(np.broadcast_to(self.c, shape))
+            c[..., 0] += other[..., None]
+            return Jet(c, self.n, self.order)
         a, b = self._pair(other)
         return Jet(a.c + b.c, a.n, a.order)
 
@@ -127,7 +147,7 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.c * np.asarray(other, float)[..., None], self.n, self.order)
+            return Jet(self.c * np.asarray(other, float)[..., None, None], self.n, self.order)
         a, b = self._pair(other)
         i, j, starts = _product_table(a.n, a.order)
         return Jet(np.add.reduceat(a.c[..., i] * b.c[..., j], starts, axis=-1), a.n, a.order)
@@ -149,13 +169,14 @@ class Jet:
 
 
 def variables(x: np.ndarray, order: int) -> Jet:
-    """The coordinates themselves as a jet at x: entry mu is x_mu + e_mu."""
-    x = np.asarray(x, float)
-    n = len(x)
-    c = np.zeros((n, size(n, order)))
-    c[:, 0] = x
+    """The coordinates themselves as a jet at the points x, shape (P, n), or
+    at the single point x, shape (n,): entry mu is x_mu + e_mu."""
+    x = np.atleast_2d(np.asarray(x, float))
+    count, n = x.shape
+    c = np.zeros((n, count, size(n, order)))
+    c[..., 0] = x.T
     if order:
-        c[:, 1:n + 1] = np.eye(n)
+        c[..., 1:n + 1] = np.eye(n)[:, None, :]
     return Jet(c, n, order)
 
 
@@ -165,7 +186,7 @@ def array(rows) -> Jet:
     items = np.array(rows, dtype=object)
     ref = min((v for v in items.flat if isinstance(v, Jet)), key=lambda j: j.order)
     cs = [(v if isinstance(v, Jet) else ref.lift(v)).truncate(ref.order).c for v in items.flat]
-    return Jet(np.stack(cs).reshape(*items.shape, -1), ref.n, ref.order)
+    return Jet(np.stack(cs).reshape(items.shape + cs[0].shape), ref.n, ref.order)
 
 
 def shift(f: Jet) -> Jet:
@@ -175,40 +196,100 @@ def shift(f: Jet) -> Jet:
     return Jet(np.moveaxis(c, -2, 0), f.n, f.order - 1)
 
 
-def einsum(spec: str, *ops) -> Jet | np.ndarray:
-    """np.einsum over the value axes of jets and constant arrays; the
-    coefficient axes of jets multiply as Cauchy products, two at a time.
-    Without a jet among the operands it is np.einsum."""
-    if not any(isinstance(o, Jet) for o in ops):
-        return np.einsum(spec, *ops)
+@lru_cache(maxsize=None)
+def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
+                 ) -> tuple[list[tuple[int, int, str]], str]:
+    """The pairwise Cauchy products and the final contraction of an einsum
+    whose operands have these numbers of axes (None for a jet). A jet gets a
+    point and a coefficient letter, a per-point array (one axis more than
+    its subscripts) a point letter, a constant array none."""
     ins, out = spec.replace(" ", "").split("->")
     subs = ins.split(",")
-    ops = list(ops)
+    kinds = ["jet" if d is None else "point" if "." not in s and d == len(s) + 1 else "const"
+             for s, d in zip(subs, ndims)]
     free = iter(sorted(set(string.ascii_letters) - set(spec)))
-    z, p = next(free), next(free)
-    while sum(isinstance(o, Jet) for o in ops) > 1:
-        a, b = [i for i, o in enumerate(ops) if isinstance(o, Jet)][:2]
+    z, p, q = next(free), next(free), next(free)
+    steps = []
+    while kinds.count("jet") > 1:
+        a, b = [i for i, k in enumerate(kinds) if k == "jet"][:2]
         rest = "".join(s for i, s in enumerate(subs) if i not in (a, b)) + out
         keep = "".join(dict.fromkeys(ch for ch in subs[a] + subs[b] if ch in rest))
-        ja, jb = ops[a]._pair(ops[b])
-        i, j, starts = _product_table(ja.n, ja.order)
-        c = np.einsum(f"{subs[a]}{p},{subs[b]}{p}->{keep}{p}", ja.c[..., i], jb.c[..., j])
-        ops[a] = Jet(np.add.reduceat(c, starts, axis=-1), ja.n, ja.order)
+        steps.append((a, b, f"{subs[a]}{q}{p},{subs[b]}{q}{p}->{keep}{q}{p}"))
         subs[a] = keep
-        del ops[b], subs[b]
+        del subs[b], kinds[b]
+    terms = [s + {"jet": q + z, "point": q, "const": ""}[k] for s, k in zip(subs, kinds)]
+    return steps, ",".join(terms) + "->" + out + q + z
+
+
+def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
+    """The Cauchy product of two jets of one order, their value axes
+    contracted by the einsum ``sub`` over (value, point, pair) axes. The
+    pairs go in blocks of whole output coefficients, so that no temporary
+    holds much more than PRODUCT_BLOCK elements; each coefficient is summed
+    over its pairs in the same order either way."""
+    i, j, starts = _product_table(a.n, a.order)
+    # gathered from C-ordered copies, the point and pair axes are the
+    # innermost of each operand: einsum is many times slower otherwise
+    ac, bc = np.ascontiguousarray(a.c), np.ascontiguousarray(b.c)
+    ins, out = sub.split("->")
+    sa, sb = ins.split(",")
+    dims = {**dict(zip(sa, ac.shape)), **dict(zip(sb, bc.shape))}
+    per_pair = max(ac[..., 0].size, bc[..., 0].size, math.prod(dims[ch] for ch in out[:-1]))
+    if per_pair * len(i) <= PRODUCT_BLOCK:
+        return Jet(np.add.reduceat(np.einsum(sub, ac[..., i], bc[..., j]), starts, axis=-1),
+                   a.n, a.order)
+    bounds = list(starts) + [len(i)]
+    c = None
+    lo = 0
+    while lo < len(starts):
+        hi = lo + 1
+        while hi < len(starts) and (bounds[hi + 1] - bounds[lo]) * per_pair <= PRODUCT_BLOCK:
+            hi += 1
+        pairs = slice(bounds[lo], bounds[hi])
+        block = np.add.reduceat(np.einsum(sub, ac[..., i[pairs]], bc[..., j[pairs]]),
+                                starts[lo:hi] - starts[lo], axis=-1)
+        if c is None:
+            c = np.empty(block.shape[:-1] + (len(starts),))
+        c[..., lo:hi] = block
+        lo = hi
+    return Jet(c, a.n, a.order)
+
+
+def einsum(spec: str, *ops) -> Jet | np.ndarray:
+    """np.einsum over the value axes of jets, constant arrays and per-point
+    arrays, point by point; the coefficient axes of jets multiply as Cauchy
+    products, two at a time. Without a jet among the operands it is
+    np.einsum."""
+    if not any(isinstance(o, Jet) for o in ops):
+        return np.einsum(spec, *ops)
+    steps, final = _einsum_plan(spec, tuple(None if isinstance(o, Jet) else np.ndim(o)
+                                            for o in ops))
+    ops = list(ops)
+    for a, b, sub in steps:
+        ops[a] = _cauchy(sub, *ops[a]._pair(ops[b]))
+        del ops[b]
     jet = next(o for o in ops if isinstance(o, Jet))
-    terms = [s + z if isinstance(o, Jet) else s for s, o in zip(subs, ops)]
-    args = [o.c if isinstance(o, Jet) else o for o in ops]
-    return Jet(np.einsum(",".join(terms) + "->" + out + z, *args), jet.n, jet.order)
+    return Jet(np.einsum(final, *(o.c if isinstance(o, Jet) else o for o in ops)),
+               jet.n, jet.order)
+
+
+def _nilpotent(u: Jet) -> Jet:
+    """u - u(x): the jet without its constant term."""
+    c = u.c.copy()
+    c[..., 0] = 0.0
+    return Jet(c, u.n, u.order)
 
 
 def _series(u: Jet, coeffs: list[np.ndarray]) -> Jet:
-    """sum_k coeffs[k] h^k with h = u - u(x), elementwise, by Horner; exact
-    to the jet's order because h^(K+1) = 0."""
-    h = u - u.value
-    out = u.lift(coeffs[u.order])
+    """sum_k coeffs[k] h^k with h = u - u(x), elementwise, by Horner, from
+    per-point coefficients; exact to the jet's order because h^(K+1) = 0."""
+    h = _nilpotent(u)
+    c = np.zeros_like(u.c)
+    c[..., 0] = coeffs[u.order]
+    out = Jet(c, u.n, u.order)
     for k in range(u.order - 1, -1, -1):
-        out = h * out + coeffs[k]
+        out = h * out
+        out.c[..., 0] += coeffs[k]
     return out
 
 
@@ -232,14 +313,21 @@ def reciprocal(u: Jet) -> Jet:
     return _series(u, [(-r) ** k * r for k in range(u.order + 1)])
 
 
+def stacked(fn, a: np.ndarray) -> np.ndarray:
+    """A numpy.linalg function of matrices over per-point matrices a, shape
+    (d, d, P), in one stacked call."""
+    return np.moveaxis(fn(np.moveaxis(a, -1, 0)), 0, -1)
+
+
 def inv(a: Jet) -> Jet:
     """Inverse of a jet of square matrices (value shape (d, d)): with
     A = A0 + H, A^-1 = sum_k (-A0^-1 H)^k A0^-1, a finite Neumann series."""
-    a0inv = np.linalg.inv(a.value)
-    x = -einsum("ij,jk->ik", a0inv, a - a.value)
-    out = a.lift(np.eye(len(a0inv)))
+    a0inv = stacked(np.linalg.inv, a.value)
+    eye = np.eye(len(a0inv))
+    x = -einsum("ij,jk->ik", a0inv, _nilpotent(a))
+    out = a.lift(eye)
     for _ in range(a.order):
-        out = einsum("ij,jk->ik", x, out) + np.eye(len(a0inv))
+        out = einsum("ij,jk->ik", x, out) + eye
     return einsum("ij,jk->ik", out, a0inv)
 
 
@@ -247,14 +335,14 @@ def cholesky(g: Jet) -> Jet:
     """Lower Cholesky factor of a jet of symmetric positive definite
     matrices: G = L0 (I + P) L0^T, and I + P = (I + N)(I + N)^T with N lower
     triangular and no constant term, solved one order at a time."""
-    l0 = np.linalg.cholesky(g.value)
-    l0inv = np.linalg.inv(l0)
-    pert = einsum("ij,jk,lk->il", l0inv, g - g.value, l0inv)
+    l0 = stacked(np.linalg.cholesky, g.value)
+    l0inv = stacked(np.linalg.inv, l0)
+    pert = einsum("ij,jk,lk->il", l0inv, _nilpotent(g), l0inv)
     deg = degrees(g.n, g.order)
     d = len(l0)
     lower = np.tril(np.ones((d, d)), -1) + 0.5 * np.eye(d)
     n_jet = g.lift(np.zeros((d, d)))
     for k in range(1, g.order + 1):
         q = pert - einsum("ij,kj->ik", n_jet, n_jet)
-        n_jet = n_jet + Jet(q.c * (deg == k) * lower[..., None], g.n, g.order)
+        n_jet = n_jet + Jet(q.c * (deg == k) * lower[..., None, None], g.n, g.order)
     return einsum("ij,jk->ik", l0, n_jet + np.eye(d))

@@ -68,7 +68,7 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
     axes need ``lie``. The data and the matrices may be jets: one
     contraction per axis."""
     letters = string.ascii_lowercase[:len(markers)]
-    terms = []
+    total = None
     for ax, m in enumerate(markers):
         a = lie if m == LIE else mat
         if a is None:
@@ -81,10 +81,14 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
         out = letters.replace(j, "Z")
         spec = f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}"
         term = jet.einsum(spec, a, data)
-        terms.append(-term if m == DOWN else term)
-    if not terms:  # no axis is acted on: the zero action
-        return np.zeros((len(mat if mat is not None else lie),) + tuple(data.shape))
-    return sum(terms[1:], terms[0])
+        # summed as it goes, so that one term at a time is held
+        if total is None:
+            total = -term if m == DOWN else term
+        else:
+            total = total - term if m == DOWN else total + term
+    if total is None:  # no axis is acted on: the zero action
+        return np.zeros(((mat if mat is not None else lie).shape[0],) + tuple(data.shape))
+    return total
 
 
 @dataclass(frozen=True)
@@ -104,15 +108,8 @@ class OrthoFrame:
 
     @classmethod
     def from_metric(cls, g: np.ndarray, point: np.ndarray) -> "OrthoFrame":
-        """Cholesky frame: G = L Lᵀ, frame = L^{-T}, so frameᵀ G frame = I."""
-        g = np.asarray(g, float)
-        try:
-            lower = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
-        coframe = lower.T
-        frame = np.linalg.inv(coframe)
-        return cls(point=np.asarray(point, float), frame=frame, coframe=coframe)
+        """Cholesky frame of the metric value g at a point."""
+        return cholesky_frames(np.asarray(g, float)[None], np.asarray(point, float)[None])[0]
 
     def rotated(self, q: np.ndarray) -> "OrthoFrame":
         """Another valid orthonormal frame: columns mixed by orthogonal q."""
@@ -120,16 +117,39 @@ class OrthoFrame:
         return OrthoFrame(self.point, self.frame @ q, q.T @ self.coframe)
 
 
+def cholesky_frames(gs: np.ndarray, points: np.ndarray) -> list[OrthoFrame]:
+    """Cholesky frame at each point from the metric values gs, shape (P, d, d),
+    in one stacked factorization: G = L Lᵀ, frame = L^{-T}, so
+    frameᵀ G frame = I."""
+    try:
+        coframe = np.swapaxes(np.linalg.cholesky(gs), 1, 2)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
+    frame = np.linalg.inv(coframe)
+    return [OrthoFrame(x, e, th) for x, e, th in zip(points, frame, coframe)]
+
+
 def to_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
-    """Express tensor-axis components in the frame basis (LIE axes untouched)."""
-    n = f.frame.shape[0]
-    data = t.data
-    for ax, m in enumerate(t.markers):
+    """Express tensor-axis components in the frame basis (LIE axes
+    untouched): to_frames on a batch of one."""
+    data = to_frames(t.markers, t.data[..., None], f.coframe[..., None], f.frame.T[..., None])
+    return DenseTensor(t.markers, data[..., 0])
+
+
+def to_frames(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
+              frame_t: np.ndarray) -> np.ndarray:
+    """Tensor-axis components in an orthonormal frame at each point of a
+    batch: data has shape (dims..., P), coframe and frame_t (the frames
+    transposed) shape (n, n, P). v̂ = coframe·v on UP axes, and ω̂_a = ω(e_a)
+    contracts with the frame on DOWN axes."""
+    letters = string.ascii_lowercase[:len(markers)]
+    n = coframe.shape[0]
+    for ax, m in enumerate(markers):
         if m == LIE:
             continue
-        if t.dims[ax] != n:
-            raise AxisMismatch(f"axis {ax} has dim {t.dims[ax]}, frame dim {n}")
-        # v̂ = coframe·v for UP axes; ω̂_a = ω(e_a) contracts with frame for DOWN
-        data = apply_axis(f.coframe if m == UP else f.frame.T, data, ax)
-    return DenseTensor(t.markers, data)
-
+        if data.shape[ax] != n:
+            raise AxisMismatch(f"axis {ax} has dim {data.shape[ax]}, frame dim {n}")
+        j = letters[ax]
+        data = np.einsum(f"Z{j}P,{letters}P->{letters.replace(j, 'Z')}P",
+                         coframe if m == UP else frame_t, data)
+    return data

@@ -35,12 +35,13 @@ from .chart_calculus import (
     MetricField,
     TensorFieldSpec,
     curvature,
-    curvature_field,
+    curvature_of,
     fd_array,
     frame_jet,
     nabla,
     nan_max,
     torsion_field,
+    torsion_of,
 )
 from .errors import RepMismatch, UnsupportedFieldKind
 from .homogeneity import TOLERANCES, VerificationReport, make_report
@@ -357,8 +358,8 @@ def _frame_actions(model: TotalSpaceModel, G: np.ndarray, av: np.ndarray,
 def _along_frame(E: np.ndarray, act: np.ndarray, table: Jet) -> np.ndarray:
     """Covariant derivative along each frame vector E_c (leading axis) of a
     table's first-order jet, act[c] acting on its leading axis."""
-    return (np.tensordot(E, shift(table).value, axes=(0, 0))
-            + np.tensordot(act, table.value, axes=(2, 0)))
+    return (np.tensordot(E, shift(table).value[..., 0], axes=(0, 0))
+            + np.tensordot(act, table.value[..., 0], axes=(2, 0)))
 
 
 def _slot_terms(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -387,14 +388,16 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
     fundamental/lift/lift/fundamental case of R-bar: its derivative
     [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
     frame, coframe = frame_jet(model.g, x, 1)
-    t = torsion_field(model.gamma).jet_at(x, 1)
+    # T, R and Gamma from one jet of Gamma
+    gamma = model.gamma.jet_at(x, 2)
+    t, r, G = torsion_of(gamma.truncate(1)), curvature_of(gamma), gamma.value[..., 0]
     f = curvature_form_field(model.a).jet_at(x, 1)
-    r = curvature_field(model.gamma).jet_at(x, 1)
-    G, av, lie = model.gamma.at(x), model.a.at(x), model.a.ad_at(x)
-    fr = OrthoFrame(x, frame.value, coframe.value)
+    av, lie = model.a.at(x), model.a.ad_at(x)
+    E = frame.value[..., 0]
+    fr = OrthoFrame(x, E, coframe.value[..., 0])
 
     def frame_norm(t: Jet, markers: tuple[str, ...], lie=None) -> float:
-        d = nabla(t, markers, G, lie).value
+        d = nabla(t, markers, G, lie).value[..., 0]
         return to_frame(DenseTensor((DOWN,) + markers, d), fr).norm()
 
     out = {
@@ -402,7 +405,6 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
         "nabla_T": frame_norm(t, (UP, DOWN, DOWN)),
         "nabla_F": frame_norm(f, (DOWN, DOWN, LIE), lie),
     }
-    E = frame.value
     ht = jet.einsum("kij,ia,jb->kab", t, frame, frame)
     nf = jet.einsum("ijc,ia,jb->cab", f, frame, frame)
     hr = jet.einsum("lkij,ia,jb,kc->labc", r, frame, frame, frame)
@@ -412,8 +414,8 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
     dframe = _along_frame(E, gc, frame)
     w = fr.coframe @ dframe  # del_{E_c} E_b = w[c, p, b] E_p
     # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
-    t_h = _along_frame(E, gc, ht) - _slot_terms(ht.value, w)
-    t_v = _along_frame(E, adc, nf) - _slot_terms(nf.value, w)
+    t_h = _along_frame(E, gc, ht) - _slot_terms(ht.value[..., 0], w)
+    t_v = _along_frame(E, adc, nf) - _slot_terms(nf.value[..., 0], w)
     # vertical triples (k, a, b) of T-bar: [C_a, C_b]
     s = model.algebra.structure
     br = np.einsum("eij,ia,jb->eab", s, cm, cm)
@@ -422,7 +424,7 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
               - np.einsum("eij,ia,jkb->keab", s, cm, br))
     # (c, a, b, d) of R-bar: R(E_a, E_b)E_d for a lift E_d, and
     # [F(E_a, E_b), C_d] for a fundamental C_d
-    r_h = _along_frame(E, gc, hr) - _slot_terms(hr.value, w)
+    r_h = _along_frame(E, gc, hr) - _slot_terms(hr.value[..., 0], w)
     r_v = np.einsum("eij,ciab,jd->ceabd", s, t_v, cm)
 
     def norm2(coframe, t):  # t[tuple index, component, further tuple indices]
@@ -436,7 +438,7 @@ def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
         out["alpha_parallel"] = frame_norm(al, (DOWN, LIE), lie)
         # the shifts alpha(E_b) of the lifts, differentiated along each E_c
         sh = jet.einsum("ic,ib->cb", al, frame)
-        resid = _along_frame(E, adc, sh) - al.value.T @ dframe
+        resid = _along_frame(E, adc, sh) - al.value[..., 0].T @ dframe
         out["distribution"] = nan_max(
             np.linalg.norm(np.tensordot(vc, resid, axes=(1, 1)), axis=0).ravel())
     return out

@@ -204,7 +204,7 @@ def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.n
     """c[k, i, j] with [e_i, e_j] = c[k, i, j] e_k for the moving frame."""
     x = np.asarray(x, float)
     E = conn.frame_at(x)
-    dth = jet.shift(conn.coframe(jet.variables(x, 1))).value
+    dth = jet.shift(conn.coframe(jet.variables(x, 1))).value[..., 0]
     a = np.einsum("mkn,mi,nj->kij", dth, E, E)
     return -(a - a.swapaxes(1, 2))
 

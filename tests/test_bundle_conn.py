@@ -38,7 +38,7 @@ SU2 = algebra_by_name("su(2)")
 
 def form_partials(a, x):
     """out[nu, mu] = d_nu of the mu-th row of a connection form."""
-    return jet.shift(a.jet_at(x, 1)).value
+    return jet.shift(a.jet_at(x, 1)).value[..., 0]
 
 
 def euclid_chart(n=2):

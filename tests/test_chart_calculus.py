@@ -228,10 +228,10 @@ class TestCovariantDerivative:
         x = np.array([0.2, 1.3])
         G = fix.gamma.jet_at(x, 1)
         dv = nabla(v(jet.variables(x, 2)), (UP,), G)
-        ddv = nabla(dv, (DOWN, UP), G).value  # axes (i, j, k): del_i del_j v^k
+        ddv = nabla(dv, (DOWN, UP), G).value[..., 0]  # axes (i, j, k): del_i del_j v^k
         comm = ddv - ddv.swapaxes(0, 1)
         r = curvature(fix.gamma, x).data
-        expect = np.einsum("lkij,k->ijl", r, v(jet.variables(x, 0)).value)
+        expect = np.einsum("lkij,k->ijl", r, v(jet.variables(x, 0)).value[..., 0])
         assert np.abs(comm - expect).max() < 1e-12
 
 
@@ -260,7 +260,7 @@ class TestTorsionAndFrames:
         t = frame_torsion(fix.frame_conn, x)
         assert t[2, 0, 1] == pytest.approx(-2.0, abs=1e-12)
         assert t[2, 1, 0] == pytest.approx(2.0, abs=1e-12)
-        th, E = fix.frame_conn.coframe(jet.variables(x, 0)).value, fix.frame_conn.frame_at(x)
+        th, E = fix.frame_conn.coframe(jet.variables(x, 0)).value[..., 0], fix.frame_conn.frame_at(x)
         coord = torsion_field(fix.gamma_canonical).at(x).data
         assert np.abs(np.einsum("kl,lmn,mi,nj->kij", th, coord, E, E) - t).max() < 1e-12
 

@@ -29,6 +29,7 @@ from ambrose.homogeneity import (
     _adapted_shift,
     adapted_residuals,
     build_tower,
+    build_towers,
     check_lh_triple,
     check_ls_triple,
     equivalence_check_c_c0,
@@ -466,11 +467,11 @@ class TestAdaptSingerDepth:
         curv = count_calls(monkeypatch, chart_calculus.curvature)
         depths = []
 
-        def recorded(sigma, b0, gamma0, g, x, kmax, frame=None):
-            depths.append(kmax)
-            return build_tower(sigma, b0, gamma0, g, x, kmax, frame)
+        def recorded(sigma, b0, gamma0, g, points, kmax, frames=None):
+            depths.extend([kmax] * len(points))
+            return build_towers(sigma, b0, gamma0, g, points, kmax, frames)
 
-        monkeypatch.setattr(cli, "build_tower", recorded)
+        monkeypatch.setattr(cli, "build_towers", recorded)
         code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -686,15 +687,15 @@ class TestFailClosed:
         fx = instantiate("hopf_monopole", {})
         pts = sample_interior(fx.chart, 3, seed=19)
 
-        def near(x):
-            return np.linalg.norm(np.asarray(x) - pts[bad]) < 0.05
+        def ev(X):
+            """NaN values and zero partials at the points of the batch near pts[bad]."""
+            a = fx.a0.evaluator(X)
+            near = np.linalg.norm(X.value.T - pts[bad], axis=1) < 0.05
+            a.c[..., near, :] = 0.0
+            a.c[..., near, 0] = np.nan
+            return a
 
-        a = LocalConnectionForm(
-            chart=fx.chart,
-            algebra=fx.algebra,
-            evaluator=lambda X: (X.lift(np.full((2, 3), np.nan)) if near(X.value)
-                                 else fx.a0.evaluator(X)),
-        )
+        a = LocalConnectionForm(chart=fx.chart, algebra=fx.algebra, evaluator=ev)
         triple = TripleSpec(g=fx.g, a0=fx.a0)
         report = check_lh_triple(triple, fx.gamma, a, pts)
         assert not report.passed
@@ -717,10 +718,12 @@ class TestFailClosed:
         def at_order(ev, order):
             def spoiled(X):
                 j = ev(X)
-                if X.order < order or np.linalg.norm(X.value - pts[bad]) >= 0.05:
+                # the points of the batch near pts[bad]
+                near = np.linalg.norm(X.value.T - pts[bad], axis=1) < 0.05
+                if X.order < order or not near.any():
                     return j
                 c = j.c.copy()
-                c[..., jet.degrees(j.n, j.order) == order] = value
+                c[..., near[:, None] & (jet.degrees(j.n, j.order) == order)] = value
                 return jet.Jet(c, j.n, j.order)
             return spoiled
 

@@ -45,10 +45,10 @@ def test_shift_lowers_the_order():
     f = X[0] ** 2 * X[1]
     d = jet.shift(f)
     assert d.shape == (2,) and d.order == 2
-    np.testing.assert_allclose(d.value, [2 * X0[0] * X0[1], X0[0] ** 2])
+    np.testing.assert_allclose(d.value[..., 0], [2 * X0[0] * X0[1], X0[0] ** 2])
     dd = jet.shift(d)
-    np.testing.assert_allclose(dd.value, [[2 * X0[1], 2 * X0[0]], [2 * X0[0], 0.0]])
-    np.testing.assert_array_equal(jet.shift(X).value, np.eye(2))
+    np.testing.assert_allclose(dd.value[..., 0], [[2 * X0[1], 2 * X0[0]], [2 * X0[0], 0.0]])
+    np.testing.assert_array_equal(jet.shift(X).value[..., 0], np.eye(2))
 
 
 def test_mixed_orders_truncate_to_the_lower():
@@ -72,7 +72,10 @@ def test_einsum_matches_elementwise_products():
 
 
 def spd_jet(order):
-    X = jet.variables(X0, order)
+    return spd(jet.variables(X0, order))
+
+
+def spd(X):
     return jet.array([[2.0 + jet.sin(X[0]), 0.3 * X[1], X[0] * X[1]],
                       [0.3 * X[1], 3.0 + X[1] ** 2, 0.1 * jet.cos(X[0])],
                       [X[0] * X[1], 0.1 * jet.cos(X[0]), 4.0 + jet.exp(X[1])]])
@@ -83,16 +86,68 @@ def test_inverse_is_exact_to_the_order():
     ginv = jet.inv(g)
     ident = jet.einsum("ij,jk->ik", g, ginv)
     np.testing.assert_allclose(ident.c, g.lift(np.eye(3)).c, atol=1e-14)
-    np.testing.assert_allclose(ginv.value, np.linalg.inv(g.value), rtol=1e-14)
+    np.testing.assert_allclose(ginv.value[..., 0], np.linalg.inv(g.value[..., 0]), rtol=1e-14)
 
 
 def test_cholesky_factor():
     g = spd_jet(4)
     low = jet.cholesky(g)
     np.testing.assert_allclose(jet.einsum("ij,kj->ik", low, low).c, g.c, atol=1e-14)
-    np.testing.assert_allclose(low.value, np.linalg.cholesky(g.value), rtol=1e-14)
+    np.testing.assert_allclose(low.value[..., 0], np.linalg.cholesky(g.value[..., 0]), rtol=1e-14)
     # lower triangular in every coefficient
-    assert not np.triu(np.moveaxis(low.c, -1, 0), 1).any()
+    assert not np.triu(np.moveaxis(low.c, (-2, -1), (0, 1)), 1).any()
+
+
+POINTS = np.array([X0, [0.1, 0.9], [-0.5, 0.3]])
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_a_batch_is_its_points_side_by_side(order):
+    """A formula over a batch of points runs point by point along the point
+    axis: it equals the formula at each point alone. Not always bit for
+    bit: numpy's einsum may take another inner loop (with fused
+    multiply-adds) for another number of points, so a sum of products can
+    differ in its last bit, 1e-15 of the largest coefficient."""
+
+    def formula(X):
+        g = spd(X)
+        return (jet.einsum("ij,jk->ik", jet.inv(g), jet.cholesky(g))
+                * jet.exp(X[1]) / (2.0 + jet.cos(X[0])))
+
+    batch = formula(jet.variables(POINTS, order))
+    assert batch.shape == (3, 3) and batch.c.shape == (3, 3, len(POINTS), jet.size(2, order))
+    for p, x in enumerate(POINTS):
+        single = formula(jet.variables(x, order)).c[..., 0, :]
+        assert np.abs(batch.c[..., p, :] - single).max() <= 1e-15 * np.abs(single).max()
+
+
+def test_einsum_takes_per_point_arrays():
+    """An array with one axis more than its subscripts holds one value per
+    point; an array with as many axes is the same at every point."""
+    X = jet.variables(POINTS, 2)
+    per_point = np.random.default_rng(0).normal(size=(2, 2, len(POINTS)))
+    const = per_point[..., 0]
+    got = jet.einsum("ij,jk,k->i", per_point, const, X)
+    for p, x in enumerate(POINTS):
+        want = jet.einsum("ij,jk,k->i", per_point[..., p], const, jet.variables(x, 2))
+        np.testing.assert_allclose(got.c[..., p, :], want.c[..., 0, :], rtol=1e-15)
+
+
+def test_truncation_reads_a_lower_order():
+    """The jets are graded: truncating a jet gives the coefficients of the
+    lower-order jet of the same formula."""
+    g4, g2 = spd(jet.variables(POINTS, 4)), spd(jet.variables(POINTS, 2))
+    np.testing.assert_allclose(jet.inv(g4).truncate(2).c, jet.inv(g2).c, rtol=1e-13, atol=1e-15)
+
+
+def test_products_in_blocks_are_the_same(monkeypatch):
+    """A Cauchy product too large for one temporary is taken in blocks of
+    output coefficients, each summed over its pairs in the same order: bit
+    for bit the same jet."""
+    g = spd(jet.variables(POINTS, 3))
+    whole = jet.einsum("ij,kl->ijkl", g, g)
+    monkeypatch.setattr(jet, "PRODUCT_BLOCK", 500)
+    np.testing.assert_array_equal(jet.einsum("ij,kl->ijkl", g, g).c, whole.c)
 
 
 def test_degrees_are_graded():

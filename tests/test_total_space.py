@@ -428,15 +428,15 @@ def nan_form_fixture(bad, pts):
     """hopf_monopole with a connection form that is NaN near pts[bad]."""
     fx = instantiate("hopf_monopole", {})
 
-    def near(x):
-        return np.linalg.norm(np.asarray(x) - pts[bad]) < 0.05
+    def ev(X):
+        """NaN values and zero partials at the points of the batch near pts[bad]."""
+        a = fx.a0.evaluator(X)
+        near = np.linalg.norm(X.value.T - pts[bad], axis=1) < 0.05
+        a.c[..., near, :] = 0.0
+        a.c[..., near, 0] = np.nan
+        return a
 
-    a = LocalConnectionForm(
-        chart=fx.chart,
-        algebra=fx.algebra,
-        evaluator=lambda X: (X.lift(np.full((2, 3), np.nan)) if near(X.value)
-                             else fx.a0.evaluator(X)),
-    )
+    a = LocalConnectionForm(chart=fx.chart, algebra=fx.algebra, evaluator=ev)
     return dataclasses.replace(fx, a0=a)
 
 
