@@ -97,7 +97,8 @@ def _curvature_form_jet(a: LocalConnectionForm, x: np.ndarray, order: int) -> Je
     """F of the form at a batch of points, from its jet one order higher."""
     av = a.jet_at(x, order + 1)
     da = shift(av)
-    br = jet.einsum("kij,mi,nj->mnk", a.algebra.structure, av, av)
+    low = av.truncate(order)
+    br = jet.einsum("kij,mi,nj->mnk", a.algebra.structure, low, low)
     return da - da.transpose(1, 0, 2) + br
 
 

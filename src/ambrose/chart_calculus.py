@@ -313,7 +313,8 @@ def _christoffel_jet(g: MetricField, x: np.ndarray, order: int) -> Jet:
         raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
     dg = shift(gx)
     p = dg.transpose(2, 0, 1)  # p[l, i, j] = d_i g_{jl}
-    return 0.5 * jet.einsum("kl,lij->kij", jet.inv(gx), p + p.transpose(0, 2, 1) - dg)
+    return 0.5 * jet.einsum("kl,lij->kij", jet.inv(gx.truncate(order)),
+                            p + p.transpose(0, 2, 1) - dg)
 
 
 def christoffel_partial(g: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +338,10 @@ def nabla(t: Jet, markers: tuple[str, ...], G: Jet | np.ndarray,
     new covariant axis leads. Along direction mu the connection matrix
     G[:, mu, :] acts on the tangent axes (plus on UP, minus transpose on
     DOWN) and ``lie[mu]`` on the LIE axes, e.g. ad of a bundle connection
-    form. G and lie may be jets or constant values."""
+    form. G and lie may be jets or constant values. The action is taken on
+    t one order lower, the order of the result."""
     mat = G.transpose(1, 0, 2)
-    return shift(t) + axis_action(markers, t, mat, lie)
+    return shift(t) + axis_action(markers, t.truncate(t.order - 1), mat, lie)
 
 
 def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
@@ -356,7 +358,8 @@ def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
 def curvature_of(G: Jet) -> Jet:
     """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k]
     - (i<->j) from the connection jet G, one order lower."""
-    p = shift(G).transpose(1, 3, 0, 2) + jet.einsum("lim,mjk->lkij", G, G)
+    low = G.truncate(G.order - 1)
+    p = shift(G).transpose(1, 3, 0, 2) + jet.einsum("lim,mjk->lkij", low, low)
     return p - p.transpose(0, 1, 3, 2)
 
 
@@ -393,8 +396,9 @@ def _frame_connection_jet(conn: FrameFieldConnection, X: Jet) -> Jet:
     coframe one order higher than the coordinate jet X."""
     points = _base_points(X)
     th = conn.coframe(variables(points, X.order + 1))
-    a = shift(th).transpose(1, 0, 2) + jet.einsum("ia,lv,kil->kav", th, th, conn.gamma)
-    return jet.einsum("lk,kav->lav", _inverse(th, points), a)
+    low = th.truncate(X.order)
+    a = shift(th).transpose(1, 0, 2) + jet.einsum("ia,lv,kil->kav", low, low, conn.gamma)
+    return jet.einsum("lk,kav->lav", _inverse(low, points), a)
 
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:

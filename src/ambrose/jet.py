@@ -198,26 +198,53 @@ def shift(f: Jet) -> Jet:
 
 @lru_cache(maxsize=None)
 def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
-                 ) -> tuple[list[tuple[int, int, str]], str]:
-    """The pairwise Cauchy products and the final contraction of an einsum
-    whose operands have these numbers of axes (None for a jet). A jet gets a
-    point and a coefficient letter, a per-point array (one axis more than
-    its subscripts) a point letter, a constant array none."""
+                 ) -> tuple[list[tuple[int, int, str, bool]], str]:
+    """The steps and the final contraction of an einsum whose operands have
+    these numbers of axes (None for a jet). A jet gets a point and a
+    coefficient letter, a per-point array (one axis more than its
+    subscripts) a point letter, a constant array none. First each array
+    that shares an index with a jet and with nothing else is contracted into
+    that jet (a plain einsum, which sums the index away before any Cauchy
+    product); then the jets multiply two at a time (Cauchy products); each
+    step is (kept operand, dropped operand, subscripts, is a Cauchy
+    product)."""
     ins, out = spec.replace(" ", "").split("->")
     subs = ins.split(",")
     kinds = ["jet" if d is None else "point" if "." not in s and d == len(s) + 1 else "const"
              for s, d in zip(subs, ndims)]
     free = iter(sorted(set(string.ascii_letters) - set(spec)))
     z, p, q = next(free), next(free), next(free)
+    tail = {"jet": q + z, "point": q, "const": ""}
     steps = []
-    while kinds.count("jet") > 1:
-        a, b = [i for i, k in enumerate(kinds) if k == "jet"][:2]
-        rest = "".join(s for i, s in enumerate(subs) if i not in (a, b)) + out
+
+    def others(a: int, b: int) -> str:
+        return "".join(s for i, s in enumerate(subs) if i not in (a, b)) + out
+
+    def contract(a: int, b: int, cauchy: bool) -> None:
+        rest = others(a, b)
         keep = "".join(dict.fromkeys(ch for ch in subs[a] + subs[b] if ch in rest))
-        steps.append((a, b, f"{subs[a]}{q}{p},{subs[b]}{q}{p}->{keep}{q}{p}"))
+        if cauchy:
+            sub = f"{subs[a]}{q}{p},{subs[b]}{q}{p}->{keep}{q}{p}"
+        else:
+            sub = f"{subs[a]}{q}{z},{subs[b]}{tail[kinds[b]]}->{keep}{q}{z}"
+        steps.append((a, b, sub, cauchy))
         subs[a] = keep
         del subs[b], kinds[b]
-    terms = [s + {"jet": q + z, "point": q, "const": ""}[k] for s, k in zip(subs, kinds)]
+
+    def fold() -> tuple[int, int] | None:
+        for b, kb in enumerate(kinds):
+            if kb == "jet" or "." in subs[b]:
+                continue
+            for a, ka in enumerate(kinds):
+                if ka == "jet" and any(ch in subs[a] and ch not in others(a, b) for ch in subs[b]):
+                    return a, b
+        return None
+
+    while (pair := fold()) is not None:
+        contract(*pair, cauchy=False)
+    while kinds.count("jet") > 1:
+        contract(*[i for i, k in enumerate(kinds) if k == "jet"][:2], cauchy=True)
+    terms = [s + tail[k] for s, k in zip(subs, kinds)]
     return steps, ",".join(terms) + "->" + out + q + z
 
 
@@ -258,15 +285,17 @@ def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
 def einsum(spec: str, *ops) -> Jet | np.ndarray:
     """np.einsum over the value axes of jets, constant arrays and per-point
     arrays, point by point; the coefficient axes of jets multiply as Cauchy
-    products, two at a time. Without a jet among the operands it is
-    np.einsum."""
+    products, two at a time (see _einsum_plan). Without a jet among the
+    operands it is np.einsum."""
     if not any(isinstance(o, Jet) for o in ops):
         return np.einsum(spec, *ops)
     steps, final = _einsum_plan(spec, tuple(None if isinstance(o, Jet) else np.ndim(o)
                                             for o in ops))
     ops = list(ops)
-    for a, b, sub in steps:
-        ops[a] = _cauchy(sub, *ops[a]._pair(ops[b]))
+    for a, b, sub, cauchy in steps:
+        ja = ops[a]
+        ops[a] = (_cauchy(sub, *ja._pair(ops[b])) if cauchy
+                  else Jet(np.einsum(sub, ja.c, ops[b]), ja.n, ja.order))
         del ops[b]
     jet = next(o for o in ops if isinstance(o, Jet))
     return Jet(np.einsum(final, *(o.c if isinstance(o, Jet) else o for o in ops)),
