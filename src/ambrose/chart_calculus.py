@@ -158,10 +158,10 @@ class LastJet:
             return None
         if np.array_equal(points, self.points):
             return self.jet.truncate(order)
-        same = (points[:, None] == self.points[None]).all(axis=2)
-        if not same.any(axis=1).all():
+        same = (points[:, None] == self.points[None]).all(axis=2).tolist()
+        if not all(any(row) for row in same):
             return None
-        return self.jet.take(same.argmax(axis=1)).truncate(order)
+        return self.jet.take([row.index(True) for row in same]).truncate(order)
 
     def put(self, points: np.ndarray, value: Jet) -> Jet:
         self.points, self.jet = points.copy(), value
