@@ -24,7 +24,7 @@ from .chart_calculus import (
     nan_max,
 )
 from .errors import RepMismatch
-from .jet import Jet, shift, variables
+from .jet import Jet, shift
 from .lie_core import LieAlgebra
 from .tensor_core import DOWN, LIE, DenseTensor, axis_action
 
@@ -40,17 +40,16 @@ class LocalConnectionForm:
     memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
-        x = np.atleast_2d(np.asarray(x, float))
-        a = self.memo.get(x, order)
-        if a is not None:
-            return a
-        a = self.evaluator(variables(x, order))
+        return self.memo.jet_at(x, order, self._checked)
+
+    def _checked(self, X: Jet) -> Jet:
+        a = self.evaluator(X)
         if a.shape != (self.chart.dim, self.algebra.dim):
             raise RepMismatch(
                 f"form evaluator returned shape {a.shape}, "
                 f"expected {(self.chart.dim, self.algebra.dim)}"
             )
-        return self.memo.put(x, a)
+        return a
 
     def at(self, x: np.ndarray) -> np.ndarray:
         return self.jet_at(x, 0).value[..., 0]

@@ -153,7 +153,18 @@ class LastJet:
         self.points: np.ndarray | None = None
         self.jet: Jet | None = None
 
-    def get(self, points: np.ndarray, order: int) -> Jet | None:
+    def jet_at(self, x: np.ndarray, order: int, evaluate: Callable[[Jet], Jet]) -> Jet:
+        """The jet of the given order at the points x, shape (P, n), or at
+        the single point x, shape (n,): read off the memo, or evaluate(the
+        coordinate jet) and kept."""
+        x = _batch(x)
+        value = self._read(x, order)
+        if value is None:
+            value = evaluate(variables(x, order))
+            self.points, self.jet = x.copy(), value
+        return value
+
+    def _read(self, points: np.ndarray, order: int) -> Jet | None:
         if self.jet is None or self.jet.order < order or points.shape[1:] != self.points.shape[1:]:
             return None
         if np.array_equal(points, self.points):
@@ -162,14 +173,6 @@ class LastJet:
         if not all(any(row) for row in same):
             return None
         return self.jet.take([row.index(True) for row in same]).truncate(order)
-
-    def put(self, points: np.ndarray, value: Jet) -> Jet:
-        self.points, self.jet = points.copy(), value
-        return value
-
-
-def _memo():
-    return field(default_factory=LastJet, init=False, repr=False, compare=False)
 
 
 def _batch(x: np.ndarray) -> np.ndarray:
@@ -213,23 +216,22 @@ class MetricField:
 
     chart: Chart
     evaluator: Callable[[Jet], Jet]
-    memo: LastJet = _memo()
+    memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
         """The jet of g at a batch of points, symmetrized so that the
         Levi-Civita coefficients and the torsion come out exactly symmetric
         and zero. The symmetry check runs once per evaluation, at every
         point of the batch."""
-        x = _batch(x)
-        g = self.memo.get(x, order)
-        if g is not None:
-            return g
-        g = self.evaluator(variables(x, order))
+        return self.memo.jet_at(x, order, self._symmetrized)
+
+    def _symmetrized(self, X: Jet) -> Jet:
+        g = self.evaluator(X)
         v = g.value
         # NaN and inf fail the comparison, so they raise too
         if not (np.abs(v - v.swapaxes(0, 1)) <= 1e-12).all():
             raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
-        return self.memo.put(x, 0.5 * (g + g.transpose(1, 0)))
+        return 0.5 * (g + g.transpose(1, 0))
 
     def at(self, x: np.ndarray) -> np.ndarray:
         return self.jet_at(x, 0).value[..., 0]
@@ -242,20 +244,19 @@ class ConnectionCoeffs:
     chart: Chart
     evaluator: Callable[[Jet], Jet]
     symmetric_flag: bool = False
-    memo: LastJet = _memo()
+    memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
-        x = _batch(x)
-        G = self.memo.get(x, order)
-        if G is not None:
-            return G
-        G = self.evaluator(variables(x, order))
+        return self.memo.jet_at(x, order, self._checked)
+
+    def _checked(self, X: Jet) -> Jet:
+        G = self.evaluator(X)
         if not np.isfinite(G.c).all():
             raise BadParameters("connection coefficients are not finite")
         v = G.value
         if self.symmetric_flag and not (np.abs(v - v.swapaxes(1, 2)) <= 1e-12).all():
             raise BadParameters("symmetric_flag set but coefficients asymmetric")
-        return self.memo.put(x, G)
+        return G
 
     def at(self, x: np.ndarray) -> np.ndarray:
         return self.jet_at(x, 0).value[..., 0]

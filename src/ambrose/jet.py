@@ -21,6 +21,7 @@ axis after their value axes.
 
 from __future__ import annotations
 
+import bisect
 import math
 import string
 from functools import lru_cache
@@ -52,10 +53,11 @@ def degrees(n: int, order: int) -> np.ndarray:
 # The tables are built in plain Python: the numpy sorting and searching
 # routines would map about 0.8 MB more of the library on first use.
 @lru_cache(maxsize=None)
-def _product_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, starts): the pairs of coefficient indices whose multi-indices
-    sum to order <= ``order``, sorted by the index of the sum, and the first
-    pair of each sum."""
+def _product_table(n: int, order: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(i, j, starts, bounds): the pairs of coefficient indices whose
+    multi-indices sum to order <= ``order``, sorted by the index of the sum,
+    the first pair of each sum, and those firsts followed by the pair count."""
     idx = _indices(n, order)
     pos = {a: k for k, a in enumerate(idx)}
     pairs = sorted((pos[tuple(p + q for p, q in zip(a, b))], i, j)
@@ -63,7 +65,7 @@ def _product_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
                    if sum(a) + sum(b) <= order)
     starts = [p for p, (k, _, _) in enumerate(pairs) if p == 0 or pairs[p - 1][0] != k]
     _, i, j = zip(*pairs)
-    return np.array(i), np.array(j), np.array(starts)
+    return np.array(i), np.array(j), np.array(starts), (*starts, len(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +151,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * np.asarray(other, float)[..., None, None], self.n, self.order)
         a, b = self._pair(other)
-        i, j, starts = _product_table(a.n, a.order)
+        i, j, starts, _ = _product_table(a.n, a.order)
         return Jet(np.add.reduceat(a.c[..., i] * b.c[..., j], starts, axis=-1), a.n, a.order)
 
     __rmul__ = __mul__
@@ -251,10 +253,10 @@ def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
 def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
     """The Cauchy product of two jets of one order, their value axes
     contracted by the einsum ``sub`` over (value, point, pair) axes. The
-    pairs go in blocks of whole output coefficients, so that no temporary
-    holds much more than PRODUCT_BLOCK elements; each coefficient is summed
-    over its pairs in the same order either way."""
-    i, j, starts = _product_table(a.n, a.order)
+    pairs go in blocks of whole output coefficients, as many as keep each
+    temporary within about PRODUCT_BLOCK elements (a small product is one
+    block); each coefficient sums its pairs in the same order either way."""
+    i, j, starts, bounds = _product_table(a.n, a.order)
     # gathered from C-ordered copies, the point and pair axes are the
     # innermost of each operand: einsum is many times slower otherwise
     ac, bc = np.ascontiguousarray(a.c), np.ascontiguousarray(b.c)
@@ -262,24 +264,17 @@ def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
     sa, sb = ins.split(",")
     dims = {**dict(zip(sa, ac.shape)), **dict(zip(sb, bc.shape))}
     per_pair = max(ac[..., 0].size, bc[..., 0].size, math.prod(dims[ch] for ch in out[:-1]))
-    if per_pair * len(i) <= PRODUCT_BLOCK:
-        return Jet(np.add.reduceat(np.einsum(sub, ac[..., i], bc[..., j]), starts, axis=-1),
-                   a.n, a.order)
-    bounds = list(starts) + [len(i)]
-    c = None
+    limit = PRODUCT_BLOCK // per_pair  # pairs per block
+    blocks = []
     lo = 0
     while lo < len(starts):
-        hi = lo + 1
-        while hi < len(starts) and (bounds[hi + 1] - bounds[lo]) * per_pair <= PRODUCT_BLOCK:
-            hi += 1
+        # the most whole coefficients from lo whose pairs fit, at least one
+        hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
         pairs = slice(bounds[lo], bounds[hi])
-        block = np.add.reduceat(np.einsum(sub, ac[..., i[pairs]], bc[..., j[pairs]]),
-                                starts[lo:hi] - starts[lo], axis=-1)
-        if c is None:
-            c = np.empty(block.shape[:-1] + (len(starts),))
-        c[..., lo:hi] = block
+        blocks.append(np.add.reduceat(np.einsum(sub, ac[..., i[pairs]], bc[..., j[pairs]]),
+                                      starts[lo:hi] - bounds[lo], axis=-1))
         lo = hi
-    return Jet(c, a.n, a.order)
+    return Jet(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1), a.n, a.order)
 
 
 def einsum(spec: str, *ops) -> Jet | np.ndarray:
