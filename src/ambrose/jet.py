@@ -2,9 +2,10 @@
 
 A jet of order K in n variables holds, for each entry of a value array and
 each point x of a batch, the Taylor coefficients f_a = d^a f(x) / a! over
-the multi-indices |a| <= K, on the last axis of an ndarray. The multi-indices are graded: the constant term,
-then e_0 .. e_{n-1}, then the order-2 ones, and so on, so the jet of a lower
-order is a prefix of the coefficient axis. A product is the Cauchy product
+the multi-indices |a| <= K, on the last axis of an ndarray. The
+multi-indices are graded: the constant term, then e_0 .. e_{n-1}, then the
+order-2 ones, and so on, so the jet of a lower order is a prefix of the
+coefficient axis. A product is the Cauchy product
 over the pairs (a, b) with |a + b| <= K; that table is built on first use and
 cached per (n, K) (Griewank, Utke and Walther, Math. Comp. 69, 2000;
 Bettencourt, Johnson and Duvenaud, "Taylor-mode automatic differentiation
@@ -264,7 +265,7 @@ def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
     sa, sb = ins.split(",")
     dims = {**dict(zip(sa, ac.shape)), **dict(zip(sb, bc.shape))}
     per_pair = max(ac[..., 0].size, bc[..., 0].size, math.prod(dims[ch] for ch in out[:-1]))
-    limit = PRODUCT_BLOCK // per_pair  # pairs per block
+    limit = PRODUCT_BLOCK // max(per_pair, 1)  # pairs per block
     blocks = []
     lo = 0
     while lo < len(starts):
