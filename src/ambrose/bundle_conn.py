@@ -19,14 +19,13 @@ from .chart_calculus import (
     ConnectionCoeffs,
     LastJet,
     TensorFieldSpec,
-    covariant_derivative,
     nabla,
     nan_max,
 )
 from .errors import RepMismatch
 from .jet import Jet, shift
 from .lie_core import LieAlgebra
-from .tensor_core import DOWN, LIE, DenseTensor, axis_action
+from .tensor_core import DOWN, LIE, DenseTensor, axis_action, point_norms
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,14 @@ class LocalConnectionForm:
 
 def form_difference(a1: LocalConnectionForm,
                     a0: LocalConnectionForm) -> TensorFieldSpec:
-    """a1 - a0 as an adjoint-valued 1-form field."""
+    """a1 - a0 as an adjoint-valued 1-form field, read off the forms' memos,
+    so a batch evaluates each form once."""
     if a1.algebra is not a0.algebra and a1.algebra.labels != a0.algebra.labels:
         raise RepMismatch("connection forms live over different algebras")
     return TensorFieldSpec(
         chart=a1.chart,
         markers=(DOWN, LIE),
-        evaluator=lambda X: a1.evaluator(X) - a0.evaluator(X),
+        evaluator=lambda X: a1.jet_at(X.value.T, X.order) - a0.jet_at(X.value.T, X.order),
     )
 
 
@@ -114,80 +114,72 @@ def curvature_form_field(a: LocalConnectionForm) -> TensorFieldSpec:
     )
 
 
-def exterior_cov_derivative(a: LocalConnectionForm, alpha: TensorFieldSpec,
-                            x: np.ndarray) -> DenseTensor:
-    """d^A alpha for an adjoint-valued 1-form; coordinate brackets vanish."""
-    if alpha.markers != (DOWN, LIE):
-        raise RepMismatch("exterior_cov_derivative expects an adjoint-valued 1-form")
-    x = np.asarray(x, float)
-    dal = alpha.partial_at(x)
-    av = a.at(x)
-    alv = alpha.at(x).data
-    br = np.einsum("kij,mi,nj->mnk", a.algebra.structure, av, alv)
-    d = dal - dal.transpose(1, 0, 2) + br - br.transpose(1, 0, 2)
-    return DenseTensor((DOWN, DOWN, LIE), d)
-
-
-def bianchi_residual(a: LocalConnectionForm, x: np.ndarray) -> float:
-    """Cyclic-sum norm of the covariant exterior derivative of F at x."""
-    x = np.asarray(x, float)
-    f = _curvature_form_jet(a, x, 1)
-    cov = shift(f).value[..., 0] + np.einsum("kij,mi,nlj->mnlk", a.algebra.structure, a.at(x),
-                                             f.value[..., 0])
-    cyc = cov + cov.transpose(1, 2, 0, 3) + cov.transpose(2, 0, 1, 3)
-    return float(np.linalg.norm(cyc))
+def bianchi_residual(a: LocalConnectionForm, points: np.ndarray) -> float:
+    """Largest norm over the points of the cyclic sum of the covariant
+    exterior derivative of F."""
+    f = _curvature_form_jet(a, points, 1)
+    cov = shift(f).value + np.einsum("kij,miP,nljP->mnlkP", a.algebra.structure,
+                                     a.jet_at(points, 0).value, f.value)
+    cyc = cov + cov.transpose(1, 2, 0, 3, 4) + cov.transpose(2, 0, 1, 3, 4)
+    return nan_max(point_norms(cyc))
 
 
 def curvature_variation_check(a: LocalConnectionForm, alpha: TensorFieldSpec,
-                              x: np.ndarray) -> float:
-    """Residual of F^{a+alpha} = F^a + d^a alpha + [alpha wedge alpha]/2."""
-    x = np.asarray(x, float)
-    shifted = a.shifted(alpha)
-    f1 = curvature_form(shifted, x).data
-    f0 = curvature_form(a, x).data
-    d = exterior_cov_derivative(a, alpha, x).data
-    alv = alpha.at(x).data
-    quad = np.einsum("kij,mi,nj->mnk", a.algebra.structure, alv, alv)
-    return float(np.linalg.norm(f1 - f0 - d - quad))
+                              points: np.ndarray) -> float:
+    """Largest residual over the points of F^{a+alpha} = F^a + d^a alpha +
+    [alpha wedge alpha]/2, with d^a alpha = d alpha + [a wedge alpha] (the
+    coordinate brackets vanish)."""
+    f1 = _curvature_form_jet(a.shifted(alpha), points, 0).value
+    f0 = _curvature_form_jet(a, points, 0).value
+    al = alpha.jet_at(points, 1)
+    dal, alv = shift(al).value, al.value
+    s = a.algebra.structure
+    br = np.einsum("kij,miP,njP->mnkP", s, a.jet_at(points, 0).value, alv)
+    d = dal - dal.transpose(1, 0, 2, 3) + br - br.transpose(1, 0, 2, 3)
+    quad = np.einsum("kij,miP,njP->mnkP", s, alv, alv)
+    return nan_max(point_norms(f1 - f0 - d - quad))
 
 
 def connection_variation_check(eta: SectionSpec, a: LocalConnectionForm,
                                a_prime: LocalConnectionForm,
-                               gamma: ConnectionCoeffs, x: np.ndarray) -> float:
-    """Residual of the variation formula: del' eta = del eta + beta . eta."""
-    x = np.asarray(x, float)
-    beta_ad = a_prime.ad_at(x) - a.ad_at(x)
+                               gamma: ConnectionCoeffs, points: np.ndarray) -> float:
+    """Largest residual over the points and the fields of the variation
+    formula del' eta = del eta + beta . eta, beta = a' - a."""
+    G = gamma.jet_at(points, 0)
+    ad0, ad1 = a.ad_jet(points, 0), a_prime.ad_jet(points, 0)
     worst = []
     for f in eta.fields:
-        d1 = covariant_derivative(gamma, f, x, a_prime.ad_at)
-        d0 = covariant_derivative(gamma, f, x, a.ad_at)
-        action = axis_action(f.markers, f.at(x).data, None, beta_ad)
-        worst.append(float(np.linalg.norm(d1.data - d0.data - action)))
+        t = f.jet_at(points, 1)
+        d = (nabla(t, f.markers, G, ad1) - nabla(t, f.markers, G, ad0)
+             - axis_action(f.markers, t.truncate(0), None, ad1 - ad0))
+        worst.append(nan_max(point_norms(d.value)))
     return nan_max(worst)
 
 
 def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
                   a: LocalConnectionForm, gamma: ConnectionCoeffs,
-                  x: np.ndarray) -> float:
-    """Residual of del(beta.eta) = (del beta).eta + beta.(del eta)."""
+                  points: np.ndarray) -> float:
+    """Largest residual over the points and the fields of
+    del(beta.eta) = (del beta).eta + beta.(del eta)."""
     if beta.markers != (DOWN, LIE):
         raise RepMismatch("leibniz_check expects an adjoint-valued 1-form")
-    x = np.asarray(x, float)
     s = a.algebra.structure
-    G, ad_a = gamma.at(x), a.ad_at(x)
-    b = beta.jet_at(x, 1)
+    G, ad_a = gamma.jet_at(points, 0), a.ad_jet(points, 0)
+    b = beta.jet_at(points, 1)
     ad_b = jet.einsum("kij,mi->mkj", s, b)
-    db = nabla(b, beta.markers, G, ad_a).value[..., 0]
+    db = nabla(b, beta.markers, G, ad_a)
+    # ad((del beta)_u) and ad(beta), the actions on eta along each direction u
+    ad_db = [jet.einsum("kij,ni->nkj", s, db[u]) for u in range(a.chart.dim)]
+    ad_b0 = ad_b.truncate(0)
     worst = []
     for f in eta.fields:
-        eta_j = f.jet_at(x, 1)
+        eta_j = f.jet_at(points, 1)
         lhs = nabla(axis_action(f.markers, eta_j, None, ad_b),
-                    (DOWN,) + tuple(f.markers), G, ad_a).value[..., 0]
-        # (del beta).eta, with the derivative direction leading, and beta.(del eta)
-        eta_x = eta_j.value[..., 0]
-        term1 = np.stack([axis_action(f.markers, eta_x, None, np.einsum("kij,ni->nkj", s, r))
-                          for r in db])
-        deta = nabla(eta_j, f.markers, G, ad_a).value[..., 0]
-        term2 = np.stack([axis_action(f.markers, d, None, ad_b.value[..., 0]) for d in deta])
-        worst.append(float(np.linalg.norm(lhs - term1 - term2)))
+                    (DOWN,) + tuple(f.markers), G, ad_a).value
+        # (del beta).eta and beta.(del eta), each along every direction u
+        eta_0, deta = eta_j.truncate(0), nabla(eta_j, f.markers, G, ad_a)
+        term1 = np.stack([axis_action(f.markers, eta_0, None, ad).value for ad in ad_db])
+        term2 = np.stack([axis_action(f.markers, deta[u], None, ad_b0).value
+                          for u in range(a.chart.dim)])
+        worst.append(nan_max(point_norms(lhs - term1 - term2)))
     return nan_max(worst)

@@ -11,6 +11,9 @@ Everything lives on one coordinate chart; points are plain coordinate
 arrays. ``fd_array``, a Richardson-extrapolated central
 difference, is the tests' reference for those partials.
 
+The residual checks run on the batch as well, any number of points in
+batches of at most CHUNK (``max_over_chunks``).
+
 Index layout for connection coefficients: data[k, i, j] = coefficient of the
 k-th basis vector in the derivative along direction i of basis vector j, so
 covariant differentiation of a vector reads (del v)[mu, k] = d_mu v^k +
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here keeps that cost in the
@@ -44,10 +47,18 @@ from .tensor_core import (
     OrthoFrame,
     axis_action,
     cholesky_frames,
-    to_frame,
+    frame_stacks,
+    point_norms,
+    to_frames,
 )
 
+if TYPE_CHECKING:
+    from .bundle_conn import LocalConnectionForm
+
 STEP_SCALE = 1e-3
+# most sample points in one batch of jets: the memory of a batch grows with
+# its size, so a run over any number of points stays bounded
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -205,10 +216,6 @@ class TensorFieldSpec:
     def at(self, x: np.ndarray) -> DenseTensor:
         return DenseTensor(self.markers, self.jet_at(x, 0).value[..., 0])
 
-    def partial_at(self, x: np.ndarray) -> np.ndarray:
-        """out[mu] = d_mu of the components, shape (n, *dims)."""
-        return shift(self.jet_at(x, 1)).value[..., 0]
-
 
 @dataclass(frozen=True)
 class MetricField:
@@ -345,17 +352,6 @@ def nabla(t: Jet, markers: tuple[str, ...], G: Jet | np.ndarray,
     return shift(t) + axis_action(markers, t.truncate(t.order - 1), mat, lie)
 
 
-def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec,
-                         x: np.ndarray,
-                         lie: Callable[[np.ndarray], np.ndarray] | None = None,
-                         ) -> DenseTensor:
-    """Covariant derivative of a tensor field at x; new covariant axis leads.
-    ``lie(x)[mu]`` acts on the LIE axes."""
-    x = np.asarray(x, float)
-    d = nabla(t.jet_at(x, 1), t.markers, gamma.at(x), None if lie is None else lie(x))
-    return DenseTensor((DOWN,) + tuple(t.markers), d.value[..., 0])
-
-
 def curvature_of(G: Jet) -> Jet:
     """Curvature R[l, k, i, j] = d_i G[l,j,k] - d_j G[l,i,k] + G[l,i,m]G[m,j,k]
     - (i<->j) from the connection jet G, one order lower."""
@@ -440,21 +436,40 @@ def ortho_frame_partial(g: MetricField,
     return shift(frame).value[..., 0], shift(coframe).value[..., 0]
 
 
-def nan_max(values: Iterable[float]) -> float:
+def nan_max(values: Iterable[float] | np.ndarray) -> float:
     """Largest value, 0.0 for none; NaN as soon as any value is NaN."""
-    vals = [float(v) for v in values]
-    return float(np.max(vals)) if vals else 0.0
+    vals = np.asarray(values if isinstance(values, np.ndarray) else list(values), float)
+    return float(vals.max()) if vals.size else 0.0
+
+
+def max_over_chunks(check: Callable[[np.ndarray], dict[str, float]],
+                    points: np.ndarray) -> dict[str, float]:
+    """Each residual's largest value over the points, NaN as soon as any is
+    NaN: check maps a batch of at most CHUNK points to the largest of each
+    residual there, so a check's memory does not grow with the points."""
+    points = _batch(points)
+    rows = [check(points[i:i + CHUNK]) for i in range(0, len(points), CHUNK)]
+    return {name: nan_max([row[name] for row in rows]) for name in rows[0]}
 
 
 def max_nabla_norms(gamma: ConnectionCoeffs,
-                    fields: dict[str, tuple[TensorFieldSpec, Callable | None]],
+                    fields: dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]],
                     g: MetricField, points: np.ndarray) -> dict[str, float]:
     """Largest norm over the points of the covariant derivative of each named
-    field, with ``lie(x)[mu]`` on its LIE axes for a (field, lie) pair, each
-    value taken in the orthonormal frame of g at its point."""
-    vals: dict[str, list[float]] = {name: [] for name in fields}
-    for x in points:
-        fr = ortho_frame(g, x)
-        for name, (t, lie) in fields.items():
-            vals[name].append(to_frame(covariant_derivative(gamma, t, x, lie), fr).norm())
-    return {name: nan_max(v) for name, v in vals.items()}
+    field, with ad of the form of a (field, form) pair on its LIE axes, each
+    value taken in the orthonormal frame of g at its point. The fields are
+    evaluated first, so Gamma, read after them, is evaluated once per batch
+    at the highest order any of them reads."""
+
+    def norms(batch: np.ndarray) -> dict[str, float]:
+        jets = {name: t.jet_at(batch, 1) for name, (t, _) in fields.items()}
+        G = gamma.jet_at(batch, 0)
+        coframe, frame_t = frame_stacks(ortho_frames(g, batch))
+        out = {}
+        for name, (t, form) in fields.items():
+            d = nabla(jets[name], t.markers, G, None if form is None else form.ad_jet(batch, 0))
+            out[name] = nan_max(point_norms(to_frames((DOWN,) + t.markers, d.value,
+                                                      coframe, frame_t)))
+        return out
+
+    return max_over_chunks(norms, points)

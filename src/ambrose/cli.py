@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,10 +23,11 @@ from .bundle_conn import (
 )
 from .chart_calculus import (
     TensorFieldSpec,
-    covariant_derivative,
-    curvature,
+    curvature_of,
+    max_nabla_norms,
+    max_over_chunks,
     nan_max,
-    ortho_frame,
+    ortho_frames,
     sample_interior,
 )
 from .errors import (
@@ -45,21 +45,16 @@ from .fixtures import (
     smooth_tensor_field,
 )
 from .homogeneity import (
-    CHUNK,
     KMAX_CAP,
     TOLERANCES,
-    DerivativeTower,
-    StabilizerChain,
     TripleSpec,
     VerificationReport,
     adapted_residuals,
-    build_towers,
     check_lh_triple,
     check_ls_triple,
     frame_gauge_form,
     make_report,
     opozda_section_spec,
-    stabilizer_chain,
     tower_and_chain,
     towers_and_chains,
     verdict,
@@ -71,7 +66,7 @@ from .lie_core import (
     principal_angles,
     subalgebra_residual,
 )
-from .tensor_core import DOWN, LIE, to_frame
+from .tensor_core import DOWN, LIE, UP, frame_stacks, point_norms, to_frames
 from .total_space import TotalSpaceModel, total_space_check
 
 SCENARIOS = (
@@ -424,8 +419,8 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     grown from KMAX_START (or built at --kmax), whose tower is reused unless
     it is shallower than the k_S + 2 that ``adapted_residuals`` reads. Under
     infinitesimal homogeneity k_S is the same at every point: the other
-    points get towers of depth k_S + 2, built in batches of at most CHUNK,
-    and a chain that does not stabilize at k_S raises NumericalFailure."""
+    points get towers of depth k_S + 2 from ``towers_and_chains``, and a
+    chain that does not stabilize at k_S raises NumericalFailure."""
     fix = _fixture(cfg)
     if fix.gamma_canonical is None:
         raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
@@ -441,18 +436,10 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     if singer_k is None:
         raise ConfigError("stabilizer chain did not stabilize within the cap")
     depth = singer_k + 2
-
-    def towers() -> Iterator[tuple[DerivativeTower, StabilizerChain]]:
-        start = 0
-        if tower.kmax >= depth:
-            yield tower, first_chain
-            start = 1
-        for i in range(start, len(points), CHUNK):
-            for t in build_towers(sigma, None, fix.gamma, fix.g, points[i:i + CHUNK], depth):
-                yield t, stabilizer_chain(t, rep)
-
-    rows = []
-    for tw, chain in towers():
+    reuse = tower.kmax >= depth
+    rows = [adapted_residuals(tower, first_chain, fix.g, b0, b_prime, rep, inner)] if reuse else []
+    others = points[1:] if reuse else points
+    for tw, chain in towers_and_chains(sigma, None, fix.gamma, fix.g, others, rep, kmax=depth):
         if chain.singer_k != singer_k:
             raise NumericalFailure(
                 f"stabilizer chain at {tw.point} stabilizes at stage {chain.singer_k}, "
@@ -502,26 +489,26 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
     g_field = TensorFieldSpec(chart=chart, markers=(DOWN, DOWN), evaluator=fix.g.evaluator)
     points = sample_interior(chart, cfg.points, cfg.seed)
 
-    def one(x: np.ndarray) -> dict[str, float]:
-        fr = ortho_frame(fix.g, x)
-        r_hat = to_frame(curvature(gamma, x), fr).data
+    def check(batch: np.ndarray) -> dict[str, float]:
+        # the curvature first, so that Gamma is evaluated once, at the
+        # highest order the checks read
+        r = curvature_of(gamma.jet_at(batch, 1)).value
+        r_hat = to_frames((UP, DOWN, DOWN, DOWN), r, *frame_stacks(ortho_frames(fix.g, batch)))
         cyc = (
             r_hat
-            + np.transpose(r_hat, (0, 2, 3, 1))
-            + np.transpose(r_hat, (0, 3, 1, 2))
+            + np.transpose(r_hat, (0, 2, 3, 1, 4))
+            + np.transpose(r_hat, (0, 3, 1, 2, 4))
         )
         return {
-            "nabla_g": to_frame(covariant_derivative(gamma, g_field, x), fr).norm(),
-            "bianchi_first": float(np.linalg.norm(cyc)),
-            "bianchi_second": bianchi_residual(a, x),
-            "curvature_variation": curvature_variation_check(a, alpha, x),
-            "connection_variation": connection_variation_check(eta, a, a_prime, gamma, x),
-            "leibniz": leibniz_check(beta, eta, a, gamma, x),
+            **max_nabla_norms(gamma, {"nabla_g": (g_field, None)}, fix.g, batch),
+            "bianchi_first": nan_max(point_norms(cyc)),
+            "bianchi_second": bianchi_residual(a, batch),
+            "curvature_variation": curvature_variation_check(a, alpha, batch),
+            "connection_variation": connection_variation_check(eta, a, a_prime, gamma, batch),
+            "leibniz": leibniz_check(beta, eta, a, gamma, batch),
         }
 
-    rows = [one(x) for x in points]
-    residuals = {n: nan_max(row[n] for row in rows) for n in rows[0]}
-    return make_report("identities", fix.name, points, residuals)
+    return make_report("identities", fix.name, points, max_over_chunks(check, points))
 
 
 def run_selftest(cfg: RunConfig) -> VerificationReport:

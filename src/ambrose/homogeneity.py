@@ -25,6 +25,7 @@ from .bundle_conn import (
     form_difference,
 )
 from .chart_calculus import (
+    CHUNK,
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
@@ -64,14 +65,12 @@ from .tensor_core import (
     OrthoFrame,
     apply_axis,
     axis_action,
+    frame_stacks,
     to_frames,
 )
 
 KMAX_START = 2
 KMAX_CAP = 4
-# most sample points in one batch of jets: the memory of a batch grows with
-# its size, so a run over any number of points stays bounded
-CHUNK = 8
 # orbit_match: accepted relative residual, random starts, Levenberg-Marquardt
 # iterations per start, the damping's start and floor, and the relative
 # decrease of the squared residual below which a start has stalled
@@ -223,8 +222,7 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
         level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
         levels.append(level)
     frames = ortho_frames(g, points) if frames is None else frames
-    coframe = np.stack([f.coframe for f in frames], axis=-1)
-    frame_t = np.stack([f.frame.T for f in frames], axis=-1)
+    coframe, frame_t = frame_stacks(frames)
     # each entry in the frames, point axis first
     entries = [[(m, np.moveaxis(to_frames(m, t.value, coframe, frame_t), -1, 0)) for m, t in lv]
                for lv in levels]
@@ -604,8 +602,8 @@ def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
     residuals = max_nabla_norms(gamma, {
         "nabla_R": (curvature_field(gamma), None),
         "nabla_T": (torsion_field(gamma), None),
-        "nabla_F": (curvature_form_field(a), a.ad_at),
-        "nabla_alpha": (form_difference(a, triple.a0), a.ad_at),
+        "nabla_F": (curvature_form_field(a), a),
+        "nabla_alpha": (form_difference(a, triple.a0), a),
     }, triple.g, points)
     return make_report("check-lh-triple", fixture, points, residuals)
 
@@ -617,7 +615,7 @@ def check_ls_triple(triple: TripleSpec, points: np.ndarray,
     gamma = levi_civita(triple.g)
     residuals = max_nabla_norms(gamma, {
         "nabla_Rg": (curvature_field(gamma), None),
-        "nabla_F0": (curvature_form_field(triple.a0), triple.a0.ad_at),
+        "nabla_F0": (curvature_form_field(triple.a0), triple.a0),
     }, triple.g, points)
     return make_report("check-ls-triple", fixture, points, residuals)
 

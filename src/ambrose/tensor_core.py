@@ -129,6 +129,14 @@ def cholesky_frames(gs: np.ndarray, points: np.ndarray) -> list[OrthoFrame]:
     return [OrthoFrame(x, e, th) for x, e, th in zip(points, frame, coframe)]
 
 
+def frame_stacks(frames: list[OrthoFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """The coframes and the transposed frames of a batch of frames, each
+    stacked on a last point axis, shape (n, n, P): the frame arguments of
+    to_frames."""
+    return (np.stack([f.coframe for f in frames], axis=-1),
+            np.stack([f.frame.T for f in frames], axis=-1))
+
+
 def to_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
     """Express tensor-axis components in the frame basis (LIE axes
     untouched): to_frames on a batch of one."""
@@ -153,3 +161,11 @@ def to_frames(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
         data = np.einsum(f"Z{j}P,{letters}P->{letters.replace(j, 'Z')}P",
                          coframe if m == UP else frame_t, data)
     return data
+
+
+def point_norms(data: np.ndarray) -> np.ndarray:
+    """The norm of each point's components of data, shape (dims..., P), as
+    DenseTensor.norm takes it: one dot product of that point's components,
+    in row-major order."""
+    flat = np.ascontiguousarray(np.moveaxis(data, -1, 0)).reshape(data.shape[-1], 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()

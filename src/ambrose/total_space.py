@@ -1,12 +1,13 @@
 """Adapted connection on a locally trivialized principal-bundle total space,
 and the total-space parallelism criteria.
 
-The checks evaluate, per point, first-order Taylor jets of one orthonormal
-frame of the connection metric and of the torsion, curvature and
-curvature-form tables contracted with it, and assemble every frame tuple of
-del-bar T-bar and del-bar R-bar as an einsum.  The same jets give the
-curvature partials of the hypotheses and the shift-form partials of the
-distribution criterion.
+The checks evaluate, on a batch of at most CHUNK points at a time,
+first-order Taylor jets of one orthonormal frame of the connection metric
+and of the torsion, curvature and curvature-form tables contracted with it,
+and assemble every frame tuple of del-bar T-bar and del-bar R-bar at every
+point of the batch as an einsum over a last point axis.  The hypotheses are
+check_lh_triple's residuals, on the same batch; the frame jets also give the
+shift-form partials of the distribution criterion.
 
 The per-tuple case tables (``bar_torsion_derivative``,
 ``bar_curvature_derivative``) define those tuples on generated fields:
@@ -22,6 +23,7 @@ the one derivative by FD left in the package.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,21 +35,20 @@ from .chart_calculus import (
     Chart,
     ConnectionCoeffs,
     MetricField,
-    TensorFieldSpec,
     curvature,
     curvature_of,
     fd_array,
     frame_jet,
-    nabla,
+    max_over_chunks,
     nan_max,
     torsion_field,
     torsion_of,
 )
 from .errors import RepMismatch, UnsupportedFieldKind
-from .homogeneity import TOLERANCES, VerificationReport, make_report
+from .homogeneity import TOLERANCES, TripleSpec, VerificationReport, check_lh_triple, make_report
 from .lie_core import AdInvariantInner, LieAlgebra
 from .jet import Jet, shift
-from .tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, axis_action, to_frame
+from .tensor_core import LIE, UP, axis_action
 
 
 @dataclass(frozen=True)
@@ -345,115 +346,104 @@ def _hypotheses_hold(residuals: dict[str, float]) -> bool:
     return all(residuals[k] <= tol[k] for k in HYPOTHESES if k in residuals)
 
 
-def _frame_actions(model: TotalSpaceModel, G: np.ndarray, av: np.ndarray,
-                   E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Connection matrices along each frame vector E_c, from the connection
-    coefficients G and form rows av at a point: Gamma(E_c) on base vectors
-    and ad(a(E_c)) on algebra elements."""
-    gc = np.einsum("kmj,mc->ckj", G, E)
-    adc = np.einsum("eij,mi,mc->cej", model.algebra.structure, av, E)
-    return gc, adc
-
-
 def _along_frame(E: np.ndarray, act: np.ndarray, table: Jet) -> np.ndarray:
     """Covariant derivative along each frame vector E_c (leading axis) of a
     table's first-order jet, act[c] acting on its leading axis."""
-    return (np.tensordot(E, shift(table).value[..., 0], axes=(0, 0))
-            + np.tensordot(act, table.value[..., 0], axes=(2, 0)))
+    return (np.einsum("mcP,m...P->c...P", E, shift(table).value)
+            + np.einsum("cijP,j...P->ci...P", act, table.value))
 
 
 def _slot_terms(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over the frame slots of a table (every axis after the first) of the
-    table with that slot's E_b replaced by del_{E_c} E_b = w[c, p, b] E_p;
-    the direction c leads."""
+    """Sum over the frame slots of a table (every axis after the first but
+    the point axis) of the table with that slot's E_b replaced by
+    del_{E_c} E_b = w[c, p, b] E_p; the direction c leads."""
+    idx = string.ascii_lowercase[:table.ndim - 1]
     out = 0.0
-    for ax in range(1, table.ndim):
-        t = np.moveaxis(np.tensordot(table, w, axes=(ax, 1)), -1, ax)
-        out = out + np.moveaxis(t, -1, 0)
+    for b in idx[1:]:
+        out = out + np.einsum(f"{idx.replace(b, 'X')}Z,YX{b}Z->Y{idx}Z", table, w)
     return out
 
 
-def _point_residuals(model: TotalSpaceModel, x: np.ndarray,
-                     alpha: TensorFieldSpec | None = None) -> dict[str, float]:
-    """Every total-space residual at x from first-order jets of one frame
-    and of the frame tables: the hypotheses nabla_R, nabla_T and nabla_F; the norms
-    nabla_bar_T of del-bar T-bar over all frame triples and nabla_bar_R of
-    del-bar R-bar over (frame, lift, lift, frame) tuples, as the per-tuple
-    case tables define them; and, given the shift form alpha, alpha_parallel
-    and distribution.
+def _residuals(model: TotalSpaceModel, points: np.ndarray,
+               a0: LocalConnectionForm | None = None) -> dict[str, float]:
+    """The largest of every total-space residual over a batch of points. The
+    hypotheses nabla_R, nabla_T, nabla_F and, given the reference form a0,
+    alpha_parallel are check_lh_triple's residuals of the triple (g, a0)
+    with the model's form a. From first-order jets of one frame and of the
+    frame tables come the norms nabla_bar_T of del-bar T-bar over all frame
+    triples and nabla_bar_R of del-bar R-bar over (frame, lift, lift, frame)
+    tuples, as the per-tuple case tables define them, and, given a0,
+    distribution, of the shift form alpha = a - a0.
 
     Only lift triples and the vertical Jacobi triple of T-bar, and the
     lift/lift/lift and lift/lift/fundamental cases of R-bar, are nonzero.
     The other tuples are exact zeros of the case tables, and so is the
     fundamental/lift/lift/fundamental case of R-bar: its derivative
     [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
-    frame, coframe = frame_jet(model.g, x, 1)
-    # T, R and Gamma from one jet of Gamma
-    gamma = model.gamma.jet_at(x, 2)
-    t, r, G = torsion_of(gamma.truncate(1)), curvature_of(gamma), gamma.value[..., 0]
-    f = curvature_form_field(model.a).jet_at(x, 1)
-    av, lie = model.a.at(x), model.a.ad_at(x)
-    E = frame.value[..., 0]
-    fr = OrthoFrame(x, E, coframe.value[..., 0])
-
-    def frame_norm(t: Jet, markers: tuple[str, ...], lie=None) -> float:
-        d = nabla(t, markers, G, lie).value[..., 0]
-        return to_frame(DenseTensor((DOWN,) + markers, d), fr).norm()
-
-    out = {
-        "nabla_R": frame_norm(r, (UP, DOWN, DOWN, DOWN)),
-        "nabla_T": frame_norm(t, (UP, DOWN, DOWN)),
-        "nabla_F": frame_norm(f, (DOWN, DOWN, LIE), lie),
-    }
+    # Gamma before the frame, so that the metric is evaluated once, at the
+    # order the Christoffel symbols of a Levi-Civita Gamma read
+    gamma = model.gamma.jet_at(points, 2)
+    frame, coframe = frame_jet(model.g, points, 1)
+    t, r, G = torsion_of(gamma.truncate(1)), curvature_of(gamma), gamma.value
+    f = curvature_form_field(model.a).jet_at(points, 1)
+    E, th = frame.value, coframe.value
+    triple = TripleSpec(model.g, model.a if a0 is None else a0)
+    out = dict(check_lh_triple(triple, model.gamma, model.a, points).residuals)
+    alpha_parallel = out.pop("nabla_alpha")
     ht = jet.einsum("kij,ia,jb->kab", t, frame, frame)
     nf = jet.einsum("ijc,ia,jb->cab", f, frame, frame)
     hr = jet.einsum("lkij,ia,jb,kc->labc", r, frame, frame, frame)
     vc = _vertical_coframe(model)
     cm = np.linalg.inv(vc)  # columns C_i: the fundamental frame elements
-    gc, adc = _frame_actions(model, G, av, E)
-    dframe = _along_frame(E, gc, frame)
-    w = fr.coframe @ dframe  # del_{E_c} E_b = w[c, p, b] E_p
-    # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
-    t_h = _along_frame(E, gc, ht) - _slot_terms(ht.value[..., 0], w)
-    t_v = _along_frame(E, adc, nf) - _slot_terms(nf.value[..., 0], w)
-    # vertical triples (k, a, b) of T-bar: [C_a, C_b]
     s = model.algebra.structure
+    # Gamma(E_c) on base vectors and ad(a(E_c)) on algebra elements, along
+    # each frame vector E_c
+    gc = np.einsum("kmjP,mcP->ckjP", G, E)
+    adc = np.einsum("eij,miP,mcP->cejP", s, model.a.jet_at(points, 0).value, E)
+    dframe = _along_frame(E, gc, frame)
+    w = np.einsum("piP,cibP->cpbP", th, dframe)  # del_{E_c} E_b = w[c, p, b] E_p
+    # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
+    t_h = _along_frame(E, gc, ht) - _slot_terms(ht.value, w)
+    t_v = _along_frame(E, adc, nf) - _slot_terms(nf.value, w)
+    # vertical triples (k, a, b) of T-bar: [C_a, C_b]
     br = np.einsum("eij,ia,jb->eab", s, cm, cm)
     jacobi = (np.einsum("eij,ik,jab->keab", s, cm, br)
               - np.einsum("eij,ika,jb->keab", s, br, cm)
               - np.einsum("eij,ia,jkb->keab", s, cm, br))
     # (c, a, b, d) of R-bar: R(E_a, E_b)E_d for a lift E_d, and
     # [F(E_a, E_b), C_d] for a fundamental C_d
-    r_h = _along_frame(E, gc, hr) - _slot_terms(hr.value[..., 0], w)
-    r_v = np.einsum("eij,ciab,jd->ceabd", s, t_v, cm)
+    r_h = _along_frame(E, gc, hr) - _slot_terms(hr.value, w)
+    r_v = np.einsum("eij,ciabP,jd->ceabdP", s, t_v, cm)
 
-    def norm2(coframe, t):  # t[tuple index, component, further tuple indices]
-        return float(np.sum(np.tensordot(coframe, t, axes=(1, 1)) ** 2))
+    def norm2(coframe, t):  # t[tuple index, component, further tuple indices, point]
+        return np.sum(np.einsum("piP,ci...P->pc...P", coframe, t) ** 2,
+                      axis=tuple(range(t.ndim - 1)))
 
-    out["nabla_bar_T"] = float(np.sqrt(norm2(fr.coframe, t_h) + norm2(vc, t_v)
-                                       + norm2(vc, jacobi)))
-    out["nabla_bar_R"] = float(np.sqrt(norm2(fr.coframe, r_h) + norm2(vc, r_v)))
-    if alpha is not None:
-        al = alpha.jet_at(x, 1)
-        out["alpha_parallel"] = frame_norm(al, (DOWN, LIE), lie)
+    vcp = vc[..., None]  # the same at every point
+    out["nabla_bar_T"] = nan_max(np.sqrt(norm2(th, t_h) + norm2(vcp, t_v)
+                                         + norm2(vcp, jacobi[..., None])))
+    out["nabla_bar_R"] = nan_max(np.sqrt(norm2(th, r_h) + norm2(vcp, r_v)))
+    if a0 is not None:
+        out["alpha_parallel"] = alpha_parallel
+        al = form_difference(model.a, a0).jet_at(points, 1)
         # the shifts alpha(E_b) of the lifts, differentiated along each E_c
         sh = jet.einsum("ic,ib->cb", al, frame)
-        resid = _along_frame(E, adc, sh) - al.value[..., 0].T @ dframe
-        out["distribution"] = nan_max(
-            np.linalg.norm(np.tensordot(vc, resid, axes=(1, 1)), axis=0).ravel())
+        resid = _along_frame(E, adc, sh) - np.einsum("iaP,cibP->cabP", al.value, dframe)
+        out["distribution"] = nan_max(np.linalg.norm(np.einsum("pa,cabP->pcbP", vc, resid),
+                                                     axis=0))
     return out
 
 
 def _check(model: TotalSpaceModel, a0: LocalConnectionForm | None,
            points: np.ndarray, fixture: str,
            keys: tuple[str, ...] | None = None) -> VerificationReport:
-    """The largest of each residual of _point_residuals over the points (all
-    of them, or the given keys), flagged when a hypothesis fails."""
+    """The largest of each residual of _residuals over the points, in
+    batches of at most CHUNK (all of them, or the given keys), flagged when
+    a hypothesis fails."""
     points = np.atleast_2d(np.asarray(points, float))
-    alpha = None if a0 is None else form_difference(model.a, a0)
-    per_point = [_point_residuals(model, x, alpha) for x in points]
-    keys = tuple(per_point[0]) if keys is None else keys
-    residuals = {k: nan_max(p[k] for p in per_point) for k in keys}
+    residuals = max_over_chunks(lambda batch: _residuals(model, batch, a0), points)
+    if keys is not None:
+        residuals = {k: residuals[k] for k in keys}
     flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
     return make_report("total-space", fixture, points, residuals, flags)
 
@@ -461,7 +451,7 @@ def _check(model: TotalSpaceModel, a0: LocalConnectionForm | None,
 def total_space_check(model: TotalSpaceModel, a0: LocalConnectionForm,
                       points: np.ndarray, fixture: str = "") -> VerificationReport:
     """Both total-space criteria, bar_parallelism_check's and
-    distribution_parallel_check's, from one set of jets per point."""
+    distribution_parallel_check's, from one set of jets per batch of points."""
     return _check(model, a0, points, fixture)
 
 

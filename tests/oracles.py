@@ -32,11 +32,19 @@ from ambrose.chart_calculus import (
     ConnectionCoeffs,
     FrameFieldConnection,
     MetricField,
+    TensorFieldSpec,
     fd_array,
+    nabla,
     ortho_frame,
     torsion_field,
 )
-from ambrose.errors import NotInvariant, NotReductive, NumericalFailure, UnsupportedFieldKind
+from ambrose.errors import (
+    NotInvariant,
+    NotReductive,
+    NumericalFailure,
+    RepMismatch,
+    UnsupportedFieldKind,
+)
 from ambrose.homogeneity import (
     build_tower,
     frame_gauge_form,
@@ -184,6 +192,35 @@ def transport_holonomy_angle(gamma_at, g_at, loop, span=(0.0, 1.0)) -> float:
     coframe = np.linalg.cholesky(np.asarray(g_at(path(span[0])), float)).T
     h0, h1 = coframe @ v0, coframe @ v1
     return float(np.arctan2(h1[1], h1[0]) - np.arctan2(h0[1], h0[0]))
+
+
+def jet_partials(t: TensorFieldSpec, x: np.ndarray) -> np.ndarray:
+    """out[mu] = d_mu of a field's components at the single point x, from its
+    first-order jet."""
+    return jet.shift(t.jet_at(x, 1)).value[..., 0]
+
+
+def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec, x: np.ndarray,
+                         lie=None) -> DenseTensor:
+    """Covariant derivative of a tensor field at the single point x, the new
+    covariant axis leading, with ``lie(x)[mu]`` on the LIE axes."""
+    x = np.asarray(x, float)
+    d = nabla(t.jet_at(x, 1), t.markers, gamma.at(x), None if lie is None else lie(x))
+    return DenseTensor((DOWN,) + tuple(t.markers), d.value[..., 0])
+
+
+def exterior_cov_derivative(a: LocalConnectionForm, alpha: TensorFieldSpec,
+                            x: np.ndarray) -> DenseTensor:
+    """d^A alpha at the single point x for an adjoint-valued 1-form;
+    coordinate brackets vanish."""
+    if alpha.markers != (DOWN, LIE):
+        raise RepMismatch("exterior_cov_derivative expects an adjoint-valued 1-form")
+    x = np.asarray(x, float)
+    dal = jet_partials(alpha, x)
+    alv = alpha.at(x).data
+    br = np.einsum("kij,mi,nj->mnk", a.algebra.structure, a.at(x), alv)
+    d = dal - dal.transpose(1, 0, 2) + br - br.transpose(1, 0, 2)
+    return DenseTensor((DOWN, DOWN, LIE), d)
 
 
 def fd_partials(f, chart: Chart, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from ambrose.chart_calculus import (
     Chart,
     ConnectionCoeffs,
     TensorFieldSpec,
-    covariant_derivative,
     curvature,
     curvature_field,
     fd_array,
@@ -44,7 +43,7 @@ from ambrose.total_space import (
     bar_parallelism_check,
     distribution_parallel_check,
 )
-from oracles import _frame_fields, bar_torsion, bar_torsion_direct
+from oracles import _frame_fields, bar_torsion, bar_torsion_direct, covariant_derivative
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

@@ -1,8 +1,9 @@
 """Batches of sample points: towers built for many points in one jet pass
-agree bit for bit with towers built one point at a time, the singer and
-adapt scenarios evaluate the metric and its connection once per batch, and
-a metric spoiled at one point of a batch fails the run as it does point by
-point."""
+agree bit for bit with towers built one point at a time, and each residual
+check over a batch is the largest of its one-point calls; the scenarios
+evaluate the metric, its connection and each connection form once per
+batch; and a metric, form or section spoiled at one point of a batch fails
+the run as it does point by point."""
 
 import dataclasses
 import json
@@ -11,16 +12,31 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ambrose import chart_calculus, cli, homogeneity, jet
-from ambrose.bundle_conn import SectionSpec, curvature_form_field
+from ambrose import bundle_conn, chart_calculus, cli, homogeneity, jet
+from ambrose.bundle_conn import (
+    LocalConnectionForm,
+    SectionSpec,
+    bianchi_residual,
+    connection_variation_check,
+    curvature_form_field,
+    curvature_variation_check,
+    leibniz_check,
+)
 from ambrose.chart_calculus import (
     TensorFieldSpec,
     curvature_field,
     levi_civita,
+    max_nabla_norms,
     ortho_frame,
     sample_interior,
+    torsion_field,
 )
-from ambrose.fixtures import fixture_names, instantiate
+from ambrose.fixtures import (
+    fixture_names,
+    instantiate,
+    smooth_connection_form,
+    smooth_tensor_field,
+)
 from ambrose.homogeneity import (
     CHUNK,
     build_tower,
@@ -29,7 +45,9 @@ from ambrose.homogeneity import (
     tower_and_chain,
     towers_and_chains,
 )
-from ambrose.lie_core import frame_structure_rep, principal_angles
+from ambrose.lie_core import algebra_by_name, frame_structure_rep, principal_angles
+from ambrose.tensor_core import DOWN, LIE
+from ambrose.total_space import TotalSpaceModel, _check
 from test_homogeneity import TRIPLE_CASES
 from test_total_space import count_calls
 
@@ -156,6 +174,64 @@ class TestBatchParity:
             assert_same_chain(chain, single_chain)
 
 
+def identity_inputs(name):
+    """The fixture and the forms and sections of the identities scenario on
+    it, drawn as run_identities draws them from seed 1."""
+    fx = instantiate(name, {})
+    algebra = fx.algebra if fx.algebra is not None else algebra_by_name("su(2)")
+    a = smooth_connection_form(fx.chart, algebra, seed=1)
+    alpha = smooth_tensor_field(fx.chart, (DOWN, LIE), 2, algebra)
+    eta = SectionSpec(fx.chart, (smooth_tensor_field(fx.chart, (LIE,), 3, algebra),
+                                 smooth_tensor_field(fx.chart, (DOWN, LIE), 4, algebra)))
+    beta = smooth_tensor_field(fx.chart, (DOWN, LIE), 5, algebra)
+    return fx, a, alpha, eta, beta
+
+
+class TestChecksOnABatch:
+    """Each residual check over 2 CHUNK + 3 points, more than two chunks of
+    a check that goes in chunks, equals the largest of its one-point calls
+    bit for bit: each point's values come from the same numpy calls, and
+    each point's norm is one dot product of its components, as at a single
+    point."""
+
+    POINTS = 2 * CHUNK + 3
+
+    @pytest.mark.parametrize("with_form", [False, True], ids=["tangent", "form"])
+    def test_max_nabla_norms(self, with_form):
+        fx = instantiate("hopf_monopole", {})
+        fields = ({"F": (curvature_form_field(fx.a0), fx.a0), "alpha": (fx.alpha_bump, fx.a0)}
+                  if with_form else
+                  {"R": (curvature_field(fx.gamma), None), "T": (torsion_field(fx.gamma), None)})
+        points = sample_interior(fx.chart, self.POINTS, seed=7)
+        batch = max_nabla_norms(fx.gamma, fields, fx.g, points)
+        singles = [max_nabla_norms(fx.gamma, fields, fx.g, x) for x in points]
+        assert batch == {name: max(s[name] for s in singles) for name in fields}
+        assert batch["alpha" if with_form else "R"] > 0.0
+
+    @pytest.mark.parametrize("name", ["berger_sphere", "hopf_monopole", "flat_torus"])
+    def test_bundle_identity_checks(self, name):
+        fx, a, alpha, eta, beta = identity_inputs(name)
+        a_prime = a.shifted(alpha)
+        points = sample_interior(fx.chart, self.POINTS, seed=7)
+        for check, args in [(bianchi_residual, (a,)),
+                            (curvature_variation_check, (a, alpha)),
+                            (connection_variation_check, (eta, a, a_prime, fx.gamma)),
+                            (leibniz_check, (beta, eta, a, fx.gamma))]:
+            assert check(*args, points) == max(check(*args, x) for x in points), check.__name__
+
+    @pytest.mark.parametrize("shift", [None, "parallel", "bump"])
+    def test_total_space_check(self, shift):
+        fx = instantiate("hopf_monopole", {})
+        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, algebra=fx.algebra,
+                                inner=fx.inner, a=fx.a0)
+        a0 = None if shift is None else fx.a0.shifted(getattr(fx, f"alpha_{shift}"))
+        points = sample_interior(fx.chart, self.POINTS, seed=7)
+        batch = _check(model, a0, points, "").residuals
+        singles = [_check(model, a0, x, "").residuals for x in points]
+        assert batch == {name: max(s[name] for s in singles) for name in batch}
+        assert batch["nabla_bar_R"] > 0.0
+
+
 def counted_metric(calls):
     """berger_sphere with its metric evaluator counted, and its Levi-Civita
     connection built on the counted metric."""
@@ -187,6 +263,42 @@ class TestEvaluationCounts:
         assert len(metric) <= batches
         assert len(christoffel) <= batches
         assert sum(metric) == points
+
+
+    @pytest.mark.parametrize("argv,forms", [
+        ("--scenario total-space --fixture hopf_monopole --param alpha=parallel", 2),
+        ("--scenario check-lh-triple --fixture hopf_monopole", 1),
+        ("--scenario identities --fixture berger_sphere", 3),
+    ])
+    def test_checks_evaluate_once_per_batch(self, argv, forms, monkeypatch, capsys):
+        """One Christoffel and one metric evaluation for eight points, and
+        one evaluation of each form the checks read: total-space reads a0
+        and the reference a0 + alpha, check-lh-triple a0 alone, identities
+        a, a + alpha and the curvature variation's own a + alpha. Point by
+        point, eight points took 8 Christoffel and 16 metric evaluations,
+        and 8 form evaluations, 24 in identities."""
+        christoffel = count_calls(monkeypatch, chart_calculus._christoffel_jet)
+        metric = count_method(monkeypatch, chart_calculus.MetricField, "_symmetrized")
+        form = count_method(monkeypatch, bundle_conn.LocalConnectionForm, "_checked")
+        code = cli.main([*argv.split(), "--points", "8"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(christoffel) == 1
+        assert len(metric) == 1
+        assert len(form) == forms
+
+
+def count_method(monkeypatch, cls, name):
+    """Count the calls of the method cls.name."""
+    calls = []
+    fn = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(1)
+        return fn(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def spoil_value(kind, bad, pts):
@@ -240,3 +352,70 @@ class TestSpoiledPointOfABatch:
         assert data["pass"] is False
         assert data["residuals"] == {}
         assert data["flags"] == ["numerical-failure", f"error: {SPOILED_VALUES[kind]}"]
+
+
+def spoiled_near(ev, pts, bad, value):
+    """The evaluator ev with the given value, and zero partials, at the
+    points of a batch near pts[bad]."""
+
+    def spoiled(X):
+        f = ev(X)
+        near = np.linalg.norm(X.value.T - pts[bad], axis=1) < 0.05
+        c = f.c.copy()
+        c[..., near, :] = 0.0
+        c[..., near, 0] = value
+        return jet.Jet(c, f.n, f.order)
+
+    return spoiled
+
+
+# the residuals that are NaN when a connection form or a section is NaN,
+# inf or -inf near one of three points: point by point and in a batch alike,
+# every such run exits 1 with these residuals NaN
+SPOILED_INPUTS = {
+    ("check-lh-triple", "form"): ["nabla_F", "nabla_alpha"],
+    ("check-ls-triple", "form"): ["nabla_F0"],
+    ("identities", "form"): ["bianchi_second", "connection_variation",
+                             "curvature_variation", "leibniz"],
+    ("identities", "section"): ["connection_variation", "leibniz"],
+}
+
+
+class TestSpoiledFormOfABatch:
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scenario,spoiled", list(SPOILED_INPUTS))
+    def test_one_bad_point_fails_closed(self, scenario, spoiled, value, bad, monkeypatch, capsys):
+        """The triple checks spoil the fixture's connection form; identities
+        its random form a, or its adjoint section."""
+        fixture = "berger_sphere" if scenario == "identities" else "hopf_monopole"
+        pts = sample_interior(instantiate(fixture, {}).chart, 3, seed=19)
+        if scenario != "identities":
+            def inst(name, params):
+                fx = instantiate(name, params)
+                a0 = LocalConnectionForm(fx.chart, fx.algebra,
+                                         spoiled_near(fx.a0.evaluator, pts, bad, value))
+                return dataclasses.replace(fx, a0=a0)
+
+            monkeypatch.setattr(cli, "instantiate", inst)
+        elif spoiled == "form":
+            def form(chart, algebra, seed):
+                ev = smooth_connection_form(chart, algebra, seed).evaluator
+                return LocalConnectionForm(chart, algebra, spoiled_near(ev, pts, bad, value))
+
+            monkeypatch.setattr(cli, "smooth_connection_form", form)
+        else:
+            def section(chart, markers, seed, algebra=None):
+                f = smooth_tensor_field(chart, markers, seed, algebra)
+                if markers != (LIE,):
+                    return f
+                return TensorFieldSpec(chart, markers, spoiled_near(f.evaluator, pts, bad, value))
+
+            monkeypatch.setattr(cli, "smooth_tensor_field", section)
+        code = cli.main(["--scenario", scenario, "--fixture", fixture,
+                         "--points", "3", "--seed", "19"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["pass"] is False
+        assert sorted(k for k, v in data["residuals"].items() if v == "nan") == \
+            SPOILED_INPUTS[scenario, spoiled]

@@ -11,7 +11,6 @@ from ambrose.chart_calculus import (
     MetricField,
     TensorFieldSpec,
     christoffel_partial,
-    covariant_derivative,
     curvature,
     fd_array,
     frame_connection_field,
@@ -28,6 +27,7 @@ from ambrose.fixtures import instantiate
 from ambrose.tensor_core import DOWN, UP
 
 from oracles import (
+    covariant_derivative,
     frame_structure_functions,
     frame_torsion,
     symbolic_geometry,

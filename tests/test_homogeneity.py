@@ -12,7 +12,6 @@ from ambrose import chart_calculus, cli, homogeneity, jet
 from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form_field
 from ambrose.chart_calculus import (
     ConnectionCoeffs,
-    covariant_derivative,
     curvature_field,
     frame_connection_field,
     levi_civita,
@@ -23,6 +22,7 @@ from ambrose.chart_calculus import (
 from ambrose.errors import DepthMismatch, NotMetric, NumericalFailure
 from ambrose.fixtures import instantiate, smooth_tensor_field
 from ambrose.homogeneity import (
+    KMAX_START,
     DerivativeTower,
     StabilizerChain,
     TripleSpec,
@@ -49,6 +49,7 @@ from ambrose.lie_core import (
 )
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
 from oracles import (
+    covariant_derivative,
     fd_partials,
     fd_tower,
     frame_expressed,
@@ -471,12 +472,13 @@ class TestAdaptSingerDepth:
             depths.extend([kmax] * len(points))
             return build_towers(sigma, b0, gamma0, g, points, kmax, frames)
 
-        monkeypatch.setattr(cli, "build_towers", recorded)
+        monkeypatch.setattr(homogeneity, "build_towers", recorded)
         code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len(grown) == 1
-        assert depths == [data["singer_k"] + 2] * (points - 1)
+        # the first point's tower, grown from KMAX_START, then the others
+        assert depths == [KMAX_START] + [data["singer_k"] + 2] * (points - 1)
         # the tower, the gauge forms and beta's partials all come from jets;
         # the curvature enters through the tower's section, never on its own
         assert fd == []
@@ -494,11 +496,16 @@ class TestAdaptSingerDepth:
 
             monkeypatch.setattr(cli, "tower_and_chain", later)
         else:
-            def truncated(tower, rep):
-                chain = stabilizer_chain(tower, rep)
-                return dataclasses.replace(chain, singer_k=None, flags=("truncated",))
+            chains = []
 
-            monkeypatch.setattr(cli, "stabilizer_chain", truncated)
+            def truncated(tower, rep):
+                """Every chain truncated but the first sample point's."""
+                chains.append(stabilizer_chain(tower, rep))
+                if len(chains) == 1:
+                    return chains[0]
+                return dataclasses.replace(chains[-1], singer_k=None, flags=("truncated",))
+
+            monkeypatch.setattr(homogeneity, "stabilizer_chain", truncated)
         code = cli.main([*self.ARGV, "--points", "2"])
         data = json.loads(capsys.readouterr().out)
         assert code == 3

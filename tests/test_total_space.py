@@ -26,7 +26,7 @@ from ambrose.total_space import (
     bar_torsion_derivative,
     distribution_parallel_check,
     total_zero,
-    _point_residuals,
+    _residuals,
 )
 from oracles import (
     _frame_fields,
@@ -384,8 +384,8 @@ def tuple_loop_norm2(model, x):
 
 def bar_norm2(model, x):
     """The squared sums of del-bar T-bar and del-bar R-bar at x, from the
-    per-point frame tables."""
-    res = _point_residuals(model, x)
+    frame tables on a batch of one."""
+    res = _residuals(model, x)
     return res["nabla_bar_T"] ** 2, res["nabla_bar_R"] ** 2
 
 
@@ -397,8 +397,8 @@ def generic_model():
 
 
 class TestFrameTables:
-    """The per-point frame tables of bar_parallelism_check against the
-    per-tuple case tables that define them."""
+    """The frame tables of bar_parallelism_check against the per-tuple case
+    tables that define them."""
 
     @pytest.mark.parametrize("make", [
         lambda: hopf_model(charge=1), lambda: hopf_model(charge=2),
@@ -474,8 +474,9 @@ def count_calls(monkeypatch, fn):
 
 class TestCallCounts:
     def test_total_space_calls_per_point(self, monkeypatch, capsys):
-        """The checks difference nothing; the per-tuple case tables take
-        hundreds of FD calls and thousands of frames per point."""
+        """The checks difference nothing, and take one frame jet per batch of
+        points; the per-tuple case tables take hundreds of FD calls and
+        thousands of frames per point."""
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
         frames = count_calls(monkeypatch, chart_calculus.frame_jet)
         code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
@@ -483,7 +484,7 @@ class TestCallCounts:
         capsys.readouterr()
         assert code == 0
         assert fd == []
-        assert len(frames) == 2
+        assert len(frames) == 1
 
     def test_one_sweep_per_point(self, monkeypatch, capsys):
         """The hypotheses, the frame tables and the distribution criterion
