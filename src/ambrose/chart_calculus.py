@@ -452,24 +452,29 @@ def max_over_chunks(check: Callable[[np.ndarray], dict[str, float]],
     return {name: nan_max([row[name] for row in rows]) for name in rows[0]}
 
 
+def nabla_frames(gamma: ConnectionCoeffs,
+                 fields: dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]],
+                 g: MetricField, batch: np.ndarray) -> dict[str, np.ndarray]:
+    """The covariant derivative of each named field at a batch of points,
+    with ad of the form of a (field, form) pair on its LIE axes, in the
+    orthonormal frame of g at each point: shape (n, dims..., P), the new
+    covariant axis first. The fields are evaluated first, so Gamma, read
+    after them, is evaluated once per batch at the highest order any of
+    them reads."""
+    jets = {name: t.jet_at(batch, 1) for name, (t, _) in fields.items()}
+    G = gamma.jet_at(batch, 0)
+    coframe, frame_t = frame_stacks(ortho_frames(g, batch))
+    return {name: to_frames((DOWN,) + t.markers,
+                            nabla(jets[name], t.markers, G,
+                                  None if form is None else form.ad_jet(batch, 0)).value,
+                            coframe, frame_t)
+            for name, (t, form) in fields.items()}
+
+
 def max_nabla_norms(gamma: ConnectionCoeffs,
                     fields: dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]],
                     g: MetricField, points: np.ndarray) -> dict[str, float]:
-    """Largest norm over the points of the covariant derivative of each named
-    field, with ad of the form of a (field, form) pair on its LIE axes, each
-    value taken in the orthonormal frame of g at its point. The fields are
-    evaluated first, so Gamma, read after them, is evaluated once per batch
-    at the highest order any of them reads."""
-
-    def norms(batch: np.ndarray) -> dict[str, float]:
-        jets = {name: t.jet_at(batch, 1) for name, (t, _) in fields.items()}
-        G = gamma.jet_at(batch, 0)
-        coframe, frame_t = frame_stacks(ortho_frames(g, batch))
-        out = {}
-        for name, (t, form) in fields.items():
-            d = nabla(jets[name], t.markers, G, None if form is None else form.ad_jet(batch, 0))
-            out[name] = nan_max(point_norms(to_frames((DOWN,) + t.markers, d.value,
-                                                      coframe, frame_t)))
-        return out
-
-    return max_over_chunks(norms, points)
+    """Largest norm over the points of each field's nabla_frames."""
+    return max_over_chunks(
+        lambda batch: {name: nan_max(point_norms(d))
+                       for name, d in nabla_frames(gamma, fields, g, batch).items()}, points)

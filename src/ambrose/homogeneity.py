@@ -237,13 +237,18 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
     bases: list[np.ndarray] = []
     flags: list[str] = []
     ambiguous = False
-    for k in range(len(tower.entries)):
-        tensors = tower.up_to(k)
+    # level k's matrix is the rows of the entries 0..k of one matrix over all
+    # of them, and its scale their running sum of squared norms
+    mat = stacked_action_matrix(tower.up_to(len(tower.entries) - 1), rep)
+    rows = 0
+    sq = 0
+    for entry in tower.entries:
+        for t in entry:
+            rows += t.data.size
+            sq += t.norm() ** 2
         # cutoff floored at the entry scale so levels that vanish in exact
         # arithmetic do not present their rounding as full-rank columns
-        scale = float(np.sqrt(sum(t.norm() ** 2 for t in tensors)))
-        basis, sing, cutoff = nullspace(stacked_action_matrix(tensors, rep), scale=scale,
-                                        spectrum=True)
+        basis, sing, cutoff = nullspace(mat[:rows], scale=float(np.sqrt(sq)), spectrum=True)
         bases.append(basis)
         below = sing[sing <= cutoff]
         above = sing[sing > cutoff]
@@ -599,13 +604,21 @@ def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
     """Locally homogeneous triple criterion: del R, del T, (del x del^A)F,
     (del x del^A)(A - A0) all parallel."""
     points = np.atleast_2d(np.asarray(points, float))
-    residuals = max_nabla_norms(gamma, {
+    residuals = max_nabla_norms(gamma, lh_fields(gamma, a, triple.a0), triple.g, points)
+    return make_report("check-lh-triple", fixture, points, residuals)
+
+
+def lh_fields(gamma: ConnectionCoeffs, a: LocalConnectionForm, a0: LocalConnectionForm,
+              ) -> dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]]:
+    """The fields of the locally homogeneous triple criterion, R, T, F and
+    A - A0, by residual name, as nabla_frames takes them: ad of A on the
+    LIE axes."""
+    return {
         "nabla_R": (curvature_field(gamma), None),
         "nabla_T": (torsion_field(gamma), None),
         "nabla_F": (curvature_form_field(a), a),
-        "nabla_alpha": (form_difference(a, triple.a0), a),
-    }, triple.g, points)
-    return make_report("check-lh-triple", fixture, points, residuals)
+        "nabla_alpha": (form_difference(a, a0), a),
+    }
 
 
 def check_ls_triple(triple: TripleSpec, points: np.ndarray,

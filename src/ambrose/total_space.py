@@ -1,13 +1,13 @@
 """Adapted connection on a locally trivialized principal-bundle total space,
 and the total-space parallelism criteria.
 
-The checks evaluate, on a batch of at most CHUNK points at a time,
-first-order Taylor jets of one orthonormal frame of the connection metric
-and of the torsion, curvature and curvature-form tables contracted with it,
-and assemble every frame tuple of del-bar T-bar and del-bar R-bar at every
-point of the batch as an einsum over a last point axis.  The hypotheses are
-check_lh_triple's residuals, on the same batch; the frame jets also give the
-shift-form partials of the distribution criterion.
+The criteria of the adapted connection, del-bar T-bar and del-bar R-bar
+parallel and the reference horizontal distribution parallel, are read off
+the same covariant derivatives as check_lh_triple's: del T, del R, del F and
+del(A - A0) in the orthonormal frames, from one ``nabla_frames`` call per
+batch of at most CHUNK points. Their frame tuples are those tensors and the
+Jacobi sums of the structure constants, and the hypotheses are the tensors'
+norms, check_lh_triple's residuals.
 
 The per-tuple case tables (``bar_torsion_derivative``,
 ``bar_curvature_derivative``) define those tuples on generated fields:
@@ -16,39 +16,34 @@ elements, and vertical fields of adjoint sections.  Their vertical values
 track the provenance of each slot: adjoint-section slots differentiate by the
 bundle connection along horizontal directions and are inert vertically,
 while constant slots are inert horizontally and move by the bracket
-vertically.  The checks do not call them; the tests compare the frame tables
+vertically.  The checks do not call them; the tests compare the criteria
 against them, with the partials of generated fields by finite differences,
 the one derivative by FD left in the package.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import jet
-from .bundle_conn import LocalConnectionForm, curvature_form, curvature_form_field, form_difference
+from .bundle_conn import LocalConnectionForm, curvature_form
 from .chart_calculus import (
     Chart,
     ConnectionCoeffs,
     MetricField,
     curvature,
-    curvature_of,
     fd_array,
-    frame_jet,
     max_over_chunks,
+    nabla_frames,
     nan_max,
     torsion_field,
-    torsion_of,
 )
 from .errors import RepMismatch, UnsupportedFieldKind
-from .homogeneity import TOLERANCES, TripleSpec, VerificationReport, check_lh_triple, make_report
+from .homogeneity import TOLERANCES, VerificationReport, lh_fields, make_report
 from .lie_core import AdInvariantInner, LieAlgebra
-from .jet import Jet, shift
-from .tensor_core import LIE, UP, axis_action
+from .tensor_core import LIE, UP, axis_action, point_norms
 
 
 @dataclass(frozen=True)
@@ -346,91 +341,54 @@ def _hypotheses_hold(residuals: dict[str, float]) -> bool:
     return all(residuals[k] <= tol[k] for k in HYPOTHESES if k in residuals)
 
 
-def _along_frame(E: np.ndarray, act: np.ndarray, table: Jet) -> np.ndarray:
-    """Covariant derivative along each frame vector E_c (leading axis) of a
-    table's first-order jet, act[c] acting on its leading axis."""
-    return (np.einsum("mcP,m...P->c...P", E, shift(table).value)
-            + np.einsum("cijP,j...P->ci...P", act, table.value))
-
-
-def _slot_terms(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over the frame slots of a table (every axis after the first but
-    the point axis) of the table with that slot's E_b replaced by
-    del_{E_c} E_b = w[c, p, b] E_p; the direction c leads."""
-    idx = string.ascii_lowercase[:table.ndim - 1]
-    out = 0.0
-    for b in idx[1:]:
-        out = out + np.einsum(f"{idx.replace(b, 'X')}Z,YX{b}Z->Y{idx}Z", table, w)
-    return out
-
-
 def _residuals(model: TotalSpaceModel, points: np.ndarray,
                a0: LocalConnectionForm | None = None) -> dict[str, float]:
-    """The largest of every total-space residual over a batch of points. The
-    hypotheses nabla_R, nabla_T, nabla_F and, given the reference form a0,
-    alpha_parallel are check_lh_triple's residuals of the triple (g, a0)
-    with the model's form a. From first-order jets of one frame and of the
-    frame tables come the norms nabla_bar_T of del-bar T-bar over all frame
-    triples and nabla_bar_R of del-bar R-bar over (frame, lift, lift, frame)
-    tuples, as the per-tuple case tables define them, and, given a0,
-    distribution, of the shift form alpha = a - a0.
+    """The largest of every total-space residual over a batch of points,
+    from one nabla_frames call on check_lh_triple's fields (lh_fields) of
+    the model's form a and the reference form a0 (a itself when there is
+    none). The hypotheses nabla_R, nabla_T, nabla_F and, given a0,
+    alpha_parallel are the norms of those four arrays, as check_lh_triple
+    takes them. In the orthonormal frames E_a of the base and C_d of the
+    algebra, the nonzero frame tuples of the case tables are those same
+    tensors: del-bar T-bar is del T horizontally and del F vertically on
+    lift triples, and the Jacobi sum of [C_k, [C_a, C_b]] on vertical
+    triples; del-bar R-bar on (lift, lift, lift, frame) tuples is del R for
+    a lift E_d and [del F, C_d] for a fundamental C_d. So nabla_bar_T is the
+    norm of [del T, del F, Jacobi] and nabla_bar_R that of
+    [del R, [del F, C_d]], vertical parts in the coframe of the inner
+    product; and, given a0, distribution is the largest vertical norm of
+    (del alpha)(E_c; E_b), alpha = a - a0 the shift form.
 
-    Only lift triples and the vertical Jacobi triple of T-bar, and the
-    lift/lift/lift and lift/lift/fundamental cases of R-bar, are nonzero.
     The other tuples are exact zeros of the case tables, and so is the
     fundamental/lift/lift/fundamental case of R-bar: its derivative
     [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
-    # Gamma before the frame, so that the metric is evaluated once, at the
-    # order the Christoffel symbols of a Levi-Civita Gamma read
-    gamma = model.gamma.jet_at(points, 2)
-    frame, coframe = frame_jet(model.g, points, 1)
-    t, r, G = torsion_of(gamma.truncate(1)), curvature_of(gamma), gamma.value
-    f = curvature_form_field(model.a).jet_at(points, 1)
-    E, th = frame.value, coframe.value
-    triple = TripleSpec(model.g, model.a if a0 is None else a0)
-    out = dict(check_lh_triple(triple, model.gamma, model.a, points).residuals)
-    alpha_parallel = out.pop("nabla_alpha")
-    ht = jet.einsum("kij,ia,jb->kab", t, frame, frame)
-    nf = jet.einsum("ijc,ia,jb->cab", f, frame, frame)
-    hr = jet.einsum("lkij,ia,jb,kc->labc", r, frame, frame, frame)
+    fields = lh_fields(model.gamma, model.a, model.a if a0 is None else a0)
+    d = nabla_frames(model.gamma, fields, model.g, points)
+    out = {k: nan_max(point_norms(d[k])) for k in ("nabla_R", "nabla_T", "nabla_F")}
     vc = _vertical_coframe(model)
     cm = np.linalg.inv(vc)  # columns C_i: the fundamental frame elements
     s = model.algebra.structure
-    # Gamma(E_c) on base vectors and ad(a(E_c)) on algebra elements, along
-    # each frame vector E_c
-    gc = np.einsum("kmjP,mcP->ckjP", G, E)
-    adc = np.einsum("eij,miP,mcP->cejP", s, model.a.jet_at(points, 0).value, E)
-    dframe = _along_frame(E, gc, frame)
-    w = np.einsum("piP,cibP->cpbP", th, dframe)  # del_{E_c} E_b = w[c, p, b] E_p
-    # lift triples (c, a, b) of T-bar: T(E_a, E_b) + F(E_a, E_b)
-    t_h = _along_frame(E, gc, ht) - _slot_terms(ht.value, w)
-    t_v = _along_frame(E, adc, nf) - _slot_terms(nf.value, w)
-    # vertical triples (k, a, b) of T-bar: [C_a, C_b]
+    n_points = d["nabla_F"].shape[-1]
+
+    def norms(*parts):  # each point's norm of all the parts' components
+        return nan_max(point_norms(np.concatenate([p.reshape(-1, n_points) for p in parts])))
+
+    # the Jacobi sums of the vertical triples (k, a, b) of T-bar, [C_a, C_b]
+    # differentiated along C_k: the same at every point
     br = np.einsum("eij,ia,jb->eab", s, cm, cm)
     jacobi = (np.einsum("eij,ik,jab->keab", s, cm, br)
               - np.einsum("eij,ika,jb->keab", s, br, cm)
               - np.einsum("eij,ia,jkb->keab", s, cm, br))
-    # (c, a, b, d) of R-bar: R(E_a, E_b)E_d for a lift E_d, and
-    # [F(E_a, E_b), C_d] for a fundamental C_d
-    r_h = _along_frame(E, gc, hr) - _slot_terms(hr.value, w)
-    r_v = np.einsum("eij,ciabP,jd->ceabdP", s, t_v, cm)
-
-    def norm2(coframe, t):  # t[tuple index, component, further tuple indices, point]
-        return np.sum(np.einsum("piP,ci...P->pc...P", coframe, t) ** 2,
-                      axis=tuple(range(t.ndim - 1)))
-
-    vcp = vc[..., None]  # the same at every point
-    out["nabla_bar_T"] = nan_max(np.sqrt(norm2(th, t_h) + norm2(vcp, t_v)
-                                         + norm2(vcp, jacobi[..., None])))
-    out["nabla_bar_R"] = nan_max(np.sqrt(norm2(th, r_h) + norm2(vcp, r_v)))
+    jacobi = np.repeat(np.einsum("pe,keab->kpab", vc, jacobi)[..., None], n_points, axis=-1)
+    out["nabla_bar_T"] = norms(d["nabla_T"], np.einsum("pe,cabeP->cabpP", vc, d["nabla_F"]),
+                               jacobi)
+    # vc [X, C_d] = ad_c[:, d] X
+    ad_c = np.einsum("pe,eij,jd->pdi", vc, s, cm)
+    out["nabla_bar_R"] = norms(d["nabla_R"], np.einsum("pdi,cabiP->cabpdP", ad_c, d["nabla_F"]))
     if a0 is not None:
-        out["alpha_parallel"] = alpha_parallel
-        al = form_difference(model.a, a0).jet_at(points, 1)
-        # the shifts alpha(E_b) of the lifts, differentiated along each E_c
-        sh = jet.einsum("ic,ib->cb", al, frame)
-        resid = _along_frame(E, adc, sh) - np.einsum("iaP,cibP->cabP", al.value, dframe)
-        out["distribution"] = nan_max(np.linalg.norm(np.einsum("pa,cabP->pcbP", vc, resid),
-                                                     axis=0))
+        out["alpha_parallel"] = nan_max(point_norms(d["nabla_alpha"]))
+        out["distribution"] = nan_max(np.linalg.norm(
+            np.einsum("pe,cbeP->pcbP", vc, d["nabla_alpha"]), axis=0))
     return out
 
 

@@ -184,6 +184,17 @@ class TestStabilizerChains:
         assert chain.singer_k == 0
         assert chain.flags == ()
 
+    def test_one_action_matrix_per_chain(self, monkeypatch):
+        """The chain stacks the action matrix of its whole tower once and
+        reads each level's matrix off its first rows."""
+        fx = instantiate("berger_sphere", {"lam": 2.0})
+        x = sample_interior(fx.chart, 1, seed=5)[0]
+        tower = build_tower(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g, x, 3)
+        calls = count_calls(monkeypatch, homogeneity.stacked_action_matrix)
+        chain = stabilizer_chain(tower, REP3)
+        assert len(calls) == 1
+        assert len(chain.bases) == 4
+
     def test_chain_constant_across_points(self):
         fx = instantiate("berger_sphere", {"lam": 2.0})
         sigma = opozda_section_spec(fx.gamma)

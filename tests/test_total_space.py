@@ -15,6 +15,7 @@ from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import curvature, sample_interior
 from ambrose.errors import RepMismatch, UnsupportedFieldKind
 from ambrose.fixtures import instantiate, smooth_connection_form
+from ambrose.homogeneity import TripleSpec, check_lh_triple
 from ambrose.lie_core import algebra_by_name, default_inner
 from ambrose.total_space import (
     GeneratedField,
@@ -25,6 +26,7 @@ from ambrose.total_space import (
     bar_parallelism_check,
     bar_torsion_derivative,
     distribution_parallel_check,
+    total_space_check,
     total_zero,
     _residuals,
 )
@@ -424,6 +426,30 @@ class TestFrameTables:
         assert np.sqrt(acc_r) == pytest.approx(11.8408, abs=1e-4)
 
 
+class TestSharedNablaTensors:
+    """The total-space criteria read the same covariant derivatives as
+    check_lh_triple."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: hopf_model(charge=1), lambda: hopf_model(charge=2), generic_model,
+    ], ids=["hopf1", "hopf2", "generic"])
+    def test_hypotheses_are_lh_residuals_and_bound_the_bar_norms(self, make):
+        """Each hypothesis is check_lh_triple's residual bit for bit, with no,
+        the parallel (charge 1 only) and the bump reference shift; del-bar
+        T-bar and del-bar R-bar hold del T and del R among their components,
+        so their norms are no smaller. The CLI's default points and seed."""
+        model, fx = make()
+        pts = sample_interior(fx.chart, 8, seed=42)
+        shifts = [al for al in (fx.alpha_parallel, fx.alpha_bump) if al is not None]
+        for a0 in [fx.a0] + [fx.a0.shifted(al) for al in shifts]:
+            res = total_space_check(model, a0, pts).residuals
+            lh = check_lh_triple(TripleSpec(model.g, a0), model.gamma, model.a, pts).residuals
+            assert ([res[k] for k in ("nabla_R", "nabla_T", "nabla_F", "alpha_parallel")]
+                    == [lh[k] for k in ("nabla_R", "nabla_T", "nabla_F", "nabla_alpha")])
+            assert res["nabla_bar_R"] >= res["nabla_R"] * (1 - 1e-12)
+            assert res["nabla_bar_T"] >= res["nabla_T"] * (1 - 1e-12)
+
+
 def nan_form_fixture(bad, pts):
     """hopf_monopole with a connection form that is NaN near pts[bad]."""
     fx = instantiate("hopf_monopole", {})
@@ -474,17 +500,29 @@ def count_calls(monkeypatch, fn):
 
 class TestCallCounts:
     def test_total_space_calls_per_point(self, monkeypatch, capsys):
-        """The checks difference nothing, and take one frame jet per batch of
-        points; the per-tuple case tables take hundreds of FD calls and
-        thousands of frames per point."""
+        """The checks difference nothing, and take the orthonormal frames
+        once per batch of points, with no frame jet; the per-tuple case
+        tables take hundreds of FD calls and thousands of frames per point."""
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
-        frames = count_calls(monkeypatch, chart_calculus.frame_jet)
+        jets = count_calls(monkeypatch, chart_calculus.frame_jet)
+        frames = count_calls(monkeypatch, chart_calculus.ortho_frames)
         code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
                          "--points", "2"])
         capsys.readouterr()
         assert code == 0
-        assert fd == []
+        assert fd == [] and jets == []
         assert len(frames) == 1
+
+    def test_one_curvature_per_batch(self, monkeypatch, capsys):
+        """The hypotheses and the criteria share one curvature and one
+        curvature-form jet per batch of points."""
+        curv = count_calls(monkeypatch, chart_calculus.curvature_of)
+        forms = count_calls(monkeypatch, bundle_conn._curvature_form_jet)
+        code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
+                         "--points", "8"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(curv) == 1 and len(forms) == 1
 
     def test_one_sweep_per_point(self, monkeypatch, capsys):
         """The hypotheses, the frame tables and the distribution criterion
