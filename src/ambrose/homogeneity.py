@@ -63,7 +63,6 @@ from .tensor_core import (
     UP,
     DenseTensor,
     OrthoFrame,
-    apply_axis,
     axis_action,
     frame_stacks,
     to_frames,
@@ -307,23 +306,29 @@ def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
         yield from (done[i] for i in sorted(done))
 
 
-def group_action(theta: np.ndarray, rep: TensorRep, t: DenseTensor) -> DenseTensor:
-    """Action of exp(theta) on a frame-expressed tensor, axis by axis.
-
-    The generators are skew, so exp(-X)^T = exp(X): covariant axes transform
-    by the same matrix as contravariant ones."""
+def group_action(theta: np.ndarray, rep: TensorRep,
+                 tensors: list[DenseTensor]) -> list[DenseTensor]:
+    """Action of exp(theta) on frame-expressed tensors, one exponential for
+    all of them (one more for the lie part). The generators are skew, so
+    exp(-X)^T = exp(X): covariant axes transform like contravariant ones.
+    Each axis is one matmul on its (dim, rest) reshape and then comes last,
+    so after all axes the order is the original. A wrong axis dim, or a lie
+    axis without a lie rep, raises RepMismatch."""
     theta = np.asarray(theta, float)
     gv = skew_exp(rep.vector.matrix(theta))
     gl = skew_exp(rep.lie.matrix(theta)) if rep.lie is not None else None
-    data = t.data
-    for ax, marker in enumerate(t.markers):
-        if marker in (UP, DOWN):
-            data = apply_axis(gv, data, ax)
-        else:
-            if gl is None:
+    out = []
+    for t in tensors:
+        data = t.data
+        for marker in t.markers:
+            g = gl if marker == LIE else gv
+            if g is None:
                 raise RepMismatch("tensor has lie axes but no lie representation")
-            data = apply_axis(gl, data, ax)
-    return DenseTensor(t.markers, data)
+            if data.shape[0] != len(g):
+                raise RepMismatch(f"axis has dim {data.shape[0]}, matrix dim {len(g)}")
+            data = (g @ data.reshape(len(g), -1)).T.reshape(data.shape[1:] + (len(g),))
+        out.append(DenseTensor(t.markers, data))
+    return out
 
 
 def _axis_kind(marker: str) -> str:
@@ -375,13 +380,14 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     is orthogonal, so pulling r back by exp(-theta) changes no norm:
     exp(-theta) r(theta + d) = a - exp(-theta) b + A(a) J_r(theta) d to first
     order, with A(a) the stacked action matrix at a, built once, and J_r the
-    right Jacobian of exp. A start ends when a step decreases |r|^2 by less
-    than a relative STALL, when the damped linear model predicts no more
-    than that (the damping is exhausted), or when the residual or the solve
-    is not finite; a NaN never matches. The damping also absorbs the
-    stabilizer's rank deficiency, so theta is unique only modulo the
-    stabilizer. Orientation-reversing elements are not searched: towers
-    related only by one fail with reason "residual"."""
+    right Jacobian of exp. Each trial theta takes one exponential for all
+    entries. A start ends when a step decreases |r|^2 by less than a
+    relative STALL, when the damped linear model predicts no more than that
+    (the damping is exhausted), or when the residual or the solve is not
+    finite; a NaN never matches. The damping also absorbs the stabilizer's
+    rank deficiency, so theta is unique only modulo the stabilizer.
+    Orientation-reversing elements are not searched: towers related only by
+    one fail with reason "residual"."""
     e1 = t1.up_to(depth)
     e2 = t2.up_to(depth)
     if len(e1) != len(e2):
@@ -412,7 +418,7 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     action = weight * stacked_action_matrix(e1, rep)
 
     def pulled_back(theta: np.ndarray) -> tuple[np.ndarray, float]:
-        moved = [group_action(-theta, rep, b).components for b in e2]
+        moved = [b.components for b in group_action(-theta, rep, e2)]
         r = a_flat - weight * np.concatenate(moved)
         return r, float(r @ r)
 

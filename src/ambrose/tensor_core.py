@@ -55,12 +55,6 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
 
-def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``matrix`` into one axis: out[..., i, ...] = M[i, j] t[..., j, ...]."""
-    moved = np.tensordot(matrix, data, axes=(1, axis))
-    return np.moveaxis(moved, 0, axis)
-
-
 def axis_action(markers: tuple[str, ...], data, mat, lie):
     """out[b] = the sum over the axes of a tensor of the action on that axis
     of the b-th matrices: +mat[b] on UP axes, -mat[b]^T on DOWN axes and

@@ -229,6 +229,13 @@ def fd_partials(f, chart: Chart, x: np.ndarray) -> np.ndarray:
     return np.stack([fd_array(f, chart, x, mu) for mu in range(chart.dim)])
 
 
+def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
+    """Contract ``matrix`` into one axis: out[..., i, ...] = M[i, j] t[..., j, ...].
+    Axis by axis, it is the oracle of ``homogeneity.group_action``."""
+    moved = np.tensordot(matrix, data, axes=(1, axis))
+    return np.moveaxis(moved, 0, axis)
+
+
 def stacked_action_loop(tensors, rep) -> np.ndarray:
     """The stacked action matrix one generator at a time: column j stacks
     tensor_action of basis element j on every tensor."""

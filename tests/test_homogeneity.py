@@ -300,7 +300,7 @@ class TestFrameRotationInvariance:
         # the chain is (1, 1, 1): the match is exp(-theta) only modulo the
         # stabilizer, so exp(theta) exp(match.theta) must fix every entry
         for a in t_plain.up_to(2):
-            back = group_action(theta, REP3, group_action(match.theta, REP3, a))
+            back = group_action(theta, REP3, group_action(match.theta, REP3, [a]))[0]
             assert np.linalg.norm(back.data - a.data) <= 1e-9 * a.norm()
 
     def test_group_action_matches_frame_rotation(self):
@@ -313,7 +313,7 @@ class TestFrameRotationInvariance:
         t_rot = lc_tower(fx, x, kmax=1, frame=fr.rotated(q))
         # rotating the frame by q re-expresses every entry by the inverse action
         for a, b in zip(t_plain.up_to(1), t_rot.up_to(1)):
-            assert np.linalg.norm(group_action(-theta, REP2, a).data - b.data) < 1e-12
+            assert np.linalg.norm(group_action(-theta, REP2, [a])[0].data - b.data) < 1e-12
 
 
 class TestOrbitMatch:

@@ -1,14 +1,18 @@
 """Orbit matching on the structure group: properties on hand-built so(3)
-towers, and a non-homogeneous surface as a negative control."""
+towers, the group action against its axis-by-axis oracle and the count of
+exponentials per match, and a non-homogeneous surface as a negative control."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambrose import jet
+from ambrose import homogeneity, jet
 from ambrose.chart_calculus import Chart, MetricField, levi_civita, sample_interior
-from ambrose.errors import BadParameters
+from ambrose.errors import BadParameters, RepMismatch
 from ambrose.fixtures import Fixture, instantiate
 from ambrose.homogeneity import (
     DerivativeTower,
@@ -17,10 +21,14 @@ from ambrose.homogeneity import (
     orbit_match,
     tower_and_chain,
 )
-from ambrose.lie_core import frame_structure_rep
-from ambrose.tensor_core import DOWN, UP, DenseTensor, OrthoFrame, apply_axis
+from ambrose.lie_core import algebra_by_name, frame_structure_rep, skew_exp
+from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame
+from oracles import apply_axis
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REP3 = frame_structure_rep(3)
+# frame dim 2, lie dim 3: an axis cycle over unequal dims
+REP_SU2 = frame_structure_rep(2, algebra_by_name("su(2)"))
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a failing search runs all MATCH_STARTS starts, so fewer examples
 PROPERTY_SLOW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -63,12 +71,12 @@ class TestOrbitMatchProperties:
     @given(seed=seeds, theta=angles)
     def test_rotated_tower_matches(self, seed, theta):
         tower = generic_tower(seed)
-        rotated = transformed(tower, lambda t: group_action(np.array(theta), REP3, t))
+        rotated = transformed(tower, lambda t: group_action(np.array(theta), REP3, [t])[0])
         match = orbit_match(tower, rotated, REP3, depth=1)
         assert match.matched, match.reason
         assert match.residual < 1e-9
         for a, b in zip(tower.up_to(1), rotated.up_to(1)):
-            assert np.linalg.norm(group_action(match.theta, REP3, a).data - b.data) < 1e-9 * b.norm()
+            assert np.linalg.norm(group_action(match.theta, REP3, [a])[0].data - b.data) < 1e-9 * b.norm()
 
     @PROPERTY_SLOW
     @given(seed=seeds)
@@ -135,3 +143,81 @@ class TestNegativeControl:
         for match in matches_at_singer_depth(instantiate(name, {}), 3):
             assert match.matched, match.reason
             assert match.residual <= 1e-8
+
+
+def random_tensors(rng, count):
+    """Tensors of rank 0 to 5 with random UP, DOWN and LIE axes under REP_SU2."""
+    out = []
+    for _ in range(count):
+        markers = tuple(rng.choice([UP, DOWN, LIE], size=rng.integers(0, 6)))
+        dims = tuple(3 if m == LIE else 2 for m in markers)
+        out.append(DenseTensor(markers, rng.standard_normal(dims)))
+    return out
+
+
+class TestGroupAction:
+    @PROPERTY
+    @given(seed=seeds)
+    def test_matches_axis_by_axis_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-np.pi, np.pi, REP_SU2.algebra.dim)
+        # the same exponentials (test_lie_core checks them against scipy's
+        # expm), so that the bound judges the axis cycle alone
+        gv = skew_exp(REP_SU2.vector.matrix(theta))
+        gl = skew_exp(REP_SU2.lie.matrix(theta))
+        tensors = random_tensors(rng, 12)
+        moved = group_action(theta, REP_SU2, tensors)
+        assert len(moved) == len(tensors)
+        for t, out in zip(tensors, moved):
+            data = t.data
+            for ax, m in enumerate(t.markers):
+                data = apply_axis(gl if m == LIE else gv, data, ax)
+            assert out.markers == t.markers and out.dims == t.dims
+            assert np.linalg.norm(out.data - data) <= 1e-14 * t.norm()
+            # one call on many tensors is one call per tensor
+            assert np.array_equal(group_action(theta, REP_SU2, [t])[0].data, out.data)
+
+    def test_lie_axis_without_lie_rep_raises(self):
+        with pytest.raises(RepMismatch):
+            group_action(np.zeros(3), REP3, [DenseTensor((DOWN, LIE), np.zeros((3, 3)))])
+
+    def test_wrong_axis_dim_raises_even_when_it_reshapes(self):
+        # 12 components reshape to (3, 4), but the first axis has dim 2
+        t = DenseTensor((DOWN, DOWN), np.ones((2, 6)))
+        with pytest.raises(RepMismatch):
+            group_action(np.zeros(3), REP3, [t])
+        with pytest.raises(RepMismatch):
+            group_action(np.zeros(4), REP_SU2, [DenseTensor((LIE,), np.ones(2))])
+
+    def test_one_exponential_per_residual_evaluation(self, monkeypatch):
+        """The orbit-match workload's berger_sphere pair at seed 3: each
+        residual evaluation is one group_action call on every entry of the
+        second tower, with one exponential (the rep has no lie part)."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        entries, acted, exps = [], [], []
+        match, action, exp = homogeneity.orbit_match, homogeneity.group_action, homogeneity.skew_exp
+
+        def counted_match(t1, t2, rep, depth):
+            assert rep.lie is None
+            entries.append([id(t) for t in t2.up_to(depth)])
+            return match(t1, t2, rep, depth)
+
+        def counted_action(theta, rep, tensors):
+            acted.append([id(t) for t in tensors])
+            return action(theta, rep, tensors)
+
+        def counted_exp(x):
+            exps.append(1)
+            return exp(x)
+
+        monkeypatch.setattr(homogeneity, "orbit_match", counted_match)
+        monkeypatch.setattr(homogeneity, "group_action", counted_action)
+        monkeypatch.setattr(homogeneity, "skew_exp", counted_exp)
+        workload = workloads.WORKLOADS["orbit-match"]
+        assert workload.fixture == "berger_sphere"
+        assert workload.oracle(json.loads(workload.run(3))) is not None
+        assert len(entries) == 1 and len(entries[0]) == 4
+        assert acted and all(ids == entries[0] for ids in acted)
+        assert len(exps) == len(acted)

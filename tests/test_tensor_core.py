@@ -10,9 +10,9 @@ from ambrose.tensor_core import (
     UP,
     DenseTensor,
     OrthoFrame,
-    apply_axis,
     to_frame,
 )
+from oracles import apply_axis
 
 
 def random_spd(rng, n):
