@@ -63,7 +63,6 @@ from .lie_core import (
     algebra_by_name,
     default_inner,
     frame_structure_rep,
-    principal_angles,
     subalgebra_residual,
 )
 from .tensor_core import DOWN, LIE, UP, frame_stacks, point_norms, to_frames
@@ -79,8 +78,10 @@ SCENARIOS = (
     "selftest",
 )
 
-# Parameters consumed by the runner itself, not by the fixture catalog.
-SCENARIO_PARAMS = ("connection", "perturb", "alpha")
+# The parameters a scenario reads itself (adapt, identities and selftest read
+# none); the rest go to the fixture, and another scenario's are rejected.
+SCENARIO_PARAMS = {"singer": ("connection",), "check-lh-triple": ("perturb",),
+                   "check-ls-triple": ("perturb",), "total-space": ("alpha",)}
 
 SELFTEST_BATTERY = (
     ("identities", "euclidean", {"n": 2}),
@@ -204,6 +205,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError(
             f"scenario must be one of {', '.join(SCENARIOS)}, got {scenario!r}"
         )
+    unread = sorted(k for k in params if k not in SCENARIO_PARAMS.get(scenario, ())
+                    and any(k in ps for ps in SCENARIO_PARAMS.values()))
+    if unread:
+        raise ConfigError(f"scenario {scenario} does not read parameter(s) {', '.join(unread)}")
     if scenario != "selftest":
         if not fixture:
             raise ConfigError("a fixture name is required (see --fixture)")
@@ -318,7 +323,7 @@ def _retolerance(rep: VerificationReport, tols: dict) -> VerificationReport:
 
 
 def _fixture(cfg: RunConfig) -> Fixture:
-    params = {k: v for k, v in cfg.params.items() if k not in SCENARIO_PARAMS}
+    params = {k: v for k, v in cfg.params.items() if k not in SCENARIO_PARAMS.get(cfg.scenario, ())}
     try:
         return instantiate(cfg.fixture, params)
     except (UnknownFixture, BadParameters) as exc:
@@ -365,6 +370,8 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     gamma0 = _connection_choice(fix, cfg.params)
     sigma = opozda_section_spec(gamma0)
+    if fix.chart.dim < 2:
+        raise ConfigError(f"singer needs a chart of dimension 2 or more, got {fix.chart.dim}")
     rep = frame_structure_rep(fix.chart.dim)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     chains = [chain for _, chain in
@@ -374,23 +381,12 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
         flags.append("dims-vary")
     if len({ch.singer_k for ch in chains}) > 1:
         flags.append("singer-varies")
-    nesting = []
-    closure = []
-    for ch in chains:
-        for k in range(len(ch.bases) - 1):
-            if min(ch.bases[k + 1].shape[1], ch.bases[k].shape[1]) == 0:
-                continue
-            angles = principal_angles(ch.bases[k + 1], ch.bases[k])
-            nesting.append(nan_max(angles))
-        closure.extend(subalgebra_residual(rep.algebra, b) for b in ch.bases)
-    residuals = {"nesting_angle": nan_max(nesting), "subalgebra": nan_max(closure)}
-    first = chains[0]
-    singer_k = first.singer_k
-    dims = (
-        first.dims[: singer_k + 1] if singer_k is not None else first.dims
-    )
-    return make_report("singer", fix.name, points, residuals, flags,
-                       stabilizer_dims=tuple(dims), singer_k=singer_k)
+    residuals = {"nesting_angle": nan_max(a for ch in chains for a in ch.nesting),
+                 "subalgebra": nan_max(subalgebra_residual(rep.algebra, b)
+                                       for ch in chains for b in ch.bases)}
+    singer_k, dims = chains[0].singer_k, chains[0].dims
+    return make_report("singer", fix.name, points, residuals, flags, singer_k=singer_k,
+                       stabilizer_dims=dims if singer_k is None else dims[:singer_k + 1])
 
 
 def run_check_lh(cfg: RunConfig) -> VerificationReport:

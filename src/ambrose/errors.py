@@ -40,7 +40,7 @@ class NotReductive(AmbroseError):
 
 
 class DepthMismatch(AmbroseError):
-    """Two derivative towers disagree on depth or Singer invariant."""
+    """Two derivative towers disagree on depth or entry shapes."""
 
 
 class NotMetric(AmbroseError):

@@ -39,6 +39,7 @@ from .chart_calculus import (
     torsion_field,
 )
 from .errors import (
+    BadParameters,
     DepthMismatch,
     NotInvariant,
     NotMetric,
@@ -121,10 +122,13 @@ class DerivativeTower:
 
 @dataclass(frozen=True)
 class StabilizerChain:
-    """Nested stabilizer subalgebras of the tower entries."""
+    """Nested stabilizer subalgebras of the tower entries: bases[k] spans
+    h(k), and nesting[k] is the largest principal angle between h(k + 1)
+    and h(k), 0.0 where either is empty."""
 
     bases: tuple[np.ndarray, ...]
     dims: tuple[int, ...]
+    nesting: tuple[float, ...]
     singer_k: int | None
     flags: tuple[str, ...]
 
@@ -255,13 +259,10 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
         if below.size and above.size and above.min() < 10.0 * below.max():
             ambiguous = True
     dims = tuple(b.shape[1] for b in bases)
-    singer_k: int | None = None
-    for k in range(len(bases) - 1):
-        if dims[k + 1] != dims[k]:
-            continue
-        if dims[k] == 0 or principal_angles(bases[k + 1], bases[k]).max() < ANGLE_TOL:
-            singer_k = k
-            break
+    nesting = tuple(nan_max(principal_angles(hi, lo)) for lo, hi in zip(bases, bases[1:]))
+    # the Singer stage: the first level that the next one keeps
+    singer_k = next((k for k, angle in enumerate(nesting)
+                     if dims[k + 1] == dims[k] and angle < ANGLE_TOL), None)
     if singer_k is None:
         flags.append("truncated")
     elif any(d != dims[singer_k] for d in dims[singer_k + 1 :]):
@@ -269,9 +270,8 @@ def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
         ambiguous = True
     if ambiguous:
         flags.append("ambiguous")
-    return StabilizerChain(
-        bases=tuple(bases), dims=dims, singer_k=singer_k, flags=tuple(flags)
-    )
+    return StabilizerChain(bases=tuple(bases), dims=dims, nesting=nesting,
+                           singer_k=singer_k, flags=tuple(flags))
 
 
 def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
@@ -373,9 +373,12 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     """Search the identity component for a group element carrying t1's
     entries up to ``depth`` onto t2's.
 
-    After the chain comparison and the norm and spectrum prescreens, each
-    start (theta = 0, then up to MATCH_STARTS - 1 uniform draws in
-    [-pi, pi]^m) runs Levenberg-Marquardt on the relative residual
+    Only the entries 0..depth are compared, as Singer's condition reads
+    them. There is no chain comparison: singer's dims-vary and singer-varies
+    flags judge whether the chains agree across points. A non-finite entry
+    among those compared raises BadParameters. After the norm and spectrum
+    prescreens, each start (theta = 0, then up to MATCH_STARTS - 1 uniform
+    draws in [-pi, pi]^m) runs Levenberg-Marquardt on the relative residual
     r(theta) = (exp(theta) a - b) / sqrt(scale) over the entries. The action
     is orthogonal, so pulling r back by exp(-theta) changes no norm:
     exp(-theta) r(theta + d) = a - exp(-theta) b + A(a) J_r(theta) d to first
@@ -392,10 +395,8 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     e2 = t2.up_to(depth)
     if len(e1) != len(e2):
         raise DepthMismatch("towers have different component counts")
-    chain1 = stabilizer_chain(t1, rep)
-    chain2 = stabilizer_chain(t2, rep)
-    if chain1.singer_k != chain2.singer_k or chain1.dims != chain2.dims:
-        return MatchResult(False, None, np.inf, "singer-mismatch")
+    if not all(np.isfinite(t.data).all() for t in e1 + e2):
+        raise BadParameters("tower entries are not finite")
 
     scale = max(
         sum(t.norm() ** 2 for t in e1), sum(t.norm() ** 2 for t in e2)

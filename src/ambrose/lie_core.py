@@ -291,6 +291,8 @@ def so_generators(n: int) -> np.ndarray:
     so(2): the single rotation J e1 = e2.  so(3): the cross-product basis
     (L_a)_{bc} = -eps_{abc} with [L_1, L_2] = L_3.  Larger n: E_{ab} pairs.
     """
+    if n < 2:
+        raise BadParameters(f"so(n) needs n >= 2, got n = {n}")
     if n == 2:
         return np.array([[[0.0, -1.0], [1.0, 0.0]]])
     if n == 3:

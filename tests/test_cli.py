@@ -12,6 +12,7 @@ import pytest
 
 from ambrose import cli
 from ambrose.errors import ConfigError, NumericalFailure
+from ambrose.fixtures import fixture_names
 from ambrose.homogeneity import KMAX_CAP, TOLERANCES, make_report
 
 REPORT_KEYS = {
@@ -370,6 +371,81 @@ class TestMainExitCodes:
         assert data["pass"] is True
         assert any(k.startswith("identities.") for k in data["residuals"])
         assert any(k.startswith("singer.") for k in data["residuals"])
+
+    @pytest.mark.parametrize("scenario,param", [
+        ("singer", "perturb=bump"),
+        ("check-lh-triple", "alpha=bump"),
+        ("check-ls-triple", "connection=metric"),
+        ("total-space", "perturb=bump"),
+        ("adapt", "connection=metric"),
+        ("identities", "alpha=bump"),
+        ("selftest", "perturb=none"),
+    ])
+    def test_parameter_the_scenario_does_not_read_exits_two(self, scenario, param,
+                                                            monkeypatch, capsys):
+        """Another scenario's parameter is rejected before work, never
+        silently ignored by a run that may pass."""
+        def never(cfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setitem(cli.RUNNERS, scenario, never)
+        fixture = "berger_sphere" if scenario == "adapt" else "hopf_monopole"
+        code = cli.main(["--scenario", scenario, "--fixture", fixture, "--param", param])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert param.partition("=")[0] in captured.err and scenario in captured.err
+
+    def test_one_dimensional_chart_is_config_error_for_singer(self, capsys):
+        for connection in ([], ["--param", "connection=metric"]):
+            code = cli.main(["--scenario", "singer", "--fixture", "euclidean",
+                             "--param", "n=1", "--points", "2", *connection])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "dimension 2 or more, got 1" in captured.err
+        assert cli.main(["--scenario", "identities", "--fixture", "euclidean",
+                         "--param", "n=1", "--points", "2"]) == 0
+
+
+# each fixture's parameter variants besides its defaults, and each
+# scenario's own parameter with its values
+FIXTURE_VARIANTS = {
+    "euclidean": [{"n": 1}, {"n": 6}],
+    "hopf_monopole": [{"charge": 0}, {"charge": 2}],
+    "berger_sphere": [{"lam": 0.5}],
+    "trivial_bundle_flat": [{"algebra": "u(1)"}, {"algebra": "so(3)+u(1)"}],
+}
+SHIFTS = ("none", "parallel", "bump")
+OWN_PARAMS = {
+    "singer": [{"connection": c} for c in ("metric", "canonical")],
+    "check-lh-triple": [{"perturb": v} for v in SHIFTS],
+    "check-ls-triple": [{"perturb": v} for v in SHIFTS],
+    "total-space": [{"alpha": v} for v in SHIFTS],
+}
+CATALOG_RUNS = [
+    (scenario, fixture, {**variant, **own})
+    for scenario in cli.SCENARIOS if scenario != "selftest"
+    for fixture in fixture_names()
+    for variant in [{}, *FIXTURE_VARIANTS.get(fixture, [])]
+    for own in [{}, *OWN_PARAMS.get(scenario, [])]
+]
+
+
+@pytest.mark.parametrize("scenario,fixture,params", CATALOG_RUNS, ids=[
+    "-".join([s, f, *(f"{k}={v}" for k, v in p.items())]) for s, f, p in CATALOG_RUNS])
+def test_every_catalog_run_ends_with_an_exit_code(scenario, fixture, params, capsys):
+    """Every scenario on every catalog fixture, with its parameter variants,
+    ends with an exit code and raises nothing; a config error prints no
+    report."""
+    argv = ["--scenario", scenario, "--fixture", fixture, "--points", "2"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == ""
 
 
 class TestToleranceTable:

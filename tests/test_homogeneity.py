@@ -20,7 +20,7 @@ from ambrose.chart_calculus import (
     sample_interior,
 )
 from ambrose.errors import DepthMismatch, NotMetric, NumericalFailure
-from ambrose.fixtures import instantiate, smooth_tensor_field
+from ambrose.fixtures import fixture_names, instantiate, smooth_tensor_field
 from ambrose.homogeneity import (
     KMAX_START,
     DerivativeTower,
@@ -133,7 +133,38 @@ CHAIN_CASES = [
 ]
 
 
+# every catalog fixture with each connection it has, as singer takes it
+SINGER_RUNS = [(name, connection) for name in fixture_names()
+               for connection in ("metric", "canonical")
+               if connection == "metric" or instantiate(name, {}).gamma_canonical is not None]
+
+
 class TestStabilizerChains:
+    @pytest.mark.parametrize("name,connection", SINGER_RUNS)
+    def test_nesting_angles_taken_once(self, name, connection, monkeypatch, capsys):
+        """Each chain records the largest principal angle between each
+        level's kernel and the next one's, and singer reads the angles from
+        there: a run takes len(bases) - 1 angles per chain."""
+        chains = []
+        make_chain = homogeneity.stabilizer_chain
+
+        def recorded(tower, rep):
+            chains.append(make_chain(tower, rep))
+            return chains[-1]
+
+        monkeypatch.setattr(homogeneity, "stabilizer_chain", recorded)
+        angles = count_calls(monkeypatch, principal_angles)
+        code = cli.main(["--scenario", "singer", "--fixture", name, "--points", "3",
+                         "--param", f"connection={connection}"])
+        capsys.readouterr()
+        assert code == 0
+        assert chains
+        assert len(angles) == sum(len(ch.bases) - 1 for ch in chains)
+        for ch in chains:
+            assert len(ch.nesting) == len(ch.bases) - 1
+            for k, angle in enumerate(ch.nesting):
+                assert angle == nan_max(principal_angles(ch.bases[k + 1], ch.bases[k]))
+
     @pytest.mark.parametrize("name,params,conn,dims", CHAIN_CASES)
     def test_fixture_chains(self, name, params, conn, dims):
         fx = instantiate(name, params)

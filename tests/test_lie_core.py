@@ -377,6 +377,11 @@ class TestGroupAndFrameRep:
             assert gens.shape[0] == n * (n - 1) // 2
             assert np.allclose(gens, -gens.swapaxes(1, 2))
 
+    def test_so_generators_need_two_dimensions(self):
+        for n in (0, 1):
+            with pytest.raises(BadParameters):
+                so_generators(n)
+
     def test_frame_structure_rep_plain(self):
         rep = frame_structure_rep(3)
         assert rep.algebra.labels == ("so.1", "so.2", "so.3")

@@ -19,11 +19,13 @@ from ambrose.homogeneity import (
     group_action,
     opozda_section_spec,
     orbit_match,
+    stabilizer_chain,
     tower_and_chain,
 )
-from ambrose.lie_core import algebra_by_name, frame_structure_rep, skew_exp
+from ambrose.lie_core import algebra_by_name, frame_structure_rep, principal_angles, skew_exp
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame
 from oracles import apply_axis
+from test_total_space import count_calls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REP3 = frame_structure_rep(3)
@@ -102,9 +104,50 @@ class TestOrbitMatchProperties:
         poisoned = DerivativeTower(point=tower.point, frame=tower.frame, kmax=1,
                                    entries=tuple(tuple(lv) for lv in levels))
         pair = (tower, poisoned) if second else (poisoned, tower)
-        # the stabilizer chains reject the NaN before any search
+        # orbit_match rejects a non-finite entry before any search
         with pytest.raises(BadParameters):
             orbit_match(*pair, REP3, depth=1)
+
+
+def invariant_tower(level2):
+    """Levels 0 and 1 are delta_ij and eps_ijk, which all of so(3) fixes;
+    level 2 is the given rank-4 entry."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    entries = ((DenseTensor((DOWN, DOWN), np.eye(3)),), (DenseTensor((DOWN,) * 3, eps),),
+               (DenseTensor((DOWN,) * 4, level2),))
+    fr = OrthoFrame(point=np.zeros(3), frame=np.eye(3), coframe=np.eye(3))
+    return DerivativeTower(point=np.zeros(3), frame=fr, kmax=2, entries=entries)
+
+
+class TestMatchDepth:
+    def test_entries_above_depth_are_not_compared(self):
+        """Singer's condition reads the entries up to the match depth only:
+        towers whose chains differ above it still match there."""
+        generic = invariant_tower(np.random.default_rng(0).standard_normal((3,) * 4))
+        flat = invariant_tower(np.zeros((3,) * 4))
+        chains = stabilizer_chain(generic, REP3), stabilizer_chain(flat, REP3)
+        assert [c.dims for c in chains] == [(3, 3, 0), (3, 3, 3)]
+        # h(2) is empty in the generic chain
+        assert chains[0].nesting[1] == 0.0
+        match = orbit_match(generic, flat, REP3, depth=1)
+        assert match.matched, match.reason
+        assert match.residual == 0.0
+        assert not orbit_match(generic, flat, REP3, depth=2).matched
+
+    def test_no_chain_and_no_angle_per_match(self, monkeypatch):
+        """The orbit-match workload's operation at seed 3 builds no
+        stabilizer chain and takes no principal angle."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        chains = count_calls(monkeypatch, homogeneity.stabilizer_chain)
+        angles = count_calls(monkeypatch, principal_angles)
+        workload = workloads.WORKLOADS["orbit-match"]
+        assert workload.oracle(json.loads(workload.run(3))) is not None
+        assert chains == []
+        assert angles == []
 
 
 def warped_surface() -> Fixture:
