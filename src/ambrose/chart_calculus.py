@@ -442,14 +442,19 @@ def nan_max(values: Iterable[float] | np.ndarray) -> float:
     return float(vals.max()) if vals.size else 0.0
 
 
+def max_over_batches(rows: Iterable[dict[str, float]]) -> dict[str, float]:
+    """Each residual's largest value over its rows, NaN as soon as any is NaN."""
+    rows = list(rows)
+    return {name: nan_max([row[name] for row in rows]) for name in rows[0]}
+
+
 def max_over_chunks(check: Callable[[np.ndarray], dict[str, float]],
                     points: np.ndarray) -> dict[str, float]:
-    """Each residual's largest value over the points, NaN as soon as any is
-    NaN: check maps a batch of at most CHUNK points to the largest of each
-    residual there, so a check's memory does not grow with the points."""
+    """max_over_batches of check, which maps a batch of at most CHUNK points
+    to the largest of each residual there, so a check's memory does not
+    grow with the points."""
     points = _batch(points)
-    rows = [check(points[i:i + CHUNK]) for i in range(0, len(points), CHUNK)]
-    return {name: nan_max([row[name] for row in rows]) for name in rows[0]}
+    return max_over_batches(check(points[i:i + CHUNK]) for i in range(0, len(points), CHUNK))
 
 
 def nabla_frames(gamma: ConnectionCoeffs,

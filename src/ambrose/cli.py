@@ -25,6 +25,7 @@ from .chart_calculus import (
     TensorFieldSpec,
     curvature_of,
     max_nabla_norms,
+    max_over_batches,
     max_over_chunks,
     nan_max,
     ortho_frames,
@@ -209,13 +210,17 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                     and any(k in ps for ps in SCENARIO_PARAMS.values()))
     if unread:
         raise ConfigError(f"scenario {scenario} does not read parameter(s) {', '.join(unread)}")
-    if scenario != "selftest":
-        if not fixture:
-            raise ConfigError("a fixture name is required (see --fixture)")
-        if fixture not in fixture_names():
-            raise ConfigError(
-                f"unknown fixture {fixture!r}; available: {', '.join(fixture_names())}"
-            )
+    if scenario == "selftest":
+        # its battery fixes the fixtures and their parameters
+        for option, value in (("--fixture", fixture), ("--param", ", ".join(params))):
+            if value:
+                raise ConfigError(f"scenario selftest takes no {option}, got {value}")
+    elif not fixture:
+        raise ConfigError("a fixture name is required (see --fixture)")
+    elif fixture not in fixture_names():
+        raise ConfigError(
+            f"unknown fixture {fixture!r}; available: {', '.join(fixture_names())}"
+        )
     if not _is_int(points) or points < 1:
         raise ConfigError("points must be a positive integer")
     if not _is_int(seed) or seed < 0:
@@ -374,8 +379,8 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
         raise ConfigError(f"singer needs a chart of dimension 2 or more, got {fix.chart.dim}")
     rep = frame_structure_rep(fix.chart.dim)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    chains = [chain for _, chain in
-              towers_and_chains(sigma, None, gamma0, fix.g, points, rep, kmax=cfg.kmax)]
+    chains = [chain for batch in towers_and_chains(sigma, None, gamma0, fix.g, points, rep,
+                                                   kmax=cfg.kmax) for _, chain in batch]
     flags = sorted({f for ch in chains for f in ch.flags})
     if len({ch.dims for ch in chains}) > 1:
         flags.append("dims-vary")
@@ -412,11 +417,13 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     the result parallelizes the shift and the tower up to depth k_S + 1.
 
     The Singer stage k_S is read from the chain at the first sample point,
-    grown from KMAX_START (or built at --kmax), whose tower is reused unless
-    it is shallower than the k_S + 2 that ``adapted_residuals`` reads. Under
-    infinitesimal homogeneity k_S is the same at every point: the other
-    points get towers of depth k_S + 2 from ``towers_and_chains``, and a
-    chain that does not stabilize at k_S raises NumericalFailure."""
+    grown from KMAX_START (or built at --kmax); that tower is a batch of its
+    own if it reaches the k_S + 2 that ``adapted_residuals`` reads. The other
+    towers, of depth k_S + 2, are checked batch by batch as
+    ``towers_and_chains`` builds them, while the memos hold their points.
+    Under infinitesimal homogeneity k_S is the same at every point: a chain
+    that stabilizes elsewhere raises NumericalFailure. The flags are every
+    chain's, and dims-vary if its dims through level k_S + 1 differ."""
     fix = _fixture(cfg)
     if fix.gamma_canonical is None:
         raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
@@ -426,28 +433,30 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     b_prime = frame_gauge_form(fix.gamma_canonical, fix.g, rep.vector)
     sigma = opozda_section_spec(fix.gamma)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    tower, first_chain = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep,
-                                         kmax=cfg.kmax)
-    singer_k = first_chain.singer_k
+    probe = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep, kmax=cfg.kmax)
+    singer_k, dims = probe[1].singer_k, probe[1].dims
     if singer_k is None:
         raise ConfigError("stabilizer chain did not stabilize within the cap")
     depth = singer_k + 2
-    reuse = tower.kmax >= depth
-    rows = [adapted_residuals(tower, first_chain, fix.g, b0, b_prime, rep, inner)] if reuse else []
-    others = points[1:] if reuse else points
-    for tw, chain in towers_and_chains(sigma, None, fix.gamma, fix.g, others, rep, kmax=depth):
-        if chain.singer_k != singer_k:
-            raise NumericalFailure(
-                f"stabilizer chain at {tw.point} stabilizes at stage {chain.singer_k}, "
-                f"not at the first sample point's {singer_k}"
-            )
-        rows.append(adapted_residuals(tw, chain, fix.g, b0, b_prime, rep, inner))
-    shift, tower_res = zip(*rows)
-    residuals = {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
-    return make_report(
-        "adapt", fix.name, points, residuals, sorted(set(first_chain.flags)),
-        stabilizer_dims=tuple(first_chain.dims[:singer_k + 1]), singer_k=singer_k,
-    )
+    flags = set(probe[1].flags)
+
+    def check(batch):
+        for tw, chain in batch:
+            if chain.singer_k != singer_k:
+                raise NumericalFailure(
+                    f"stabilizer chain at {tw.point} stabilizes at stage {chain.singer_k}, "
+                    f"not at the first sample point's {singer_k}"
+                )
+            flags.update(chain.flags)
+            if chain.dims[:depth] != dims[:depth]:
+                flags.add("dims-vary")
+        return adapted_residuals(batch, fix.g, b0, b_prime, rep, inner)
+
+    rows = [check([probe])] if probe[0].kmax >= depth else []
+    batches = towers_and_chains(sigma, None, fix.gamma, fix.g, points[len(rows):], rep, kmax=depth)
+    residuals = max_over_batches(rows + list(map(check, batches)))
+    return make_report("adapt", fix.name, points, residuals, sorted(flags),
+                       stabilizer_dims=tuple(dims[:singer_k + 1]), singer_k=singer_k)
 
 
 def run_total_space(cfg: RunConfig) -> VerificationReport:

@@ -279,18 +279,18 @@ def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
                     rep: TensorRep, kmax: int | None = None,
                     ) -> tuple[DerivativeTower, StabilizerChain]:
     """towers_and_chains at the single point x."""
-    return next(towers_and_chains(sigma, b0, gamma0, g, np.asarray(x, float)[None], rep, kmax))
+    return next(towers_and_chains(sigma, b0, gamma0, g, np.asarray(x, float)[None], rep, kmax))[0]
 
 
 def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
                       gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
                       rep: TensorRep, kmax: int | None = None,
-                      ) -> Iterator[tuple[DerivativeTower, StabilizerChain]]:
-    """The tower and chain at each point, in point order, built deep enough
-    to observe stabilization within the cap: the points go in batches of at
-    most CHUNK, and only the points of a batch whose chain is truncated are
-    built again, one level deeper, as a smaller batch. At a given kmax every
-    point is built at that depth."""
+                      ) -> Iterator[list[tuple[DerivativeTower, StabilizerChain]]]:
+    """The tower and chain at each point, in point order and in batches of
+    at most CHUNK points, each yielded once built; deep enough to observe
+    stabilization within the cap: only the points of a batch whose chain is
+    truncated are built again, one level deeper, as a smaller batch. At a
+    given kmax every point is built at that depth."""
     points = np.atleast_2d(np.asarray(points, float))
     for start in range(0, len(points), CHUNK):
         todo = list(range(start, min(start + CHUNK, len(points))))
@@ -303,7 +303,7 @@ def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
                 break
             todo = [i for i in todo if done[i][1].singer_k is None]
             depth += 1
-        yield from (done[i] for i in sorted(done))
+        yield [done[i] for i in sorted(done)]
 
 
 def group_action(theta: np.ndarray, rep: TensorRep,
@@ -523,60 +523,60 @@ def _entry_pairs(tower: DerivativeTower, depth: int) -> list[tuple[DenseTensor, 
     return list(zip(entries, entries[len(tower.entries[0]):]))
 
 
-def _adapted_shift(tower: DerivativeTower, chain: StabilizerChain, g: MetricField,
-                   b0: LocalConnectionForm, b_prime: LocalConnectionForm,
-                   rep: TensorRep, inner: AdInvariantInner,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(beta_k, d beta_k) at the tower's point: the frame-expressed part of
-    beta = b' - b0 in the invariant complement of h = bases[singer_k], and
-    its coordinate partials out[mu, a, i]; see adapted_residuals."""
+def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], g: MetricField,
+                    b0: LocalConnectionForm, b_prime: LocalConnectionForm,
+                    rep: TensorRep, inner: AdInvariantInner,
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(b0_x, beta_k, d beta_k) at each pair's point: b0's rows there, the
+    frame-expressed part of beta = b' - b0 in the invariant complement of
+    h = bases[singer_k], and its partials out[mu, a, i]; see adapted_residuals."""
     if b0.algebra.labels != b_prime.algebra.labels:
         raise RepMismatch("connection forms live over different algebras")
-    if chain.singer_k is None:
-        raise NumericalFailure("stabilizer chain did not stabilize")
-    h = chain.bases[chain.singer_k]
-    try:
-        reductive_complement(h, inner)
-    except NotInvariant as exc:
-        raise NotReductive(str(exc)) from exc
-    x, frame = tower.point, tower.frame
-    b0_jet = b0.jet_at(x, 1)
-    b0_x = b0_jet.value[..., 0]
-    pairs = _entry_pairs(tower, chain.singer_k)
-    tensors = [t for t, _ in pairs]
-    partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
-                for t, nxt in pairs]
-    u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
-    rank = h.shape[0] - h.shape[1]
-    pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
-    dh = np.stack([
-        -pinv @ stacked_action_matrix(
-            [DenseTensor(t.markers, d[mu]) for t, d in zip(tensors, partials)], rep) @ h
-        for mu in range(len(x))
-    ])
-    m = inner.matrix
-    coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
-    proj = h @ coeff
-    # P is m-self-adjoint: d P is its part off h plus that part's m-adjoint
-    off = (np.eye(len(m)) - proj) @ dh @ coeff
-    dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
+    xs = np.array([tower.point for tower, _ in pairs])
+    b0_jet = b0.jet_at(xs, 1)
+    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, xs, 1)[0], b_prime.jet_at(xs, 1) - b0_jet)
+    betas, dbetas = beta_hat.value, jet.shift(beta_hat).value
+    for p, (tower, chain) in enumerate(pairs):
+        if chain.singer_k is None:
+            raise NumericalFailure("stabilizer chain did not stabilize")
+        h = chain.bases[chain.singer_k]
+        try:
+            reductive_complement(h, inner)
+        except NotInvariant as exc:
+            raise NotReductive(str(exc)) from exc
+        frame, b0_x = tower.frame, b0_jet.value[..., p]
+        tensors, nexts = zip(*_entry_pairs(tower, chain.singer_k))
+        partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
+                    for t, nxt in zip(tensors, nexts)]
+        u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
+        rank = h.shape[0] - h.shape[1]
+        pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
+        dh = np.stack([
+            -pinv @ stacked_action_matrix(
+                [DenseTensor(t.markers, d[mu]) for t, d in zip(tensors, partials)], rep) @ h
+            for mu in range(len(tower.point))
+        ])
+        m = inner.matrix
+        coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
+        proj = h @ coeff
+        # P is m-self-adjoint: d P is its part off h plus that part's m-adjoint
+        off = (np.eye(len(m)) - proj) @ dh @ coeff
+        dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
+        beta, dbeta = betas[..., p], dbetas[..., p]
+        yield (b0_x, beta - beta @ proj.T,
+               dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1))
 
-    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, x, 1)[0], b_prime.jet_at(x, 1) - b0_jet)
-    beta, dbeta = beta_hat.value[..., 0], jet.shift(beta_hat).value[..., 0]
-    return (beta - beta @ proj.T,
-            dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1))
 
-
-def adapted_residuals(tower: DerivativeTower, chain: StabilizerChain, g: MetricField,
+def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], g: MetricField,
                       b0: LocalConnectionForm, b_prime: LocalConnectionForm,
-                      rep: TensorRep, inner: AdInvariantInner) -> tuple[float, float]:
-    """(nabla_beta, nabla_tower) at the tower's point for the adapted gauge
-    form b = b0 + beta_k, beta_k the part of beta = b' - b0 in the
-    inner-orthogonal complement of the Singer-stage stabilizer
-    h = bases[singer_k]: the norms of the b-covariant derivatives of beta_k
-    and, largest over levels 0..singer_k + 1, of the tower entries. b0 must
-    be the frame gauge form of the tower's connection, and the tower must
-    reach level singer_k + 2.
+                      rep: TensorRep, inner: AdInvariantInner) -> dict[str, float]:
+    """The largest nabla_beta and nabla_tower over a batch of at most CHUNK
+    (tower, chain) pairs, for the adapted gauge form b = b0 + beta_k at each
+    point: beta_k is the part of beta = b' - b0 in the inner-orthogonal
+    complement of the Singer-stage stabilizer h = bases[singer_k], and the
+    residuals are the norms of the b-covariant derivatives of beta_k and of
+    the entries of levels 0..singer_k + 1. b0 must be the frame gauge form of
+    the towers' connection, and each tower must reach level singer_k + 2.
 
     An entry T has partials d_mu T = coframe[a, mu] Tnext[a] - b0_mu . T,
     Tnext the entry one level up, and b-covariant derivative
@@ -584,17 +584,18 @@ def adapted_residuals(tower: DerivativeTower, chain: StabilizerChain, g: MetricF
     0..singer_k has kernel h, so d h = -M^+ (d M) h (Golub and Pereyra, SIAM
     J. Numer. Anal. 10, 1973), M^+ cut to rank m - dim h so as not to invert
     rounding. h is also bases[singer_k + 1], by the definition of the stage;
-    read at singer_k, it needs no entry above level singer_k + 1. The
-    partials of beta come from first-order jets of the gauge forms and the
-    frame. A chain that did not stabilize raises NumericalFailure, and a
+    read at singer_k, it needs no entry above level singer_k + 1. b0, b' and
+    the frame are first-order jets at the whole batch; h's projector is taken
+    per point. A chain that did not stabilize raises NumericalFailure, and a
     stabilizer without an invariant complement NotReductive."""
-    beta_k, dbeta_k = _adapted_shift(tower, chain, g, b0, b_prime, rep, inner)
-    frame = tower.frame
-    shift = gauge_residual(b0.at(tower.point) + frame.coframe.T @ beta_k, with_adjoint_rep(rep),
-                           DenseTensor((DOWN, LIE), beta_k), dbeta_k, frame)
-    tower_res = nan_max(np.linalg.norm(nxt.data + _form_action(beta_k, t, rep))
-                        for t, nxt in _entry_pairs(tower, chain.singer_k + 1))
-    return shift, tower_res
+    shifts = _adapted_shifts(pairs, g, b0, b_prime, rep, inner)
+    adjoint, shift, tower_res = with_adjoint_rep(rep), [], []
+    for (tower, chain), (b0_x, beta_k, dbeta_k) in zip(pairs, shifts):
+        shift.append(gauge_residual(b0_x + tower.frame.coframe.T @ beta_k, adjoint,
+                                    DenseTensor((DOWN, LIE), beta_k), dbeta_k, tower.frame))
+        tower_res.extend(np.linalg.norm(nxt.data + _form_action(beta_k, t, rep))
+                         for t, nxt in _entry_pairs(tower, chain.singer_k + 1))
+    return {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
 
 
 def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:

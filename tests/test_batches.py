@@ -7,6 +7,7 @@ the run as it does point by point."""
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -39,13 +40,20 @@ from ambrose.fixtures import (
 )
 from ambrose.homogeneity import (
     CHUNK,
+    adapted_residuals,
     build_tower,
     build_towers,
+    frame_gauge_form,
     opozda_section_spec,
     tower_and_chain,
     towers_and_chains,
 )
-from ambrose.lie_core import algebra_by_name, frame_structure_rep, principal_angles
+from ambrose.lie_core import (
+    algebra_by_name,
+    default_inner,
+    frame_structure_rep,
+    principal_angles,
+)
 from ambrose.tensor_core import DOWN, LIE
 from ambrose.total_space import TotalSpaceModel, _check
 from test_homogeneity import TRIPLE_CASES
@@ -128,13 +136,15 @@ class TestBatchParity:
             assert_same_tower(tower, build_tower(sigma, None, fx.gamma, fx.g, x, 2, frame=fr))
 
     def test_chunk_boundary(self):
-        """More points than one batch holds: towers_and_chains goes batch by
-        batch and keeps the point order."""
+        """More points than one batch holds: towers_and_chains yields batch
+        by batch, CHUNK points each but the last, and keeps the point order."""
         fx = instantiate("berger_sphere", {})
         sigma = opozda_section_spec(fx.gamma)
         rep = frame_structure_rep(3)
         points = sample_interior(fx.chart, 2 * CHUNK + 3)
-        pairs = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
+        batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
+        assert [len(batch) for batch in batches] == [CHUNK, CHUNK, 3]
+        pairs = [pair for batch in batches for pair in batch]
         assert len(pairs) == len(points)
         for x, (tower, chain) in zip(points, pairs):
             single, single_chain = tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep)
@@ -164,8 +174,10 @@ class TestBatchParity:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homogeneity, "build_towers", recorded)
-            pairs = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
+            batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
         assert depths == [(2, 4), (3, 2)]
+        assert len(batches) == 1
+        pairs = batches[0]
         assert [chain.dims for _, chain in pairs] == [(3, 1, 1), (3, 1, 0, 0)] * 2
         assert [chain.singer_k for _, chain in pairs] == [1, 2, 1, 2]
         for x, (tower, chain) in zip(points, pairs):
@@ -232,6 +244,63 @@ class TestChecksOnABatch:
         assert batch["nabla_bar_R"] > 0.0
 
 
+ADAPT_CASES = [("berger_sphere", {"lam": 2.0}), ("berger_sphere", {"lam": 0.5}),
+               ("round_sphere3", {})]
+
+
+class TestAdaptOnABatch:
+    """adapted_residuals on each batch of (tower, chain) pairs that
+    towers_and_chains builds equals the largest of its one-point batches
+    bit for bit: b0, b' and the frame are jets at the whole batch, and each
+    point's projector, shift and norms are the same numpy calls as at a
+    single point."""
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["canonical", "shifted"])
+    @pytest.mark.parametrize("name,params", ADAPT_CASES,
+                             ids=["berger", "berger-lam=0.5", "round_sphere3"])
+    def test_batch_is_largest_of_one_point_batches(self, name, params, shifted):
+        fx = instantiate(name, params)
+        rep = frame_structure_rep(3)
+        inner = default_inner(rep.algebra)
+        b0 = frame_gauge_form(fx.gamma, fx.g, rep.vector)
+        b_prime = frame_gauge_form(fx.gamma_canonical, fx.g, rep.vector)
+        if shifted:
+            # residuals far from rounding, so that every point's value counts
+            b_prime = b_prime.shifted(smooth_tensor_field(fx.chart, (DOWN, LIE), 3, rep.algebra))
+        sigma = opozda_section_spec(fx.gamma)
+        points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=7)
+        depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
+        batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
+        assert [len(batch) for batch in batches] == [CHUNK, CHUNK, 3]
+        for batch in batches:
+            got = adapted_residuals(batch, fx.g, b0, b_prime, rep, inner)
+            singles = [adapted_residuals([pair], fx.g, b0, b_prime, rep, inner) for pair in batch]
+            assert got == {key: max(s[key] for s in singles) for key in got}
+            if shifted and name == "berger_sphere":
+                # round_sphere3's stabilizer is all of so(3), so beta_k is 0
+                assert min(s["nabla_beta"] for s in singles) > 1e-3
+
+
+def counted_forms(monkeypatch):
+    """The batch size of each evaluation of each of adapt's gauge forms, one
+    list per form in the order the scenario makes them."""
+    forms = []
+
+    def counted(*args):
+        form = frame_gauge_form(*args)
+        calls = []
+        forms.append(calls)
+
+        def ev(X):
+            calls.append(X.value.shape[-1])
+            return form.evaluator(X)
+
+        return dataclasses.replace(form, evaluator=ev)
+
+    monkeypatch.setattr(cli, "frame_gauge_form", counted)
+    return forms
+
+
 def counted_metric(calls):
     """berger_sphere with its metric evaluator counted, and its Levi-Civita
     connection built on the counted metric."""
@@ -264,6 +333,50 @@ class TestEvaluationCounts:
         assert len(christoffel) <= batches
         assert sum(metric) == points
 
+    @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
+    def test_adapt_gauge_forms_once_per_batch(self, points, batches, monkeypatch, capsys):
+        """adapt's first point is a batch of its own, the others come in
+        batches of CHUNK. Each gauge form is evaluated once per batch, at
+        its points; the metric and the Christoffel symbols no more often
+        than towers are built. Point by point, 8 points took 16 gauge-form
+        evaluations, and 2 metric and 2 Christoffel ones."""
+        metric = []
+        christoffel = count_calls(monkeypatch, chart_calculus._christoffel_jet)
+        monkeypatch.setattr(cli, "instantiate", lambda name, params: counted_metric(metric))
+        forms = counted_forms(monkeypatch)
+        code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
+                         "--points", str(points)])
+        capsys.readouterr()
+        assert code == 0
+        assert len(forms) == 2
+        for calls in forms:
+            assert len(calls) == batches
+            assert sum(calls) == points
+        assert len(metric) <= batches
+        assert len(christoffel) <= batches
+
+    def test_adapt_holds_one_batch_of_towers(self, monkeypatch, capsys):
+        """Whatever the number of points, adapt holds the first point's
+        tower and one batch of the others' at a time."""
+        towers = []
+        live = []
+
+        def recorded(*args):
+            built = build_towers(*args)
+            towers.extend(weakref.ref(t) for t in built)
+            return built
+
+        def checked(pairs, *args):
+            live.append(sum(t() is not None for t in towers))
+            return adapted_residuals(pairs, *args)
+
+        monkeypatch.setattr(homogeneity, "build_towers", recorded)
+        monkeypatch.setattr(cli, "adapted_residuals", checked)
+        code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
+                         "--points", str(3 * CHUNK + 1)])
+        capsys.readouterr()
+        assert code == 0
+        assert live == [1, CHUNK + 1, CHUNK + 1, CHUNK + 1]
 
     @pytest.mark.parametrize("argv,forms", [
         ("--scenario total-space --fixture hopf_monopole --param alpha=parallel", 2),

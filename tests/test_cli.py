@@ -396,6 +396,38 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert param.partition("=")[0] in captured.err and scenario in captured.err
 
+    @pytest.mark.parametrize("argv,config,option", [
+        (["--param", "n=3", "--param", "lam=9"], {}, "--param"),
+        (["--fixture", "berger_sphere"], {}, "--fixture"),
+        ([], {"params": {"n": 3}}, "--param"),
+        ([], {"fixture": "berger_sphere"}, "--fixture"),
+    ], ids=["param", "fixture", "config-params", "config-fixture"])
+    def test_selftest_rejects_fixture_and_params(self, argv, config, option, tmp_path,
+                                                 monkeypatch, capsys):
+        """selftest runs its own battery of fixtures and parameters, so a
+        fixture or a parameter, on the command line or in a config file,
+        would be silently ignored: it is a config error before any work."""
+        def never(cfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "selftest", never)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": "selftest", **config}))
+        code = cli.main(["--config", str(path), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert option in captured.err and "selftest" in captured.err
+
+    def test_selftest_takes_its_run_options(self, capsys):
+        """--tol, --points, --seed and --kmax still reach the battery."""
+        argv = ["--scenario", "selftest", "--tol", "default=1", "--points", "2", "--seed", "3",
+                "--kmax", "2"]
+        cfg = cli.parse_config(argv)
+        assert (cfg.tols, cfg.points, cfg.seed, cfg.kmax) == ({"default": 1.0}, 2, 3, 2)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_one_dimensional_chart_is_config_error_for_singer(self, capsys):
         for connection in ([], ["--param", "connection=metric"]):
             code = cli.main(["--scenario", "singer", "--fixture", "euclidean",

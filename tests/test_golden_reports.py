@@ -1,7 +1,8 @@
 """The stdout and exit code of each CLI run in golden_reports.json, byte for
 byte. The runs are every run of test_reachable.RUNS at the default eight
 points, the runs of the ROADMAP Baseline table, the deep and flagged runs
-the jet towers mended, and a singer run over several batches of points.
+the jet towers mended, and a singer and an adapt run over several batches
+of points.
 
 A change that moves a byte of a report updates the file and names, in
 CHANGES.md, each residual that changed with its old and new value; dims,

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from ambrose import chart_calculus, cli, homogeneity, jet
 from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form_field
 from ambrose.chart_calculus import (
+    CHUNK,
     ConnectionCoeffs,
     curvature_field,
     frame_connection_field,
@@ -26,7 +27,7 @@ from ambrose.homogeneity import (
     DerivativeTower,
     StabilizerChain,
     TripleSpec,
-    _adapted_shift,
+    _adapted_shifts,
     adapted_residuals,
     build_tower,
     build_towers,
@@ -444,10 +445,9 @@ class TestAdaptedConnection:
         three-sphere."""
         for x in BERGER_X:
             fx, tower, chain, b0, b_prime = adapt_inputs(2.0, x)
-            shift, tower_res = adapted_residuals(tower, chain, fx.g, b0, b_prime, REP3,
-                                                 self.INNER)
-            assert shift < 1e-8
-            assert tower_res < 1e-6
+            res = adapted_residuals([(tower, chain)], fx.g, b0, b_prime, REP3, self.INNER)
+            assert res["nabla_beta"] < 1e-8
+            assert res["nabla_tower"] < 1e-6
 
     @pytest.mark.parametrize("lam", [2.0, 0.5])
     @pytest.mark.parametrize("x", BERGER_X)
@@ -456,7 +456,8 @@ class TestAdaptedConnection:
         the tower, match the FD of beta_k with a stabilizer chain built at
         every stencil point; without the projector's term they do not."""
         fx, tower, chain, b0, b_prime = adapt_inputs(lam, x)
-        beta_k, dbeta_k = _adapted_shift(tower, chain, fx.g, b0, b_prime, REP3, self.INNER)
+        _, beta_k, dbeta_k = next(_adapted_shifts([(tower, chain)], fx.g, b0, b_prime, REP3,
+                                                  self.INNER))
         b = stencil_adapt(fx, chain.singer_k)[0]
 
         def frame_shift(form):
@@ -478,7 +479,8 @@ class TestAdaptedConnection:
         b_prime = b0
         if shifted:
             b_prime = b0.shifted(smooth_tensor_field(fx.chart, (DOWN, LIE), 3, REP3.algebra))
-        got = adapted_residuals(tower, chain, fx.g, b0, b_prime, REP3, self.INNER)
+        res = adapted_residuals([(tower, chain)], fx.g, b0, b_prime, REP3, self.INNER)
+        got = res["nabla_beta"], res["nabla_tower"]
         ref = nested_fd_adapt_residuals(fx, x, chain.singer_k, b_prime)
         assert got[1] > 1.0
         assert got[0] > 1.0 if shifted else got[0] == 0.0
@@ -487,13 +489,13 @@ class TestAdaptedConnection:
     def test_shallow_tower_rejected(self):
         fx, tower, chain, b0, b_prime = adapt_inputs(2.0, BERGER_X[0], depth=1)
         with pytest.raises(DepthMismatch):
-            adapted_residuals(tower, chain, fx.g, b0, b_prime, REP3, self.INNER)
+            adapted_residuals([(tower, chain)], fx.g, b0, b_prime, REP3, self.INNER)
 
     def test_unstabilized_chain_raises(self):
         fx, tower, chain, b0, b_prime = adapt_inputs(2.0, BERGER_X[0])
         bad_chain = dataclasses.replace(chain, singer_k=None, flags=("truncated",))
         with pytest.raises(NumericalFailure):
-            adapted_residuals(tower, bad_chain, fx.g, b0, b_prime, REP3, self.INNER)
+            adapted_residuals([(tower, bad_chain)], fx.g, b0, b_prime, REP3, self.INNER)
 
 
 class TestAdaptSingerDepth:
@@ -554,6 +556,38 @@ class TestAdaptSingerDepth:
         assert data["pass"] is False
         assert data["flags"][0] == "numerical-failure"
         assert "stabilizes at stage" in data["flags"][1]
+
+    @pytest.mark.parametrize("points", [3, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("change,flags", [
+        ({"flags": ("ambiguous",)}, ["ambiguous"]),
+        ({"dims": (2, 1, 1)}, ["dims-vary"]),
+        ({"flags": ("ambiguous",), "dims": (2, 1, 1)}, ["ambiguous", "dims-vary"]),
+        ({"dims": (1, 1, 0)}, []),
+    ], ids=["flagged", "other-dims", "both", "dims-above-k+1"])
+    def test_flags_of_every_chain(self, change, flags, points, monkeypatch, capsys):
+        """The flags are those of every chain, and dims-vary is raised when
+        a chain's dims through level k_S + 1 are not the first point's: a
+        later point's chain (the second point's, or one in the last batch)
+        fails the report as the first one's would."""
+        later = points - 2
+        chains = []
+
+        def changed(tower, rep):
+            chains.append(stabilizer_chain(tower, rep))
+            if len(chains) == later + 1:
+                return dataclasses.replace(chains[-1], **change)
+            return chains[-1]
+
+        monkeypatch.setattr(homogeneity, "stabilizer_chain", changed)
+        code = cli.main([*self.ARGV, "--points", str(points)])
+        data = json.loads(capsys.readouterr().out)
+        # the first point's chain, then one per other point: berger_sphere's
+        # first tower is deep enough to be a batch of its own
+        assert len(chains) == points
+        assert data["flags"] == flags
+        assert data["pass"] is (not flags)
+        assert code == (1 if flags else 0)
+        assert (data["singer_k"], data["stabilizer_dims"]) == (0, [1])
 
 
 DEEP_SINGER = [
