@@ -96,7 +96,7 @@ def scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` points of Owen's scrambled Halton sequence in
     [0, 1)^dim (arXiv:1706.02808): axis i uses the i-th prime base b, and
     each of its ceil(54 / log2 b) - 1 digits is permuted by its own random
-    permutation, drawn with ``default_rng(seed).shuffle``."""
+    permutation, drawn with ``default_rng(seed).permuted``."""
     rng = default_rng(seed)
     bases: list[int] = []
     cand = 2
@@ -106,17 +106,15 @@ def scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
         cand += 1
     out = np.empty((dim, count))
     for axis, base in enumerate(bases):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        index = np.arange(count)
-        acc = np.zeros(count)
-        weight = 1.0 / base
-        for perm in perms:
-            acc += perm[index % base] * weight
-            index //= base
-            weight /= base
-        out[axis] = acc
+        ndigits = math.ceil(54 / math.log2(base)) - 1
+        # one draw per row, from the same stream as a shuffle of each row
+        perms = rng.permuted(np.repeat(np.arange(base)[None], ndigits, axis=0), axis=1)
+        # digit k of index i is q_k - b q_{k+1}, with q_k = i // b^k
+        quotients = np.arange(count) // base ** np.arange(ndigits + 1)[:, None]
+        digits = np.take_along_axis(perms, quotients[:-1] - base * quotients[1:], axis=1)
+        # weight b^-k by k divisions, and the terms summed in digit order
+        weights = np.divide.accumulate(np.r_[1.0, np.full(ndigits, base)])[1:]
+        out[axis] = np.add.accumulate(digits * weights[:, None], axis=0)[-1]
     return out.T
 
 
@@ -224,6 +222,8 @@ class MetricField:
     chart: Chart
     evaluator: Callable[[Jet], Jet]
     memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
+    # the frame and coframe jets of frame_jet, stacked on a leading axis
+    frames: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
         """The jet of g at a batch of points, symmetrized so that the
@@ -418,14 +418,24 @@ def ortho_frames(g: MetricField, points: np.ndarray) -> list[OrthoFrame]:
 
 
 def frame_jet(g: MetricField, x: np.ndarray, order: int) -> tuple[Jet, Jet]:
-    """(frame, coframe) of the Cholesky orthonormal frame of g as jets."""
-    gx = g.jet_at(x, order)
+    """(frame, coframe) of the Cholesky orthonormal frame of g as jets, read
+    off g's frame memo as the metric's jet is off its own, so the forms and
+    frames of a batch share one Cholesky jet."""
+    both = g.frames.jet_at(x, order, lambda X: _frame_pair(g, X))
+    return both[0], both[1]
+
+
+def _frame_pair(g: MetricField, X: Jet) -> Jet:
+    """The frame and coframe jets at the points of a coordinate jet,
+    stacked on a leading axis."""
+    x = _base_points(X)
+    gx = g.jet_at(x, X.order)
     try:
         coframe = jet.cholesky(gx).transpose(1, 0)
     except np.linalg.LinAlgError as exc:
-        x = _batch(x)[_first_failure(np.linalg.cholesky, gx.value)]
+        x = x[_first_failure(np.linalg.cholesky, gx.value)]
         raise DegenerateMetric(f"metric not positive definite at {x}: {exc}") from exc
-    return jet.inv(coframe), coframe
+    return Jet(np.stack([jet.inv(coframe).c, coframe.c]), X.n, X.order)
 
 
 def ortho_frame_partial(g: MetricField,

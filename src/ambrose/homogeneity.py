@@ -12,6 +12,7 @@ use the moving-frame form of the connection: del_mu = d_mu + action(b_mu).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -52,7 +53,8 @@ from .lie_core import (
     AdInvariantInner,
     LinearRep,
     TensorRep,
-    nullspace,
+    action_rows,
+    nullspaces,
     principal_angles,
     reductive_complement,
     skew_exp,
@@ -236,28 +238,73 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
 
 
 def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
-    """h(k) = kernel of the stacked action matrix over entries 0..k."""
-    bases: list[np.ndarray] = []
-    flags: list[str] = []
-    ambiguous = False
-    # level k's matrix is the rows of the entries 0..k of one matrix over all
-    # of them, and its scale their running sum of squared norms
-    mat = stacked_action_matrix(tower.up_to(len(tower.entries) - 1), rep)
-    rows = 0
-    sq = 0
-    for entry in tower.entries:
-        for t in entry:
-            rows += t.data.size
-            sq += t.norm() ** 2
-        # cutoff floored at the entry scale so levels that vanish in exact
-        # arithmetic do not present their rounding as full-rank columns
-        basis, sing, cutoff = nullspace(mat[:rows], scale=float(np.sqrt(sq)), spectrum=True)
-        bases.append(basis)
-        below = sing[sing <= cutoff]
-        above = sing[sing > cutoff]
-        # kernel and range must be separated by a clear spectral gap
-        if below.size and above.size and above.min() < 10.0 * below.max():
-            ambiguous = True
+    """h(k) = kernel of the stacked action matrix over entries 0..k:
+    stabilizer_chains on a batch of one."""
+    return stabilizer_chains([tower], rep)[0]
+
+
+def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[StabilizerChain]:
+    """The stabilizer chain of each tower of a batch whose entries have the
+    same markers and shapes at every point: h(k) is the kernel of the stacked
+    action matrix over the entries 0..k.
+
+    No stacked matrix is held. Each entry's action rows are built for the
+    batch's points together, in blocks of at most jet.PRODUCT_BLOCK elements
+    (sliced over points, then over leading tensor axes), and each block is
+    folded into a per-point R factor, at most m x m: R_k is the R of
+    QR([R_{k-1}; block_k]), so it has the singular values of the rows of
+    levels 0..k, and one stacked SVD of R per level gives every point's
+    kernel. The cutoff is floored at each point's running sum of squared
+    entry norms, so that levels which vanish in exact arithmetic do not
+    present their rounding as full-rank columns."""
+    if not towers:
+        return []
+    shapes = [[(t.markers, t.dims) for t in entry] for entry in towers[0].entries]
+    if any([[(t.markers, t.dims) for t in entry] for entry in tw.entries] != shapes
+           for tw in towers):
+        raise DepthMismatch("towers of a batch have entries of different shapes")
+    r = [np.zeros((0, rep.algebra.dim))] * len(towers)
+    sq = np.zeros(len(towers))
+    spectra = []
+    for k, shape in enumerate(shapes):
+        for i, (markers, _) in enumerate(shape):
+            per_point = [tw.entries[k][i].data for tw in towers]
+            sq += [np.linalg.norm(d) ** 2 for d in per_point]
+            for points, rows in _row_blocks(markers, per_point, rep):
+                # stacked column by column, the layout the QR reads
+                cols = np.concatenate([np.stack(r[points]).transpose(0, 2, 1),
+                                       rows.transpose(0, 2, 1)], axis=2)
+                r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+        spectra.append(nullspaces(np.stack(r), np.sqrt(sq)))
+    return [_chain([level[p] for level in spectra]) for p in range(len(towers))]
+
+
+def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: TensorRep,
+                ) -> Iterator[tuple[slice, np.ndarray]]:
+    """(points, rows) blocks of one entry's action rows over a batch, each of
+    at most jet.PRODUCT_BLOCK elements where it can be: as many points as
+    fit, or else one point with the fewest leading axes fixed that make it
+    fit (all of them, one row, at the least)."""
+    m = rep.algebra.dim
+    dims = per_point[0].shape
+    step = max(jet.PRODUCT_BLOCK // (m * per_point[0].size), 1)
+    lead = next((j for j in range(len(dims))
+                 if m * math.prod(dims[j:]) <= jet.PRODUCT_BLOCK), len(dims))
+    for start in range(0, len(per_point), step):
+        data = per_point[start][None] if step == 1 else np.stack(per_point[start:start + step])
+        for prefix in np.ndindex(*dims[:lead]):
+            yield slice(start, start + step), action_rows(markers, data, rep, prefix)
+
+
+def _chain(spectra: list[tuple[np.ndarray, np.ndarray, float]]) -> StabilizerChain:
+    """The chain of one point from the (kernel basis, singular values,
+    cutoff) of each level."""
+    bases = [basis for basis, _, _ in spectra]
+    flags = []
+    # kernel and range must be separated by a clear spectral gap
+    ambiguous = any(sing[sing > cutoff].min() < 10.0 * sing[sing <= cutoff].max()
+                    for _, sing, cutoff in spectra
+                    if (sing > cutoff).any() and (sing <= cutoff).any())
     dims = tuple(b.shape[1] for b in bases)
     nesting = tuple(nan_max(principal_angles(hi, lo)) for lo, hi in zip(bases, bases[1:]))
     # the Singer stage: the first level that the next one keeps
@@ -297,8 +344,8 @@ def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
         done = {}
         depth = KMAX_START if kmax is None else kmax
         while todo:
-            for i, tower in zip(todo, build_towers(sigma, b0, gamma0, g, points[todo], depth)):
-                done[i] = tower, stabilizer_chain(tower, rep)
+            towers = build_towers(sigma, b0, gamma0, g, points[todo], depth)
+            done.update(zip(todo, zip(towers, stabilizer_chains(towers, rep))))
             if kmax is not None or depth >= KMAX_CAP:
                 break
             todo = [i for i in todo if done[i][1].singer_k is None]

@@ -17,7 +17,7 @@ from .errors import (
     NotSubalgebra,
     RepMismatch,
 )
-from .tensor_core import DenseTensor, axis_action
+from .tensor_core import DOWN, LIE, DenseTensor, axis_action
 
 NULL_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -158,35 +158,97 @@ def tensor_action(b: np.ndarray, eta: DenseTensor, rep: TensorRep) -> DenseTenso
                        axis_action(eta.markers, eta.data, rep.vector.matrix(b)[None], mat_l)[0])
 
 
+def action_rows(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
+                prefix: tuple[int, ...] = ()) -> np.ndarray:
+    """The rows a tensor adds to the stacked action matrix, at each point of
+    a batch: data has shape (P, dims...), and out[p, r, j] is component r, in
+    C order, of the action of basis element j on point p's tensor: +mat on UP
+    axes, -mat^T on DOWN axes and lie on LIE axes, summed over the axes in
+    order. With a prefix, only the rows whose leading indices are the prefix.
+
+    Each axis is one matmul of its (m n, n) generator stack by the (n, rest)
+    reshape of the data; an axis the prefix fixes takes only the prefix's
+    row of each generator."""
+    m = rep.algebra.dim
+    prefix = tuple(prefix)
+    points, lead = len(data), len(prefix)
+    sub = data[(slice(None),) + prefix]
+    total = None
+    for ax, marker in enumerate(markers):
+        if marker == LIE and rep.lie is None:
+            raise RepMismatch("tensor has lie axes but no lie-axis matrix")
+        gens = (rep.lie if marker == LIE else rep.vector).matrices
+        n = gens.shape[-1]
+        if data.shape[ax + 1] != n:
+            raise RepMismatch(f"axis {ax} has dim {data.shape[ax + 1]}, matrix dim {n}")
+        if marker == DOWN:
+            gens = gens.transpose(0, 2, 1)
+        if ax < lead:
+            free = data[(slice(None),) + prefix[:ax] + (slice(None),) + prefix[ax + 1:]]
+            term = np.matmul(gens[:, prefix[ax]], free.reshape(points, n, -1))
+            term = term.reshape((points, m) + sub.shape[1:])
+        else:
+            a = ax - lead + 1
+            moved = sub.transpose(a, *range(a), *range(a + 1, sub.ndim))
+            term = (gens.reshape(m * n, n) @ moved.reshape(n, -1)).reshape((m, n) + moved.shape[1:])
+            # back to (points, m, axes...) with the acted axis in its place
+            term = term.transpose(2, 0, *range(3, a + 2), 1, *range(a + 2, sub.ndim + 1))
+        # summed as it goes, so that one term at a time is held
+        if total is None:
+            total = -term if marker == DOWN else term
+        elif marker == DOWN:
+            total -= term
+        else:
+            total += term
+    if total is None:  # a scalar: the zero action
+        return np.zeros((points, 1, m))
+    return total.reshape(points, m, -1).transpose(0, 2, 1)
+
+
 def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndarray:
     """Matrix whose column j stacks the action of basis element j on every
-    tensor: one contraction per tensor axis over all the generators."""
-    lie = rep.lie.matrices if rep.lie is not None else None
-    rows = [axis_action(t.markers, t.data, rep.vector.matrices, lie).reshape(rep.algebra.dim, -1)
-            for t in tensors]
-    return np.concatenate(rows, axis=1).T if rows else np.zeros((0, rep.algebra.dim))
+    tensor: action_rows of each tensor as a batch of one."""
+    rows = [action_rows(t.markers, t.data[None], rep)[0] for t in tensors]
+    return np.concatenate(rows) if rows else np.zeros((0, rep.algebra.dim))
 
 
 def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL, scale: float = 0.0,
               spectrum: bool = False,
               ) -> np.ndarray | tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal kernel basis (columns); SVD cutoff at rel_tol x sigma_max.
-
-    ``scale`` floors the reference magnitude so a matrix that is pure noise
-    relative to the data it was built from counts as zero.  With
-    ``spectrum`` the result is (basis, singular values, cutoff); a zero
-    matrix has no singular values."""
-    mat = np.asarray(mat, float)
-    if not np.isfinite(mat).all():
-        raise BadParameters("matrix has non-finite entries")
-    if mat.size == 0 or not mat.any():
-        basis, sing, cutoff = np.eye(mat.shape[1]), np.zeros(0), 0.0
-    else:
-        # thin SVD; a wide matrix needs the full V to span its kernel
-        _, sing, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-        cutoff = rel_tol * max(sing[0], scale)
-        basis = vt[int((sing > cutoff).sum()):].T
+    """Orthonormal kernel basis (columns); SVD cutoff at rel_tol x sigma_max:
+    nullspaces on a stack of one. With ``spectrum`` the result is (basis,
+    singular values, cutoff)."""
+    basis, sing, cutoff = nullspaces(np.asarray(mat, float)[None], [scale], rel_tol)[0]
     return (basis, sing, cutoff) if spectrum else basis
+
+
+def nullspaces(mats: np.ndarray, scales: np.ndarray | list[float], rel_tol: float = NULL_TOL,
+               ) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """(kernel basis, singular values, cutoff) of each matrix of a stack,
+    shape (P, rows, cols), from one stacked SVD; the cutoff is rel_tol x
+    sigma_max.
+
+    Each matrix's ``scales`` entry floors its reference magnitude, so a
+    matrix that is pure noise relative to the data it was built from counts
+    as zero. A zero matrix has no singular values and the whole space as its
+    kernel. A non-finite matrix or scale raises BadParameters."""
+    mats = np.asarray(mats, float)
+    scales = np.asarray(scales, float)
+    if not (np.isfinite(mats).all() and np.isfinite(scales).all()):
+        raise BadParameters("matrix or its scale has non-finite entries")
+    rows, cols = mats.shape[1:]
+    nonzero = mats.reshape(len(mats), -1).any(axis=1)
+    if nonzero.any():
+        # thin SVD; a wide matrix needs the full V to span its kernel
+        _, sing, vt = np.linalg.svd(mats, full_matrices=rows < cols)
+    out = []
+    for p, scale in enumerate(scales):
+        if not nonzero[p]:
+            out.append((np.eye(cols), np.zeros(0), 0.0))
+            continue
+        cutoff = rel_tol * max(sing[p, 0], scale)
+        out.append((vt[p, int((sing[p] > cutoff).sum()):].T, sing[p], cutoff))
+    return out
 
 
 def orthonormalize(basis: np.ndarray) -> np.ndarray:
@@ -311,13 +373,10 @@ def algebra_from_matrices(labels: tuple[str, ...], mats: np.ndarray) -> LieAlgeb
     """Structure constants from a matrix realization (basis must be independent)."""
     mats = np.asarray(mats, float)
     m = mats.shape[0]
-    flat = mats.reshape(m, -1).T
-    cols = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            w = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1)
-            coef, *_ = np.linalg.lstsq(flat, w, rcond=None)
-            cols[:, i, j] = coef
+    prods = np.matmul(mats[:, None], mats[None])
+    # every bracket [b_i, b_j] a right-hand side of one least-squares solve
+    brackets = (prods - prods.swapaxes(0, 1)).reshape(m * m, -1).T
+    cols = np.linalg.lstsq(mats.reshape(m, -1).T, brackets, rcond=None)[0].reshape(m, m, m)
     c = 0.5 * (cols - cols.swapaxes(1, 2))
     c[np.abs(c) < 1e-12] = 0.0
     return LieAlgebra(labels, c)

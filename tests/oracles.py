@@ -19,6 +19,7 @@ tables.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -242,6 +243,47 @@ def stacked_action_loop(tensors, rep) -> np.ndarray:
     cols = [np.concatenate([tensor_action(e, t, rep).components for t in tensors])
             for e in np.eye(rep.algebra.dim)]
     return np.stack(cols, axis=1)
+
+
+def scrambled_halton_loop(dim: int, count: int, seed: int) -> np.ndarray:
+    """chart_calculus.scrambled_halton one digit permutation and one digit
+    at a time: each row shuffled in turn, each digit taken by a division."""
+    rng = np.random.default_rng(seed)
+    bases: list[int] = []
+    cand = 2
+    while len(bases) < dim:
+        if all(cand % p for p in bases):
+            bases.append(cand)
+        cand += 1
+    out = np.empty((dim, count))
+    for axis, base in enumerate(bases):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index = np.arange(count)
+        acc = np.zeros(count)
+        weight = 1.0 / base
+        for perm in perms:
+            acc += perm[index % base] * weight
+            index //= base
+            weight /= base
+        out[axis] = acc
+    return out.T
+
+
+def structure_constants_loop(mats: np.ndarray) -> np.ndarray:
+    """lie_core.algebra_from_matrices's structure constants with one
+    least-squares solve per bracket."""
+    m = mats.shape[0]
+    flat = mats.reshape(m, -1).T
+    cols = np.zeros((m, m, m))
+    for i in range(m):
+        for j in range(m):
+            w = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1)
+            cols[:, i, j] = np.linalg.lstsq(flat, w, rcond=None)[0]
+    c = 0.5 * (cols - cols.swapaxes(1, 2))
+    c[np.abs(c) < 1e-12] = 0.0
+    return c
 
 
 def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:

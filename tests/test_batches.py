@@ -32,6 +32,7 @@ from ambrose.chart_calculus import (
     sample_interior,
     torsion_field,
 )
+from ambrose.errors import BadParameters
 from ambrose.fixtures import (
     fixture_names,
     instantiate,
@@ -45,6 +46,8 @@ from ambrose.homogeneity import (
     build_towers,
     frame_gauge_form,
     opozda_section_spec,
+    stabilizer_chain,
+    stabilizer_chains,
     tower_and_chain,
     towers_and_chains,
 )
@@ -54,9 +57,9 @@ from ambrose.lie_core import (
     frame_structure_rep,
     principal_angles,
 )
-from ambrose.tensor_core import DOWN, LIE
+from ambrose.tensor_core import DOWN, LIE, DenseTensor
 from ambrose.total_space import TotalSpaceModel, _check
-from test_homogeneity import TRIPLE_CASES
+from test_homogeneity import CHAIN_CASES, TRIPLE_CASES, flat_tower3
 from test_total_space import count_calls
 
 
@@ -167,15 +170,23 @@ class TestBatchParity:
         rep = frame_structure_rep(3)
         points = np.array([[a, 0.3, -0.4], [0.6, 0.2, 0.1], [a, -0.5, 0.35], [-0.3, 0.45, -0.2]])
         depths = []
+        chained = []
 
         def recorded(sigma, b0, gamma0, g, points, kmax, frames=None):
             depths.append((kmax, len(points)))
             return build_towers(sigma, b0, gamma0, g, points, kmax, frames)
 
+        def chains(towers, rep):
+            chained.append((len(towers[0].entries) - 1, len(towers)))
+            return stabilizer_chains(towers, rep)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homogeneity, "build_towers", recorded)
+            mp.setattr(homogeneity, "stabilizer_chains", chains)
             batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
         assert depths == [(2, 4), (3, 2)]
+        # each built batch gets its chains from one batched call
+        assert chained == depths
         assert len(batches) == 1
         pairs = batches[0]
         assert [chain.dims for _, chain in pairs] == [(3, 1, 1), (3, 1, 0, 0)] * 2
@@ -184,6 +195,77 @@ class TestBatchParity:
             single, single_chain = tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep)
             assert_same_tower(tower, single)
             assert_same_chain(chain, single_chain)
+
+
+def assert_close_chain(chain, ref):
+    """Dims, Singer stage and flags equal, kernel spans within a principal
+    angle of 1e-12, and nesting angles within 1e-14: the R factors of
+    differently blocked rows agree to rounding, not bit for bit."""
+    assert_same_chain(chain, ref)
+    assert np.abs(np.subtract(chain.nesting, ref.nesting)).max(initial=0.0) <= 1e-14
+
+
+class TestBatchedChains:
+    """stabilizer_chains folds each entry's action rows, built for the
+    batch's points together, into one R factor per point."""
+
+    @pytest.mark.parametrize("name,params,conn,dims", CHAIN_CASES)
+    def test_batch_equals_one_point_chains(self, name, params, conn, dims):
+        fx = instantiate(name, params)
+        gamma = fx.gamma if conn == "metric" else fx.gamma_canonical
+        rep = frame_structure_rep(fx.chart.dim)
+        points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=11)
+        towers = build_towers(opozda_section_spec(gamma), None, gamma, fx.g, points, 2)
+        chains = stabilizer_chains(towers, rep)
+        assert [chain.dims for chain in chains] == [dims] * len(points)
+        for tower, chain in zip(towers, chains):
+            assert_close_chain(chain, stabilizer_chain(tower, rep))
+
+    @pytest.mark.parametrize("block", [1, 40, 700])
+    @pytest.mark.parametrize("case", ["berger", "triple"])
+    def test_sliced_blocks_equal_unsliced(self, case, block, monkeypatch):
+        """With the block bound tiny, the rows come in slices of points and
+        then of leading tensor axes (down to single rows at a bound of 1),
+        and the chains are those of the unsliced rows."""
+        if case == "berger":
+            fx = instantiate("berger_sphere", {})
+            sigma, b0, rep = opozda_section_spec(fx.gamma), None, frame_structure_rep(3)
+        else:
+            fx = instantiate("hopf_monopole", {})
+            sigma = SectionSpec(fx.chart, (curvature_field(fx.gamma), curvature_form_field(fx.a0)))
+            b0, rep = fx.a0, frame_structure_rep(2, fx.algebra)
+        towers = build_towers(sigma, b0, fx.gamma, fx.g, sample_interior(fx.chart, 5, seed=2), 2)
+        whole = stabilizer_chains(towers, rep)
+        monkeypatch.setattr(jet, "PRODUCT_BLOCK", block)
+        for chain, ref in zip(stabilizer_chains(towers, rep), whole, strict=True):
+            assert_close_chain(chain, ref)
+
+    def test_nan_at_one_point_raises(self):
+        fx = instantiate("berger_sphere", {})
+        towers = build_towers(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g,
+                              sample_interior(fx.chart, 4, seed=3), 2)
+        spoiled = towers[2].entries[1][1]
+        data = spoiled.data.copy()
+        data.flat[7] = np.nan
+        entries = list(towers[2].entries)
+        entries[1] = (entries[1][0], dataclasses.replace(spoiled, data=data))
+        towers[2] = dataclasses.replace(towers[2], entries=tuple(entries))
+        with pytest.raises(BadParameters):
+            stabilizer_chains(towers, frame_structure_rep(3))
+
+    def test_ambiguous_flag_on_its_own_point(self):
+        """A kernel dimension within a decade of the cutoff at the second
+        point of three flags that point's chain alone."""
+        clean = DenseTensor((DOWN, DOWN), np.diag([1.0, 2.0, 3.0]))
+        # the identity perturbed across the cutoff within a decade, as in
+        # test_homogeneity's test_spectral_gap_ambiguity
+        murky = np.eye(3)
+        murky[2, 2] += 3e-8
+        murky[0, 1] = murky[1, 0] = 5e-9
+        murky = DenseTensor((DOWN, DOWN), murky)
+        towers = [flat_tower3([(t,), (t,)]) for t in (clean, murky, clean)]
+        chains = stabilizer_chains(towers, frame_structure_rep(3))
+        assert [chain.flags for chain in chains] == [(), ("ambiguous",), ()]
 
 
 def identity_inputs(name):
@@ -354,6 +436,18 @@ class TestEvaluationCounts:
             assert sum(calls) == points
         assert len(metric) <= batches
         assert len(christoffel) <= batches
+
+    @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
+    def test_adapt_one_cholesky_jet_per_batch(self, points, batches, monkeypatch, capsys):
+        """Both gauge forms and the frame of beta read one order-2 Cholesky
+        frame jet per batch off the metric's frame memo; each took its own
+        before, 3 per batch."""
+        cholesky = count_calls(monkeypatch, jet.cholesky)
+        code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
+                         "--points", str(points)])
+        capsys.readouterr()
+        assert code == 0
+        assert len(cholesky) == batches
 
     def test_adapt_holds_one_batch_of_towers(self, monkeypatch, capsys):
         """Whatever the number of points, adapt holds the first point's

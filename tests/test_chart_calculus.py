@@ -30,6 +30,7 @@ from oracles import (
     covariant_derivative,
     frame_structure_functions,
     frame_torsion,
+    scrambled_halton_loop,
     symbolic_geometry,
     transport_holonomy_angle,
 )
@@ -75,6 +76,23 @@ class TestChart:
             for count in (1, 2, 8, 33):
                 ref = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
                 assert np.array_equal(scrambled_halton(dim, count, seed), ref), (seed, count)
+
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_scrambled_halton_equals_loop_bitwise(self, dim):
+        """Digits gathered at once and summed in digit order give the
+        points of one shuffle and one digit at a time bit for bit, for seeds
+        0 to 4 and counts up to 1000: every count to 40, and the counts at
+        and around the powers of 2, 3, 5 and 7 above it, where a digit is
+        added. Point i of the loop does not depend on the count, so its
+        first points at count 1000 are its points at each smaller count."""
+        edges = {q ** e + d for q in (2, 3, 5, 7) for e in range(2, 10) for d in (-1, 0, 1)}
+        counts = sorted({*range(1, 41), 500, 999, 1000} | {c for c in edges if 40 < c <= 1000})
+        for seed in range(5):
+            ref = scrambled_halton_loop(dim, 1000, seed)
+            for count in counts:
+                got = scrambled_halton(dim, count, seed)
+                assert np.array_equal(got, ref[:count]), (seed, count)
 
 
 class TestFiniteDifferences:

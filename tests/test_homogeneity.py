@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ambrose import chart_calculus, cli, homogeneity, jet
+from ambrose import chart_calculus, cli, homogeneity, jet, lie_core
 from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form_field
 from ambrose.chart_calculus import (
     CHUNK,
@@ -39,6 +39,7 @@ from ambrose.homogeneity import (
     opozda_section_spec,
     orbit_match,
     stabilizer_chain,
+    stabilizer_chains,
     tower_and_chain,
     with_adjoint_rep,
 )
@@ -147,13 +148,13 @@ class TestStabilizerChains:
         level's kernel and the next one's, and singer reads the angles from
         there: a run takes len(bases) - 1 angles per chain."""
         chains = []
-        make_chain = homogeneity.stabilizer_chain
+        make_chains = homogeneity.stabilizer_chains
 
-        def recorded(tower, rep):
-            chains.append(make_chain(tower, rep))
-            return chains[-1]
+        def recorded(towers, rep):
+            chains.extend(make_chains(towers, rep))
+            return chains[len(chains) - len(towers):]
 
-        monkeypatch.setattr(homogeneity, "stabilizer_chain", recorded)
+        monkeypatch.setattr(homogeneity, "stabilizer_chains", recorded)
         angles = count_calls(monkeypatch, principal_angles)
         code = cli.main(["--scenario", "singer", "--fixture", name, "--points", "3",
                          "--param", f"connection={connection}"])
@@ -216,16 +217,18 @@ class TestStabilizerChains:
         assert chain.singer_k == 0
         assert chain.flags == ()
 
-    def test_one_action_matrix_per_chain(self, monkeypatch):
-        """The chain stacks the action matrix of its whole tower once and
-        reads each level's matrix off its first rows."""
+    def test_each_entry_rows_built_once_per_batch(self, monkeypatch):
+        """The chains of a batch build each tower entry's action rows once,
+        for every point of the batch together, and stack no action matrix."""
         fx = instantiate("berger_sphere", {"lam": 2.0})
-        x = sample_interior(fx.chart, 1, seed=5)[0]
-        tower = build_tower(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g, x, 3)
-        calls = count_calls(monkeypatch, homogeneity.stacked_action_matrix)
-        chain = stabilizer_chain(tower, REP3)
-        assert len(calls) == 1
-        assert len(chain.bases) == 4
+        points = sample_interior(fx.chart, 4, seed=5)
+        towers = build_towers(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g, points, 3)
+        rows = count_calls(monkeypatch, lie_core.action_rows)
+        stacked = count_calls(monkeypatch, lie_core.stacked_action_matrix)
+        chains = stabilizer_chains(towers, REP3)
+        assert len(rows) == sum(len(level) for level in towers[0].entries)
+        assert stacked == []
+        assert [len(chain.bases) for chain in chains] == [4] * len(points)
 
     def test_chain_constant_across_points(self):
         fx = instantiate("berger_sphere", {"lam": 2.0})
@@ -542,14 +545,16 @@ class TestAdaptSingerDepth:
         else:
             chains = []
 
-            def truncated(tower, rep):
+            def truncated(towers, rep):
                 """Every chain truncated but the first sample point's."""
-                chains.append(stabilizer_chain(tower, rep))
-                if len(chains) == 1:
-                    return chains[0]
-                return dataclasses.replace(chains[-1], singer_k=None, flags=("truncated",))
+                out = []
+                for chain in stabilizer_chains(towers, rep):
+                    chains.append(chain)
+                    out.append(chain if len(chains) == 1 else dataclasses.replace(
+                        chain, singer_k=None, flags=("truncated",)))
+                return out
 
-            monkeypatch.setattr(homogeneity, "stabilizer_chain", truncated)
+            monkeypatch.setattr(homogeneity, "stabilizer_chains", truncated)
         code = cli.main([*self.ARGV, "--points", "2"])
         data = json.loads(capsys.readouterr().out)
         assert code == 3
@@ -572,13 +577,15 @@ class TestAdaptSingerDepth:
         later = points - 2
         chains = []
 
-        def changed(tower, rep):
-            chains.append(stabilizer_chain(tower, rep))
-            if len(chains) == later + 1:
-                return dataclasses.replace(chains[-1], **change)
-            return chains[-1]
+        def changed(towers, rep):
+            out = []
+            for chain in stabilizer_chains(towers, rep):
+                chains.append(chain)
+                out.append(dataclasses.replace(chain, **change)
+                           if len(chains) == later + 1 else chain)
+            return out
 
-        monkeypatch.setattr(homogeneity, "stabilizer_chain", changed)
+        monkeypatch.setattr(homogeneity, "stabilizer_chains", changed)
         code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
         # the first point's chain, then one per other point: berger_sphere's

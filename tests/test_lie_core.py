@@ -12,6 +12,7 @@ from ambrose.errors import (
     RepMismatch,
 )
 from ambrose.lie_core import (
+    action_rows,
     algebra_dim,
     AdInvariantInner,
     LieAlgebra,
@@ -23,6 +24,7 @@ from ambrose.lie_core import (
     direct_sum,
     frame_structure_rep,
     nullspace,
+    nullspaces,
     orthonormalize,
     principal_angles,
     reductive_complement,
@@ -36,7 +38,7 @@ from ambrose.chart_calculus import sample_interior
 from ambrose.fixtures import instantiate
 from ambrose.homogeneity import build_tower, opozda_section_spec
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor
-from oracles import stacked_action_loop
+from oracles import stacked_action_loop, structure_constants_loop
 
 
 class TestLieAlgebra:
@@ -98,6 +100,34 @@ class TestLieAlgebra:
         alg = algebra_from_matrices(("L1", "L2", "L3"), so_generators(3))
         so3 = algebra_by_name("so(3)")
         assert np.allclose(alg.structure, so3.structure, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["so(2)", "so(3)", "u(1)", "su(2)", "su(2)+u(1)",
+                                      "so(3)+u(1)", "so(2)+so(3)+u(1)"])
+    def test_structure_constants_from_one_solve(self, name):
+        """One least-squares solve over all brackets gives the structure
+        constants of a faithful block-diagonal realization of each catalog
+        algebra bit for bit as one solve per bracket did."""
+        blocks = [so_generators(2) if p in ("so(2)", "u(1)") else
+                  so_generators(3) if p == "so(3)" else
+                  algebra_by_name(p).adjoint_rep().matrices for p in name.split("+")]
+        size = sum(b.shape[1] for b in blocks)
+        mats, row, col = [], 0, 0
+        for b in blocks:
+            for gen in b:
+                mat = np.zeros((size, size))
+                mat[row:row + len(gen), row:row + len(gen)] = gen
+                mats.append(mat)
+            row += b.shape[1]
+        mats = np.stack(mats)
+        alg = algebra_from_matrices(tuple(map(str, range(len(mats)))), mats)
+        assert np.array_equal(alg.structure, structure_constants_loop(mats))
+        assert np.allclose(alg.structure, algebra_by_name(name).structure, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_so_n_structure_constants_from_one_solve(self, n):
+        mats = so_generators(n)
+        alg = algebra_from_matrices(tuple(map(str, range(len(mats)))), mats)
+        assert np.array_equal(alg.structure, structure_constants_loop(mats))
 
 
 class TestRepsAndInner:
@@ -203,6 +233,23 @@ class TestSubspaceMachinery:
         assert nullspace(noise, scale=1.0).shape == (3, 3)
         assert nullspace(noise, scale=0.0).shape[1] < 3
 
+    def test_nullspaces_of_a_stack(self):
+        """Each matrix of a stack, with its own scale floor, has the kernel,
+        spectrum and cutoff that nullspace gives it alone; a zero matrix
+        among them has no spectrum and the whole space as kernel."""
+        rng = np.random.default_rng(3)
+        mats = rng.normal(size=(4, 2, 3))
+        mats[1] = 0.0
+        mats[3] *= 1e-12
+        scales = [0.0, 1.0, 0.5, 1.0]
+        for mat, scale, got in zip(mats, scales, nullspaces(mats, scales), strict=True):
+            for a, b in zip(got, nullspace(mat, scale=scale, spectrum=True)):
+                np.testing.assert_array_equal(a, b)
+        assert nullspaces(mats, scales)[1][0].shape == (3, 3)
+        assert nullspaces(mats, scales)[3][0].shape == (3, 3)
+        with pytest.raises(BadParameters):
+            nullspaces(mats, [0.0, 1.0, np.nan, 1.0])
+
     def test_nullspace_of_zero_matrix(self):
         assert nullspace(np.zeros((4, 3))).shape == (3, 3)
 
@@ -295,6 +342,23 @@ class TestStackedActionMatrix:
             got = stacked_action_matrix(tensors, rep)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("lead", [1, 2, 3])
+    def test_rows_of_each_prefix(self, lead):
+        """The rows whose leading indices are fixed, prefix by prefix in C
+        order, are the rows of the whole tensor at each point of a batch."""
+        fx = instantiate("hopf_monopole", {})
+        rep = frame_structure_rep(2, fx.algebra)
+        markers = (DOWN, UP, DOWN, LIE)
+        data = np.random.default_rng(4).normal(size=(3, 2, 2, 2, 3))
+        whole = action_rows(markers, data, rep)
+        assert whole.shape == (3, 24, rep.algebra.dim)
+        for p in range(3):
+            np.testing.assert_array_equal(
+                whole[p], stacked_action_matrix([DenseTensor(markers, data[p])], rep))
+        parts = [action_rows(markers, data, rep, prefix)
+                 for prefix in np.ndindex(*data.shape[1:lead + 1])]
+        assert np.abs(np.concatenate(parts, axis=1) - whole).max() <= 1e-15 * np.abs(whole).max()
 
     def test_lie_axes_use_the_lie_rep(self):
         fx = instantiate("hopf_monopole", {})

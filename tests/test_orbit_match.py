@@ -142,7 +142,7 @@ class TestMatchDepth:
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
 
-        chains = count_calls(monkeypatch, homogeneity.stabilizer_chain)
+        chains = count_calls(monkeypatch, homogeneity.stabilizer_chains)
         angles = count_calls(monkeypatch, principal_angles)
         workload = workloads.WORKLOADS["orbit-match"]
         assert workload.oracle(json.loads(workload.run(3))) is not None
