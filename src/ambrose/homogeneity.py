@@ -276,7 +276,8 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
                                        rows.transpose(0, 2, 1)], axis=2)
                 r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
         spectra.append(nullspaces(np.stack(r), np.sqrt(sq)))
-    return [_chain([level[p] for level in spectra]) for p in range(len(towers))]
+    nesting = _nesting([[basis for basis, _, _ in level] for level in spectra])
+    return [_chain([level[p] for level in spectra], nesting[p]) for p in range(len(towers))]
 
 
 def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: TensorRep,
@@ -296,9 +297,28 @@ def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: Tens
             yield slice(start, start + step), action_rows(markers, data, rep, prefix)
 
 
-def _chain(spectra: list[tuple[np.ndarray, np.ndarray, float]]) -> StabilizerChain:
+def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
+    """Each point's nesting angles from the kernel bases of each level at
+    every point of a batch: the largest principal angle between a level's
+    kernel and the next one's, with one principal_angles call per level
+    pair and group of points whose two kernels have the same shapes."""
+    nesting = [[] for _ in levels[0]]
+    for lo, hi in zip(levels, levels[1:]):
+        groups = {}
+        for p, pair in enumerate(zip(lo, hi)):
+            groups.setdefault(tuple(b.shape for b in pair), []).append(p)
+        for points in groups.values():
+            angles = principal_angles(np.stack([hi[p] for p in points]),
+                                      np.stack([lo[p] for p in points]))
+            for p, row in zip(points, angles):
+                nesting[p].append(nan_max(row))
+    return [tuple(angles) for angles in nesting]
+
+
+def _chain(spectra: list[tuple[np.ndarray, np.ndarray, float]],
+           nesting: tuple[float, ...]) -> StabilizerChain:
     """The chain of one point from the (kernel basis, singular values,
-    cutoff) of each level."""
+    cutoff) of each level and its nesting angles."""
     bases = [basis for basis, _, _ in spectra]
     flags = []
     # kernel and range must be separated by a clear spectral gap
@@ -306,7 +326,6 @@ def _chain(spectra: list[tuple[np.ndarray, np.ndarray, float]]) -> StabilizerCha
                     for _, sing, cutoff in spectra
                     if (sing > cutoff).any() and (sing <= cutoff).any())
     dims = tuple(b.shape[1] for b in bases)
-    nesting = tuple(nan_max(principal_angles(hi, lo)) for lo, hi in zip(bases, bases[1:]))
     # the Singer stage: the first level that the next one keeps
     singer_k = next((k for k, angle in enumerate(nesting)
                      if dims[k + 1] == dims[k] and angle < ANGLE_TOL), None)

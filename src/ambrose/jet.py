@@ -216,7 +216,7 @@ def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
     kinds = ["jet" if d is None else "point" if "." not in s and d == len(s) + 1 else "const"
              for s, d in zip(subs, ndims)]
     free = iter(sorted(set(string.ascii_letters) - set(spec)))
-    z, p, q = next(free), next(free), next(free)
+    z, q = next(free), next(free)
     tail = {"jet": q + z, "point": q, "const": ""}
     steps = []
 
@@ -226,8 +226,8 @@ def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
     def contract(a: int, b: int, cauchy: bool) -> None:
         rest = others(a, b)
         keep = "".join(dict.fromkeys(ch for ch in subs[a] + subs[b] if ch in rest))
-        if cauchy:
-            sub = f"{subs[a]}{q}{p},{subs[b]}{q}{p}->{keep}{q}{p}"
+        if cauchy:  # over the value axes: _cauchy adds the point and pair axes
+            sub = f"{subs[a]},{subs[b]}->{keep}"
         else:
             sub = f"{subs[a]}{q}{z},{subs[b]}{tail[kinds[b]]}->{keep}{q}{z}"
         steps.append((a, b, sub, cauchy))
@@ -251,31 +251,85 @@ def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
     return steps, ",".join(terms) + "->" + out + q + z
 
 
-def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
-    """The Cauchy product of two jets of one order, their value axes
-    contracted by the einsum ``sub`` over (value, point, pair) axes. The
-    pairs go in blocks of whole output coefficients, as many as keep each
+@lru_cache(maxsize=None)
+def _pair_subscripts(*subs: str) -> tuple[str, ...]:
+    """Each einsum over value axes of subs over (value, point, pair) axes."""
+    q, p = sorted(set(string.ascii_letters) - set("".join(subs)))[:2]
+    out = []
+    for sub in subs:
+        ins, res = sub.split("->")
+        sa, sb = ins.split(",")
+        out.append(f"{sa}{q}{p},{sb}{q}{p}->{res}{q}{p}")
+    return tuple(out)
+
+
+def _cauchy(terms: list[tuple[int, str]], a: Jet, b: Jet) -> Jet:
+    """The Cauchy product of two jets of one order summed over signed
+    einsums of their value axes: the sum of sign * einsum(sub, a, b) over the
+    (sign, sub) terms, sign +1 or -1, whose results have one shape. The pairs
+    go in blocks of whole output coefficients, as many as keep each
     temporary within about PRODUCT_BLOCK elements (a small product is one
-    block); each coefficient sums its pairs in the same order either way."""
+    block): the gathered operands, taken once per block for every term, and
+    the running sum of the terms with the term in hand. Each pair sums its
+    terms in order, and each coefficient then sums its pairs in the same
+    order whatever the blocks."""
     i, j, starts, bounds = _product_table(a.n, a.order)
     # gathered from C-ordered copies, the point and pair axes are the
     # innermost of each operand: einsum is many times slower otherwise
     ac, bc = np.ascontiguousarray(a.c), np.ascontiguousarray(b.c)
-    ins, out = sub.split("->")
+    # the key from a list: a tuple built from a generator is resized after
+    # it is filled, so it skips the tuple free list when made but joins it
+    # when freed, and that list grows to its cap of 2000 per length
+    specs = _pair_subscripts(*[sub for _, sub in terms])
+    ins, res = terms[0][1].split("->")
     sa, sb = ins.split(",")
     dims = {**dict(zip(sa, ac.shape)), **dict(zip(sb, bc.shape))}
-    per_pair = max(ac[..., 0].size, bc[..., 0].size, math.prod(dims[ch] for ch in out[:-1]))
+    sums = 2 if len(terms) > 1 else 1  # the running sum and the term in hand
+    per_pair = max(ac[..., 0].size, bc[..., 0].size,
+                   sums * ac.shape[-2] * math.prod(dims[ch] for ch in res))
     limit = PRODUCT_BLOCK // max(per_pair, 1)  # pairs per block
-    blocks = []
+    out = None
     lo = 0
     while lo < len(starts):
         # the most whole coefficients from lo whose pairs fit, at least one
         hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
         pairs = slice(bounds[lo], bounds[hi])
-        blocks.append(np.add.reduceat(np.einsum(sub, ac[..., i[pairs]], bc[..., j[pairs]]),
-                                      starts[lo:hi] - bounds[lo], axis=-1))
+        ga, gb = ac[..., i[pairs]], bc[..., j[pairs]]
+        total = None
+        for (sign, _), spec in zip(terms, specs):
+            term = np.einsum(spec, ga, gb)
+            if total is None:
+                total = term if sign > 0 else np.negative(term, out=term)
+            elif sign > 0:
+                total += term
+            else:
+                total -= term
+        block = np.add.reduceat(total, starts[lo:hi] - bounds[lo], axis=-1)
+        if lo == 0 and hi == len(starts):
+            out = block
+        else:
+            if out is None:
+                out = np.empty(block.shape[:-1] + (len(starts),))
+            out[..., lo:hi] = block
         lo = hi
-    return Jet(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1), a.n, a.order)
+    return Jet(out, a.n, a.order)
+
+
+def einsum_sum(terms: list[tuple[int, str]], a, b) -> Jet | np.ndarray:
+    """The sum of sign * einsum(sub, a, b) over the (sign, sub) terms, sign
+    +1 or -1, in order, the subscripts over value axes as in einsum. Two jets
+    make one Cauchy product for all the terms (see _cauchy); otherwise each
+    term is an einsum."""
+    if isinstance(a, Jet) and isinstance(b, Jet):
+        return _cauchy(terms, *a._pair(b))
+    total = None
+    for sign, sub in terms:
+        term = einsum(sub, a, b)
+        if total is None:
+            total = term if sign > 0 else -term
+        else:
+            total = total + term if sign > 0 else total - term
+    return total
 
 
 def einsum(spec: str, *ops) -> Jet | np.ndarray:
@@ -290,7 +344,7 @@ def einsum(spec: str, *ops) -> Jet | np.ndarray:
     ops = list(ops)
     for a, b, sub, cauchy in steps:
         ja = ops[a]
-        ops[a] = (_cauchy(sub, *ja._pair(ops[b])) if cauchy
+        ops[a] = (_cauchy([(1, sub)], *ja._pair(ops[b])) if cauchy
                   else Jet(np.einsum(sub, ja.c, ops[b]), ja.n, ja.order))
         del ops[b]
     jet = next(o for o in ops if isinstance(o, Jet))

@@ -251,52 +251,108 @@ def nullspaces(mats: np.ndarray, scales: np.ndarray | list[float], rel_tol: floa
     return out
 
 
+def _finite(*arrays) -> None:
+    """Raise BadParameters unless every entry of the arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise BadParameters("basis has non-finite entries")
+
+
+def _qr_columns(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, keep) of a stack of bases, shape (P, m, k), from one stacked QR:
+    column c of q[p] counts where keep[p, c], that is where |r_cc| exceeds
+    1e-12 x max(1, |r|) for that basis."""
+    q, r = np.linalg.qr(bases)
+    scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
+    return q, np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-12 * scale[:, None]
+
+
 def orthonormalize(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span."""
+    """Orthonormal basis (columns) of the column span; a non-finite basis
+    raises BadParameters."""
     basis = np.asarray(basis, float)
+    _finite(basis)
     if basis.size == 0:
         return basis.reshape(basis.shape[0], 0)
-    q, r = np.linalg.qr(basis)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-    return q[:, keep]
+    q, keep = _qr_columns(basis[None])
+    return q[0][:, keep[0]]
 
 
-def _orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span from a thin SVD, dropping
-    singular values at or below max(shape) * eps * sigma_max."""
+def _orth(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, rank) of a stack of matrices, shape (P, n, k), from one thin
+    stacked SVD: the first rank[p] columns of u[p] are an orthonormal basis
+    of the column span of a[p], whose singular values at or below
+    max(n, k) * eps * sigma_max are dropped."""
     u, sing, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = np.amax(sing, initial=0.0) * np.finfo(float).eps * max(a.shape)
-    return u[:, : int((sing > cutoff).sum())]
+    cutoff = np.amax(sing, axis=-1, initial=0.0) * np.finfo(float).eps * max(a.shape[1:])
+    return u, (sing > cutoff[:, None]).sum(axis=-1)
 
 
-def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray | list[np.ndarray]:
     """Principal angles between the column spans, descending: cosines from
     one SVD, and sines from a second for the pairs with cosine^2 >= 1/2,
     where the arccosine loses precision (Knyazev and Argentati, SIAM J. Sci.
-    Comput. 23, 2002; the algorithm of scipy.linalg.subspace_angles)."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros(0)
-    qa, qb = _orth(np.asarray(a, float)), _orth(np.asarray(b, float))
-    cross = qa.T @ qb
-    cos = np.linalg.svd(cross, compute_uv=False)
-    rest = qb - qa @ cross if qa.shape[1] >= qb.shape[1] else qa - qb @ cross.T
-    mask = cos**2 >= 0.5
-    sin = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0)) \
-        if mask.any() else 0.0
-    return np.where(mask, sin, np.arccos(np.clip(cos[::-1], -1.0, 1.0)))
+    Comput. 23, 2002; the algorithm of scipy.linalg.subspace_angles).
+
+    a and b are matrices, shape (n, ka) and (n, kb), or stacks of them,
+    shape (P, n, ka) and (P, n, kb), whose P arrays of angles come as a
+    list: the SVDs are stacked, over the points whose spans have the same
+    ranks. A non-finite entry raises BadParameters, before any SVD."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    _finite(a, b)
+    stacked = a.ndim == 3
+    if not stacked:
+        a, b = a[None], b[None]
+    (ua, rank_a), (ub, rank_b) = _orth(a), _orth(b)
+    groups = {}  # the points whose spans have each pair of ranks
+    for p, ranks in enumerate(zip(rank_a.tolist(), rank_b.tolist())):
+        groups.setdefault(ranks, []).append(p)
+    out = [np.zeros(0) for _ in a]
+    for (ra, rb), points in groups.items():
+        if ra == 0 or rb == 0:  # an empty span has no angles
+            continue
+        qa, qb = ua[points, :, :ra], ub[points, :, :rb]
+        cross = qa.transpose(0, 2, 1) @ qb
+        cos = np.linalg.svd(cross, compute_uv=False)
+        rest = qb - qa @ cross if ra >= rb else qa - qb @ cross.transpose(0, 2, 1)
+        mask = cos**2 >= 0.5
+        sin = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0)) \
+            if mask.any() else 0.0
+        angles = np.where(mask, sin, np.arccos(np.clip(cos[:, ::-1], -1.0, 1.0)))
+        for p, row in zip(points, angles):
+            out[p] = row
+    return out if stacked else out[0]
 
 
 def subalgebra_residual(algebra: LieAlgebra, basis: np.ndarray) -> float:
-    """Largest component of a basis bracket sticking out of the span."""
-    basis = orthonormalize(basis)
-    p = basis.shape[1]
-    worst = 0.0
-    for i in range(p):
-        for j in range(i + 1, p):
-            w = algebra.bracket(basis[:, i], basis[:, j])
-            out = w - basis @ (basis.T @ w)
-            worst = max(worst, float(np.linalg.norm(out)))
-    return worst
+    """Largest component of a basis bracket sticking out of the span:
+    subalgebra_residuals of one basis."""
+    return float(subalgebra_residuals(algebra, [basis])[0])
+
+
+def subalgebra_residuals(algebra: LieAlgebra, bases: list[np.ndarray]) -> np.ndarray:
+    """For each basis of a list, the largest component of a bracket of two
+    of its orthonormalized columns sticking out of its span, in list order.
+    The bases of one shape take one stacked QR and one set of bracket
+    products; the columns the QR drops are zeroed, so their brackets add
+    nothing. A non-finite basis raises BadParameters, before any QR."""
+    bases = [np.asarray(b, float).reshape(algebra.dim, -1) for b in bases]
+    _finite(*bases)
+    out = np.zeros(len(bases))
+    groups = {}
+    for i, basis in enumerate(bases):
+        groups.setdefault(basis.shape[1], []).append(i)
+    for cols, idx in groups.items():
+        if cols < 2:  # no pair of columns
+            continue
+        q, keep = _qr_columns(np.stack([bases[i] for i in idx]))
+        q = q * keep[:, None, :]
+        k = q.shape[2]
+        # w[p, :, (i, j)] = [q_i, q_j], then its part outside the span
+        w = np.einsum("kij,pia,pjb->pkab", algebra.structure, q, q).reshape(len(idx), -1, k * k)
+        leak = np.linalg.norm(w - q @ (q.transpose(0, 2, 1) @ w), axis=1)
+        upper = np.triu_indices(k, 1)
+        out[idx] = leak.reshape(len(idx), k, k)[:, upper[0], upper[1]].max(axis=1)
+    return out
 
 
 def reductive_complement(h_basis: np.ndarray, inner: AdInvariantInner) -> np.ndarray:

@@ -59,10 +59,11 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
     """out[b] = the sum over the axes of a tensor of the action on that axis
     of the b-th matrices: +mat[b] on UP axes, -mat[b]^T on DOWN axes and
     lie[b] on LIE axes. A None ``mat`` leaves the tangent axes alone; LIE
-    axes need ``lie``. The data and the matrices may be jets: one
-    contraction per axis."""
+    axes need ``lie``. The data and the matrices may be jets: the axes of
+    each matrix operand are summed in one jet.einsum_sum, so jet data and a
+    jet matrix make one Cauchy product for all of its axes."""
     letters = string.ascii_lowercase[:len(markers)]
-    total = None
+    terms = {}  # the signed subscripts of each matrix operand, in axis order
     for ax, m in enumerate(markers):
         a = lie if m == LIE else mat
         if a is None:
@@ -74,14 +75,13 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
         j = letters[ax]
         out = letters.replace(j, "Z")
         spec = f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}"
-        term = jet.einsum(spec, a, data)
-        # summed as it goes, so that one term at a time is held
-        if total is None:
-            total = -term if m == DOWN else term
-        else:
-            total = total - term if m == DOWN else total + term
-    if total is None:  # no axis is acted on: the zero action
+        terms.setdefault(m == LIE, []).append((-1 if m == DOWN else 1, spec))
+    if not terms:  # no axis is acted on: the zero action
         return np.zeros(((mat if mat is not None else lie).shape[0],) + tuple(data.shape))
+    total = None
+    for on_lie, group in terms.items():
+        term = jet.einsum_sum(group, lie if on_lie else mat, data)
+        total = term if total is None else total + term
     return total
 
 

@@ -20,6 +20,7 @@ tables.
 from __future__ import annotations
 
 import math
+import string
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +57,7 @@ from ambrose.homogeneity import (
 from ambrose.lie_core import (
     default_inner,
     frame_structure_rep,
+    orthonormalize,
     reductive_complement,
     tensor_action,
 )
@@ -243,6 +245,38 @@ def stacked_action_loop(tensors, rep) -> np.ndarray:
     cols = [np.concatenate([tensor_action(e, t, rep).components for t in tensors])
             for e in np.eye(rep.algebra.dim)]
     return np.stack(cols, axis=1)
+
+
+def axis_action_per_axis(markers, data, mat, lie):
+    """tensor_core.axis_action one jet.einsum per acted axis, summed in
+    axis order: jet data and a jet matrix make one Cauchy product per axis."""
+    letters = string.ascii_lowercase[:len(markers)]
+    total = None
+    for ax, m in enumerate(markers):
+        a = lie if m == LIE else mat
+        if a is None:
+            continue
+        j = letters[ax]
+        out = letters.replace(j, "Z")
+        spec = f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}"
+        term = jet.einsum(spec, a, data)
+        if total is None:
+            total = -term if m == DOWN else term
+        else:
+            total = total - term if m == DOWN else total + term
+    return total
+
+
+def subalgebra_residual_pairs(algebra, basis: np.ndarray) -> float:
+    """lie_core.subalgebra_residual one bracket of orthonormalized columns
+    at a time."""
+    basis = orthonormalize(basis)
+    worst = 0.0
+    for i in range(basis.shape[1]):
+        for j in range(i + 1, basis.shape[1]):
+            w = algebra.bracket(basis[:, i], basis[:, j])
+            worst = max(worst, float(np.linalg.norm(w - basis @ (basis.T @ w))))
+    return worst
 
 
 def scrambled_halton_loop(dim: int, count: int, seed: int) -> np.ndarray:

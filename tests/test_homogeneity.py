@@ -146,13 +146,14 @@ class TestStabilizerChains:
     def test_nesting_angles_taken_once(self, name, connection, monkeypatch, capsys):
         """Each chain records the largest principal angle between each
         level's kernel and the next one's, and singer reads the angles from
-        there: a run takes len(bases) - 1 angles per chain."""
-        chains = []
+        there: a batch takes one stacked principal_angles call per level
+        pair and group of points whose two kernels have the same shapes."""
+        batches = []
         make_chains = homogeneity.stabilizer_chains
 
         def recorded(towers, rep):
-            chains.extend(make_chains(towers, rep))
-            return chains[len(chains) - len(towers):]
+            batches.append(make_chains(towers, rep))
+            return batches[-1]
 
         monkeypatch.setattr(homogeneity, "stabilizer_chains", recorded)
         angles = count_calls(monkeypatch, principal_angles)
@@ -160,8 +161,11 @@ class TestStabilizerChains:
                          "--param", f"connection={connection}"])
         capsys.readouterr()
         assert code == 0
+        chains = [ch for batch in batches for ch in batch]
         assert chains
-        assert len(angles) == sum(len(ch.bases) - 1 for ch in chains)
+        assert len(angles) == sum(
+            len({(ch.bases[k].shape, ch.bases[k + 1].shape) for ch in batch})
+            for batch in batches for k in range(len(batch[0].bases) - 1))
         for ch in chains:
             assert len(ch.nesting) == len(ch.bases) - 1
             for k, angle in enumerate(ch.nesting):

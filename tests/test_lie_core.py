@@ -32,13 +32,14 @@ from ambrose.lie_core import (
     so_generators,
     stacked_action_matrix,
     subalgebra_residual,
+    subalgebra_residuals,
     tensor_action,
 )
 from ambrose.chart_calculus import sample_interior
 from ambrose.fixtures import instantiate
 from ambrose.homogeneity import build_tower, opozda_section_spec
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor
-from oracles import stacked_action_loop, structure_constants_loop
+from oracles import stacked_action_loop, structure_constants_loop, subalgebra_residual_pairs
 
 
 class TestLieAlgebra:
@@ -282,6 +283,61 @@ class TestSubspaceMachinery:
                 assert ours.shape == ref.shape
                 assert np.abs(ours - ref).max() <= 1e-15
 
+    def test_stacked_principal_angles_are_the_per_pair_ones(self):
+        """A stack's angles are each pair's own, bit for bit, in point
+        order: a point whose span has a lower rank is split off into its own
+        stacked SVDs, and empty kernels have no angles."""
+        rng = np.random.default_rng(20)
+        for n, ka, kb in ((6, 3, 2), (5, 2, 4), (4, 3, 3), (3, 1, 1)):
+            a = np.linalg.qr(rng.normal(size=(5, n, ka)))[0]
+            b = np.linalg.qr(rng.normal(size=(5, n, kb)))[0]
+            k = min(ka, kb)
+            b[1, :, :k] = a[1, :, :k] + 1e-9 * b[1, :, :k]  # nearly nested
+            a[3, :, -1] = a[3, :, 0] if ka > 1 else 0.0  # rank ka - 1 at point 3
+            stacked = principal_angles(a, b)
+            assert len(stacked) == 5
+            for p in range(5):
+                assert np.array_equal(stacked[p], principal_angles(a[p], b[p]))
+            assert len(stacked[3]) == min(ka - 1, kb)
+        empty = principal_angles(np.zeros((3, 4, 0)), np.linalg.qr(rng.normal(size=(3, 4, 2)))[0])
+        assert [angles.size for angles in empty] == [0, 0, 0]
+
+    @pytest.mark.parametrize("name", ["so(3)", "so(4)", "su(2)+u(1)"])
+    def test_stacked_subalgebra_residuals(self, name):
+        """Random bases of 0-3 columns, some with a dependent column, in
+        mixed order: the stacked residuals are the per-basis ones, in the
+        same order."""
+        algebra = frame_structure_rep(4).algebra if name == "so(4)" else algebra_by_name(name)
+        rng = np.random.default_rng(algebra.dim)
+        bases = []
+        for k in rng.integers(0, 4, size=24):
+            basis = rng.normal(size=(algebra.dim, k))
+            if k >= 2 and rng.random() < 0.3:
+                basis[:, -1] = 2.0 * basis[:, 0]
+            bases.append(basis)
+        got = subalgebra_residuals(algebra, bases)
+        want = [subalgebra_residual_pairs(algebra, b) for b in bases]
+        assert np.abs(got - want).max() <= 1e-15 * max(1.0, max(want))
+        assert [subalgebra_residual(algebra, b) for b in bases] == pytest.approx(want, abs=1e-15)
+
+    def test_nonfinite_basis_raises(self):
+        """A NaN column is not dropped as a dependent one: the residual of a
+        basis, alone or in a stack, raises."""
+        su2 = algebra_by_name("su(2)")
+        spoiled = np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(BadParameters):
+            subalgebra_residual(su2, spoiled)
+        with pytest.raises(BadParameters):
+            subalgebra_residuals(su2, [np.eye(3)[:, :2], spoiled])
+
+    def test_nonfinite_angles_raise(self):
+        spoiled = np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(BadParameters):
+            principal_angles(spoiled, np.eye(3)[:, :1])
+        stack = np.stack([np.eye(3)[:, :2], spoiled, np.eye(3)[:, 1:]])
+        with pytest.raises(BadParameters):
+            principal_angles(stack, np.repeat(np.eye(3)[None, :, :1], 3, axis=0))
+
     def test_orthonormalize_drops_dependent_columns(self):
         basis = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
         q = orthonormalize(basis)
@@ -384,6 +440,12 @@ class TestReductiveComplement:
         su2 = algebra_by_name("su(2)")
         k = reductive_complement(np.zeros((3, 0)), default_inner(su2))
         assert k.shape == (3, 3)
+
+    def test_nonfinite_basis_rejected(self):
+        su2 = algebra_by_name("su(2)")
+        with pytest.raises(BadParameters):
+            reductive_complement(np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0]]),
+                                 default_inner(su2))
 
     def test_non_subalgebra_rejected(self):
         su2 = algebra_by_name("su(2)")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ambrose import jet
 from ambrose.errors import AxisMismatch, DegenerateMetric, SingularFrame
 from ambrose.tensor_core import (
     DOWN,
@@ -10,9 +11,10 @@ from ambrose.tensor_core import (
     UP,
     DenseTensor,
     OrthoFrame,
+    axis_action,
     to_frame,
 )
-from oracles import apply_axis
+from oracles import apply_axis, axis_action_per_axis
 
 
 def random_spd(rng, n):
@@ -71,6 +73,70 @@ class TestOrthoFrame:
         fr2 = fr.rotated(q)
         assert np.allclose(fr2.frame.T @ g @ fr2.frame, np.eye(3), atol=1e-12)
         assert np.allclose(fr2.coframe @ fr2.frame, np.eye(3), atol=1e-12)
+
+
+def random_action(seed: int, matrices: str):
+    """(markers, data, mat, lie) of a random axis action: a jet tensor with
+    n = 1-4 variables, order 0-3, rank 0-5 and 1-5 points, over mixed UP,
+    DOWN and LIE axes, and jet or constant matrices (2 of each kind)."""
+    rng = np.random.default_rng(seed)
+    n, order, rank, points = map(int, rng.integers([1, 0, 0, 1], [5, 4, 6, 6]))
+    markers = tuple((UP, DOWN, LIE)[k] for k in rng.integers(0, 3, size=rank))
+    dim, lie_dim = 3 - rank // 4, 2
+    dims = tuple(lie_dim if m == LIE else dim for m in markers)
+
+    def jet_of(shape, k):
+        k = int(k)
+        return jet.Jet(rng.normal(size=shape + (points, jet.size(n, k))), n, k)
+
+    data = jet_of(dims, order)
+    if matrices == "jet":
+        # the matrices at their own order: the product takes the lower one
+        mat = jet_of((2, dim, dim), rng.integers(0, 4))
+        lie = jet_of((2, lie_dim, lie_dim), rng.integers(0, 4))
+    else:
+        mat, lie = rng.normal(size=(2, dim, dim)), rng.normal(size=(2, lie_dim, lie_dim))
+    return markers, data, mat, lie
+
+
+class TestAxisAction:
+    @pytest.mark.parametrize("matrices", ["jet", "constant"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_one_product_per_axis(self, seed, matrices):
+        """One Cauchy product for all the axes of each matrix operand is the
+        sum of the products axis by axis, within rounding."""
+        markers, data, mat, lie = random_action(seed, matrices)
+        got = axis_action(markers, data, mat, lie)
+        if not markers:  # no axis is acted on: the zero action
+            assert np.array_equal(got, np.zeros((2,)))
+            return
+        want = axis_action_per_axis(markers, data, mat, lie)
+        assert (got.n, got.order) == (want.n, want.order)
+        assert np.abs(got.c - want.c).max() <= 1e-14 * np.abs(want.c).max()
+
+    @pytest.mark.parametrize("block", [1, 60, 900])
+    def test_blocks_are_bit_for_bit(self, block, monkeypatch):
+        """With the block bound tiny, the product goes in blocks of output
+        coefficients (at the least one each), and the action is the
+        unsplit one bit for bit."""
+        rng = np.random.default_rng(7)
+        markers = (DOWN, UP, LIE, DOWN)
+        data = jet.Jet(rng.normal(size=(3, 3, 2, 3, 4, jet.size(3, 3))), 3, 3)
+        mat = jet.Jet(rng.normal(size=(3, 3, 3, 4, jet.size(3, 3))), 3, 3)
+        lie = jet.Jet(rng.normal(size=(3, 2, 2, 4, jet.size(3, 2))), 3, 2)
+        whole = axis_action(markers, data, mat, lie)
+        monkeypatch.setattr(jet, "PRODUCT_BLOCK", block)
+        np.testing.assert_array_equal(axis_action(markers, data, mat, lie).c, whole.c)
+
+    def test_nan_stays_at_its_point(self):
+        markers, data, mat, lie = random_action(13, "jet")
+        clean = axis_action(markers, data, mat, lie)
+        spoiled = jet.Jet(data.c.copy(), data.n, data.order)
+        spoiled.c[(0,) * len(markers) + (1, -1)] = np.nan
+        got = axis_action(markers, spoiled, mat, lie).c
+        assert np.isnan(got[..., 1, :]).any()
+        others = [p for p in range(got.shape[-2]) if p != 1]
+        np.testing.assert_array_equal(got[..., others, :], clean.c[..., others, :])
 
 
 class TestFrameTransport:
