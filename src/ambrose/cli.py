@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -84,6 +85,11 @@ SCENARIOS = (
 SCENARIO_PARAMS = {"singer": ("connection",), "check-lh-triple": ("perturb",),
                    "check-ls-triple": ("perturb",), "total-space": ("alpha",)}
 
+# The most sample points a run takes. The sampler's arrays peak at about
+# 1.7 KB per point, so this bounds them at about 17 MB, far above the tens
+# of points a run needs; a larger count fails closed before it allocates.
+POINTS_CAP = 10_000
+
 SELFTEST_BATTERY = (
     ("identities", "euclidean", {"n": 2}),
     ("singer", "round_sphere2", {}),
@@ -142,7 +148,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args on it is
+    re-entrant, and its repeatable flags default to None, so no list is
+    shared between calls."""
     parser = argparse.ArgumentParser(
         prog="ambrose",
         description="Run a verification scenario on a catalog fixture and "
@@ -221,8 +231,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError(
             f"unknown fixture {fixture!r}; available: {', '.join(fixture_names())}"
         )
-    if not _is_int(points) or points < 1:
-        raise ConfigError("points must be a positive integer")
+    if not _is_int(points) or not 1 <= points <= POINTS_CAP:
+        raise ConfigError(f"points must be an integer in 1..{POINTS_CAP}")
     if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     if kmax is not None and (not _is_int(kmax) or not 1 <= kmax <= KMAX_CAP):

@@ -231,9 +231,10 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
     # each entry in the frames, point axis first
     entries = [[(m, np.moveaxis(to_frames(m, t.value, coframe, frame_t), -1, 0)) for m, t in lv]
                for lv in levels]
+    # the tuples from lists (see jet._cauchy)
     return [DerivativeTower(
         point=x, frame=fr, kmax=kmax,
-        entries=tuple(tuple(DenseTensor(m, data[p]) for m, data in lv) for lv in entries))
+        entries=tuple([tuple([DenseTensor(m, data[p]) for m, data in lv]) for lv in entries]))
         for p, (x, fr) in enumerate(zip(points, frames))]
 
 
@@ -306,7 +307,8 @@ def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
     for lo, hi in zip(levels, levels[1:]):
         groups = {}
         for p, pair in enumerate(zip(lo, hi)):
-            groups.setdefault(tuple(b.shape for b in pair), []).append(p)
+            # the key from a list (see jet._cauchy)
+            groups.setdefault(tuple([b.shape for b in pair]), []).append(p)
         for points in groups.values():
             angles = principal_angles(np.stack([hi[p] for p in points]),
                                       np.stack([lo[p] for p in points]))
@@ -325,7 +327,7 @@ def _chain(spectra: list[tuple[np.ndarray, np.ndarray, float]],
     ambiguous = any(sing[sing > cutoff].min() < 10.0 * sing[sing <= cutoff].max()
                     for _, sing, cutoff in spectra
                     if (sing > cutoff).any() and (sing <= cutoff).any())
-    dims = tuple(b.shape[1] for b in bases)
+    dims = tuple([b.shape[1] for b in bases])  # from a list (see jet._cauchy)
     # the Singer stage: the first level that the next one keeps
     singer_k = next((k for k, angle in enumerate(nesting)
                      if dims[k + 1] == dims[k] and angle < ANGLE_TOL), None)

@@ -339,8 +339,9 @@ def einsum(spec: str, *ops) -> Jet | np.ndarray:
     operands it is np.einsum."""
     if not any(isinstance(o, Jet) for o in ops):
         return np.einsum(spec, *ops)
-    steps, final = _einsum_plan(spec, tuple(None if isinstance(o, Jet) else np.ndim(o)
-                                            for o in ops))
+    # the key from a list (see _cauchy)
+    steps, final = _einsum_plan(spec, tuple([None if isinstance(o, Jet) else np.ndim(o)
+                                             for o in ops]))
     ops = list(ops)
     for a, b, sub, cauchy in steps:
         ja = ops[a]

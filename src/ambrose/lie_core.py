@@ -2,11 +2,18 @@
 
 Structure constants are stored as c[k, i, j] with [b_i, b_j] = c[k, i, j] b_k.
 Subspaces of an algebra are matrices whose columns are coordinate vectors.
+
+The constants a run reads (so(n) and its defining representation, the
+catalog algebras, their default inner products and adjoint representations)
+are built once per process and shared: so their arrays are read-only copies,
+each taken before its construction check, and the check runs once, on the
+object that is then shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, wraps
 
 import numpy as np
 
@@ -23,7 +30,32 @@ NULL_TOL = 1e-8
 ANGLE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy of a, which no alias of a can change."""
+    out = np.array(a, float)
+    out.flags.writeable = False
+    return out
+
+
+def _held(fn):
+    """fn(obj), built on the first call and held by obj in its __dict__: a
+    constant derived from an object lives as long as the object, and no
+    table outside it grows with the objects built."""
+    key = fn.__qualname__
+
+    @wraps(fn)
+    def held(obj):
+        memo = obj.__dict__
+        if key not in memo:
+            memo[key] = fn(obj)
+        return memo[key]
+
+    return held
+
+
+# eq=False: the fields are arrays, so == cannot compare two of these, and
+# each hashes by identity, as TensorRep's `is` test reads it
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Lie algebra by structure constants over a labelled basis."""
 
@@ -32,7 +64,7 @@ class LieAlgebra:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        c = np.asarray(self.structure, float)
+        c = _read_only(self.structure)
         m = len(labels)
         if c.shape != (m, m, m):
             raise BadParameters("structure constants must be (m, m, m)")
@@ -56,7 +88,9 @@ class LieAlgebra:
         """Matrix of ad(u) in the basis: ad(u)[k, j] = c[k, i, j] u[i]."""
         return np.einsum("kij,i->kj", self.structure, np.asarray(u, float))
 
+    @_held
     def adjoint_rep(self) -> "LinearRep":
+        """The adjoint representation, built and checked once per algebra."""
         mats = np.stack([self.ad(e) for e in np.eye(self.dim)])
         return LinearRep(self, mats)
 
@@ -65,7 +99,7 @@ class LieAlgebra:
         return np.array([[np.trace(a @ b) for b in ads] for a in ads])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearRep:
     """Infinitesimal representation: one matrix per basis element."""
 
@@ -73,7 +107,7 @@ class LinearRep:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, float)
+        mats = _read_only(self.matrices)
         m = self.algebra.dim
         if mats.ndim != 3 or mats.shape[0] != m or mats.shape[1] != mats.shape[2]:
             raise RepMismatch("need one square matrix per basis element")
@@ -101,7 +135,7 @@ class AdInvariantInner:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, float)
+        mat = _read_only(self.matrix)
         m = self.algebra.dim
         if mat.shape != (m, m) or not np.allclose(mat, mat.T, atol=1e-12):
             raise BadParameters("inner product must be a symmetric m x m matrix")
@@ -117,8 +151,10 @@ class AdInvariantInner:
         object.__setattr__(self, "matrix", mat)
 
 
+@_held
 def default_inner(algebra: LieAlgebra) -> AdInvariantInner:
-    """Negative Killing form, patched to the identity on the center."""
+    """Negative Killing form, patched to the identity on the center; built
+    and checked once per algebra."""
     m = -algebra.killing_form()
     w, v = np.linalg.eigh(m)
     scale = max(1.0, np.abs(w).max())
@@ -461,8 +497,10 @@ def algebra_dim(name: str) -> int:
     return sum(len(_CATALOG[p][0]) for p in _summands(name))
 
 
+@cache
 def algebra_by_name(name: str) -> LieAlgebra:
-    """Catalog: so(2), so(3), u(1), su(2), plus '+'-joined direct sums."""
+    """Catalog: so(2), so(3), u(1), su(2), plus '+'-joined direct sums; built
+    and checked once per name."""
     out = None
     for p in _summands(name):
         labels, scale = _CATALOG[p]
@@ -481,18 +519,27 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(labels, c)
 
 
-def frame_structure_rep(n: int, k_algebra: LieAlgebra | None = None) -> TensorRep:
-    """TensorRep for g = so(n) (+ k): so(n) moves frame axes, k moves lie axes."""
+@cache
+def _so_rep(n: int) -> LinearRep:
+    """so(n) acting on R^n, derived and checked once per n."""
     so_mats = so_generators(n)
     labels = tuple(f"so.{i + 1}" for i in range(so_mats.shape[0]))
-    so_alg = algebra_from_matrices(labels, so_mats)
+    return LinearRep(algebra_from_matrices(labels, so_mats), so_mats)
+
+
+def frame_structure_rep(n: int, k_algebra: LieAlgebra | None = None) -> TensorRep:
+    """TensorRep for g = so(n) (+ k): so(n) moves frame axes, k moves lie
+    axes. so(n) and its rep are shared by every call with this n; the sum
+    with k is built on each call."""
+    so_rep = _so_rep(n)
+    so_alg = so_rep.algebra
     if k_algebra is None:
-        return TensorRep(so_alg, LinearRep(so_alg, so_mats), None)
+        return TensorRep(so_alg, so_rep, None)
     g = direct_sum(so_alg, k_algebra)
     m_so = so_alg.dim
     m_k = k_algebra.dim
     vec = np.zeros((m_so + m_k, n, n))
-    vec[:m_so] = so_mats
+    vec[:m_so] = so_rep.matrices
     lie = np.zeros((m_so + m_k, m_k, m_k))
     ad_k = k_algebra.adjoint_rep().matrices
     lie[m_so:] = ad_k

@@ -306,6 +306,22 @@ class TestMainExitCodes:
             "--kmax", str(KMAX_CAP),
         ]).kmax == KMAX_CAP
 
+    def test_points_above_cap_exits_two_before_work(self, monkeypatch, capsys, tmp_path):
+        """A sample count above POINTS_CAP, by the flag or the config file,
+        is a config error before the sampler allocates anything."""
+        def never(*args):
+            raise AssertionError("sampler ran")
+
+        monkeypatch.setattr(cli, "sample_interior", never)
+        args = ["--scenario", "singer", "--fixture", "berger_sphere"]
+        assert cli.main([*args, "--points", "100000000"]) == 2
+        assert "points" in capsys.readouterr().err
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"points": cli.POINTS_CAP + 1}))
+        assert cli.main([*args, "--config", str(path)]) == 2
+        assert "points" in capsys.readouterr().err
+        assert cli.parse_config([*args, "--points", str(cli.POINTS_CAP)]).points == cli.POINTS_CAP
+
     def test_config_error_exits_two(self, capsys):
         assert cli.main(["--scenario", "nonsense"]) == 2
         assert "config error" in capsys.readouterr().err
