@@ -222,8 +222,6 @@ class MetricField:
     chart: Chart
     evaluator: Callable[[Jet], Jet]
     memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
-    # the frame and coframe jets of frame_jet, stacked on a leading axis
-    frames: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
         """The jet of g at a batch of points, symmetrized so that the
@@ -287,9 +285,6 @@ class FrameFieldConnection:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, float))
-
-    def frame_at(self, x: np.ndarray) -> np.ndarray:
-        return _inverse(self.coframe(variables(x, 0)), _batch(x)).value[..., 0]
 
 
 def _first_failure(fn, mats: np.ndarray) -> int:
@@ -387,6 +382,17 @@ def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
     )
 
 
+def difference_field(gamma1: ConnectionCoeffs, gamma0: ConnectionCoeffs) -> TensorFieldSpec:
+    """The difference tensor S = Gamma1 - Gamma0 of two connections, read
+    off both connections' memos."""
+    return TensorFieldSpec(
+        chart=gamma1.chart,
+        markers=(UP, DOWN, DOWN),
+        evaluator=lambda X: (gamma1.jet_at(_base_points(X), X.order)
+                             - gamma0.jet_at(_base_points(X), X.order)),
+    )
+
+
 def _frame_connection_jet(conn: FrameFieldConnection, X: Jet) -> Jet:
     """Coordinate coefficients E a of a moving-frame connection, with
     a[k, mu, v] = d_mu th[k, v] + th[i, mu] th[l, v] gamma[k, i, l], from the
@@ -417,33 +423,19 @@ def ortho_frames(g: MetricField, points: np.ndarray) -> list[OrthoFrame]:
     return cholesky_frames(np.moveaxis(g.jet_at(points, 0).value, -1, 0), points)
 
 
-def frame_jet(g: MetricField, x: np.ndarray, order: int) -> tuple[Jet, Jet]:
-    """(frame, coframe) of the Cholesky orthonormal frame of g as jets, read
-    off g's frame memo as the metric's jet is off its own, so the forms and
-    frames of a batch share one Cholesky jet."""
-    both = g.frames.jet_at(x, order, lambda X: _frame_pair(g, X))
-    return both[0], both[1]
-
-
-def _frame_pair(g: MetricField, X: Jet) -> Jet:
-    """The frame and coframe jets at the points of a coordinate jet,
-    stacked on a leading axis."""
-    x = _base_points(X)
-    gx = g.jet_at(x, X.order)
-    try:
-        coframe = jet.cholesky(gx).transpose(1, 0)
-    except np.linalg.LinAlgError as exc:
-        x = x[_first_failure(np.linalg.cholesky, gx.value)]
-        raise DegenerateMetric(f"metric not positive definite at {x}: {exc}") from exc
-    return Jet(np.stack([jet.inv(coframe).c, coframe.c]), X.n, X.order)
-
-
 def ortho_frame_partial(g: MetricField,
                         x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d frame, d coframe) of the Cholesky frame, each stacked over the
-    coordinate directions."""
-    frame, coframe = frame_jet(g, x, 1)
-    return shift(frame).value[..., 0], shift(coframe).value[..., 0]
+    """(d frame, d coframe) of the Cholesky frame at the single point x,
+    each stacked over the coordinate directions, from the first-order
+    perturbation of G = L L^T: dL = L Phi(L^-1 dG L^-T), with Phi keeping the
+    strict lower triangle and half the diagonal; coframe = L^T and
+    frame = L^-T."""
+    dg = shift(g.jet_at(x, 1)).value[..., 0]
+    fr = ortho_frame(g, x)
+    n = len(dg)
+    phi = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+    dcoframe = (fr.coframe.T @ (phi * (fr.frame.T @ dg @ fr.frame))).transpose(0, 2, 1)
+    return -fr.frame @ dcoframe @ fr.frame, dcoframe
 
 
 def nan_max(values: Iterable[float] | np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .bundle_conn import (
 from .chart_calculus import (
     TensorFieldSpec,
     curvature_of,
+    difference_field,
     max_nabla_norms,
     max_over_batches,
     max_over_chunks,
@@ -54,7 +55,6 @@ from .homogeneity import (
     adapted_residuals,
     check_lh_triple,
     check_ls_triple,
-    frame_gauge_form,
     make_report,
     opozda_section_spec,
     tower_and_chain,
@@ -439,8 +439,7 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
         raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
     rep = frame_structure_rep(fix.chart.dim)
     inner = default_inner(rep.algebra)
-    b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
-    b_prime = frame_gauge_form(fix.gamma_canonical, fix.g, rep.vector)
+    s = difference_field(fix.gamma_canonical, fix.gamma)
     sigma = opozda_section_spec(fix.gamma)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     probe = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep, kmax=cfg.kmax)
@@ -460,7 +459,7 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
             flags.update(chain.flags)
             if chain.dims[:depth] != dims[:depth]:
                 flags.add("dims-vary")
-        return adapted_residuals(batch, fix.g, b0, b_prime, rep, inner)
+        return adapted_residuals(batch, fix.gamma, s, fix.g, rep, inner)
 
     rows = [check([probe])] if probe[0].kmax >= depth else []
     batches = towers_and_chains(sigma, None, fix.gamma, fix.g, points[len(rows):], rep, kmax=depth)

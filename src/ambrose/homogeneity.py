@@ -6,8 +6,10 @@ connection and the bundle form: each level is the covariant derivative of
 the one below, computed on jets one order lower, so no level is
 finite-differenced. Tower entries are expressed in the Cholesky orthonormal
 frame at the base point, so group actions on them are orthogonal and norms
-are gauge-invariant. Gauge-covariant derivatives of frame-expressed fields
-use the moving-frame form of the connection: del_mu = d_mu + action(b_mu).
+are gauge-invariant. The adapted connection is read in the same frames:
+its shift beta comes from the difference tensor of two connections, itself
+carried as a tower, and each residual is a frame-indexed covariant
+derivative plus the action of beta.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .chart_calculus import (
     MetricField,
     TensorFieldSpec,
     curvature_field,
-    frame_jet,
+    difference_field,
     levi_civita,
     max_nabla_norms,
     nabla,
@@ -51,7 +53,6 @@ from .errors import (
 from .lie_core import (
     ANGLE_TOL,
     AdInvariantInner,
-    LinearRep,
     TensorRep,
     action_rows,
     nullspaces,
@@ -63,7 +64,6 @@ from .lie_core import (
 from .tensor_core import (
     DOWN,
     LIE,
-    UP,
     DenseTensor,
     OrthoFrame,
     axis_action,
@@ -215,22 +215,24 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
     at order kmax + 1, the order the curvature of the section reads; the
     fields of the section, the tower's Gamma0 (order kmax - 1) and the
     frames read the connection's and the metric's memos, so each is
-    evaluated once per batch."""
+    evaluated once per batch. Each level is expressed in the frames as
+    soon as it is built, and only one level's jet is held at a time."""
     if kmax < 1:
         raise DepthMismatch("tower depth kmax must be at least 1")
     points = np.atleast_2d(np.asarray(points, float))
     G = gamma0.jet_at(points, kmax + 1).truncate(kmax - 1)
     level = [(f.markers, f.jet_at(points, kmax)) for f in sigma.fields]
     lie = None if b0 is None else b0.ad_jet(points, kmax - 1)
-    levels = [level]
-    for _ in range(kmax):
-        level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
-        levels.append(level)
     frames = ortho_frames(g, points) if frames is None else frames
     coframe, frame_t = frame_stacks(frames)
-    # each entry in the frames, point axis first
-    entries = [[(m, np.moveaxis(to_frames(m, t.value, coframe, frame_t), -1, 0)) for m, t in lv]
-               for lv in levels]
+    # each level in the frames, point axis first, as soon as it is built; its
+    # jet is dropped once the next level exists
+    entries = []
+    for k in range(kmax + 1):
+        entries.append([(m, np.moveaxis(to_frames(m, t.value, coframe, frame_t), -1, 0))
+                        for m, t in level])
+        if k < kmax:
+            level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
     # the tuples from lists (see jet._cauchy)
     return [DerivativeTower(
         point=x, frame=fr, kmax=kmax,
@@ -540,31 +542,6 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     return MatchResult(False, best_theta, residual, "residual")
 
 
-def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
-                     so_rep: LinearRep) -> LocalConnectionForm:
-    """Moving-frame form of a metric connection in the Cholesky gauge.
-
-    Returns algebra coordinates of w_mu = E^{-1}(d_mu E + Gamma_mu E), which
-    must be antisymmetric (the connection must be metric for g)."""
-    algebra = so_rep.algebra
-    mats = so_rep.matrices
-    pinv = np.linalg.pinv(mats.reshape(algebra.dim, -1).T).reshape(-1, *mats.shape[1:])
-
-    def ev(X):
-        points, order = X.value.T, X.order
-        frame, coframe = frame_jet(g, points, order + 1)
-        G = gamma.jet_at(points, order)
-        w = jet.einsum("ai,mib->mab", coframe,
-                       jet.shift(frame) + jet.einsum("imj,jb->mib", G, frame))
-        v = w.value
-        skew = np.abs(v + v.transpose(0, 2, 1, 3)).max(axis=(0, 1, 2))
-        if (skew > 1e-6 * np.maximum(1.0, np.abs(v).max(axis=(0, 1, 2)))).any():
-            raise NotMetric("connection is not metric: gauge form not antisymmetric")
-        return jet.einsum("pab,mab->mp", pinv, 0.5 * (w - w.transpose(0, 2, 1)))
-
-    return LocalConnectionForm(chart=g.chart, algebra=algebra, evaluator=ev)
-
-
 def with_adjoint_rep(rep: TensorRep) -> TensorRep:
     """Same frame action, with lie axes carrying the full adjoint action."""
     return TensorRep(rep.algebra, rep.vector, rep.algebra.adjoint_rep())
@@ -576,13 +553,10 @@ def _form_action(b: np.ndarray, t: DenseTensor, rep: TensorRep) -> np.ndarray:
     return axis_action(t.markers, t.data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
 
 
-def gauge_residual(b: np.ndarray, rep: TensorRep, t_hat: DenseTensor,
-                   partials: np.ndarray, frame: OrthoFrame) -> float:
-    """Frame-invariant norm of the gauge-covariant derivative d_mu t_hat +
-    b_mu . t_hat of a frame-expressed tensor at a point, from the gauge
-    form's rows b[mu] and the coordinate partials[mu] of t_hat there."""
-    d = partials + _form_action(b, t_hat, rep)
-    return float(np.linalg.norm(np.tensordot(frame.frame, d, axes=(0, 0))))
+def gauge_residual(b: np.ndarray, rep: TensorRep, t: DenseTensor, nabla_t: np.ndarray) -> float:
+    """|nabla t + b . t| at a point in frame indices: nabla_t[a] is the
+    covariant derivative of t along e_a, and b[a] the shift's row there."""
+    return float(np.linalg.norm(nabla_t + _form_action(b, t, rep)))
 
 
 def _entry_pairs(tower: DerivativeTower, depth: int) -> list[tuple[DenseTensor, DenseTensor]]:
@@ -591,20 +565,25 @@ def _entry_pairs(tower: DerivativeTower, depth: int) -> list[tuple[DenseTensor, 
     return list(zip(entries, entries[len(tower.entries[0]):]))
 
 
-def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], g: MetricField,
-                    b0: LocalConnectionForm, b_prime: LocalConnectionForm,
+def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]],
+                    gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
                     rep: TensorRep, inner: AdInvariantInner,
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(b0_x, beta_k, d beta_k) at each pair's point: b0's rows there, the
-    frame-expressed part of beta = b' - b0 in the invariant complement of
-    h = bases[singer_k], and its partials out[mu, a, i]; see adapted_residuals."""
-    if b0.algebra.labels != b_prime.algebra.labels:
-        raise RepMismatch("connection forms live over different algebras")
-    xs = np.array([tower.point for tower, _ in pairs])
-    b0_jet = b0.jet_at(xs, 1)
-    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, xs, 1)[0], b_prime.jet_at(xs, 1) - b0_jet)
-    betas, dbetas = beta_hat.value, jet.shift(beta_hat).value
-    for p, (tower, chain) in enumerate(pairs):
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(beta_k, nabla beta_k) at each pair's point, in frame indices,
+    nabla beta_k[b, a, i]; see adapted_residuals."""
+    frames = [tower.frame for tower, _ in pairs]
+    towers = build_towers(SectionSpec(gamma.chart, (s,)), None, gamma, g,
+                          np.array([f.point for f in frames]), 1, frames)
+    s_hat = np.stack([tw.entries[0][0].data for tw in towers])
+    skew = np.abs(s_hat + s_hat.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3))
+    if (skew > 1e-6 * np.maximum(1.0, np.abs(s_hat).max(axis=(1, 2, 3)))).any():
+        raise NotMetric("connection is not metric: difference tensor not antisymmetric")
+    mats = rep.vector.matrices
+    coords = np.linalg.pinv(mats.reshape(len(mats), -1).T).reshape(mats.shape)
+    betas = np.einsum("icb,pcab->pai", coords, s_hat)
+    nabla_betas = np.einsum("icb,pdcab->pdai", coords,
+                            np.stack([tw.entries[1][0].data for tw in towers]))
+    for (tower, chain), beta, nabla_beta in zip(pairs, betas, nabla_betas):
         if chain.singer_k is None:
             raise NumericalFailure("stabilizer chain did not stabilize")
         h = chain.bases[chain.singer_k]
@@ -612,56 +591,54 @@ def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], g: Met
             reductive_complement(h, inner)
         except NotInvariant as exc:
             raise NotReductive(str(exc)) from exc
-        frame, b0_x = tower.frame, b0_jet.value[..., p]
         tensors, nexts = zip(*_entry_pairs(tower, chain.singer_k))
-        partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
-                    for t, nxt in zip(tensors, nexts)]
         u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
         rank = h.shape[0] - h.shape[1]
         pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
-        dh = np.stack([
+        nabla_h = np.stack([
             -pinv @ stacked_action_matrix(
-                [DenseTensor(t.markers, d[mu]) for t, d in zip(tensors, partials)], rep) @ h
-            for mu in range(len(tower.point))
+                [DenseTensor(t.markers, nxt.data[b]) for t, nxt in zip(tensors, nexts)], rep) @ h
+            for b in range(len(tower.point))
         ])
         m = inner.matrix
         coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
         proj = h @ coeff
-        # P is m-self-adjoint: d P is its part off h plus that part's m-adjoint
-        off = (np.eye(len(m)) - proj) @ dh @ coeff
-        dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
-        beta, dbeta = betas[..., p], dbetas[..., p]
-        yield (b0_x, beta - beta @ proj.T,
-               dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1))
+        # P is m-self-adjoint and m is parallel: nabla P is its part off h
+        # plus that part's m-adjoint
+        off = (np.eye(len(m)) - proj) @ nabla_h @ coeff
+        nabla_proj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
+        yield (beta - beta @ proj.T,
+               nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1))
 
 
-def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], g: MetricField,
-                      b0: LocalConnectionForm, b_prime: LocalConnectionForm,
+def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]],
+                      gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
                       rep: TensorRep, inner: AdInvariantInner) -> dict[str, float]:
     """The largest nabla_beta and nabla_tower over a batch of at most CHUNK
-    (tower, chain) pairs, for the adapted gauge form b = b0 + beta_k at each
-    point: beta_k is the part of beta = b' - b0 in the inner-orthogonal
-    complement of the Singer-stage stabilizer h = bases[singer_k], and the
-    residuals are the norms of the b-covariant derivatives of beta_k and of
-    the entries of levels 0..singer_k + 1. b0 must be the frame gauge form of
-    the towers' connection, and each tower must reach level singer_k + 2.
+    (tower, chain) pairs, for the adapted connection nabla + beta_k, all in
+    the towers' frames: beta[a] is the so(n) coordinates of S(e_a), for S the
+    difference tensor of a metric connection and gamma, and beta_k its part
+    in the inner-orthogonal complement of the Singer-stage stabilizer
+    h = bases[singer_k]. The residuals are the norms of the adapted
+    derivatives of beta_k and of the entries of levels 0..singer_k + 1. The
+    towers must be gamma's and reach level singer_k + 2.
 
-    An entry T has partials d_mu T = coframe[a, mu] Tnext[a] - b0_mu . T,
-    Tnext the entry one level up, and b-covariant derivative
-    Tnext + e_a (x) beta_k[a] . T. The stacked action matrix M of levels
-    0..singer_k has kernel h, so d h = -M^+ (d M) h (Golub and Pereyra, SIAM
-    J. Numer. Anal. 10, 1973), M^+ cut to rank m - dim h so as not to invert
-    rounding. h is also bases[singer_k + 1], by the definition of the stage;
-    read at singer_k, it needs no entry above level singer_k + 1. b0, b' and
-    the frame are first-order jets at the whole batch; h's projector is taken
-    per point. A chain that did not stabilize raises NumericalFailure, and a
-    stabilizer without an invariant complement NotReductive."""
-    shifts = _adapted_shifts(pairs, g, b0, b_prime, rep, inner)
+    S is carried as a tower of depth 1 in the pairs' frames: level 0 gives
+    beta and level 1 its covariant derivative, one pseudo-inverse for the
+    batch. An entry T has covariant derivative Tnext[b] along e_b, Tnext
+    the entry one level up. The stacked action matrix M of levels
+    0..singer_k has kernel h, so nabla_b h = -M^+ M(Tnext[b]) h (Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 1973), M^+ cut to rank m - dim h so as
+    not to invert rounding; h is also bases[singer_k + 1], so it needs no
+    entry above level singer_k + 1. A chain that did not stabilize raises
+    NumericalFailure, a stabilizer without an invariant complement
+    NotReductive, and an S that is not antisymmetric NotMetric."""
+    shifts = _adapted_shifts(pairs, gamma, s, g, rep, inner)
     adjoint, shift, tower_res = with_adjoint_rep(rep), [], []
-    for (tower, chain), (b0_x, beta_k, dbeta_k) in zip(pairs, shifts):
-        shift.append(gauge_residual(b0_x + tower.frame.coframe.T @ beta_k, adjoint,
-                                    DenseTensor((DOWN, LIE), beta_k), dbeta_k, tower.frame))
-        tower_res.extend(np.linalg.norm(nxt.data + _form_action(beta_k, t, rep))
+    for (tower, chain), (beta_k, nabla_beta_k) in zip(pairs, shifts):
+        shift.append(gauge_residual(beta_k, adjoint, DenseTensor((DOWN, LIE), beta_k),
+                                    nabla_beta_k))
+        tower_res.extend(gauge_residual(beta_k, rep, t, nxt.data)
                          for t, nxt in _entry_pairs(tower, chain.singer_k + 1))
     return {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
 
@@ -719,17 +696,13 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
     points = np.atleast_2d(np.asarray(points, float))
     gamma0 = levi_civita(g)
     g_field = TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
-    s_field = TensorFieldSpec(
-        chart=g.chart,
-        markers=(UP, DOWN, DOWN),
-        evaluator=lambda X: gamma.evaluator(X) - gamma0.evaluator(X),
-    )
+    # S after both curvatures, so that it reads both connections' memos
     residuals = max_nabla_norms(gamma, {
         "nabla_g": (g_field, None),
         "nabla_Rg": (curvature_field(gamma0), None),
-        "nabla_S": (s_field, None),
         "nabla_R": (curvature_field(gamma), None),
         "nabla_T": (torsion_field(gamma), None),
+        "nabla_S": (difference_field(gamma, gamma0), None),
     }, g, points)
     if not residuals.pop("nabla_g") <= 1e-7:
         raise NotMetric("connection is not metric-compatible at a sample point")

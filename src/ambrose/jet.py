@@ -46,11 +46,6 @@ def size(n: int, order: int) -> int:
     return math.comb(n + order, n)
 
 
-def degrees(n: int, order: int) -> np.ndarray:
-    """The order |a| of each multi-index, in coefficient order."""
-    return np.array([sum(a) for a in _indices(n, order)])
-
-
 # The tables are built in plain Python: the numpy sorting and searching
 # routines would map about 0.8 MB more of the library on first use.
 @lru_cache(maxsize=None)
@@ -410,19 +405,3 @@ def inv(a: Jet) -> Jet:
         out = einsum("ij,jk->ik", x, out) + eye
     return einsum("ij,jk->ik", out, a0inv)
 
-
-def cholesky(g: Jet) -> Jet:
-    """Lower Cholesky factor of a jet of symmetric positive definite
-    matrices: G = L0 (I + P) L0^T, and I + P = (I + N)(I + N)^T with N lower
-    triangular and no constant term, solved one order at a time."""
-    l0 = stacked(np.linalg.cholesky, g.value)
-    l0inv = stacked(np.linalg.inv, l0)
-    pert = einsum("ij,jk,lk->il", l0inv, _nilpotent(g), l0inv)
-    deg = degrees(g.n, g.order)
-    d = len(l0)
-    lower = np.tril(np.ones((d, d)), -1) + 0.5 * np.eye(d)
-    n_jet = g.lift(np.zeros((d, d)))
-    for k in range(1, g.order + 1):
-        q = pert - einsum("ij,kj->ik", n_jet, n_jet)
-        n_jet = n_jet + Jet(q.c * (deg == k) * lower[..., None, None], g.n, g.order)
-    return einsum("ij,jk->ik", l0, n_jet + np.eye(d))

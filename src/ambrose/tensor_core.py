@@ -100,16 +100,6 @@ class OrthoFrame:
         if not (np.isfinite(self.frame).all() and np.isfinite(self.coframe).all()):
             raise SingularFrame("frame/coframe has non-finite entries")
 
-    @classmethod
-    def from_metric(cls, g: np.ndarray, point: np.ndarray) -> "OrthoFrame":
-        """Cholesky frame of the metric value g at a point."""
-        return cholesky_frames(np.asarray(g, float)[None], np.asarray(point, float)[None])[0]
-
-    def rotated(self, q: np.ndarray) -> "OrthoFrame":
-        """Another valid orthonormal frame: columns mixed by orthogonal q."""
-        q = np.asarray(q, float)
-        return OrthoFrame(self.point, self.frame @ q, q.T @ self.coframe)
-
 
 def cholesky_frames(gs: np.ndarray, points: np.ndarray) -> list[OrthoFrame]:
     """Cholesky frame at each point from the metric values gs, shape (P, d, d),

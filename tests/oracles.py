@@ -10,6 +10,12 @@ differences (FD), and the adapted gauge form with a stabilizer chain built
 wherever it is evaluated, FD stencil points included, with its residuals by
 FD, are the reference for ``homogeneity.adapted_residuals``.
 
+The moving-frame route that ``adapted_residuals`` took before it read beta
+off the difference tensor is kept here as its oracle: the Cholesky factor
+of a jet and the frame jets built on it, each connection's frame gauge
+form, and the shift beta = b' - b0 projected off the stabilizer from
+coordinate partials. So are the frame helpers that only tests use.
+
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
 adapted frame fields) serves the per-tuple case tables of
@@ -41,27 +47,41 @@ from ambrose.chart_calculus import (
     torsion_field,
 )
 from ambrose.errors import (
+    DegenerateMetric,
     NotInvariant,
+    NotMetric,
     NotReductive,
     NumericalFailure,
     RepMismatch,
     UnsupportedFieldKind,
 )
 from ambrose.homogeneity import (
+    _entry_pairs,
+    _form_action,
     build_tower,
-    frame_gauge_form,
     opozda_section_spec,
     stabilizer_chain,
     with_adjoint_rep,
 )
+from ambrose.jet import Jet
 from ambrose.lie_core import (
+    LinearRep,
     default_inner,
     frame_structure_rep,
     orthonormalize,
     reductive_complement,
+    stacked_action_matrix,
     tensor_action,
 )
-from ambrose.tensor_core import DOWN, LIE, DenseTensor, axis_action, to_frame
+from ambrose.tensor_core import (
+    DOWN,
+    LIE,
+    DenseTensor,
+    OrthoFrame,
+    axis_action,
+    cholesky_frames,
+    to_frame,
+)
 from ambrose.total_space import (
     ADJOINT,
     FUNDAMENTAL,
@@ -320,10 +340,122 @@ def structure_constants_loop(mats: np.ndarray) -> np.ndarray:
     return c
 
 
+def frame_from_metric(g: np.ndarray, point: np.ndarray) -> OrthoFrame:
+    """Cholesky frame of the metric value g at a point."""
+    return cholesky_frames(np.asarray(g, float)[None], np.asarray(point, float)[None])[0]
+
+
+def rotated(frame: OrthoFrame, q: np.ndarray) -> OrthoFrame:
+    """Another valid orthonormal frame: the columns mixed by orthogonal q."""
+    q = np.asarray(q, float)
+    return OrthoFrame(frame.point, frame.frame @ q, q.T @ frame.coframe)
+
+
+def frame_at(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
+    """The frame vectors of a moving-frame connection at the single point x,
+    as the columns of its coframe's inverse."""
+    return np.linalg.inv(conn.coframe(jet.variables(x, 0)).value[..., 0])
+
+
+def degrees(n: int, order: int) -> np.ndarray:
+    """The order |a| of each multi-index of a jet, in coefficient order."""
+    return np.array([sum(a) for a in jet._indices(n, order)])
+
+
+def cholesky(g: Jet) -> Jet:
+    """Lower Cholesky factor of a jet of symmetric positive definite
+    matrices: G = L0 (I + P) L0^T, and I + P = (I + N)(I + N)^T with N lower
+    triangular and no constant term, solved one order at a time."""
+    l0 = jet.stacked(np.linalg.cholesky, g.value)
+    l0inv = jet.stacked(np.linalg.inv, l0)
+    pert = jet.einsum("ij,jk,lk->il", l0inv, jet._nilpotent(g), l0inv)
+    deg = degrees(g.n, g.order)
+    d = len(l0)
+    lower = np.tril(np.ones((d, d)), -1) + 0.5 * np.eye(d)
+    n_jet = g.lift(np.zeros((d, d)))
+    for k in range(1, g.order + 1):
+        q = pert - jet.einsum("ij,kj->ik", n_jet, n_jet)
+        n_jet = n_jet + Jet(q.c * (deg == k) * lower[..., None, None], g.n, g.order)
+    return jet.einsum("ij,jk->ik", l0, n_jet + np.eye(d))
+
+
+def frame_jet(g: MetricField, x: np.ndarray, order: int) -> tuple[Jet, Jet]:
+    """(frame, coframe) of the Cholesky orthonormal frame of g as jets at the
+    points x, from the Cholesky factor of g's jet."""
+    try:
+        coframe = cholesky(g.jet_at(x, order)).transpose(1, 0)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
+    return jet.inv(coframe), coframe
+
+
+def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
+                     so_rep: LinearRep) -> LocalConnectionForm:
+    """Moving-frame form of a metric connection in the Cholesky gauge.
+
+    Returns algebra coordinates of w_mu = E^{-1}(d_mu E + Gamma_mu E), which
+    must be antisymmetric (the connection must be metric for g)."""
+    algebra = so_rep.algebra
+    mats = so_rep.matrices
+    pinv = np.linalg.pinv(mats.reshape(algebra.dim, -1).T).reshape(-1, *mats.shape[1:])
+
+    def ev(X):
+        points, order = X.value.T, X.order
+        frame, coframe = frame_jet(g, points, order + 1)
+        G = gamma.jet_at(points, order)
+        w = jet.einsum("ai,mib->mab", coframe,
+                       jet.shift(frame) + jet.einsum("imj,jb->mib", G, frame))
+        v = w.value
+        skew = np.abs(v + v.transpose(0, 2, 1, 3)).max(axis=(0, 1, 2))
+        if (skew > 1e-6 * np.maximum(1.0, np.abs(v).max(axis=(0, 1, 2)))).any():
+            raise NotMetric("connection is not metric: gauge form not antisymmetric")
+        return jet.einsum("pab,mab->mp", pinv, 0.5 * (w - w.transpose(0, 2, 1)))
+
+    return LocalConnectionForm(chart=g.chart, algebra=algebra, evaluator=ev)
+
+
+def gauge_form_shifts(pairs, g: MetricField, b0: LocalConnectionForm,
+                      b_prime: LocalConnectionForm, rep, inner):
+    """(beta_k, nabla beta_k) at each pair's point by the gauge-form route:
+    beta = b' - b0 in the frame, its partials from first-order jets of both
+    forms and of the Cholesky frame, the stabilizer's from the coordinate
+    partials coframe . Tnext - b0 . T of the tower entries, and the result
+    made covariant and frame-indexed by adding b0 back."""
+    xs = np.array([tower.point for tower, _ in pairs])
+    b0_jet = b0.jet_at(xs, 1)
+    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, xs, 1)[0], b_prime.jet_at(xs, 1) - b0_jet)
+    betas, dbetas = beta_hat.value, jet.shift(beta_hat).value
+    adjoint = with_adjoint_rep(rep)
+    for p, (tower, chain) in enumerate(pairs):
+        h = chain.bases[chain.singer_k]
+        frame, b0_x = tower.frame, b0_jet.value[..., p]
+        tensors, nexts = zip(*_entry_pairs(tower, chain.singer_k))
+        partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
+                    for t, nxt in zip(tensors, nexts)]
+        u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
+        rank = h.shape[0] - h.shape[1]
+        pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
+        dh = np.stack([
+            -pinv @ stacked_action_matrix(
+                [DenseTensor(t.markers, d[mu]) for t, d in zip(tensors, partials)], rep) @ h
+            for mu in range(len(tower.point))
+        ])
+        m = inner.matrix
+        coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
+        proj = h @ coeff
+        off = (np.eye(len(m)) - proj) @ dh @ coeff
+        dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
+        beta, dbeta = betas[..., p], dbetas[..., p]
+        beta_k = beta - beta @ proj.T
+        dbeta_k = dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1)
+        cov = dbeta_k + _form_action(b0_x, DenseTensor((DOWN, LIE), beta_k), adjoint)
+        yield beta_k, np.tensordot(frame.frame, cov, axes=(0, 0))
+
+
 def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
     """c[k, i, j] with [e_i, e_j] = c[k, i, j] e_k for the moving frame."""
     x = np.asarray(x, float)
-    E = conn.frame_at(x)
+    E = frame_at(conn, x)
     dth = jet.shift(conn.coframe(jet.variables(x, 1))).value[..., 0]
     a = np.einsum("mkn,mi,nj->kij", dth, E, E)
     return -(a - a.swapaxes(1, 2))
@@ -389,16 +521,17 @@ def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
     return ev
 
 
-def stencil_adapt(fix, singer_k: int, b_prime: LocalConnectionForm | None = None):
-    """The adapted form x -> b(x) of b_prime (the canonical connection's
-    frame gauge form by default) to the Levi-Civita one, with each h read
-    off a tower of depth singer_k + 1 built where the form is evaluated, FD
-    stencil points included, and memoized per point. Returns (b, b0, rep)."""
+def stencil_adapt(fix, singer_k: int, canonical: ConnectionCoeffs | None = None):
+    """The adapted form x -> b(x) of the frame gauge form b' of ``canonical``
+    (the fixture's canonical connection by default) to the Levi-Civita one,
+    with each h read off a tower of depth singer_k + 1 built where the form
+    is evaluated, FD stencil points included, and memoized per point.
+    Returns (b, b0, b', rep)."""
     rep = frame_structure_rep(fix.chart.dim)
     inner = default_inner(rep.algebra)
     b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
-    if b_prime is None:
-        b_prime = frame_gauge_form(fix.gamma_canonical, fix.g, rep.vector)
+    b_prime = frame_gauge_form(fix.gamma_canonical if canonical is None else canonical,
+                               fix.g, rep.vector)
     sigma = opozda_section_spec(fix.gamma)
     memo = {}
 
@@ -409,15 +542,15 @@ def stencil_adapt(fix, singer_k: int, b_prime: LocalConnectionForm | None = None
                 build_tower(sigma, None, fix.gamma, fix.g, x, singer_k + 1), rep)
         return memo[key]
 
-    return adapted_connection(b0, b_prime, chain_field, inner), b0, rep
+    return adapted_connection(b0, b_prime, chain_field, inner), b0, b_prime, rep
 
 
 def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int,
-                              b_prime: LocalConnectionForm | None = None,
+                              canonical: ConnectionCoeffs | None = None,
                               ) -> tuple[float, float]:
     """(nabla_beta, nabla_tower) at x from stencil_adapt's form: every
     frame-expressed field differenced by FD, the tower fields nested."""
-    b, b0, rep = stencil_adapt(fix, singer_k, b_prime)
+    b, b0, _, rep = stencil_adapt(fix, singer_k, canonical)
 
     def norm(rep, t_hat, markers):
         d = gauge_derivative(b, rep, t_hat, markers, fix.chart, x)

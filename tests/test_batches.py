@@ -26,6 +26,7 @@ from ambrose.bundle_conn import (
 from ambrose.chart_calculus import (
     TensorFieldSpec,
     curvature_field,
+    difference_field,
     levi_civita,
     max_nabla_norms,
     ortho_frame,
@@ -44,7 +45,6 @@ from ambrose.homogeneity import (
     adapted_residuals,
     build_tower,
     build_towers,
-    frame_gauge_form,
     opozda_section_spec,
     stabilizer_chain,
     stabilizer_chains,
@@ -59,7 +59,8 @@ from ambrose.lie_core import (
 )
 from ambrose.tensor_core import DOWN, LIE, DenseTensor
 from ambrose.total_space import TotalSpaceModel, _check
-from test_homogeneity import CHAIN_CASES, TRIPLE_CASES, flat_tower3
+from oracles import rotated
+from test_homogeneity import ADAPT_CASES, CHAIN_CASES, TRIPLE_CASES, flat_tower3, metric_shift
 from test_total_space import count_calls
 
 
@@ -131,7 +132,7 @@ class TestBatchParity:
         sigma = opozda_section_spec(fx.gamma)
         rep = frame_structure_rep(3)
         points = sample_interior(fx.chart, 4, seed=6)
-        frames = [ortho_frame(fx.g, x).rotated(expm(rep.vector.matrix([0.3 * i, -0.7, 0.5])))
+        frames = [rotated(ortho_frame(fx.g, x), expm(rep.vector.matrix([0.3 * i, -0.7, 0.5])))
                   for i, x in enumerate(points)]
         towers = build_towers(sigma, None, fx.gamma, fx.g, points, 2, frames)
         for x, fr, tower in zip(points, frames, towers):
@@ -326,61 +327,35 @@ class TestChecksOnABatch:
         assert batch["nabla_bar_R"] > 0.0
 
 
-ADAPT_CASES = [("berger_sphere", {"lam": 2.0}), ("berger_sphere", {"lam": 0.5}),
-               ("round_sphere3", {})]
-
-
 class TestAdaptOnABatch:
     """adapted_residuals on each batch of (tower, chain) pairs that
     towers_and_chains builds equals the largest of its one-point batches
-    bit for bit: b0, b' and the frame are jets at the whole batch, and each
-    point's projector, shift and norms are the same numpy calls as at a
-    single point."""
+    bit for bit: the difference tensor's tower is built at the whole batch,
+    and each point's projector, shift and norms are the same numpy calls as
+    at a single point."""
 
-    @pytest.mark.parametrize("shifted", [False, True], ids=["canonical", "shifted"])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["canonical", "perturbed-s"])
     @pytest.mark.parametrize("name,params", ADAPT_CASES,
                              ids=["berger", "berger-lam=0.5", "round_sphere3"])
     def test_batch_is_largest_of_one_point_batches(self, name, params, shifted):
         fx = instantiate(name, params)
         rep = frame_structure_rep(3)
         inner = default_inner(rep.algebra)
-        b0 = frame_gauge_form(fx.gamma, fx.g, rep.vector)
-        b_prime = frame_gauge_form(fx.gamma_canonical, fx.g, rep.vector)
-        if shifted:
-            # residuals far from rounding, so that every point's value counts
-            b_prime = b_prime.shifted(smooth_tensor_field(fx.chart, (DOWN, LIE), 3, rep.algebra))
+        # residuals far from rounding, so that every point's value counts
+        canonical = metric_shift(fx, fx.gamma_canonical) if shifted else fx.gamma_canonical
+        s = difference_field(canonical, fx.gamma)
         sigma = opozda_section_spec(fx.gamma)
         points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=7)
         depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
         batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
         assert [len(batch) for batch in batches] == [CHUNK, CHUNK, 3]
         for batch in batches:
-            got = adapted_residuals(batch, fx.g, b0, b_prime, rep, inner)
-            singles = [adapted_residuals([pair], fx.g, b0, b_prime, rep, inner) for pair in batch]
+            got = adapted_residuals(batch, fx.gamma, s, fx.g, rep, inner)
+            singles = [adapted_residuals([pair], fx.gamma, s, fx.g, rep, inner) for pair in batch]
             assert got == {key: max(s[key] for s in singles) for key in got}
             if shifted and name == "berger_sphere":
                 # round_sphere3's stabilizer is all of so(3), so beta_k is 0
                 assert min(s["nabla_beta"] for s in singles) > 1e-3
-
-
-def counted_forms(monkeypatch):
-    """The batch size of each evaluation of each of adapt's gauge forms, one
-    list per form in the order the scenario makes them."""
-    forms = []
-
-    def counted(*args):
-        form = frame_gauge_form(*args)
-        calls = []
-        forms.append(calls)
-
-        def ev(X):
-            calls.append(X.value.shape[-1])
-            return form.evaluator(X)
-
-        return dataclasses.replace(form, evaluator=ev)
-
-    monkeypatch.setattr(cli, "frame_gauge_form", counted)
-    return forms
 
 
 def counted_metric(calls):
@@ -416,42 +391,63 @@ class TestEvaluationCounts:
         assert sum(metric) == points
 
     @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
-    def test_adapt_gauge_forms_once_per_batch(self, points, batches, monkeypatch, capsys):
+    def test_adapt_canonical_once_per_batch(self, points, batches, monkeypatch, capsys):
         """adapt's first point is a batch of its own, the others come in
-        batches of CHUNK. Each gauge form is evaluated once per batch, at
-        its points; the metric and the Christoffel symbols no more often
-        than towers are built. Point by point, 8 points took 16 gauge-form
-        evaluations, and 2 metric and 2 Christoffel ones."""
-        metric = []
+        batches of CHUNK. The canonical connection is evaluated once per
+        batch, at its points; the metric and the Christoffel symbols no more
+        often than towers are built. Through the gauge forms, each batch
+        evaluated both connections' forms, and the Levi-Civita one read the
+        Christoffel symbols at a batch of its own."""
+        metric, canonical = [], []
         christoffel = count_calls(monkeypatch, chart_calculus._christoffel_jet)
-        monkeypatch.setattr(cli, "instantiate", lambda name, params: counted_metric(metric))
-        forms = counted_forms(monkeypatch)
+
+        def counted(name, params):
+            fx = counted_metric(metric)
+            ev = fx.gamma_canonical.evaluator
+
+            def counted_canonical(X):
+                canonical.append(X.value.shape[-1])
+                return ev(X)
+
+            return dataclasses.replace(fx, gamma_canonical=dataclasses.replace(
+                fx.gamma_canonical, evaluator=counted_canonical))
+
+        monkeypatch.setattr(cli, "instantiate", counted)
         code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
                          "--points", str(points)])
         capsys.readouterr()
         assert code == 0
-        assert len(forms) == 2
-        for calls in forms:
-            assert len(calls) == batches
-            assert sum(calls) == points
+        assert len(canonical) == batches
+        assert sum(canonical) == points
         assert len(metric) <= batches
         assert len(christoffel) <= batches
 
-    @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
-    def test_adapt_one_cholesky_jet_per_batch(self, points, batches, monkeypatch, capsys):
-        """Both gauge forms and the frame of beta read one order-2 Cholesky
-        frame jet per batch off the metric's frame memo; each took its own
-        before, 3 per batch."""
-        cholesky = count_calls(monkeypatch, jet.cholesky)
+    @pytest.mark.parametrize("points", [1, 8, 2 * CHUNK + 3])
+    def test_adapt_takes_no_cholesky_jet(self, points, monkeypatch, capsys):
+        """adapt factors each point's metric value twice, in stacks over a
+        batch: once for its frame and once for the Christoffel symbols'
+        check. The gauge forms' Cholesky frame jet factored it a third time.
+        A single matrix is the inner product's check, made once per process."""
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            factored.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
                          "--points", str(points)])
         capsys.readouterr()
         assert code == 0
-        assert len(cholesky) == batches
+        stacks = [shape for shape in factored if len(shape) == 3]
+        assert all(shape[1:] == (3, 3) for shape in stacks)
+        assert sum(shape[0] for shape in stacks) == 2 * points
 
     def test_adapt_holds_one_batch_of_towers(self, monkeypatch, capsys):
         """Whatever the number of points, adapt holds the first point's
-        tower and one batch of the others' at a time."""
+        tower and one batch of the others' at a time: each batch's
+        difference-tensor towers are gone before the next batch's check."""
         towers = []
         live = []
 

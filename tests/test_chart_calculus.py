@@ -28,6 +28,8 @@ from ambrose.tensor_core import DOWN, UP
 
 from oracles import (
     covariant_derivative,
+    frame_at,
+    frame_jet,
     frame_structure_functions,
     frame_torsion,
     scrambled_halton_loop,
@@ -278,7 +280,8 @@ class TestTorsionAndFrames:
         t = frame_torsion(fix.frame_conn, x)
         assert t[2, 0, 1] == pytest.approx(-2.0, abs=1e-12)
         assert t[2, 1, 0] == pytest.approx(2.0, abs=1e-12)
-        th, E = fix.frame_conn.coframe(jet.variables(x, 0)).value[..., 0], fix.frame_conn.frame_at(x)
+        th = fix.frame_conn.coframe(jet.variables(x, 0)).value[..., 0]
+        E = frame_at(fix.frame_conn, x)
         coord = torsion_field(fix.gamma_canonical).at(x).data
         assert np.abs(np.einsum("kl,lmn,mi,nj->kij", th, coord, E, E) - t).max() < 1e-12
 
@@ -289,10 +292,10 @@ class TestTorsionAndFrames:
         gamma_c = fix.gamma_canonical
         x = np.array([2.0, 1.0, 0.7])
         G = gamma_c.at(x)
-        E = fix.frame_conn.frame_at(x)
+        E = frame_at(fix.frame_conn, x)
         for mu in range(3):
             dE = fd_array(
-                lambda p: fix.frame_conn.frame_at(p), fix.chart, x, mu
+                lambda p: frame_at(fix.frame_conn, p), fix.chart, x, mu
             )
             resid = dE + G[:, mu, :] @ E
             assert np.abs(resid).max() < 1e-10
@@ -306,11 +309,22 @@ class TestTorsionAndFrames:
                           fix.chart, x, mu)
             assert np.abs(gamma_c.partial_at(x)[mu] - fd).max() < 1e-8
 
-    def test_ortho_frame_partial_matches_fd(self):
-        fix = instantiate("berger_sphere", {})
-        x = np.array([1.5, 1.3, 3.1])
+    @pytest.mark.parametrize("name,params,x", [
+        ("berger_sphere", {}, [1.5, 1.3, 3.1]),
+        ("berger_sphere", {"lam": 0.5}, [0.4, 2.2, 5.0]),
+        ("round_sphere2", {}, [1.2, 2.0]),
+        ("hyperbolic_plane", {}, [0.3, 1.1]),
+    ])
+    def test_ortho_frame_partial_matches_cholesky_jet_and_fd(self, name, params, x):
+        """The closed form dL = L Phi(L^-1 dG L^-T) equals the partials of
+        the Cholesky factor's jet to rounding, and FD within its error."""
+        fix = instantiate(name, params)
+        x = np.array(x)
         dframes, dcoframes = ortho_frame_partial(fix.g, x)
-        for mu in range(3):
+        frame, coframe = frame_jet(fix.g, x, 1)
+        assert np.abs(dframes - jet.shift(frame).value[..., 0]).max() < 1e-14
+        assert np.abs(dcoframes - jet.shift(coframe).value[..., 0]).max() < 1e-14
+        for mu in range(fix.chart.dim):
             dframe, dcoframe = dframes[mu], dcoframes[mu]
             fd_frame = fd_array(
                 lambda p: ortho_frame(fix.g, p).frame, fix.chart, x, mu

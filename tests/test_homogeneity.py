@@ -1,5 +1,6 @@
-"""Tests for derivative towers, stabilizer chains, orbit matching, gauge
-forms, the adapted connection, and the parallelism criteria."""
+"""Tests for derivative towers, stabilizer chains, orbit matching, the
+adapted connection (against the gauge-form oracle), and the parallelism
+criteria."""
 
 import dataclasses
 import json
@@ -14,6 +15,7 @@ from ambrose.chart_calculus import (
     CHUNK,
     ConnectionCoeffs,
     curvature_field,
+    difference_field,
     frame_connection_field,
     levi_civita,
     nan_max,
@@ -34,13 +36,13 @@ from ambrose.homogeneity import (
     check_lh_triple,
     check_ls_triple,
     equivalence_check_c_c0,
-    frame_gauge_form,
     group_action,
     opozda_section_spec,
     orbit_match,
     stabilizer_chain,
     stabilizer_chains,
     tower_and_chain,
+    towers_and_chains,
     with_adjoint_rep,
 )
 from ambrose.lie_core import (
@@ -52,11 +54,14 @@ from ambrose.lie_core import (
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
 from oracles import (
     covariant_derivative,
-    fd_partials,
+    degrees,
     fd_tower,
     frame_expressed,
+    frame_gauge_form,
     gauge_derivative,
+    gauge_form_shifts,
     nested_fd_adapt_residuals,
+    rotated,
     stencil_adapt,
 )
 from test_total_space import count_calls
@@ -328,7 +333,7 @@ class TestFrameRotationInvariance:
         theta = np.array([0.3, -0.7, 0.5])
         q = expm(REP3.vector.matrix(theta))
         t_plain = lc_tower(fx, x, kmax=2, frame=fr)
-        t_rot = lc_tower(fx, x, kmax=2, frame=fr.rotated(q))
+        t_rot = lc_tower(fx, x, kmax=2, frame=rotated(fr, q))
         c_plain = stabilizer_chain(t_plain, REP3)
         c_rot = stabilizer_chain(t_rot, REP3)
         assert c_plain.dims == c_rot.dims
@@ -349,7 +354,7 @@ class TestFrameRotationInvariance:
         theta = np.array([0.4])
         q = expm(REP2.vector.matrix(theta))
         t_plain = lc_tower(fx, x, kmax=1, frame=fr)
-        t_rot = lc_tower(fx, x, kmax=1, frame=fr.rotated(q))
+        t_rot = lc_tower(fx, x, kmax=1, frame=rotated(fr, q))
         # rotating the frame by q re-expresses every entry by the inverse action
         for a, b in zip(t_plain.up_to(1), t_rot.up_to(1)):
             assert np.linalg.norm(group_action(-theta, REP2, [a])[0].data - b.data) < 1e-12
@@ -399,6 +404,8 @@ class TestOrbitMatch:
 
 
 class TestGaugeForms:
+    """The gauge-form oracle of the adapted connection."""
+
     def test_gauge_form_reproduces_covariant_derivative(self):
         """The frame gauge form must re-express the linear connection: the
         gauge derivative of a frame-expressed field equals the frame
@@ -432,15 +439,29 @@ class TestGaugeForms:
 
 def adapt_inputs(lam, x, depth=2):
     """Berger's Levi-Civita tower of the given depth at x with its chain,
-    and the frame gauge forms of the Levi-Civita and canonical connections."""
+    and the difference tensor of the canonical and Levi-Civita connections."""
     fx = instantiate("berger_sphere", {"lam": lam})
     tower = lc_tower(fx, x, kmax=depth)
-    b0 = frame_gauge_form(fx.gamma, fx.g, REP3.vector)
-    b_prime = frame_gauge_form(fx.gamma_canonical, fx.g, REP3.vector)
-    return fx, tower, stabilizer_chain(tower, REP3), b0, b_prime
+    return fx, tower, stabilizer_chain(tower, REP3), difference_field(fx.gamma_canonical, fx.gamma)
+
+
+def metric_shift(fx, base):
+    """base + g^-1 w, w a smooth field antisymmetric in its first and last
+    axes: a connection that is metric if base is, and far from a parallel
+    shift of it."""
+    w = smooth_tensor_field(fx.chart, (DOWN, DOWN, DOWN), 3)
+
+    def ev(X):
+        wx = w.evaluator(X)
+        return base.evaluator(X) + jet.einsum("kl,lmj->kmj", jet.inv(fx.g.evaluator(X)),
+                                              wx - wx.transpose(2, 1, 0))
+
+    return ConnectionCoeffs(chart=fx.chart, evaluator=ev)
 
 
 BERGER_X = sample_interior(instantiate("berger_sphere", {}).chart, 2, seed=11)
+ADAPT_CASES = [("berger_sphere", {"lam": 2.0}), ("berger_sphere", {"lam": 0.5}),
+               ("round_sphere3", {})]
 
 
 class TestAdaptedConnection:
@@ -451,64 +472,102 @@ class TestAdaptedConnection:
         derivative tower up to level singer_k + 1 on the squashed
         three-sphere."""
         for x in BERGER_X:
-            fx, tower, chain, b0, b_prime = adapt_inputs(2.0, x)
-            res = adapted_residuals([(tower, chain)], fx.g, b0, b_prime, REP3, self.INNER)
+            fx, tower, chain, s = adapt_inputs(2.0, x)
+            res = adapted_residuals([(tower, chain)], fx.gamma, s, fx.g, REP3, self.INNER)
             assert res["nabla_beta"] < 1e-8
             assert res["nabla_tower"] < 1e-6
+
+    @pytest.mark.parametrize("name,params", ADAPT_CASES,
+                             ids=["berger", "berger-lam=0.5", "round_sphere3"])
+    def test_matches_gauge_form_oracle(self, name, params):
+        """beta_k and its covariant derivative, read off the difference
+        tensor's tower, equal the gauge-form route's at eight points, to
+        1e-12 of the largest of them (or of 1)."""
+        fx = instantiate(name, params)
+        sigma = opozda_section_spec(fx.gamma)
+        points = sample_interior(fx.chart, 8, seed=11)
+        pairs = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, REP3, kmax=2))
+        b0 = frame_gauge_form(fx.gamma, fx.g, REP3.vector)
+        b_prime = frame_gauge_form(fx.gamma_canonical, fx.g, REP3.vector)
+        got = list(_adapted_shifts(pairs, fx.gamma, difference_field(fx.gamma_canonical, fx.gamma),
+                                   fx.g, REP3, self.INNER))
+        want = list(gauge_form_shifts(pairs, fx.g, b0, b_prime, REP3, self.INNER))
+        assert len(got) == len(want) == len(points)
+        for (beta, nabla_beta), (beta_o, nabla_beta_o) in zip(got, want):
+            scale = max(np.abs(beta_o).max(), np.abs(nabla_beta_o).max(), 1.0)
+            assert np.abs(beta - beta_o).max() <= 1e-12 * scale
+            assert np.abs(nabla_beta - nabla_beta_o).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("lam", [2.0, 0.5])
     @pytest.mark.parametrize("x", BERGER_X)
     def test_shift_derivative_matches_stencil_fd(self, lam, x):
-        """The partials of beta_k, with the projector's derivative read off
-        the tower, match the FD of beta_k with a stabilizer chain built at
-        every stencil point; without the projector's term they do not."""
-        fx, tower, chain, b0, b_prime = adapt_inputs(lam, x)
-        _, beta_k, dbeta_k = next(_adapted_shifts([(tower, chain)], fx.g, b0, b_prime, REP3,
-                                                  self.INNER))
-        b = stencil_adapt(fx, chain.singer_k)[0]
+        """The covariant derivative of beta_k, with the projector's
+        derivative read off the tower, matches the FD of beta_k with a
+        stabilizer chain built at every stencil point (made covariant by the
+        Levi-Civita gauge form); without the projector's term it does not."""
+        fx, tower, chain, s = adapt_inputs(lam, x)
+        beta_k, nabla_beta_k = next(_adapted_shifts([(tower, chain)], fx.gamma, s, fx.g, REP3,
+                                                    self.INNER))
+        b, b0, b_prime, _ = stencil_adapt(fx, chain.singer_k)
+        frame = ortho_frame(fx.g, x).frame
 
         def frame_shift(form):
             return lambda y: ortho_frame(fx.g, y).frame.T @ (form(y) - b0.at(y))
 
+        def covariant_fd(form):
+            d = gauge_derivative(b0.at, with_adjoint_rep(REP3), frame_shift(form), (DOWN, LIE),
+                                 fx.chart, x)
+            return np.tensordot(frame, d, axes=(0, 0))
+
         assert np.abs(beta_k - frame_shift(b)(x)).max() < 1e-9
-        assert np.abs(dbeta_k - fd_partials(frame_shift(b), fx.chart, x)).max() < 1e-7
+        assert np.abs(nabla_beta_k - covariant_fd(b)).max() < 1e-7
         h, m = chain.bases[chain.singer_k], self.INNER.matrix
         proj = h @ np.linalg.solve(h.T @ m @ h, h.T @ m)
-        dbeta = fd_partials(frame_shift(b_prime.at), fx.chart, x)
-        assert np.abs(dbeta_k - (dbeta - dbeta @ proj.T)).max() > 1e-2
+        nabla_beta = covariant_fd(b_prime.at)
+        assert np.abs(nabla_beta_k - (nabla_beta - nabla_beta @ proj.T)).max() > 1e-2
 
-    @pytest.mark.parametrize("shifted", [False, True], ids=["b-prime-is-b0", "shifted-b-prime"])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["s-is-zero", "perturbed-s"])
     def test_matches_nested_fd_reference(self, shifted):
         """Away from a parallel shift both residuals are large, and they
-        equal the stencil-chain, nested-FD computation."""
+        equal the stencil-chain, nested-FD computation on the gauge form of
+        the same connection."""
         x = BERGER_X[0]
-        fx, tower, chain, b0, _ = adapt_inputs(2.0, x)
-        b_prime = b0
-        if shifted:
-            b_prime = b0.shifted(smooth_tensor_field(fx.chart, (DOWN, LIE), 3, REP3.algebra))
-        res = adapted_residuals([(tower, chain)], fx.g, b0, b_prime, REP3, self.INNER)
+        fx, tower, chain, _ = adapt_inputs(2.0, x)
+        canonical = metric_shift(fx, fx.gamma) if shifted else fx.gamma
+        res = adapted_residuals([(tower, chain)], fx.gamma, difference_field(canonical, fx.gamma),
+                                fx.g, REP3, self.INNER)
         got = res["nabla_beta"], res["nabla_tower"]
-        ref = nested_fd_adapt_residuals(fx, x, chain.singer_k, b_prime)
+        ref = nested_fd_adapt_residuals(fx, x, chain.singer_k, canonical)
         assert got[1] > 1.0
         assert got[0] > 1.0 if shifted else got[0] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-8)
 
+    def test_non_metric_canonical_connection_rejected(self):
+        """A difference tensor that is not antisymmetric in the frames
+        raises NotMetric, as the gauge form of a non-metric connection did."""
+        fx, tower, chain, _ = adapt_inputs(2.0, BERGER_X[0])
+        zero = ConnectionCoeffs(chart=fx.chart, evaluator=lambda X: X.lift(np.zeros((3, 3, 3))))
+        with pytest.raises(NotMetric):
+            adapted_residuals([(tower, chain)], fx.gamma, difference_field(zero, fx.gamma), fx.g,
+                              REP3, self.INNER)
+
     def test_shallow_tower_rejected(self):
-        fx, tower, chain, b0, b_prime = adapt_inputs(2.0, BERGER_X[0], depth=1)
+        fx, tower, chain, s = adapt_inputs(2.0, BERGER_X[0], depth=1)
         with pytest.raises(DepthMismatch):
-            adapted_residuals([(tower, chain)], fx.g, b0, b_prime, REP3, self.INNER)
+            adapted_residuals([(tower, chain)], fx.gamma, s, fx.g, REP3, self.INNER)
 
     def test_unstabilized_chain_raises(self):
-        fx, tower, chain, b0, b_prime = adapt_inputs(2.0, BERGER_X[0])
+        fx, tower, chain, s = adapt_inputs(2.0, BERGER_X[0])
         bad_chain = dataclasses.replace(chain, singer_k=None, flags=("truncated",))
         with pytest.raises(NumericalFailure):
-            adapted_residuals([(tower, bad_chain)], fx.g, b0, b_prime, REP3, self.INNER)
+            adapted_residuals([(tower, bad_chain)], fx.gamma, s, fx.g, REP3, self.INNER)
 
 
 class TestAdaptSingerDepth:
     """adapt reads the Singer stage k_S off one grown tower at the first
     sample point and builds one tower of depth k_S + 2 at each other point,
-    none at an FD stencil point."""
+    and the difference tensor's tower of depth 1 at every point, batch by
+    batch; none at an FD stencil point."""
 
     ARGV = ["--scenario", "adapt", "--fixture", "berger_sphere"]
 
@@ -528,10 +587,12 @@ class TestAdaptSingerDepth:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len(grown) == 1
-        # the first point's tower, grown from KMAX_START, then the others
-        assert depths == [KMAX_START] + [data["singer_k"] + 2] * (points - 1)
-        # the tower, the gauge forms and beta's partials all come from jets;
-        # the curvature enters through the tower's section, never on its own
+        # the first point's tower, grown from KMAX_START, and its S tower;
+        # then the others' towers, and theirs
+        others = points - 1
+        assert depths == [KMAX_START, 1] + [data["singer_k"] + 2] * others + [1] * others
+        # the towers, S and beta's derivative all come from jets; the
+        # curvature enters through the tower's section, never on its own
         assert fd == []
         assert curv == []
 
@@ -817,7 +878,7 @@ class TestFailClosed:
                 if X.order < order or not near.any():
                     return j
                 c = j.c.copy()
-                c[..., near[:, None] & (jet.degrees(j.n, j.order) == order)] = value
+                c[..., near[:, None] & (degrees(j.n, j.order) == order)] = value
                 return jet.Jet(c, j.n, j.order)
             return spoiled
 
