@@ -382,17 +382,6 @@ def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
     )
 
 
-def difference_field(gamma1: ConnectionCoeffs, gamma0: ConnectionCoeffs) -> TensorFieldSpec:
-    """The difference tensor S = Gamma1 - Gamma0 of two connections, read
-    off both connections' memos."""
-    return TensorFieldSpec(
-        chart=gamma1.chart,
-        markers=(UP, DOWN, DOWN),
-        evaluator=lambda X: (gamma1.jet_at(_base_points(X), X.order)
-                             - gamma0.jet_at(_base_points(X), X.order)),
-    )
-
-
 def _frame_connection_jet(conn: FrameFieldConnection, X: Jet) -> Jet:
     """Coordinate coefficients E a of a moving-frame connection, with
     a[k, mu, v] = d_mu th[k, v] + th[i, mu] th[l, v] gamma[k, i, l], from the

@@ -25,7 +25,6 @@ from .bundle_conn import (
 from .chart_calculus import (
     TensorFieldSpec,
     curvature_of,
-    difference_field,
     max_nabla_norms,
     max_over_batches,
     max_over_chunks,
@@ -368,6 +367,13 @@ def _reference_form(fix: Fixture, choice, what: str):
     raise ConfigError(f"{what} must be none, parallel, or bump, got {choice!r}")
 
 
+def _frame_rep(fix: Fixture, scenario: str):
+    """so(n) acting on the frames of the fixture's n-dimensional chart."""
+    if fix.chart.dim < 2:
+        raise ConfigError(f"{scenario} needs a chart of dimension 2 or more, got {fix.chart.dim}")
+    return frame_structure_rep(fix.chart.dim)
+
+
 def _connection_choice(fix: Fixture, params: dict):
     choice = params.get("connection")
     if choice is None:
@@ -385,9 +391,7 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     gamma0 = _connection_choice(fix, cfg.params)
     sigma = opozda_section_spec(gamma0)
-    if fix.chart.dim < 2:
-        raise ConfigError(f"singer needs a chart of dimension 2 or more, got {fix.chart.dim}")
-    rep = frame_structure_rep(fix.chart.dim)
+    rep = _frame_rep(fix, "singer")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     chains = [chain for batch in towers_and_chains(sigma, None, gamma0, fix.g, points, rep,
                                                    kmax=cfg.kmax) for _, chain in batch]
@@ -423,23 +427,25 @@ def run_check_ls(cfg: RunConfig) -> VerificationReport:
 
 
 def run_adapt(cfg: RunConfig) -> VerificationReport:
-    """Adapt the canonical connection to the Levi-Civita one and check that
-    the result parallelizes the shift and the tower up to depth k_S + 1.
+    """Construct the adapted connection of the Levi-Civita connection from
+    its tower and check that it parallelizes its shift and the tower up to
+    depth k_S + 1.
 
     The Singer stage k_S is read from the chain at the first sample point,
     grown from KMAX_START (or built at --kmax); that tower is a batch of its
     own if it reaches the k_S + 2 that ``adapted_residuals`` reads. The other
     towers, of depth k_S + 2, are checked batch by batch as
-    ``towers_and_chains`` builds them, while the memos hold their points.
-    Under infinitesimal homogeneity k_S is the same at every point: a chain
-    that stabilizes elsewhere raises NumericalFailure. The flags are every
-    chain's, and dims-vary if its dims through level k_S + 1 differ."""
+    ``towers_and_chains`` builds them. Under infinitesimal homogeneity k_S
+    is the same at every point: a chain that stabilizes elsewhere raises
+    NumericalFailure. The flags are every chain's, and dims-vary if its dims
+    through level k_S + 1 differ. A fixture with a bundle form is refused:
+    its triple tower is not built here."""
     fix = _fixture(cfg)
-    if fix.gamma_canonical is None:
-        raise ConfigError(f"fixture {fix.name!r} has no canonical connection to adapt")
-    rep = frame_structure_rep(fix.chart.dim)
+    if fix.a0 is not None:
+        raise ConfigError(f"adapt does not construct the connection of a bundle; "
+                          f"fixture {fix.name!r} carries a bundle form")
+    rep = _frame_rep(fix, "adapt")
     inner = default_inner(rep.algebra)
-    s = difference_field(fix.gamma_canonical, fix.gamma)
     sigma = opozda_section_spec(fix.gamma)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     probe = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep, kmax=cfg.kmax)
@@ -459,7 +465,7 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
             flags.update(chain.flags)
             if chain.dims[:depth] != dims[:depth]:
                 flags.add("dims-vary")
-        return adapted_residuals(batch, fix.gamma, s, fix.g, rep, inner)
+        return adapted_residuals(batch, rep, inner)
 
     rows = [check([probe])] if probe[0].kmax >= depth else []
     batches = towers_and_chains(sigma, None, fix.gamma, fix.g, points[len(rows):], rep, kmax=depth)

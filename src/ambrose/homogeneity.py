@@ -6,17 +6,18 @@ connection and the bundle form: each level is the covariant derivative of
 the one below, computed on jets one order lower, so no level is
 finite-differenced. Tower entries are expressed in the Cholesky orthonormal
 frame at the base point, so group actions on them are orthogonal and norms
-are gauge-invariant. The adapted connection is read in the same frames:
-its shift beta comes from the difference tensor of two connections, itself
-carried as a tower, and each residual is a frame-indexed covariant
-derivative plus the action of beta.
+are gauge-invariant. The adapted connection is built in the same frames
+from the tower alone, as the Ambrose-Singer construction builds it: its
+shift beta is the least-squares solution of the equations that make every
+entry through the Singer stage parallel, and each residual is a
+frame-indexed covariant derivative plus the action of beta.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .chart_calculus import (
     MetricField,
     TensorFieldSpec,
     curvature_field,
-    difference_field,
     levi_civita,
     max_nabla_norms,
     nabla,
@@ -45,7 +45,6 @@ from .errors import (
     BadParameters,
     DepthMismatch,
     NotInvariant,
-    NotMetric,
     NotReductive,
     NumericalFailure,
     RepMismatch,
@@ -94,7 +93,6 @@ TOLERANCES = {
     "adapt": {"nabla_beta": 1e-5, "nabla_tower": 1e-5},
     "check-lh-triple": dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "nabla_alpha"), 1e-5),
     "check-ls-triple": dict.fromkeys(("nabla_Rg", "nabla_F0"), 1e-5),
-    "equivalence-check": dict.fromkeys(("nabla_Rg", "nabla_S", "nabla_R", "nabla_T"), 1e-5),
     "total-space": {
         **dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "alpha_parallel"), 1e-6),
         **dict.fromkeys(("nabla_bar_T", "nabla_bar_R", "distribution"), 1e-5),
@@ -565,25 +563,12 @@ def _entry_pairs(tower: DerivativeTower, depth: int) -> list[tuple[DenseTensor, 
     return list(zip(entries, entries[len(tower.entries[0]):]))
 
 
-def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]],
-                    gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
-                    rep: TensorRep, inner: AdInvariantInner,
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,
+                    inner: AdInvariantInner) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(beta_k, nabla beta_k) at each pair's point, in frame indices,
     nabla beta_k[b, a, i]; see adapted_residuals."""
-    frames = [tower.frame for tower, _ in pairs]
-    towers = build_towers(SectionSpec(gamma.chart, (s,)), None, gamma, g,
-                          np.array([f.point for f in frames]), 1, frames)
-    s_hat = np.stack([tw.entries[0][0].data for tw in towers])
-    skew = np.abs(s_hat + s_hat.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3))
-    if (skew > 1e-6 * np.maximum(1.0, np.abs(s_hat).max(axis=(1, 2, 3)))).any():
-        raise NotMetric("connection is not metric: difference tensor not antisymmetric")
-    mats = rep.vector.matrices
-    coords = np.linalg.pinv(mats.reshape(len(mats), -1).T).reshape(mats.shape)
-    betas = np.einsum("icb,pcab->pai", coords, s_hat)
-    nabla_betas = np.einsum("icb,pdcab->pdai", coords,
-                            np.stack([tw.entries[1][0].data for tw in towers]))
-    for (tower, chain), beta, nabla_beta in zip(pairs, betas, nabla_betas):
+    m = inner.matrix
+    for tower, chain in pairs:
         if chain.singer_k is None:
             raise NumericalFailure("stabilizer chain did not stabilize")
         h = chain.bases[chain.singer_k]
@@ -591,16 +576,24 @@ def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]],
             reductive_complement(h, inner)
         except NotInvariant as exc:
             raise NotReductive(str(exc)) from exc
-        tensors, nexts = zip(*_entry_pairs(tower, chain.singer_k))
-        u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
+        # the entries T of levels 0..singer_k, Tnext one level up, T2 two
+        above = _entry_pairs(tower, chain.singer_k + 1)
+        count = len(above) - len(tower.entries[0])
+        tensors, nexts = zip(*above[:count])
+        n = len(tower.point)
+        v = np.concatenate([nxt.data.reshape(n, -1) for nxt in nexts], axis=1)
+        w = np.concatenate([t2.data.reshape(n, n, -1) for _, t2 in above[-count:]], axis=2)
+        d = np.concatenate([action_rows(t.markers, nxt.data, rep)
+                            for t, nxt in zip(tensors, nexts)], axis=1)
+        mat = stacked_action_matrix(tensors, rep)
+        u, sing, vt = np.linalg.svd(mat, full_matrices=False)
         rank = h.shape[0] - h.shape[1]
         pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
-        nabla_h = np.stack([
-            -pinv @ stacked_action_matrix(
-                [DenseTensor(t.markers, nxt.data[b]) for t, nxt in zip(tensors, nexts)], rep) @ h
-            for b in range(len(tower.point))
-        ])
-        m = inner.matrix
+        beta = -v @ pinv.T
+        resid = v + beta @ mat.T
+        nabla_beta = -(w + (d @ beta.T).transpose(0, 2, 1)
+                       + np.einsum("brj,ar->baj", d, resid) @ pinv) @ pinv.T
+        nabla_h = -pinv @ d @ h
         coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
         proj = h @ coeff
         # P is m-self-adjoint and m is parallel: nabla P is its part off h
@@ -611,31 +604,29 @@ def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]],
                nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1))
 
 
-def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]],
-                      gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
-                      rep: TensorRep, inner: AdInvariantInner) -> dict[str, float]:
+def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,
+                      inner: AdInvariantInner) -> dict[str, float]:
     """The largest nabla_beta and nabla_tower over a batch of at most CHUNK
     (tower, chain) pairs, for the adapted connection nabla + beta_k, all in
-    the towers' frames: beta[a] is the so(n) coordinates of S(e_a), for S the
-    difference tensor of a metric connection and gamma, and beta_k its part
-    in the inner-orthogonal complement of the Singer-stage stabilizer
-    h = bases[singer_k]. The residuals are the norms of the adapted
-    derivatives of beta_k and of the entries of levels 0..singer_k + 1. The
-    towers must be gamma's and reach level singer_k + 2.
+    the towers' frames, nabla the towers' connection. The residuals are the
+    norms of the adapted derivatives of beta_k and of the entries of levels
+    0..singer_k + 1; the towers must reach level singer_k + 2.
 
-    S is carried as a tower of depth 1 in the pairs' frames: level 0 gives
-    beta and level 1 its covariant derivative, one pseudo-inverse for the
-    batch. An entry T has covariant derivative Tnext[b] along e_b, Tnext
-    the entry one level up. The stacked action matrix M of levels
-    0..singer_k has kernel h, so nabla_b h = -M^+ M(Tnext[b]) h (Golub and
-    Pereyra, SIAM J. Numer. Anal. 10, 1973), M^+ cut to rank m - dim h so as
-    not to invert rounding; h is also bases[singer_k + 1], so it needs no
-    entry above level singer_k + 1. A chain that did not stabilize raises
-    NumericalFailure, a stabilizer without an invariant complement
-    NotReductive, and an S that is not antisymmetric NotMetric."""
-    shifts = _adapted_shifts(pairs, gamma, s, g, rep, inner)
+    An entry T has covariant derivative Tnext[b] along e_b, Tnext the entry
+    one level up, and T2[b, a] two levels up. With M the stacked action
+    matrix of the entries of levels 0..singer_k, V_a and W_ba the stacked
+    Tnext[a] and T2[b, a], and D_b = M(Tnext[b]) its covariant derivative:
+    beta_a = -M^+ V_a solves nabla_a T + beta_a . T = 0 by least squares,
+    with residual r_a = V_a + M beta_a, so nabla_tower includes r; and
+    nabla_b beta_a = -M^+ (W_ba + D_b beta_a + M^+T D_b^T r_a), the
+    derivative of the pseudo-inverse (Golub and Pereyra, SIAM J. Numer.
+    Anal. 10, 1973) without its term in ker M = h. M^+ is cut to rank
+    m - dim h, h = bases[singer_k], so as not to invert rounding, and
+    nabla_b h = -M^+ D_b h. beta_k is beta's part in the inner-orthogonal
+    complement of h. A chain that did not stabilize raises NumericalFailure,
+    and a stabilizer without an invariant complement NotReductive."""
     adjoint, shift, tower_res = with_adjoint_rep(rep), [], []
-    for (tower, chain), (beta_k, nabla_beta_k) in zip(pairs, shifts):
+    for (tower, chain), (beta_k, nabla_beta_k) in zip(pairs, _adapted_shifts(pairs, rep, inner)):
         shift.append(gauge_residual(beta_k, adjoint, DenseTensor((DOWN, LIE), beta_k),
                                     nabla_beta_k))
         tower_res.extend(gauge_residual(beta_k, rep, t, nxt.data)
@@ -685,33 +676,3 @@ def check_ls_triple(triple: TripleSpec, points: np.ndarray,
     }, triple.g, points)
     return make_report("check-ls-triple", fixture, points, residuals)
 
-
-def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
-                           points: np.ndarray, fixture: str = "",
-                           ) -> VerificationReport:
-    """Two equivalent condition systems for a metric connection C vs C0.
-
-    System one: del R^g = 0 and del (C - C0) = 0.  System two: del R^C = 0 and
-    del T^C = 0.  Both use del = C; the report asserts their agreement."""
-    points = np.atleast_2d(np.asarray(points, float))
-    gamma0 = levi_civita(g)
-    g_field = TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
-    # S after both curvatures, so that it reads both connections' memos
-    residuals = max_nabla_norms(gamma, {
-        "nabla_g": (g_field, None),
-        "nabla_Rg": (curvature_field(gamma0), None),
-        "nabla_R": (curvature_field(gamma), None),
-        "nabla_T": (torsion_field(gamma), None),
-        "nabla_S": (difference_field(gamma, gamma0), None),
-    }, g, points)
-    if not residuals.pop("nabla_g") <= 1e-7:
-        raise NotMetric("connection is not metric-compatible at a sample point")
-    tol = TOLERANCES["equivalence-check"]
-    system_one = verdict(residuals, {n: tol[n] for n in ("nabla_Rg", "nabla_S")})
-    system_two = verdict(residuals, {n: tol[n] for n in ("nabla_R", "nabla_T")})
-    agree = system_one == system_two
-    flags = ["systems-agree" if agree else "systems-disagree"]
-    flags.append("system-one-holds" if system_one else "system-one-fails")
-    flags.append("system-two-holds" if system_two else "system-two-fails")
-    return replace(make_report("equivalence-check", fixture, points, residuals, flags),
-                   passed=agree)

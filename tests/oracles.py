@@ -6,15 +6,18 @@ scipy.  Oracle callables are built once per metric and cached.
 
 The moving-frame structure functions and torsion pin the torsion of the
 canonical connection. The derivative tower by nested central finite
-differences (FD), and the adapted gauge form with a stabilizer chain built
-wherever it is evaluated, FD stencil points included, with its residuals by
-FD, are the reference for ``homogeneity.adapted_residuals``.
+differences (FD), and the adapted shift beta_k of adapt's own route at
+every point it is evaluated at, FD stencil points included, with its
+residuals by FD, are the reference for ``homogeneity.adapted_residuals``.
 
-The moving-frame route that ``adapted_residuals`` took before it read beta
-off the difference tensor is kept here as its oracle: the Cholesky factor
-of a jet and the frame jets built on it, each connection's frame gauge
-form, and the shift beta = b' - b0 projected off the stabilizer from
-coordinate partials. So are the frame helpers that only tests use.
+Two earlier routes to beta are kept as oracles: the difference tensor
+S = Gamma_can - Gamma of a fixture's canonical connection, carried as a
+tower, which judges the beta that adapt constructs from the Levi-Civita
+tower alone; and the moving frame, whose Cholesky factor of a jet, frame
+jets and frame gauge forms make FD derivatives of frame-expressed fields
+covariant. So are the frame helpers that only tests use. Criterion 05's
+check that two condition systems on a metric connection agree reads the
+same difference tensor, and lives here with it.
 
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
@@ -41,26 +44,29 @@ from ambrose.chart_calculus import (
     FrameFieldConnection,
     MetricField,
     TensorFieldSpec,
+    _base_points,
+    curvature_field,
     fd_array,
+    levi_civita,
+    max_nabla_norms,
     nabla,
     ortho_frame,
     torsion_field,
 )
 from ambrose.errors import (
     DegenerateMetric,
-    NotInvariant,
     NotMetric,
-    NotReductive,
-    NumericalFailure,
     RepMismatch,
     UnsupportedFieldKind,
 )
 from ambrose.homogeneity import (
+    VerificationReport,
+    _adapted_shifts,
     _entry_pairs,
-    _form_action,
-    build_tower,
+    build_towers,
     opozda_section_spec,
-    stabilizer_chain,
+    tower_and_chain,
+    verdict,
     with_adjoint_rep,
 )
 from ambrose.jet import Jet
@@ -69,13 +75,13 @@ from ambrose.lie_core import (
     default_inner,
     frame_structure_rep,
     orthonormalize,
-    reductive_complement,
     stacked_action_matrix,
     tensor_action,
 )
 from ambrose.tensor_core import (
     DOWN,
     LIE,
+    UP,
     DenseTensor,
     OrthoFrame,
     axis_action,
@@ -414,42 +420,94 @@ def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
     return LocalConnectionForm(chart=g.chart, algebra=algebra, evaluator=ev)
 
 
-def gauge_form_shifts(pairs, g: MetricField, b0: LocalConnectionForm,
-                      b_prime: LocalConnectionForm, rep, inner):
-    """(beta_k, nabla beta_k) at each pair's point by the gauge-form route:
-    beta = b' - b0 in the frame, its partials from first-order jets of both
-    forms and of the Cholesky frame, the stabilizer's from the coordinate
-    partials coframe . Tnext - b0 . T of the tower entries, and the result
-    made covariant and frame-indexed by adding b0 back."""
-    xs = np.array([tower.point for tower, _ in pairs])
-    b0_jet = b0.jet_at(xs, 1)
-    beta_hat = jet.einsum("ia,ip->ap", frame_jet(g, xs, 1)[0], b_prime.jet_at(xs, 1) - b0_jet)
-    betas, dbetas = beta_hat.value, jet.shift(beta_hat).value
-    adjoint = with_adjoint_rep(rep)
-    for p, (tower, chain) in enumerate(pairs):
+def difference_field(gamma1: ConnectionCoeffs, gamma0: ConnectionCoeffs) -> TensorFieldSpec:
+    """The difference tensor S = Gamma1 - Gamma0 of two connections, read
+    off both connections' memos."""
+    return TensorFieldSpec(
+        chart=gamma1.chart,
+        markers=(UP, DOWN, DOWN),
+        evaluator=lambda X: (gamma1.jet_at(_base_points(X), X.order)
+                             - gamma0.jet_at(_base_points(X), X.order)),
+    )
+
+
+EQUIVALENCE_TOLERANCES = dict.fromkeys(("nabla_Rg", "nabla_S", "nabla_R", "nabla_T"), 1e-5)
+
+
+def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
+                           points: np.ndarray, fixture: str = "",
+                           ) -> VerificationReport:
+    """Two equivalent condition systems for a metric connection C vs C0.
+
+    System one: del R^g = 0 and del (C - C0) = 0.  System two: del R^C = 0 and
+    del T^C = 0.  Both use del = C. The report passes when the two systems
+    agree and every residual is finite; its flags say which systems hold,
+    and non-finite when a residual is not."""
+    points = np.atleast_2d(np.asarray(points, float))
+    gamma0 = levi_civita(g)
+    g_field = TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
+    # S after both curvatures, so that it reads both connections' memos
+    residuals = max_nabla_norms(gamma, {
+        "nabla_g": (g_field, None),
+        "nabla_Rg": (curvature_field(gamma0), None),
+        "nabla_R": (curvature_field(gamma), None),
+        "nabla_T": (torsion_field(gamma), None),
+        "nabla_S": (difference_field(gamma, gamma0), None),
+    }, g, points)
+    if not residuals.pop("nabla_g") <= 1e-7:
+        raise NotMetric("connection is not metric-compatible at a sample point")
+    tol = EQUIVALENCE_TOLERANCES
+    one = verdict(residuals, {n: tol[n] for n in ("nabla_Rg", "nabla_S")})
+    two = verdict(residuals, {n: tol[n] for n in ("nabla_R", "nabla_T")})
+    finite = all(math.isfinite(v) for v in residuals.values())
+    flags = ("systems-agree" if one == two else "systems-disagree",
+             "system-one-holds" if one else "system-one-fails",
+             "system-two-holds" if two else "system-two-fails")
+    return VerificationReport(scenario="equivalence-check", fixture=fixture, points=points,
+                              residuals=residuals, tolerances=tol,
+                              passed=one == two and finite,
+                              flags=flags if finite else flags + ("non-finite",))
+
+
+def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
+                      rep, inner):
+    """(beta_k, nabla beta_k) at each pair's point from the difference
+    tensor S = Gamma_can - gamma of a metric connection Gamma_can: S is
+    carried as a tower of depth 1 in the pairs' frames, beta[a] is the so(n)
+    coordinates of S(e_a), and level 1 gives its covariant derivative. Both
+    are projected off the Singer-stage stabilizer h as adapt projects its
+    own beta, with nabla h = -M^+ M(Tnext[b]) h. An S that is not
+    antisymmetric in the frames raises NotMetric."""
+    frames = [tower.frame for tower, _ in pairs]
+    towers = build_towers(SectionSpec(gamma.chart, (s,)), None, gamma, g,
+                          np.array([f.point for f in frames]), 1, frames)
+    s_hat = np.stack([tw.entries[0][0].data for tw in towers])
+    skew = np.abs(s_hat + s_hat.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3))
+    if (skew > 1e-6 * np.maximum(1.0, np.abs(s_hat).max(axis=(1, 2, 3)))).any():
+        raise NotMetric("connection is not metric: difference tensor not antisymmetric")
+    mats = rep.vector.matrices
+    coords = np.linalg.pinv(mats.reshape(len(mats), -1).T).reshape(mats.shape)
+    betas = np.einsum("icb,pcab->pai", coords, s_hat)
+    nabla_betas = np.einsum("icb,pdcab->pdai", coords,
+                            np.stack([tw.entries[1][0].data for tw in towers]))
+    for (tower, chain), beta, nabla_beta in zip(pairs, betas, nabla_betas):
         h = chain.bases[chain.singer_k]
-        frame, b0_x = tower.frame, b0_jet.value[..., p]
         tensors, nexts = zip(*_entry_pairs(tower, chain.singer_k))
-        partials = [np.einsum("am,a...->m...", frame.coframe, nxt.data) - _form_action(b0_x, t, rep)
-                    for t, nxt in zip(tensors, nexts)]
         u, sing, vt = np.linalg.svd(stacked_action_matrix(tensors, rep), full_matrices=False)
         rank = h.shape[0] - h.shape[1]
         pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
-        dh = np.stack([
+        nabla_h = np.stack([
             -pinv @ stacked_action_matrix(
-                [DenseTensor(t.markers, d[mu]) for t, d in zip(tensors, partials)], rep) @ h
-            for mu in range(len(tower.point))
+                [DenseTensor(t.markers, nxt.data[b]) for t, nxt in zip(tensors, nexts)], rep) @ h
+            for b in range(len(tower.point))
         ])
         m = inner.matrix
         coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
         proj = h @ coeff
-        off = (np.eye(len(m)) - proj) @ dh @ coeff
-        dproj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
-        beta, dbeta = betas[..., p], dbetas[..., p]
-        beta_k = beta - beta @ proj.T
-        dbeta_k = dbeta - dbeta @ proj.T - beta @ dproj.transpose(0, 2, 1)
-        cov = dbeta_k + _form_action(b0_x, DenseTensor((DOWN, LIE), beta_k), adjoint)
-        yield beta_k, np.tensordot(frame.frame, cov, axes=(0, 0))
+        off = (np.eye(len(m)) - proj) @ nabla_h @ coeff
+        nabla_proj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
+        yield (beta - beta @ proj.T,
+               nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1))
 
 
 def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
@@ -498,66 +556,50 @@ def gauge_derivative(b, rep, t_hat, markers, chart: Chart, x: np.ndarray) -> np.
     return fd_partials(t_hat, chart, x) + act
 
 
-def adapted_connection(b0: LocalConnectionForm, b_prime: LocalConnectionForm,
-                       chain_field, inner):
-    """x -> b0 + component of (b' - b0) in the invariant complement of the
-    stabilizer h = bases[singer_k + 1] of chain_field(x), at every point
-    it is evaluated at."""
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        chain = chain_field(np.asarray(x, float))
-        if chain.singer_k is None:
-            raise NumericalFailure("stabilizer chain did not stabilize")
-        h = chain.bases[chain.singer_k + 1]
-        try:
-            reductive_complement(h, inner)
-        except NotInvariant as exc:
-            raise NotReductive(str(exc)) from exc
-        beta = b_prime.at(x) - b0.at(x)
-        m = inner.matrix
-        proj = h @ np.linalg.solve(h.T @ m @ h, h.T @ m)
-        return b0.at(x) + beta - beta @ proj.T
-
-    return ev
-
-
-def stencil_adapt(fix, singer_k: int, canonical: ConnectionCoeffs | None = None):
-    """The adapted form x -> b(x) of the frame gauge form b' of ``canonical``
-    (the fixture's canonical connection by default) to the Levi-Civita one,
-    with each h read off a tower of depth singer_k + 1 built where the form
-    is evaluated, FD stencil points included, and memoized per point.
-    Returns (b, b0, b', rep)."""
+def tower_shift(fix, depth: int):
+    """y -> beta_k(y) in the Cholesky frame at y, by adapt's own route on
+    the Levi-Civita tower of the given depth built at y, wherever it is
+    evaluated, FD stencil points included; memoized per point."""
     rep = frame_structure_rep(fix.chart.dim)
     inner = default_inner(rep.algebra)
-    b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
-    b_prime = frame_gauge_form(fix.gamma_canonical if canonical is None else canonical,
-                               fix.g, rep.vector)
     sigma = opozda_section_spec(fix.gamma)
     memo = {}
 
-    def chain_field(x):
-        key = x.tobytes()
+    def beta_k(y):
+        key = y.tobytes()
         if key not in memo:
-            memo[key] = stabilizer_chain(
-                build_tower(sigma, None, fix.gamma, fix.g, x, singer_k + 1), rep)
+            pair = tower_and_chain(sigma, None, fix.gamma, fix.g, y, rep, kmax=depth)
+            memo[key] = next(_adapted_shifts([pair], rep, inner))[0]
         return memo[key]
 
-    return adapted_connection(b0, b_prime, chain_field, inner), b0, b_prime, rep
+    return beta_k
 
 
-def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int,
-                              canonical: ConnectionCoeffs | None = None,
-                              ) -> tuple[float, float]:
-    """(nabla_beta, nabla_tower) at x from stencil_adapt's form: every
+def covariant_fd(fix, x: np.ndarray, field, rep, markers, form=None) -> np.ndarray:
+    """The covariant derivative at x of a field expressed in the Cholesky
+    frames, frame-indexed: gauge_derivative with the gauge form ``form``,
+    the Levi-Civita frame gauge form's by default, its partials by FD."""
+    if form is None:
+        form = frame_gauge_form(fix.gamma, fix.g, rep.vector).at
+    d = gauge_derivative(form, rep, field, markers, fix.chart, x)
+    return np.tensordot(ortho_frame(fix.g, x).frame, d, axes=(0, 0))
+
+
+def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int) -> tuple[float, float]:
+    """(nabla_beta, nabla_tower) at x with tower_shift's beta_k: every
     frame-expressed field differenced by FD, the tower fields nested."""
-    b, b0, _, rep = stencil_adapt(fix, singer_k, canonical)
+    rep = frame_structure_rep(fix.chart.dim)
+    beta_k = tower_shift(fix, singer_k + 2)
+    b0 = frame_gauge_form(fix.gamma, fix.g, rep.vector)
+
+    def b(y):
+        """The adapted connection's gauge form, b0 + beta_k in coordinates."""
+        return b0.at(y) + ortho_frame(fix.g, y).coframe.T @ beta_k(y)
 
     def norm(rep, t_hat, markers):
-        d = gauge_derivative(b, rep, t_hat, markers, fix.chart, x)
-        return float(np.linalg.norm(np.tensordot(ortho_frame(fix.g, x).frame, d, axes=(0, 0))))
+        return float(np.linalg.norm(covariant_fd(fix, x, t_hat, rep, markers, b)))
 
-    shift = norm(with_adjoint_rep(rep),
-                 lambda y: ortho_frame(fix.g, y).frame.T @ (b(y) - b0.at(y)), (DOWN, LIE))
+    shift = norm(with_adjoint_rep(rep), beta_k, (DOWN, LIE))
     levels = fd_tower(opozda_section_spec(fix.gamma), fix.gamma, singer_k + 1)
     return shift, max(norm(rep, frame_expressed(f, m, fix.g), m) for m, f in levels)
 

@@ -31,7 +31,6 @@ from ambrose.homogeneity import (
     build_tower,
     check_lh_triple,
     check_ls_triple,
-    equivalence_check_c_c0,
     opozda_section_spec,
     orbit_match,
     tower_and_chain,
@@ -43,7 +42,13 @@ from ambrose.total_space import (
     bar_parallelism_check,
     distribution_parallel_check,
 )
-from oracles import _frame_fields, bar_torsion, bar_torsion_direct, covariant_derivative
+from oracles import (
+    _frame_fields,
+    bar_torsion,
+    bar_torsion_direct,
+    covariant_derivative,
+    equivalence_check_c_c0,
+)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

@@ -26,7 +26,6 @@ from ambrose.bundle_conn import (
 from ambrose.chart_calculus import (
     TensorFieldSpec,
     curvature_field,
-    difference_field,
     levi_civita,
     max_nabla_norms,
     ortho_frame,
@@ -60,7 +59,7 @@ from ambrose.lie_core import (
 from ambrose.tensor_core import DOWN, LIE, DenseTensor
 from ambrose.total_space import TotalSpaceModel, _check
 from oracles import rotated
-from test_homogeneity import ADAPT_CASES, CHAIN_CASES, TRIPLE_CASES, flat_tower3, metric_shift
+from test_homogeneity import ADAPT_CASES, CHAIN_CASES, TRIPLE_CASES, bumped, flat_tower3
 from test_total_space import count_calls
 
 
@@ -330,31 +329,29 @@ class TestChecksOnABatch:
 class TestAdaptOnABatch:
     """adapted_residuals on each batch of (tower, chain) pairs that
     towers_and_chains builds equals the largest of its one-point batches
-    bit for bit: the difference tensor's tower is built at the whole batch,
-    and each point's projector, shift and norms are the same numpy calls as
-    at a single point."""
+    bit for bit: each point's least-squares solve, projector, shift and
+    norms are the same numpy calls as at a single point."""
 
-    @pytest.mark.parametrize("shifted", [False, True], ids=["canonical", "perturbed-s"])
+    @pytest.mark.parametrize("metric", ["homogeneous", "bumped"])
     @pytest.mark.parametrize("name,params", ADAPT_CASES,
                              ids=["berger", "berger-lam=0.5", "round_sphere3"])
-    def test_batch_is_largest_of_one_point_batches(self, name, params, shifted):
+    def test_batch_is_largest_of_one_point_batches(self, name, params, metric):
         fx = instantiate(name, params)
+        # a bumped metric puts the residuals far from rounding, so that
+        # every point's value counts
+        fx = bumped(fx) if metric == "bumped" else fx
         rep = frame_structure_rep(3)
         inner = default_inner(rep.algebra)
-        # residuals far from rounding, so that every point's value counts
-        canonical = metric_shift(fx, fx.gamma_canonical) if shifted else fx.gamma_canonical
-        s = difference_field(canonical, fx.gamma)
         sigma = opozda_section_spec(fx.gamma)
         points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=7)
         depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
         batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
         assert [len(batch) for batch in batches] == [CHUNK, CHUNK, 3]
         for batch in batches:
-            got = adapted_residuals(batch, fx.gamma, s, fx.g, rep, inner)
-            singles = [adapted_residuals([pair], fx.gamma, s, fx.g, rep, inner) for pair in batch]
+            got = adapted_residuals(batch, rep, inner)
+            singles = [adapted_residuals([pair], rep, inner) for pair in batch]
             assert got == {key: max(s[key] for s in singles) for key in got}
-            if shifted and name == "berger_sphere":
-                # round_sphere3's stabilizer is all of so(3), so beta_k is 0
+            if metric == "bumped":
                 assert min(s["nabla_beta"] for s in singles) > 1e-3
 
 
@@ -391,34 +388,38 @@ class TestEvaluationCounts:
         assert sum(metric) == points
 
     @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
-    def test_adapt_canonical_once_per_batch(self, points, batches, monkeypatch, capsys):
+    def test_adapt_connection_once_per_batch(self, points, batches, monkeypatch, capsys):
         """adapt's first point is a batch of its own, the others come in
-        batches of CHUNK. The canonical connection is evaluated once per
-        batch, at its points; the metric and the Christoffel symbols no more
-        often than towers are built. Through the gauge forms, each batch
-        evaluated both connections' forms, and the Levi-Civita one read the
-        Christoffel symbols at a batch of its own."""
-        metric, canonical = [], []
+        batches of CHUNK. It never evaluates the canonical connection, and
+        evaluates the Levi-Civita one once per batch, at its points; the
+        metric and the Christoffel symbols no more often. Through the
+        difference tensor, each batch evaluated the canonical connection
+        too."""
+        metric, connection, canonical = [], [], []
         christoffel = count_calls(monkeypatch, chart_calculus._christoffel_jet)
+
+        def recorded(conn, calls):
+            ev = conn.evaluator
+
+            def counted(X):
+                calls.append(X.value.shape[-1])
+                return ev(X)
+
+            return dataclasses.replace(conn, evaluator=counted)
 
         def counted(name, params):
             fx = counted_metric(metric)
-            ev = fx.gamma_canonical.evaluator
-
-            def counted_canonical(X):
-                canonical.append(X.value.shape[-1])
-                return ev(X)
-
-            return dataclasses.replace(fx, gamma_canonical=dataclasses.replace(
-                fx.gamma_canonical, evaluator=counted_canonical))
+            return dataclasses.replace(fx, gamma=recorded(fx.gamma, connection),
+                                       gamma_canonical=recorded(fx.gamma_canonical, canonical))
 
         monkeypatch.setattr(cli, "instantiate", counted)
         code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
                          "--points", str(points)])
         capsys.readouterr()
         assert code == 0
-        assert len(canonical) == batches
-        assert sum(canonical) == points
+        assert canonical == []
+        assert len(connection) == batches
+        assert sum(connection) == points
         assert len(metric) <= batches
         assert len(christoffel) <= batches
 
@@ -446,8 +447,7 @@ class TestEvaluationCounts:
 
     def test_adapt_holds_one_batch_of_towers(self, monkeypatch, capsys):
         """Whatever the number of points, adapt holds the first point's
-        tower and one batch of the others' at a time: each batch's
-        difference-tensor towers are gone before the next batch's check."""
+        tower and one batch of the others' at a time."""
         towers = []
         live = []
 

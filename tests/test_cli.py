@@ -455,6 +455,26 @@ class TestMainExitCodes:
         assert cli.main(["--scenario", "identities", "--fixture", "euclidean",
                          "--param", "n=1", "--points", "2"]) == 0
 
+    def test_one_dimensional_chart_is_config_error_for_adapt(self, capsys):
+        """adapt refuses a one-dimensional chart before so(1) is built."""
+        code = cli.main(["--scenario", "adapt", "--fixture", "euclidean",
+                         "--param", "n=1", "--points", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "dimension 2 or more, got 1" in captured.err
+
+    @pytest.mark.parametrize("fixture", ["hopf_monopole", "trivial_bundle_flat"])
+    def test_adapt_refuses_a_bundle_fixture(self, fixture, capsys):
+        """adapt builds the adapted connection of the base alone; on a
+        fixture with a bundle form it would ignore the form, so it is a
+        config error."""
+        code = cli.main(["--scenario", "adapt", "--fixture", fixture, "--points", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "bundle form" in captured.err
+
 
 # each fixture's parameter variants besides its defaults, and each
 # scenario's own parameter with its values

@@ -43,7 +43,6 @@ RUNS = [
 # functions that no run reaches, kept on purpose; the BENCHMARK.json
 # per-layer callables are exempt as well
 EXEMPT = {
-    "homogeneity.equivalence_check_c_c0": "acceptance criterion 05 calls it; no scenario yet",
     "total_space.total_zero": "helper of the per-tuple case tables",
     "total_space.bar_connection_apply": "helper of the per-tuple case tables",
     "total_space.base_cov": "helper of the per-tuple case tables",
@@ -92,7 +91,7 @@ def test_every_public_function_is_reached(monkeypatch, capsys):
     capsys.readouterr()
     assert codes == [code for _, code in RUNS]
     functions = public_functions()
-    assert len(EXEMPT) <= 5
+    assert len(EXEMPT) <= 4
     # an exemption that no longer names an unreached function is stale
     assert [name for name in EXEMPT if functions[name] in called] == []
     exempt = set(EXEMPT) | set(layer_names())
