@@ -409,7 +409,7 @@ def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
 def ortho_frames(g: MetricField, points: np.ndarray) -> list[OrthoFrame]:
     """Cholesky orthonormal frame of g at each point of a batch."""
     points = _batch(points)
-    return cholesky_frames(np.moveaxis(g.jet_at(points, 0).value, -1, 0), points)
+    return cholesky_frames(jet.points_first(g.jet_at(points, 0).value), points)
 
 
 def ortho_frame_partial(g: MetricField,

@@ -1,7 +1,10 @@
 """Derivative towers, stabilizer chains, the Singer-type invariant, adapted
 connections, and the local homogeneity / local symmetry criteria.
 
-A tower is built from one Taylor jet per point of the section, the
+A connection's section is its torsion and curvature (T, R). A torsion-free
+connection, the Levi-Civita one, has T = 0 at every order, so its section
+is R alone and its tower is its curvature tower, the one Singer's condition
+reads. A tower is built from one Taylor jet per point of the section, the
 connection and the bundle form: each level is the covariant derivative of
 the one below, computed on jets one order lower, so no level is
 finite-differenced. Tower entries are expressed in the Cholesky orthonormal
@@ -227,7 +230,7 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
     # jet is dropped once the next level exists
     entries = []
     for k in range(kmax + 1):
-        entries.append([(m, np.moveaxis(to_frames(m, t.value, coframe, frame_t), -1, 0))
+        entries.append([(m, jet.points_first(to_frames(m, t.value, coframe, frame_t)))
                         for m, t in level])
         if k < kmax:
             level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
@@ -254,10 +257,12 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
     (sliced over points, then over leading tensor axes), and each block is
     folded into a per-point R factor, at most m x m: R_k is the R of
     QR([R_{k-1}; block_k]), so it has the singular values of the rows of
-    levels 0..k, and one stacked SVD of R per level gives every point's
-    kernel. The cutoff is floored at each point's running sum of squared
-    entry norms, so that levels which vanish in exact arithmetic do not
-    present their rounding as full-rank columns."""
+    levels 0..k, and one stacked SVD of the R factors of every level and
+    point with the same shape gives their kernels (LAPACK takes the
+    matrices one by one, so stacking changes no bit). The cutoff is floored
+    at each point's running sum of squared entry norms, so that levels
+    which vanish in exact arithmetic do not present their rounding as
+    full-rank columns."""
     if not towers:
         return []
     shapes = [[(t.markers, t.dims) for t in entry] for entry in towers[0].entries]
@@ -266,7 +271,7 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
         raise DepthMismatch("towers of a batch have entries of different shapes")
     r = [np.zeros((0, rep.algebra.dim))] * len(towers)
     sq = np.zeros(len(towers))
-    spectra = []
+    factors, scales = [], []
     for k, shape in enumerate(shapes):
         for i, (markers, _) in enumerate(shape):
             per_point = [tw.entries[k][i].data for tw in towers]
@@ -276,9 +281,21 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
                 cols = np.concatenate([np.stack(r[points]).transpose(0, 2, 1),
                                        rows.transpose(0, 2, 1)], axis=2)
                 r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
-        spectra.append(nullspaces(np.stack(r), np.sqrt(sq)))
-    nesting = _nesting([[basis for basis, _, _ in level] for level in spectra])
-    return [_chain([level[p] for level in spectra], nesting[p]) for p in range(len(towers))]
+        factors.extend(r)
+        scales.extend(np.sqrt(sq))
+    # the kernels of every level and point, level-major, one SVD per R shape
+    spectra = [None] * len(factors)
+    groups = {}
+    for j, factor in enumerate(factors):
+        groups.setdefault(factor.shape, []).append(j)
+    for group in groups.values():
+        found = nullspaces(np.stack([factors[j] for j in group]), [scales[j] for j in group])
+        for j, spectrum in zip(group, found):
+            spectra[j] = spectrum
+    count = len(towers)
+    levels = [spectra[k * count:(k + 1) * count] for k in range(len(shapes))]
+    nesting = _nesting([[basis for basis, _, _ in level] for level in levels])
+    return [_chain([level[p] for level in levels], nesting[p]) for p in range(count)]
 
 
 def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: TensorRep,
@@ -301,19 +318,19 @@ def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: Tens
 def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
     """Each point's nesting angles from the kernel bases of each level at
     every point of a batch: the largest principal angle between a level's
-    kernel and the next one's, with one principal_angles call per level
-    pair and group of points whose two kernels have the same shapes."""
-    nesting = [[] for _ in levels[0]]
-    for lo, hi in zip(levels, levels[1:]):
-        groups = {}
+    kernel and the next one's, with one principal_angles call per pair of
+    kernel shapes over every level pair and point."""
+    groups = {}
+    for k, (lo, hi) in enumerate(zip(levels, levels[1:])):
         for p, pair in enumerate(zip(lo, hi)):
             # the key from a list (see jet._cauchy)
-            groups.setdefault(tuple([b.shape for b in pair]), []).append(p)
-        for points in groups.values():
-            angles = principal_angles(np.stack([hi[p] for p in points]),
-                                      np.stack([lo[p] for p in points]))
-            for p, row in zip(points, angles):
-                nesting[p].append(nan_max(row))
+            groups.setdefault(tuple([b.shape for b in pair]), []).append((k, p))
+    nesting = [[0.0] * (len(levels) - 1) for _ in levels[0]]
+    for keys in groups.values():
+        angles = principal_angles(np.stack([levels[k + 1][p] for k, p in keys]),
+                                  np.stack([levels[k][p] for k, p in keys]))
+        for (k, p), row in zip(keys, angles):
+            nesting[p][k] = nan_max(row)
     return [tuple(angles) for angles in nesting]
 
 
@@ -557,16 +574,10 @@ def gauge_residual(b: np.ndarray, rep: TensorRep, t: DenseTensor, nabla_t: np.nd
     return float(np.linalg.norm(nabla_t + _form_action(b, t, rep)))
 
 
-def _entry_pairs(tower: DerivativeTower, depth: int) -> list[tuple[DenseTensor, DenseTensor]]:
-    """(T, Tnext) for each entry T of levels 0..depth, Tnext one level up."""
-    entries = tower.up_to(depth + 1)
-    return list(zip(entries, entries[len(tower.entries[0]):]))
-
-
 def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,
-                    inner: AdInvariantInner) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(beta_k, nabla beta_k) at each pair's point, in frame indices,
-    nabla beta_k[b, a, i]; see adapted_residuals."""
+                    inner: AdInvariantInner) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """(beta_k, nabla beta_k, nabla_tower) at each pair's point, in frame
+    indices, nabla beta_k[b, a, i]; see adapted_residuals."""
     m = inner.matrix
     for tower, chain in pairs:
         if chain.singer_k is None:
@@ -577,12 +588,14 @@ def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: T
         except NotInvariant as exc:
             raise NotReductive(str(exc)) from exc
         # the entries T of levels 0..singer_k, Tnext one level up, T2 two
-        above = _entry_pairs(tower, chain.singer_k + 1)
-        count = len(above) - len(tower.entries[0])
-        tensors, nexts = zip(*above[:count])
+        entries = tower.up_to(chain.singer_k + 2)
+        per_level = len(tower.entries[0])
+        count = len(entries) - 2 * per_level
+        tensors, nexts, seconds = (entries[:count], entries[per_level:per_level + count],
+                                   entries[2 * per_level:])
         n = len(tower.point)
         v = np.concatenate([nxt.data.reshape(n, -1) for nxt in nexts], axis=1)
-        w = np.concatenate([t2.data.reshape(n, n, -1) for _, t2 in above[-count:]], axis=2)
+        w = np.concatenate([t2.data.reshape(n, n, -1) for t2 in seconds], axis=2)
         d = np.concatenate([action_rows(t.markers, nxt.data, rep)
                             for t, nxt in zip(tensors, nexts)], axis=1)
         mat = stacked_action_matrix(tensors, rep)
@@ -600,8 +613,19 @@ def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: T
         # plus that part's m-adjoint
         off = (np.eye(len(m)) - proj) @ nabla_h @ coeff
         nabla_proj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
-        yield (beta - beta @ proj.T,
-               nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1))
+        beta_k = beta - beta @ proj.T
+        # each entry's adapted derivative: V + M beta_k on levels 0..singer_k;
+        # on level singer_k + 1, whose rows are those of level singer_k,
+        # B_b = sum_j beta_k[b, j] X_j also acts on Tnext's leading axis
+        offsets = np.cumsum([0] + [t.data.size for t in tensors])
+        top = offsets[count - per_level]
+        upper = (w[:, :, top:] + (d[:, top:] @ beta_k.T).transpose(2, 0, 1)
+                 - np.einsum("bj,jca,cr->bar", beta_k, rep.vector.matrices, v[:, top:]))
+        blocks = (np.split(v + beta_k @ mat.T, offsets[1:-1], axis=1)
+                  + np.split(upper, offsets[count - per_level + 1:-1] - top, axis=2))
+        yield (beta_k,
+               nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1),
+               nan_max([np.linalg.norm(block) for block in blocks]))
 
 
 def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,
@@ -609,7 +633,7 @@ def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep:
     """The largest nabla_beta and nabla_tower over a batch of at most CHUNK
     (tower, chain) pairs, for the adapted connection nabla + beta_k, all in
     the towers' frames, nabla the towers' connection. The residuals are the
-    norms of the adapted derivatives of beta_k and of the entries of levels
+    norms of the adapted derivatives of beta_k and of each entry of levels
     0..singer_k + 1; the towers must reach level singer_k + 2.
 
     An entry T has covariant derivative Tnext[b] along e_b, Tnext the entry
@@ -623,23 +647,29 @@ def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep:
     Anal. 10, 1973) without its term in ker M = h. M^+ is cut to rank
     m - dim h, h = bases[singer_k], so as not to invert rounding, and
     nabla_b h = -M^+ D_b h. beta_k is beta's part in the inner-orthogonal
-    complement of h. A chain that did not stabilize raises NumericalFailure,
-    and a stabilizer without an invariant complement NotReductive."""
+    complement of h. The same system gives nabla_tower: V_a + M beta_k,a on
+    the entries of levels 0..singer_k, and W_ba + D_a beta_k,b
+    - sum_c B_b[c, a] V_c on the entries of level singer_k + 1, the last
+    term beta_k acting on Tnext's leading axis, which D leaves out. A chain
+    that did not stabilize raises NumericalFailure, and a stabilizer without
+    an invariant complement NotReductive."""
     adjoint, shift, tower_res = with_adjoint_rep(rep), [], []
-    for (tower, chain), (beta_k, nabla_beta_k) in zip(pairs, _adapted_shifts(pairs, rep, inner)):
+    for beta_k, nabla_beta_k, nabla_tower in _adapted_shifts(pairs, rep, inner):
         shift.append(gauge_residual(beta_k, adjoint, DenseTensor((DOWN, LIE), beta_k),
                                     nabla_beta_k))
-        tower_res.extend(gauge_residual(beta_k, rep, t, nxt.data)
-                         for t, nxt in _entry_pairs(tower, chain.singer_k + 1))
+        tower_res.append(nabla_tower)
     return {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
 
 
 def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:
-    """Torsion and curvature of a reference connection as a section pair."""
-    return SectionSpec(
-        chart=gamma.chart,
-        fields=(torsion_field(gamma), curvature_field(gamma)),
-    )
+    """Torsion and curvature of a reference connection as a section pair;
+    a torsion-free connection (symmetric_flag, the Levi-Civita one) has the
+    curvature alone, its torsion being zero at every order, so its tower is
+    its curvature tower, as Singer's condition reads it."""
+    fields = (curvature_field(gamma),)
+    if not gamma.symmetric_flag:
+        fields = (torsion_field(gamma),) + fields
+    return SectionSpec(chart=gamma.chart, fields=fields)
 
 
 def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,

@@ -191,7 +191,8 @@ def shift(f: Jet) -> Jet:
     """Every partial d_mu f, stacked on a new leading axis, one order lower."""
     src, factor = _shift_table(f.n, f.order)
     c = f.c[..., src] * factor
-    return Jet(np.moveaxis(c, -2, 0), f.n, f.order - 1)
+    # np.moveaxis(c, -2, 0) by an axes list (see points_first)
+    return Jet(c.transpose([c.ndim - 2, *range(c.ndim - 2), c.ndim - 1]), f.n, f.order - 1)
 
 
 @lru_cache(maxsize=None)
@@ -388,10 +389,19 @@ def reciprocal(u: Jet) -> Jet:
     return _series(u, [(-r) ** k * r for k in range(u.order + 1)])
 
 
+def points_first(a: np.ndarray) -> np.ndarray:
+    """The view of a with its last (point) axis first, as np.moveaxis(a, -1,
+    0) gives it, by an axes list: moveaxis normalizes its axes through
+    tuples built from a generator, which fill CPython's free list of
+    one-element tuples on every call."""
+    return a.transpose([a.ndim - 1, *range(a.ndim - 1)])
+
+
 def stacked(fn, a: np.ndarray) -> np.ndarray:
     """A numpy.linalg function of matrices over per-point matrices a, shape
     (d, d, P), in one stacked call."""
-    return np.moveaxis(fn(np.moveaxis(a, -1, 0)), 0, -1)
+    out = fn(points_first(a))
+    return out.transpose([*range(1, out.ndim), 0])
 
 
 def inv(a: Jet) -> Jet:

@@ -151,5 +151,5 @@ def point_norms(data: np.ndarray) -> np.ndarray:
     """The norm of each point's components of data, shape (dims..., P), as
     DenseTensor.norm takes it: one dot product of that point's components,
     in row-major order."""
-    flat = np.ascontiguousarray(np.moveaxis(data, -1, 0)).reshape(data.shape[-1], 1, -1)
+    flat = np.ascontiguousarray(jet.points_first(data)).reshape(data.shape[-1], 1, -1)
     return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()

@@ -8,7 +8,9 @@ The moving-frame structure functions and torsion pin the torsion of the
 canonical connection. The derivative tower by nested central finite
 differences (FD), and the adapted shift beta_k of adapt's own route at
 every point it is evaluated at, FD stencil points included, with its
-residuals by FD, are the reference for ``homogeneity.adapted_residuals``.
+residuals by FD, are the reference for ``homogeneity.adapted_residuals``;
+so is the per-entry gauge_residual loop over the tower, for the
+``nabla_tower`` that adapt takes from its stacked least-squares system.
 
 Two earlier routes to beta are kept as oracles: the difference tensor
 S = Gamma_can - Gamma of a fixture's canonical connection, carried as a
@@ -50,6 +52,7 @@ from ambrose.chart_calculus import (
     levi_civita,
     max_nabla_norms,
     nabla,
+    nan_max,
     ortho_frame,
     torsion_field,
 )
@@ -62,8 +65,8 @@ from ambrose.errors import (
 from ambrose.homogeneity import (
     VerificationReport,
     _adapted_shifts,
-    _entry_pairs,
     build_towers,
+    gauge_residual,
     opozda_section_spec,
     tower_and_chain,
     verdict,
@@ -467,6 +470,22 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
                               residuals=residuals, tolerances=tol,
                               passed=one == two and finite,
                               flags=flags if finite else flags + ("non-finite",))
+
+
+def _entry_pairs(tower, depth: int):
+    """(T, Tnext) for each entry T of levels 0..depth, Tnext one level up."""
+    entries = tower.up_to(depth + 1)
+    return list(zip(entries, entries[len(tower.entries[0]):]))
+
+
+def entrywise_tower_residuals(pairs, rep, inner) -> list[float]:
+    """nabla_tower of ``homogeneity.adapted_residuals`` entry by entry, at
+    each pair's point: the largest |Tnext + beta_k . T| over the entries T
+    of levels 0..singer_k + 1, beta_k acting on every axis of T through
+    gauge_residual, the leading covariant axis of a derivative included."""
+    return [nan_max([gauge_residual(beta_k, rep, t, nxt.data)
+                     for t, nxt in _entry_pairs(tower, chain.singer_k + 1)])
+            for (tower, chain), (beta_k, _, _) in zip(pairs, _adapted_shifts(pairs, rep, inner))]
 
 
 def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,

@@ -244,11 +244,11 @@ class TestBatchedChains:
         fx = instantiate("berger_sphere", {})
         towers = build_towers(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g,
                               sample_interior(fx.chart, 4, seed=3), 2)
-        spoiled = towers[2].entries[1][1]
+        spoiled = towers[2].entries[1][0]
         data = spoiled.data.copy()
         data.flat[7] = np.nan
         entries = list(towers[2].entries)
-        entries[1] = (entries[1][0], dataclasses.replace(spoiled, data=data))
+        entries[1] = (dataclasses.replace(spoiled, data=data),) + entries[1][1:]
         towers[2] = dataclasses.replace(towers[2], entries=tuple(entries))
         with pytest.raises(BadParameters):
             stabilizer_chains(towers, frame_structure_rep(3))

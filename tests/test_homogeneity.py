@@ -20,10 +20,12 @@ from ambrose.chart_calculus import (
     nan_max,
     ortho_frame,
     sample_interior,
+    torsion_field,
 )
 from ambrose.errors import DepthMismatch, NotMetric, NumericalFailure
 from ambrose.fixtures import fixture_names, instantiate
 from ambrose.homogeneity import (
+    KMAX_CAP,
     KMAX_START,
     DerivativeTower,
     StabilizerChain,
@@ -88,16 +90,23 @@ def flat_tower3(levels):
 
 class TestDerivativeTower:
     def test_entry_shapes_and_depth(self):
+        """The Levi-Civita tower carries the curvature alone, and a
+        connection with torsion the pair (T, R)."""
         fx = instantiate("round_sphere2", {})
         x = sample_interior(fx.chart, 1)[0]
         tower = lc_tower(fx, x, kmax=2)
         assert len(tower.entries) == 3
-        torsion, riem = tower.entries[0]
-        assert torsion.markers == (UP, DOWN, DOWN)
+        (riem,) = tower.entries[0]
         assert riem.markers == (UP, DOWN, DOWN, DOWN)
         # each level prepends one covariant axis
-        assert tower.entries[1][1].markers == (DOWN, UP, DOWN, DOWN, DOWN)
-        assert len(tower.up_to(1)) == 4
+        assert tower.entries[1][0].markers == (DOWN, UP, DOWN, DOWN, DOWN)
+        assert len(tower.up_to(1)) == 2
+        berger = instantiate("berger_sphere", {})
+        torsion, riem = build_tower(opozda_section_spec(berger.gamma_canonical), None,
+                                    berger.gamma_canonical, berger.g,
+                                    sample_interior(berger.chart, 1)[0], 2).entries[0]
+        assert torsion.markers == (UP, DOWN, DOWN)
+        assert riem.markers == (UP, DOWN, DOWN, DOWN)
         with pytest.raises(DepthMismatch):
             tower.up_to(3)
 
@@ -107,13 +116,15 @@ class TestDerivativeTower:
             lc_tower(fx, np.array([1.0, 1.0]), kmax=0)
 
     def test_unit_sphere_frame_invariants(self):
-        """Unit-sphere pins: torsion vanishes and the frame-expressed
-        curvature entry has norm 2 at every point."""
+        """Unit-sphere pins: torsion vanishes, so the tower is the
+        curvature's alone, and the frame-expressed curvature entry has norm
+        2 at every point."""
         fx = instantiate("round_sphere2", {})
         for x in sample_interior(fx.chart, 4, seed=2):
             tower = lc_tower(fx, x, kmax=1)
-            assert tower.entries[0][0].norm() < 1e-12
-            assert tower.entries[0][1].norm() == pytest.approx(2.0, abs=1e-9)
+            assert np.abs(torsion_field(fx.gamma).at(x).data).max() < 1e-12
+            assert len(tower.entries[0]) == 1
+            assert tower.entries[0][0].norm() == pytest.approx(2.0, abs=1e-9)
 
     @pytest.mark.parametrize("name,conn", [("round_sphere2", "metric"),
                                            ("berger_sphere", "metric"),
@@ -128,7 +139,8 @@ class TestDerivativeTower:
         tower = build_tower(sigma, None, gamma, fx.g, x, 2)
         ref = fd_tower(sigma, gamma, 2)
         assert [t.markers for t in tower.up_to(2)] == [m for m, _ in ref]
-        assert tower.entries[2][0].markers == (DOWN, DOWN, UP, DOWN, DOWN)
+        assert tower.entries[2][0].markers == (DOWN, DOWN) + sigma.fields[0].markers
+        assert len(sigma.fields) == (1 if conn == "metric" else 2)
         for t, (m, f) in zip(tower.up_to(2), ref):
             expect = frame_expressed(f, m, fx.g)(x)
             assert np.abs(t.data - expect).max() < 1e-6 * max(1.0, np.abs(expect).max())
@@ -149,13 +161,59 @@ SINGER_RUNS = [(name, connection) for name in fixture_names()
                if connection == "metric" or instantiate(name, {}).gamma_canonical is not None]
 
 
+class TestTorsionFreeTower:
+    """A torsion-free connection's tower is its curvature tower: the
+    Levi-Civita section is the curvature alone, and a connection with
+    torsion keeps the pair (T, R)."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_levi_civita_jet_is_symmetric(self, name):
+        """The Levi-Civita jet is symmetric to the bit at order
+        KMAX_CAP + 2, the deepest any tower reads (adapt's depth k_S + 2,
+        plus one), so its torsion is zero at every order a tower reads."""
+        fx = instantiate(name, {})
+        assert fx.gamma.symmetric_flag
+        c = fx.gamma.jet_at(sample_interior(fx.chart, 8, seed=5), KMAX_CAP + 2).c
+        assert np.array_equal(c, c.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("name", [name for name, conn in SINGER_RUNS if conn == "metric"])
+    def test_curvature_chain_matches_torsion_pair(self, name):
+        """singer connection=metric's chains at its default points, from
+        the curvature alone and from an explicit (T, R) section, have the
+        same dims, singer_k and flags, and nesting angles within 1e-12."""
+        fx = instantiate(name, {})
+        rep = frame_structure_rep(fx.chart.dim)
+        points = sample_interior(fx.chart, 8, 42)
+        pair = SectionSpec(fx.chart, (torsion_field(fx.gamma), curvature_field(fx.gamma)))
+        assert [f.markers for f in opozda_section_spec(fx.gamma).fields] == [(UP, DOWN, DOWN, DOWN)]
+        curvature, both = ([ch for batch in towers_and_chains(sigma, None, fx.gamma, fx.g, points,
+                                                              rep) for _, ch in batch]
+                           for sigma in (opozda_section_spec(fx.gamma), pair))
+        for a, b in zip(curvature, both, strict=True):
+            assert (a.dims, a.singer_k, a.flags) == (b.dims, b.singer_k, b.flags)
+            np.testing.assert_allclose(a.nesting, b.nesting, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", [name for name, conn in SINGER_RUNS if conn == "canonical"])
+    def test_connection_with_torsion_keeps_the_pair(self, name):
+        """A canonical connection with torsion keeps two fields, T and R,
+        at every level of its tower, and its torsion entry is not zero."""
+        fx = instantiate(name, {})
+        gamma = fx.gamma_canonical
+        assert not gamma.symmetric_flag
+        sigma = opozda_section_spec(gamma)
+        assert [f.markers for f in sigma.fields] == [(UP, DOWN, DOWN), (UP, DOWN, DOWN, DOWN)]
+        tower = build_tower(sigma, None, gamma, fx.g, sample_interior(fx.chart, 1)[0], 2)
+        assert [len(level) for level in tower.entries] == [2, 2, 2]
+        assert tower.entries[0][0].norm() > 0.1
+
+
 class TestStabilizerChains:
     @pytest.mark.parametrize("name,connection", SINGER_RUNS)
     def test_nesting_angles_taken_once(self, name, connection, monkeypatch, capsys):
         """Each chain records the largest principal angle between each
         level's kernel and the next one's, and singer reads the angles from
-        there: a batch takes one stacked principal_angles call per level
-        pair and group of points whose two kernels have the same shapes."""
+        there: a batch takes one stacked principal_angles call per pair of
+        kernel shapes over all its level pairs and points."""
         batches = []
         make_chains = homogeneity.stabilizer_chains
 
@@ -172,8 +230,9 @@ class TestStabilizerChains:
         chains = [ch for batch in batches for ch in batch]
         assert chains
         assert len(angles) == sum(
-            len({(ch.bases[k].shape, ch.bases[k + 1].shape) for ch in batch})
-            for batch in batches for k in range(len(batch[0].bases) - 1))
+            len({(ch.bases[k].shape, ch.bases[k + 1].shape)
+                 for ch in batch for k in range(len(ch.bases) - 1)})
+            for batch in batches)
         for ch in chains:
             assert len(ch.nesting) == len(ch.bases) - 1
             for k, angle in enumerate(ch.nesting):
@@ -501,7 +560,7 @@ class TestAdaptedConnection:
         sigma = opozda_section_spec(fx.gamma)
         points = sample_interior(fx.chart, 8, seed=11)
         pairs = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, REP3, kmax=2))
-        got = list(_adapted_shifts(pairs, REP3, self.INNER))
+        got = [shifts[:2] for shifts in _adapted_shifts(pairs, REP3, self.INNER)]
         want = list(difference_shifts(pairs, fx.gamma,
                                       difference_field(fx.gamma_canonical, fx.gamma), fx.g,
                                       REP3, self.INNER))
@@ -529,7 +588,7 @@ class TestAdaptedConnection:
         form); the FD of the canonical connection's shift projected with
         the projector held fixed does not."""
         fx, tower, chain = adapt_inputs(lam, x)
-        beta_k, nabla_beta_k = next(_adapted_shifts([(tower, chain)], REP3, self.INNER))
+        beta_k, nabla_beta_k, _ = next(_adapted_shifts([(tower, chain)], REP3, self.INNER))
         adjoint = with_adjoint_rep(REP3)
         assert np.abs(beta_k - tower_shift(fx, 2)(x)).max() == 0.0
         fd = covariant_fd(fx, x, tower_shift(fx, 2), adjoint, (DOWN, LIE))
@@ -554,7 +613,7 @@ class TestAdaptedConnection:
         assert (chain.singer_k, tower.kmax) == (1, 3)
         rep = frame_structure_rep(2)
         inner = default_inner(rep.algebra)
-        _, nabla_beta_k = next(_adapted_shifts([(tower, chain)], rep, inner))
+        _, nabla_beta_k, _ = next(_adapted_shifts([(tower, chain)], rep, inner))
         assert adapted_residuals([(tower, chain)], rep, inner)["nabla_tower"] > 1.0
         fd = covariant_fd(fx, x, tower_shift(fx, 3), with_adjoint_rep(rep), (DOWN, LIE))
         assert np.abs(fd).max() > 0.1
@@ -585,6 +644,58 @@ class TestAdaptedConnection:
         assert (data["singer_k"], data["stabilizer_dims"], data["flags"]) == (1, [1, 0], [])
         assert all(data["residuals"][k] > 1e3 * data["tolerances"][k]
                    for k in ("nabla_beta", "nabla_tower"))
+
+    @pytest.mark.parametrize("make", [*[lambda name=name, params=params: instantiate(name, params)
+                                        for name, params in ADAPT_CASES], warped_surface],
+                             ids=["berger", "berger-lam=0.5", "round_sphere3", "warped-surface"])
+    def test_tower_residual_matches_entrywise_oracle(self, make):
+        """nabla_tower from the stacked least-squares system equals the
+        per-entry gauge residuals at eight points, to 1e-12 of the largest
+        entry norm of levels 0..singer_k + 1 at each; on the warped surface
+        the residual is of order one, so the term of beta_k acting on the
+        leading axis of level singer_k + 1 counts."""
+        fx = make()
+        rep = frame_structure_rep(fx.chart.dim)
+        inner = default_inner(rep.algebra)
+        points = sample_interior(fx.chart, 8, seed=11)
+        sigma = opozda_section_spec(fx.gamma)
+        depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
+        pairs = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
+        got = [res for _, _, res in _adapted_shifts(pairs, rep, inner)]
+        want = oracles.entrywise_tower_residuals(pairs, rep, inner)
+        for (tower, chain), res, ref in zip(pairs, got, want, strict=True):
+            scale = max(t.norm() for t in tower.up_to(chain.singer_k + 1))
+            assert abs(res - ref) <= 1e-12 * scale
+        assert adapted_residuals(pairs, rep, inner)["nabla_tower"] == max(got)
+        if fx.name == warped_surface().name:
+            assert min(want) > 1.0
+
+    def test_nan_in_the_top_level_fails(self, monkeypatch, capsys):
+        """A NaN in one entry of level singer_k + 2, which only W reads,
+        makes nabla_tower NaN, and the adapt verdict fails."""
+        adapted = homogeneity.adapted_residuals
+        seen = []
+
+        def spoiled(pairs, rep, inner):
+            batch = []
+            for tower, chain in pairs:
+                top = chain.singer_k + 2
+                entry = tower.entries[top][0]
+                data = entry.data.copy()
+                data.flat[5] = np.nan
+                entries = list(tower.entries)
+                entries[top] = (dataclasses.replace(entry, data=data),) + entries[top][1:]
+                batch.append((dataclasses.replace(tower, entries=tuple(entries)), chain))
+            seen.append(adapted(batch, rep, inner))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "adapted_residuals", spoiled)
+        code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere"])
+        data = json.loads(capsys.readouterr().out)
+        assert seen and all(np.isnan(res["nabla_tower"]) for res in seen)
+        assert code == 1
+        assert data["pass"] is False
+        assert data["residuals"]["nabla_tower"] == "nan"
 
     def test_shallow_tower_rejected(self):
         fx, tower, chain = adapt_inputs(2.0, BERGER_X[0], depth=1)

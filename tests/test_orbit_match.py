@@ -261,6 +261,6 @@ class TestGroupAction:
         workload = workloads.WORKLOADS["orbit-match"]
         assert workload.fixture == "berger_sphere"
         assert workload.oracle(json.loads(workload.run(3))) is not None
-        assert len(entries) == 1 and len(entries[0]) == 4
+        assert len(entries) == 1 and len(entries[0]) == 2
         assert acted and all(ids == entries[0] for ids in acted)
         assert len(exps) == len(acted)
