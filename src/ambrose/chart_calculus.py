@@ -47,7 +47,6 @@ from .tensor_core import (
     OrthoFrame,
     axis_action,
     cholesky_frames,
-    frame_stacks,
     point_norms,
     to_frames,
 )
@@ -109,12 +108,22 @@ def scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
         ndigits = math.ceil(54 / math.log2(base)) - 1
         # one draw per row, from the same stream as a shuffle of each row
         perms = rng.permuted(np.repeat(np.arange(base)[None], ndigits, axis=0), axis=1)
+        # the digits past the first `live` are 0 at every index below count,
+        # so those terms are perms[k, 0] b^-k at every index
+        live = 0
+        while live < ndigits and base ** live < count:
+            live += 1
         # digit k of index i is q_k - b q_{k+1}, with q_k = i // b^k
-        quotients = np.arange(count) // base ** np.arange(ndigits + 1)[:, None]
-        digits = np.take_along_axis(perms, quotients[:-1] - base * quotients[1:], axis=1)
+        quotients = np.arange(count) // base ** np.arange(live + 1)[:, None]
+        digits = np.take_along_axis(perms[:live], quotients[:-1] - base * quotients[1:], axis=1)
         # weight b^-k by k divisions, and the terms summed in digit order
-        weights = np.divide.accumulate(np.r_[1.0, np.full(ndigits, base)])[1:]
-        out[axis] = np.add.accumulate(digits * weights[:, None], axis=0)[-1]
+        divisors = np.full(ndigits + 1, float(base))
+        divisors[0] = 1.0
+        weights = np.divide.accumulate(divisors)[1:]
+        terms = np.empty((ndigits, count))
+        np.multiply(digits, weights[:live, None], out=terms[:live])
+        terms[live:] = (perms[live:, 0] * weights[live:])[:, None]
+        out[axis] = np.add.accumulate(terms, axis=0)[-1]
     return out.T
 
 
@@ -402,14 +411,15 @@ def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
 
 
 def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
-    """Cholesky orthonormal frame of g at x."""
-    return ortho_frames(g, x)[0]
+    """Cholesky orthonormal frame of g at the single point x."""
+    coframe, frame = frame_stacks(g, x)
+    return OrthoFrame(_batch(x)[0], frame[0], coframe[0])
 
 
-def ortho_frames(g: MetricField, points: np.ndarray) -> list[OrthoFrame]:
-    """Cholesky orthonormal frame of g at each point of a batch."""
-    points = _batch(points)
-    return cholesky_frames(jet.points_first(g.jet_at(points, 0).value), points)
+def frame_stacks(g: MetricField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coframes and frames of g's Cholesky frames at a batch of points,
+    each shape (P, n, n): cholesky_frames of the metric's values."""
+    return cholesky_frames(jet.points_first(g.jet_at(_batch(points), 0).value))
 
 
 def ortho_frame_partial(g: MetricField,
@@ -454,17 +464,17 @@ def nabla_frames(gamma: ConnectionCoeffs,
     """The covariant derivative of each named field at a batch of points,
     with ad of the form of a (field, form) pair on its LIE axes, in the
     orthonormal frame of g at each point: shape (n, dims..., P), the new
-    covariant axis first. The fields are evaluated first, so Gamma, read
-    after them, is evaluated once per batch at the highest order any of
-    them reads."""
+    covariant axis first (a view of point-first data). The fields are
+    evaluated first, so Gamma, read after them, is evaluated once per batch
+    at the highest order any of them reads."""
     jets = {name: t.jet_at(batch, 1) for name, (t, _) in fields.items()}
     G = gamma.jet_at(batch, 0)
-    coframe, frame_t = frame_stacks(ortho_frames(g, batch))
-    return {name: to_frames((DOWN,) + t.markers,
-                            nabla(jets[name], t.markers, G,
-                                  None if form is None else form.ad_jet(batch, 0)).value,
-                            coframe, frame_t)
-            for name, (t, form) in fields.items()}
+    frames = frame_stacks(g, batch)
+    return {name: jet.points_last(to_frames(
+        (DOWN,) + t.markers,
+        jet.points_first(nabla(jets[name], t.markers, G,
+                               None if form is None else form.ad_jet(batch, 0)).value),
+        *frames)) for name, (t, form) in fields.items()}
 
 
 def max_nabla_norms(gamma: ConnectionCoeffs,

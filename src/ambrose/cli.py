@@ -15,6 +15,7 @@ from functools import cache
 
 import numpy as np
 
+from . import jet
 from .bundle_conn import (
     SectionSpec,
     bianchi_residual,
@@ -25,11 +26,11 @@ from .bundle_conn import (
 from .chart_calculus import (
     TensorFieldSpec,
     curvature_of,
+    frame_stacks,
     max_nabla_norms,
     max_over_batches,
     max_over_chunks,
     nan_max,
-    ortho_frames,
     sample_interior,
 )
 from .errors import (
@@ -66,7 +67,7 @@ from .lie_core import (
     frame_structure_rep,
     subalgebra_residuals,
 )
-from .tensor_core import DOWN, LIE, UP, frame_stacks, point_norms, to_frames
+from .tensor_core import DOWN, LIE, UP, point_norms, to_frames
 from .total_space import TotalSpaceModel, total_space_check
 
 SCENARIOS = (
@@ -513,7 +514,8 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
         # the curvature first, so that Gamma is evaluated once, at the
         # highest order the checks read
         r = curvature_of(gamma.jet_at(batch, 1)).value
-        r_hat = to_frames((UP, DOWN, DOWN, DOWN), r, *frame_stacks(ortho_frames(fix.g, batch)))
+        r_hat = jet.points_last(to_frames((UP, DOWN, DOWN, DOWN), jet.points_first(r),
+                                          *frame_stacks(fix.g, batch)))
         cyc = (
             r_hat
             + np.transpose(r_hat, (0, 2, 3, 1, 4))

@@ -123,8 +123,8 @@ def _su2_chart() -> Chart:
 
 
 def _su2_coframe(X: Jet) -> Jet:
-    st, ct = jet.sin(X[1]), jet.cos(X[1])
-    sp, cp = jet.sin(X[2]), jet.cos(X[2])
+    st, ct = jet.sincos(X[1])
+    sp, cp = jet.sincos(X[2])
     return 0.5 * jet.array([
         [-st * cp, sp, 0.0],
         [st * sp, cp, 0.0],
@@ -181,7 +181,8 @@ def _parallel_shift_field(chart: Chart) -> TensorFieldSpec:
     (theta, phi), values in the su(2) basis."""
 
     def ev(X):
-        st, sp, cp = jet.sin(X[0]), jet.sin(X[1]), jet.cos(X[1])
+        st = jet.sin(X[0])
+        sp, cp = jet.sincos(X[1])
         return jet.array([[cp, -sp, 0.0], [-st * sp, -st * cp, 0.0]])
 
     return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev)

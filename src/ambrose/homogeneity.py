@@ -37,11 +37,11 @@ from .chart_calculus import (
     MetricField,
     TensorFieldSpec,
     curvature_field,
+    frame_stacks,
     levi_civita,
     max_nabla_norms,
     nabla,
     nan_max,
-    ortho_frames,
     torsion_field,
 )
 from .errors import (
@@ -57,7 +57,7 @@ from .lie_core import (
     AdInvariantInner,
     TensorRep,
     action_rows,
-    nullspaces,
+    kernel_spectra,
     principal_angles,
     reductive_complement,
     skew_exp,
@@ -69,7 +69,6 @@ from .tensor_core import (
     DenseTensor,
     OrthoFrame,
     axis_action,
-    frame_stacks,
     to_frames,
 )
 
@@ -224,13 +223,16 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
     G = gamma0.jet_at(points, kmax + 1).truncate(kmax - 1)
     level = [(f.markers, f.jet_at(points, kmax)) for f in sigma.fields]
     lie = None if b0 is None else b0.ad_jet(points, kmax - 1)
-    frames = ortho_frames(g, points) if frames is None else frames
-    coframe, frame_t = frame_stacks(frames)
+    if frames is None:
+        coframe, frame = frame_stacks(g, points)
+        frames = [OrthoFrame(x, e, th) for x, th, e in zip(points, coframe, frame)]
+    else:
+        coframe, frame = np.stack([f.coframe for f in frames]), np.stack([f.frame for f in frames])
     # each level in the frames, point axis first, as soon as it is built; its
     # jet is dropped once the next level exists
     entries = []
     for k in range(kmax + 1):
-        entries.append([(m, jet.points_first(to_frames(m, t.value, coframe, frame_t)))
+        entries.append([(m, to_frames(m, jet.points_first(t.value), coframe, frame))
                         for m, t in level])
         if k < kmax:
             level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
@@ -283,19 +285,27 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
                 r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
         factors.extend(r)
         scales.extend(np.sqrt(sq))
-    # the kernels of every level and point, level-major, one SVD per R shape
-    spectra = [None] * len(factors)
+    # the kernels of every level and point, level-major, one SVD per R shape;
+    # a (level, point) is murky where its kernel and range are not
+    # separated by a clear spectral gap at the cutoff
+    bases, murky = [None] * len(factors), np.zeros(len(factors), bool)
     groups = {}
     for j, factor in enumerate(factors):
         groups.setdefault(factor.shape, []).append(j)
     for group in groups.values():
-        found = nullspaces(np.stack([factors[j] for j in group]), [scales[j] for j in group])
-        for j, spectrum in zip(group, found):
-            spectra[j] = spectrum
+        found, sing, cutoff, _ = kernel_spectra(np.stack([factors[j] for j in group]),
+                                                [scales[j] for j in group])
+        kept = sing > cutoff[:, None]
+        murky[group] = (np.where(kept, sing, np.inf).min(axis=1)
+                        < 10.0 * np.where(kept, -np.inf, sing).max(axis=1))
+        for j, basis in zip(group, found):
+            bases[j] = basis
     count = len(towers)
-    levels = [spectra[k * count:(k + 1) * count] for k in range(len(shapes))]
-    nesting = _nesting([[basis for basis, _, _ in level] for level in levels])
-    return [_chain([level[p] for level in levels], nesting[p]) for p in range(count)]
+    levels = [bases[k * count:(k + 1) * count] for k in range(len(shapes))]
+    nesting = _nesting(levels)
+    ambiguous = murky.reshape(len(shapes), count).any(axis=0).tolist()
+    return [_chain([level[p] for level in levels], nesting[p], ambiguous[p])
+            for p in range(count)]
 
 
 def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: TensorRep,
@@ -334,16 +344,11 @@ def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
     return [tuple(angles) for angles in nesting]
 
 
-def _chain(spectra: list[tuple[np.ndarray, np.ndarray, float]],
-           nesting: tuple[float, ...]) -> StabilizerChain:
-    """The chain of one point from the (kernel basis, singular values,
-    cutoff) of each level and its nesting angles."""
-    bases = [basis for basis, _, _ in spectra]
+def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], ambiguous: bool,
+           ) -> StabilizerChain:
+    """The chain of one point from the kernel basis of each level, its
+    nesting angles, and whether some level's spectrum lacks a clear gap."""
     flags = []
-    # kernel and range must be separated by a clear spectral gap
-    ambiguous = any(sing[sing > cutoff].min() < 10.0 * sing[sing <= cutoff].max()
-                    for _, sing, cutoff in spectra
-                    if (sing > cutoff).any() and (sing <= cutoff).any())
     dims = tuple([b.shape[1] for b in bases])  # from a list (see jet._cauchy)
     # the Singer stage: the first level that the next one keeps
     singer_k = next((k for k, angle in enumerate(nesting)

@@ -148,7 +148,9 @@ class Jet:
             return Jet(self.c * np.asarray(other, float)[..., None, None], self.n, self.order)
         a, b = self._pair(other)
         i, j, starts, _ = _product_table(a.n, a.order)
-        return Jet(np.add.reduceat(a.c[..., i] * b.c[..., j], starts, axis=-1), a.n, a.order)
+        # gathered by take, C-ordered (see _cauchy)
+        return Jet(np.add.reduceat(a.c.take(i, axis=-1) * b.c.take(j, axis=-1), starts, axis=-1),
+                   a.n, a.order)
 
     __rmul__ = __mul__
 
@@ -270,8 +272,10 @@ def _cauchy(terms: list[tuple[int, str]], a: Jet, b: Jet) -> Jet:
     terms in order, and each coefficient then sums its pairs in the same
     order whatever the blocks."""
     i, j, starts, bounds = _product_table(a.n, a.order)
-    # gathered from C-ordered copies, the point and pair axes are the
-    # innermost of each operand: einsum is many times slower otherwise
+    # gathered by take from C-ordered copies, the point and pair axes are
+    # the innermost of each gathered operand, and einsum is many times
+    # slower otherwise: an index array on the last axis (ac[..., i]) lays
+    # the pair axis outermost in memory
     ac, bc = np.ascontiguousarray(a.c), np.ascontiguousarray(b.c)
     # the key from a list: a tuple built from a generator is resized after
     # it is filled, so it skips the tuple free list when made but joins it
@@ -290,7 +294,7 @@ def _cauchy(terms: list[tuple[int, str]], a: Jet, b: Jet) -> Jet:
         # the most whole coefficients from lo whose pairs fit, at least one
         hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
         pairs = slice(bounds[lo], bounds[hi])
-        ga, gb = ac[..., i[pairs]], bc[..., j[pairs]]
+        ga, gb = ac.take(i[pairs], axis=-1), bc.take(j[pairs], axis=-1)
         total = None
         for (sign, _), spec in zip(terms, specs):
             term = np.einsum(spec, ga, gb)
@@ -356,37 +360,58 @@ def _nilpotent(u: Jet) -> Jet:
     return Jet(c, u.n, u.order)
 
 
-def _series(u: Jet, coeffs: list[np.ndarray]) -> Jet:
-    """sum_k coeffs[k] h^k with h = u - u(x), elementwise, by Horner, from
-    per-point coefficients; exact to the jet's order because h^(K+1) = 0."""
-    h = _nilpotent(u)
+def _powers(u: Jet) -> list[Jet]:
+    """[h, h^2, .., h^K] with h = u - u(x) and K the jet's order, each power
+    the one below times h: K - 1 products, the table every function of u
+    reads."""
+    powers = [_nilpotent(u)]
+    for _ in range(u.order - 1):
+        powers.append(powers[-1] * powers[0])
+    return powers
+
+
+def _series(u: Jet, powers: list[Jet], coeffs: list[np.ndarray]) -> Jet:
+    """sum_k coeffs[k] h^k, elementwise, from per-point coefficients and one
+    table of powers h^0..h^K of h = u - u(x) (h^0 = 1, the rest _powers(u)):
+    exact to the jet's order because h^(K+1) = 0. Each term scales its power
+    and makes no product, so every function of one argument shares that
+    argument's K - 1 products (Griewank and Walther, Evaluating Derivatives,
+    SIAM 2008, ch. 13)."""
     c = np.zeros_like(u.c)
-    c[..., 0] = coeffs[u.order]
-    out = Jet(c, u.n, u.order)
-    for k in range(u.order - 1, -1, -1):
-        out = h * out
-        out.c[..., 0] += coeffs[k]
-    return out
+    c[..., 0] = coeffs[0]
+    for coeff, power in zip(coeffs[1:], powers):
+        c += coeff[..., None] * power.c
+    return Jet(c, u.n, u.order)
+
+
+def sincos(u: Jet) -> tuple[Jet, Jet]:
+    """(sin u, cos u) from one table of powers: the k-th derivative of sin
+    at u(x) is cycle[k % 4] and that of cos cycle[(k + 1) % 4], the cycle
+    sin, cos, -sin, -cos."""
+    s, c = np.sin(u.value), np.cos(u.value)
+    cycle = [s, c, -s, -c]
+    powers = _powers(u)
+    return (_series(u, powers, [cycle[k % 4] / math.factorial(k) for k in range(u.order + 1)]),
+            _series(u, powers, [cycle[(k + 1) % 4] / math.factorial(k)
+                                for k in range(u.order + 1)]))
 
 
 def sin(u: Jet) -> Jet:
-    return _series(u, [np.sin(u.value + 0.5 * k * np.pi) / math.factorial(k)
-                       for k in range(u.order + 1)])
+    return sincos(u)[0]
 
 
 def cos(u: Jet) -> Jet:
-    return _series(u, [np.cos(u.value + 0.5 * k * np.pi) / math.factorial(k)
-                       for k in range(u.order + 1)])
+    return sincos(u)[1]
 
 
 def exp(u: Jet) -> Jet:
     e = np.exp(u.value)
-    return _series(u, [e / math.factorial(k) for k in range(u.order + 1)])
+    return _series(u, _powers(u), [e / math.factorial(k) for k in range(u.order + 1)])
 
 
 def reciprocal(u: Jet) -> Jet:
     r = 1.0 / u.value
-    return _series(u, [(-r) ** k * r for k in range(u.order + 1)])
+    return _series(u, _powers(u), [(-r) ** k * r for k in range(u.order + 1)])
 
 
 def points_first(a: np.ndarray) -> np.ndarray:
@@ -397,21 +422,31 @@ def points_first(a: np.ndarray) -> np.ndarray:
     return a.transpose([a.ndim - 1, *range(a.ndim - 1)])
 
 
+def points_last(a: np.ndarray) -> np.ndarray:
+    """The view of a with its first (point) axis last: points_first undone."""
+    return a.transpose([*range(1, a.ndim), 0])
+
+
 def stacked(fn, a: np.ndarray) -> np.ndarray:
     """A numpy.linalg function of matrices over per-point matrices a, shape
     (d, d, P), in one stacked call."""
-    out = fn(points_first(a))
-    return out.transpose([*range(1, out.ndim), 0])
+    return points_last(fn(points_first(a)))
 
 
 def inv(a: Jet) -> Jet:
     """Inverse of a jet of square matrices (value shape (d, d)): with
-    A = A0 + H, A^-1 = sum_k (-A0^-1 H)^k A0^-1, a finite Neumann series."""
+    A = A0 + H and X = -A0^-1 H, whose powers past the jet's order K vanish,
+    A^-1 = (sum_{k<=K} X^k) A0^-1, and that sum is the product of the
+    factors I + X^(2^j) for 2^j <= K: one squaring and one product per
+    factor past the first, 2 Cauchy products at K = 3 where the Neumann
+    series takes 3 (Griewank and Walther, Evaluating Derivatives, SIAM 2008,
+    ch. 13)."""
     a0inv = stacked(np.linalg.inv, a.value)
     eye = np.eye(len(a0inv))
     x = -einsum("ij,jk->ik", a0inv, _nilpotent(a))
-    out = a.lift(eye)
-    for _ in range(a.order):
-        out = einsum("ij,jk->ik", x, out) + eye
+    out, power, span = x + eye, x, 2  # out = sum_{k<span} X^k, power = X^(span/2)
+    while span <= a.order:
+        power = einsum("ij,jk->ik", power, power)
+        out = out + einsum("ij,jk->ik", out, power)
+        span *= 2
     return einsum("ij,jk->ik", out, a0inv)
-

@@ -252,39 +252,42 @@ def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL, scale: float = 0.0,
               spectrum: bool = False,
               ) -> np.ndarray | tuple[np.ndarray, np.ndarray, float]:
     """Orthonormal kernel basis (columns); SVD cutoff at rel_tol x sigma_max:
-    nullspaces on a stack of one. With ``spectrum`` the result is (basis,
-    singular values, cutoff)."""
-    basis, sing, cutoff = nullspaces(np.asarray(mat, float)[None], [scale], rel_tol)[0]
-    return (basis, sing, cutoff) if spectrum else basis
+    kernel_spectra on a stack of one. With ``spectrum`` the result is
+    (basis, singular values, cutoff)."""
+    bases, sing, cutoff, _ = kernel_spectra(np.asarray(mat, float)[None], [scale], rel_tol)
+    return (bases[0], sing[0], cutoff[0]) if spectrum else bases[0]
 
 
-def nullspaces(mats: np.ndarray, scales: np.ndarray | list[float], rel_tol: float = NULL_TOL,
-               ) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """(kernel basis, singular values, cutoff) of each matrix of a stack,
-    shape (P, rows, cols), from one stacked SVD; the cutoff is rel_tol x
-    sigma_max.
+def kernel_spectra(mats: np.ndarray, scales: np.ndarray | list[float],
+                   rel_tol: float = NULL_TOL,
+                   ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """(bases, sing, cutoff, nonzero) of a stack of matrices, shape (P, rows,
+    cols), from one stacked SVD: each matrix's orthonormal kernel basis
+    (columns), the stacked singular values, shape (P, min(rows, cols)), each
+    cutoff rel_tol x sigma_max, and whether each matrix is nonzero. The
+    cutoffs and ranks are taken on the whole stack.
 
     Each matrix's ``scales`` entry floors its reference magnitude, so a
     matrix that is pure noise relative to the data it was built from counts
-    as zero. A zero matrix has no singular values and the whole space as its
-    kernel. A non-finite matrix or scale raises BadParameters."""
+    as zero. A zero matrix has the whole space as its kernel, zero singular
+    values and a zero cutoff. A non-finite matrix or scale raises
+    BadParameters."""
     mats = np.asarray(mats, float)
     scales = np.asarray(scales, float)
     if not (np.isfinite(mats).all() and np.isfinite(scales).all()):
         raise BadParameters("matrix or its scale has non-finite entries")
-    rows, cols = mats.shape[1:]
-    nonzero = mats.reshape(len(mats), -1).any(axis=1)
-    if nonzero.any():
-        # thin SVD; a wide matrix needs the full V to span its kernel
-        _, sing, vt = np.linalg.svd(mats, full_matrices=rows < cols)
-    out = []
-    for p, scale in enumerate(scales):
-        if not nonzero[p]:
-            out.append((np.eye(cols), np.zeros(0), 0.0))
-            continue
-        cutoff = rel_tol * max(sing[p, 0], scale)
-        out.append((vt[p, int((sing[p] > cutoff).sum()):].T, sing[p], cutoff))
-    return out
+    count, rows, cols = mats.shape
+    nonzero = mats.reshape(count, -1).any(axis=1)
+    if not nonzero.any():
+        return [np.eye(cols)] * count, np.zeros((count, min(rows, cols))), np.zeros(count), nonzero
+    # thin SVD; a wide matrix needs the full V to span its kernel
+    _, sing, vt = np.linalg.svd(mats, full_matrices=rows < cols)
+    sing = np.where(nonzero[:, None], sing, 0.0)
+    cutoff = np.where(nonzero, rel_tol * np.maximum(sing[:, 0], scales), 0.0)
+    ranks = (sing > cutoff[:, None]).sum(axis=1).tolist()
+    bases = [v[rank:].T if nz else np.eye(cols)
+             for v, rank, nz in zip(vt, ranks, nonzero.tolist())]
+    return bases, sing, cutoff, nonzero
 
 
 def _finite(*arrays) -> None:
@@ -403,17 +406,16 @@ def reductive_complement(h_basis: np.ndarray, inner: AdInvariantInner) -> np.nda
         k = nullspace(h.T @ inner.matrix, rel_tol=1e-12)
     if h.shape[1] + k.shape[1] != algebra.dim:
         raise NotReductive("complement dimensions do not add up")
-    # infinitesimal ad_H-invariance: brackets [h, k] must stay inner-orthogonal to h
-    gram = h.T @ inner.matrix @ h
-    for i in range(h.shape[1]):
-        for j in range(k.shape[1]):
-            w = algebra.bracket(h[:, i], k[:, j])
-            coeff = np.linalg.solve(gram, h.T @ inner.matrix @ w)
-            leak = float(np.linalg.norm(h @ coeff))
-            if leak > 1e-8 * max(1.0, float(np.linalg.norm(w))):
-                raise NotInvariant(
-                    "bracket [h, k] leaves the complement; inner product not invariant"
-                )
+    # infinitesimal ad_H-invariance: brackets [h, k] must stay inner-orthogonal
+    # to h, every pair (h_i, k_j) from one bracket contraction and one solve
+    if h.shape[1] and k.shape[1]:
+        w = np.einsum("kab,ai,bj->kij", algebra.structure, h, k).reshape(algebra.dim, -1)
+        coeff = np.linalg.solve(h.T @ inner.matrix @ h, h.T @ inner.matrix @ w)
+        leak = np.linalg.norm(h @ coeff, axis=0)
+        if (leak > 1e-8 * np.maximum(1.0, np.linalg.norm(w, axis=0))).any():
+            raise NotInvariant(
+                "bracket [h, k] leaves the complement; inner product not invariant"
+            )
     return k
 
 

@@ -101,50 +101,51 @@ class OrthoFrame:
             raise SingularFrame("frame/coframe has non-finite entries")
 
 
-def cholesky_frames(gs: np.ndarray, points: np.ndarray) -> list[OrthoFrame]:
-    """Cholesky frame at each point from the metric values gs, shape (P, d, d),
-    in one stacked factorization: G = L Lᵀ, frame = L^{-T}, so
-    frameᵀ G frame = I."""
+def cholesky_frames(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coframes, frames), each shape (P, d, d), of the Cholesky frame at
+    each point from the metric values gs, shape (P, d, d), in one stacked
+    factorization: G = L Lᵀ, coframe = Lᵀ and frame = L^{-T}, so
+    frameᵀ G frame = I. A non-finite frame raises SingularFrame."""
     try:
         coframe = np.swapaxes(np.linalg.cholesky(gs), 1, 2)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
     frame = np.linalg.inv(coframe)
-    return [OrthoFrame(x, e, th) for x, e, th in zip(points, frame, coframe)]
-
-
-def frame_stacks(frames: list[OrthoFrame]) -> tuple[np.ndarray, np.ndarray]:
-    """The coframes and the transposed frames of a batch of frames, each
-    stacked on a last point axis, shape (n, n, P): the frame arguments of
-    to_frames."""
-    return (np.stack([f.coframe for f in frames], axis=-1),
-            np.stack([f.frame.T for f in frames], axis=-1))
+    if not (np.isfinite(frame).all() and np.isfinite(coframe).all()):
+        raise SingularFrame("frame/coframe has non-finite entries")
+    return coframe, frame
 
 
 def to_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
     """Express tensor-axis components in the frame basis (LIE axes
     untouched): to_frames on a batch of one."""
-    data = to_frames(t.markers, t.data[..., None], f.coframe[..., None], f.frame.T[..., None])
-    return DenseTensor(t.markers, data[..., 0])
+    return DenseTensor(t.markers, to_frames(t.markers, t.data[None], f.coframe[None],
+                                            f.frame[None])[0])
 
 
 def to_frames(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
-              frame_t: np.ndarray) -> np.ndarray:
+              frame: np.ndarray) -> np.ndarray:
     """Tensor-axis components in an orthonormal frame at each point of a
-    batch: data has shape (dims..., P), coframe and frame_t (the frames
-    transposed) shape (n, n, P). v̂ = coframe·v on UP axes, and ω̂_a = ω(e_a)
-    contracts with the frame on DOWN axes."""
-    letters = string.ascii_lowercase[:len(markers)]
-    n = coframe.shape[0]
+    batch: data has shape (P, dims...), point first, and coframe and frame
+    shape (P, n, n), as cholesky_frames gives them; the result has the
+    shape of data. v̂ = coframe·v on UP axes, and ω̂_a = ω(e_a) contracts
+    with the frame on DOWN axes.
+
+    The axes go in order, each one matmul per point: the acted axis leads
+    the (axis, rest) reshape of each point's data, and the product,
+    (rest, axis), leaves it last, so after every axis (a LIE axis only
+    rotates) the axis order is the original."""
+    points, dims = data.shape[0], data.shape[1:]
+    n = coframe.shape[-1]
     for ax, m in enumerate(markers):
-        if m == LIE:
-            continue
-        if data.shape[ax] != n:
-            raise AxisMismatch(f"axis {ax} has dim {data.shape[ax]}, frame dim {n}")
-        j = letters[ax]
-        data = np.einsum(f"Z{j}P,{letters}P->{letters.replace(j, 'Z')}P",
-                         coframe if m == UP else frame_t, data)
-    return data
+        if m != LIE and dims[ax] != n:
+            raise AxisMismatch(f"axis {ax} has dim {dims[ax]}, frame dim {n}")
+    out = data
+    for m, d in zip(markers, dims):
+        rows = out.reshape(points, d, -1).transpose(0, 2, 1)
+        # (rest, axis) times coframeᵀ on UP, the frame on DOWN
+        out = rows if m == LIE else rows @ (coframe.transpose(0, 2, 1) if m == UP else frame)
+    return out.reshape(data.shape)
 
 
 def point_norms(data: np.ndarray) -> np.ndarray:

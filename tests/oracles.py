@@ -21,6 +21,11 @@ covariant. So are the frame helpers that only tests use. Criterion 05's
 check that two condition systems on a metric connection agree reads the
 same difference tensor, and lives here with it.
 
+Three earlier kernels judge their replacements: the matrix inverse of a
+jet by the Neumann series, the functions of one jet by Horner's rule, and
+the change to orthonormal frames by one einsum per axis over point-last
+data.
+
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
 adapted frame fields) serves the per-tuple case tables of
@@ -351,7 +356,8 @@ def structure_constants_loop(mats: np.ndarray) -> np.ndarray:
 
 def frame_from_metric(g: np.ndarray, point: np.ndarray) -> OrthoFrame:
     """Cholesky frame of the metric value g at a point."""
-    return cholesky_frames(np.asarray(g, float)[None], np.asarray(point, float)[None])[0]
+    coframe, frame = cholesky_frames(np.asarray(g, float)[None])
+    return OrthoFrame(point, frame[0], coframe[0])
 
 
 def rotated(frame: OrthoFrame, q: np.ndarray) -> OrthoFrame:
@@ -386,6 +392,49 @@ def cholesky(g: Jet) -> Jet:
         q = pert - jet.einsum("ij,kj->ik", n_jet, n_jet)
         n_jet = n_jet + Jet(q.c * (deg == k) * lower[..., None, None], g.n, g.order)
     return jet.einsum("ij,jk->ik", l0, n_jet + np.eye(d))
+
+
+def inv_neumann(a: Jet) -> Jet:
+    """jet.inv by the Neumann series in Horner form: with A = A0 + H and
+    X = -A0^-1 H, A^-1 = (I + X (I + X (...))) A0^-1, one Cauchy product
+    per order."""
+    a0inv = jet.stacked(np.linalg.inv, a.value)
+    eye = np.eye(len(a0inv))
+    x = -jet.einsum("ij,jk->ik", a0inv, jet._nilpotent(a))
+    out = a.lift(eye)
+    for _ in range(a.order):
+        out = jet.einsum("ij,jk->ik", x, out) + eye
+    return jet.einsum("ij,jk->ik", out, a0inv)
+
+
+def series_horner(u: Jet, coeffs: list[np.ndarray]) -> Jet:
+    """jet._series by Horner's rule: sum_k coeffs[k] h^k with h = u - u(x),
+    one product per order."""
+    h = jet._nilpotent(u)
+    c = np.zeros_like(u.c)
+    c[..., 0] = coeffs[u.order]
+    out = Jet(c, u.n, u.order)
+    for k in range(u.order - 1, -1, -1):
+        out = h * out
+        out.c[..., 0] += coeffs[k]
+    return out
+
+
+def to_frames_per_axis(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
+                       frame: np.ndarray) -> np.ndarray:
+    """tensor_core.to_frames by one einsum per acted axis over data with the
+    point axis trailing: the arguments and the result as to_frames has
+    them, point first."""
+    letters = string.ascii_lowercase[:len(markers)]
+    out = np.moveaxis(data, 0, -1)
+    # [a, j, p]: coframe[p, a, j] on UP axes, frame[p, j, a] on DOWN axes
+    mats = {UP: coframe.transpose(1, 2, 0), DOWN: frame.transpose(2, 1, 0)}
+    for ax, m in enumerate(markers):
+        if m == LIE:
+            continue
+        j = letters[ax]
+        out = np.einsum(f"Z{j}P,{letters}P->{letters.replace(j, 'Z')}P", mats[m], out)
+    return np.moveaxis(out, -1, 0)
 
 
 def frame_jet(g: MetricField, x: np.ndarray, order: int) -> tuple[Jet, Jet]:

@@ -13,7 +13,8 @@ import pytest
 import sympy as sp
 
 from ambrose import jet
-from oracles import cholesky, degrees
+from ambrose.fixtures import instantiate
+from oracles import cholesky, degrees, inv_neumann, series_horner
 
 X0 = np.array([0.7, -0.4])
 
@@ -88,6 +89,95 @@ def test_inverse_is_exact_to_the_order():
     ident = jet.einsum("ij,jk->ik", g, ginv)
     np.testing.assert_allclose(ident.c, g.lift(np.eye(3)).c, atol=1e-14)
     np.testing.assert_allclose(ginv.value[..., 0], np.linalg.inv(g.value[..., 0]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_inverse_matches_the_neumann_series(order):
+    g = spd(jet.variables(POINTS, order))
+    want = inv_neumann(g)
+    assert np.abs(jet.inv(g).c - want.c).max() <= 1e-14 * np.abs(want.c).max()
+
+
+def count_cauchy(monkeypatch) -> list[int]:
+    """One entry per Cauchy product of two jets, by any jet.einsum."""
+    calls = []
+    cauchy = jet._cauchy
+
+    def counted(terms, a, b):
+        calls.append(1)
+        return cauchy(terms, a, b)
+
+    monkeypatch.setattr(jet, "_cauchy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_inverse_takes_no_more_products_than_the_neumann_series(order, monkeypatch):
+    """The factors I + X^(2^j) make 2 (ceil(log2(K + 1)) - 1) Cauchy
+    products where the Neumann series makes K: 2 at K = 3."""
+    g = spd(jet.variables(POINTS, order))
+    calls = count_cauchy(monkeypatch)
+    jet.inv(g)
+    ours = len(calls)
+    calls.clear()
+    inv_neumann(g)
+    assert ours <= len(calls) == order
+    assert ours == [0, 0, 2, 2, 4, 4, 4, 4, 6][order]
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_sincos_matches_sympy(order):
+    a, b = sp.symbols("a b")
+    arg = a * b + 2 * a - b ** 2
+    X = jet.variables(X0, order)
+    u = X[0] * X[1] + 2 * X[0] - X[1] ** 2
+    s, c = jet.sincos(u)
+    for got, expr in ((s, sp.sin(arg)), (c, sp.cos(arg))):
+        ref = coefficient_table(expr, (a, b), X0, order)
+        assert np.abs(got.c - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    # sin and cos are sincos's halves, bit for bit
+    np.testing.assert_array_equal(jet.sin(u).c, s.c)
+    np.testing.assert_array_equal(jet.cos(u).c, c.c)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_series_match_horner(order):
+    """Each function read off one table of powers is its Horner series
+    within rounding."""
+    X = jet.variables(POINTS, order)
+    u = 0.3 * X[0] * X[1] + X[1] + 1.5
+    v = u.value
+    k = range(order + 1)
+    cases = [
+        (jet.sin(u), [np.sin(v + 0.5 * i * np.pi) / math.factorial(i) for i in k]),
+        (jet.cos(u), [np.cos(v + 0.5 * i * np.pi) / math.factorial(i) for i in k]),
+        (jet.exp(u), [np.exp(v) / math.factorial(i) for i in k]),
+        (jet.reciprocal(u), [(-1.0 / v) ** i / v for i in k]),
+    ]
+    for got, coeffs in cases:
+        want = series_horner(u, coeffs)
+        assert np.abs(got.c - want.c).max() <= 1e-14 * np.abs(want.c).max()
+
+
+def test_sincos_shares_its_powers(monkeypatch):
+    """sincos at order K takes K - 1 products of jets, the powers of its
+    argument's nonconstant part, for both functions: a berger_sphere metric
+    evaluation at order 4 takes 8, 3 for each sincos of an Euler angle and
+    2 for the coframe's products of sines and cosines."""
+    calls = []
+    mul = jet.Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, jet.Jet):
+            calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(jet.Jet, "__mul__", counted)
+    jet.sincos(jet.variables(X0, 4)[0])
+    assert len(calls) == 3
+    calls.clear()
+    instantiate("berger_sphere", {}).g.evaluator(jet.variables(np.array([1.0, 1.2, 0.4]), 4))
+    assert len(calls) == 8
 
 
 def test_cholesky_factor():

@@ -23,8 +23,8 @@ from ambrose.lie_core import (
     default_inner,
     direct_sum,
     frame_structure_rep,
+    kernel_spectra,
     nullspace,
-    nullspaces,
     orthonormalize,
     principal_angles,
     reductive_complement,
@@ -237,19 +237,24 @@ class TestSubspaceMachinery:
     def test_nullspaces_of_a_stack(self):
         """Each matrix of a stack, with its own scale floor, has the kernel,
         spectrum and cutoff that nullspace gives it alone; a zero matrix
-        among them has no spectrum and the whole space as kernel."""
+        among them has zero singular values, a zero cutoff and the whole
+        space as kernel."""
         rng = np.random.default_rng(3)
         mats = rng.normal(size=(4, 2, 3))
         mats[1] = 0.0
         mats[3] *= 1e-12
         scales = [0.0, 1.0, 0.5, 1.0]
-        for mat, scale, got in zip(mats, scales, nullspaces(mats, scales), strict=True):
-            for a, b in zip(got, nullspace(mat, scale=scale, spectrum=True)):
+        bases, sing, cutoff, nonzero = kernel_spectra(mats, scales)
+        for p, (mat, scale) in enumerate(zip(mats, scales)):
+            for a, b in zip((bases[p], sing[p], cutoff[p]),
+                            nullspace(mat, scale=scale, spectrum=True), strict=True):
                 np.testing.assert_array_equal(a, b)
-        assert nullspaces(mats, scales)[1][0].shape == (3, 3)
-        assert nullspaces(mats, scales)[3][0].shape == (3, 3)
+        assert nonzero.tolist() == [True, False, True, True]
+        np.testing.assert_array_equal(bases[1], np.eye(3))
+        assert not sing[1].any() and cutoff[1] == 0.0
+        assert bases[3].shape == (3, 3)
         with pytest.raises(BadParameters):
-            nullspaces(mats, [0.0, 1.0, np.nan, 1.0])
+            kernel_spectra(mats, [0.0, 1.0, np.nan, 1.0])
 
     def test_nullspace_of_zero_matrix(self):
         assert nullspace(np.zeros((4, 3))).shape == (3, 3)
@@ -451,6 +456,18 @@ class TestReductiveComplement:
         su2 = algebra_by_name("su(2)")
         with pytest.raises(NotSubalgebra):
             reductive_complement(np.eye(3)[:, :2], default_inner(su2))
+
+    def test_spoiled_inner_product_is_not_invariant(self):
+        """An inner product spoiled after its invariance check couples E3 to
+        E1: the complement of h = span(E3) tilts towards E3, and the bracket
+        of E3 with the complement's E2 leaks into h."""
+        su2 = algebra_by_name("su(2)")
+        inner = AdInvariantInner(su2, np.eye(3))
+        spoiled = np.eye(3)
+        spoiled[0, 2] = spoiled[2, 0] = 0.3
+        object.__setattr__(inner, "matrix", spoiled)
+        with pytest.raises(NotInvariant):
+            reductive_complement(np.array([[0.0], [0.0], [1.0]]), inner)
 
 
 class TestGroupAndFrameRep:

@@ -12,9 +12,17 @@ from ambrose.tensor_core import (
     DenseTensor,
     OrthoFrame,
     axis_action,
+    cholesky_frames,
     to_frame,
+    to_frames,
 )
-from oracles import apply_axis, axis_action_per_axis, frame_from_metric, rotated
+from oracles import (
+    apply_axis,
+    axis_action_per_axis,
+    frame_from_metric,
+    rotated,
+    to_frames_per_axis,
+)
 
 
 def random_spd(rng, n):
@@ -182,3 +190,24 @@ class TestFrameTransport:
         fr = frame_from_metric(np.eye(3), np.zeros(3))
         with pytest.raises(AxisMismatch):
             to_frame(t, fr)
+
+
+class TestToFrames:
+    MIXES = [(UP,), (DOWN,), (LIE,), (UP, DOWN), (DOWN, LIE, UP), (LIE, DOWN, DOWN, UP),
+             (DOWN, UP, DOWN, LIE, DOWN)]
+
+    @pytest.mark.parametrize("markers", MIXES)
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("points", [1, 4, 9])
+    def test_matches_one_einsum_per_axis(self, markers, n, points):
+        """One matmul per axis on point-first data, each axis rotated to the
+        end, is the per-axis einsum over point-last data within rounding, in
+        each point's own Cholesky frame."""
+        rng = np.random.default_rng([n, points, len(markers)])
+        dims = tuple(4 if m == LIE else n for m in markers)
+        data = rng.normal(size=(points,) + dims)
+        coframe, frame = cholesky_frames(np.stack([random_spd(rng, n) for _ in range(points)]))
+        got = to_frames(markers, data, coframe, frame)
+        want = to_frames_per_axis(markers, data, coframe, frame)
+        assert got.shape == data.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

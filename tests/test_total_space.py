@@ -504,7 +504,7 @@ class TestCallCounts:
         once per batch of points; the per-tuple case tables take hundreds of
         FD calls and thousands of frames per point."""
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
-        frames = count_calls(monkeypatch, chart_calculus.ortho_frames)
+        frames = count_calls(monkeypatch, chart_calculus.frame_stacks)
         code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
                          "--points", "2"])
         capsys.readouterr()
