@@ -113,7 +113,7 @@ def count_cauchy(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("order", range(9))
 def test_inverse_takes_no_more_products_than_the_neumann_series(order, monkeypatch):
-    """The factors I + X^(2^j) make 2 (ceil(log2(K + 1)) - 1) Cauchy
+    """The factors I + X^(2^j) make 2 * (ceil(log2(K + 1)) - 1) Cauchy
     products where the Neumann series makes K: 2 at K = 3."""
     g = spd(jet.variables(POINTS, order))
     calls = count_cauchy(monkeypatch)
