@@ -148,7 +148,9 @@ class Jet:
             return Jet(self.c * np.asarray(other, float)[..., None, None], self.n, self.order)
         a, b = self._pair(other)
         i, j, starts, _ = _product_table(a.n, a.order)
-        return Jet(np.add.reduceat(a.c[..., i] * b.c[..., j], starts, axis=-1), a.n, a.order)
+        # gathered by take, C-ordered (see _cauchy)
+        return Jet(np.add.reduceat(a.c.take(i, axis=-1) * b.c.take(j, axis=-1), starts, axis=-1),
+                   a.n, a.order)
 
     __rmul__ = __mul__
 
@@ -270,8 +272,10 @@ def _cauchy(terms: list[tuple[int, str]], a: Jet, b: Jet) -> Jet:
     terms in order, and each coefficient then sums its pairs in the same
     order whatever the blocks."""
     i, j, starts, bounds = _product_table(a.n, a.order)
-    # gathered from C-ordered copies, the point and pair axes are the
-    # innermost of each operand: einsum is many times slower otherwise
+    # gathered by take from C-ordered copies, the point and pair axes are
+    # the innermost of each gathered operand, and einsum is many times
+    # slower otherwise: an index array on the last axis (ac[..., i]) lays
+    # the pair axis outermost in memory
     ac, bc = np.ascontiguousarray(a.c), np.ascontiguousarray(b.c)
     # the key from a list: a tuple built from a generator is resized after
     # it is filled, so it skips the tuple free list when made but joins it
@@ -290,7 +294,7 @@ def _cauchy(terms: list[tuple[int, str]], a: Jet, b: Jet) -> Jet:
         # the most whole coefficients from lo whose pairs fit, at least one
         hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
         pairs = slice(bounds[lo], bounds[hi])
-        ga, gb = ac[..., i[pairs]], bc[..., j[pairs]]
+        ga, gb = ac.take(i[pairs], axis=-1), bc.take(j[pairs], axis=-1)
         total = None
         for (sign, _), spec in zip(terms, specs):
             term = np.einsum(spec, ga, gb)
