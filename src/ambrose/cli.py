@@ -65,7 +65,6 @@ from .lie_core import (
     algebra_by_name,
     default_inner,
     frame_structure_rep,
-    subalgebra_residuals,
 )
 from .tensor_core import DOWN, LIE, UP, point_norms, to_frames
 from .total_space import TotalSpaceModel, total_space_check
@@ -402,8 +401,7 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
     if len({ch.singer_k for ch in chains}) > 1:
         flags.append("singer-varies")
     residuals = {"nesting_angle": nan_max(a for ch in chains for a in ch.nesting),
-                 "subalgebra": nan_max(subalgebra_residuals(rep.algebra,
-                                                            [b for ch in chains for b in ch.bases]))}
+                 "subalgebra": nan_max(s for ch in chains for s in ch.subalgebra)}
     singer_k, dims = chains[0].singer_k, chains[0].dims
     return make_report("singer", fix.name, points, residuals, flags, singer_k=singer_k,
                        stabilizer_dims=dims if singer_k is None else dims[:singer_k + 1])

@@ -27,16 +27,13 @@ class RepMismatch(AmbroseError):
     """An axis has no registered representation of the right size."""
 
 
-class NotSubalgebra(AmbroseError):
-    """A subspace is not closed under the Lie bracket."""
-
-
 class NotInvariant(AmbroseError):
     """An inner product failed the ad-invariance bracket check."""
 
 
 class NotReductive(AmbroseError):
-    """The orthogonal complement is not ad(h)-invariant."""
+    """A stabilizer is not closed under the bracket, so it has no
+    ad(h)-invariant complement."""
 
 
 class DepthMismatch(AmbroseError):

@@ -14,6 +14,15 @@ from the tower alone, as the Ambrose-Singer construction builds it: its
 shift beta is the least-squares solution of the equations that make every
 entry through the Singer stage parallel, and each residual is a
 frame-indexed covariant derivative plus the action of beta.
+
+The construction needs the stabilizer h of the tower and an ad(h)-invariant
+complement of it. The inner product is ad-invariant, checked where
+AdInvariantInner is built, so the orthogonal complement of h is invariant
+as soon as h is closed under the bracket: <[X, Y], Z> = -<Y, [X, Z]> = 0
+for X, Z in h and Y orthogonal to h (Tricerri and Vanhecke, LMS Lecture
+Notes 83, 1983). So the stabilizer chain records each level's closure
+residual beside its nesting angle, and the adapted connection checks the
+closure at the Singer stage and needs no basis of the complement.
 """
 
 from __future__ import annotations
@@ -47,7 +56,6 @@ from .chart_calculus import (
 from .errors import (
     BadParameters,
     DepthMismatch,
-    NotInvariant,
     NotReductive,
     NumericalFailure,
     RepMismatch,
@@ -58,10 +66,9 @@ from .lie_core import (
     TensorRep,
     action_rows,
     kernel_spectra,
-    principal_angles,
-    reductive_complement,
     skew_exp,
     stacked_action_matrix,
+    subalgebra_residuals,
 )
 from .tensor_core import (
     DOWN,
@@ -125,12 +132,15 @@ class DerivativeTower:
 @dataclass(frozen=True)
 class StabilizerChain:
     """Nested stabilizer subalgebras of the tower entries: bases[k] spans
-    h(k), and nesting[k] is the largest principal angle between h(k + 1)
-    and h(k), 0.0 where either is empty."""
+    h(k), nesting[k] is the largest principal angle between h(k + 1) and
+    h(k), 0.0 where either is empty, and subalgebra[k] is the largest part
+    of a bracket of two basis vectors of h(k) that leaves h(k), 0.0 where
+    h(k) is closed."""
 
     bases: tuple[np.ndarray, ...]
     dims: tuple[int, ...]
     nesting: tuple[float, ...]
+    subalgebra: tuple[float, ...]
     singer_k: int | None
     flags: tuple[str, ...]
 
@@ -254,35 +264,44 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
     same markers and shapes at every point: h(k) is the kernel of the stacked
     action matrix over the entries 0..k.
 
-    No stacked matrix is held. Each entry's action rows are built for the
-    batch's points together, in blocks of at most jet.PRODUCT_BLOCK elements
-    (sliced over points, then over leading tensor axes), and each block is
-    folded into a per-point R factor, at most m x m: R_k is the R of
-    QR([R_{k-1}; block_k]), so it has the singular values of the rows of
-    levels 0..k, and one stacked SVD of the R factors of every level and
-    point with the same shape gives their kernels (LAPACK takes the
-    matrices one by one, so stacking changes no bit). The cutoff is floored
-    at each point's running sum of squared entry norms, so that levels
-    which vanish in exact arithmetic do not present their rounding as
-    full-rank columns."""
+    No stacked matrix is held. Each entry's points are stacked once, in
+    blocks of as many points as keep its action rows within
+    jet.PRODUCT_BLOCK elements (all of them, unless the entry is large), and
+    each block's squared norms are one reduction. The rows are built for the
+    block's points together, sliced over leading tensor axes where one
+    point's rows exceed the bound, and folded into a per-point R factor, at
+    most m x m: R_k is the R of QR([R_{k-1}; block_k]), so it has the
+    singular values of the rows of levels 0..k, and one stacked SVD of the R
+    factors of every level and point with the same shape gives their
+    kernels (LAPACK takes the matrices one by one, so stacking changes no
+    bit). The cutoff is floored at each point's running sum of squared
+    entry norms, so that levels which vanish in exact arithmetic do not
+    present their rounding as full-rank columns. Each kernel's closure
+    under the bracket comes from one subalgebra_residuals call over every
+    level and point."""
     if not towers:
         return []
     shapes = [[(t.markers, t.dims) for t in entry] for entry in towers[0].entries]
     if any([[(t.markers, t.dims) for t in entry] for entry in tw.entries] != shapes
            for tw in towers):
         raise DepthMismatch("towers of a batch have entries of different shapes")
-    r = [np.zeros((0, rep.algebra.dim))] * len(towers)
-    sq = np.zeros(len(towers))
+    count, m = len(towers), rep.algebra.dim
+    r = [np.zeros((0, m))] * count
+    sq = np.zeros(count)
     factors, scales = [], []
     for k, shape in enumerate(shapes):
-        for i, (markers, _) in enumerate(shape):
-            per_point = [tw.entries[k][i].data for tw in towers]
-            sq += [np.linalg.norm(d) ** 2 for d in per_point]
-            for points, rows in _row_blocks(markers, per_point, rep):
-                # stacked column by column, the layout the QR reads
-                cols = np.concatenate([np.stack(r[points]).transpose(0, 2, 1),
-                                       rows.transpose(0, 2, 1)], axis=2)
-                r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+        for i, (markers, dims) in enumerate(shape):
+            step = max(jet.PRODUCT_BLOCK // (m * math.prod(dims)), 1)
+            for start in range(0, count, step):
+                points = slice(start, start + step)
+                data = np.stack([tw.entries[k][i].data for tw in towers[points]])
+                flat = data.reshape(len(data), -1)
+                sq[points] += np.einsum("pi,pi->p", flat, flat)
+                for rows in _row_blocks(markers, data, rep):
+                    # stacked column by column, the layout the QR reads
+                    cols = np.concatenate([np.stack(r[points]).transpose(0, 2, 1),
+                                           rows.transpose(0, 2, 1)], axis=2)
+                    r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
         factors.extend(r)
         scales.extend(np.sqrt(sq))
     # the kernels of every level and point, level-major, one SVD per R shape;
@@ -293,61 +312,67 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
     for j, factor in enumerate(factors):
         groups.setdefault(factor.shape, []).append(j)
     for group in groups.values():
-        found, sing, cutoff, _ = kernel_spectra(np.stack([factors[j] for j in group]),
-                                                [scales[j] for j in group])
+        found, sing, cutoff = kernel_spectra(np.stack([factors[j] for j in group]),
+                                             [scales[j] for j in group])
         kept = sing > cutoff[:, None]
         murky[group] = (np.where(kept, sing, np.inf).min(axis=1)
                         < 10.0 * np.where(kept, -np.inf, sing).max(axis=1))
         for j, basis in zip(group, found):
             bases[j] = basis
-    count = len(towers)
+    closure = subalgebra_residuals(rep.algebra, bases).reshape(len(shapes), count).T.tolist()
     levels = [bases[k * count:(k + 1) * count] for k in range(len(shapes))]
     nesting = _nesting(levels)
     ambiguous = murky.reshape(len(shapes), count).any(axis=0).tolist()
-    return [_chain([level[p] for level in levels], nesting[p], ambiguous[p])
+    return [_chain([level[p] for level in levels], nesting[p], tuple(closure[p]), ambiguous[p])
             for p in range(count)]
 
 
-def _row_blocks(markers: tuple[str, ...], per_point: list[np.ndarray], rep: TensorRep,
-                ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(points, rows) blocks of one entry's action rows over a batch, each of
-    at most jet.PRODUCT_BLOCK elements where it can be: as many points as
-    fit, or else one point with the fewest leading axes fixed that make it
-    fit (all of them, one row, at the least)."""
+def _row_blocks(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
+                ) -> Iterator[np.ndarray]:
+    """One entry's action rows at a block of points, data shape (P, dims...),
+    in blocks of at most jet.PRODUCT_BLOCK elements where it can be: all the
+    rows, or else those of the fewest leading axes fixed that make one
+    point's rows fit (all of them, one row, at the least)."""
     m = rep.algebra.dim
-    dims = per_point[0].shape
-    step = max(jet.PRODUCT_BLOCK // (m * per_point[0].size), 1)
+    dims = data.shape[1:]
     lead = next((j for j in range(len(dims))
                  if m * math.prod(dims[j:]) <= jet.PRODUCT_BLOCK), len(dims))
-    for start in range(0, len(per_point), step):
-        data = per_point[start][None] if step == 1 else np.stack(per_point[start:start + step])
-        for prefix in np.ndindex(*dims[:lead]):
-            yield slice(start, start + step), action_rows(markers, data, rep, prefix)
+    for prefix in np.ndindex(*dims[:lead]):
+        yield action_rows(markers, data, rep, prefix)
 
 
 def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
-    """Each point's nesting angles from the kernel bases of each level at
-    every point of a batch: the largest principal angle between a level's
-    kernel and the next one's, with one principal_angles call per pair of
-    kernel shapes over every level pair and point."""
+    """Each point's nesting angles from the orthonormal kernel bases of each
+    level at every point of a batch: the largest principal angle between a
+    level's kernel and the next one's, theta with sin theta = |(I - B B^T)
+    A|_2, A the kernel of the lower dimension and B the other (the next
+    level's kernel is A where the dimensions are equal). The level pairs
+    and points with the same kernel shapes take one stacked SVD; an empty
+    kernel gives 0.0."""
     groups = {}
     for k, (lo, hi) in enumerate(zip(levels, levels[1:])):
         for p, pair in enumerate(zip(lo, hi)):
             # the key from a list (see jet._cauchy)
-            groups.setdefault(tuple([b.shape for b in pair]), []).append((k, p))
+            groups.setdefault(tuple([b.shape[1] for b in pair]), []).append((k, p))
     nesting = [[0.0] * (len(levels) - 1) for _ in levels[0]]
-    for keys in groups.values():
-        angles = principal_angles(np.stack([levels[k + 1][p] for k, p in keys]),
-                                  np.stack([levels[k][p] for k, p in keys]))
-        for (k, p), row in zip(keys, angles):
-            nesting[p][k] = nan_max(row)
+    for (dim_lo, dim_hi), keys in groups.items():
+        if min(dim_lo, dim_hi) == 0:
+            continue
+        # the level offsets of A and B within the pair
+        lower, other = (1, 0) if dim_hi <= dim_lo else (0, 1)
+        a = np.stack([levels[k + lower][p] for k, p in keys])
+        b = np.stack([levels[k + other][p] for k, p in keys])
+        sin = np.linalg.norm(a - b @ (b.transpose(0, 2, 1) @ a), 2, axis=(1, 2))
+        for (k, p), angle in zip(keys, np.arcsin(np.minimum(sin, 1.0)).tolist()):
+            nesting[p][k] = angle
     return [tuple(angles) for angles in nesting]
 
 
-def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], ambiguous: bool,
-           ) -> StabilizerChain:
+def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], subalgebra: tuple[float, ...],
+           ambiguous: bool) -> StabilizerChain:
     """The chain of one point from the kernel basis of each level, its
-    nesting angles, and whether some level's spectrum lacks a clear gap."""
+    nesting angles and closure residuals, and whether some level's spectrum
+    lacks a clear gap."""
     flags = []
     dims = tuple([b.shape[1] for b in bases])  # from a list (see jet._cauchy)
     # the Singer stage: the first level that the next one keeps
@@ -361,7 +386,7 @@ def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], ambiguous: bool,
     if ambiguous:
         flags.append("ambiguous")
     return StabilizerChain(bases=tuple(bases), dims=dims, nesting=nesting,
-                           singer_k=singer_k, flags=tuple(flags))
+                           subalgebra=subalgebra, singer_k=singer_k, flags=tuple(flags))
 
 
 def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
@@ -588,10 +613,10 @@ def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: T
         if chain.singer_k is None:
             raise NumericalFailure("stabilizer chain did not stabilize")
         h = chain.bases[chain.singer_k]
-        try:
-            reductive_complement(h, inner)
-        except NotInvariant as exc:
-            raise NotReductive(str(exc)) from exc
+        # inner is ad-invariant, so the complement of a subalgebra is ad(h)-invariant
+        if not chain.subalgebra[chain.singer_k] <= 1e-9:
+            raise NotReductive(f"stabilizer at stage {chain.singer_k} is not a subalgebra: "
+                               f"closure residual {chain.subalgebra[chain.singer_k]:.3g}")
         # the entries T of levels 0..singer_k, Tnext one level up, T2 two
         entries = tower.up_to(chain.singer_k + 2)
         per_level = len(tower.entries[0])
@@ -656,8 +681,9 @@ def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep:
     the entries of levels 0..singer_k, and W_ba + D_a beta_k,b
     - sum_c B_b[c, a] V_c on the entries of level singer_k + 1, the last
     term beta_k acting on Tnext's leading axis, which D leaves out. A chain
-    that did not stabilize raises NumericalFailure, and a stabilizer without
-    an invariant complement NotReductive."""
+    that did not stabilize raises NumericalFailure, and one whose closure
+    residual at the Singer stage is not at most 1e-9 NotReductive: the
+    complement of h is invariant only if h is a subalgebra."""
     adjoint, shift, tower_res = with_adjoint_rep(rep), [], []
     for beta_k, nabla_beta_k, nabla_tower in _adapted_shifts(pairs, rep, inner):
         shift.append(gauge_residual(beta_k, adjoint, DenseTensor((DOWN, LIE), beta_k),

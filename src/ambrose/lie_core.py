@@ -17,13 +17,7 @@ from functools import cache, wraps
 
 import numpy as np
 
-from .errors import (
-    BadParameters,
-    NotInvariant,
-    NotReductive,
-    NotSubalgebra,
-    RepMismatch,
-)
+from .errors import BadParameters, NotInvariant, RepMismatch
 from .tensor_core import DOWN, LIE, DenseTensor, axis_action
 
 NULL_TOL = 1e-8
@@ -129,7 +123,8 @@ class LinearRep:
 
 @dataclass(frozen=True)
 class AdInvariantInner:
-    """Ad-invariant inner product on the algebra."""
+    """Ad-invariant inner product on the algebra, checked when built: the
+    orthogonal complement of any subalgebra h is then ad(h)-invariant."""
 
     algebra: LieAlgebra
     matrix: np.ndarray
@@ -248,24 +243,19 @@ def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndar
     return np.concatenate(rows) if rows else np.zeros((0, rep.algebra.dim))
 
 
-def nullspace(mat: np.ndarray, rel_tol: float = NULL_TOL, scale: float = 0.0,
-              spectrum: bool = False,
-              ) -> np.ndarray | tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal kernel basis (columns); SVD cutoff at rel_tol x sigma_max:
-    kernel_spectra on a stack of one. With ``spectrum`` the result is
-    (basis, singular values, cutoff)."""
-    bases, sing, cutoff, _ = kernel_spectra(np.asarray(mat, float)[None], [scale], rel_tol)
-    return (bases[0], sing[0], cutoff[0]) if spectrum else bases[0]
+def nullspace(mat: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal kernel basis (columns); SVD cutoff at NULL_TOL x
+    sigma_max: kernel_spectra on a stack of one."""
+    return kernel_spectra(np.asarray(mat, float)[None], [scale])[0][0]
 
 
 def kernel_spectra(mats: np.ndarray, scales: np.ndarray | list[float],
-                   rel_tol: float = NULL_TOL,
-                   ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """(bases, sing, cutoff, nonzero) of a stack of matrices, shape (P, rows,
-    cols), from one stacked SVD: each matrix's orthonormal kernel basis
-    (columns), the stacked singular values, shape (P, min(rows, cols)), each
-    cutoff rel_tol x sigma_max, and whether each matrix is nonzero. The
-    cutoffs and ranks are taken on the whole stack.
+                   ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """(bases, sing, cutoff) of a stack of matrices, shape (P, rows, cols),
+    from one stacked SVD: each matrix's orthonormal kernel basis (columns),
+    the stacked singular values, shape (P, min(rows, cols)), and each cutoff
+    NULL_TOL x sigma_max. The cutoffs and ranks are taken on the whole
+    stack.
 
     Each matrix's ``scales`` entry floors its reference magnitude, so a
     matrix that is pure noise relative to the data it was built from counts
@@ -279,103 +269,27 @@ def kernel_spectra(mats: np.ndarray, scales: np.ndarray | list[float],
     count, rows, cols = mats.shape
     nonzero = mats.reshape(count, -1).any(axis=1)
     if not nonzero.any():
-        return [np.eye(cols)] * count, np.zeros((count, min(rows, cols))), np.zeros(count), nonzero
+        return [np.eye(cols)] * count, np.zeros((count, min(rows, cols))), np.zeros(count)
     # thin SVD; a wide matrix needs the full V to span its kernel
     _, sing, vt = np.linalg.svd(mats, full_matrices=rows < cols)
     sing = np.where(nonzero[:, None], sing, 0.0)
-    cutoff = np.where(nonzero, rel_tol * np.maximum(sing[:, 0], scales), 0.0)
+    cutoff = np.where(nonzero, NULL_TOL * np.maximum(sing[:, 0], scales), 0.0)
     ranks = (sing > cutoff[:, None]).sum(axis=1).tolist()
     bases = [v[rank:].T if nz else np.eye(cols)
              for v, rank, nz in zip(vt, ranks, nonzero.tolist())]
-    return bases, sing, cutoff, nonzero
-
-
-def _finite(*arrays) -> None:
-    """Raise BadParameters unless every entry of the arrays is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise BadParameters("basis has non-finite entries")
-
-
-def _qr_columns(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, keep) of a stack of bases, shape (P, m, k), from one stacked QR:
-    column c of q[p] counts where keep[p, c], that is where |r_cc| exceeds
-    1e-12 x max(1, |r|) for that basis."""
-    q, r = np.linalg.qr(bases)
-    scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
-    return q, np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-12 * scale[:, None]
-
-
-def orthonormalize(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span; a non-finite basis
-    raises BadParameters."""
-    basis = np.asarray(basis, float)
-    _finite(basis)
-    if basis.size == 0:
-        return basis.reshape(basis.shape[0], 0)
-    q, keep = _qr_columns(basis[None])
-    return q[0][:, keep[0]]
-
-
-def _orth(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, rank) of a stack of matrices, shape (P, n, k), from one thin
-    stacked SVD: the first rank[p] columns of u[p] are an orthonormal basis
-    of the column span of a[p], whose singular values at or below
-    max(n, k) * eps * sigma_max are dropped."""
-    u, sing, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = np.amax(sing, axis=-1, initial=0.0) * np.finfo(float).eps * max(a.shape[1:])
-    return u, (sing > cutoff[:, None]).sum(axis=-1)
-
-
-def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray | list[np.ndarray]:
-    """Principal angles between the column spans, descending: cosines from
-    one SVD, and sines from a second for the pairs with cosine^2 >= 1/2,
-    where the arccosine loses precision (Knyazev and Argentati, SIAM J. Sci.
-    Comput. 23, 2002; the algorithm of scipy.linalg.subspace_angles).
-
-    a and b are matrices, shape (n, ka) and (n, kb), or stacks of them,
-    shape (P, n, ka) and (P, n, kb), whose P arrays of angles come as a
-    list: the SVDs are stacked, over the points whose spans have the same
-    ranks. A non-finite entry raises BadParameters, before any SVD."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    _finite(a, b)
-    stacked = a.ndim == 3
-    if not stacked:
-        a, b = a[None], b[None]
-    (ua, rank_a), (ub, rank_b) = _orth(a), _orth(b)
-    groups = {}  # the points whose spans have each pair of ranks
-    for p, ranks in enumerate(zip(rank_a.tolist(), rank_b.tolist())):
-        groups.setdefault(ranks, []).append(p)
-    out = [np.zeros(0) for _ in a]
-    for (ra, rb), points in groups.items():
-        if ra == 0 or rb == 0:  # an empty span has no angles
-            continue
-        qa, qb = ua[points, :, :ra], ub[points, :, :rb]
-        cross = qa.transpose(0, 2, 1) @ qb
-        cos = np.linalg.svd(cross, compute_uv=False)
-        rest = qb - qa @ cross if ra >= rb else qa - qb @ cross.transpose(0, 2, 1)
-        mask = cos**2 >= 0.5
-        sin = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0)) \
-            if mask.any() else 0.0
-        angles = np.where(mask, sin, np.arccos(np.clip(cos[:, ::-1], -1.0, 1.0)))
-        for p, row in zip(points, angles):
-            out[p] = row
-    return out if stacked else out[0]
-
-
-def subalgebra_residual(algebra: LieAlgebra, basis: np.ndarray) -> float:
-    """Largest component of a basis bracket sticking out of the span:
-    subalgebra_residuals of one basis."""
-    return float(subalgebra_residuals(algebra, [basis])[0])
+    return bases, sing, cutoff
 
 
 def subalgebra_residuals(algebra: LieAlgebra, bases: list[np.ndarray]) -> np.ndarray:
     """For each basis of a list, the largest component of a bracket of two
     of its orthonormalized columns sticking out of its span, in list order.
     The bases of one shape take one stacked QR and one set of bracket
-    products; the columns the QR drops are zeroed, so their brackets add
-    nothing. A non-finite basis raises BadParameters, before any QR."""
+    products; the columns whose |r_cc| is at most 1e-12 x max(1, |r|) are
+    dependent and zeroed, so their brackets add nothing. A non-finite basis
+    raises BadParameters, before any QR."""
     bases = [np.asarray(b, float).reshape(algebra.dim, -1) for b in bases]
-    _finite(*bases)
+    if not all(np.isfinite(b).all() for b in bases):
+        raise BadParameters("basis has non-finite entries")
     out = np.zeros(len(bases))
     groups = {}
     for i, basis in enumerate(bases):
@@ -383,8 +297,9 @@ def subalgebra_residuals(algebra: LieAlgebra, bases: list[np.ndarray]) -> np.nda
     for cols, idx in groups.items():
         if cols < 2:  # no pair of columns
             continue
-        q, keep = _qr_columns(np.stack([bases[i] for i in idx]))
-        q = q * keep[:, None, :]
+        q, r = np.linalg.qr(np.stack([bases[i] for i in idx]))
+        scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
+        q = q * (np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-12 * scale[:, None])[:, None, :]
         k = q.shape[2]
         # w[p, :, (i, j)] = [q_i, q_j], then its part outside the span
         w = np.einsum("kij,pia,pjb->pkab", algebra.structure, q, q).reshape(len(idx), -1, k * k)
@@ -392,31 +307,6 @@ def subalgebra_residuals(algebra: LieAlgebra, bases: list[np.ndarray]) -> np.nda
         upper = np.triu_indices(k, 1)
         out[idx] = leak.reshape(len(idx), k, k)[:, upper[0], upper[1]].max(axis=1)
     return out
-
-
-def reductive_complement(h_basis: np.ndarray, inner: AdInvariantInner) -> np.ndarray:
-    """Inner-orthogonal complement k of a subalgebra h, with [h, k] in k."""
-    algebra = inner.algebra
-    h = orthonormalize(np.asarray(h_basis, float).reshape(algebra.dim, -1))
-    if subalgebra_residual(algebra, h) > 1e-9:
-        raise NotSubalgebra("basis does not span a Lie subalgebra")
-    if h.shape[1] == 0:
-        k = np.eye(algebra.dim)
-    else:
-        k = nullspace(h.T @ inner.matrix, rel_tol=1e-12)
-    if h.shape[1] + k.shape[1] != algebra.dim:
-        raise NotReductive("complement dimensions do not add up")
-    # infinitesimal ad_H-invariance: brackets [h, k] must stay inner-orthogonal
-    # to h, every pair (h_i, k_j) from one bracket contraction and one solve
-    if h.shape[1] and k.shape[1]:
-        w = np.einsum("kab,ai,bj->kij", algebra.structure, h, k).reshape(algebra.dim, -1)
-        coeff = np.linalg.solve(h.T @ inner.matrix @ h, h.T @ inner.matrix @ w)
-        leak = np.linalg.norm(h @ coeff, axis=0)
-        if (leak > 1e-8 * np.maximum(1.0, np.linalg.norm(w, axis=0))).any():
-            raise NotInvariant(
-                "bracket [h, k] leaves the complement; inner product not invariant"
-            )
-    return k
 
 
 def skew_exp(x: np.ndarray) -> np.ndarray:

@@ -82,7 +82,6 @@ from ambrose.lie_core import (
     LinearRep,
     default_inner,
     frame_structure_rep,
-    orthonormalize,
     stacked_action_matrix,
     tensor_action,
 )
@@ -302,9 +301,11 @@ def axis_action_per_axis(markers, data, mat, lie):
 
 
 def subalgebra_residual_pairs(algebra, basis: np.ndarray) -> float:
-    """lie_core.subalgebra_residual one bracket of orthonormalized columns
-    at a time."""
-    basis = orthonormalize(basis)
+    """lie_core.subalgebra_residuals of one basis, one bracket of its
+    orthonormalized columns at a time: the QR's columns whose |r_cc| is at
+    most 1e-12 x max(1, |r|) are dropped as dependent."""
+    q, r = np.linalg.qr(np.asarray(basis, float))
+    basis = q[:, np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max(initial=0.0))]
     worst = 0.0
     for i in range(basis.shape[1]):
         for j in range(i + 1, basis.shape[1]):

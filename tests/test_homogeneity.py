@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, subspace_angles
 
 from ambrose import chart_calculus, cli, homogeneity, jet, lie_core
 from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form_field
@@ -22,7 +22,7 @@ from ambrose.chart_calculus import (
     sample_interior,
     torsion_field,
 )
-from ambrose.errors import DepthMismatch, NotMetric, NumericalFailure
+from ambrose.errors import DepthMismatch, NotMetric, NotReductive, NumericalFailure
 from ambrose.fixtures import fixture_names, instantiate
 from ambrose.homogeneity import (
     KMAX_CAP,
@@ -31,6 +31,7 @@ from ambrose.homogeneity import (
     StabilizerChain,
     TripleSpec,
     _adapted_shifts,
+    _nesting,
     adapted_residuals,
     build_tower,
     build_towers,
@@ -49,7 +50,7 @@ from ambrose.lie_core import (
     ANGLE_TOL,
     default_inner,
     frame_structure_rep,
-    principal_angles,
+    subalgebra_residuals,
 )
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
 import oracles
@@ -73,6 +74,18 @@ from test_total_space import count_calls
 
 REP2 = frame_structure_rep(2)
 REP3 = frame_structure_rep(3)
+
+
+def largest_angle(a, b):
+    """scipy's largest principal angle between two column spans, 0.0 where
+    either is empty."""
+    return float(subspace_angles(a, b)[0]) if min(a.shape[1], b.shape[1]) else 0.0
+
+
+def assert_angle(got, want):
+    """Within 1e-12 of scipy's angle below 0.1 rad, where the sine is
+    accurate, and within 1e-7 above it."""
+    assert abs(got - want) <= (1e-12 if want < 0.1 else 1e-7), (got, want)
 
 
 def lc_tower(fx, x, kmax=2, frame=None):
@@ -209,11 +222,11 @@ class TestTorsionFreeTower:
 
 class TestStabilizerChains:
     @pytest.mark.parametrize("name,connection", SINGER_RUNS)
-    def test_nesting_angles_taken_once(self, name, connection, monkeypatch, capsys):
+    def test_singer_reads_the_chains(self, name, connection, monkeypatch, capsys):
         """Each chain records the largest principal angle between each
-        level's kernel and the next one's, and singer reads the angles from
-        there: a batch takes one stacked principal_angles call per pair of
-        kernel shapes over all its level pairs and points."""
+        level's kernel and the next one's, scipy's within 1e-12 below 0.1
+        rad, and each level's closure residual, the one subalgebra_residuals
+        gives its basis; singer's residuals are their largest."""
         batches = []
         make_chains = homogeneity.stabilizer_chains
 
@@ -222,21 +235,49 @@ class TestStabilizerChains:
             return batches[-1]
 
         monkeypatch.setattr(homogeneity, "stabilizer_chains", recorded)
-        angles = count_calls(monkeypatch, principal_angles)
         code = cli.main(["--scenario", "singer", "--fixture", name, "--points", "3",
                          "--param", f"connection={connection}"])
-        capsys.readouterr()
+        data = json.loads(capsys.readouterr().out)
         assert code == 0
         chains = [ch for batch in batches for ch in batch]
         assert chains
-        assert len(angles) == sum(
-            len({(ch.bases[k].shape, ch.bases[k + 1].shape)
-                 for ch in batch for k in range(len(ch.bases) - 1)})
-            for batch in batches)
+        rep = frame_structure_rep(instantiate(name, {}).chart.dim)
         for ch in chains:
             assert len(ch.nesting) == len(ch.bases) - 1
             for k, angle in enumerate(ch.nesting):
-                assert angle == nan_max(principal_angles(ch.bases[k + 1], ch.bases[k]))
+                assert_angle(angle, largest_angle(ch.bases[k + 1], ch.bases[k]))
+            assert ch.subalgebra == tuple(subalgebra_residuals(rep.algebra, ch.bases).tolist())
+        # the report prints 12 significant digits
+        assert data["residuals"] == {
+            "nesting_angle": float(f"{nan_max(a for ch in chains for a in ch.nesting):.12g}"),
+            "subalgebra": float(f"{nan_max(s for ch in chains for s in ch.subalgebra):.12g}")}
+
+    def test_nesting_of_random_stacks(self):
+        """Each point's nesting angle is scipy's largest principal angle
+        between a level's kernel and the next one's, for random kernels of
+        equal and unequal dimensions, nearly nested ones and empty ones,
+        several points and level pairs sharing each pair of shapes."""
+        rng = np.random.default_rng(26)
+        for dims in ((3, 3, 2), (2, 4, 4), (6, 5, 0), (0, 2, 2), (4, 1, 3)):
+            n = max(dims) + 1
+            levels = [[np.linalg.qr(rng.normal(size=(n, d)))[0] for _ in range(5)]
+                      for d in dims]
+            for k in range(len(dims) - 1):
+                lo, hi = levels[k], levels[k + 1]
+                small = min(dims[k], dims[k + 1])
+                for p, scale in ((1, 1e-9), (2, 1e-4), (3, 0.0)):
+                    # hi nearly inside lo, or lo nearly inside hi
+                    a, b = (lo, hi) if dims[k] <= dims[k + 1] else (hi, lo)
+                    basis = b[p].copy()
+                    basis[:, :small] = a[p] + scale * rng.normal(size=a[p].shape)
+                    b[p] = np.linalg.qr(basis)[0]
+            nesting = _nesting(levels)
+            for p, angles in enumerate(nesting):
+                assert len(angles) == len(dims) - 1
+                for k, angle in enumerate(angles):
+                    assert_angle(angle, largest_angle(levels[k + 1][p], levels[k][p]))
+                    if 0 in dims[k:k + 2]:
+                        assert angle == 0.0
 
     @pytest.mark.parametrize("name,params,conn,dims", CHAIN_CASES)
     def test_fixture_chains(self, name, params, conn, dims):
@@ -251,7 +292,7 @@ class TestStabilizerChains:
             assert chain.singer_k == 0
             assert chain.flags == ()
             for k in range(len(chain.bases) - 1):
-                assert principal_angles(chain.bases[k + 1], chain.bases[k]).max() < ANGLE_TOL
+                assert largest_angle(chain.bases[k + 1], chain.bases[k]) < ANGLE_TOL
 
     def test_tower_and_chain_explicit_depth(self):
         fx = instantiate("euclidean", {"n": 2})
@@ -708,6 +749,18 @@ class TestAdaptedConnection:
         with pytest.raises(NumericalFailure):
             adapted_residuals([(tower, bad_chain)], REP3, self.INNER)
 
+    def test_open_stabilizer_raises(self):
+        """A stabilizer that is not closed under the bracket has no
+        invariant complement: the shifts raise NotReductive, NaN included."""
+        fx, tower, chain = adapt_inputs(2.0, BERGER_X[0])
+        assert chain.subalgebra[chain.singer_k] <= 1e-9
+        for bad in (1.0, np.nan):
+            closure = list(chain.subalgebra)
+            closure[chain.singer_k] = bad
+            open_chain = dataclasses.replace(chain, subalgebra=tuple(closure))
+            with pytest.raises(NotReductive):
+                next(_adapted_shifts([(tower, open_chain)], REP3, self.INNER))
+
 
 class TestAdaptSingerDepth:
     """adapt reads the Singer stage k_S off one grown tower at the first
@@ -769,6 +822,22 @@ class TestAdaptSingerDepth:
         assert data["pass"] is False
         assert data["flags"][0] == "numerical-failure"
         assert "stabilizes at stage" in data["flags"][1]
+
+    def test_open_stabilizer_fails_closed(self, monkeypatch, capsys):
+        """A stabilizer whose closure residual at the Singer stage is 1.0
+        ends the run with exit 3 and a failing report."""
+
+        def opened(towers, rep):
+            return [dataclasses.replace(chain, subalgebra=(1.0,) * len(chain.subalgebra))
+                    for chain in stabilizer_chains(towers, rep)]
+
+        monkeypatch.setattr(homogeneity, "stabilizer_chains", opened)
+        code = cli.main([*self.ARGV, "--points", "2"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert data["pass"] is False
+        assert data["flags"][0] == "numerical-failure"
+        assert "not a subalgebra" in data["flags"][1]
 
     @pytest.mark.parametrize("points", [3, 2 * CHUNK + 3])
     @pytest.mark.parametrize("change,flags", [

@@ -3,12 +3,13 @@ subspace machinery behind stabilizer chains."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambrose.errors import (
     AxisMismatch,
     BadParameters,
     NotInvariant,
-    NotSubalgebra,
     RepMismatch,
 )
 from ambrose.lie_core import (
@@ -25,21 +26,18 @@ from ambrose.lie_core import (
     frame_structure_rep,
     kernel_spectra,
     nullspace,
-    orthonormalize,
-    principal_angles,
-    reductive_complement,
     skew_exp,
     so_generators,
     stacked_action_matrix,
-    subalgebra_residual,
     subalgebra_residuals,
     tensor_action,
 )
 from ambrose.chart_calculus import sample_interior
 from ambrose.fixtures import instantiate
-from ambrose.homogeneity import build_tower, opozda_section_spec
+from ambrose.homogeneity import build_tower, opozda_section_spec, stabilizer_chain
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor
 from oracles import stacked_action_loop, structure_constants_loop, subalgebra_residual_pairs
+from test_homogeneity import SINGER_RUNS
 
 
 class TestLieAlgebra:
@@ -236,20 +234,21 @@ class TestSubspaceMachinery:
 
     def test_nullspaces_of_a_stack(self):
         """Each matrix of a stack, with its own scale floor, has the kernel,
-        spectrum and cutoff that nullspace gives it alone; a zero matrix
-        among them has zero singular values, a zero cutoff and the whole
-        space as kernel."""
+        spectrum and cutoff that it has alone, and the kernel that nullspace
+        gives it; a zero matrix among them has zero singular values, a zero
+        cutoff and the whole space as kernel."""
         rng = np.random.default_rng(3)
         mats = rng.normal(size=(4, 2, 3))
         mats[1] = 0.0
         mats[3] *= 1e-12
         scales = [0.0, 1.0, 0.5, 1.0]
-        bases, sing, cutoff, nonzero = kernel_spectra(mats, scales)
+        bases, sing, cutoff = kernel_spectra(mats, scales)
         for p, (mat, scale) in enumerate(zip(mats, scales)):
+            alone = kernel_spectra(mat[None], [scale])
             for a, b in zip((bases[p], sing[p], cutoff[p]),
-                            nullspace(mat, scale=scale, spectrum=True), strict=True):
+                            (alone[0][0], alone[1][0], alone[2][0]), strict=True):
                 np.testing.assert_array_equal(a, b)
-        assert nonzero.tolist() == [True, False, True, True]
+            np.testing.assert_array_equal(bases[p], nullspace(mat, scale=scale))
         np.testing.assert_array_equal(bases[1], np.eye(3))
         assert not sing[1].any() and cutoff[1] == 0.0
         assert bases[3].shape == (3, 3)
@@ -262,50 +261,6 @@ class TestSubspaceMachinery:
     def test_nonfinite_rejected(self):
         with pytest.raises(BadParameters):
             nullspace(np.array([[np.nan]]))
-
-    def test_principal_angles(self):
-        e1 = np.array([[1.0], [0.0]])
-        e2 = np.array([[0.0], [1.0]])
-        assert principal_angles(e1, e2).max() == pytest.approx(np.pi / 2)
-        assert principal_angles(e1, e1).max() < 1e-8
-        assert principal_angles(e1, np.zeros((2, 0))).size == 0
-
-    @pytest.mark.parametrize("shapes", [(6, 2, 3), (5, 3, 3), (8, 4, 1), (4, 3, 2)])
-    def test_principal_angles_match_scipy(self, shapes):
-        """Random pairs, and nearly nested pairs whose angles are all tiny,
-        against scipy.linalg.subspace_angles."""
-        subspace_angles = pytest.importorskip("scipy.linalg").subspace_angles
-        n, p, q = shapes
-        rng = np.random.default_rng(n * 100 + p * 10 + q)
-        for _ in range(20):
-            a = rng.normal(size=(n, p))
-            b = rng.normal(size=(n, q))
-            nested = a[:, :q] @ rng.normal(size=(min(p, q), q)) if q <= p else \
-                np.hstack([a, rng.normal(size=(n, q - p))])
-            nested = nested + 1e-9 * rng.normal(size=nested.shape)
-            for x, y in ((a, b), (b, a), (nested, a), (a, nested)):
-                ours, ref = principal_angles(x, y), subspace_angles(x, y)
-                assert ours.shape == ref.shape
-                assert np.abs(ours - ref).max() <= 1e-15
-
-    def test_stacked_principal_angles_are_the_per_pair_ones(self):
-        """A stack's angles are each pair's own, bit for bit, in point
-        order: a point whose span has a lower rank is split off into its own
-        stacked SVDs, and empty kernels have no angles."""
-        rng = np.random.default_rng(20)
-        for n, ka, kb in ((6, 3, 2), (5, 2, 4), (4, 3, 3), (3, 1, 1)):
-            a = np.linalg.qr(rng.normal(size=(5, n, ka)))[0]
-            b = np.linalg.qr(rng.normal(size=(5, n, kb)))[0]
-            k = min(ka, kb)
-            b[1, :, :k] = a[1, :, :k] + 1e-9 * b[1, :, :k]  # nearly nested
-            a[3, :, -1] = a[3, :, 0] if ka > 1 else 0.0  # rank ka - 1 at point 3
-            stacked = principal_angles(a, b)
-            assert len(stacked) == 5
-            for p in range(5):
-                assert np.array_equal(stacked[p], principal_angles(a[p], b[p]))
-            assert len(stacked[3]) == min(ka - 1, kb)
-        empty = principal_angles(np.zeros((3, 4, 0)), np.linalg.qr(rng.normal(size=(3, 4, 2)))[0])
-        assert [angles.size for angles in empty] == [0, 0, 0]
 
     @pytest.mark.parametrize("name", ["so(3)", "so(4)", "su(2)+u(1)"])
     def test_stacked_subalgebra_residuals(self, name):
@@ -323,38 +278,22 @@ class TestSubspaceMachinery:
         got = subalgebra_residuals(algebra, bases)
         want = [subalgebra_residual_pairs(algebra, b) for b in bases]
         assert np.abs(got - want).max() <= 1e-15 * max(1.0, max(want))
-        assert [subalgebra_residual(algebra, b) for b in bases] == pytest.approx(want, abs=1e-15)
 
     def test_nonfinite_basis_raises(self):
-        """A NaN column is not dropped as a dependent one: the residual of a
-        basis, alone or in a stack, raises."""
+        """A NaN column is not dropped as a dependent one: the residuals of
+        a stack with a non-finite basis raise."""
         su2 = algebra_by_name("su(2)")
         spoiled = np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0]])
         with pytest.raises(BadParameters):
-            subalgebra_residual(su2, spoiled)
-        with pytest.raises(BadParameters):
             subalgebra_residuals(su2, [np.eye(3)[:, :2], spoiled])
-
-    def test_nonfinite_angles_raise(self):
-        spoiled = np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(BadParameters):
-            principal_angles(spoiled, np.eye(3)[:, :1])
-        stack = np.stack([np.eye(3)[:, :2], spoiled, np.eye(3)[:, 1:]])
-        with pytest.raises(BadParameters):
-            principal_angles(stack, np.repeat(np.eye(3)[None, :, :1], 3, axis=0))
-
-    def test_orthonormalize_drops_dependent_columns(self):
-        basis = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
-        q = orthonormalize(basis)
-        assert q.shape == (3, 1)
-        assert np.allclose(q.T @ q, np.eye(1), atol=1e-12)
 
     def test_subalgebra_residual(self):
         su2 = algebra_by_name("su(2)")
         closed = np.array([[0.0], [0.0], [1.0]])
         open_pair = np.eye(3)[:, :2]
-        assert subalgebra_residual(su2, closed) < 1e-14
-        assert subalgebra_residual(su2, open_pair) == pytest.approx(2.0)
+        closed_res, open_res = subalgebra_residuals(su2, [closed, open_pair])
+        assert closed_res < 1e-14
+        assert open_res == pytest.approx(2.0)
 
     def test_stabilizer_of_invariant_tensor_is_full(self):
         rep = frame_structure_rep(3)
@@ -432,42 +371,63 @@ class TestStackedActionMatrix:
         assert stacked_action_matrix([], rep).shape == (0, 4)
 
 
-class TestReductiveComplement:
-    def test_complement_in_su2(self):
-        su2 = algebra_by_name("su(2)")
-        inner = default_inner(su2)
-        h = np.array([[0.0], [0.0], [1.0]])
-        k = reductive_complement(h, inner)
-        assert k.shape == (3, 2)
-        assert np.abs(k[2]).max() < 1e-12
+# closed subalgebras by basis index: the line of E3 (L3), the u(1) summand,
+# a torus and su(2) itself in su(2)+u(1), so(3) on the first three
+# coordinates and the torus of the planes (0, 1) and (2, 3) in so(4)
+SUBALGEBRAS = {
+    "su(2)": [[2]],
+    "so(3)": [[2]],
+    "su(2)+u(1)": [[3], [2, 3], [0, 1, 2]],
+    "so(4)": [[0, 1, 3], [0, 5]],
+}
 
-    def test_trivial_subalgebra_gives_everything(self):
-        su2 = algebra_by_name("su(2)")
-        k = reductive_complement(np.zeros((3, 0)), default_inner(su2))
-        assert k.shape == (3, 3)
 
-    def test_nonfinite_basis_rejected(self):
-        su2 = algebra_by_name("su(2)")
-        with pytest.raises(BadParameters):
-            reductive_complement(np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0]]),
-                                 default_inner(su2))
+def complement_leak(inner: AdInvariantInner, h: np.ndarray) -> float:
+    """Largest |<[X, Y], Z>| over orthonormal X and Z spanning h and Y
+    spanning h's inner-orthogonal complement: 0 exactly where [h, k] stays
+    in the complement k."""
+    null_space = pytest.importorskip("scipy.linalg").null_space
+    q = np.linalg.qr(h)[0]
+    k = null_space(q.T @ inner.matrix)
+    brackets = np.einsum("cab,ai,bj->cij", inner.algebra.structure, q, k)
+    return float(np.abs(np.einsum("ai,ab,bjk->ijk", q, inner.matrix, brackets)).max(initial=0.0))
 
-    def test_non_subalgebra_rejected(self):
-        su2 = algebra_by_name("su(2)")
-        with pytest.raises(NotSubalgebra):
-            reductive_complement(np.eye(3)[:, :2], default_inner(su2))
 
-    def test_spoiled_inner_product_is_not_invariant(self):
-        """An inner product spoiled after its invariance check couples E3 to
-        E1: the complement of h = span(E3) tilts towards E3, and the bracket
-        of E3 with the complement's E2 leaks into h."""
-        su2 = algebra_by_name("su(2)")
-        inner = AdInvariantInner(su2, np.eye(3))
-        spoiled = np.eye(3)
-        spoiled[0, 2] = spoiled[2, 0] = 0.3
-        object.__setattr__(inner, "matrix", spoiled)
-        with pytest.raises(NotInvariant):
-            reductive_complement(np.array([[0.0], [0.0], [1.0]]), inner)
+class TestInvariantComplement:
+    """With an ad-invariant inner product the orthogonal complement of a
+    subalgebra h is ad(h)-invariant: <[X, Y], Z> = -<Y, [X, Z]> = 0 for X, Z
+    in h and Y orthogonal to h. adapt checks that its stabilizer is closed
+    and builds no complement."""
+
+    @pytest.mark.parametrize("name", sorted(SUBALGEBRAS))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_random_subalgebras(self, name, seed):
+        """Random conjugates Ad(exp X) h of the closed subalgebras above, and
+        a random line, under default_inner."""
+        expm = pytest.importorskip("scipy.linalg").expm
+        algebra = frame_structure_rep(4).algebra if name == "so(4)" else algebra_by_name(name)
+        rng = np.random.default_rng(seed)
+        move = expm(algebra.ad(rng.normal(size=algebra.dim)))
+        bases = [move @ np.eye(algebra.dim)[:, idx] for idx in SUBALGEBRAS[name]]
+        bases.append(rng.normal(size=(algebra.dim, 1)))
+        assert subalgebra_residuals(algebra, bases).max() <= 1e-12
+        for h in bases:
+            assert complement_leak(default_inner(algebra), h) <= 1e-12
+
+    @pytest.mark.parametrize("name,connection", SINGER_RUNS)
+    def test_chain_bases(self, name, connection):
+        """Every nonzero level of the chains at three points of each fixture
+        and connection singer takes."""
+        fx = instantiate(name, {})
+        gamma = fx.gamma if connection == "metric" else fx.gamma_canonical
+        rep = frame_structure_rep(fx.chart.dim)
+        sigma = opozda_section_spec(gamma)
+        for x in sample_interior(fx.chart, 3, seed=5):
+            chain = stabilizer_chain(build_tower(sigma, None, gamma, fx.g, x, 2), rep)
+            for h in chain.bases:
+                if h.shape[1]:
+                    assert complement_leak(default_inner(rep.algebra), h) <= 1e-12
 
 
 class TestGroupAndFrameRep:

@@ -22,7 +22,7 @@ from ambrose.homogeneity import (
     stabilizer_chain,
     tower_and_chain,
 )
-from ambrose.lie_core import algebra_by_name, frame_structure_rep, principal_angles, skew_exp
+from ambrose.lie_core import algebra_by_name, frame_structure_rep, skew_exp
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame
 from oracles import apply_axis
 from test_total_space import count_calls
@@ -143,7 +143,7 @@ class TestMatchDepth:
         import workloads
 
         chains = count_calls(monkeypatch, homogeneity.stabilizer_chains)
-        angles = count_calls(monkeypatch, principal_angles)
+        angles = count_calls(monkeypatch, homogeneity._nesting)
         workload = workloads.WORKLOADS["orbit-match"]
         assert workload.oracle(json.loads(workload.run(3))) is not None
         assert chains == []
