@@ -161,36 +161,26 @@ def fd_array(f: Callable[[np.ndarray], np.ndarray], chart: Chart, x: np.ndarray,
 
 class LastJet:
     """One-entry memo of a field's jet: the batch of points it was last
-    evaluated at and that jet. A request at those points, or at some of
-    them, of an order no higher is read off the jet by truncation, so a
-    field that several others derive from (the metric under its Christoffel
-    symbols, the connection under torsion and curvature) is evaluated once
-    per batch at the highest order any of them needs."""
+    evaluated at and that jet. A request at those points of an order no
+    higher is read off the jet by truncation, so a field that several
+    others derive from (the metric under its Christoffel symbols, the
+    connection under torsion and curvature) is evaluated once per batch at
+    the highest order any of them needs. ``held`` keeps what is derived from
+    the jet (the metric's Cholesky frames) until the jet is replaced."""
 
     def __init__(self):
         self.points: np.ndarray | None = None
         self.jet: Jet | None = None
+        self.held: dict = {}
 
     def jet_at(self, x: np.ndarray, order: int, evaluate: Callable[[Jet], Jet]) -> Jet:
         """The jet of the given order at the points x, shape (P, n), or at
         the single point x, shape (n,): read off the memo, or evaluate(the
         coordinate jet) and kept."""
         x = _batch(x)
-        value = self._read(x, order)
-        if value is None:
-            value = evaluate(variables(x, order))
-            self.points, self.jet = x.copy(), value
-        return value
-
-    def _read(self, points: np.ndarray, order: int) -> Jet | None:
-        if self.jet is None or self.jet.order < order or points.shape[1:] != self.points.shape[1:]:
-            return None
-        if np.array_equal(points, self.points):
-            return self.jet.truncate(order)
-        same = (points[:, None] == self.points[None]).all(axis=2).tolist()
-        if not all(any(row) for row in same):
-            return None
-        return self.jet.take([row.index(True) for row in same]).truncate(order)
+        if self.jet is None or self.jet.order < order or not np.array_equal(x, self.points):
+            self.points, self.jet, self.held = x.copy(), evaluate(variables(x, order)), {}
+        return self.jet.truncate(order)
 
 
 def _batch(x: np.ndarray) -> np.ndarray:
@@ -296,22 +286,14 @@ class FrameFieldConnection:
         object.__setattr__(self, "gamma", np.asarray(self.gamma, float))
 
 
-def _first_failure(fn, mats: np.ndarray) -> int:
-    """Index of the first per-point matrix of mats, shape (d, d, P), at which
-    the numpy.linalg function fn raises."""
-    for p in range(mats.shape[-1]):
-        try:
-            fn(mats[..., p])
-        except np.linalg.LinAlgError:
-            return p
-    return 0
-
-
 def _inverse(th: Jet, points: np.ndarray) -> Jet:
+    """jet.inv of a coframe jet. A singular coframe value raises
+    SingularFrame at its first point: LU found an exact zero pivot there,
+    so its determinant is 0."""
     try:
         return jet.inv(th)
     except np.linalg.LinAlgError as exc:
-        x = points[_first_failure(np.linalg.inv, th.value)]
+        x = points[np.argmax(np.linalg.det(jet.points_first(th.value)) == 0)]
         raise SingularFrame(f"coframe not invertible at {x}: {exc}") from exc
 
 
@@ -319,10 +301,7 @@ def _christoffel_jet(g: MetricField, x: np.ndarray, order: int) -> Jet:
     """Levi-Civita coefficients half g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij})
     as a jet of the given order, from one jet of g one order higher."""
     gx = g.jet_at(x, order + 1)
-    try:
-        jet.stacked(np.linalg.cholesky, gx.value)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetric(f"metric not positive definite: {exc}") from exc
+    _held_frames(g, x)  # the check that g is positive definite
     dg = shift(gx)
     p = dg.transpose(2, 0, 1)  # p[l, i, j] = d_i g_{jl}
     return 0.5 * jet.einsum("kl,lij->kij", jet.inv(gx.truncate(order)),
@@ -419,7 +398,20 @@ def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
 def frame_stacks(g: MetricField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coframes and frames of g's Cholesky frames at a batch of points,
     each shape (P, n, n): cholesky_frames of the metric's values."""
-    return cholesky_frames(jet.points_first(g.jet_at(_batch(points), 0).value))
+    return _held_frames(g, points)
+
+
+def _held_frames(g: MetricField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cholesky_frames of g's values at the points, factored once per
+    evaluation of the metric and held, read-only, by its memo: the frames
+    and the Christoffel symbols' positive-definiteness check share it."""
+    value = g.jet_at(points, 0).value
+    held = g.memo.held
+    if "frames" not in held:
+        held["frames"] = cholesky_frames(jet.points_first(value))
+        for a in held["frames"]:
+            a.flags.writeable = False
+    return held["frames"]
 
 
 def ortho_frame_partial(g: MetricField,

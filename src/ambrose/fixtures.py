@@ -259,7 +259,9 @@ def smooth_tensor_field(chart: Chart, markers: tuple[str, ...], seed: int,
 
     def ev(X):
         u = (X - lo) * (2 * np.pi / wid)
-        return jet.sin(jet.einsum("...n,n->...", freq, u) + phase) * amp
+        # an ordered sum over the coordinates, so that each point's bits do
+        # not depend on the batch it is evaluated in
+        return jet.sin(sum(freq[..., mu] * u[mu] for mu in range(n)) + phase) * amp
 
     return TensorFieldSpec(chart=chart, markers=markers, evaluator=ev)
 

@@ -54,6 +54,7 @@ from .chart_calculus import (
     torsion_field,
 )
 from .errors import (
+    AxisMismatch,
     BadParameters,
     DepthMismatch,
     NotReductive,
@@ -246,7 +247,7 @@ def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
                         for m, t in level])
         if k < kmax:
             level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
-    # the tuples from lists (see jet._cauchy)
+    # the tuples from lists (see jet.einsum)
     return [DerivativeTower(
         point=x, frame=fr, kmax=kmax,
         entries=tuple([tuple([DenseTensor(m, data[p]) for m, data in lv]) for lv in entries]))
@@ -352,7 +353,7 @@ def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
     groups = {}
     for k, (lo, hi) in enumerate(zip(levels, levels[1:])):
         for p, pair in enumerate(zip(lo, hi)):
-            # the key from a list (see jet._cauchy)
+            # the key from a list (see jet.einsum)
             groups.setdefault(tuple([b.shape[1] for b in pair]), []).append((k, p))
     nesting = [[0.0] * (len(levels) - 1) for _ in levels[0]]
     for (dim_lo, dim_hi), keys in groups.items():
@@ -374,7 +375,7 @@ def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], subalgebra: tupl
     nesting angles and closure residuals, and whether some level's spectrum
     lacks a clear gap."""
     flags = []
-    dims = tuple([b.shape[1] for b in bases])  # from a list (see jet._cauchy)
+    dims = tuple([b.shape[1] for b in bases])  # from a list (see jet.einsum)
     # the Singer stage: the first level that the next one keeps
     singer_k = next((k for k, angle in enumerate(nesting)
                      if dims[k + 1] == dims[k] and angle < ANGLE_TOL), None)
@@ -401,14 +402,22 @@ def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
                       gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
                       rep: TensorRep, kmax: int | None = None,
                       ) -> Iterator[list[tuple[DerivativeTower, StabilizerChain]]]:
-    """The tower and chain at each point, in point order and in batches of
-    at most CHUNK points, each yielded once built; deep enough to observe
-    stabilization within the cap: only the points of a batch whose chain is
-    truncated are built again, one level deeper, as a smaller batch. At a
-    given kmax every point is built at that depth."""
+    """The tower and chain at each point, in point order and in batches,
+    each yielded once built; deep enough to observe stabilization within
+    the cap: only the points of a batch whose chain is truncated are built
+    again, one level deeper, as a smaller batch. At a given kmax every point
+    is built at that depth. A batch has as many points as keep the largest
+    level's jet at the deepest depth, its per-point elements times its jet
+    coefficients, within jet.PRODUCT_BLOCK elements: at most CHUNK, one at
+    the least."""
     points = np.atleast_2d(np.asarray(points, float))
-    for start in range(0, len(points), CHUNK):
-        todo = list(range(start, min(start + CHUNK, len(points))))
+    n, deepest = points.shape[1], KMAX_CAP if kmax is None else kmax
+    lie = 1 if b0 is None else b0.algebra.dim
+    entries = sum(math.prod([lie if m == LIE else n for m in f.markers]) for f in sigma.fields)
+    largest = max(entries * n**k * jet.size(n, deepest - k) for k in range(deepest + 1))
+    step = min(max(jet.PRODUCT_BLOCK // largest, 1), CHUNK)
+    for start in range(0, len(points), step):
+        todo = list(range(start, min(start + step, len(points))))
         done = {}
         depth = KMAX_START if kmax is None else kmax
         while todo:
@@ -424,30 +433,20 @@ def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
 def group_action(theta: np.ndarray, rep: TensorRep,
                  tensors: list[DenseTensor]) -> list[DenseTensor]:
     """Action of exp(theta) on frame-expressed tensors, one exponential for
-    all of them (one more for the lie part). The generators are skew, so
-    exp(-X)^T = exp(X): covariant axes transform like contravariant ones.
-    Each axis is one matmul on its (dim, rest) reshape and then comes last,
-    so after all axes the order is the original. A wrong axis dim, or a lie
-    axis without a lie rep, raises RepMismatch."""
+    all of them (one more for the lie part): to_frames with coframe g and
+    frame g^T, g orthogonal as the generators are skew. A wrong axis dim,
+    or a lie axis without a lie rep, raises RepMismatch."""
     theta = np.asarray(theta, float)
-    gv = skew_exp(rep.vector.matrix(theta))
-    gl = skew_exp(rep.lie.matrix(theta)) if rep.lie is not None else None
-    out = []
-    for t in tensors:
-        data = t.data
-        for marker in t.markers:
-            g = gl if marker == LIE else gv
-            if g is None:
-                raise RepMismatch("tensor has lie axes but no lie representation")
-            if data.shape[0] != len(g):
-                raise RepMismatch(f"axis has dim {data.shape[0]}, matrix dim {len(g)}")
-            data = (g @ data.reshape(len(g), -1)).T.reshape(data.shape[1:] + (len(g),))
-        out.append(DenseTensor(t.markers, data))
-    return out
-
-
-def _axis_kind(marker: str) -> str:
-    return "lie" if marker == LIE else "frame"
+    g = skew_exp(rep.vector.matrix(theta))[None]
+    g_lie = None if rep.lie is None else skew_exp(rep.lie.matrix(theta))[None]
+    if g_lie is None and any([LIE in t.markers for t in tensors]):
+        raise RepMismatch("tensor has lie axes but no lie representation")
+    try:
+        return [DenseTensor(t.markers, to_frames(t.markers, t.data[None], g,
+                                                 g.transpose(0, 2, 1), g_lie)[0])
+                for t in tensors]
+    except AxisMismatch as exc:
+        raise RepMismatch(str(exc)) from exc
 
 
 def _even_rank_spectrum(t: DenseTensor) -> np.ndarray | None:
@@ -460,7 +459,7 @@ def _even_rank_spectrum(t: DenseTensor) -> np.ndarray | None:
         return None
     half = r // 2
     for i in range(half):
-        if _axis_kind(t.markers[i]) != _axis_kind(t.markers[half + i]):
+        if (t.markers[i] == LIE) != (t.markers[half + i] == LIE):
             return None
         if t.dims[i] != t.dims[half + i]:
             return None
@@ -592,16 +591,13 @@ def with_adjoint_rep(rep: TensorRep) -> TensorRep:
     return TensorRep(rep.algebra, rep.vector, rep.algebra.adjoint_rep())
 
 
-def _form_action(b: np.ndarray, t: DenseTensor, rep: TensorRep) -> np.ndarray:
-    """out[i] = b[i] . t: each row of an algebra-valued form acting on t."""
-    lie = None if rep.lie is None else np.einsum("mi,iab->mab", b, rep.lie.matrices)
-    return axis_action(t.markers, t.data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
-
-
 def gauge_residual(b: np.ndarray, rep: TensorRep, t: DenseTensor, nabla_t: np.ndarray) -> float:
     """|nabla t + b . t| at a point in frame indices: nabla_t[a] is the
-    covariant derivative of t along e_a, and b[a] the shift's row there."""
-    return float(np.linalg.norm(nabla_t + _form_action(b, t, rep)))
+    covariant derivative of t along e_a, and b[a] the shift's row there,
+    whose action on t is the Leibniz rule of axis_action."""
+    lie = None if rep.lie is None else np.einsum("mi,iab->mab", b, rep.lie.matrices)
+    act = axis_action(t.markers, t.data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
+    return float(np.linalg.norm(nabla_t + act))
 
 
 def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,

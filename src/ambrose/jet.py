@@ -5,11 +5,12 @@ each point x of a batch, the Taylor coefficients f_a = d^a f(x) / a! over
 the multi-indices |a| <= K, on the last axis of an ndarray. The
 multi-indices are graded: the constant term, then e_0 .. e_{n-1}, then the
 order-2 ones, and so on, so the jet of a lower order is a prefix of the
-coefficient axis. A product is the Cauchy product
-over the pairs (a, b) with |a + b| <= K; that table is built on first use and
-cached per (n, K) (Griewank, Utke and Walther, Math. Comp. 69, 2000;
-Bettencourt, Johnson and Duvenaud, "Taylor-mode automatic differentiation
-for higher-order derivatives", 2019).
+coefficient axis. A product is the Cauchy product over the pairs (a, b)
+with |a + b| <= K; that table is built on first use and cached per (n, K)
+(Griewank, Utke and Walther, Math. Comp. 69, 2000; Bettencourt, Johnson and
+Duvenaud, "Taylor-mode automatic differentiation for higher-order
+derivatives", 2019). A large product goes in blocks of whole coefficients,
+``blocked_product``, which ``einsum`` and tensor_core.axis_action share.
 
 A jet holds a batch of P points at once. ``Jet.c`` has shape
 ``value_shape + (P, ncoef)``: the value axes lead, then the point axis, then
@@ -106,10 +107,6 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         return self if order >= self.order else Jet(
             self.c[..., :size(self.n, order)], self.n, order)
-
-    def take(self, points) -> "Jet":
-        """The jet at the given indices of the batch."""
-        return Jet(self.c[..., points, :], self.n, self.order)
 
     def __getitem__(self, item) -> "Jet":
         item = item if isinstance(item, tuple) else (item,)
@@ -250,86 +247,63 @@ def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
 
 
 @lru_cache(maxsize=None)
-def _pair_subscripts(*subs: str) -> tuple[str, ...]:
-    """Each einsum over value axes of subs over (value, point, pair) axes."""
-    q, p = sorted(set(string.ascii_letters) - set("".join(subs)))[:2]
-    out = []
-    for sub in subs:
-        ins, res = sub.split("->")
-        sa, sb = ins.split(",")
-        out.append(f"{sa}{q}{p},{sb}{q}{p}->{res}{q}{p}")
-    return tuple(out)
+def _pair_subscripts(sub: str) -> str:
+    """An einsum over value axes as one over (value, point, pair) axes."""
+    q, p = sorted(set(string.ascii_letters) - set(sub))[:2]
+    ins, res = sub.split("->")
+    sa, sb = ins.split(",")
+    return f"{sa}{q}{p},{sb}{q}{p}->{res}{q}{p}"
 
 
-def _cauchy(terms: list[tuple[int, str]], a: Jet, b: Jet) -> Jet:
-    """The Cauchy product of two jets of one order summed over signed
-    einsums of their value axes: the sum of sign * einsum(sub, a, b) over the
-    (sign, sub) terms, sign +1 or -1, whose results have one shape. The pairs
-    go in blocks of whole output coefficients, as many as keep each
-    temporary within about PRODUCT_BLOCK elements (a small product is one
-    block): the gathered operands, taken once per block for every term, and
-    the running sum of the terms with the term in hand. Each pair sums its
-    terms in order, and each coefficient then sums its pairs in the same
+def blocked_product(n: int, order: int, per_pair: int, product, axis: int = -1) -> np.ndarray:
+    """A Cauchy product of order ``order`` in n variables, in blocks of
+    whole output coefficients: product(i, j, starts) gives a block's
+    coefficients on axis ``axis`` from its pairs (i, j) of coefficient
+    indices, each coefficient's pairs from its offset in ``starts`` to the
+    next. A block holds as many pairs as keep per_pair elements a pair
+    within about PRODUCT_BLOCK, and one coefficient at the least, so a small
+    product is one block; each coefficient sums the same pairs in the same
     order whatever the blocks."""
-    i, j, starts, bounds = _product_table(a.n, a.order)
+    i, j, starts, bounds = _product_table(n, order)
+    limit = PRODUCT_BLOCK // max(per_pair, 1)  # pairs per block
+    out, lo = None, 0
+    while lo < len(starts):
+        # the most whole coefficients from lo whose pairs fit, at least one
+        hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
+        pairs = slice(bounds[lo], bounds[hi])
+        block = product(i[pairs], j[pairs], starts[lo:hi] - bounds[lo])
+        if hi - lo == len(starts):
+            return block
+        if out is None:
+            shape = list(block.shape)
+            shape[axis] = len(starts)
+            out = np.empty(shape)
+        out[(slice(None),) * (axis % block.ndim) + (slice(lo, hi),)] = block
+        lo = hi
+    return out
+
+
+def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
+    """The Cauchy product of two jets of one order over einsum(sub) of their
+    value axes, in the blocks of blocked_product: the gathered operands and
+    the einsum of a block held at a time."""
     # gathered by take from C-ordered copies, the point and pair axes are
     # the innermost of each gathered operand, and einsum is many times
     # slower otherwise: an index array on the last axis (ac[..., i]) lays
     # the pair axis outermost in memory
     ac, bc = np.ascontiguousarray(a.c), np.ascontiguousarray(b.c)
-    # the key from a list: a tuple built from a generator is resized after
-    # it is filled, so it skips the tuple free list when made but joins it
-    # when freed, and that list grows to its cap of 2000 per length
-    specs = _pair_subscripts(*[sub for _, sub in terms])
-    ins, res = terms[0][1].split("->")
+    spec = _pair_subscripts(sub)
+    ins, res = sub.split("->")
     sa, sb = ins.split(",")
     dims = {**dict(zip(sa, ac.shape)), **dict(zip(sb, bc.shape))}
-    sums = 2 if len(terms) > 1 else 1  # the running sum and the term in hand
     per_pair = max(ac[..., 0].size, bc[..., 0].size,
-                   sums * ac.shape[-2] * math.prod(dims[ch] for ch in res))
-    limit = PRODUCT_BLOCK // max(per_pair, 1)  # pairs per block
-    out = None
-    lo = 0
-    while lo < len(starts):
-        # the most whole coefficients from lo whose pairs fit, at least one
-        hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
-        pairs = slice(bounds[lo], bounds[hi])
-        ga, gb = ac.take(i[pairs], axis=-1), bc.take(j[pairs], axis=-1)
-        total = None
-        for (sign, _), spec in zip(terms, specs):
-            term = np.einsum(spec, ga, gb)
-            if total is None:
-                total = term if sign > 0 else np.negative(term, out=term)
-            elif sign > 0:
-                total += term
-            else:
-                total -= term
-        block = np.add.reduceat(total, starts[lo:hi] - bounds[lo], axis=-1)
-        if lo == 0 and hi == len(starts):
-            out = block
-        else:
-            if out is None:
-                out = np.empty(block.shape[:-1] + (len(starts),))
-            out[..., lo:hi] = block
-        lo = hi
-    return Jet(out, a.n, a.order)
+                   ac.shape[-2] * math.prod(dims[ch] for ch in res))
 
+    def product(i, j, starts):
+        return np.add.reduceat(np.einsum(spec, ac.take(i, axis=-1), bc.take(j, axis=-1)),
+                               starts, axis=-1)
 
-def einsum_sum(terms: list[tuple[int, str]], a, b) -> Jet | np.ndarray:
-    """The sum of sign * einsum(sub, a, b) over the (sign, sub) terms, sign
-    +1 or -1, in order, the subscripts over value axes as in einsum. Two jets
-    make one Cauchy product for all the terms (see _cauchy); otherwise each
-    term is an einsum."""
-    if isinstance(a, Jet) and isinstance(b, Jet):
-        return _cauchy(terms, *a._pair(b))
-    total = None
-    for sign, sub in terms:
-        term = einsum(sub, a, b)
-        if total is None:
-            total = term if sign > 0 else -term
-        else:
-            total = total + term if sign > 0 else total - term
-    return total
+    return Jet(blocked_product(a.n, a.order, per_pair, product), a.n, a.order)
 
 
 def einsum(spec: str, *ops) -> Jet | np.ndarray:
@@ -339,13 +313,15 @@ def einsum(spec: str, *ops) -> Jet | np.ndarray:
     operands it is np.einsum."""
     if not any(isinstance(o, Jet) for o in ops):
         return np.einsum(spec, *ops)
-    # the key from a list (see _cauchy)
+    # the key from a list: a tuple built from a generator is resized after
+    # it is filled, so it skips the tuple free list when made but joins it
+    # when freed, and that list grows to its cap of 2000 per length
     steps, final = _einsum_plan(spec, tuple([None if isinstance(o, Jet) else np.ndim(o)
                                              for o in ops]))
     ops = list(ops)
     for a, b, sub, cauchy in steps:
         ja = ops[a]
-        ops[a] = (_cauchy([(1, sub)], *ja._pair(ops[b])) if cauchy
+        ops[a] = (_cauchy(sub, *ja._pair(ops[b])) if cauchy
                   else Jet(np.einsum(sub, ja.c, ops[b]), ja.n, ja.order))
         del ops[b]
     jet = next(o for o in ops if isinstance(o, Jet))

@@ -1,7 +1,8 @@
 """Finite-dimensional Lie algebras, representations, and subspace machinery.
 
 Structure constants are stored as c[k, i, j] with [b_i, b_j] = c[k, i, j] b_k.
-Subspaces of an algebra are matrices whose columns are coordinate vectors.
+Subspaces of an algebra are matrices whose columns are coordinate vectors. A
+rep acts on a tensor by tensor_core's Leibniz rule (``action_rows``).
 
 The constants a run reads (so(n) and its defining representation, the
 catalog algebras, their default inner products and adjoint representations)
@@ -18,7 +19,7 @@ from functools import cache, wraps
 import numpy as np
 
 from .errors import BadParameters, NotInvariant, RepMismatch
-from .tensor_core import DOWN, LIE, DenseTensor, axis_action
+from .tensor_core import DenseTensor, _leibniz, axis_action
 
 NULL_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -193,47 +194,13 @@ def action_rows(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
                 prefix: tuple[int, ...] = ()) -> np.ndarray:
     """The rows a tensor adds to the stacked action matrix, at each point of
     a batch: data has shape (P, dims...), and out[p, r, j] is component r, in
-    C order, of the action of basis element j on point p's tensor: +mat on UP
-    axes, -mat^T on DOWN axes and lie on LIE axes, summed over the axes in
-    order. With a prefix, only the rows whose leading indices are the prefix.
-
-    Each axis is one matmul of its (m n, n) generator stack by the (n, rest)
-    reshape of the data; an axis the prefix fixes takes only the prefix's
-    row of each generator."""
-    m = rep.algebra.dim
-    prefix = tuple(prefix)
-    points, lead = len(data), len(prefix)
-    sub = data[(slice(None),) + prefix]
-    total = None
-    for ax, marker in enumerate(markers):
-        if marker == LIE and rep.lie is None:
-            raise RepMismatch("tensor has lie axes but no lie-axis matrix")
-        gens = (rep.lie if marker == LIE else rep.vector).matrices
-        n = gens.shape[-1]
-        if data.shape[ax + 1] != n:
-            raise RepMismatch(f"axis {ax} has dim {data.shape[ax + 1]}, matrix dim {n}")
-        if marker == DOWN:
-            gens = gens.transpose(0, 2, 1)
-        if ax < lead:
-            free = data[(slice(None),) + prefix[:ax] + (slice(None),) + prefix[ax + 1:]]
-            term = np.matmul(gens[:, prefix[ax]], free.reshape(points, n, -1))
-            term = term.reshape((points, m) + sub.shape[1:])
-        else:
-            a = ax - lead + 1
-            moved = sub.transpose(a, *range(a), *range(a + 1, sub.ndim))
-            term = (gens.reshape(m * n, n) @ moved.reshape(n, -1)).reshape((m, n) + moved.shape[1:])
-            # back to (points, m, axes...) with the acted axis in its place
-            term = term.transpose(2, 0, *range(3, a + 2), 1, *range(a + 2, sub.ndim + 1))
-        # summed as it goes, so that one term at a time is held
-        if total is None:
-            total = -term if marker == DOWN else term
-        elif marker == DOWN:
-            total -= term
-        else:
-            total += term
-    if total is None:  # a scalar: the zero action
-        return np.zeros((points, 1, m))
-    return total.reshape(points, m, -1).transpose(0, 2, 1)
+    C order, of the action of basis element j on point p's tensor (the
+    Leibniz rule of tensor_core._leibniz with the rep's generators, which
+    every point shares). With a prefix, only the rows whose leading indices
+    are the prefix."""
+    rows = _leibniz(markers, data, rep.vector.matrices,
+                    None if rep.lie is None else rep.lie.matrices, tuple(prefix))
+    return rows.reshape(len(data), rep.algebra.dim, -1).transpose(0, 2, 1)
 
 
 def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndarray:

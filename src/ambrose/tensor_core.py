@@ -1,13 +1,18 @@
-"""Dense multi-index tensor values at a point, orthonormal frames, axis actions.
+"""Dense multi-index tensor values at a point, orthonormal frames, and the
+two actions on tensor axes, each coded once.
 
 Axis markers tag each tensor axis as contravariant (UP), covariant (DOWN) or
 Lie-adjoint (LIE).  Components are stored row-major over the axis dims, so the
-flat serialization order is the C order of the backing array.
+flat serialization order is the C order of the backing array. The Lie-algebra
+action, the Leibniz rule summed over the axes (-M^T on DOWN ones), is
+``_leibniz``: ``axis_action`` (arrays and jets) and ``lie_core.action_rows``
+call it. The group action, one matrix per axis kind, is ``to_frames``: the
+frames and ``homogeneity.group_action`` call it.
 """
 
 from __future__ import annotations
 
-import string
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,34 +60,93 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
 
+def _leibniz(markers: tuple[str, ...], data: np.ndarray, mat: np.ndarray | None,
+             lie: np.ndarray | None, prefix: tuple[int, ...] = ()) -> np.ndarray:
+    """The Leibniz rule on a batch: out[p, b] is the sum over the axes of
+    data[p] of the action of the b-th matrices on that axis: +mat[b] on UP,
+    -mat[b]^T on DOWN and lie[b] on LIE axes. data has shape (N, dims...);
+    ``mat`` and ``lie`` are a stack every element shares, (B, n, n), one
+    per element, (N, B, n, n), or None, which leaves those axes alone (a
+    LIE axis then raises RepMismatch, as does a wrong axis dim). The result
+    is (N, B, dims...), or with a prefix only the components whose leading
+    indices are the prefix. Each acted axis is one matmul of the (B n, n)
+    stack by the (n, rest) reshape of each element's data, the axis then
+    put back in its place (an axis the prefix fixes takes the prefix's row
+    of each matrix); the terms are summed in axis order, one held at a time."""
+    count, lead = len(data), len(prefix)
+    sub = data[(slice(None),) + prefix]
+    total = None
+    for ax, marker in enumerate(markers):
+        gens = lie if marker == LIE else mat
+        if gens is None:
+            if marker == LIE:
+                raise RepMismatch("tensor has lie axes but no lie-axis matrix")
+            continue
+        n = gens.shape[-1]
+        if data.shape[ax + 1] != n:
+            raise RepMismatch(f"axis {ax} has dim {data.shape[ax + 1]}, matrix dim {n}")
+        if marker == DOWN:
+            gens = np.swapaxes(gens, -1, -2)
+        if ax < lead:
+            free = data[(slice(None),) + prefix[:ax] + (slice(None),) + prefix[ax + 1:]]
+            term = np.matmul(gens[..., prefix[ax], :], free.reshape(count, n, -1))
+            term = term.reshape((count, -1) + sub.shape[1:])
+        else:
+            a = ax - lead + 1
+            moved = sub.transpose(0, a, *range(1, a), *range(a + 1, sub.ndim))
+            term = np.matmul(gens.reshape(gens.shape[:-3] + (-1, n)), moved.reshape(count, n, -1))
+            # (N, B, n, rest...) to (N, B, axes...), the acted axis in its place
+            term = term.reshape((count, -1, n) + moved.shape[2:]).transpose(
+                0, 1, *range(3, a + 2), 2, *range(a + 2, sub.ndim + 1))
+        if total is None:
+            total = -term if marker == DOWN else term
+        elif marker == DOWN:
+            total -= term
+        else:
+            total += term
+    if total is None:  # no axis is acted on: the zero action
+        return np.zeros((count, (mat if mat is not None else lie).shape[-3]) + sub.shape[1:])
+    return total
+
+
 def axis_action(markers: tuple[str, ...], data, mat, lie):
     """out[b] = the sum over the axes of a tensor of the action on that axis
     of the b-th matrices: +mat[b] on UP axes, -mat[b]^T on DOWN axes and
-    lie[b] on LIE axes. A None ``mat`` leaves the tangent axes alone; LIE
-    axes need ``lie``. The data and the matrices may be jets: the axes of
-    each matrix operand are summed in one jet.einsum_sum, so jet data and a
-    jet matrix make one Cauchy product for all of its axes."""
-    letters = string.ascii_lowercase[:len(markers)]
-    terms = {}  # the signed subscripts of each matrix operand, in axis order
-    for ax, m in enumerate(markers):
-        a = lie if m == LIE else mat
-        if a is None:
-            if m == LIE:
-                raise RepMismatch("tensor has lie axes but no lie-axis matrix")
-            continue
-        if data.shape[ax] != a.shape[-1]:
-            raise RepMismatch(f"axis {ax} has dim {data.shape[ax]}, matrix dim {a.shape[-1]}")
-        j = letters[ax]
-        out = letters.replace(j, "Z")
-        spec = f"B{j}Z,{letters}->B{out}" if m == DOWN else f"BZ{j},{letters}->B{out}"
-        terms.setdefault(m == LIE, []).append((-1 if m == DOWN else 1, spec))
-    if not terms:  # no axis is acted on: the zero action
-        return np.zeros(((mat if mat is not None else lie).shape[0],) + tuple(data.shape))
-    total = None
-    for on_lie, group in terms.items():
-        term = jet.einsum_sum(group, lie if on_lie else mat, data)
-        total = term if total is None else total + term
-    return total
+    lie[b] on LIE axes, shape (B, dims...). A None ``mat`` leaves the
+    tangent axes alone; LIE axes need ``lie``. Arrays are one point, a
+    batch of one of _leibniz. Jets (beside constant arrays, lifted) give a
+    jet at the lowest order among those that act, one Cauchy product for
+    all the axes: each (point, pair) of gathered data and matrices is an
+    element of _leibniz, and each coefficient sums its pairs in order, in
+    the blocks of jet.blocked_product. An order-0 product is one pair at
+    each point: no gather and no sum."""
+    count = (mat if mat is not None else lie).shape[0]
+    mat = mat if any([m != LIE for m in markers]) else None  # the matrices that act
+    lie = lie if LIE in markers else None
+    if mat is None and LIE not in markers:  # no axis is acted on: the zero action
+        return np.zeros((count,) + tuple(data.shape))
+    jets = [o for o in (data, mat, lie) if isinstance(o, jet.Jet)]
+    if not jets:
+        return _leibniz(markers, np.asarray(data)[None], mat, lie)[0]
+    ref = min(jets, key=lambda j: j.order)
+    points, dims = ref.c.shape[-2], tuple(data.shape)
+    # the operands' coefficients at that order, point and coefficient axes first
+    d, m, l = [None if o is None else jet.points_first(jet.points_first(
+        (o if isinstance(o, jet.Jet) else ref.lift(o)).truncate(ref.order).c))
+        for o in (data, mat, lie)]
+    if ref.order == 0:
+        out = _leibniz(markers, d[:, 0], *[None if c is None else c[:, 0] for c in (m, l)])[:, None]
+    else:
+        def product(i, j, starts):
+            gd, gm, gl = [None if c is None else c.take(k, axis=1).reshape((-1,) + c.shape[2:])
+                          for c, k in ((d, i), (m, j), (l, j))]
+            out = _leibniz(markers, gd, gm, gl)
+            return np.add.reduceat(out.reshape((points, len(i)) + out.shape[1:]), starts, axis=1)
+
+        per_pair = points * max(2 * count * math.prod(dims),
+                                *[c[0, 0].size for c in (m, l) if c is not None])
+        out = jet.blocked_product(ref.n, ref.order, per_pair, product, axis=1)
+    return jet.Jet(out.transpose(*range(2, out.ndim), 0, 1), ref.n, ref.order)
 
 
 @dataclass(frozen=True)
@@ -124,27 +188,29 @@ def to_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
 
 
 def to_frames(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
-              frame: np.ndarray) -> np.ndarray:
+              frame: np.ndarray, lie: np.ndarray | None = None) -> np.ndarray:
     """Tensor-axis components in an orthonormal frame at each point of a
     batch: data has shape (P, dims...), point first, and coframe and frame
     shape (P, n, n), as cholesky_frames gives them; the result has the
     shape of data. v̂ = coframe·v on UP axes, and ω̂_a = ω(e_a) contracts
-    with the frame on DOWN axes.
+    with the frame on DOWN axes. LIE axes are left alone, or, given ``lie``,
+    shape (P, l, l), take v̂ = lie·v.
 
     The axes go in order, each one matmul per point: the acted axis leads
     the (axis, rest) reshape of each point's data, and the product,
-    (rest, axis), leaves it last, so after every axis (a LIE axis only
-    rotates) the axis order is the original."""
+    (rest, axis), leaves it last, so after every axis (an axis left alone
+    only rotates) the axis order is the original."""
     points, dims = data.shape[0], data.shape[1:]
-    n = coframe.shape[-1]
     for ax, m in enumerate(markers):
-        if m != LIE and dims[ax] != n:
+        n = coframe.shape[-1] if m != LIE else dims[ax] if lie is None else lie.shape[-1]
+        if dims[ax] != n:
             raise AxisMismatch(f"axis {ax} has dim {dims[ax]}, frame dim {n}")
     out = data
     for m, d in zip(markers, dims):
         rows = out.reshape(points, d, -1).transpose(0, 2, 1)
-        # (rest, axis) times coframeᵀ on UP, the frame on DOWN
-        out = rows if m == LIE else rows @ (coframe.transpose(0, 2, 1) if m == UP else frame)
+        # (rest, axis) times coframeᵀ on UP, the frame on DOWN and lieᵀ on LIE
+        mat = frame if m == DOWN else coframe if m == UP else lie
+        out = rows if mat is None else rows @ (mat if m == DOWN else mat.transpose(0, 2, 1))
     return out.reshape(data.shape)
 
 

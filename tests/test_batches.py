@@ -373,9 +373,18 @@ class TestEvaluationCounts:
     def test_singer_metric_once_per_batch(self, points, monkeypatch, capsys):
         """Point by point, eight points took 32 metric and 24 Christoffel
         evaluations: the frame, the tower's Gamma, the torsion and the
-        curvature each evaluated their own."""
-        metric = []
+        curvature each evaluated their own. Each batch's metric values are
+        factored once, for the frames and the Christoffel symbols' check,
+        which each factored them."""
+        metric, factored = [], []
         christoffel = count_calls(monkeypatch, chart_calculus._christoffel_jet)
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            factored.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         monkeypatch.setattr(cli, "instantiate", lambda name, params: counted_metric(metric))
         code = cli.main(["--scenario", "singer", "--fixture", "berger_sphere",
                          "--param", "connection=metric", "--points", str(points)])
@@ -385,6 +394,8 @@ class TestEvaluationCounts:
         assert len(metric) <= batches
         assert len(christoffel) <= batches
         assert sum(metric) == points
+        assert [shape[0] for shape in factored] == [min(CHUNK, points - start)
+                                                    for start in range(0, points, CHUNK)]
 
     @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
     def test_adapt_connection_once_per_batch(self, points, batches, monkeypatch, capsys):
@@ -424,10 +435,11 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("points", [1, 8, 2 * CHUNK + 3])
     def test_adapt_takes_no_cholesky_jet(self, points, monkeypatch, capsys):
-        """adapt factors each point's metric value twice, in stacks over a
-        batch: once for its frame and once for the Christoffel symbols'
-        check. The gauge forms' Cholesky frame jet factored it a third time.
-        A single matrix is the inner product's check, made once per process."""
+        """adapt factors each point's metric value once, in stacks over a
+        batch, for its frame and for the Christoffel symbols' check. The two
+        factored it once each, and the gauge forms' Cholesky frame jet a
+        third time. A single matrix is the inner product's check, made once
+        per process."""
         factored = []
         cholesky = np.linalg.cholesky
 
@@ -442,7 +454,7 @@ class TestEvaluationCounts:
         assert code == 0
         stacks = [shape for shape in factored if len(shape) == 3]
         assert all(shape[1:] == (3, 3) for shape in stacks)
-        assert sum(shape[0] for shape in stacks) == 2 * points
+        assert sum(shape[0] for shape in stacks) == points
 
     def test_adapt_holds_one_batch_of_towers(self, monkeypatch, capsys):
         """Whatever the number of points, adapt holds the first point's

@@ -11,6 +11,7 @@ from ambrose.tensor_core import (
     UP,
     DenseTensor,
     OrthoFrame,
+    _leibniz,
     axis_action,
     cholesky_frames,
     to_frame,
@@ -84,9 +85,12 @@ class TestOrthoFrame:
 
 
 def random_action(seed: int, matrices: str):
-    """(markers, data, mat, lie) of a random axis action: a jet tensor with
-    n = 1-4 variables, order 0-3, rank 0-5 and 1-5 points, over mixed UP,
-    DOWN and LIE axes, and jet or constant matrices (2 of each kind)."""
+    """(markers, data, mat, lie) of a random axis action over rank 0-5
+    tensors with mixed UP, DOWN and LIE axes, 1-5 points and 2 matrices of
+    each kind. For "jet" and "constant", a jet tensor in n = 1-4 variables
+    of order 0-3, and jet or constant matrices; for "shared" and
+    "per-point", a batch of arrays, point first, and one stack of matrices
+    for every point or a stack per point."""
     rng = np.random.default_rng(seed)
     n, order, rank, points = map(int, rng.integers([1, 0, 0, 1], [5, 4, 6, 6]))
     markers = tuple((UP, DOWN, LIE)[k] for k in rng.integers(0, 3, size=rank))
@@ -97,6 +101,10 @@ def random_action(seed: int, matrices: str):
         k = int(k)
         return jet.Jet(rng.normal(size=shape + (points, jet.size(n, k))), n, k)
 
+    if matrices in ("shared", "per-point"):
+        lead = (points,) if matrices == "per-point" else ()
+        return (markers, rng.normal(size=(points,) + dims), rng.normal(size=lead + (2, dim, dim)),
+                rng.normal(size=lead + (2, lie_dim, lie_dim)))
     data = jet_of(dims, order)
     if matrices == "jet":
         # the matrices at their own order: the product takes the lower one
@@ -107,13 +115,34 @@ def random_action(seed: int, matrices: str):
     return markers, data, mat, lie
 
 
+def per_point_oracle(markers, data, mat, lie):
+    """axis_action_per_axis at each point of a batch of arrays, with the
+    point's own matrices where there is a stack per point."""
+    def at(a, p):
+        return a[p] if a.ndim == 4 else a
+
+    return np.stack([axis_action_per_axis(markers, data[p], at(mat, p), at(lie, p))
+                     for p in range(len(data))])
+
+
 class TestAxisAction:
-    @pytest.mark.parametrize("matrices", ["jet", "constant"])
+    @pytest.mark.parametrize("matrices", ["jet", "constant", "shared", "per-point"])
     @pytest.mark.parametrize("seed", range(30))
     def test_equals_one_product_per_axis(self, seed, matrices):
-        """One Cauchy product for all the axes of each matrix operand is the
-        sum of the products axis by axis, within rounding."""
+        """One Cauchy product for all the axes of the data and the matrices
+        is the sum of the products axis by axis, within rounding; so is the
+        kernel on a batch of arrays, with shared or per-point matrices."""
         markers, data, mat, lie = random_action(seed, matrices)
+        if matrices in ("shared", "per-point"):
+            got = _leibniz(markers, data, mat, lie)
+            want = per_point_oracle(markers, data, mat, lie) if markers else np.zeros((len(data), 2))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
+            if len(data) == 1:  # axis_action is the kernel on a batch of one
+                np.testing.assert_array_equal(
+                    axis_action(markers, data[0], *[a if a.ndim == 3 else a[0] for a in (mat, lie)]),
+                    got[0])
+            return
         got = axis_action(markers, data, mat, lie)
         if not markers:  # no axis is acted on: the zero action
             assert np.array_equal(got, np.zeros((2,)))
@@ -136,15 +165,37 @@ class TestAxisAction:
         monkeypatch.setattr(jet, "PRODUCT_BLOCK", block)
         np.testing.assert_array_equal(axis_action(markers, data, mat, lie).c, whole.c)
 
-    def test_nan_stays_at_its_point(self):
-        markers, data, mat, lie = random_action(13, "jet")
-        clean = axis_action(markers, data, mat, lie)
-        spoiled = jet.Jet(data.c.copy(), data.n, data.order)
-        spoiled.c[(0,) * len(markers) + (1, -1)] = np.nan
-        got = axis_action(markers, spoiled, mat, lie).c
+    @pytest.mark.parametrize("seed,matrices", [(13, "jet"), (29, "jet"), (21, "jet"),
+                                               (13, "per-point")])
+    def test_nan_stays_at_its_point(self, seed, matrices):
+        """A NaN in one point's data, in a gathered product (order 3), an
+        order-0 one or the kernel on per-point arrays, reaches no other
+        point."""
+        markers, data, mat, lie = random_action(seed, matrices)
+        if matrices == "per-point":
+            clean = _leibniz(markers, data, mat, lie)
+            spoiled = data.copy()
+            spoiled[(1,) + (0,) * len(markers)] = np.nan
+            got = np.moveaxis(_leibniz(markers, spoiled, mat, lie), 0, -1)[..., None]
+            clean = np.moveaxis(clean, 0, -1)[..., None]
+        else:
+            clean = axis_action(markers, data, mat, lie).c
+            spoiled = jet.Jet(data.c.copy(), data.n, data.order)
+            spoiled.c[(0,) * len(markers) + (1, 0)] = np.nan
+            got = axis_action(markers, spoiled, mat, lie).c
         assert np.isnan(got[..., 1, :]).any()
         others = [p for p in range(got.shape[-2]) if p != 1]
-        np.testing.assert_array_equal(got[..., others, :], clean.c[..., others, :])
+        np.testing.assert_array_equal(got[..., others, :], clean[..., others, :])
+
+    @pytest.mark.parametrize("seed", [4, 13, 21, 29])
+    def test_takes_no_einsum_product(self, seed, monkeypatch):
+        """The action of jet matrices on jet data goes through the kernel,
+        with no Cauchy product of jet.einsum."""
+        calls = []
+        cauchy = jet._cauchy
+        monkeypatch.setattr(jet, "_cauchy", lambda *args: calls.append(1) or cauchy(*args))
+        axis_action(*random_action(seed, "jet"))
+        assert calls == []
 
 
 class TestFrameTransport:
