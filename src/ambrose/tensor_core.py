@@ -131,20 +131,20 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
     ref = min(jets, key=lambda j: j.order)
     points, dims = ref.c.shape[-2], tuple(data.shape)
     # the operands' coefficients at that order, point and coefficient axes first
-    d, m, l = [None if o is None else jet.points_first(jet.points_first(
+    cd, cm, cl = [None if o is None else jet.points_first(jet.points_first(
         (o if isinstance(o, jet.Jet) else ref.lift(o)).truncate(ref.order).c))
         for o in (data, mat, lie)]
     if ref.order == 0:
-        out = _leibniz(markers, d[:, 0], *[None if c is None else c[:, 0] for c in (m, l)])[:, None]
+        out = _leibniz(markers, *[None if c is None else c[:, 0] for c in (cd, cm, cl)])[:, None]
     else:
         def product(i, j, starts):
             gd, gm, gl = [None if c is None else c.take(k, axis=1).reshape((-1,) + c.shape[2:])
-                          for c, k in ((d, i), (m, j), (l, j))]
+                          for c, k in ((cd, i), (cm, j), (cl, j))]
             out = _leibniz(markers, gd, gm, gl)
             return np.add.reduceat(out.reshape((points, len(i)) + out.shape[1:]), starts, axis=1)
 
         per_pair = points * max(2 * count * math.prod(dims),
-                                *[c[0, 0].size for c in (m, l) if c is not None])
+                                *[c[0, 0].size for c in (cm, cl) if c is not None])
         out = jet.blocked_product(ref.n, ref.order, per_pair, product, axis=1)
     return jet.Jet(out.transpose(*range(2, out.ndim), 0, 1), ref.n, ref.order)
 
