@@ -165,13 +165,13 @@ class LastJet:
     higher is read off the jet by truncation, so a field that several
     others derive from (the metric under its Christoffel symbols, the
     connection under torsion and curvature) is evaluated once per batch at
-    the highest order any of them needs. ``held`` keeps what is derived from
+    the highest order any of them needs. ``held`` keeps a value derived from
     the jet (the metric's Cholesky frames) until the jet is replaced."""
 
     def __init__(self):
         self.points: np.ndarray | None = None
         self.jet: Jet | None = None
-        self.held: dict = {}
+        self.held = None
 
     def jet_at(self, x: np.ndarray, order: int, evaluate: Callable[[Jet], Jet]) -> Jet:
         """The jet of the given order at the points x, shape (P, n), or at
@@ -179,7 +179,7 @@ class LastJet:
         coordinate jet) and kept."""
         x = _batch(x)
         if self.jet is None or self.jet.order < order or not np.array_equal(x, self.points):
-            self.points, self.jet, self.held = x.copy(), evaluate(variables(x, order)), {}
+            self.points, self.jet, self.held = x.copy(), evaluate(variables(x, order)), None
         return self.jet.truncate(order)
 
 
@@ -301,7 +301,7 @@ def _christoffel_jet(g: MetricField, x: np.ndarray, order: int) -> Jet:
     """Levi-Civita coefficients half g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij})
     as a jet of the given order, from one jet of g one order higher."""
     gx = g.jet_at(x, order + 1)
-    _held_frames(g, x)  # the check that g is positive definite
+    frame_stacks(g, x)  # the check that g is positive definite
     dg = shift(gx)
     p = dg.transpose(2, 0, 1)  # p[l, i, j] = d_i g_{jl}
     return 0.5 * jet.einsum("kl,lij->kij", jet.inv(gx.truncate(order)),
@@ -397,21 +397,15 @@ def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
 
 def frame_stacks(g: MetricField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coframes and frames of g's Cholesky frames at a batch of points,
-    each shape (P, n, n): cholesky_frames of the metric's values."""
-    return _held_frames(g, points)
-
-
-def _held_frames(g: MetricField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cholesky_frames of g's values at the points, factored once per
-    evaluation of the metric and held, read-only, by its memo: the frames
-    and the Christoffel symbols' positive-definiteness check share it."""
+    each shape (P, n, n): cholesky_frames of the metric's values, factored
+    once per evaluation of the metric and held, read-only, by its memo (the
+    Christoffel symbols' positive-definiteness check reads them too)."""
     value = g.jet_at(points, 0).value
-    held = g.memo.held
-    if "frames" not in held:
-        held["frames"] = cholesky_frames(jet.points_first(value))
-        for a in held["frames"]:
+    if g.memo.held is None:
+        g.memo.held = cholesky_frames(jet.points_first(value))
+        for a in g.memo.held:
             a.flags.writeable = False
-    return held["frames"]
+    return g.memo.held
 
 
 def ortho_frame_partial(g: MetricField,

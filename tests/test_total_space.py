@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from ambrose import bundle_conn, chart_calculus, cli
+from ambrose import bundle_conn, chart_calculus, cli, tensor_core
 from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import curvature, sample_interior
 from ambrose.errors import RepMismatch, UnsupportedFieldKind
@@ -500,11 +500,11 @@ def count_calls(monkeypatch, fn):
 
 class TestCallCounts:
     def test_total_space_calls_per_point(self, monkeypatch, capsys):
-        """The checks difference nothing, and take the orthonormal frames
+        """The checks difference nothing, and factor the orthonormal frames
         once per batch of points; the per-tuple case tables take hundreds of
         FD calls and thousands of frames per point."""
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
-        frames = count_calls(monkeypatch, chart_calculus.frame_stacks)
+        frames = count_calls(monkeypatch, tensor_core.cholesky_frames)
         code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
                          "--points", "2"])
         capsys.readouterr()
