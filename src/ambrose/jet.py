@@ -10,7 +10,7 @@ with |a + b| <= K; that table is built on first use and cached per (n, K)
 (Griewank, Utke and Walther, Math. Comp. 69, 2000; Bettencourt, Johnson and
 Duvenaud, "Taylor-mode automatic differentiation for higher-order
 derivatives", 2019). A large product goes in blocks of whole coefficients,
-``blocked_product``, which ``einsum`` and tensor_core.axis_action share.
+``_blocked_product``, which ``einsum`` and tensor_core.axis_action share.
 
 A jet holds a batch of P points at once. ``Jet.c`` has shape
 ``value_shape + (P, ncoef)``: the value axes lead, then the point axis, then
@@ -255,7 +255,7 @@ def _pair_subscripts(sub: str) -> str:
     return f"{sa}{q}{p},{sb}{q}{p}->{res}{q}{p}"
 
 
-def blocked_product(n: int, order: int, per_pair: int, product, axis: int = -1) -> np.ndarray:
+def _blocked_product(n: int, order: int, per_pair: int, product, axis: int = -1) -> np.ndarray:
     """A Cauchy product of order ``order`` in n variables, in blocks of
     whole output coefficients: product(i, j, starts) gives a block's
     coefficients on axis ``axis`` from its pairs (i, j) of coefficient
@@ -285,7 +285,7 @@ def blocked_product(n: int, order: int, per_pair: int, product, axis: int = -1) 
 
 def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
     """The Cauchy product of two jets of one order over einsum(sub) of their
-    value axes, in the blocks of blocked_product: the gathered operands and
+    value axes, in the blocks of _blocked_product: the gathered operands and
     the einsum of a block held at a time."""
     # gathered by take from C-ordered copies, the point and pair axes are
     # the innermost of each gathered operand, and einsum is many times
@@ -303,7 +303,7 @@ def _cauchy(sub: str, a: Jet, b: Jet) -> Jet:
         return np.add.reduceat(np.einsum(spec, ac.take(i, axis=-1), bc.take(j, axis=-1)),
                                starts, axis=-1)
 
-    return Jet(blocked_product(a.n, a.order, per_pair, product), a.n, a.order)
+    return Jet(_blocked_product(a.n, a.order, per_pair, product), a.n, a.order)
 
 
 def einsum(spec: str, *ops) -> Jet | np.ndarray:

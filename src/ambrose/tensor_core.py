@@ -118,7 +118,7 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
     jet at the lowest order among those that act, one Cauchy product for
     all the axes: each (point, pair) of gathered data and matrices is an
     element of _leibniz, and each coefficient sums its pairs in order, in
-    the blocks of jet.blocked_product. An order-0 product is one pair at
+    the blocks of jet._blocked_product. An order-0 product is one pair at
     each point: no gather and no sum."""
     count = (mat if mat is not None else lie).shape[0]
     mat = mat if any([m != LIE for m in markers]) else None  # the matrices that act
@@ -145,7 +145,7 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
 
         per_pair = points * max(2 * count * math.prod(dims),
                                 *[c[0, 0].size for c in (cm, cl) if c is not None])
-        out = jet.blocked_product(ref.n, ref.order, per_pair, product, axis=1)
+        out = jet._blocked_product(ref.n, ref.order, per_pair, product, axis=1)
     return jet.Jet(out.transpose(*range(2, out.ndim), 0, 1), ref.n, ref.order)
 
 
