@@ -3,7 +3,8 @@
 A connection form holds one structure-algebra element per coordinate
 direction.  Adjoint-valued tensors use the lie axis marker; the algebra acts
 on those axes through ad, while manifold axes receive the usual linear
-connection corrections.
+connection corrections.  A section is a tuple of tensor fields, and one form
+acts on the LIE axes of all of them (chart_calculus.frame_levels).
 """
 
 from __future__ import annotations
@@ -84,14 +85,6 @@ def form_difference(a1: LocalConnectionForm,
     )
 
 
-@dataclass(frozen=True)
-class SectionSpec:
-    """Tuple of tensor fields sharing a chart."""
-
-    chart: Chart
-    fields: tuple[TensorFieldSpec, ...]
-
-
 def _curvature_form_jet(a: LocalConnectionForm, x: np.ndarray, order: int) -> Jet:
     """F of the form at a batch of points, from its jet one order higher."""
     av = a.jet_at(x, order + 1)
@@ -140,7 +133,7 @@ def curvature_variation_check(a: LocalConnectionForm, alpha: TensorFieldSpec,
     return nan_max(point_norms(f1 - f0 - d - quad))
 
 
-def connection_variation_check(eta: SectionSpec, a: LocalConnectionForm,
+def connection_variation_check(eta: tuple[TensorFieldSpec, ...], a: LocalConnectionForm,
                                a_prime: LocalConnectionForm,
                                gamma: ConnectionCoeffs, points: np.ndarray) -> float:
     """Largest residual over the points and the fields of the variation
@@ -148,7 +141,7 @@ def connection_variation_check(eta: SectionSpec, a: LocalConnectionForm,
     G = gamma.jet_at(points, 0)
     ad0, ad1 = a.ad_jet(points, 0), a_prime.ad_jet(points, 0)
     worst = []
-    for f in eta.fields:
+    for f in eta:
         t = f.jet_at(points, 1)
         d = (nabla(t, f.markers, G, ad1) - nabla(t, f.markers, G, ad0)
              - axis_action(f.markers, t.truncate(0), None, ad1 - ad0))
@@ -156,7 +149,7 @@ def connection_variation_check(eta: SectionSpec, a: LocalConnectionForm,
     return nan_max(worst)
 
 
-def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
+def leibniz_check(beta: TensorFieldSpec, eta: tuple[TensorFieldSpec, ...],
                   a: LocalConnectionForm, gamma: ConnectionCoeffs,
                   points: np.ndarray) -> float:
     """Largest residual over the points and the fields of
@@ -172,7 +165,7 @@ def leibniz_check(beta: TensorFieldSpec, eta: SectionSpec,
     ad_db = [jet.einsum("kij,ni->nkj", s, db[u]) for u in range(a.chart.dim)]
     ad_b0 = ad_b.truncate(0)
     worst = []
-    for f in eta.fields:
+    for f in eta:
         eta_j = f.jet_at(points, 1)
         lhs = nabla(axis_action(f.markers, eta_j, None, ad_b),
                     (DOWN,) + tuple(f.markers), G, ad_a).value

@@ -11,8 +11,9 @@ Everything lives on one coordinate chart; points are plain coordinate
 arrays. ``fd_array``, a Richardson-extrapolated central
 difference, is the tests' reference for those partials.
 
-The residual checks run on the batch as well, any number of points in
-batches of at most CHUNK (``max_over_chunks``).
+A section, a tuple of fields, is differentiated in one place, frame_levels,
+which the towers and the residual checks read. The checks run on the batch
+too, any number of points in batches of at most CHUNK (max_over_chunks).
 
 Index layout for connection coefficients: data[k, i, j] = coefficient of the
 k-th basis vector in the derivative along direction i of basis vector j, so
@@ -36,6 +37,7 @@ from .errors import (
     AxisMismatch,
     BadParameters,
     DegenerateMetric,
+    DepthMismatch,
     OutOfDomain,
     SingularFrame,
 )
@@ -444,29 +446,41 @@ def max_over_chunks(check: Callable[[np.ndarray], dict[str, float]],
     return max_over_batches(check(points[i:i + CHUNK]) for i in range(0, len(points), CHUNK))
 
 
-def nabla_frames(gamma: ConnectionCoeffs,
-                 fields: dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]],
-                 g: MetricField, batch: np.ndarray) -> dict[str, np.ndarray]:
-    """The covariant derivative of each named field at a batch of points,
-    with ad of the form of a (field, form) pair on its LIE axes, in the
-    orthonormal frame of g at each point: shape (n, dims..., P), the new
-    covariant axis first (a view of point-first data). The fields are
-    evaluated first, so Gamma, read after them, is evaluated once per batch
-    at the highest order any of them reads."""
-    jets = {name: t.jet_at(batch, 1) for name, (t, _) in fields.items()}
-    G = gamma.jet_at(batch, 0)
-    frames = frame_stacks(g, batch)
-    return {name: jet.points_last(to_frames(
-        (DOWN,) + t.markers,
-        jet.points_first(nabla(jets[name], t.markers, G,
-                               None if form is None else form.ad_jet(batch, 0)).value),
-        *frames)) for name, (t, form) in fields.items()}
+def frame_levels(fields: tuple[TensorFieldSpec, ...], form: LocalConnectionForm | None,
+                 gamma: ConnectionCoeffs, g: MetricField, points: np.ndarray, kmax: int,
+                 frames: tuple[np.ndarray, np.ndarray] | None = None,
+                 ) -> list[list[tuple[tuple[str, ...], np.ndarray]]]:
+    """Levels 0..kmax of a section at a batch of points, each a list of
+    (markers, data), one per field, data point-first in g's Cholesky frames
+    (or the (coframes, frames) stacks given). Level k + 1 is the covariant
+    derivative of level k: the shift of its jet, plus Gamma and ad of the
+    form (on LIE axes) acting on it. Gamma is evaluated first, at order
+    kmax + 1, the order a curvature field reads; the fields (order kmax),
+    ad (kmax - 1) and the frames read its, the metric's and the form's
+    memos, so each is evaluated once per batch. Each level is framed as soon
+    as it is built, and only one level's jet is held at a time."""
+    if kmax < 1:
+        raise DepthMismatch("tower depth kmax must be at least 1")
+    points = _batch(points)
+    G = gamma.jet_at(points, kmax + 1).truncate(kmax - 1)
+    level = [(f.markers, f.jet_at(points, kmax)) for f in fields]
+    lie = None if form is None else form.ad_jet(points, kmax - 1)
+    coframe, frame = frame_stacks(g, points) if frames is None else frames
+    levels = []
+    for k in range(kmax + 1):
+        levels.append([(m, to_frames(m, jet.points_first(t.value), coframe, frame))
+                       for m, t in level])
+        if k < kmax:
+            level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
+    return levels
 
 
-def max_nabla_norms(gamma: ConnectionCoeffs,
-                    fields: dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]],
-                    g: MetricField, points: np.ndarray) -> dict[str, float]:
-    """Largest norm over the points of each field's nabla_frames."""
-    return max_over_chunks(
-        lambda batch: {name: nan_max(point_norms(d))
-                       for name, d in nabla_frames(gamma, fields, g, batch).items()}, points)
+def max_nabla_norms(gamma: ConnectionCoeffs, fields: dict[str, TensorFieldSpec],
+                    form: LocalConnectionForm | None, g: MetricField,
+                    points: np.ndarray) -> dict[str, float]:
+    """Largest norm over the points of the covariant derivative of each
+    named field, with ad of the form on LIE axes: level 1 of frame_levels."""
+    return max_over_chunks(lambda batch: {
+        name: nan_max(point_norms(jet.points_last(d)))
+        for name, (_, d) in zip(fields, frame_levels(tuple(fields.values()), form, gamma, g,
+                                                     batch, 1)[1])}, points)

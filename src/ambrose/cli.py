@@ -17,7 +17,6 @@ import numpy as np
 
 from . import jet
 from .bundle_conn import (
-    SectionSpec,
     bianchi_residual,
     connection_variation_check,
     curvature_variation_check,
@@ -25,9 +24,8 @@ from .bundle_conn import (
 )
 from .chart_calculus import (
     TensorFieldSpec,
-    curvature_of,
-    frame_stacks,
-    max_nabla_norms,
+    curvature_field,
+    frame_levels,
     max_over_batches,
     max_over_chunks,
     nan_max,
@@ -50,7 +48,6 @@ from .fixtures import (
 from .homogeneity import (
     KMAX_CAP,
     TOLERANCES,
-    TripleSpec,
     VerificationReport,
     adapted_residuals,
     check_lh_triple,
@@ -66,7 +63,7 @@ from .lie_core import (
     default_inner,
     frame_structure_rep,
 )
-from .tensor_core import DOWN, LIE, UP, point_norms, to_frames
+from .tensor_core import DOWN, LIE, point_norms
 from .total_space import TotalSpaceModel, total_space_check
 
 SCENARIOS = (
@@ -201,7 +198,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     params = dict(params)
     params.update(_parse_pairs(args.param, "--param", numeric=False))
     try:
-        tols = {k: float(v) for k, v in dict(base.get("tols", {})).items()}
+        tols = dict(base.get("tols", {}))
+        # JSON true and false load as bools, which float takes as 1.0 and 0.0
+        if any(isinstance(v, bool) for v in tols.values()):
+            raise TypeError("a tolerance is a boolean")
+        tols = {k: float(v) for k, v in tols.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError("config file tols must map names to numbers") from exc
     tols.update(_parse_pairs(args.tol, "--tol", numeric=True))
@@ -411,18 +412,16 @@ def run_check_lh(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     _require_bundle(fix)
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
-    triple = TripleSpec(g=fix.g, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return check_lh_triple(triple, fix.gamma, fix.a0, points, fixture=fix.name)
+    return check_lh_triple(fix.g, a0, fix.gamma, fix.a0, points, fixture=fix.name)
 
 
 def run_check_ls(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     _require_bundle(fix)
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
-    triple = TripleSpec(g=fix.g, a0=a0)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return check_ls_triple(triple, points, fixture=fix.name)
+    return check_ls_triple(fix.g, a0, points, fixture=fix.name)
 
 
 def run_adapt(cfg: RunConfig) -> VerificationReport:
@@ -496,31 +495,28 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
     gamma = fix.gamma
     a = smooth_connection_form(chart, algebra, seed=cfg.seed)
     alpha = smooth_tensor_field(chart, (DOWN, LIE), cfg.seed + 1, algebra)
-    eta = SectionSpec(
-        chart=chart,
-        fields=(
-            smooth_tensor_field(chart, (LIE,), cfg.seed + 2, algebra),
-            smooth_tensor_field(chart, (DOWN, LIE), cfg.seed + 3, algebra),
-        ),
-    )
+    eta = (smooth_tensor_field(chart, (LIE,), cfg.seed + 2, algebra),
+           smooth_tensor_field(chart, (DOWN, LIE), cfg.seed + 3, algebra))
     beta = smooth_tensor_field(chart, (DOWN, LIE), cfg.seed + 4, algebra)
     a_prime = a.shifted(alpha)
-    g_field = TensorFieldSpec(chart=chart, markers=(DOWN, DOWN), evaluator=fix.g.evaluator)
+    # g read off its memo, which the Christoffel symbols fill
+    section = (TensorFieldSpec(chart=chart, markers=(DOWN, DOWN),
+                               evaluator=lambda X: fix.g.jet_at(X.value.T, X.order)),
+               curvature_field(gamma))
     points = sample_interior(chart, cfg.points, cfg.seed)
 
     def check(batch: np.ndarray) -> dict[str, float]:
-        # the curvature first, so that Gamma is evaluated once, at the
-        # highest order the checks read
-        r = curvature_of(gamma.jet_at(batch, 1)).value
-        r_hat = jet.points_last(to_frames((UP, DOWN, DOWN, DOWN), jet.points_first(r),
-                                          *frame_stacks(fix.g, batch)))
+        # first, so that Gamma is evaluated once, at the highest order the
+        # checks read: del g (level 1) and R in the frames (level 0)
+        fields, derivatives = frame_levels(section, None, gamma, fix.g, batch, 1)
+        r_hat = jet.points_last(fields[1][1])
         cyc = (
             r_hat
             + np.transpose(r_hat, (0, 2, 3, 1, 4))
             + np.transpose(r_hat, (0, 3, 1, 2, 4))
         )
         return {
-            **max_nabla_norms(gamma, {"nabla_g": (g_field, None)}, fix.g, batch),
+            "nabla_g": nan_max(point_norms(jet.points_last(derivatives[0][1]))),
             "bianchi_first": nan_max(point_norms(cyc)),
             "bianchi_second": bianchi_residual(a, batch),
             "curvature_variation": curvature_variation_check(a, alpha, batch),

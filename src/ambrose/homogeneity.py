@@ -1,19 +1,21 @@
 """Derivative towers, stabilizer chains, the Singer-type invariant, adapted
 connections, and the local homogeneity / local symmetry criteria.
 
-A connection's section is its torsion and curvature (T, R). A torsion-free
-connection, the Levi-Civita one, has T = 0 at every order, so its section
-is R alone and its tower is its curvature tower, the one Singer's condition
-reads. A tower is built from one Taylor jet per point of the section, the
-connection and the bundle form: each level is the covariant derivative of
-the one below, computed on jets one order lower, so no level is
-finite-differenced. Tower entries are expressed in the Cholesky orthonormal
-frame at the base point, so group actions on them are orthogonal and norms
-are gauge-invariant. The adapted connection is built in the same frames
-from the tower alone, as the Ambrose-Singer construction builds it: its
-shift beta is the least-squares solution of the equations that make every
-entry through the Singer stage parallel, and each residual is a
-frame-indexed covariant derivative plus the action of beta.
+A section is a tuple of fields; a connection's is its torsion and
+curvature (T, R). A torsion-free connection, the Levi-Civita one, has T = 0
+at every order, so its section is R alone and its tower is its curvature
+tower, the one Singer's condition reads. A tower holds the levels of
+chart_calculus.frame_levels, from one Taylor jet per point of the section,
+the connection and the bundle form: each level is the covariant derivative
+of the one below, on jets one order lower, so no level is
+finite-differenced; the triple criteria are level 1 of the same levels.
+Tower entries are expressed in the Cholesky orthonormal frame at the base
+point, so group actions on them are orthogonal and norms are
+gauge-invariant. The adapted connection is built in the same frames from
+the tower alone, as the Ambrose-Singer construction builds it: its shift
+beta is the least-squares solution of the equations that make every entry
+through the Singer stage parallel, and each residual is a frame-indexed
+covariant derivative plus the action of beta.
 
 The construction needs the stabilizer h of the tower and an ad(h)-invariant
 complement of it. The inner product is ad-invariant, checked where
@@ -34,22 +36,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jet
-from .bundle_conn import (
-    LocalConnectionForm,
-    SectionSpec,
-    curvature_form_field,
-    form_difference,
-)
+from .bundle_conn import LocalConnectionForm, curvature_form_field, form_difference
 from .chart_calculus import (
     CHUNK,
     ConnectionCoeffs,
     MetricField,
     TensorFieldSpec,
     curvature_field,
+    frame_levels,
     frame_stacks,
     levi_civita,
     max_nabla_norms,
-    nabla,
     nan_max,
     torsion_field,
 )
@@ -155,14 +152,6 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
-class TripleSpec:
-    """A metric and a reference connection form on the trivialized bundle."""
-
-    g: MetricField
-    a0: LocalConnectionForm
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     scenario: str
     fixture: str
@@ -204,7 +193,7 @@ def make_report(scenario: str, fixture: str, points: np.ndarray,
     )
 
 
-def build_tower(sigma: SectionSpec, b0: LocalConnectionForm | None,
+def build_tower(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                 gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                 kmax: int, frame: OrthoFrame | None = None) -> DerivativeTower:
     """The derivative tower at the single point x: build_towers on a batch
@@ -213,44 +202,25 @@ def build_tower(sigma: SectionSpec, b0: LocalConnectionForm | None,
                         None if frame is None else [frame])[0]
 
 
-def build_towers(sigma: SectionSpec, b0: LocalConnectionForm | None,
+def build_towers(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                  gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
                  kmax: int, frames: list[OrthoFrame] | None = None,
                  ) -> list[DerivativeTower]:
-    """The derivative tower at each point of a batch, frame-expressed via the
-    Cholesky orthonormal frame of g (or caller-supplied orthonormal frames).
-
-    Level k is carried as a jet of order kmax - k over the whole batch, and
-    level k + 1 is its covariant derivative: the shift of level k plus
-    Gamma0 (and ad(b0) on LIE axes) acting on it. Gamma0 is evaluated once,
-    at order kmax + 1, the order the curvature of the section reads; the
-    fields of the section, the tower's Gamma0 (order kmax - 1) and the
-    frames read the connection's and the metric's memos, so each is
-    evaluated once per batch. Each level is expressed in the frames as
-    soon as it is built, and only one level's jet is held at a time."""
-    if kmax < 1:
-        raise DepthMismatch("tower depth kmax must be at least 1")
+    """The derivative tower of the section sigma at each point of a batch:
+    the levels 0..kmax of frame_levels, under Gamma0 and ad(b0) on LIE axes,
+    in the Cholesky orthonormal frames of g (or in caller-supplied
+    orthonormal frames)."""
     points = np.atleast_2d(np.asarray(points, float))
-    G = gamma0.jet_at(points, kmax + 1).truncate(kmax - 1)
-    level = [(f.markers, f.jet_at(points, kmax)) for f in sigma.fields]
-    lie = None if b0 is None else b0.ad_jet(points, kmax - 1)
+    stacks = None if frames is None else (np.stack([f.coframe for f in frames]),
+                                          np.stack([f.frame for f in frames]))
+    levels = frame_levels(sigma, b0, gamma0, g, points, kmax, stacks)
     if frames is None:
         coframe, frame = frame_stacks(g, points)
         frames = [OrthoFrame(x, e, th) for x, th, e in zip(points, coframe, frame)]
-    else:
-        coframe, frame = np.stack([f.coframe for f in frames]), np.stack([f.frame for f in frames])
-    # each level in the frames, point axis first, as soon as it is built; its
-    # jet is dropped once the next level exists
-    entries = []
-    for k in range(kmax + 1):
-        entries.append([(m, to_frames(m, jet.points_first(t.value), coframe, frame))
-                        for m, t in level])
-        if k < kmax:
-            level = [((DOWN,) + m, nabla(t, m, G, lie)) for m, t in level]
     # the tuples from lists (see jet.einsum)
     return [DerivativeTower(
         point=x, frame=fr, kmax=kmax,
-        entries=tuple([tuple([DenseTensor(m, data[p]) for m, data in lv]) for lv in entries]))
+        entries=tuple([tuple([DenseTensor(m, data[p]) for m, data in lv]) for lv in levels]))
         for p, (x, fr) in enumerate(zip(points, frames))]
 
 
@@ -390,7 +360,7 @@ def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], subalgebra: tupl
                            subalgebra=subalgebra, singer_k=singer_k, flags=tuple(flags))
 
 
-def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
+def tower_and_chain(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                     gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                     rep: TensorRep, kmax: int | None = None,
                     ) -> tuple[DerivativeTower, StabilizerChain]:
@@ -398,7 +368,7 @@ def tower_and_chain(sigma: SectionSpec, b0: LocalConnectionForm | None,
     return next(towers_and_chains(sigma, b0, gamma0, g, np.asarray(x, float)[None], rep, kmax))[0]
 
 
-def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
+def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                       gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
                       rep: TensorRep, kmax: int | None = None,
                       ) -> Iterator[list[tuple[DerivativeTower, StabilizerChain]]]:
@@ -413,7 +383,7 @@ def towers_and_chains(sigma: SectionSpec, b0: LocalConnectionForm | None,
     points = np.atleast_2d(np.asarray(points, float))
     n, deepest = points.shape[1], KMAX_CAP if kmax is None else kmax
     lie = 1 if b0 is None else b0.algebra.dim
-    entries = sum(math.prod([lie if m == LIE else n for m in f.markers]) for f in sigma.fields)
+    entries = sum(math.prod([lie if m == LIE else n for m in f.markers]) for f in sigma)
     largest = max(entries * n**k * jet.size(n, deepest - k) for k in range(deepest + 1))
     step = min(max(jet.PRODUCT_BLOCK // largest, 1), CHUNK)
     for start in range(0, len(points), step):
@@ -688,7 +658,7 @@ def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep:
     return {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
 
 
-def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:
+def opozda_section_spec(gamma: ConnectionCoeffs) -> tuple[TensorFieldSpec, ...]:
     """Torsion and curvature of a reference connection as a section pair;
     a torsion-free connection (symmetric_flag, the Levi-Civita one) has the
     curvature alone, its torsion being zero at every order, so its tower is
@@ -696,40 +666,38 @@ def opozda_section_spec(gamma: ConnectionCoeffs) -> SectionSpec:
     fields = (curvature_field(gamma),)
     if not gamma.symmetric_flag:
         fields = (torsion_field(gamma),) + fields
-    return SectionSpec(chart=gamma.chart, fields=fields)
+    return fields
 
 
-def check_lh_triple(triple: TripleSpec, gamma: ConnectionCoeffs,
+def check_lh_triple(g: MetricField, a0: LocalConnectionForm, gamma: ConnectionCoeffs,
                     a: LocalConnectionForm, points: np.ndarray,
                     fixture: str = "") -> VerificationReport:
-    """Locally homogeneous triple criterion: del R, del T, (del x del^A)F,
-    (del x del^A)(A - A0) all parallel."""
+    """Locally homogeneous triple criterion for the metric g and the
+    reference form a0: del R, del T, (del x del^A)F, (del x del^A)(A - A0)
+    all parallel, level 1 of the tower of lh_fields under ad of A."""
     points = np.atleast_2d(np.asarray(points, float))
-    residuals = max_nabla_norms(gamma, lh_fields(gamma, a, triple.a0), triple.g, points)
+    residuals = max_nabla_norms(gamma, lh_fields(gamma, a, a0), a, g, points)
     return make_report("check-lh-triple", fixture, points, residuals)
 
 
 def lh_fields(gamma: ConnectionCoeffs, a: LocalConnectionForm, a0: LocalConnectionForm,
-              ) -> dict[str, tuple[TensorFieldSpec, LocalConnectionForm | None]]:
+              ) -> dict[str, TensorFieldSpec]:
     """The fields of the locally homogeneous triple criterion, R, T, F and
-    A - A0, by residual name, as nabla_frames takes them: ad of A on the
-    LIE axes."""
+    A - A0, by residual name: a section whose tower is taken under ad of
+    A on its LIE axes."""
     return {
-        "nabla_R": (curvature_field(gamma), None),
-        "nabla_T": (torsion_field(gamma), None),
-        "nabla_F": (curvature_form_field(a), a),
-        "nabla_alpha": (form_difference(a, a0), a),
+        "nabla_R": curvature_field(gamma),
+        "nabla_T": torsion_field(gamma),
+        "nabla_F": curvature_form_field(a),
+        "nabla_alpha": form_difference(a, a0),
     }
 
 
-def check_ls_triple(triple: TripleSpec, points: np.ndarray,
+def check_ls_triple(g: MetricField, a0: LocalConnectionForm, points: np.ndarray,
                     fixture: str = "") -> VerificationReport:
-    """Locally symmetric triple criterion with the Levi-Civita connection."""
+    """Locally symmetric triple criterion under the Levi-Civita connection."""
     points = np.atleast_2d(np.asarray(points, float))
-    gamma = levi_civita(triple.g)
-    residuals = max_nabla_norms(gamma, {
-        "nabla_Rg": (curvature_field(gamma), None),
-        "nabla_F0": (curvature_form_field(triple.a0), triple.a0),
-    }, triple.g, points)
+    gamma = levi_civita(g)
+    residuals = max_nabla_norms(gamma, {"nabla_Rg": curvature_field(gamma),
+                                        "nabla_F0": curvature_form_field(a0)}, a0, g, points)
     return make_report("check-ls-triple", fixture, points, residuals)
-

@@ -4,10 +4,10 @@ and the total-space parallelism criteria.
 The criteria of the adapted connection, del-bar T-bar and del-bar R-bar
 parallel and the reference horizontal distribution parallel, are read off
 the same covariant derivatives as check_lh_triple's: del T, del R, del F and
-del(A - A0) in the orthonormal frames, from one ``nabla_frames`` call per
-batch of at most CHUNK points. Their frame tuples are those tensors and the
-Jacobi sums of the structure constants, and the hypotheses are the tensors'
-norms, check_lh_triple's residuals.
+del(A - A0) in the orthonormal frames, level 1 of one ``frame_levels``
+call per batch of at most CHUNK points. Their frame tuples are those
+tensors and the Jacobi sums of the structure constants, and the hypotheses
+are the tensors' norms, check_lh_triple's residuals.
 
 The per-tuple case tables (``bar_torsion_derivative``,
 ``bar_curvature_derivative``) define those tuples on generated fields:
@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import jet
 from .bundle_conn import LocalConnectionForm, curvature_form
 from .chart_calculus import (
     Chart,
@@ -35,8 +36,8 @@ from .chart_calculus import (
     MetricField,
     curvature,
     fd_array,
+    frame_levels,
     max_over_chunks,
-    nabla_frames,
     nan_max,
     torsion_field,
 )
@@ -344,26 +345,27 @@ def _hypotheses_hold(residuals: dict[str, float]) -> bool:
 def _residuals(model: TotalSpaceModel, points: np.ndarray,
                a0: LocalConnectionForm | None = None) -> dict[str, float]:
     """The largest of every total-space residual over a batch of points,
-    from one nabla_frames call on check_lh_triple's fields (lh_fields) of
-    the model's form a and the reference form a0 (a itself when there is
-    none). The hypotheses nabla_R, nabla_T, nabla_F and, given a0,
-    alpha_parallel are the norms of those four arrays, as check_lh_triple
-    takes them. In the orthonormal frames E_a of the base and C_d of the
-    algebra, the nonzero frame tuples of the case tables are those same
-    tensors: del-bar T-bar is del T horizontally and del F vertically on
-    lift triples, and the Jacobi sum of [C_k, [C_a, C_b]] on vertical
-    triples; del-bar R-bar on (lift, lift, lift, frame) tuples is del R for
-    a lift E_d and [del F, C_d] for a fundamental C_d. So nabla_bar_T is the
-    norm of [del T, del F, Jacobi] and nabla_bar_R that of
-    [del R, [del F, C_d]], vertical parts in the coframe of the inner
-    product; and, given a0, distribution is the largest vertical norm of
-    (del alpha)(E_c; E_b), alpha = a - a0 the shift form.
+    from level 1 of one frame_levels call on check_lh_triple's fields
+    (lh_fields) of the model's form a and the reference form a0 (a itself
+    when there is none), under ad of a, point axis last. The hypotheses
+    nabla_R, nabla_T, nabla_F and, given a0, alpha_parallel are the norms of
+    those four arrays, as check_lh_triple takes them. In the orthonormal
+    frames E_a of the base and C_d of the algebra, the nonzero frame tuples
+    of the case tables are those same tensors: del-bar T-bar is del T
+    horizontally and del F vertically on lift triples, and the Jacobi sum of
+    [C_k, [C_a, C_b]] on vertical triples; del-bar R-bar on (lift, lift,
+    lift, frame) tuples is del R for a lift E_d and [del F, C_d] for a
+    fundamental C_d. So nabla_bar_T is the norm of [del T, del F, Jacobi]
+    and nabla_bar_R that of [del R, [del F, C_d]], vertical parts in the
+    coframe of the inner product; and, given a0, distribution is the largest
+    vertical norm of (del alpha)(E_c; E_b), alpha = a - a0 the shift form.
 
     The other tuples are exact zeros of the case tables, and so is the
     fundamental/lift/lift/fundamental case of R-bar: its derivative
     [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
     fields = lh_fields(model.gamma, model.a, model.a if a0 is None else a0)
-    d = nabla_frames(model.gamma, fields, model.g, points)
+    d = {name: jet.points_last(data) for name, (_, data) in zip(fields, frame_levels(
+        tuple(fields.values()), model.a, model.gamma, model.g, points, 1)[1])}
     out = {k: nan_max(point_norms(d[k])) for k in ("nabla_R", "nabla_T", "nabla_F")}
     vc = _vertical_coframe(model)
     cm = np.linalg.inv(vc)  # columns C_i: the fundamental frame elements

@@ -44,7 +44,7 @@ import sympy as sp
 from scipy.integrate import solve_ivp
 
 from ambrose import jet
-from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form
+from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import (
     Chart,
     ConnectionCoeffs,
@@ -501,12 +501,12 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
     g_field = TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
     # S after both curvatures, so that it reads both connections' memos
     residuals = max_nabla_norms(gamma, {
-        "nabla_g": (g_field, None),
-        "nabla_Rg": (curvature_field(gamma0), None),
-        "nabla_R": (curvature_field(gamma), None),
-        "nabla_T": (torsion_field(gamma), None),
-        "nabla_S": (difference_field(gamma, gamma0), None),
-    }, g, points)
+        "nabla_g": g_field,
+        "nabla_Rg": curvature_field(gamma0),
+        "nabla_R": curvature_field(gamma),
+        "nabla_T": torsion_field(gamma),
+        "nabla_S": difference_field(gamma, gamma0),
+    }, None, g, points)
     if not residuals.pop("nabla_g") <= 1e-7:
         raise NotMetric("connection is not metric-compatible at a sample point")
     tol = EQUIVALENCE_TOLERANCES
@@ -548,7 +548,7 @@ def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: Met
     own beta, with nabla h = -M^+ M(Tnext[b]) h. An S that is not
     antisymmetric in the frames raises NotMetric."""
     frames = [tower.frame for tower, _ in pairs]
-    towers = build_towers(SectionSpec(gamma.chart, (s,)), None, gamma, g,
+    towers = build_towers((s,), None, gamma, g,
                           np.array([f.point for f in frames]), 1, frames)
     s_hat = np.stack([tw.entries[0][0].data for tw in towers])
     skew = np.abs(s_hat + s_hat.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3))
@@ -595,15 +595,15 @@ def frame_torsion(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
     return gam - gam.swapaxes(1, 2) - frame_structure_functions(conn, x)
 
 
-def fd_tower(sigma: SectionSpec, gamma: ConnectionCoeffs, kmax: int):
+def fd_tower(sigma: tuple[TensorFieldSpec, ...], gamma: ConnectionCoeffs, kmax: int):
     """(markers, x -> array) for sigma and its first kmax iterated covariant
     derivatives, each level the FD of the one below."""
 
     def nabla_fd(f, markers):
-        return lambda x: fd_partials(f, sigma.chart, x) + axis_action(
+        return lambda x: fd_partials(f, gamma.chart, x) + axis_action(
             markers, f(x), gamma.at(x).transpose(1, 0, 2), None)
 
-    level = [(f.markers, lambda x, f=f: f.at(x).data) for f in sigma.fields]
+    level = [(f.markers, lambda x, f=f: f.at(x).data) for f in sigma]
     out = list(level)
     for _ in range(kmax):
         level = [((DOWN,) + m, nabla_fd(f, m)) for m, f in level]

@@ -28,7 +28,6 @@ from ambrose.chart_calculus import (
 )
 from ambrose.fixtures import fixture_names, instantiate
 from ambrose.homogeneity import (
-    TripleSpec,
     build_tower,
     check_lh_triple,
     check_ls_triple,
@@ -300,12 +299,10 @@ def test_criterion_08_adapted_connection():
 def test_criterion_09_triple_criteria():
     fix = instantiate("hopf_monopole", {})
     pts = sample_interior(fix.chart, 8, seed=42)
-    triple = TripleSpec(g=fix.g, a0=fix.a0)
-    lh = check_lh_triple(triple, fix.gamma, fix.a0, pts)
-    ls = check_ls_triple(triple, pts)
+    lh = check_lh_triple(fix.g, fix.a0, fix.gamma, fix.a0, pts)
+    ls = check_ls_triple(fix.g, fix.a0, pts)
     clean = max(max(lh.residuals.values()), max(ls.residuals.values()))
-    bumped = TripleSpec(g=fix.g, a0=fix.a0.shifted(fix.alpha_bump))
-    bad = check_lh_triple(bumped, fix.gamma, fix.a0, pts)
+    bad = check_lh_triple(fix.g, fix.a0.shifted(fix.alpha_bump), fix.gamma, fix.a0, pts)
     ok = (
         lh.passed and ls.passed and clean < 1e-5
         and not bad.passed and bad.residuals["nabla_alpha"] > 1e-2

@@ -16,7 +16,6 @@ from scipy.linalg import expm, subspace_angles
 from ambrose import bundle_conn, chart_calculus, cli, homogeneity, jet
 from ambrose.bundle_conn import (
     LocalConnectionForm,
-    SectionSpec,
     bianchi_residual,
     connection_variation_check,
     curvature_form_field,
@@ -119,7 +118,7 @@ class TestBatchParity:
     def test_triple_towers(self, name, params, dims):
         """The b0 branch: ad(b0) on the LIE axes of (R, F)."""
         fx = instantiate(name, params)
-        sigma = SectionSpec(fx.chart, (curvature_field(fx.gamma), curvature_form_field(fx.a0)))
+        sigma = (curvature_field(fx.gamma), curvature_form_field(fx.a0))
         points = sample_interior(fx.chart, 5)
         for x, tower in zip(points, build_towers(sigma, fx.a0, fx.gamma, fx.g, points, 2)):
             assert_same_tower(tower, build_tower(sigma, fx.a0, fx.gamma, fx.g, x, 2))
@@ -165,7 +164,7 @@ class TestBatchParity:
         def ev(X):
             return X[0] ** 2 + X[1] ** 2 + X[2] ** 2 + (X[0] - a) ** 3
 
-        sigma = SectionSpec(fx.chart, (TensorFieldSpec(fx.chart, (), ev),))
+        sigma = (TensorFieldSpec(fx.chart, (), ev),)
         rep = frame_structure_rep(3)
         points = np.array([[a, 0.3, -0.4], [0.6, 0.2, 0.1], [a, -0.5, 0.35], [-0.3, 0.45, -0.2]])
         depths = []
@@ -231,7 +230,7 @@ class TestBatchedChains:
             sigma, b0, rep = opozda_section_spec(fx.gamma), None, frame_structure_rep(3)
         else:
             fx = instantiate("hopf_monopole", {})
-            sigma = SectionSpec(fx.chart, (curvature_field(fx.gamma), curvature_form_field(fx.a0)))
+            sigma = (curvature_field(fx.gamma), curvature_form_field(fx.a0))
             b0, rep = fx.a0, frame_structure_rep(2, fx.algebra)
         towers = build_towers(sigma, b0, fx.gamma, fx.g, sample_interior(fx.chart, 5, seed=2), 2)
         whole = stabilizer_chains(towers, rep)
@@ -274,8 +273,8 @@ def identity_inputs(name):
     algebra = fx.algebra if fx.algebra is not None else algebra_by_name("su(2)")
     a = smooth_connection_form(fx.chart, algebra, seed=1)
     alpha = smooth_tensor_field(fx.chart, (DOWN, LIE), 2, algebra)
-    eta = SectionSpec(fx.chart, (smooth_tensor_field(fx.chart, (LIE,), 3, algebra),
-                                 smooth_tensor_field(fx.chart, (DOWN, LIE), 4, algebra)))
+    eta = (smooth_tensor_field(fx.chart, (LIE,), 3, algebra),
+           smooth_tensor_field(fx.chart, (DOWN, LIE), 4, algebra))
     beta = smooth_tensor_field(fx.chart, (DOWN, LIE), 5, algebra)
     return fx, a, alpha, eta, beta
 
@@ -292,12 +291,13 @@ class TestChecksOnABatch:
     @pytest.mark.parametrize("with_form", [False, True], ids=["tangent", "form"])
     def test_max_nabla_norms(self, with_form):
         fx = instantiate("hopf_monopole", {})
-        fields = ({"F": (curvature_form_field(fx.a0), fx.a0), "alpha": (fx.alpha_bump, fx.a0)}
+        fields = ({"F": curvature_form_field(fx.a0), "alpha": fx.alpha_bump}
                   if with_form else
-                  {"R": (curvature_field(fx.gamma), None), "T": (torsion_field(fx.gamma), None)})
+                  {"R": curvature_field(fx.gamma), "T": torsion_field(fx.gamma)})
+        form = fx.a0 if with_form else None
         points = sample_interior(fx.chart, self.POINTS, seed=7)
-        batch = max_nabla_norms(fx.gamma, fields, fx.g, points)
-        singles = [max_nabla_norms(fx.gamma, fields, fx.g, x) for x in points]
+        batch = max_nabla_norms(fx.gamma, fields, form, fx.g, points)
+        singles = [max_nabla_norms(fx.gamma, fields, form, fx.g, x) for x in points]
         assert batch == {name: max(s[name] for s in singles) for name in fields}
         assert batch["alpha" if with_form else "R"] > 0.0
 
@@ -482,12 +482,15 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("argv,forms", [
         ("--scenario total-space --fixture hopf_monopole --param alpha=parallel", 2),
         ("--scenario check-lh-triple --fixture hopf_monopole", 1),
+        ("--scenario check-lh-triple --fixture hopf_monopole --param perturb=parallel", 2),
+        ("--scenario check-ls-triple --fixture hopf_monopole", 1),
         ("--scenario identities --fixture berger_sphere", 3),
     ])
     def test_checks_evaluate_once_per_batch(self, argv, forms, monkeypatch, capsys):
         """One Christoffel and one metric evaluation for eight points, and
         one evaluation of each form the checks read: total-space reads a0
-        and the reference a0 + alpha, check-lh-triple a0 alone, identities
+        and the reference a0 + alpha, check-lh-triple a0 and its reference
+        form (a0 itself unless perturbed), check-ls-triple a0, identities
         a, a + alpha and the curvature variation's own a + alpha. Point by
         point, eight points took 8 Christoffel and 16 metric evaluations,
         and 8 form evaluations, 24 in identities."""
@@ -500,6 +503,19 @@ class TestEvaluationCounts:
         assert len(christoffel) == 1
         assert len(metric) == 1
         assert len(form) == forms
+
+
+    def test_identities_reads_g_off_the_memo(self, monkeypatch, capsys):
+        """identities differentiates g as a field read off the metric's
+        memo, so the metric's evaluator runs once for eight points, where
+        the field g called it once more, outside the memo."""
+        metric = []
+        monkeypatch.setattr(cli, "instantiate", lambda name, params: counted_metric(metric))
+        code = cli.main(["--scenario", "identities", "--fixture", "berger_sphere",
+                         "--points", "8"])
+        capsys.readouterr()
+        assert code == 0
+        assert metric == [8]
 
 
 def count_method(monkeypatch, cls, name):

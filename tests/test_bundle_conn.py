@@ -7,7 +7,6 @@ import pytest
 from ambrose import jet
 from ambrose.bundle_conn import (
     LocalConnectionForm,
-    SectionSpec,
     bianchi_residual,
     connection_variation_check,
     curvature_form,
@@ -233,14 +232,9 @@ class TestVariationIdentities:
             assert curvature_variation_check(self.a, self.alpha, x) < 1e-8
 
     def test_connection_variation(self):
-        eta = SectionSpec(
-            self.fx.chart,
-            (
-                smooth_tensor_field(self.fx.chart, (LIE,), seed=33, algebra=SU2),
-                smooth_tensor_field(
-                    self.fx.chart, (DOWN, LIE), seed=34, algebra=SU2
-                ),
-            ),
+        eta = (
+            smooth_tensor_field(self.fx.chart, (LIE,), seed=33, algebra=SU2),
+            smooth_tensor_field(self.fx.chart, (DOWN, LIE), seed=34, algebra=SU2),
         )
         a_prime = self.a.shifted(self.alpha)
         for x in self.points:
@@ -249,18 +243,12 @@ class TestVariationIdentities:
             ) < 1e-8
 
     def test_leibniz(self):
-        eta = SectionSpec(
-            self.fx.chart,
-            (smooth_tensor_field(self.fx.chart, (LIE,), seed=35, algebra=SU2),),
-        )
+        eta = (smooth_tensor_field(self.fx.chart, (LIE,), seed=35, algebra=SU2),)
         for x in self.points:
             assert leibniz_check(self.alpha, eta, self.a, self.gamma, x) < 1e-7
 
     def test_leibniz_requires_one_form(self):
-        eta = SectionSpec(
-            self.fx.chart,
-            (smooth_tensor_field(self.fx.chart, (LIE,), seed=35, algebra=SU2),),
-        )
+        eta = (smooth_tensor_field(self.fx.chart, (LIE,), seed=35, algebra=SU2),)
         bad = smooth_tensor_field(self.fx.chart, (LIE,), seed=36, algebra=SU2)
         with pytest.raises(RepMismatch):
             leibniz_check(bad, eta, self.a, self.gamma, self.points[0])

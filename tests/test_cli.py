@@ -136,12 +136,14 @@ class TestParseConfig:
         {"kmax": True},
         {"out": 2},
         {"out": ["x"]},
+        {"tols": {"default": True}},
     ], ids=["params-list", "points-bool", "seed-bool", "seed-negative", "kmax-bool", "out-int",
-            "out-list"])
+            "out-list", "tols-bool"])
     def test_config_file_types_fail_closed(self, entry, tmp_path, capsys):
         """params must be an object, points/seed/kmax ints, not bools, the
-        seed not negative, and out a string: an int out would name a file
-        descriptor."""
+        seed not negative, tolerances numbers, not bools (a JSON true would
+        be the tolerance 1.0), and out a string: an int out would name a
+        file descriptor."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scenario": "selftest", **entry}))
         assert cli.main(["--config", str(path)]) == 2

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm, subspace_angles
 
 from ambrose import chart_calculus, cli, homogeneity, jet, lie_core
-from ambrose.bundle_conn import LocalConnectionForm, SectionSpec, curvature_form_field
+from ambrose.bundle_conn import LocalConnectionForm, curvature_form_field
 from ambrose.chart_calculus import (
     CHUNK,
     ConnectionCoeffs,
@@ -29,7 +29,6 @@ from ambrose.homogeneity import (
     KMAX_START,
     DerivativeTower,
     StabilizerChain,
-    TripleSpec,
     _adapted_shifts,
     _nesting,
     adapted_residuals,
@@ -38,6 +37,7 @@ from ambrose.homogeneity import (
     check_lh_triple,
     check_ls_triple,
     group_action,
+    lh_fields,
     opozda_section_spec,
     orbit_match,
     stabilizer_chain,
@@ -152,8 +152,8 @@ class TestDerivativeTower:
         tower = build_tower(sigma, None, gamma, fx.g, x, 2)
         ref = fd_tower(sigma, gamma, 2)
         assert [t.markers for t in tower.up_to(2)] == [m for m, _ in ref]
-        assert tower.entries[2][0].markers == (DOWN, DOWN) + sigma.fields[0].markers
-        assert len(sigma.fields) == (1 if conn == "metric" else 2)
+        assert tower.entries[2][0].markers == (DOWN, DOWN) + sigma[0].markers
+        assert len(sigma) == (1 if conn == "metric" else 2)
         for t, (m, f) in zip(tower.up_to(2), ref):
             expect = frame_expressed(f, m, fx.g)(x)
             assert np.abs(t.data - expect).max() < 1e-6 * max(1.0, np.abs(expect).max())
@@ -197,8 +197,8 @@ class TestTorsionFreeTower:
         fx = instantiate(name, {})
         rep = frame_structure_rep(fx.chart.dim)
         points = sample_interior(fx.chart, 8, 42)
-        pair = SectionSpec(fx.chart, (torsion_field(fx.gamma), curvature_field(fx.gamma)))
-        assert [f.markers for f in opozda_section_spec(fx.gamma).fields] == [(UP, DOWN, DOWN, DOWN)]
+        pair = (torsion_field(fx.gamma), curvature_field(fx.gamma))
+        assert [f.markers for f in opozda_section_spec(fx.gamma)] == [(UP, DOWN, DOWN, DOWN)]
         curvature, both = ([ch for batch in towers_and_chains(sigma, None, fx.gamma, fx.g, points,
                                                               rep) for _, ch in batch]
                            for sigma in (opozda_section_spec(fx.gamma), pair))
@@ -214,7 +214,7 @@ class TestTorsionFreeTower:
         gamma = fx.gamma_canonical
         assert not gamma.symmetric_flag
         sigma = opozda_section_spec(gamma)
-        assert [f.markers for f in sigma.fields] == [(UP, DOWN, DOWN), (UP, DOWN, DOWN, DOWN)]
+        assert [f.markers for f in sigma] == [(UP, DOWN, DOWN), (UP, DOWN, DOWN, DOWN)]
         tower = build_tower(sigma, None, gamma, fx.g, sample_interior(fx.chart, 1)[0], 2)
         assert [len(level) for level in tower.entries] == [2, 2, 2]
         assert tower.entries[0][0].norm() > 0.1
@@ -310,7 +310,7 @@ class TestStabilizerChains:
         chain on a torsion-free geometry."""
         fx = instantiate("round_sphere2", {})
         x = sample_interior(fx.chart, 1, seed=6)[0]
-        sigma = SectionSpec(fx.chart, (curvature_field(fx.gamma),))
+        sigma = (curvature_field(fx.gamma),)
         tower, chain = tower_and_chain(sigma, None, fx.gamma, fx.g, x, REP2)
         assert [len(level) for level in tower.entries] == [1, 1, 1]
         assert chain.dims == (1, 1, 1)
@@ -367,7 +367,7 @@ class TestTripleTowers:
         lie axes, with so(2) + the structure algebra acting: so(2) + u(1)_F
         on the monopole, the whole algebra on the flat bundle."""
         fx = instantiate(name, params)
-        sigma = SectionSpec(fx.chart, (curvature_field(fx.gamma), curvature_form_field(fx.a0)))
+        sigma = (curvature_field(fx.gamma), curvature_form_field(fx.a0))
         rep = frame_structure_rep(2, fx.algebra)
         for x in sample_interior(fx.chart, 4):
             tower = build_tower(sigma, fx.a0, fx.gamma, fx.g, x, 2)
@@ -988,13 +988,10 @@ class TestEquivalence:
 
 
 class TestParallelismCriteria:
-    def triple(self, fx):
-        return TripleSpec(g=fx.g, a0=fx.a0)
-
     def test_monopole_is_locally_homogeneous(self):
         fx = instantiate("hopf_monopole", {})
         pts = sample_interior(fx.chart, 4, seed=15)
-        report = check_lh_triple(self.triple(fx), fx.gamma, fx.a0, pts,
+        report = check_lh_triple(fx.g, fx.a0, fx.gamma, fx.a0, pts,
                                  fixture="hopf_monopole")
         assert report.passed
         assert set(report.residuals) == {"nabla_R", "nabla_T", "nabla_F",
@@ -1004,7 +1001,7 @@ class TestParallelismCriteria:
     def test_monopole_is_locally_symmetric(self):
         fx = instantiate("hopf_monopole", {})
         pts = sample_interior(fx.chart, 4, seed=16)
-        report = check_ls_triple(self.triple(fx), pts, fixture="hopf_monopole")
+        report = check_ls_triple(fx.g, fx.a0, pts, fixture="hopf_monopole")
         assert report.passed
         assert set(report.residuals) == {"nabla_Rg", "nabla_F0"}
 
@@ -1012,7 +1009,7 @@ class TestParallelismCriteria:
         fx = instantiate("hopf_monopole", {})
         shifted = fx.a0.shifted(fx.alpha_bump)
         pts = np.array([[0.5 * np.pi, np.pi], [1.2, 2.5]])
-        report = check_lh_triple(self.triple(fx), fx.gamma, shifted, pts)
+        report = check_lh_triple(fx.g, fx.a0, fx.gamma, shifted, pts)
         assert not report.passed
         assert report.residuals["nabla_alpha"] > 1e-2
 
@@ -1020,15 +1017,31 @@ class TestParallelismCriteria:
         """Moving the reference form by a shift that is parallel for the live
         connection leaves the criterion satisfied."""
         fx = instantiate("hopf_monopole", {})
-        moved = TripleSpec(g=fx.g, a0=fx.a0.shifted(fx.alpha_parallel))
+        moved = fx.a0.shifted(fx.alpha_parallel)
         pts = sample_interior(fx.chart, 3, seed=17)
-        report = check_lh_triple(moved, fx.gamma, fx.a0, pts)
+        report = check_lh_triple(fx.g, moved, fx.gamma, fx.a0, pts)
         assert report.passed
+
+    @pytest.mark.parametrize("perturb", ["none", "parallel", "bump"])
+    def test_criterion_is_level_one_of_the_triple_tower(self, perturb):
+        """check_lh_triple's four residuals are, bit for bit, the largest
+        norms over the points of the level-1 entries of the tower of
+        lh_fields' section under ad(a), b0 = a: the criterion is the first
+        level of the triple's tower."""
+        fx = instantiate("hopf_monopole", {})
+        a0 = fx.a0 if perturb == "none" else fx.a0.shifted(getattr(fx, f"alpha_{perturb}"))
+        pts = sample_interior(fx.chart, 8)
+        report = check_lh_triple(fx.g, a0, fx.gamma, fx.a0, pts)
+        fields = lh_fields(fx.gamma, fx.a0, a0)
+        towers = build_towers(tuple(fields.values()), fx.a0, fx.gamma, fx.g, pts, 1)
+        assert report.residuals == {name: max(tw.entries[1][i].norm() for tw in towers)
+                                    for i, name in enumerate(fields)}
+        assert (report.residuals["nabla_alpha"] > 1e-2) == (perturb == "bump")
 
     def test_flat_bundle_symmetric(self):
         fx = instantiate("trivial_bundle_flat", {})
         pts = sample_interior(fx.chart, 3, seed=18)
-        report = check_ls_triple(self.triple(fx), pts)
+        report = check_ls_triple(fx.g, fx.a0, pts)
         assert report.passed
         assert max(report.residuals.values()) < 1e-10
 
@@ -1081,8 +1094,7 @@ class TestFailClosed:
             return a
 
         a = LocalConnectionForm(chart=fx.chart, algebra=fx.algebra, evaluator=ev)
-        triple = TripleSpec(g=fx.g, a0=fx.a0)
-        report = check_lh_triple(triple, fx.gamma, a, pts)
+        report = check_lh_triple(fx.g, fx.a0, fx.gamma, a, pts)
         assert not report.passed
         assert np.isnan(report.residuals["nabla_F"])
 

@@ -15,7 +15,7 @@ from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import curvature, sample_interior
 from ambrose.errors import RepMismatch, UnsupportedFieldKind
 from ambrose.fixtures import instantiate, smooth_connection_form
-from ambrose.homogeneity import TripleSpec, check_lh_triple
+from ambrose.homogeneity import check_lh_triple
 from ambrose.lie_core import algebra_by_name, default_inner
 from ambrose.total_space import (
     GeneratedField,
@@ -443,7 +443,7 @@ class TestSharedNablaTensors:
         shifts = [al for al in (fx.alpha_parallel, fx.alpha_bump) if al is not None]
         for a0 in [fx.a0] + [fx.a0.shifted(al) for al in shifts]:
             res = total_space_check(model, a0, pts).residuals
-            lh = check_lh_triple(TripleSpec(model.g, a0), model.gamma, model.a, pts).residuals
+            lh = check_lh_triple(model.g, a0, model.gamma, model.a, pts).residuals
             assert ([res[k] for k in ("nabla_R", "nabla_T", "nabla_F", "alpha_parallel")]
                     == [lh[k] for k in ("nabla_R", "nabla_T", "nabla_F", "nabla_alpha")])
             assert res["nabla_bar_R"] >= res["nabla_R"] * (1 - 1e-12)
