@@ -65,6 +65,7 @@ from .lie_core import (
     action_rows,
     kernel_spectra,
     skew_exp,
+    skew_function,
     stacked_action_matrix,
     subalgebra_residuals,
 )
@@ -81,7 +82,10 @@ KMAX_START = 2
 KMAX_CAP = 4
 # orbit_match: accepted relative residual, random starts, Levenberg-Marquardt
 # iterations per start, the damping's start and floor, and the relative
-# decrease of the squared residual below which a start has stalled
+# decrease of the squared residual below which a start has stalled. A start
+# also ends when a trial fails to lower a squared residual that is already
+# below 0.01 * MATCH_TOL**2, the floor at which the search accepts a match:
+# there only rounding moves it.
 MATCH_TOL = 1e-6
 MATCH_STARTS = 16
 LM_ITERS = 100
@@ -439,17 +443,15 @@ def _even_rank_spectrum(t: DenseTensor) -> np.ndarray | None:
 
 
 def _exp_jacobian(ad: np.ndarray) -> np.ndarray:
-    """sum_k ad^k / (k+1)!. For ad = ad(theta) this is the left Jacobian J_l
-    of exp, exp(theta + d) = exp(J_l d) exp(theta) to first order; for
-    ad = ad(-theta) it is the right one, exp(theta + d) = exp(theta)
-    exp(J_r d). The series is cut once a term no longer changes the sum."""
-    out = term = np.eye(len(ad))
-    for k in range(2, 100):
-        term = term @ ad / k
-        if not np.abs(term).max() > 1e-17 * np.abs(out).max():
-            break
-        out = out + term
-    return out
+    """phi(ad) = sum_k ad^k / (k+1)! = (exp(ad) - 1) / ad. For ad = ad(theta)
+    this is the left Jacobian J_l of exp, exp(theta + d) = exp(J_l d)
+    exp(theta) to first order; for ad = ad(-theta) it is the right one,
+    exp(theta + d) = exp(theta) exp(J_r d). ad(theta) is skew on every
+    algebra built here, so phi is taken in closed form on the eigenvalues
+    -1j w of ad (skew_function): phi(-1j w) = exp(-1j w / 2) sin(w / 2) /
+    (w / 2), with sinc so that it is exact at w = 0 and has no cancellation
+    near it. A non-skew ad raises BadParameters."""
+    return skew_function(ad, lambda w: np.exp(-0.5j * w) * np.sinc(w / (2 * np.pi)))
 
 
 def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
@@ -467,13 +469,15 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     is orthogonal, so pulling r back by exp(-theta) changes no norm:
     exp(-theta) r(theta + d) = a - exp(-theta) b + A(a) J_r(theta) d to first
     order, with A(a) the stacked action matrix at a, built once, and J_r the
-    right Jacobian of exp. Each trial theta takes one exponential for all
-    entries. A start ends when a step decreases |r|^2 by less than a
+    right Jacobian of exp, phi(ad(-theta)) in closed form (_exp_jacobian).
+    Each trial theta takes one exponential for all entries. A start ends when a step decreases |r|^2 by less than a
     relative STALL, when the damped linear model predicts no more than that
-    (the damping is exhausted), or when the residual or the solve is not
-    finite; a NaN never matches. The damping also absorbs the stabilizer's
-    rank deficiency, so theta is unique only modulo the stabilizer.
-    Orientation-reversing elements are not searched: towers related only by
+    (the damping is exhausted), when a trial fails to lower an |r|^2 that
+    is already below the acceptance floor 0.01 * MATCH_TOL**2 (only
+    rounding moves it there, and the search stops after such a start), or
+    when the residual or the solve is not finite; a NaN never matches. The
+    damping also absorbs the stabilizer's rank deficiency, so theta is
+    unique only modulo the stabilizer. Orientation-reversing elements are not searched: towers related only by
     one fail with reason "residual"."""
     e1 = t1.up_to(depth)
     e2 = t2.up_to(depth)
@@ -498,6 +502,8 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
             return MatchResult(False, None, np.inf, "prescreen-spectrum")
 
     m = rep.algebra.dim
+    # |r|^2 at which a start is accepted and the search stops
+    accept = 0.01 * MATCH_TOL**2
     weight = 1.0 / ref
     a_flat = weight * np.concatenate([a.components for a in e1])
     action = weight * stacked_action_matrix(e1, rep)
@@ -532,6 +538,9 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
                     return theta, val
                 if t_val < val:
                     break
+                # below the acceptance floor only rounding moves |r|^2
+                if val < accept:
+                    return theta, val
                 damping *= 10.0
             decrease = (val - t_val) / val
             theta, r, val = trial, t_r, t_val
@@ -548,7 +557,7 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
         theta, val = descend(theta0)
         if val < best:
             best_theta, best = theta, val
-        if best < 0.01 * MATCH_TOL**2:
+        if best < accept:
             break
     residual = float(np.sqrt(best))
     if residual < MATCH_TOL:

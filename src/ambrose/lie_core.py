@@ -276,18 +276,25 @@ def subalgebra_residuals(algebra: LieAlgebra, bases: list[np.ndarray]) -> np.nda
     return out
 
 
-def skew_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) of a real skew-symmetric matrix, from the Hermitian eigensystem
-    of 1j * x: if 1j * x = V diag(w) V^H then exp(x) = V diag(exp(-1j w)) V^H.
+def skew_function(x: np.ndarray, f_w) -> np.ndarray:
+    """f(x) of a real skew-symmetric matrix x, for a power series f, from the
+    Hermitian eigensystem of 1j * x: if 1j * x = V diag(w) V^H then
+    f(x) = V diag(f_w(w)) V^H, where f_w(w) = f(-1j w) on the real
+    eigenvalues w.
 
     Every representation built here (so(n), u(1), su(2) and their adjoints)
-    is skew; any other matrix raises rather than being exponentiated
+    is skew; any other matrix raises rather than being taken
     inaccurately."""
     x = np.asarray(x, float)
     if not (np.abs(x + x.T) <= 1e-12 * max(1.0, float(np.abs(x).max(initial=0.0)))).all():
-        raise BadParameters("exponential needs a skew-symmetric generator")
+        raise BadParameters("expected a skew-symmetric matrix")
     w, v = np.linalg.eigh(0.5j * (x - x.T))
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+    return ((v * f_w(w)) @ v.conj().T).real
+
+
+def skew_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a real skew-symmetric matrix, by skew_function."""
+    return skew_function(x, lambda w: np.exp(-1j * w))
 
 
 def _eps3() -> np.ndarray:

@@ -21,10 +21,10 @@ covariant. So are the frame helpers that only tests use. Criterion 05's
 check that two condition systems on a metric connection agree reads the
 same difference tensor, and lives here with it.
 
-Three earlier kernels judge their replacements: the matrix inverse of a
-jet by the Neumann series, the functions of one jet by Horner's rule, and
-the change to orthonormal frames by one einsum per axis over point-last
-data.
+Four earlier kernels judge their replacements: the matrix inverse of a
+jet by the Neumann series, the functions of one jet by Horner's rule, the
+change to orthonormal frames by one einsum per axis over point-last data,
+and orbit_match's exp Jacobian by its power series.
 
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
@@ -278,6 +278,21 @@ def stacked_action_loop(tensors, rep) -> np.ndarray:
     cols = [np.concatenate([tensor_action(e, t, rep).components for t in tensors])
             for e in np.eye(rep.algebra.dim)]
     return np.stack(cols, axis=1)
+
+
+def exp_jacobian_series(ad: np.ndarray) -> np.ndarray:
+    """sum_k ad^k / (k+1)!. For ad = ad(theta) this is the left Jacobian J_l
+    of exp, exp(theta + d) = exp(J_l d) exp(theta) to first order; for
+    ad = ad(-theta) it is the right one, exp(theta + d) = exp(theta)
+    exp(J_r d). The series is cut once a term no longer changes the sum.
+    It is the oracle of the closed form ``homogeneity._exp_jacobian``."""
+    out = term = np.eye(len(ad))
+    for k in range(2, 100):
+        term = term @ ad / k
+        if not np.abs(term).max() > 1e-17 * np.abs(out).max():
+            break
+        out = out + term
+    return out
 
 
 def axis_action_per_axis(markers, data, mat, lie):

@@ -1,6 +1,8 @@
 """Orbit matching on the structure group: properties on hand-built so(3)
 towers, the group action against its axis-by-axis oracle and the count of
-exponentials per match, and a non-homogeneous surface as a negative control."""
+exponentials and residual evaluations per match, a non-homogeneous surface
+as a negative control, and the closed-form exp Jacobian against its power
+series."""
 
 import json
 from pathlib import Path
@@ -24,7 +26,7 @@ from ambrose.homogeneity import (
 )
 from ambrose.lie_core import algebra_by_name, frame_structure_rep, skew_exp
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame
-from oracles import apply_axis
+from oracles import apply_axis, exp_jacobian_series
 from test_total_space import count_calls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -86,10 +88,26 @@ class TestOrbitMatchProperties:
         """Norms and even-rank spectra are O(3)-invariant, so both
         prescreens pass; no rotation reaches the reflected rank-3 entries."""
         tower = generic_tower(seed)
-        match = orbit_match(tower, transformed(tower, mirrored), REP3, depth=1)
+        thetas = []
+        action = homogeneity.group_action
+
+        def counted_action(theta, rep, tensors):
+            thetas.append(np.array(theta))
+            return action(theta, rep, tensors)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homogeneity, "group_action", counted_action)
+            match = orbit_match(tower, transformed(tower, mirrored), REP3, depth=1)
         assert not match.matched
         assert match.reason == "residual"
         assert match.residual >= 1e-6
+        # a failing search runs every start: theta = 0, then the seeded
+        # draws, each descent's first residual evaluation at -theta0
+        rng = np.random.default_rng(0)
+        starts = [np.zeros(3)] + [rng.uniform(-np.pi, np.pi, size=3)
+                                  for _ in range(homogeneity.MATCH_STARTS - 1)]
+        firsts = [i for i, t in enumerate(thetas) if any(np.array_equal(t, -s) for s in starts)]
+        assert len(firsts) == homogeneity.MATCH_STARTS
 
     @PROPERTY
     @given(seed=seeds, level=st.integers(0, 1), entry=st.integers(0, 1),
@@ -264,3 +282,50 @@ class TestGroupAction:
         assert len(entries) == 1 and len(entries[0]) == 2
         assert acted and all(ids == entries[0] for ids in acted)
         assert len(exps) == len(acted)
+        # a start that reaches the rounding floor ends there
+        assert len(acted) <= 12
+
+
+# the algebras of every catalog structure group
+JACOBIAN_ALGEBRAS = {
+    "so(2)": frame_structure_rep(2).algebra,
+    "so(3)": REP3.algebra,
+    "so(4)": frame_structure_rep(4).algebra,
+    "so(2)+su(2)": REP_SU2.algebra,
+    "so(3)+su(2)+u(1)": frame_structure_rep(3, algebra_by_name("su(2)+u(1)")).algebra,
+}
+
+
+def jacobian_thetas(m, rng):
+    """theta = 0, |theta| about 1e-9, uniform draws in [-pi, pi]^m, and
+    draws with |theta| within 1e-3 of 2 pi, where phi(ad) of so(3) has a
+    zero eigenvalue."""
+    yield np.zeros(m)
+    for radius in (1e-9, *(2 * np.pi + rng.uniform(-1e-3, 1e-3, 10))):
+        u = rng.standard_normal(m)
+        yield radius * u / np.linalg.norm(u)
+    for _ in range(20):
+        yield rng.uniform(-np.pi, np.pi, m)
+
+
+class TestExpJacobian:
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_ALGEBRAS))
+    def test_closed_form_matches_series(self, name):
+        """The gap is the series' cancellation: it reaches 4.4e-13 on
+        so(2)+su(2), whose su(2) eigenvalues reach 4 pi on the 2 pi shell,
+        where the closed form agrees with scipy's expm of the block matrix
+        [[ad, 1], [0, 0]] to 1e-14."""
+        algebra = JACOBIAN_ALGEBRAS[name]
+        for theta in jacobian_thetas(algebra.dim, np.random.default_rng(5)):
+            ad = algebra.ad(theta)
+            got = homogeneity._exp_jacobian(ad)
+            assert np.abs(got - exp_jacobian_series(ad)).max() <= 1e-12, theta
+
+    def test_zero_eigenvalue_near_two_pi(self):
+        """exp(2 pi L) = 1 on so(3), so phi(ad) is singular there."""
+        ad = REP3.algebra.ad(np.array([0.0, 0.0, 2 * np.pi]))
+        assert np.linalg.svd(homogeneity._exp_jacobian(ad), compute_uv=False).min() <= 1e-15
+
+    def test_non_skew_raises(self):
+        with pytest.raises(BadParameters):
+            homogeneity._exp_jacobian(np.array([[0.0, 1.0], [0.0, 0.0]]))
