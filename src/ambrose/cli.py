@@ -54,7 +54,6 @@ from .homogeneity import (
     check_ls_triple,
     make_report,
     opozda_section_spec,
-    tower_and_chain,
     towers_and_chains,
     verdict,
 )
@@ -394,8 +393,10 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
     sigma = opozda_section_spec(gamma0)
     rep = _frame_rep(fix, "singer")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    chains = [chain for batch in towers_and_chains(sigma, None, gamma0, fix.g, points, rep,
-                                                   kmax=cfg.kmax) for _, chain in batch]
+    chains = [None] * len(points)
+    for todo, _, built in towers_and_chains(sigma, None, gamma0, fix.g, points, rep, kmax=cfg.kmax):
+        for i, chain in zip(todo, built):
+            chains[i] = chain
     flags = sorted({f for ch in chains for f in ch.flags})
     if len({ch.dims for ch in chains}) > 1:
         flags.append("dims-vary")
@@ -446,28 +447,29 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     inner = default_inner(rep.algebra)
     sigma = opozda_section_spec(fix.gamma)
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    probe = tower_and_chain(sigma, None, fix.gamma, fix.g, points[0], rep, kmax=cfg.kmax)
-    singer_k, dims = probe[1].singer_k, probe[1].dims
+    *_, probe = towers_and_chains(sigma, None, fix.gamma, fix.g, points[:1], rep, kmax=cfg.kmax)
+    singer_k, dims, flags = probe[2][0].singer_k, probe[2][0].dims, set(probe[2][0].flags)
     if singer_k is None:
         raise ConfigError("stabilizer chain did not stabilize within the cap")
     depth = singer_k + 2
-    flags = set(probe[1].flags)
 
-    def check(batch):
-        for tw, chain in batch:
+    def check(at, levels, chains):
+        for x, chain in zip(at, chains):
             if chain.singer_k != singer_k:
                 raise NumericalFailure(
-                    f"stabilizer chain at {tw.point} stabilizes at stage {chain.singer_k}, "
+                    f"stabilizer chain at {x} stabilizes at stage {chain.singer_k}, "
                     f"not at the first sample point's {singer_k}"
                 )
             flags.update(chain.flags)
             if chain.dims[:depth] != dims[:depth]:
                 flags.add("dims-vary")
-        return adapted_residuals(batch, rep, inner)
+        return adapted_residuals(levels, chains, rep, inner)
 
-    rows = [check([probe])] if probe[0].kmax >= depth else []
-    batches = towers_and_chains(sigma, None, fix.gamma, fix.g, points[len(rows):], rep, kmax=depth)
-    residuals = max_over_batches(rows + list(map(check, batches)))
+    rows = [check(points[:1], *probe[1:])] if len(probe[1]) > depth else []
+    rest = points[len(rows):]
+    residuals = max_over_batches(rows + [check(rest[todo], *build) for todo, *build in
+                                         towers_and_chains(sigma, None, fix.gamma, fix.g, rest,
+                                                           rep, kmax=depth)])
     return make_report("adapt", fix.name, points, residuals, sorted(flags),
                        stabilizer_dims=tuple(dims[:singer_k + 1]), singer_k=singer_k)
 

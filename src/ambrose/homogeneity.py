@@ -44,10 +44,10 @@ from .chart_calculus import (
     TensorFieldSpec,
     curvature_field,
     frame_levels,
-    frame_stacks,
     levi_civita,
     max_nabla_norms,
     nan_max,
+    ortho_frame,
     torsion_field,
 )
 from .errors import (
@@ -75,8 +75,13 @@ from .tensor_core import (
     DenseTensor,
     OrthoFrame,
     axis_action,
+    point_norms,
     to_frames,
 )
+
+# a batch of towers, as frame_levels gives it: levels 0..kmax, each a list of
+# (markers, data), one per field, data of shape (P, dims...)
+Levels = list[list[tuple[tuple[str, ...], np.ndarray]]]
 
 KMAX_START = 2
 KMAX_CAP = 4
@@ -125,10 +130,12 @@ class DerivativeTower:
 
     def up_to(self, depth: int) -> list[DenseTensor]:
         if depth >= len(self.entries):
-            raise DepthMismatch(
-                f"tower has entries up to {len(self.entries) - 1}, need {depth}"
-            )
+            raise DepthMismatch(f"tower has entries up to {len(self.entries) - 1}, need {depth}")
         return [t for entry in self.entries[: depth + 1] for t in entry]
+
+    def levels(self) -> Levels:
+        """The tower as a batch of one, in frame_levels' layout."""
+        return [[(t.markers, t.data[None]) for t in entry] for entry in self.entries]
 
 
 @dataclass(frozen=True)
@@ -200,79 +207,48 @@ def make_report(scenario: str, fixture: str, points: np.ndarray,
 def build_tower(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                 gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                 kmax: int, frame: OrthoFrame | None = None) -> DerivativeTower:
-    """The derivative tower at the single point x: build_towers on a batch
-    of one."""
-    return build_towers(sigma, b0, gamma0, g, np.asarray(x, float)[None], kmax,
-                        None if frame is None else [frame])[0]
-
-
-def build_towers(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
-                 gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
-                 kmax: int, frames: list[OrthoFrame] | None = None,
-                 ) -> list[DerivativeTower]:
-    """The derivative tower of the section sigma at each point of a batch:
-    the levels 0..kmax of frame_levels, under Gamma0 and ad(b0) on LIE axes,
-    in the Cholesky orthonormal frames of g (or in caller-supplied
-    orthonormal frames)."""
-    points = np.atleast_2d(np.asarray(points, float))
-    stacks = None if frames is None else (np.stack([f.coframe for f in frames]),
-                                          np.stack([f.frame for f in frames]))
-    levels = frame_levels(sigma, b0, gamma0, g, points, kmax, stacks)
-    if frames is None:
-        coframe, frame = frame_stacks(g, points)
-        frames = [OrthoFrame(x, e, th) for x, th, e in zip(points, coframe, frame)]
+    """The derivative tower of the section sigma at the single point x:
+    frame_levels 0..kmax on a batch of one, under Gamma0 and ad(b0) on LIE
+    axes, in g's Cholesky orthonormal frame or in the frame given."""
+    x = np.asarray(x, float)
+    stacks = None if frame is None else (frame.coframe[None], frame.frame[None])
+    levels = frame_levels(sigma, b0, gamma0, g, x[None], kmax, stacks)
     # the tuples from lists (see jet.einsum)
-    return [DerivativeTower(
-        point=x, frame=fr, kmax=kmax,
-        entries=tuple([tuple([DenseTensor(m, data[p]) for m, data in lv]) for lv in levels]))
-        for p, (x, fr) in enumerate(zip(points, frames))]
+    return DerivativeTower(x, ortho_frame(g, x) if frame is None else frame, kmax, tuple(
+        [tuple([DenseTensor(m, data[0]) for m, data in lv]) for lv in levels]))
 
 
 def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
-    """h(k) = kernel of the stacked action matrix over entries 0..k:
-    stabilizer_chains on a batch of one."""
-    return stabilizer_chains([tower], rep)[0]
+    """The tower's stabilizer chain: stabilizer_chains on a batch of one."""
+    return stabilizer_chains(tower.levels(), rep)[0]
 
 
-def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[StabilizerChain]:
-    """The stabilizer chain of each tower of a batch whose entries have the
-    same markers and shapes at every point: h(k) is the kernel of the stacked
-    action matrix over the entries 0..k.
-
-    No stacked matrix is held. Each entry's points are stacked once, in
-    blocks of as many points as keep its action rows within
-    jet.PRODUCT_BLOCK elements (all of them, unless the entry is large), and
-    each block's squared norms are one reduction. The rows are built for the
-    block's points together, sliced over leading tensor axes where one
-    point's rows exceed the bound, and folded into a per-point R factor, at
-    most m x m: R_k is the R of QR([R_{k-1}; block_k]), so it has the
-    singular values of the rows of levels 0..k, and one stacked SVD of the R
-    factors of every level and point with the same shape gives their
-    kernels (LAPACK takes the matrices one by one, so stacking changes no
-    bit). The cutoff is floored at each point's running sum of squared
-    entry norms, so that levels which vanish in exact arithmetic do not
-    present their rounding as full-rank columns. Each kernel's closure
-    under the bracket comes from one subalgebra_residuals call over every
-    level and point."""
-    if not towers:
-        return []
-    shapes = [[(t.markers, t.dims) for t in entry] for entry in towers[0].entries]
-    if any([[(t.markers, t.dims) for t in entry] for entry in tw.entries] != shapes
-           for tw in towers):
-        raise DepthMismatch("towers of a batch have entries of different shapes")
-    count, m = len(towers), rep.algebra.dim
+def stabilizer_chains(levels: Levels, rep: TensorRep) -> list[StabilizerChain]:
+    """The stabilizer chain at each point of a batch of towers, the levels
+    of frame_levels: h(k) is the kernel of the stacked action matrix over
+    the entries of levels 0..k, which is not held. Each entry's action rows
+    are built for as many points as keep them within jet.PRODUCT_BLOCK
+    elements (sliced over leading tensor axes where one point's exceed it)
+    and folded into a per-point R factor, at most m x m, the R of
+    QR([R_{k-1}; rows_k]). One stacked SVD of the R factors of every level
+    and point of one shape gives their kernels (LAPACK takes the matrices
+    one by one, so stacking changes no bit), the cutoff floored at each
+    point's running sum of squared entry norms, so that levels which vanish
+    in exact arithmetic do not present their rounding as full-rank columns.
+    One subalgebra_residuals call gives every kernel's closure."""
+    count, m = len(levels[0][0][1]), rep.algebra.dim
     r = [np.zeros((0, m))] * count
     sq = np.zeros(count)
     factors, scales = [], []
-    for k, shape in enumerate(shapes):
-        for i, (markers, dims) in enumerate(shape):
-            step = max(jet.PRODUCT_BLOCK // (m * math.prod(dims)), 1)
+    for level in levels:
+        for markers, data in level:
+            step = max(jet.PRODUCT_BLOCK // (m * math.prod(data.shape[1:])), 1)
             for start in range(0, count, step):
                 points = slice(start, start + step)
-                data = np.stack([tw.entries[k][i].data for tw in towers[points]])
-                flat = data.reshape(len(data), -1)
+                block = data[points]
+                flat = block.reshape(len(block), -1)
                 sq[points] += np.einsum("pi,pi->p", flat, flat)
-                for rows in _row_blocks(markers, data, rep):
+                for rows in _row_blocks(markers, block, rep):
                     # stacked column by column, the layout the QR reads
                     cols = np.concatenate([np.stack(r[points]).transpose(0, 2, 1),
                                            rows.transpose(0, 2, 1)], axis=2)
@@ -294,11 +270,11 @@ def stabilizer_chains(towers: list[DerivativeTower], rep: TensorRep) -> list[Sta
                         < 10.0 * np.where(kept, -np.inf, sing).max(axis=1))
         for j, basis in zip(group, found):
             bases[j] = basis
-    closure = subalgebra_residuals(rep.algebra, bases).reshape(len(shapes), count).T.tolist()
-    levels = [bases[k * count:(k + 1) * count] for k in range(len(shapes))]
-    nesting = _nesting(levels)
-    ambiguous = murky.reshape(len(shapes), count).any(axis=0).tolist()
-    return [_chain([level[p] for level in levels], nesting[p], tuple(closure[p]), ambiguous[p])
+    closure = subalgebra_residuals(rep.algebra, bases).reshape(len(levels), count).T.tolist()
+    kernels = [bases[k * count:(k + 1) * count] for k in range(len(levels))]
+    nesting = _nesting(kernels)
+    ambiguous = murky.reshape(len(levels), count).any(axis=0).tolist()
+    return [_chain([level[p] for level in kernels], nesting[p], tuple(closure[p]), ambiguous[p])
             for p in range(count)]
 
 
@@ -368,19 +344,23 @@ def tower_and_chain(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm 
                     gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                     rep: TensorRep, kmax: int | None = None,
                     ) -> tuple[DerivativeTower, StabilizerChain]:
-    """towers_and_chains at the single point x."""
-    return next(towers_and_chains(sigma, b0, gamma0, g, np.asarray(x, float)[None], rep, kmax))[0]
+    """towers_and_chains at the single point x: its last build."""
+    x = np.asarray(x, float)
+    *_, (_, levels, chains) = towers_and_chains(sigma, b0, gamma0, g, x[None], rep, kmax)
+    return DerivativeTower(x, ortho_frame(g, x), len(levels) - 1, tuple(
+        [tuple([DenseTensor(m, data[0]) for m, data in lv]) for lv in levels])), chains[0]
 
 
 def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                       gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
                       rep: TensorRep, kmax: int | None = None,
-                      ) -> Iterator[list[tuple[DerivativeTower, StabilizerChain]]]:
-    """The tower and chain at each point, in point order and in batches,
-    each yielded once built; deep enough to observe stabilization within
-    the cap: only the points of a batch whose chain is truncated are built
-    again, one level deeper, as a smaller batch. At a given kmax every point
-    is built at that depth. A batch has as many points as keep the largest
+                      ) -> Iterator[tuple[list[int], Levels, list[StabilizerChain]]]:
+    """The towers and chains of the points in batches, each build yielded
+    as (its points' indices, their frame_levels, their chains), deep enough
+    to observe stabilization within the cap: only the points of a build
+    whose chain is truncated are built again, one level deeper, so a
+    point's chain is its last build's. At a given kmax every point is built
+    once, at that depth. A batch has as many points as keep the largest
     level's jet at the deepest depth, its per-point elements times its jet
     coefficients, within jet.PRODUCT_BLOCK elements: at most CHUNK, one at
     the least."""
@@ -392,16 +372,15 @@ def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionFor
     step = min(max(jet.PRODUCT_BLOCK // largest, 1), CHUNK)
     for start in range(0, len(points), step):
         todo = list(range(start, min(start + step, len(points))))
-        done = {}
         depth = KMAX_START if kmax is None else kmax
         while todo:
-            towers = build_towers(sigma, b0, gamma0, g, points[todo], depth)
-            done.update(zip(todo, zip(towers, stabilizer_chains(towers, rep))))
+            levels = frame_levels(sigma, b0, gamma0, g, points[todo], depth)
+            chains = stabilizer_chains(levels, rep)
+            yield todo, levels, chains
             if kmax is not None or depth >= KMAX_CAP:
                 break
-            todo = [i for i in todo if done[i][1].singer_k is None]
+            todo = [i for i, chain in zip(todo, chains) if chain.singer_k is None]
             depth += 1
-        yield [done[i] for i in sorted(done)]
 
 
 def group_action(theta: np.ndarray, rep: TensorRep,
@@ -571,80 +550,93 @@ def with_adjoint_rep(rep: TensorRep) -> TensorRep:
 
 
 def gauge_residual(b: np.ndarray, rep: TensorRep, t: DenseTensor, nabla_t: np.ndarray) -> float:
-    """|nabla t + b . t| at a point in frame indices: nabla_t[a] is the
-    covariant derivative of t along e_a, and b[a] the shift's row there,
-    whose action on t is the Leibniz rule of axis_action."""
+    """|nabla t + b . t| at a point in frame indices, nabla_t[a] the covariant
+    derivative of t along e_a and b[a] the shift there (axis_action)."""
     lie = None if rep.lie is None else np.einsum("mi,iab->mab", b, rep.lie.matrices)
     act = axis_action(t.markers, t.data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
     return float(np.linalg.norm(nabla_t + act))
 
 
-def _adapted_shifts(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,
-                    inner: AdInvariantInner) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """(beta_k, nabla beta_k, nabla_tower) at each pair's point, in frame
-    indices, nabla beta_k[b, a, i]; see adapted_residuals."""
-    m = inner.matrix
-    for tower, chain in pairs:
-        if chain.singer_k is None:
+def _adapted_shifts(levels: Levels, chains: list[StabilizerChain], rep: TensorRep,
+                    inner: AdInvariantInner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta_k, nabla beta_k, nabla_tower) at each point of a batch in frame
+    indices, shapes (P, n, m), (P, n, n, m) and (P,); see adapted_residuals.
+    The points whose chains share the Singer stage k and its kernel
+    dimension are solved together: one stacked SVD, stacked products."""
+    groups = {}
+    for p, chain in enumerate(chains):
+        k = chain.singer_k
+        if k is None:
             raise NumericalFailure("stabilizer chain did not stabilize")
-        h = chain.bases[chain.singer_k]
         # inner is ad-invariant, so the complement of a subalgebra is ad(h)-invariant
-        if not chain.subalgebra[chain.singer_k] <= 1e-9:
-            raise NotReductive(f"stabilizer at stage {chain.singer_k} is not a subalgebra: "
-                               f"closure residual {chain.subalgebra[chain.singer_k]:.3g}")
-        # the entries T of levels 0..singer_k, Tnext one level up, T2 two
-        entries = tower.up_to(chain.singer_k + 2)
-        per_level = len(tower.entries[0])
-        count = len(entries) - 2 * per_level
-        tensors, nexts, seconds = (entries[:count], entries[per_level:per_level + count],
-                                   entries[2 * per_level:])
-        n = len(tower.point)
-        v = np.concatenate([nxt.data.reshape(n, -1) for nxt in nexts], axis=1)
-        w = np.concatenate([t2.data.reshape(n, n, -1) for t2 in seconds], axis=2)
-        d = np.concatenate([action_rows(t.markers, nxt.data, rep)
-                            for t, nxt in zip(tensors, nexts)], axis=1)
-        mat = stacked_action_matrix(tensors, rep)
+        if not chain.subalgebra[k] <= 1e-9:
+            raise NotReductive(f"stabilizer at stage {k} is not a subalgebra: "
+                               f"closure residual {chain.subalgebra[k]:.3g}")
+        if k + 2 >= len(levels):
+            raise DepthMismatch(f"tower has entries up to {len(levels) - 1}, need {k + 2}")
+        groups.setdefault((k, chain.bases[k].shape[1]), []).append(p)
+    m, n, per_level = rep.algebra.dim, rep.vector.matrices.shape[-1], len(levels[0])
+    out = np.empty((len(chains), n, m)), np.empty((len(chains), n, n, m)), np.empty(len(chains))
+    for (k, dim_h), idx in groups.items():
+        count, h = len(idx), np.stack([chains[p].bases[k] for p in idx])
+        # the entries T of levels 0..k, Tnext one level up, T2 two
+        tensors = [(mk, data[idx]) for lv in levels[:k + 1] for mk, data in lv]
+        nexts = [data[idx] for lv in levels[1:k + 2] for _, data in lv]
+        v = np.concatenate([nxt.reshape(count, n, -1) for nxt in nexts], axis=2)
+        w = np.concatenate([t2[idx].reshape(count, n, n, -1) for lv in levels[2:k + 3]
+                            for _, t2 in lv], axis=3)
+        # D_b = M(Tnext[b]), the points and directions b as one batch
+        d = np.concatenate([action_rows(mk, nxt.reshape((count * n,) + nxt.shape[2:]), rep)
+                            .reshape(count, n, -1, m) for (mk, _), nxt in zip(tensors, nexts)],
+                           axis=2)
+        mat = np.concatenate([action_rows(mk, t, rep) for mk, t in tensors], axis=1)
         u, sing, vt = np.linalg.svd(mat, full_matrices=False)
-        rank = h.shape[0] - h.shape[1]
-        pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
-        beta = -v @ pinv.T
-        resid = v + beta @ mat.T
-        nabla_beta = -(w + (d @ beta.T).transpose(0, 2, 1)
-                       + np.einsum("brj,ar->baj", d, resid) @ pinv) @ pinv.T
-        nabla_h = -pinv @ d @ h
-        coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
+        pinv = ((vt[:, :m - dim_h].transpose(0, 2, 1) / sing[:, None, :m - dim_h])
+                @ u[:, :, :m - dim_h].transpose(0, 2, 1))
+        pinv_t = pinv.transpose(0, 2, 1)
+        beta = -v @ pinv_t
+        resid = v + beta @ mat.transpose(0, 2, 1)
+        nabla_beta = -(w + (d @ beta.transpose(0, 2, 1)[:, None]).transpose(0, 1, 3, 2)
+                       + resid[:, None] @ d @ pinv[:, None]) @ pinv_t[:, None]
+        nabla_h = -pinv[:, None] @ d @ h[:, None]
+        coeff = np.linalg.solve(h.transpose(0, 2, 1) @ inner.matrix @ h,
+                                h.transpose(0, 2, 1) @ inner.matrix)
         proj = h @ coeff
         # P is m-self-adjoint and m is parallel: nabla P is its part off h
         # plus that part's m-adjoint
-        off = (np.eye(len(m)) - proj) @ nabla_h @ coeff
-        nabla_proj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
-        beta_k = beta - beta @ proj.T
-        # each entry's adapted derivative: V + M beta_k on levels 0..singer_k;
-        # on level singer_k + 1, whose rows are those of level singer_k,
-        # B_b = sum_j beta_k[b, j] X_j also acts on Tnext's leading axis
-        offsets = np.cumsum([0] + [t.data.size for t in tensors])
-        top = offsets[count - per_level]
-        upper = (w[:, :, top:] + (d[:, top:] @ beta_k.T).transpose(2, 0, 1)
-                 - np.einsum("bj,jca,cr->bar", beta_k, rep.vector.matrices, v[:, top:]))
-        blocks = (np.split(v + beta_k @ mat.T, offsets[1:-1], axis=1)
-                  + np.split(upper, offsets[count - per_level + 1:-1] - top, axis=2))
-        yield (beta_k,
-               nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1),
-               nan_max([np.linalg.norm(block) for block in blocks]))
+        off = (np.eye(m) - proj)[:, None] @ nabla_h @ coeff[:, None]
+        nabla_proj = off + np.linalg.solve(inner.matrix, off.transpose(0, 1, 3, 2) @ inner.matrix)
+        beta_k = beta - beta @ proj.transpose(0, 2, 1)
+        # each entry's adapted derivative: V + M beta_k on levels 0..k; on
+        # level k + 1, whose rows are those of level k, B_b = sum_j
+        # beta_k[b, j] X_j also acts on Tnext's leading axis
+        offsets = np.cumsum([0] + [t[0].size for _, t in tensors])
+        top = offsets[-1 - per_level]
+        lead = (beta_k @ rep.vector.matrices.reshape(m, -1)).reshape(count, n, n, n)
+        upper = (w[..., top:] + (d[:, :, top:] @ beta_k.transpose(0, 2, 1)[:, None])
+                 .transpose(0, 3, 1, 2) - lead.transpose(0, 1, 3, 2) @ v[:, None, :, top:])
+        # each entry's squared norm, summed over its components
+        sq = [np.add.reduceat((x * x).reshape(count, -1, x.shape[-1]).sum(axis=1), cuts, axis=1)
+              for x, cuts in ((v + beta_k @ mat.transpose(0, 2, 1), offsets[:-1]),
+                              (upper, offsets[-1 - per_level:-1] - top))]
+        out[0][idx], out[1][idx], out[2][idx] = (
+            beta_k, nabla_beta - nabla_beta @ proj.transpose(0, 2, 1)[:, None]
+            - beta[:, None] @ nabla_proj.transpose(0, 1, 3, 2),
+            np.sqrt(np.concatenate(sq, axis=1).max(axis=1)))
+    return out
 
 
-def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep: TensorRep,
+def adapted_residuals(levels: Levels, chains: list[StabilizerChain], rep: TensorRep,
                       inner: AdInvariantInner) -> dict[str, float]:
-    """The largest nabla_beta and nabla_tower over a batch of at most CHUNK
-    (tower, chain) pairs, for the adapted connection nabla + beta_k, all in
-    the towers' frames, nabla the towers' connection. The residuals are the
-    norms of the adapted derivatives of beta_k and of each entry of levels
-    0..singer_k + 1; the towers must reach level singer_k + 2.
-
-    An entry T has covariant derivative Tnext[b] along e_b, Tnext the entry
-    one level up, and T2[b, a] two levels up. With M the stacked action
-    matrix of the entries of levels 0..singer_k, V_a and W_ba the stacked
-    Tnext[a] and T2[b, a], and D_b = M(Tnext[b]) its covariant derivative:
+    """The largest nabla_beta and nabla_tower over a batch of towers, the
+    levels of frame_levels, and their chains, for the adapted connection
+    nabla + beta_k in the towers' frames: the norms of the adapted
+    derivatives of beta_k (acting on itself, under the adjoint rep on its
+    LIE axis) and of each entry of levels 0..singer_k + 1. An entry T has
+    covariant derivative Tnext[b] along e_b, Tnext the entry one level up,
+    and T2[b, a] two levels up. With M the stacked action matrix of the
+    entries of levels 0..singer_k, V_a and W_ba the stacked Tnext[a] and
+    T2[b, a], and D_b = M(Tnext[b]) its covariant derivative:
     beta_a = -M^+ V_a solves nabla_a T + beta_a . T = 0 by least squares,
     with residual r_a = V_a + M beta_a, so nabla_tower includes r; and
     nabla_b beta_a = -M^+ (W_ba + D_b beta_a + M^+T D_b^T r_a), the
@@ -657,14 +649,15 @@ def adapted_residuals(pairs: list[tuple[DerivativeTower, StabilizerChain]], rep:
     - sum_c B_b[c, a] V_c on the entries of level singer_k + 1, the last
     term beta_k acting on Tnext's leading axis, which D leaves out. A chain
     that did not stabilize raises NumericalFailure, and one whose closure
-    residual at the Singer stage is not at most 1e-9 NotReductive: the
-    complement of h is invariant only if h is a subalgebra."""
-    adjoint, shift, tower_res = with_adjoint_rep(rep), [], []
-    for beta_k, nabla_beta_k, nabla_tower in _adapted_shifts(pairs, rep, inner):
-        shift.append(gauge_residual(beta_k, adjoint, DenseTensor((DOWN, LIE), beta_k),
-                                    nabla_beta_k))
-        tower_res.append(nabla_tower)
-    return {"nabla_beta": nan_max(shift), "nabla_tower": nan_max(tower_res)}
+    residual at the Singer stage is not at most 1e-9 NotReductive, at the
+    first such point: the complement of h is invariant only if h is a
+    subalgebra."""
+    beta_k, nabla_beta_k, nabla_tower = _adapted_shifts(levels, chains, rep, inner)
+    # rows[p, r, j]: component r of basis element j acting on beta_k[p]
+    rows = action_rows((DOWN, LIE), beta_k, with_adjoint_rep(rep))
+    gauge = (rows @ beta_k.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(nabla_beta_k.shape)
+    return {"nabla_beta": nan_max(point_norms(jet.points_last(nabla_beta_k + gauge))),
+            "nabla_tower": nan_max(nabla_tower)}
 
 
 def opozda_section_spec(gamma: ConnectionCoeffs) -> tuple[TensorFieldSpec, ...]:

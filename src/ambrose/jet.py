@@ -24,10 +24,10 @@ axis after their value axes.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import string
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -39,7 +39,7 @@ PRODUCT_BLOCK = 1 << 21
 def _indices(n: int, order: int) -> tuple[tuple[int, ...], ...]:
     """The multi-indices of order <= ``order``, graded."""
     return tuple(tuple(c.count(mu) for mu in range(n)) for d in range(order + 1)
-                 for c in combinations_with_replacement(range(n), d))
+                 for c in itertools.combinations_with_replacement(range(n), d))
 
 
 def size(n: int, order: int) -> int:
@@ -53,16 +53,20 @@ def size(n: int, order: int) -> int:
 def _product_table(n: int, order: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """(i, j, starts, bounds): the pairs of coefficient indices whose
-    multi-indices sum to order <= ``order``, sorted by the index of the sum,
-    the first pair of each sum, and those firsts followed by the pair count."""
+    multi-indices sum to order <= ``order``, sorted by the index of the sum
+    and then by i, the first pair of each sum, and those firsts followed by
+    the pair count. The pairs of a sum c are its sub-multi-indices a, in
+    graded order, each with c - a, so the table takes time in proportion to
+    its pairs."""
     idx = _indices(n, order)
     pos = {a: k for k, a in enumerate(idx)}
-    pairs = sorted((pos[tuple(p + q for p, q in zip(a, b))], i, j)
-                   for i, a in enumerate(idx) for j, b in enumerate(idx)
-                   if sum(a) + sum(b) <= order)
-    starts = [p for p, (k, _, _) in enumerate(pairs) if p == 0 or pairs[p - 1][0] != k]
-    _, i, j = zip(*pairs)
-    return np.array(i), np.array(j), np.array(starts), (*starts, len(pairs))
+    i, j, starts = [], [], []
+    for c in idx:
+        starts.append(len(i))
+        subs = sorted([pos[a] for a in itertools.product(*[range(m + 1) for m in c])])
+        i.extend(subs)
+        j.extend([pos[tuple([p - q for p, q in zip(c, idx[k])])] for k in subs])
+    return np.array(i), np.array(j), np.array(starts), (*starts, len(i))
 
 
 @lru_cache(maxsize=None)

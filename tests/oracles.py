@@ -21,10 +21,12 @@ covariant. So are the frame helpers that only tests use. Criterion 05's
 check that two condition systems on a metric connection agree reads the
 same difference tensor, and lives here with it.
 
-Four earlier kernels judge their replacements: the matrix inverse of a
+Six earlier kernels judge their replacements: the matrix inverse of a
 jet by the Neumann series, the functions of one jet by Horner's rule, the
 change to orthonormal frames by one einsum per axis over point-last data,
-and orbit_match's exp Jacobian by its power series.
+orbit_match's exp Jacobian by its power series, the Cauchy product table
+by sorting every pair of multi-indices, and the adapted connection's
+least-squares system by one solve per point.
 
 The total-space scaffolding at the end (generated-field constructors, the
 torsion, curvature and bracket case tables, the connection metric and the
@@ -54,6 +56,8 @@ from ambrose.chart_calculus import (
     _base_points,
     curvature_field,
     fd_array,
+    frame_levels,
+    frame_stacks,
     levi_civita,
     max_nabla_norms,
     nabla,
@@ -64,13 +68,15 @@ from ambrose.chart_calculus import (
 from ambrose.errors import (
     DegenerateMetric,
     NotMetric,
+    NotReductive,
+    NumericalFailure,
     RepMismatch,
     UnsupportedFieldKind,
 )
 from ambrose.homogeneity import (
+    DerivativeTower,
     VerificationReport,
     _adapted_shifts,
-    build_towers,
     gauge_residual,
     opozda_section_spec,
     tower_and_chain,
@@ -80,6 +86,7 @@ from ambrose.homogeneity import (
 from ambrose.jet import Jet
 from ambrose.lie_core import (
     LinearRep,
+    action_rows,
     default_inner,
     frame_structure_rep,
     stacked_action_matrix,
@@ -393,6 +400,19 @@ def degrees(n: int, order: int) -> np.ndarray:
     return np.array([sum(a) for a in jet._indices(n, order)])
 
 
+def product_table_sorted(n: int, order: int):
+    """jet._product_table by sorting every pair of multi-indices whose
+    orders sum to at most ``order`` by (index of the sum, i, j)."""
+    idx = jet._indices(n, order)
+    pos = {a: k for k, a in enumerate(idx)}
+    pairs = sorted((pos[tuple(p + q for p, q in zip(a, b))], i, j)
+                   for i, a in enumerate(idx) for j, b in enumerate(idx)
+                   if sum(a) + sum(b) <= order)
+    starts = [p for p, (k, _, _) in enumerate(pairs) if p == 0 or pairs[p - 1][0] != k]
+    _, i, j = zip(*pairs)
+    return np.array(i), np.array(j), np.array(starts), (*starts, len(pairs))
+
+
 def cholesky(g: Jet) -> Jet:
     """Lower Cholesky factor of a jet of symmetric positive definite
     matrices: G = L0 (I + P) L0^T, and I + P = (I + N)(I + N)^T with N lower
@@ -537,10 +557,85 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
                               flags=flags if finite else flags + ("non-finite",))
 
 
+def point_towers(levels, g: MetricField, points: np.ndarray, frames=None) -> list:
+    """The DerivativeTower at each point of a batch of towers, the levels of
+    frame_levels cut point by point, in g's Cholesky frames or in the
+    frames given."""
+    if frames is None:
+        coframes, stacks = frame_stacks(g, points)
+        frames = [OrthoFrame(x, e, th) for x, th, e in zip(points, coframes, stacks)]
+    return [DerivativeTower(point=x, frame=fr, kmax=len(levels) - 1,
+                            entries=tuple(tuple(DenseTensor(m, data[p]) for m, data in lv)
+                                          for lv in levels))
+            for p, (x, fr) in enumerate(zip(points, frames))]
+
+
+def stacked_levels(towers) -> list:
+    """A batch of towers with equal entry shapes as frame_levels lays it
+    out: each entry's data stacked over the towers."""
+    return [[(t.markers, np.stack([tw.entries[k][i].data for tw in towers]))
+             for i, t in enumerate(entry)] for k, entry in enumerate(towers[0].entries)]
+
+
 def _entry_pairs(tower, depth: int):
     """(T, Tnext) for each entry T of levels 0..depth, Tnext one level up."""
     entries = tower.up_to(depth + 1)
     return list(zip(entries, entries[len(tower.entries[0]):]))
+
+
+def adapted_shifts_loop(pairs, rep, inner):
+    """(beta_k, nabla beta_k, nabla_tower) at each (tower, chain) pair's
+    point, in frame indices, nabla beta_k[b, a, i], one least-squares
+    system per point: the reference for ``homogeneity._adapted_shifts``,
+    which solves the system on the stack of a batch's points."""
+    m = inner.matrix
+    for tower, chain in pairs:
+        if chain.singer_k is None:
+            raise NumericalFailure("stabilizer chain did not stabilize")
+        h = chain.bases[chain.singer_k]
+        # inner is ad-invariant, so the complement of a subalgebra is ad(h)-invariant
+        if not chain.subalgebra[chain.singer_k] <= 1e-9:
+            raise NotReductive(f"stabilizer at stage {chain.singer_k} is not a subalgebra: "
+                               f"closure residual {chain.subalgebra[chain.singer_k]:.3g}")
+        # the entries T of levels 0..singer_k, Tnext one level up, T2 two
+        entries = tower.up_to(chain.singer_k + 2)
+        per_level = len(tower.entries[0])
+        count = len(entries) - 2 * per_level
+        tensors, nexts, seconds = (entries[:count], entries[per_level:per_level + count],
+                                   entries[2 * per_level:])
+        n = len(tower.point)
+        v = np.concatenate([nxt.data.reshape(n, -1) for nxt in nexts], axis=1)
+        w = np.concatenate([t2.data.reshape(n, n, -1) for t2 in seconds], axis=2)
+        d = np.concatenate([action_rows(t.markers, nxt.data, rep)
+                            for t, nxt in zip(tensors, nexts)], axis=1)
+        mat = stacked_action_matrix(tensors, rep)
+        u, sing, vt = np.linalg.svd(mat, full_matrices=False)
+        rank = h.shape[0] - h.shape[1]
+        pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
+        beta = -v @ pinv.T
+        resid = v + beta @ mat.T
+        nabla_beta = -(w + (d @ beta.T).transpose(0, 2, 1)
+                       + np.einsum("brj,ar->baj", d, resid) @ pinv) @ pinv.T
+        nabla_h = -pinv @ d @ h
+        coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
+        proj = h @ coeff
+        # P is m-self-adjoint and m is parallel: nabla P is its part off h
+        # plus that part's m-adjoint
+        off = (np.eye(len(m)) - proj) @ nabla_h @ coeff
+        nabla_proj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
+        beta_k = beta - beta @ proj.T
+        # each entry's adapted derivative: V + M beta_k on levels 0..singer_k;
+        # on level singer_k + 1, whose rows are those of level singer_k,
+        # B_b = sum_j beta_k[b, j] X_j also acts on Tnext's leading axis
+        offsets = np.cumsum([0] + [t.data.size for t in tensors])
+        top = offsets[count - per_level]
+        upper = (w[:, :, top:] + (d[:, top:] @ beta_k.T).transpose(2, 0, 1)
+                 - np.einsum("bj,jca,cr->bar", beta_k, rep.vector.matrices, v[:, top:]))
+        blocks = (np.split(v + beta_k @ mat.T, offsets[1:-1], axis=1)
+                  + np.split(upper, offsets[count - per_level + 1:-1] - top, axis=2))
+        yield (beta_k,
+               nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1),
+               nan_max([np.linalg.norm(block) for block in blocks]))
 
 
 def entrywise_tower_residuals(pairs, rep, inner) -> list[float]:
@@ -550,7 +645,8 @@ def entrywise_tower_residuals(pairs, rep, inner) -> list[float]:
     gauge_residual, the leading covariant axis of a derivative included."""
     return [nan_max([gauge_residual(beta_k, rep, t, nxt.data)
                      for t, nxt in _entry_pairs(tower, chain.singer_k + 1)])
-            for (tower, chain), (beta_k, _, _) in zip(pairs, _adapted_shifts(pairs, rep, inner))]
+            for (tower, chain), (beta_k, _, _) in zip(pairs,
+                                                      adapted_shifts_loop(pairs, rep, inner))]
 
 
 def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
@@ -563,17 +659,16 @@ def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: Met
     own beta, with nabla h = -M^+ M(Tnext[b]) h. An S that is not
     antisymmetric in the frames raises NotMetric."""
     frames = [tower.frame for tower, _ in pairs]
-    towers = build_towers((s,), None, gamma, g,
-                          np.array([f.point for f in frames]), 1, frames)
-    s_hat = np.stack([tw.entries[0][0].data for tw in towers])
+    (_, s_hat), (_, nabla_s_hat) = (level[0] for level in frame_levels(
+        (s,), None, gamma, g, np.array([f.point for f in frames]), 1,
+        (np.stack([f.coframe for f in frames]), np.stack([f.frame for f in frames]))))
     skew = np.abs(s_hat + s_hat.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3))
     if (skew > 1e-6 * np.maximum(1.0, np.abs(s_hat).max(axis=(1, 2, 3)))).any():
         raise NotMetric("connection is not metric: difference tensor not antisymmetric")
     mats = rep.vector.matrices
     coords = np.linalg.pinv(mats.reshape(len(mats), -1).T).reshape(mats.shape)
     betas = np.einsum("icb,pcab->pai", coords, s_hat)
-    nabla_betas = np.einsum("icb,pdcab->pdai", coords,
-                            np.stack([tw.entries[1][0].data for tw in towers]))
+    nabla_betas = np.einsum("icb,pdcab->pdai", coords, nabla_s_hat)
     for (tower, chain), beta, nabla_beta in zip(pairs, betas, nabla_betas):
         h = chain.bases[chain.singer_k]
         tensors, nexts = zip(*_entry_pairs(tower, chain.singer_k))
@@ -653,7 +748,7 @@ def tower_shift(fix, depth: int):
         key = y.tobytes()
         if key not in memo:
             pair = tower_and_chain(sigma, None, fix.gamma, fix.g, y, rep, kmax=depth)
-            memo[key] = next(_adapted_shifts([pair], rep, inner))[0]
+            memo[key] = _adapted_shifts(pair[0].levels(), [pair[1]], rep, inner)[0][0]
         return memo[key]
 
     return beta_k

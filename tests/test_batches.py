@@ -25,6 +25,7 @@ from ambrose.bundle_conn import (
 from ambrose.chart_calculus import (
     TensorFieldSpec,
     curvature_field,
+    frame_levels,
     levi_civita,
     max_nabla_norms,
     ortho_frame,
@@ -40,14 +41,16 @@ from ambrose.fixtures import (
 )
 from ambrose.homogeneity import (
     CHUNK,
+    _adapted_shifts,
     adapted_residuals,
     build_tower,
-    build_towers,
+    gauge_residual,
     opozda_section_spec,
     stabilizer_chain,
     stabilizer_chains,
     tower_and_chain,
     towers_and_chains,
+    with_adjoint_rep,
 )
 from ambrose.lie_core import (
     algebra_by_name,
@@ -56,8 +59,9 @@ from ambrose.lie_core import (
 )
 from ambrose.tensor_core import DOWN, LIE, DenseTensor
 from ambrose.total_space import TotalSpaceModel, _check
-from oracles import rotated
-from test_homogeneity import ADAPT_CASES, CHAIN_CASES, TRIPLE_CASES, bumped, flat_tower3
+from oracles import adapted_shifts_loop, point_towers, rotated, stacked_levels
+from test_homogeneity import ADAPT_CASES, CHAIN_CASES, REP3, TRIPLE_CASES, bumped, flat_tower3
+from test_orbit_match import warped_surface
 from test_total_space import count_calls
 
 
@@ -109,7 +113,7 @@ class TestBatchParity:
         sigma = opozda_section_spec(gamma)
         points = sample_interior(fx.chart, 8)
         for kmax in (2, 3):
-            towers = build_towers(sigma, None, gamma, fx.g, points, kmax)
+            towers = point_towers(frame_levels(sigma, None, gamma, fx.g, points, kmax), fx.g, points)
             assert len(towers) == len(points)
             for x, tower in zip(points, towers):
                 assert_same_tower(tower, build_tower(sigma, None, gamma, fx.g, x, kmax))
@@ -120,7 +124,8 @@ class TestBatchParity:
         fx = instantiate(name, params)
         sigma = (curvature_field(fx.gamma), curvature_form_field(fx.a0))
         points = sample_interior(fx.chart, 5)
-        for x, tower in zip(points, build_towers(sigma, fx.a0, fx.gamma, fx.g, points, 2)):
+        towers = point_towers(frame_levels(sigma, fx.a0, fx.gamma, fx.g, points, 2), fx.g, points)
+        for x, tower in zip(points, towers):
             assert_same_tower(tower, build_tower(sigma, fx.a0, fx.gamma, fx.g, x, 2))
 
     def test_given_frames(self):
@@ -131,7 +136,9 @@ class TestBatchParity:
         points = sample_interior(fx.chart, 4, seed=6)
         frames = [rotated(ortho_frame(fx.g, x), expm(rep.vector.matrix([0.3 * i, -0.7, 0.5])))
                   for i, x in enumerate(points)]
-        towers = build_towers(sigma, None, fx.gamma, fx.g, points, 2, frames)
+        stacks = np.stack([f.coframe for f in frames]), np.stack([f.frame for f in frames])
+        towers = point_towers(frame_levels(sigma, None, fx.gamma, fx.g, points, 2, stacks), fx.g,
+                              points, frames)
         for x, fr, tower in zip(points, frames, towers):
             assert tower.frame is fr
             assert_same_tower(tower, build_tower(sigma, None, fx.gamma, fx.g, x, 2, frame=fr))
@@ -144,8 +151,9 @@ class TestBatchParity:
         rep = frame_structure_rep(3)
         points = sample_interior(fx.chart, 2 * CHUNK + 3)
         batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
-        assert [len(batch) for batch in batches] == [CHUNK, CHUNK, 3]
-        pairs = [pair for batch in batches for pair in batch]
+        assert [len(todo) for todo, _, _ in batches] == [CHUNK, CHUNK, 3]
+        pairs = [pair for todo, levels, chains in batches
+                 for pair in zip(point_towers(levels, fx.g, points[todo]), chains)]
         assert len(pairs) == len(points)
         for x, (tower, chain) in zip(points, pairs):
             single, single_chain = tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep)
@@ -172,21 +180,25 @@ class TestBatchParity:
 
         def recorded(sigma, b0, gamma0, g, points, kmax, frames=None):
             depths.append((kmax, len(points)))
-            return build_towers(sigma, b0, gamma0, g, points, kmax, frames)
+            return frame_levels(sigma, b0, gamma0, g, points, kmax, frames)
 
-        def chains(towers, rep):
-            chained.append((len(towers[0].entries) - 1, len(towers)))
-            return stabilizer_chains(towers, rep)
+        def chains(levels, rep):
+            chained.append((len(levels) - 1, len(levels[0][0][1])))
+            return stabilizer_chains(levels, rep)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homogeneity, "build_towers", recorded)
+            mp.setattr(homogeneity, "frame_levels", recorded)
             mp.setattr(homogeneity, "stabilizer_chains", chains)
-            batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
+            builds = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
         assert depths == [(2, 4), (3, 2)]
         # each built batch gets its chains from one batched call
         assert chained == depths
-        assert len(batches) == 1
-        pairs = batches[0]
+        # one batch of points, built twice: a point's pair is its last build's
+        assert [todo for todo, _, _ in builds] == [[0, 1, 2, 3], [1, 3]]
+        last = {}
+        for todo, levels, built in builds:
+            last.update(zip(todo, zip(point_towers(levels, fx.g, points[todo]), built)))
+        pairs = [last[i] for i in range(len(points))]
         assert [chain.dims for _, chain in pairs] == [(3, 1, 1), (3, 1, 0, 0)] * 2
         assert [chain.singer_k for _, chain in pairs] == [1, 2, 1, 2]
         for x, (tower, chain) in zip(points, pairs):
@@ -213,10 +225,10 @@ class TestBatchedChains:
         gamma = fx.gamma if conn == "metric" else fx.gamma_canonical
         rep = frame_structure_rep(fx.chart.dim)
         points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=11)
-        towers = build_towers(opozda_section_spec(gamma), None, gamma, fx.g, points, 2)
-        chains = stabilizer_chains(towers, rep)
+        levels = frame_levels(opozda_section_spec(gamma), None, gamma, fx.g, points, 2)
+        chains = stabilizer_chains(levels, rep)
         assert [chain.dims for chain in chains] == [dims] * len(points)
-        for tower, chain in zip(towers, chains):
+        for tower, chain in zip(point_towers(levels, fx.g, points), chains):
             assert_close_chain(chain, stabilizer_chain(tower, rep))
 
     @pytest.mark.parametrize("block", [1, 40, 700])
@@ -232,24 +244,22 @@ class TestBatchedChains:
             fx = instantiate("hopf_monopole", {})
             sigma = (curvature_field(fx.gamma), curvature_form_field(fx.a0))
             b0, rep = fx.a0, frame_structure_rep(2, fx.algebra)
-        towers = build_towers(sigma, b0, fx.gamma, fx.g, sample_interior(fx.chart, 5, seed=2), 2)
-        whole = stabilizer_chains(towers, rep)
+        levels = frame_levels(sigma, b0, fx.gamma, fx.g, sample_interior(fx.chart, 5, seed=2), 2)
+        whole = stabilizer_chains(levels, rep)
         monkeypatch.setattr(jet, "PRODUCT_BLOCK", block)
-        for chain, ref in zip(stabilizer_chains(towers, rep), whole, strict=True):
+        for chain, ref in zip(stabilizer_chains(levels, rep), whole, strict=True):
             assert_close_chain(chain, ref)
 
     def test_nan_at_one_point_raises(self):
         fx = instantiate("berger_sphere", {})
-        towers = build_towers(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g,
+        levels = frame_levels(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g,
                               sample_interior(fx.chart, 4, seed=3), 2)
-        spoiled = towers[2].entries[1][0]
-        data = spoiled.data.copy()
-        data.flat[7] = np.nan
-        entries = list(towers[2].entries)
-        entries[1] = (dataclasses.replace(spoiled, data=data),) + entries[1][1:]
-        towers[2] = dataclasses.replace(towers[2], entries=tuple(entries))
+        markers, data = levels[1][0]
+        data = data.copy()
+        data[2].flat[7] = np.nan
+        levels[1][0] = markers, data
         with pytest.raises(BadParameters):
-            stabilizer_chains(towers, frame_structure_rep(3))
+            stabilizer_chains(levels, frame_structure_rep(3))
 
     def test_ambiguous_flag_on_its_own_point(self):
         """A kernel dimension within a decade of the cutoff at the second
@@ -262,7 +272,7 @@ class TestBatchedChains:
         murky[0, 1] = murky[1, 0] = 5e-9
         murky = DenseTensor((DOWN, DOWN), murky)
         towers = [flat_tower3([(t,), (t,)]) for t in (clean, murky, clean)]
-        chains = stabilizer_chains(towers, frame_structure_rep(3))
+        chains = stabilizer_chains(stacked_levels(towers), frame_structure_rep(3))
         assert [chain.flags for chain in chains] == [(), ("ambiguous",), ()]
 
 
@@ -326,10 +336,10 @@ class TestChecksOnABatch:
 
 
 class TestAdaptOnABatch:
-    """adapted_residuals on each batch of (tower, chain) pairs that
+    """adapted_residuals on each batch of towers and chains that
     towers_and_chains builds equals the largest of its one-point batches
-    bit for bit: each point's least-squares solve, projector, shift and
-    norms are the same numpy calls as at a single point."""
+    bit for bit: the system is solved on the stack of the batch's points,
+    and each stacked product and SVD takes the points one by one."""
 
     @pytest.mark.parametrize("metric", ["homogeneous", "bumped"])
     @pytest.mark.parametrize("name,params", ADAPT_CASES,
@@ -345,13 +355,111 @@ class TestAdaptOnABatch:
         points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=7)
         depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
         batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
-        assert [len(batch) for batch in batches] == [CHUNK, CHUNK, 3]
-        for batch in batches:
-            got = adapted_residuals(batch, rep, inner)
-            singles = [adapted_residuals([pair], rep, inner) for pair in batch]
+        assert [len(todo) for todo, _, _ in batches] == [CHUNK, CHUNK, 3]
+        for _, levels, chains in batches:
+            got = adapted_residuals(levels, chains, rep, inner)
+            singles = [adapted_residuals([[(m, data[p:p + 1]) for m, data in lv] for lv in levels],
+                                         [chain], rep, inner) for p, chain in enumerate(chains)]
             assert got == {key: max(s[key] for s in singles) for key in got}
             if metric == "bumped":
                 assert min(s["nabla_beta"] for s in singles) > 1e-3
+
+    def test_one_svd_per_batch(self, monkeypatch, capsys):
+        """adapt --points 8 on berger_sphere takes one SVD per batch in its
+        adapted systems: the first point's, then the other seven's."""
+        svd = np.linalg.svd
+        adapted = cli.adapted_residuals
+        stacks, inside = [], []
+
+        def counted(a, *args, **kwargs):
+            if inside:
+                stacks.append(len(a) if np.ndim(a) == 3 else None)
+            return svd(a, *args, **kwargs)
+
+        def traced(*args):
+            inside.append(1)
+            try:
+                return adapted(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(cli, "adapted_residuals", traced)
+        code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere", "--points", "8"])
+        capsys.readouterr()
+        assert code == 0
+        assert stacks == [1, 7]
+
+
+def adapt_batch(fx, count):
+    """fx's Levi-Civita towers at count sample points, built in one batch
+    at the depth singer_k + 2 of the first point's chain: their levels,
+    chains, and (tower, chain) pairs."""
+    rep = frame_structure_rep(fx.chart.dim)
+    sigma = opozda_section_spec(fx.gamma)
+    points = sample_interior(fx.chart, count, seed=7)
+    depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
+    (_, levels, chains), = towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth)
+    return levels, chains, list(zip(point_towers(levels, fx.g, points), chains))
+
+
+STACKED_CASES = [*[lambda name=name, params=params: instantiate(name, params)
+                   for name, params in ADAPT_CASES], warped_surface]
+
+
+class TestStackedAdaptSystem:
+    """The adapted system solved on the stack of a batch's points agrees
+    with oracles.adapted_shifts_loop, one solve per point, at each point
+    to 1e-12 of the largest entry norm of its tower: beta_k, nabla beta_k,
+    nabla_tower, and nabla_beta against gauge_residual."""
+
+    @staticmethod
+    def assert_matches_loop(levels, chains, pairs, rep):
+        inner = default_inner(rep.algebra)
+        adjoint = with_adjoint_rep(rep)
+        beta_k, nabla_beta_k, nabla_tower = _adapted_shifts(levels, chains, rep, inner)
+        want = list(adapted_shifts_loop(pairs, rep, inner))
+        shifts = []
+        for p, ((tower, chain), (beta_o, nabla_beta_o, tower_o)) in enumerate(
+                zip(pairs, want, strict=True)):
+            scale = max(t.norm() for entry in tower.entries for t in entry)
+            assert np.abs(beta_k[p] - beta_o).max() <= 1e-12 * scale
+            assert np.abs(nabla_beta_k[p] - nabla_beta_o).max() <= 1e-12 * scale
+            assert abs(nabla_tower[p] - tower_o) <= 1e-12 * scale
+            shifts.append(gauge_residual(beta_o, adjoint, DenseTensor((DOWN, LIE), beta_o),
+                                         nabla_beta_o))
+            one = adapted_residuals([[(m, data[p:p + 1]) for m, data in lv] for lv in levels],
+                                    [chain], rep, inner)
+            assert abs(one["nabla_beta"] - shifts[-1]) <= 1e-12 * scale
+        got = adapted_residuals(levels, chains, rep, inner)
+        assert got["nabla_tower"] == nabla_tower.max()
+        assert abs(got["nabla_beta"] - max(shifts)) <= 1e-12 * max(
+            t.norm() for tower, _ in pairs for entry in tower.entries for t in entry)
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    @pytest.mark.parametrize("make", STACKED_CASES,
+                             ids=["berger", "berger-lam=0.5", "round_sphere3", "warped-surface"])
+    def test_stack_matches_the_loop(self, make, count):
+        fx = make()
+        levels, chains, pairs = adapt_batch(fx, count)
+        assert len(chains) == count
+        self.assert_matches_loop(levels, chains, pairs, frame_structure_rep(fx.chart.dim))
+
+    def test_chains_of_two_stabilizer_dimensions(self):
+        """berger_sphere's towers (a stabilizer of dimension 1) interleaved
+        with the bumped metric's (dimension 0), both with k_S = 0: each
+        dimension is its own stacked system, and each point's values come
+        back in its place."""
+        fx = instantiate("berger_sphere", {})
+        parts = [adapt_batch(f, 3) for f in (fx, bumped(fx))]
+        assert [{ch.bases[ch.singer_k].shape[1] for ch in chains}
+                for _, chains, _ in parts] == [{1}, {0}]
+        order = [0, 3, 1, 4, 2, 5]
+        levels = [[(m, np.concatenate([a, b])[order]) for (m, a), (_, b) in zip(la, lb)]
+                  for la, lb in zip(parts[0][0], parts[1][0])]
+        chains = [(parts[0][1] + parts[1][1])[i] for i in order]
+        pairs = [(parts[0][2] + parts[1][2])[i] for i in order]
+        self.assert_matches_loop(levels, chains, pairs, REP3)
 
 
 def counted_metric(calls):
@@ -463,15 +571,16 @@ class TestEvaluationCounts:
         live = []
 
         def recorded(*args):
-            built = build_towers(*args)
-            towers.extend(weakref.ref(t) for t in built)
-            return built
+            levels = frame_levels(*args)
+            # one reference per batch, to its level-0 data, with its point count
+            towers.append((weakref.ref(levels[0][0][1]), len(args[4])))
+            return levels
 
-        def checked(pairs, *args):
-            live.append(sum(t() is not None for t in towers))
-            return adapted_residuals(pairs, *args)
+        def checked(levels, chains, *args):
+            live.append(sum(count for ref, count in towers if ref() is not None))
+            return adapted_residuals(levels, chains, *args)
 
-        monkeypatch.setattr(homogeneity, "build_towers", recorded)
+        monkeypatch.setattr(homogeneity, "frame_levels", recorded)
         monkeypatch.setattr(cli, "adapted_residuals", checked)
         code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
                          "--points", str(3 * CHUNK + 1)])

@@ -16,6 +16,7 @@ from ambrose.chart_calculus import (
     ConnectionCoeffs,
     curvature_field,
     frame_connection_field,
+    frame_levels,
     levi_civita,
     nan_max,
     ortho_frame,
@@ -33,7 +34,6 @@ from ambrose.homogeneity import (
     _nesting,
     adapted_residuals,
     build_tower,
-    build_towers,
     check_lh_triple,
     check_ls_triple,
     group_action,
@@ -66,6 +66,7 @@ from oracles import (
     frame_gauge_form,
     gauge_derivative,
     nested_fd_adapt_residuals,
+    point_towers,
     rotated,
     tower_shift,
 )
@@ -91,6 +92,15 @@ def assert_angle(got, want):
 def lc_tower(fx, x, kmax=2, frame=None):
     sigma = opozda_section_spec(fx.gamma)
     return build_tower(sigma, None, fx.gamma, fx.g, x, kmax, frame=frame)
+
+
+def point_chains(builds):
+    """Each point's chain from the builds of towers_and_chains, that of its
+    last build, in point order."""
+    chains = {}
+    for todo, _, built in builds:
+        chains.update(zip(todo, built))
+    return [chains[i] for i in sorted(chains)]
 
 
 def flat_tower3(levels):
@@ -199,8 +209,8 @@ class TestTorsionFreeTower:
         points = sample_interior(fx.chart, 8, 42)
         pair = (torsion_field(fx.gamma), curvature_field(fx.gamma))
         assert [f.markers for f in opozda_section_spec(fx.gamma)] == [(UP, DOWN, DOWN, DOWN)]
-        curvature, both = ([ch for batch in towers_and_chains(sigma, None, fx.gamma, fx.g, points,
-                                                              rep) for _, ch in batch]
+        curvature, both = (point_chains(towers_and_chains(sigma, None, fx.gamma, fx.g, points,
+                                                          rep))
                            for sigma in (opozda_section_spec(fx.gamma), pair))
         for a, b in zip(curvature, both, strict=True):
             assert (a.dims, a.singer_k, a.flags) == (b.dims, b.singer_k, b.flags)
@@ -230,8 +240,8 @@ class TestStabilizerChains:
         batches = []
         make_chains = homogeneity.stabilizer_chains
 
-        def recorded(towers, rep):
-            batches.append(make_chains(towers, rep))
+        def recorded(levels, rep):
+            batches.append(make_chains(levels, rep))
             return batches[-1]
 
         monkeypatch.setattr(homogeneity, "stabilizer_chains", recorded)
@@ -334,11 +344,11 @@ class TestStabilizerChains:
         for every point of the batch together, and stack no action matrix."""
         fx = instantiate("berger_sphere", {"lam": 2.0})
         points = sample_interior(fx.chart, 4, seed=5)
-        towers = build_towers(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g, points, 3)
+        levels = frame_levels(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g, points, 3)
         rows = count_calls(monkeypatch, lie_core.action_rows)
         stacked = count_calls(monkeypatch, lie_core.stacked_action_matrix)
-        chains = stabilizer_chains(towers, REP3)
-        assert len(rows) == sum(len(level) for level in towers[0].entries)
+        chains = stabilizer_chains(levels, REP3)
+        assert len(rows) == sum(len(level) for level in levels)
         assert stacked == []
         assert [len(chain.bases) for chain in chains] == [4] * len(points)
 
@@ -586,7 +596,7 @@ class TestAdaptedConnection:
         three-sphere."""
         for x in BERGER_X:
             fx, tower, chain = adapt_inputs(2.0, x)
-            res = adapted_residuals([(tower, chain)], REP3, self.INNER)
+            res = adapted_residuals(tower.levels(), [chain], REP3, self.INNER)
             assert res["nabla_beta"] < 1e-8
             assert res["nabla_tower"] < 1e-6
 
@@ -600,8 +610,10 @@ class TestAdaptedConnection:
         fx = instantiate(name, params)
         sigma = opozda_section_spec(fx.gamma)
         points = sample_interior(fx.chart, 8, seed=11)
-        pairs = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, REP3, kmax=2))
-        got = [shifts[:2] for shifts in _adapted_shifts(pairs, REP3, self.INNER)]
+        _, levels, chains = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, REP3,
+                                                   kmax=2))
+        got = list(zip(*_adapted_shifts(levels, chains, REP3, self.INNER)[:2]))
+        pairs = list(zip(point_towers(levels, fx.g, points), chains))
         want = list(difference_shifts(pairs, fx.gamma,
                                       difference_field(fx.gamma_canonical, fx.gamma), fx.g,
                                       REP3, self.INNER))
@@ -629,7 +641,8 @@ class TestAdaptedConnection:
         form); the FD of the canonical connection's shift projected with
         the projector held fixed does not."""
         fx, tower, chain = adapt_inputs(lam, x)
-        beta_k, nabla_beta_k, _ = next(_adapted_shifts([(tower, chain)], REP3, self.INNER))
+        beta_k, nabla_beta_k, _ = (a[0] for a in _adapted_shifts(tower.levels(), [chain], REP3,
+                                                                 self.INNER))
         adjoint = with_adjoint_rep(REP3)
         assert np.abs(beta_k - tower_shift(fx, 2)(x)).max() == 0.0
         fd = covariant_fd(fx, x, tower_shift(fx, 2), adjoint, (DOWN, LIE))
@@ -654,8 +667,8 @@ class TestAdaptedConnection:
         assert (chain.singer_k, tower.kmax) == (1, 3)
         rep = frame_structure_rep(2)
         inner = default_inner(rep.algebra)
-        _, nabla_beta_k, _ = next(_adapted_shifts([(tower, chain)], rep, inner))
-        assert adapted_residuals([(tower, chain)], rep, inner)["nabla_tower"] > 1.0
+        nabla_beta_k = _adapted_shifts(tower.levels(), [chain], rep, inner)[1][0]
+        assert adapted_residuals(tower.levels(), [chain], rep, inner)["nabla_tower"] > 1.0
         fd = covariant_fd(fx, x, tower_shift(fx, 3), with_adjoint_rep(rep), (DOWN, LIE))
         assert np.abs(fd).max() > 0.1
         assert np.abs(nabla_beta_k - fd).max() < 1e-7
@@ -669,7 +682,7 @@ class TestAdaptedConnection:
         x = sample_interior(fx.chart, 1, seed=11)[0]
         rep = frame_structure_rep(fx.chart.dim)
         tower, chain = adapt_pair(fx, x)
-        res = adapted_residuals([(tower, chain)], rep, default_inner(rep.algebra))
+        res = adapted_residuals(tower.levels(), [chain], rep, default_inner(rep.algebra))
         got = res["nabla_beta"], res["nabla_tower"]
         assert min(got) > 0.5
         ref = nested_fd_adapt_residuals(fx, x, chain.singer_k)
@@ -701,13 +714,15 @@ class TestAdaptedConnection:
         points = sample_interior(fx.chart, 8, seed=11)
         sigma = opozda_section_spec(fx.gamma)
         depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
-        pairs = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
-        got = [res for _, _, res in _adapted_shifts(pairs, rep, inner)]
+        _, levels, chains = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep,
+                                                   kmax=depth))
+        got = _adapted_shifts(levels, chains, rep, inner)[2].tolist()
+        pairs = list(zip(point_towers(levels, fx.g, points), chains))
         want = oracles.entrywise_tower_residuals(pairs, rep, inner)
         for (tower, chain), res, ref in zip(pairs, got, want, strict=True):
             scale = max(t.norm() for t in tower.up_to(chain.singer_k + 1))
             assert abs(res - ref) <= 1e-12 * scale
-        assert adapted_residuals(pairs, rep, inner)["nabla_tower"] == max(got)
+        assert adapted_residuals(levels, chains, rep, inner)["nabla_tower"] == max(got)
         if fx.name == warped_surface().name:
             assert min(want) > 1.0
 
@@ -717,17 +732,13 @@ class TestAdaptedConnection:
         adapted = homogeneity.adapted_residuals
         seen = []
 
-        def spoiled(pairs, rep, inner):
-            batch = []
-            for tower, chain in pairs:
-                top = chain.singer_k + 2
-                entry = tower.entries[top][0]
-                data = entry.data.copy()
-                data.flat[5] = np.nan
-                entries = list(tower.entries)
-                entries[top] = (dataclasses.replace(entry, data=data),) + entries[top][1:]
-                batch.append((dataclasses.replace(tower, entries=tuple(entries)), chain))
-            seen.append(adapted(batch, rep, inner))
+        def spoiled(levels, chains, rep, inner):
+            top = chains[0].singer_k + 2
+            markers, data = levels[top][0]
+            data = data.copy()
+            data.reshape(len(data), -1)[:, 5] = np.nan
+            levels = levels[:top] + [[(markers, data)] + levels[top][1:]] + levels[top + 1:]
+            seen.append(adapted(levels, chains, rep, inner))
             return seen[-1]
 
         monkeypatch.setattr(cli, "adapted_residuals", spoiled)
@@ -741,13 +752,13 @@ class TestAdaptedConnection:
     def test_shallow_tower_rejected(self):
         fx, tower, chain = adapt_inputs(2.0, BERGER_X[0], depth=1)
         with pytest.raises(DepthMismatch):
-            adapted_residuals([(tower, chain)], REP3, self.INNER)
+            adapted_residuals(tower.levels(), [chain], REP3, self.INNER)
 
     def test_unstabilized_chain_raises(self):
         fx, tower, chain = adapt_inputs(2.0, BERGER_X[0])
         bad_chain = dataclasses.replace(chain, singer_k=None, flags=("truncated",))
         with pytest.raises(NumericalFailure):
-            adapted_residuals([(tower, bad_chain)], REP3, self.INNER)
+            adapted_residuals(tower.levels(), [bad_chain], REP3, self.INNER)
 
     def test_open_stabilizer_raises(self):
         """A stabilizer that is not closed under the bracket has no
@@ -759,7 +770,7 @@ class TestAdaptedConnection:
             closure[chain.singer_k] = bad
             open_chain = dataclasses.replace(chain, subalgebra=tuple(closure))
             with pytest.raises(NotReductive):
-                next(_adapted_shifts([(tower, open_chain)], REP3, self.INNER))
+                _adapted_shifts(tower.levels(), [open_chain], REP3, self.INNER)
 
 
 class TestAdaptSingerDepth:
@@ -771,20 +782,21 @@ class TestAdaptSingerDepth:
 
     @pytest.mark.parametrize("points", [1, 3])
     def test_one_tower_per_point(self, points, monkeypatch, capsys):
-        grown = count_calls(monkeypatch, homogeneity.tower_and_chain)
+        grown = count_calls(monkeypatch, homogeneity.towers_and_chains)
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
         curv = count_calls(monkeypatch, chart_calculus.curvature)
         depths = []
 
         def recorded(sigma, b0, gamma0, g, points, kmax, frames=None):
             depths.extend([kmax] * len(points))
-            return build_towers(sigma, b0, gamma0, g, points, kmax, frames)
+            return frame_levels(sigma, b0, gamma0, g, points, kmax, frames)
 
-        monkeypatch.setattr(homogeneity, "build_towers", recorded)
+        monkeypatch.setattr(homogeneity, "frame_levels", recorded)
         code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert len(grown) == 1
+        # the first point's builds, then the other points'
+        assert len(grown) == 2
         # the first point's tower, grown from KMAX_START, then the others'
         assert depths == [KMAX_START] + [data["singer_k"] + 2] * (points - 1)
         # the towers and beta's derivative all come from jets; the
@@ -798,18 +810,23 @@ class TestAdaptSingerDepth:
         point's (earlier, or not within depth k_S + 2) ends the run with
         exit 3 and a failing report."""
         if where == "first-point":
-            def later(*args, **kwargs):
-                tower, chain = tower_and_chain(*args, **kwargs)
-                return tower, dataclasses.replace(chain, singer_k=chain.singer_k + 1)
+            calls = []
 
-            monkeypatch.setattr(cli, "tower_and_chain", later)
+            def later(*args, **kwargs):
+                """The first point's chain stabilizing one stage later."""
+                calls.append(1)
+                for todo, levels, chains in towers_and_chains(*args, **kwargs):
+                    yield todo, levels, chains if len(calls) > 1 else [
+                        dataclasses.replace(chain, singer_k=chain.singer_k + 1) for chain in chains]
+
+            monkeypatch.setattr(cli, "towers_and_chains", later)
         else:
             chains = []
 
-            def truncated(towers, rep):
+            def truncated(levels, rep):
                 """Every chain truncated but the first sample point's."""
                 out = []
-                for chain in stabilizer_chains(towers, rep):
+                for chain in stabilizer_chains(levels, rep):
                     chains.append(chain)
                     out.append(chain if len(chains) == 1 else dataclasses.replace(
                         chain, singer_k=None, flags=("truncated",)))
@@ -827,9 +844,9 @@ class TestAdaptSingerDepth:
         """A stabilizer whose closure residual at the Singer stage is 1.0
         ends the run with exit 3 and a failing report."""
 
-        def opened(towers, rep):
+        def opened(levels, rep):
             return [dataclasses.replace(chain, subalgebra=(1.0,) * len(chain.subalgebra))
-                    for chain in stabilizer_chains(towers, rep)]
+                    for chain in stabilizer_chains(levels, rep)]
 
         monkeypatch.setattr(homogeneity, "stabilizer_chains", opened)
         code = cli.main([*self.ARGV, "--points", "2"])
@@ -854,9 +871,9 @@ class TestAdaptSingerDepth:
         later = points - 2
         chains = []
 
-        def changed(towers, rep):
+        def changed(levels, rep):
             out = []
-            for chain in stabilizer_chains(towers, rep):
+            for chain in stabilizer_chains(levels, rep):
                 chains.append(chain)
                 out.append(dataclasses.replace(chain, **change)
                            if len(chains) == later + 1 else chain)
@@ -1033,9 +1050,9 @@ class TestParallelismCriteria:
         pts = sample_interior(fx.chart, 8)
         report = check_lh_triple(fx.g, a0, fx.gamma, fx.a0, pts)
         fields = lh_fields(fx.gamma, fx.a0, a0)
-        towers = build_towers(tuple(fields.values()), fx.a0, fx.gamma, fx.g, pts, 1)
-        assert report.residuals == {name: max(tw.entries[1][i].norm() for tw in towers)
-                                    for i, name in enumerate(fields)}
+        levels = frame_levels(tuple(fields.values()), fx.a0, fx.gamma, fx.g, pts, 1)
+        assert report.residuals == {name: max(DenseTensor(m, d).norm() for d in data)
+                                    for (m, data), name in zip(levels[1], fields)}
         assert (report.residuals["nabla_alpha"] > 1e-2) == (perturb == "bump")
 
     def test_flat_bundle_symmetric(self):

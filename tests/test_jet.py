@@ -14,7 +14,7 @@ import sympy as sp
 
 from ambrose import jet
 from ambrose.fixtures import instantiate
-from oracles import cholesky, degrees, inv_neumann, series_horner
+from oracles import cholesky, degrees, inv_neumann, product_table_sorted, series_horner
 
 X0 = np.array([0.7, -0.4])
 
@@ -246,6 +246,18 @@ def test_degrees_are_graded():
     deg = degrees(3, 4)
     assert len(deg) == 35 and list(deg) == sorted(deg)
     assert list(deg[:4]) == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_product_table_equals_the_sorted_pairs(n):
+    """The table from each sum's sub-multi-indices is the one from sorting
+    every pair of multi-indices, orders 0 to 6."""
+    for order in range(7):
+        got, want = jet._product_table(n, order), product_table_sorted(n, order)
+        for a, b in zip(got[:3], want[:3], strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        assert got[3] == want[3]
 
 
 def test_tables_are_built_on_first_use():
