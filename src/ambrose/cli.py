@@ -35,7 +35,6 @@ from .errors import (
     AmbroseError,
     BadParameters,
     ConfigError,
-    NumericalFailure,
     UnknownFixture,
 )
 from .fixtures import (
@@ -387,26 +386,41 @@ def _connection_choice(fix: Fixture, params: dict):
     raise ConfigError(f"connection must be metric or canonical, got {choice!r}")
 
 
+def _tower_report(cfg: RunConfig, fix: Fixture, gamma0, rep, check) -> VerificationReport:
+    """The report of singer or adapt from one pass over the sample points:
+    the towers and chains of gamma0's section, each point built once by
+    towers_and_chains (grown to singer_k + 2, or at --kmax), with the
+    residuals the largest of check's on each build. The flags are every
+    chain's, plus dims-vary if the dims differ and singer-varies if the
+    Singer stages do; the report gives the first point's Singer stage and
+    its dims through it (all of them if its chain is truncated)."""
+    points = sample_interior(fix.chart, cfg.points, cfg.seed)
+    # each point's dims and Singer stage, not its chain: a run holds one
+    # batch of kernel bases at a time
+    stages, flags, rows = [None] * len(points), set(), []
+    for todo, levels, built in towers_and_chains(opozda_section_spec(gamma0), None, gamma0,
+                                                 fix.g, points, rep, kmax=cfg.kmax):
+        for i, chain in zip(todo, built):
+            stages[i] = chain.dims, chain.singer_k
+            flags.update(chain.flags)
+        rows.append(check(levels, built))
+    flags = sorted(flags)
+    if len({dims for dims, _ in stages}) > 1:
+        flags.append("dims-vary")
+    if len({singer_k for _, singer_k in stages}) > 1:
+        flags.append("singer-varies")
+    dims, singer_k = stages[0]
+    return make_report(cfg.scenario, fix.name, points, max_over_batches(rows), flags,
+                       singer_k=singer_k,
+                       stabilizer_dims=dims if singer_k is None else dims[:singer_k + 1])
+
+
 def run_singer(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
-    gamma0 = _connection_choice(fix, cfg.params)
-    sigma = opozda_section_spec(gamma0)
-    rep = _frame_rep(fix, "singer")
-    points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    chains = [None] * len(points)
-    for todo, _, built in towers_and_chains(sigma, None, gamma0, fix.g, points, rep, kmax=cfg.kmax):
-        for i, chain in zip(todo, built):
-            chains[i] = chain
-    flags = sorted({f for ch in chains for f in ch.flags})
-    if len({ch.dims for ch in chains}) > 1:
-        flags.append("dims-vary")
-    if len({ch.singer_k for ch in chains}) > 1:
-        flags.append("singer-varies")
-    residuals = {"nesting_angle": nan_max(a for ch in chains for a in ch.nesting),
-                 "subalgebra": nan_max(s for ch in chains for s in ch.subalgebra)}
-    singer_k, dims = chains[0].singer_k, chains[0].dims
-    return make_report("singer", fix.name, points, residuals, flags, singer_k=singer_k,
-                       stabilizer_dims=dims if singer_k is None else dims[:singer_k + 1])
+    return _tower_report(cfg, fix, _connection_choice(fix, cfg.params), _frame_rep(fix, "singer"),
+                         lambda levels, chains: {
+                             "nesting_angle": nan_max(a for ch in chains for a in ch.nesting),
+                             "subalgebra": nan_max(s for ch in chains for s in ch.subalgebra)})
 
 
 def run_check_lh(cfg: RunConfig) -> VerificationReport:
@@ -430,14 +444,12 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
     its tower and check that it parallelizes its shift and the tower up to
     depth k_S + 1.
 
-    The Singer stage k_S is read from the chain at the first sample point,
-    grown from KMAX_START (or built at --kmax); that tower is a batch of its
-    own if it reaches the k_S + 2 that ``adapted_residuals`` reads. The other
-    towers, of depth k_S + 2, are checked batch by batch as
-    ``towers_and_chains`` builds them. Under infinitesimal homogeneity k_S
-    is the same at every point: a chain that stabilizes elsewhere raises
-    NumericalFailure. The flags are every chain's, and dims-vary if its dims
-    through level k_S + 1 differ. A fixture with a bundle form is refused:
+    The towers, chains, flags and report keys are singer's, from its one
+    pass (_tower_report): each point's tower is grown to depth k_S + 2, the
+    depth ``adapted_residuals`` reads, or built at --kmax, and each build
+    is checked as it comes. A chain that did not stabilize, or a tower
+    below k_S + 2, fails the run closed; chains that stabilize at other
+    stages raise singer-varies. A fixture with a bundle form is refused:
     its triple tower is not built here."""
     fix = _fixture(cfg)
     if fix.a0 is not None:
@@ -445,33 +457,8 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
                           f"fixture {fix.name!r} carries a bundle form")
     rep = _frame_rep(fix, "adapt")
     inner = default_inner(rep.algebra)
-    sigma = opozda_section_spec(fix.gamma)
-    points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    *_, probe = towers_and_chains(sigma, None, fix.gamma, fix.g, points[:1], rep, kmax=cfg.kmax)
-    singer_k, dims, flags = probe[2][0].singer_k, probe[2][0].dims, set(probe[2][0].flags)
-    if singer_k is None:
-        raise ConfigError("stabilizer chain did not stabilize within the cap")
-    depth = singer_k + 2
-
-    def check(at, levels, chains):
-        for x, chain in zip(at, chains):
-            if chain.singer_k != singer_k:
-                raise NumericalFailure(
-                    f"stabilizer chain at {x} stabilizes at stage {chain.singer_k}, "
-                    f"not at the first sample point's {singer_k}"
-                )
-            flags.update(chain.flags)
-            if chain.dims[:depth] != dims[:depth]:
-                flags.add("dims-vary")
-        return adapted_residuals(levels, chains, rep, inner)
-
-    rows = [check(points[:1], *probe[1:])] if len(probe[1]) > depth else []
-    rest = points[len(rows):]
-    residuals = max_over_batches(rows + [check(rest[todo], *build) for todo, *build in
-                                         towers_and_chains(sigma, None, fix.gamma, fix.g, rest,
-                                                           rep, kmax=depth)])
-    return make_report("adapt", fix.name, points, residuals, sorted(flags),
-                       stabilizer_dims=tuple(dims[:singer_k + 1]), singer_k=singer_k)
+    return _tower_report(cfg, fix, fix.gamma, rep, lambda levels, chains:
+                         adapted_residuals(levels, chains, rep, inner))
 
 
 def run_total_space(cfg: RunConfig) -> VerificationReport:

@@ -344,9 +344,9 @@ def tower_and_chain(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm 
                     gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                     rep: TensorRep, kmax: int | None = None,
                     ) -> tuple[DerivativeTower, StabilizerChain]:
-    """towers_and_chains at the single point x: its last build."""
+    """towers_and_chains at the single point x: its one build."""
     x = np.asarray(x, float)
-    *_, (_, levels, chains) = towers_and_chains(sigma, b0, gamma0, g, x[None], rep, kmax)
+    (_, levels, chains), = towers_and_chains(sigma, b0, gamma0, g, x[None], rep, kmax)
     return DerivativeTower(x, ortho_frame(g, x), len(levels) - 1, tuple(
         [tuple([DenseTensor(m, data[0]) for m, data in lv]) for lv in levels])), chains[0]
 
@@ -355,15 +355,18 @@ def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionFor
                       gamma0: ConnectionCoeffs, g: MetricField, points: np.ndarray,
                       rep: TensorRep, kmax: int | None = None,
                       ) -> Iterator[tuple[list[int], Levels, list[StabilizerChain]]]:
-    """The towers and chains of the points in batches, each build yielded
-    as (its points' indices, their frame_levels, their chains), deep enough
-    to observe stabilization within the cap: only the points of a build
-    whose chain is truncated are built again, one level deeper, so a
-    point's chain is its last build's. At a given kmax every point is built
-    once, at that depth. A batch has as many points as keep the largest
-    level's jet at the deepest depth, its per-point elements times its jet
-    coefficients, within jet.PRODUCT_BLOCK elements: at most CHUNK, one at
-    the least."""
+    """The towers and chains of the points in batches, each point yielded
+    once, in a build of (its points' indices, their frame_levels, their
+    chains). A batch is built from KMAX_START and its points are built
+    again, one level deeper, until each is final: its chain has stabilized
+    and its tower reaches two levels above the Singer stage, singer_k + 2,
+    the depth the adapted connection reads, or it is at KMAX_CAP. At a
+    given kmax every point is built once, at that depth. A build whose
+    points are all final is yielded as frame_levels gives it; of a mixed
+    one, the final points' slice. A batch has as many points as keep the
+    largest level's jet at the deepest depth, its per-point elements times
+    its jet coefficients, within jet.PRODUCT_BLOCK elements: at most CHUNK,
+    one at the least."""
     points = np.atleast_2d(np.asarray(points, float))
     n, deepest = points.shape[1], KMAX_CAP if kmax is None else kmax
     lie = 1 if b0 is None else b0.algebra.dim
@@ -376,10 +379,15 @@ def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionFor
         while todo:
             levels = frame_levels(sigma, b0, gamma0, g, points[todo], depth)
             chains = stabilizer_chains(levels, rep)
-            yield todo, levels, chains
-            if kmax is not None or depth >= KMAX_CAP:
+            final = [p for p, chain in enumerate(chains) if depth == deepest
+                     or chain.singer_k is not None and chain.singer_k + 2 <= depth]
+            if len(final) == len(todo):
+                yield todo, levels, chains
                 break
-            todo = [i for i, chain in zip(todo, chains) if chain.singer_k is None]
+            if final:
+                yield ([todo[p] for p in final], [[(m, data[final]) for m, data in lv]
+                                                  for lv in levels], [chains[p] for p in final])
+            todo = [i for p, i in enumerate(todo) if p not in final]
             depth += 1
 
 

@@ -163,9 +163,13 @@ class TestBatchParity:
     def test_only_truncated_points_grow(self):
         """f = |x|^2 + (x_0 - a)^3 on euclidean 3-space: where x_0 = a its
         jet is that of |x|^2 to order 2, whose chain (3, 1, 1) stabilizes at
-        depth 2; elsewhere the Hessian breaks the rotations about the
-        gradient, the chain (3, 1, 0) is truncated, and only those points
-        are built again at depth 3, where it reads (3, 1, 0, 0)."""
+        k = 1 at depth 2, one level short of k + 2; elsewhere the Hessian
+        breaks the rotations about the gradient and the chain (3, 1, 0) is
+        truncated. All four are built again at depth 3: where x_0 = a the
+        third derivative 6 e_0^3 leaves no stabilizer, (3, 1, 1, 0), final
+        and flagged ambiguous; elsewhere (3, 1, 0, 0) stabilizes at k = 2,
+        and only those points are built at depth 4, (3, 1, 0, 0, 0). Each
+        point is yielded once, with its last build."""
         fx = instantiate("euclidean", {"n": 3})
         a = 0.25
 
@@ -190,17 +194,21 @@ class TestBatchParity:
             mp.setattr(homogeneity, "frame_levels", recorded)
             mp.setattr(homogeneity, "stabilizer_chains", chains)
             builds = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
-        assert depths == [(2, 4), (3, 2)]
+        assert depths == [(2, 4), (3, 4), (4, 2)]
         # each built batch gets its chains from one batched call
         assert chained == depths
-        # one batch of points, built twice: a point's pair is its last build's
-        assert [todo for todo, _, _ in builds] == [[0, 1, 2, 3], [1, 3]]
+        # one batch of points, built three times: each point yielded once, at
+        # its final depth, the depth-3 build sliced to its final points
+        assert [todo for todo, _, _ in builds] == [[0, 2], [1, 3]]
+        assert [len(levels) - 1 for _, levels, _ in builds] == [3, 4]
+        assert [len(levels[0][0][1]) for _, levels, _ in builds] == [2, 2]
         last = {}
         for todo, levels, built in builds:
             last.update(zip(todo, zip(point_towers(levels, fx.g, points[todo]), built)))
         pairs = [last[i] for i in range(len(points))]
-        assert [chain.dims for _, chain in pairs] == [(3, 1, 1), (3, 1, 0, 0)] * 2
+        assert [chain.dims for _, chain in pairs] == [(3, 1, 1, 0), (3, 1, 0, 0, 0)] * 2
         assert [chain.singer_k for _, chain in pairs] == [1, 2, 1, 2]
+        assert [chain.flags for _, chain in pairs] == [("ambiguous",), ()] * 2
         for x, (tower, chain) in zip(points, pairs):
             single, single_chain = tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep)
             assert_same_tower(tower, single)
@@ -366,7 +374,7 @@ class TestAdaptOnABatch:
 
     def test_one_svd_per_batch(self, monkeypatch, capsys):
         """adapt --points 8 on berger_sphere takes one SVD per batch in its
-        adapted systems: the first point's, then the other seven's."""
+        adapted systems: the eight points are one batch."""
         svd = np.linalg.svd
         adapted = cli.adapted_residuals
         stacks, inside = [], []
@@ -388,7 +396,7 @@ class TestAdaptOnABatch:
         code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere", "--points", "8"])
         capsys.readouterr()
         assert code == 0
-        assert stacks == [1, 7]
+        assert stacks == [8]
 
 
 def adapt_batch(fx, count):
@@ -505,10 +513,10 @@ class TestEvaluationCounts:
         assert [shape[0] for shape in factored] == [min(CHUNK, points - start)
                                                     for start in range(0, points, CHUNK)]
 
-    @pytest.mark.parametrize("points,batches", [(1, 1), (8, 2), (2 * CHUNK + 3, 4)])
+    @pytest.mark.parametrize("points,batches", [(1, 1), (CHUNK, 1), (2 * CHUNK + 3, 3)])
     def test_adapt_connection_once_per_batch(self, points, batches, monkeypatch, capsys):
-        """adapt's first point is a batch of its own, the others come in
-        batches of CHUNK. It never evaluates the canonical connection, and
+        """adapt builds its points in batches of CHUNK, the first point's
+        among them, each once. It never evaluates the canonical connection, and
         evaluates the Levi-Civita one once per batch, at its points; the
         metric and the Christoffel symbols no more often. Through the
         difference tensor, each batch evaluated the canonical connection
@@ -565,8 +573,8 @@ class TestEvaluationCounts:
         assert sum(shape[0] for shape in stacks) == points
 
     def test_adapt_holds_one_batch_of_towers(self, monkeypatch, capsys):
-        """Whatever the number of points, adapt holds the first point's
-        tower and one batch of the others' at a time."""
+        """Whatever the number of points, adapt holds one batch of towers
+        at a time."""
         towers = []
         live = []
 
@@ -586,7 +594,33 @@ class TestEvaluationCounts:
                          "--points", str(3 * CHUNK + 1)])
         capsys.readouterr()
         assert code == 0
-        assert live == [1, CHUNK + 1, CHUNK + 1, CHUNK + 1]
+        assert live == [CHUNK, CHUNK, CHUNK, 1]
+
+    @pytest.mark.parametrize("scenario", ["singer", "adapt"])
+    def test_chains_are_not_held(self, scenario, monkeypatch, capsys):
+        """singer and adapt keep each point's dims and Singer stage, not its
+        chain and kernel bases: when the report is made, only the last
+        build's chains, of one point here, are alive."""
+        chains, live = [], []
+
+        def recorded(levels, rep):
+            built = stabilizer_chains(levels, rep)
+            chains.extend(weakref.ref(chain) for chain in built)
+            return built
+
+        def reported(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in chains))
+            return make_report(*args, **kwargs)
+
+        make_report = cli.make_report
+        monkeypatch.setattr(homogeneity, "stabilizer_chains", recorded)
+        monkeypatch.setattr(cli, "make_report", reported)
+        code = cli.main(["--scenario", scenario, "--fixture", "berger_sphere",
+                         "--points", str(3 * CHUNK + 1)])
+        capsys.readouterr()
+        assert code == 0
+        assert len(chains) == 3 * CHUNK + 1
+        assert live == [1]
 
     @pytest.mark.parametrize("argv,forms", [
         ("--scenario total-space --fixture hopf_monopole --param alpha=parallel", 2),

@@ -95,8 +95,8 @@ def lc_tower(fx, x, kmax=2, frame=None):
 
 
 def point_chains(builds):
-    """Each point's chain from the builds of towers_and_chains, that of its
-    last build, in point order."""
+    """Each point's chain from the builds of towers_and_chains, which yield
+    each point once, in point order."""
     chains = {}
     for todo, _, built in builds:
         chains.update(zip(todo, built))
@@ -774,9 +774,10 @@ class TestAdaptedConnection:
 
 
 class TestAdaptSingerDepth:
-    """adapt reads the Singer stage k_S off one grown tower at the first
-    sample point and builds one tower of depth k_S + 2 at each other point,
-    batch by batch, and no other tower; none at an FD stencil point."""
+    """adapt builds each sample point's tower once, in singer's pass: grown
+    from KMAX_START until its chain has stabilized and the tower reaches
+    depth k_S + 2, batch by batch, and no other tower; none at an FD
+    stencil point."""
 
     ARGV = ["--scenario", "adapt", "--fixture", "berger_sphere"]
 
@@ -795,10 +796,12 @@ class TestAdaptSingerDepth:
         code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
-        # the first point's builds, then the other points'
-        assert len(grown) == 2
-        # the first point's tower, grown from KMAX_START, then the others'
-        assert depths == [KMAX_START] + [data["singer_k"] + 2] * (points - 1)
+        # one pass over the points
+        assert len(grown) == 1
+        # berger_sphere stabilizes at k_S = 0: every tower is final at
+        # KMAX_START = k_S + 2, built once
+        assert data["singer_k"] + 2 == KMAX_START
+        assert depths == [KMAX_START] * points
         # the towers and beta's derivative all come from jets; the
         # curvature enters through the tower's section, never on its own
         assert fd == []
@@ -806,39 +809,114 @@ class TestAdaptSingerDepth:
 
     @pytest.mark.parametrize("where", ["first-point", "other-points"])
     def test_other_singer_stage_fails_closed(self, where, monkeypatch, capsys):
-        """A chain that stabilizes at another stage than the first sample
-        point's (earlier, or not within depth k_S + 2) ends the run with
-        exit 3 and a failing report."""
-        if where == "first-point":
-            calls = []
+        """A first point whose chain stabilizes one stage later than the
+        others' is grown to its own k_S + 2, and the report fails with
+        singer-varies, as singer's would; chains that do not stabilize
+        within the cap end the run with exit 3 and a failing report."""
+        seen = []
 
-            def later(*args, **kwargs):
-                """The first point's chain stabilizing one stage later."""
-                calls.append(1)
-                for todo, levels, chains in towers_and_chains(*args, **kwargs):
-                    yield todo, levels, chains if len(calls) > 1 else [
-                        dataclasses.replace(chain, singer_k=chain.singer_k + 1) for chain in chains]
-
-            monkeypatch.setattr(cli, "towers_and_chains", later)
-        else:
-            chains = []
-
-            def truncated(levels, rep):
-                """Every chain truncated but the first sample point's."""
-                out = []
-                for chain in stabilizer_chains(levels, rep):
-                    chains.append(chain)
-                    out.append(chain if len(chains) == 1 else dataclasses.replace(
+        def changed(levels, rep):
+            """first-point: the first chain of each build (the first sample
+            point's, in both builds) one stage later; other-points: every
+            chain truncated but the first sample point's."""
+            out = []
+            for p, chain in enumerate(stabilizer_chains(levels, rep)):
+                seen.append((len(levels) - 1, chain))
+                if where == "first-point":
+                    out.append(dataclasses.replace(chain, singer_k=chain.singer_k + 1)
+                               if p == 0 else chain)
+                else:
+                    out.append(chain if len(seen) == 1 else dataclasses.replace(
                         chain, singer_k=None, flags=("truncated",)))
-                return out
+            return out
 
-            monkeypatch.setattr(homogeneity, "stabilizer_chains", truncated)
+        monkeypatch.setattr(homogeneity, "stabilizer_chains", changed)
         code = cli.main([*self.ARGV, "--points", "2"])
         data = json.loads(capsys.readouterr().out)
+        assert data["pass"] is False
+        if where == "first-point":
+            # the first point, at k_S = 1, is built again at depth 3
+            assert [depth for depth, _ in seen] == [2, 2, 3]
+            assert code == 1
+            assert "singer-varies" in data["flags"]
+            assert (data["singer_k"], data["stabilizer_dims"]) == (1, [1, 1])
+            assert np.isfinite(list(data["residuals"].values())).all()
+        else:
+            # the second point grows to the cap, still truncated
+            assert [depth for depth, _ in seen] == [2, 2, 3, 4]
+            assert code == 3
+            assert data["flags"][0] == "numerical-failure"
+            assert "did not stabilize" in data["flags"][1]
+
+    @pytest.mark.parametrize("points", [1, CHUNK, 2 * CHUNK + 3])
+    def test_singer_and_adapt_build_alike(self, points, monkeypatch, capsys):
+        """singer connection=metric and adapt on berger_sphere make the same
+        frame_levels calls, (depth, batch size): one pass, the first point
+        in the first batch, every tower at KMAX_START."""
+        calls = {}
+
+        def recorded(sigma, b0, gamma0, g, points, kmax, frames=None):
+            calls[scenario].append((kmax, len(points)))
+            return frame_levels(sigma, b0, gamma0, g, points, kmax, frames)
+
+        monkeypatch.setattr(homogeneity, "frame_levels", recorded)
+        for scenario, params in (("singer", ["--param", "connection=metric"]), ("adapt", [])):
+            calls[scenario] = []
+            assert cli.main(["--scenario", scenario, "--fixture", "berger_sphere", *params,
+                             "--points", str(points)]) == 0
+        capsys.readouterr()
+        assert calls["singer"] == calls["adapt"] == [
+            (KMAX_START, min(CHUNK, points - start)) for start in range(0, points, CHUNK)]
+
+    def test_warped_surface_built_once_at_depth_three(self, monkeypatch, capsys):
+        """The warped surface's chains stabilize at k_S = 1 at depth 2, so
+        every point is built again at depth 3, k_S + 2, and yielded once,
+        there; singer's report reads as it did at depth 2."""
+        fx = warped_surface()
+        points = sample_interior(fx.chart, 8)
+        builds = list(towers_and_chains(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g,
+                                        points, REP2))
+        assert sorted(i for todo, _, _ in builds for i in todo) == list(range(len(points)))
+        assert [len(levels) - 1 for _, levels, _ in builds] == [3] * len(builds)
+        assert {chain.singer_k for _, _, chains in builds for chain in chains} == {1}
+        monkeypatch.setattr(cli, "instantiate", lambda name, params: fx)
+        code = cli.main(["--scenario", "singer", "--fixture", "round_sphere2"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (data["stabilizer_dims"], data["singer_k"], data["flags"]) == ([1, 0], 1, [])
+
+    def test_kmax_is_every_towers_depth(self, capsys):
+        """--kmax K is the depth of every tower, as in singer: below k_S + 2
+        = 2 on berger_sphere the run fails closed with exit 3, and at 2, 3
+        and 4 the report is byte for byte the default run's."""
+        assert cli.main([*self.ARGV, "--kmax", "1"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert data["pass"] is False
+        assert data["flags"] == ["numerical-failure", "error: tower has entries up to 1, need 2"]
+        assert cli.main(self.ARGV) == 0
+        default = capsys.readouterr().out
+        for kmax in (2, 3, 4):
+            assert cli.main([*self.ARGV, "--kmax", str(kmax)]) == 0
+            assert capsys.readouterr().out == default
+
+    def test_truncated_at_the_cap_fails_closed(self, monkeypatch, capsys):
+        """A first point whose chain does not stabilize is grown to
+        KMAX_CAP, and the run ends with exit 3 and a failing report."""
+        depths = []
+
+        def truncated(levels, rep):
+            depths.append(len(levels) - 1)
+            return [dataclasses.replace(chain, singer_k=None, flags=("truncated",))
+                    for chain in stabilizer_chains(levels, rep)]
+
+        monkeypatch.setattr(homogeneity, "stabilizer_chains", truncated)
+        code = cli.main([*self.ARGV, "--points", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert depths == list(range(KMAX_START, KMAX_CAP + 1))
         assert code == 3
         assert data["pass"] is False
         assert data["flags"][0] == "numerical-failure"
-        assert "stabilizes at stage" in data["flags"][1]
+        assert "did not stabilize" in data["flags"][1]
 
     def test_open_stabilizer_fails_closed(self, monkeypatch, capsys):
         """A stabilizer whose closure residual at the Singer stage is 1.0
@@ -861,13 +939,13 @@ class TestAdaptSingerDepth:
         ({"flags": ("ambiguous",)}, ["ambiguous"]),
         ({"dims": (2, 1, 1)}, ["dims-vary"]),
         ({"flags": ("ambiguous",), "dims": (2, 1, 1)}, ["ambiguous", "dims-vary"]),
-        ({"dims": (1, 1, 0)}, []),
+        ({"dims": (1, 1, 0)}, ["dims-vary"]),
     ], ids=["flagged", "other-dims", "both", "dims-above-k+1"])
     def test_flags_of_every_chain(self, change, flags, points, monkeypatch, capsys):
         """The flags are those of every chain, and dims-vary is raised when
-        a chain's dims through level k_S + 1 are not the first point's: a
-        later point's chain (the second point's, or one in the last batch)
-        fails the report as the first one's would."""
+        the chains' dims differ at any level, as singer raises it: a later
+        point's chain (the second point's, or one in the last batch) fails
+        the report as the first one's would."""
         later = points - 2
         chains = []
 
@@ -882,8 +960,7 @@ class TestAdaptSingerDepth:
         monkeypatch.setattr(homogeneity, "stabilizer_chains", changed)
         code = cli.main([*self.ARGV, "--points", str(points)])
         data = json.loads(capsys.readouterr().out)
-        # the first point's chain, then one per other point: berger_sphere's
-        # first tower is deep enough to be a batch of its own
+        # one chain per point: each point is built once
         assert len(chains) == points
         assert data["flags"] == flags
         assert data["pass"] is (not flags)

@@ -2,7 +2,9 @@
 chart_calculus.frame_levels, from the section to the verdict. The scan
 reads each module's syntax tree (ast), as test_imports does: it fails if a
 DerivativeTower is constructed anywhere but in the one-point API,
-build_tower and tower_and_chain, or if a module defines build_towers."""
+build_tower and tower_and_chain, or if a module defines build_towers. And
+the scenarios that read towers, singer and adapt, share one pass: cli
+calls towers_and_chains at one site."""
 
 import ast
 from pathlib import Path
@@ -53,3 +55,21 @@ def test_the_scan_finds_a_per_point_tower():
     assert violations(source) == ["defines build_towers", "build_towers constructs DerivativeTower",
                                   "wrap constructs DerivativeTower",
                                   "<module> constructs DerivativeTower"]
+
+
+def call_sites(source: str, name: str) -> int:
+    """The calls of the function name in source, by name or attribute."""
+    return sum(isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_one_tower_pass_in_cli():
+    assert call_sites((SRC / "cli.py").read_text(encoding="utf-8"), "towers_and_chains") == 1
+
+
+def test_the_scan_counts_every_call_site():
+    source = ("def run_singer():\n    for build in towers_and_chains(p):\n        pass\n\n"
+              "def run_adapt():\n    *_, probe = homogeneity.towers_and_chains(p[:1])\n"
+              "    return list(towers_and_chains(p[1:])), towers_and_chains\n")
+    assert call_sites(source, "towers_and_chains") == 3
