@@ -102,29 +102,36 @@ def scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
     bases: list[int] = []
     cand = 2
     while len(bases) < dim:
-        if all(cand % p for p in bases):
+        for p in bases:
+            if cand % p == 0:
+                break
+        else:
             bases.append(cand)
         cand += 1
+    ndigits = [math.ceil(54 / math.log2(base)) - 1 for base in bases]
+    # the weight b^-k of digit k of each axis, by k divisions, one row per axis
+    divisors = np.ones((dim, max(ndigits) + 1)) * np.array(bases, float)[:, None]
+    divisors[:, 0] = 1.0
+    weights = np.divide.accumulate(divisors, axis=1)[:, 1:]
+    index = np.arange(count)
     out = np.empty((dim, count))
-    for axis, base in enumerate(bases):
-        ndigits = math.ceil(54 / math.log2(base)) - 1
+    for axis, (base, ndigit) in enumerate(zip(bases, ndigits)):
         # one draw per row, from the same stream as a shuffle of each row
-        perms = rng.permuted(np.repeat(np.arange(base)[None], ndigits, axis=0), axis=1)
+        perms = rng.permuted(np.arange(base)[None].repeat(ndigit, axis=0), axis=1)
         # the digits past the first `live` are 0 at every index below count,
         # so those terms are perms[k, 0] b^-k at every index
         live = 0
-        while live < ndigits and base ** live < count:
+        while live < ndigit and base ** live < count:
             live += 1
         # digit k of index i is q_k - b q_{k+1}, with q_k = i // b^k
-        quotients = np.arange(count) // base ** np.arange(live + 1)[:, None]
-        digits = np.take_along_axis(perms[:live], quotients[:-1] - base * quotients[1:], axis=1)
-        # weight b^-k by k divisions, and the terms summed in digit order
-        divisors = np.full(ndigits + 1, float(base))
-        divisors[0] = 1.0
-        weights = np.divide.accumulate(divisors)[1:]
-        terms = np.empty((ndigits, count))
-        np.multiply(digits, weights[:live, None], out=terms[:live])
-        terms[live:] = (perms[live:, 0] * weights[live:])[:, None]
+        k = np.arange(live + 1)[:, None]
+        quotients = index // base ** k
+        w = weights[axis, :ndigit]
+        terms = np.empty((ndigit, count))
+        np.multiply(perms[k[:-1], quotients[:-1] - base * quotients[1:]], w[:live, None],
+                    out=terms[:live])
+        terms[live:] = (perms[live:, 0] * w[live:])[:, None]
+        # the terms summed in digit order
         out[axis] = np.add.accumulate(terms, axis=0)[-1]
     return out.T
 

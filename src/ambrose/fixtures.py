@@ -123,8 +123,9 @@ def _su2_chart() -> Chart:
 
 
 def _su2_coframe(X: Jet) -> Jet:
-    st, ct = jet.sincos(X[1])
-    sp, cp = jet.sincos(X[2])
+    # theta and psi share one table of powers
+    sines, cosines = jet.sincos(X[1:3])
+    st, sp, ct, cp = sines[0], sines[1], cosines[0], cosines[1]
     return 0.5 * jet.array([
         [-st * cp, sp, 0.0],
         [st * sp, cp, 0.0],

@@ -62,6 +62,7 @@ from .lie_core import (
     ANGLE_TOL,
     AdInvariantInner,
     TensorRep,
+    _held,
     action_rows,
     kernel_spectra,
     skew_exp,
@@ -229,51 +230,55 @@ def stabilizer_chains(levels: Levels, rep: TensorRep) -> list[StabilizerChain]:
     the entries of levels 0..k, which is not held. Each entry's action rows
     are built for as many points as keep them within jet.PRODUCT_BLOCK
     elements (sliced over leading tensor axes where one point's exceed it)
-    and folded into a per-point R factor, at most m x m, the R of
-    QR([R_{k-1}; rows_k]). One stacked SVD of the R factors of every level
-    and point of one shape gives their kernels (LAPACK takes the matrices
-    one by one, so stacking changes no bit), the cutoff floored at each
+    and folded into the points' stacked R factors, at most m x m each, the
+    R of QR([R_{k-1}; rows_k]). One stacked SVD of the R factors of every
+    level and point of one shape gives their kernels (LAPACK takes the
+    matrices one by one, so stacking changes no bit), the cutoff floored at each
     point's running sum of squared entry norms, so that levels which vanish
     in exact arithmetic do not present their rounding as full-rank columns.
     One subalgebra_residuals call gives every kernel's closure."""
     count, m = len(levels[0][0][1]), rep.algebra.dim
-    r = [np.zeros((0, m))] * count
+    r = np.zeros((count, 0, m))
     sq = np.zeros(count)
     factors, scales = [], []
     for level in levels:
         for markers, data in level:
             step = max(jet.PRODUCT_BLOCK // (m * math.prod(data.shape[1:])), 1)
+            blocks = []
             for start in range(0, count, step):
                 points = slice(start, start + step)
-                block = data[points]
+                block, factor = data[points], r[points]
                 flat = block.reshape(len(block), -1)
                 sq[points] += np.einsum("pi,pi->p", flat, flat)
                 for rows in _row_blocks(markers, block, rep):
                     # stacked column by column, the layout the QR reads
-                    cols = np.concatenate([np.stack(r[points]).transpose(0, 2, 1),
-                                           rows.transpose(0, 2, 1)], axis=2)
-                    r[points] = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
-        factors.extend(r)
-        scales.extend(np.sqrt(sq))
-    # the kernels of every level and point, level-major, one SVD per R shape;
-    # a (level, point) is murky where its kernel and range are not
-    # separated by a clear spectral gap at the cutoff
-    bases, murky = [None] * len(factors), np.zeros(len(factors), bool)
+                    cols = np.concatenate([factor.transpose(0, 2, 1), rows.transpose(0, 2, 1)],
+                                          axis=2)
+                    factor = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+                blocks.append(factor)
+            r = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        factors.append(r)
+        scales.append(np.sqrt(sq))
+    # the kernels of every level and point, level-major, one SVD per R shape
+    # (every point of a level has the same); a (level, point) is murky where
+    # its kernel and range are not separated by a clear spectral gap at the
+    # cutoff
+    kernels, murky = [None] * len(levels), np.zeros((len(levels), count), bool)
     groups = {}
-    for j, factor in enumerate(factors):
-        groups.setdefault(factor.shape, []).append(j)
+    for k, factor in enumerate(factors):
+        groups.setdefault(factor.shape, []).append(k)
     for group in groups.values():
-        found, sing, cutoff = kernel_spectra(np.stack([factors[j] for j in group]),
-                                             [scales[j] for j in group])
+        found, sing, cutoff = kernel_spectra(np.concatenate([factors[k] for k in group]),
+                                             np.concatenate([scales[k] for k in group]))
         kept = sing > cutoff[:, None]
         murky[group] = (np.where(kept, sing, np.inf).min(axis=1)
-                        < 10.0 * np.where(kept, -np.inf, sing).max(axis=1))
-        for j, basis in zip(group, found):
-            bases[j] = basis
-    closure = subalgebra_residuals(rep.algebra, bases).reshape(len(levels), count).T.tolist()
-    kernels = [bases[k * count:(k + 1) * count] for k in range(len(levels))]
+                        < 10.0 * np.where(kept, -np.inf, sing).max(axis=1)).reshape(-1, count)
+        for k, start in zip(group, range(0, len(found), count)):
+            kernels[k] = found[start:start + count]
+    closure = subalgebra_residuals(rep.algebra, [b for level in kernels for b in level])
+    closure = closure.reshape(len(levels), count).T.tolist()
     nesting = _nesting(kernels)
-    ambiguous = murky.reshape(len(levels), count).any(axis=0).tolist()
+    ambiguous = murky.any(axis=0).tolist()
     return [_chain([level[p] for level in kernels], nesting[p], tuple(closure[p]), ambiguous[p])
             for p in range(count)]
 
@@ -285,6 +290,9 @@ def _row_blocks(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
     rows, or else those of the fewest leading axes fixed that make one
     point's rows fit (all of them, one row, at the least)."""
     m = rep.algebra.dim
+    if m * math.prod(data.shape[1:]) <= jet.PRODUCT_BLOCK:
+        yield action_rows(markers, data, rep)
+        return
     dims = data.shape[1:]
     lead = next((j for j in range(len(dims))
                  if m * math.prod(dims[j:]) <= jet.PRODUCT_BLOCK), len(dims))
@@ -311,8 +319,9 @@ def _nesting(levels: list[list[np.ndarray]]) -> list[tuple[float, ...]]:
             continue
         # the level offsets of A and B within the pair
         lower, other = (1, 0) if dim_hi <= dim_lo else (0, 1)
-        a = np.stack([levels[k + lower][p] for k, p in keys])
-        b = np.stack([levels[k + other][p] for k, p in keys])
+        # np.array stacks the bases as np.stack does, with less overhead
+        a = np.array([levels[k + lower][p] for k, p in keys])
+        b = np.array([levels[k + other][p] for k, p in keys])
         sin = np.linalg.norm(a - b @ (b.transpose(0, 2, 1) @ a), 2, axis=(1, 2))
         for (k, p), angle in zip(keys, np.arcsin(np.minimum(sin, 1.0)).tolist()):
             nesting[p][k] = angle
@@ -552,8 +561,10 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     return MatchResult(False, best_theta, residual, "residual")
 
 
+@_held
 def with_adjoint_rep(rep: TensorRep) -> TensorRep:
-    """Same frame action, with lie axes carrying the full adjoint action."""
+    """Same frame action, with lie axes carrying the full adjoint action;
+    built once per rep."""
     return TensorRep(rep.algebra, rep.vector, rep.algebra.adjoint_rep())
 
 
@@ -586,7 +597,7 @@ def _adapted_shifts(levels: Levels, chains: list[StabilizerChain], rep: TensorRe
     m, n, per_level = rep.algebra.dim, rep.vector.matrices.shape[-1], len(levels[0])
     out = np.empty((len(chains), n, m)), np.empty((len(chains), n, n, m)), np.empty(len(chains))
     for (k, dim_h), idx in groups.items():
-        count, h = len(idx), np.stack([chains[p].bases[k] for p in idx])
+        count, h = len(idx), np.array([chains[p].bases[k] for p in idx])
         # the entries T of levels 0..k, Tnext one level up, T2 two
         tensors = [(mk, data[idx]) for lv in levels[:k + 1] for mk, data in lv]
         nexts = [data[idx] for lv in levels[1:k + 2] for _, data in lv]

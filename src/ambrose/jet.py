@@ -200,11 +200,12 @@ def shift(f: Jet) -> Jet:
 
 @lru_cache(maxsize=None)
 def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
-                 ) -> tuple[list[tuple[int, int, str, bool]], str]:
+                 ) -> tuple[list[tuple[int, int, str, bool]], str | None]:
     """The steps and the final contraction of an einsum whose operands have
-    these numbers of axes (None for a jet). A jet gets a point and a
-    coefficient letter, a per-point array (one axis more than its
-    subscripts) a point letter, a constant array none. First each array
+    these numbers of axes (None for a jet); the final contraction is None
+    where it would be the identity. A jet gets a point and a coefficient
+    letter, a per-point array (one axis more than its subscripts) a point
+    letter, a constant array none. First each array
     that shares an index with a jet and with nothing else is contracted into
     that jet (a plain einsum, which sums the index away before any Cauchy
     product); then the jets multiply two at a time (Cauchy products); each
@@ -246,8 +247,9 @@ def _einsum_plan(spec: str, ndims: tuple[int | None, ...]
         contract(*pair, cauchy=False)
     while kinds.count("jet") > 1:
         contract(*[i for i, k in enumerate(kinds) if k == "jet"][:2], cauchy=True)
-    terms = [s + tail[k] for s, k in zip(subs, kinds)]
-    return steps, ",".join(terms) + "->" + out + q + z
+    terms = ",".join([s + tail[k] for s, k in zip(subs, kinds)])
+    # None where one jet is left with its axes in place: it is the result
+    return steps, None if terms == out + q + z else terms + "->" + out + q + z
 
 
 @lru_cache(maxsize=None)
@@ -270,14 +272,14 @@ def _blocked_product(n: int, order: int, per_pair: int, product, axis: int = -1)
     order whatever the blocks."""
     i, j, starts, bounds = _product_table(n, order)
     limit = PRODUCT_BLOCK // max(per_pair, 1)  # pairs per block
+    if len(i) <= limit:  # one block
+        return product(i, j, starts)
     out, lo = None, 0
     while lo < len(starts):
         # the most whole coefficients from lo whose pairs fit, at least one
         hi = max(bisect.bisect_right(bounds, bounds[lo] + limit) - 1, lo + 1)
         pairs = slice(bounds[lo], bounds[hi])
         block = product(i[pairs], j[pairs], starts[lo:hi] - bounds[lo])
-        if hi - lo == len(starts):
-            return block
         if out is None:
             shape = list(block.shape)
             shape[axis] = len(starts)
@@ -328,6 +330,8 @@ def einsum(spec: str, *ops) -> Jet | np.ndarray:
         ops[a] = (_cauchy(sub, *ja._pair(ops[b])) if cauchy
                   else Jet(np.einsum(sub, ja.c, ops[b]), ja.n, ja.order))
         del ops[b]
+    if final is None:
+        return ops[0]
     jet = next(o for o in ops if isinstance(o, Jet))
     return Jet(np.einsum(final, *(o.c if isinstance(o, Jet) else o for o in ops)),
                jet.n, jet.order)

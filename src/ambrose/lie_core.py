@@ -19,7 +19,7 @@ from functools import cache, wraps
 import numpy as np
 
 from .errors import BadParameters, NotInvariant, RepMismatch
-from .tensor_core import DenseTensor, _leibniz, axis_action
+from .tensor_core import LIE, UP, DenseTensor, _leibniz, axis_action, axis_stacks
 
 NULL_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -121,6 +121,13 @@ class LinearRep:
     def matrix(self, theta: np.ndarray) -> np.ndarray:
         return np.einsum("i,iab->ab", np.asarray(theta, float), self.matrices)
 
+    @_held
+    def axis_stacks(self) -> dict[str, np.ndarray]:
+        """The generators' action on UP and DOWN axes, the (B n, n) stacks of
+        tensor_core.axis_stacks, built once per rep and read-only."""
+        return {kind: _read_only(stack)
+                for kind, stack in axis_stacks(self.matrices, None).items()}
+
 
 @dataclass(frozen=True)
 class AdInvariantInner:
@@ -177,6 +184,15 @@ class TensorRep:
         ):
             raise RepMismatch("axis representations must share the algebra")
 
+    @_held
+    def axis_stacks(self) -> dict[str, np.ndarray]:
+        """The stacks _leibniz reads: the vector rep's on UP and DOWN axes,
+        the lie rep's UP stack on LIE axes; built once per rep."""
+        stacks = dict(self.vector.axis_stacks())
+        if self.lie is not None:
+            stacks[LIE] = self.lie.axis_stacks()[UP]
+        return stacks
+
 
 def tensor_action(b: np.ndarray, eta: DenseTensor, rep: TensorRep) -> DenseTensor:
     """Leibniz action of algebra element b through its matrices in ``rep``:
@@ -195,12 +211,11 @@ def action_rows(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
     """The rows a tensor adds to the stacked action matrix, at each point of
     a batch: data has shape (P, dims...), and out[p, r, j] is component r, in
     C order, of the action of basis element j on point p's tensor (the
-    Leibniz rule of tensor_core._leibniz with the rep's generators, which
-    every point shares). With a prefix, only the rows whose leading indices
-    are the prefix."""
-    rows = _leibniz(markers, data, rep.vector.matrices,
-                    None if rep.lie is None else rep.lie.matrices, tuple(prefix))
-    return rows.reshape(len(data), rep.algebra.dim, -1).transpose(0, 2, 1)
+    Leibniz rule of tensor_core._leibniz with the rep's held generator
+    stacks, which every point shares). With a prefix, only the rows whose
+    leading indices are the prefix."""
+    rows = _leibniz(markers, data, rep.axis_stacks(), tuple(prefix))
+    return rows.reshape(rows.shape[0], rows.shape[1], -1).transpose(0, 2, 1)
 
 
 def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndarray:
@@ -386,21 +401,22 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 
 @cache
-def _so_rep(n: int) -> LinearRep:
-    """so(n) acting on R^n, derived and checked once per n."""
+def _so_frame_rep(n: int) -> TensorRep:
+    """so(n) acting on the frame axes of R^n, derived and checked once per n."""
     so_mats = so_generators(n)
     labels = tuple(f"so.{i + 1}" for i in range(so_mats.shape[0]))
-    return LinearRep(algebra_from_matrices(labels, so_mats), so_mats)
+    alg = algebra_from_matrices(labels, so_mats)
+    return TensorRep(alg, LinearRep(alg, so_mats), None)
 
 
 def frame_structure_rep(n: int, k_algebra: LieAlgebra | None = None) -> TensorRep:
     """TensorRep for g = so(n) (+ k): so(n) moves frame axes, k moves lie
-    axes. so(n) and its rep are shared by every call with this n; the sum
-    with k is built on each call."""
-    so_rep = _so_rep(n)
-    so_alg = so_rep.algebra
+    axes. so(n)'s rep, with the constants it holds, is shared by every call
+    with this n and no k; the sum with k is built on each call."""
     if k_algebra is None:
-        return TensorRep(so_alg, so_rep, None)
+        return _so_frame_rep(n)
+    so_rep = _so_frame_rep(n).vector
+    so_alg = so_rep.algebra
     g = direct_sum(so_alg, k_algebra)
     m_so = so_alg.dim
     m_k = k_algebra.dim

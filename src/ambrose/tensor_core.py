@@ -60,52 +60,67 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
 
-def _leibniz(markers: tuple[str, ...], data: np.ndarray, mat: np.ndarray | None,
-             lie: np.ndarray | None, prefix: tuple[int, ...] = ()) -> np.ndarray:
+def axis_stacks(mat: np.ndarray | None, lie: np.ndarray | None) -> dict[str, np.ndarray]:
+    """The action of matrices (..., B, n, n) on each axis kind, as _leibniz
+    reads it: by marker, a stack (..., B n, n) whose row b n + i is row i of
+    the b-th action, +mat[b] on UP axes, -mat[b]^T on DOWN axes and lie[b]
+    on LIE axes. A kind whose matrices are None has no stack."""
+    stacks = {}
+    if mat is not None:
+        shape = mat.shape[:-3] + (-1, mat.shape[-1])
+        stacks[UP] = mat.reshape(shape)
+        stacks[DOWN] = -np.swapaxes(mat, -1, -2).reshape(shape)
+    if lie is not None:
+        stacks[LIE] = lie.reshape(lie.shape[:-3] + (-1, lie.shape[-1]))
+    return stacks
+
+
+def _leibniz(markers: tuple[str, ...], data: np.ndarray, stacks: dict[str, np.ndarray],
+             prefix: tuple[int, ...] = ()) -> np.ndarray:
     """The Leibniz rule on a batch: out[p, b] is the sum over the axes of
-    data[p] of the action of the b-th matrices on that axis: +mat[b] on UP,
-    -mat[b]^T on DOWN and lie[b] on LIE axes. data has shape (N, dims...);
-    ``mat`` and ``lie`` are a stack every element shares, (B, n, n), one
-    per element, (N, B, n, n), or None, which leaves those axes alone (a
-    LIE axis then raises RepMismatch, as does a wrong axis dim). The result
-    is (N, B, dims...), or with a prefix only the components whose leading
-    indices are the prefix. Each acted axis is one matmul of the (B n, n)
-    stack by the (n, rest) reshape of each element's data, the axis then
-    put back in its place (an axis the prefix fixes takes the prefix's row
-    of each matrix); the terms are summed in axis order, one held at a time."""
+    data[p] of the b-th action on that axis, read from ``stacks`` (see
+    axis_stacks): a stack every element shares, (B n, n), or one per
+    element, (N, B n, n). An axis kind without a stack is left alone (a
+    LIE axis then raises RepMismatch, as does a wrong axis dim). data has
+    shape (N, dims...); the result is (N, B, dims...), or with a prefix
+    only the components whose leading indices are the prefix. Each acted
+    axis is one matmul of its stack by the (n, rest) reshape of each
+    element's data, the axis then put back in its place (an axis the prefix
+    fixes takes the prefix's rows of each action); the terms are summed in
+    axis order, one held at a time."""
     count, lead = len(data), len(prefix)
     sub = data[(slice(None),) + prefix]
     total = None
     for ax, marker in enumerate(markers):
-        gens = lie if marker == LIE else mat
-        if gens is None:
+        if marker not in stacks:
             if marker == LIE:
                 raise RepMismatch("tensor has lie axes but no lie-axis matrix")
             continue
-        n = gens.shape[-1]
+        stack = stacks[marker]
+        n = stack.shape[-1]
         if data.shape[ax + 1] != n:
             raise RepMismatch(f"axis {ax} has dim {data.shape[ax + 1]}, matrix dim {n}")
-        if marker == DOWN:
-            gens = np.swapaxes(gens, -1, -2)
         if ax < lead:
             free = data[(slice(None),) + prefix[:ax] + (slice(None),) + prefix[ax + 1:]]
-            term = np.matmul(gens[..., prefix[ax], :], free.reshape(count, n, -1))
+            term = np.matmul(stack[..., prefix[ax]::n, :], free.reshape(count, n, -1))
             term = term.reshape((count, -1) + sub.shape[1:])
+        elif ax == lead:  # the first free axis leads already
+            term = np.matmul(stack, sub.reshape(count, n, -1)).reshape(
+                (count, -1) + sub.shape[1:])
         else:
             a = ax - lead + 1
             moved = sub.transpose(0, a, *range(1, a), *range(a + 1, sub.ndim))
-            term = np.matmul(gens.reshape(gens.shape[:-3] + (-1, n)), moved.reshape(count, n, -1))
+            term = np.matmul(stack, moved.reshape(count, n, -1))
             # (N, B, n, rest...) to (N, B, axes...), the acted axis in its place
             term = term.reshape((count, -1, n) + moved.shape[2:]).transpose(
                 0, 1, *range(3, a + 2), 2, *range(a + 2, sub.ndim + 1))
         if total is None:
-            total = -term if marker == DOWN else term
-        elif marker == DOWN:
-            total -= term
+            total = term
         else:
             total += term
     if total is None:  # no axis is acted on: the zero action
-        return np.zeros((count, (mat if mat is not None else lie).shape[-3]) + sub.shape[1:])
+        stack = next(iter(stacks.values()))
+        return np.zeros((count, stack.shape[-2] // stack.shape[-1]) + sub.shape[1:])
     return total
 
 
@@ -116,10 +131,11 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
     tangent axes alone; LIE axes need ``lie``. Arrays are one point, a
     batch of one of _leibniz. Jets (beside constant arrays, lifted) give a
     jet at the lowest order among those that act, one Cauchy product for
-    all the axes: each (point, pair) of gathered data and matrices is an
-    element of _leibniz, and each coefficient sums its pairs in order, in
-    the blocks of jet._blocked_product. An order-0 product is one pair at
-    each point: no gather and no sum."""
+    all the axes: the coefficients of the matrices are made into stacks
+    once, and each (point, pair) of gathered data and stacks is an element
+    of _leibniz; each coefficient sums its pairs in order, in the blocks of
+    jet._blocked_product. An order-0 product is one pair at each point: no
+    gather and no sum."""
     count = (mat if mat is not None else lie).shape[0]
     mat = mat if any([m != LIE for m in markers]) else None  # the matrices that act
     lie = lie if LIE in markers else None
@@ -127,26 +143,32 @@ def axis_action(markers: tuple[str, ...], data, mat, lie):
         return np.zeros((count,) + tuple(data.shape))
     jets = [o for o in (data, mat, lie) if isinstance(o, jet.Jet)]
     if not jets:
-        return _leibniz(markers, np.asarray(data)[None], mat, lie)[0]
+        return _leibniz(markers, np.asarray(data)[None], axis_stacks(mat, lie))[0]
     ref = min(jets, key=lambda j: j.order)
     points, dims = ref.c.shape[-2], tuple(data.shape)
     # the operands' coefficients at that order, point and coefficient axes first
-    cd, cm, cl = [None if o is None else jet.points_first(jet.points_first(
-        (o if isinstance(o, jet.Jet) else ref.lift(o)).truncate(ref.order).c))
+    cd, cm, cl = [None if o is None else _points_and_coefficients_first(
+        (o if isinstance(o, jet.Jet) else ref.lift(o)).truncate(ref.order).c)
         for o in (data, mat, lie)]
+    stacks = axis_stacks(cm, cl)
     if ref.order == 0:
-        out = _leibniz(markers, *[None if c is None else c[:, 0] for c in (cd, cm, cl)])[:, None]
+        out = _leibniz(markers, cd[:, 0], {k: s[:, 0] for k, s in stacks.items()})[:, None]
     else:
         def product(i, j, starts):
-            gd, gm, gl = [None if c is None else c.take(k, axis=1).reshape((-1,) + c.shape[2:])
-                          for c, k in ((cd, i), (cm, j), (cl, j))]
-            out = _leibniz(markers, gd, gm, gl)
+            out = _leibniz(markers, cd.take(i, axis=1).reshape((-1,) + cd.shape[2:]),
+                           {k: s.take(j, axis=1).reshape((-1,) + s.shape[2:])
+                            for k, s in stacks.items()})
             return np.add.reduceat(out.reshape((points, len(i)) + out.shape[1:]), starts, axis=1)
 
         per_pair = points * max(2 * count * math.prod(dims),
                                 *[c[0, 0].size for c in (cm, cl) if c is not None])
         out = jet._blocked_product(ref.n, ref.order, per_pair, product, axis=1)
     return jet.Jet(out.transpose(*range(2, out.ndim), 0, 1), ref.n, ref.order)
+
+
+def _points_and_coefficients_first(c: np.ndarray) -> np.ndarray:
+    """The view of jet coefficients c, shape (value..., P, K), as (P, K, value...)."""
+    return c.transpose([c.ndim - 2, c.ndim - 1, *range(c.ndim - 2)])
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,8 @@ def test_series_match_horner(order):
 def test_sincos_shares_its_powers(monkeypatch):
     """sincos at order K takes K - 1 products of jets, the powers of its
     argument's nonconstant part, for both functions: a berger_sphere metric
-    evaluation at order 4 takes 8, 3 for each sincos of an Euler angle and
-    2 for the coframe's products of sines and cosines."""
+    evaluation at order 4 takes 5, 3 for one sincos of the two stacked
+    Euler angles and 2 for the coframe's products of sines and cosines."""
     calls = []
     mul = jet.Jet.__mul__
 
@@ -177,7 +177,20 @@ def test_sincos_shares_its_powers(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     instantiate("berger_sphere", {}).g.evaluator(jet.variables(np.array([1.0, 1.2, 0.4]), 4))
-    assert len(calls) == 8
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_sincos_of_a_stack_is_elementwise(order):
+    """sincos of a stacked argument is the sincos of each element, bit for
+    bit, at a batch of points."""
+    x = jet.variables(np.random.default_rng(order).uniform(-3.0, 3.0, size=(5, 3)), order)
+    u = jet.array([[x[0] * x[1], x[2]], [x[1] + 0.5, x[0] * x[2] * x[1]]])
+    sines, cosines = jet.sincos(u)
+    for i, j in np.ndindex(2, 2):
+        s, c = jet.sincos(u[i, j])
+        np.testing.assert_array_equal(sines[i, j].c, s.c)
+        np.testing.assert_array_equal(cosines[i, j].c, c.c)
 
 
 def test_cholesky_factor():

@@ -51,7 +51,7 @@ EXEMPT = {
 
 
 # the caches of the constants built once per process
-CACHES = (cli.build_parser, lie_core.algebra_by_name, lie_core._so_rep)
+CACHES = (cli.build_parser, lie_core.algebra_by_name, lie_core._so_frame_rep)
 
 
 def public_functions() -> dict[str, object]:

@@ -13,6 +13,7 @@ from ambrose.tensor_core import (
     OrthoFrame,
     _leibniz,
     axis_action,
+    axis_stacks,
     cholesky_frames,
     to_frame,
     to_frames,
@@ -134,7 +135,7 @@ class TestAxisAction:
         kernel on a batch of arrays, with shared or per-point matrices."""
         markers, data, mat, lie = random_action(seed, matrices)
         if matrices in ("shared", "per-point"):
-            got = _leibniz(markers, data, mat, lie)
+            got = _leibniz(markers, data, axis_stacks(mat, lie))
             want = per_point_oracle(markers, data, mat, lie) if markers else np.zeros((len(data), 2))
             assert got.shape == want.shape
             assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
@@ -173,10 +174,10 @@ class TestAxisAction:
         point."""
         markers, data, mat, lie = random_action(seed, matrices)
         if matrices == "per-point":
-            clean = _leibniz(markers, data, mat, lie)
+            clean = _leibniz(markers, data, axis_stacks(mat, lie))
             spoiled = data.copy()
             spoiled[(1,) + (0,) * len(markers)] = np.nan
-            got = np.moveaxis(_leibniz(markers, spoiled, mat, lie), 0, -1)[..., None]
+            got = np.moveaxis(_leibniz(markers, spoiled, axis_stacks(mat, lie)), 0, -1)[..., None]
             clean = np.moveaxis(clean, 0, -1)[..., None]
         else:
             clean = axis_action(markers, data, mat, lie).c
