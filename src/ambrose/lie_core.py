@@ -106,16 +106,14 @@ class LinearRep:
         m = self.algebra.dim
         if mats.ndim != 3 or mats.shape[0] != m or mats.shape[1] != mats.shape[2]:
             raise RepMismatch("need one square matrix per basis element")
-        c = self.algebra.structure
         scale = max(1.0, np.abs(mats).max()) ** 2
-        for i in range(m):
-            for j in range(m):
-                lhs = mats[i] @ mats[j] - mats[j] @ mats[i]
-                rhs = np.einsum("k,kab->ab", c[:, i, j], mats)
-                if np.abs(lhs - rhs).max() > 1e-9 * scale:
-                    raise RepMismatch(
-                        f"matrices fail the homomorphism law at basis pair ({i},{j})"
-                    )
+        # [X_i, X_j] - c[k, i, j] X_k for every basis pair at once
+        prods = np.matmul(mats[:, None], mats[None])
+        law = prods - prods.swapaxes(0, 1) - np.einsum("kij,kab->ijab", self.algebra.structure, mats)
+        failed = np.abs(law).max(axis=(2, 3), initial=0.0) > 1e-9 * scale
+        if failed.any():
+            i, j = np.argwhere(failed)[0]
+            raise RepMismatch(f"matrices fail the homomorphism law at basis pair ({i},{j})")
         object.__setattr__(self, "matrices", mats)
 
     def matrix(self, theta: np.ndarray) -> np.ndarray:
@@ -343,13 +341,17 @@ def so_generators(n: int) -> np.ndarray:
 
 
 def algebra_from_matrices(labels: tuple[str, ...], mats: np.ndarray) -> LieAlgebra:
-    """Structure constants from a matrix realization (basis must be independent)."""
+    """Structure constants from a matrix realization (basis must be
+    independent): the brackets [b_i, b_j] expanded in the basis by one
+    solve of the Frobenius Gram system, A A^T c = A [b_i, b_j] with A the
+    flattened basis, every bracket a right-hand side. On so(n)'s generators,
+    whose Gram matrix is 2 I, the constants come out exactly +-1 and 0."""
     mats = np.asarray(mats, float)
     m = mats.shape[0]
     prods = np.matmul(mats[:, None], mats[None])
-    # every bracket [b_i, b_j] a right-hand side of one least-squares solve
     brackets = (prods - prods.swapaxes(0, 1)).reshape(m * m, -1).T
-    cols = np.linalg.lstsq(mats.reshape(m, -1).T, brackets, rcond=None)[0].reshape(m, m, m)
+    flat = mats.reshape(m, -1)
+    cols = np.linalg.solve(flat @ flat.T, flat @ brackets).reshape(m, m, m)
     c = 0.5 * (cols - cols.swapaxes(1, 2))
     c[np.abs(c) < 1e-12] = 0.0
     return LieAlgebra(labels, c)

@@ -364,14 +364,15 @@ def scrambled_halton_loop(dim: int, count: int, seed: int) -> np.ndarray:
 
 def structure_constants_loop(mats: np.ndarray) -> np.ndarray:
     """lie_core.algebra_from_matrices's structure constants with one
-    least-squares solve per bracket."""
+    Frobenius Gram solve per bracket."""
     m = mats.shape[0]
-    flat = mats.reshape(m, -1).T
+    flat = mats.reshape(m, -1)
+    gram = flat @ flat.T
     cols = np.zeros((m, m, m))
     for i in range(m):
         for j in range(m):
             w = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1)
-            cols[:, i, j] = np.linalg.lstsq(flat, w, rcond=None)[0]
+            cols[:, i, j] = np.linalg.solve(gram, flat @ w)
     c = 0.5 * (cols - cols.swapaxes(1, 2))
     c[np.abs(c) < 1e-12] = 0.0
     return c

@@ -103,9 +103,9 @@ class TestLieAlgebra:
     @pytest.mark.parametrize("name", ["so(2)", "so(3)", "u(1)", "su(2)", "su(2)+u(1)",
                                       "so(3)+u(1)", "so(2)+so(3)+u(1)"])
     def test_structure_constants_from_one_solve(self, name):
-        """One least-squares solve over all brackets gives the structure
-        constants of a faithful block-diagonal realization of each catalog
-        algebra bit for bit as one solve per bracket did."""
+        """One Gram solve over all brackets gives the structure constants of
+        a faithful block-diagonal realization of each catalog algebra bit
+        for bit as one solve per bracket does."""
         blocks = [so_generators(2) if p in ("so(2)", "u(1)") else
                   so_generators(3) if p == "so(3)" else
                   algebra_by_name(p).adjoint_rep().matrices for p in name.split("+")]
@@ -124,9 +124,14 @@ class TestLieAlgebra:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_so_n_structure_constants_from_one_solve(self, n):
+        """so(n)'s constants are exactly -1, 0 and 1: its generators have
+        the Gram matrix 2 I, so the Gram solve leaves no rounding."""
         mats = so_generators(n)
         alg = algebra_from_matrices(tuple(map(str, range(len(mats)))), mats)
         assert np.array_equal(alg.structure, structure_constants_loop(mats))
+        assert set(np.unique(alg.structure).tolist()) <= {-1.0, 0.0, 1.0}
+        assert set(np.unique(frame_structure_rep(n).algebra.structure).tolist()) <= {
+            -1.0, 0.0, 1.0}
 
 
 class TestRepsAndInner:
