@@ -361,8 +361,7 @@ class TestAdaptOnABatch:
         inner = default_inner(rep.algebra)
         sigma = opozda_section_spec(fx.gamma)
         points = sample_interior(fx.chart, 2 * CHUNK + 3, seed=7)
-        depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
-        batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth))
+        batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
         assert [len(todo) for todo, _, _ in batches] == [CHUNK, CHUNK, 3]
         for _, levels, chains in batches:
             got = adapted_residuals(levels, chains, rep, inner)
@@ -400,14 +399,14 @@ class TestAdaptOnABatch:
 
 
 def adapt_batch(fx, count):
-    """fx's Levi-Civita towers at count sample points, built in one batch
-    at the depth singer_k + 2 of the first point's chain: their levels,
-    chains, and (tower, chain) pairs."""
+    """fx's Levi-Civita towers at count sample points, grown in one batch
+    to the depth singer_k + 2 of their chains: their levels, chains, and
+    (tower, chain) pairs."""
     rep = frame_structure_rep(fx.chart.dim)
     sigma = opozda_section_spec(fx.gamma)
     points = sample_interior(fx.chart, count, seed=7)
-    depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
-    (_, levels, chains), = towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep, kmax=depth)
+    (_, levels, chains), = towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep)
+    assert all(len(levels) == chain.singer_k + 3 for chain in chains)
     return levels, chains, list(zip(point_towers(levels, fx.g, points), chains))
 
 

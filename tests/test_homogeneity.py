@@ -571,11 +571,9 @@ def bumped(fx):
 
 def adapt_pair(fx, x):
     """The Levi-Civita tower at x and its chain, at the depth adapt builds:
-    singer_k + 2 for the chain grown at x."""
+    grown to singer_k + 2 by towers_and_chains' default growth."""
     rep = frame_structure_rep(fx.chart.dim)
-    sigma = opozda_section_spec(fx.gamma)
-    depth = tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep)[1].singer_k + 2
-    return tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep, kmax=depth)
+    return tower_and_chain(opozda_section_spec(fx.gamma), None, fx.gamma, fx.g, x, rep)
 
 
 BERGER_X = sample_interior(instantiate("berger_sphere", {}).chart, 2, seed=11)
@@ -713,9 +711,9 @@ class TestAdaptedConnection:
         inner = default_inner(rep.algebra)
         points = sample_interior(fx.chart, 8, seed=11)
         sigma = opozda_section_spec(fx.gamma)
-        depth = tower_and_chain(sigma, None, fx.gamma, fx.g, points[0], rep)[1].singer_k + 2
-        _, levels, chains = next(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep,
-                                                   kmax=depth))
+        # every point grown to singer_k + 2 in one build
+        (_, levels, chains), = towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep)
+        assert all(len(levels) == chain.singer_k + 3 for chain in chains)
         got = _adapted_shifts(levels, chains, rep, inner)[2].tolist()
         pairs = list(zip(point_towers(levels, fx.g, points), chains))
         want = oracles.entrywise_tower_residuals(pairs, rep, inner)

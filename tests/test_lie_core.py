@@ -365,6 +365,25 @@ class TestStackedActionMatrix:
                  for prefix in np.ndindex(*data.shape[1:lead + 1])]
         assert np.abs(np.concatenate(parts, axis=1) - whole).max() <= 1e-15 * np.abs(whole).max()
 
+    @pytest.mark.parametrize("markers", [(UP,), (DOWN,), (LIE,), (UP, DOWN), (DOWN, LIE, UP),
+                                         (LIE, DOWN, DOWN, UP)])
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    def test_rows_match_the_per_generator_loop(self, markers, lead):
+        """action_rows at each point of a batch, whole or prefix by prefix in
+        C order, is the matrix that tensor_action gives one generator at a
+        time, on UP, DOWN and LIE axes."""
+        fx = instantiate("hopf_monopole", {})
+        rep = frame_structure_rep(2, fx.algebra)
+        dims = tuple(fx.algebra.dim if m == LIE else 2 for m in markers)
+        data = np.random.default_rng(len(markers) + 10 * lead).normal(size=(3,) + dims)
+        prefixes = list(np.ndindex(*dims[:lead]))
+        parts = [action_rows(markers, data, rep, prefix) for prefix in prefixes]
+        for p in range(len(data)):
+            want = stacked_action_loop([DenseTensor(markers, data[p])], rep)
+            got = np.concatenate([part[p] for part in parts])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_lie_axes_use_the_lie_rep(self):
         fx = instantiate("hopf_monopole", {})
         rep = frame_structure_rep(2, fx.algebra)

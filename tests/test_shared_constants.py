@@ -14,14 +14,18 @@ import pytest
 
 from ambrose import cli, lie_core
 from ambrose.errors import BadParameters, NotInvariant, RepMismatch
+from ambrose.homogeneity import with_adjoint_rep
 from ambrose.lie_core import (
     AdInvariantInner,
     LieAlgebra,
     LinearRep,
+    TensorRep,
+    action_rows,
     algebra_by_name,
     default_inner,
     frame_structure_rep,
 )
+from ambrose.tensor_core import DOWN, LIE, UP
 from test_reachable import CACHES, RUNS
 
 GOLDEN = {run["argv"]: run
@@ -93,7 +97,10 @@ def test_each_constant_is_one_object():
     assert default_inner(su2) is default_inner(su2)
     assert su2.adjoint_rep() is su2.adjoint_rep()
     rep = frame_structure_rep(3)
-    assert frame_structure_rep(3).vector is rep.vector
+    assert frame_structure_rep(3) is rep
+    assert rep.axis_stacks() is rep.axis_stacks()
+    assert rep.vector.axis_stacks() is rep.vector.axis_stacks()
+    assert with_adjoint_rep(rep) is with_adjoint_rep(rep)
     # the sum with k is built on each call, around the shared so(n) rep
     summed = frame_structure_rep(3, su2)
     assert summed.algebra is not frame_structure_rep(3, su2).algebra
@@ -108,6 +115,40 @@ def test_shared_arrays_are_read_only():
                 frame_structure_rep(2, su2).lie.matrices):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize("make", [lambda: frame_structure_rep(3),
+                                  lambda: frame_structure_rep(2, algebra_by_name("su(2)")),
+                                  lambda: with_adjoint_rep(frame_structure_rep(3))],
+                         ids=["so(3)", "so(2)+su(2)", "so(3)-adjoint"])
+def test_generator_stacks_are_held_read_only(make, monkeypatch):
+    """A rep builds the generator stacks _leibniz reads once, on first use,
+    and holds them read-only: +X on UP axes, -X^T on DOWN axes and the lie
+    rep's matrices on LIE axes, each (B n, n)."""
+    built = []
+    stacks_of = lie_core.axis_stacks
+    monkeypatch.setattr(lie_core, "axis_stacks", lambda *a: built.append(1) or stacks_of(*a))
+    rep = make()
+    # a fresh rep of the same matrices, so that nothing is held yet
+    rep = TensorRep(rep.algebra, LinearRep(rep.algebra, rep.vector.matrices),
+                    None if rep.lie is None else LinearRep(rep.algebra, rep.lie.matrices))
+    data = np.random.default_rng(3).normal(size=(2,) + rep.vector.matrices.shape[1:])
+    first = action_rows((UP, DOWN), data, rep)
+    for _ in range(3):
+        np.testing.assert_array_equal(action_rows((UP, DOWN), data, rep), first)
+    assert len(built) == (1 if rep.lie is None else 2)
+    stacks = rep.axis_stacks()
+    assert set(stacks) == ({UP, DOWN} if rep.lie is None else {UP, DOWN, LIE})
+    mats = rep.vector.matrices
+    n = mats.shape[-1]
+    np.testing.assert_array_equal(stacks[UP], mats.reshape(-1, n))
+    np.testing.assert_array_equal(stacks[DOWN], -mats.transpose(0, 2, 1).reshape(-1, n))
+    if rep.lie is not None:
+        lie = rep.lie.matrices
+        np.testing.assert_array_equal(stacks[LIE], lie.reshape(-1, lie.shape[-1]))
+    for stack in stacks.values():
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
 
 
 def test_a_constant_keeps_no_alias_of_its_input():
