@@ -16,7 +16,6 @@ import numpy as np
 
 from . import jet
 from .chart_calculus import (
-    Chart,
     ConnectionCoeffs,
     LastJet,
     TensorFieldSpec,
@@ -34,7 +33,6 @@ class LocalConnectionForm:
     """Algebra-valued local connection form: the evaluator maps the
     coordinate jet to the jet of the rows a[mu], one per direction."""
 
-    chart: Chart
     algebra: LieAlgebra
     evaluator: Callable[[Jet], Jet]
     memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
@@ -44,10 +42,10 @@ class LocalConnectionForm:
 
     def _checked(self, X: Jet) -> Jet:
         a = self.evaluator(X)
-        if a.shape != (self.chart.dim, self.algebra.dim):
+        if a.shape != (X.n, self.algebra.dim):
             raise RepMismatch(
                 f"form evaluator returned shape {a.shape}, "
-                f"expected {(self.chart.dim, self.algebra.dim)}"
+                f"expected {(X.n, self.algebra.dim)}"
             )
         return a
 
@@ -66,7 +64,6 @@ class LocalConnectionForm:
         if alpha.markers != (DOWN, LIE):
             raise RepMismatch("shift must be an adjoint-valued 1-form")
         return LocalConnectionForm(
-            chart=self.chart,
             algebra=self.algebra,
             evaluator=lambda X: self.evaluator(X) + alpha.evaluator(X),
         )
@@ -79,7 +76,6 @@ def form_difference(a1: LocalConnectionForm,
     if a1.algebra is not a0.algebra and a1.algebra.labels != a0.algebra.labels:
         raise RepMismatch("connection forms live over different algebras")
     return TensorFieldSpec(
-        chart=a1.chart,
         markers=(DOWN, LIE),
         evaluator=lambda X: a1.jet_at(X.value.T, X.order) - a0.jet_at(X.value.T, X.order),
     )
@@ -101,7 +97,6 @@ def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> DenseTensor:
 
 def curvature_form_field(a: LocalConnectionForm) -> TensorFieldSpec:
     return TensorFieldSpec(
-        chart=a.chart,
         markers=(DOWN, DOWN, LIE),
         evaluator=lambda X: _curvature_form_jet(a, X.value.T, X.order),
     )
@@ -162,7 +157,8 @@ def leibniz_check(beta: TensorFieldSpec, eta: tuple[TensorFieldSpec, ...],
     ad_b = jet.einsum("kij,mi->mkj", s, b)
     db = nabla(b, beta.markers, G, ad_a)
     # ad((del beta)_u) and ad(beta), the actions on eta along each direction u
-    ad_db = [jet.einsum("kij,ni->nkj", s, db[u]) for u in range(a.chart.dim)]
+    directions = range(db.shape[0])
+    ad_db = [jet.einsum("kij,ni->nkj", s, db[u]) for u in directions]
     ad_b0 = ad_b.truncate(0)
     worst = []
     for f in eta:
@@ -173,6 +169,6 @@ def leibniz_check(beta: TensorFieldSpec, eta: tuple[TensorFieldSpec, ...],
         eta_0, deta = eta_j.truncate(0), nabla(eta_j, f.markers, G, ad_a)
         term1 = np.stack([axis_action(f.markers, eta_0, None, ad).value for ad in ad_db])
         term2 = np.stack([axis_action(f.markers, deta[u], None, ad_b0).value
-                          for u in range(a.chart.dim)])
+                          for u in directions])
         worst.append(nan_max(point_norms(lhs - term1 - term2)))
     return nan_max(worst)

@@ -204,10 +204,10 @@ def _base_points(X: Jet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorFieldSpec:
-    """Tensor field on a chart: the evaluator maps the coordinate jet at a
-    batch of points to the components' jet there."""
+    """Tensor field: the evaluator maps the coordinate jet at a batch of
+    points to the components' jet there. The field is its evaluator alone:
+    the chart that bounds its points is the fixture's."""
 
-    chart: Chart
     markers: tuple[str, ...]
     evaluator: Callable[[Jet], Jet]
 
@@ -225,9 +225,8 @@ class TensorFieldSpec:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Riemannian metric on a chart, as a jet evaluator of the matrix."""
+    """Riemannian metric, as a jet evaluator of the matrix."""
 
-    chart: Chart
     evaluator: Callable[[Jet], Jet]
     memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
 
@@ -241,8 +240,12 @@ class MetricField:
     def _symmetrized(self, X: Jet) -> Jet:
         g = self.evaluator(X)
         v = g.value
-        # NaN and inf fail the comparison, so they raise too
+        # NaN and inf fail the comparison too, so a finite metric pays for no
+        # finiteness check; a non-finite one is named for what it is
         if not (np.abs(v - v.swapaxes(0, 1)) <= 1e-12).all():
+            bad = ", ".join(sorted({str(b) for b in v[~np.isfinite(v)]}))
+            if bad:
+                raise DegenerateMetric(f"metric evaluator returned non-finite values: {bad}")
             raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
         return 0.5 * (g + g.transpose(1, 0))
 
@@ -254,7 +257,6 @@ class MetricField:
 class ConnectionCoeffs:
     """Linear connection in the coordinate frame: the jet of data[k, i, j]."""
 
-    chart: Chart
     evaluator: Callable[[Jet], Jet]
     symmetric_flag: bool = False
     memo: LastJet = field(default_factory=LastJet, init=False, repr=False, compare=False)
@@ -287,7 +289,6 @@ class FrameFieldConnection:
     inverse. ``gamma`` holds gamma[k, i, j] with respect to that frame.
     """
 
-    chart: Chart
     coframe: Callable[[Jet], Jet]
     gamma: np.ndarray
 
@@ -324,9 +325,8 @@ def christoffel_partial(g: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def levi_civita(g: MetricField) -> ConnectionCoeffs:
-    """Levi-Civita connection as a coefficient field on g's chart."""
+    """Levi-Civita connection as a coefficient field."""
     return ConnectionCoeffs(
-        chart=g.chart,
         evaluator=lambda X: _christoffel_jet(g, _base_points(X), X.order),
         symmetric_flag=True,
     )
@@ -365,7 +365,6 @@ def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
 
 def curvature_field(gamma: ConnectionCoeffs) -> TensorFieldSpec:
     return TensorFieldSpec(
-        chart=gamma.chart,
         markers=(UP, DOWN, DOWN, DOWN),
         evaluator=lambda X: curvature_of(gamma.jet_at(_base_points(X), X.order + 1)),
     )
@@ -373,7 +372,6 @@ def curvature_field(gamma: ConnectionCoeffs) -> TensorFieldSpec:
 
 def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
     return TensorFieldSpec(
-        chart=conn.chart,
         markers=(UP, DOWN, DOWN),
         evaluator=lambda X: torsion_of(conn.jet_at(_base_points(X), X.order)),
     )
@@ -392,10 +390,7 @@ def _frame_connection_jet(conn: FrameFieldConnection, X: Jet) -> Jet:
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
     """Coordinate ConnectionCoeffs field for a moving-frame connection."""
-    return ConnectionCoeffs(
-        chart=conn.chart,
-        evaluator=lambda X: _frame_connection_jet(conn, X),
-    )
+    return ConnectionCoeffs(evaluator=lambda X: _frame_connection_jet(conn, X))
 
 
 def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:

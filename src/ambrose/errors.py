@@ -40,10 +40,6 @@ class DepthMismatch(AmbroseError):
     """Two derivative towers disagree on depth or entry shapes."""
 
 
-class NotMetric(AmbroseError):
-    """A connection failed the metric-compatibility precondition."""
-
-
 class UnknownFixture(AmbroseError):
     """Requested fixture name is not in the catalog."""
 

@@ -10,7 +10,7 @@ rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .chart_calculus import (
 )
 from .errors import BadParameters, UnknownFixture
 from .jet import Jet
-from .lie_core import AdInvariantInner, LieAlgebra, algebra_by_name, algebra_dim, default_inner
+from .lie_core import LieAlgebra, algebra_by_name, algebra_dim
 from .tensor_core import DOWN, LIE
 
 # largest dimension of a trivial_bundle_flat algebra; su(2)+u(1) has 4
@@ -36,24 +36,36 @@ MAX_ALGEBRA_DIM = 8
 
 @dataclass(frozen=True)
 class Fixture:
-    """A chart with a metric and whatever extra structure the model carries."""
+    """A chart with a metric and whatever extra structure the model carries:
+    a moving-frame connection, a bundle connection form a0 and its shift
+    forms. What follows from these is derived, not stored: gamma is the
+    Levi-Civita connection of g, gamma_canonical the coordinate field of
+    frame_conn (None without one), both rebuilt by ``dataclasses.replace``,
+    and the structure algebra is a0's."""
 
     name: str
     params: dict
     chart: Chart
     g: MetricField
-    gamma: ConnectionCoeffs
     frame_conn: FrameFieldConnection | None = None
-    gamma_canonical: ConnectionCoeffs | None = None
-    algebra: LieAlgebra | None = None
-    inner: AdInvariantInner | None = None
     a0: LocalConnectionForm | None = None
     alpha_parallel: TensorFieldSpec | None = None
     alpha_bump: TensorFieldSpec | None = None
+    gamma: ConnectionCoeffs = field(init=False)
+    gamma_canonical: ConnectionCoeffs | None = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", levi_civita(self.g))
+        object.__setattr__(self, "gamma_canonical", None if self.frame_conn is None
+                           else frame_connection_field(self.frame_conn))
+
+    @property
+    def algebra(self) -> LieAlgebra | None:
+        return None if self.a0 is None else self.a0.algebra
 
 
-def _constant_metric(chart: Chart, mat: np.ndarray) -> MetricField:
-    return MetricField(chart=chart, evaluator=lambda X: X.lift(mat))
+def _constant_metric(mat: np.ndarray) -> MetricField:
+    return MetricField(evaluator=lambda X: X.lift(mat))
 
 
 def _number(value, what: str, integer: bool = False) -> float:
@@ -74,14 +86,12 @@ def euclidean(n: int = 2) -> Fixture:
     if not 1 <= n <= 6:
         raise BadParameters("euclidean dimension must be an integer in 1..6")
     chart = Chart(dim=n, box=np.array([[-1.0, 1.0]] * n), margin=0.05)
-    g = _constant_metric(chart, np.eye(n))
-    return Fixture("euclidean", {"n": n}, chart, g, levi_civita(g))
+    return Fixture("euclidean", {"n": n}, chart, _constant_metric(np.eye(n)))
 
 
 def flat_torus_chart() -> Fixture:
     chart = Chart(dim=2, box=np.array([[0.0, 2 * np.pi]] * 2), margin=0.05)
-    g = _constant_metric(chart, np.eye(2))
-    return Fixture("flat_torus", {}, chart, g, levi_civita(g))
+    return Fixture("flat_torus", {}, chart, _constant_metric(np.eye(2)))
 
 
 def _sphere2_chart() -> Chart:
@@ -95,11 +105,10 @@ def round_sphere2(radius: float = 1.0) -> Fixture:
     r = _number(radius, "sphere radius")
     if not r > 0:
         raise BadParameters("sphere radius must be positive")
-    chart = _sphere2_chart()
     r2 = r * r
-    g = MetricField(chart=chart, evaluator=lambda X: jet.array(
+    g = MetricField(evaluator=lambda X: jet.array(
         [[r2, 0.0], [0.0, r2 * jet.sin(X[0]) ** 2]]))
-    return Fixture("round_sphere2", {"radius": r}, chart, g, levi_civita(g))
+    return Fixture("round_sphere2", {"radius": r}, _sphere2_chart(), g)
 
 
 def hyperbolic_plane() -> Fixture:
@@ -109,8 +118,7 @@ def hyperbolic_plane() -> Fixture:
         w = 1.0 / X[1] ** 2
         return jet.array([[w, 0.0], [0.0, w]])
 
-    g = MetricField(chart=chart, evaluator=ev)
-    return Fixture("hyperbolic_plane", {}, chart, g, levi_civita(g))
+    return Fixture("hyperbolic_plane", {}, chart, MetricField(evaluator=ev))
 
 
 def _su2_chart() -> Chart:
@@ -133,51 +141,37 @@ def _su2_coframe(X: Jet) -> Jet:
     ])
 
 
-def _berger_metric(chart: Chart, lam: float) -> MetricField:
+def _berger_metric(lam: float) -> MetricField:
     d = np.diag([lam * lam, 1.0, 1.0])
 
     def ev(X):
         th = _su2_coframe(X)
         return jet.einsum("ai,ab,bj->ij", th, d, th)
 
-    return MetricField(chart=chart, evaluator=ev)
+    return MetricField(evaluator=ev)
 
 
 def berger_sphere(lam: float = 2.0) -> Fixture:
     lam = _number(lam, "berger squash parameter")
     if not lam > 0:
         raise BadParameters("berger squash parameter must be positive")
-    chart = _su2_chart()
-    g = _berger_metric(chart, lam)
-    frame_conn = FrameFieldConnection(chart=chart, coframe=_su2_coframe,
-                                      gamma=np.zeros((3, 3, 3)))
-    return Fixture(
-        "berger_sphere",
-        {"lam": lam},
-        chart,
-        g,
-        levi_civita(g),
-        frame_conn=frame_conn,
-        gamma_canonical=frame_connection_field(frame_conn),
-        algebra=algebra_by_name("su(2)"),
-    )
+    frame_conn = FrameFieldConnection(coframe=_su2_coframe, gamma=np.zeros((3, 3, 3)))
+    return Fixture("berger_sphere", {"lam": lam}, _su2_chart(), _berger_metric(lam),
+                   frame_conn=frame_conn)
 
 
 def round_sphere3() -> Fixture:
     fx = berger_sphere(1.0)
-    return Fixture("round_sphere3", {}, fx.chart, fx.g, fx.gamma,
-                   frame_conn=fx.frame_conn, gamma_canonical=fx.gamma_canonical,
-                   algebra=fx.algebra)
+    return Fixture("round_sphere3", {}, fx.chart, fx.g, frame_conn=fx.frame_conn)
 
 
-def _monopole_form(chart: Chart, algebra: LieAlgebra,
-                   charge: int) -> LocalConnectionForm:
+def _monopole_form(algebra: LieAlgebra, charge: int) -> LocalConnectionForm:
     half_q = 0.5 * charge
-    return LocalConnectionForm(chart=chart, algebra=algebra, evaluator=lambda X: jet.array(
+    return LocalConnectionForm(algebra=algebra, evaluator=lambda X: jet.array(
         [[0.0, 0.0, 0.0], [0.0, 0.0, half_q * (1.0 - jet.cos(X[0]))]]))
 
 
-def _parallel_shift_field(chart: Chart) -> TensorFieldSpec:
+def _parallel_shift_field() -> TensorFieldSpec:
     """Adjoint-valued 1-form invariant under the monopole holonomy; rows over
     (theta, phi), values in the su(2) basis."""
 
@@ -186,10 +180,10 @@ def _parallel_shift_field(chart: Chart) -> TensorFieldSpec:
         sp, cp = jet.sincos(X[1])
         return jet.array([[cp, -sp, 0.0], [-st * sp, -st * cp, 0.0]])
 
-    return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev)
+    return TensorFieldSpec(markers=(DOWN, LIE), evaluator=ev)
 
 
-def _bump_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
+def _bump_shift_field(algebra: LieAlgebra) -> TensorFieldSpec:
     """A localized non-parallel shift used as a negative control."""
     c0, c1 = 0.5 * np.pi, np.pi
     corner = np.zeros((2, algebra.dim))
@@ -198,7 +192,7 @@ def _bump_shift_field(chart: Chart, algebra: LieAlgebra) -> TensorFieldSpec:
     def ev(X):
         return jet.exp(-((X[0] - c0) ** 2 + (X[1] - c1) ** 2) / 0.5) * corner
 
-    return TensorFieldSpec(chart=chart, markers=(DOWN, LIE), evaluator=ev)
+    return TensorFieldSpec(markers=(DOWN, LIE), evaluator=ev)
 
 
 def hopf_monopole(charge: int = 1) -> Fixture:
@@ -210,12 +204,9 @@ def hopf_monopole(charge: int = 1) -> Fixture:
         {"charge": charge},
         base.chart,
         base.g,
-        base.gamma,
-        algebra=algebra,
-        inner=default_inner(algebra),
-        a0=_monopole_form(base.chart, algebra, charge),
-        alpha_parallel=_parallel_shift_field(base.chart) if charge == 1 else None,
-        alpha_bump=_bump_shift_field(base.chart, algebra),
+        a0=_monopole_form(algebra, charge),
+        alpha_parallel=_parallel_shift_field() if charge == 1 else None,
+        alpha_bump=_bump_shift_field(algebra),
     )
 
 
@@ -226,18 +217,14 @@ def trivial_bundle_flat(algebra: str = "su(2)") -> Fixture:
         raise BadParameters(f"algebra {algebra!r} has dimension above {MAX_ALGEBRA_DIM}")
     alg = algebra_by_name(algebra)
     base = euclidean(2)
-    zero = LocalConnectionForm(chart=base.chart, algebra=alg,
-                               evaluator=lambda X: X.lift(np.zeros((2, alg.dim))))
+    zero = LocalConnectionForm(algebra=alg, evaluator=lambda X: X.lift(np.zeros((2, alg.dim))))
     return Fixture(
         "trivial_bundle_flat",
         {"algebra": algebra},
         base.chart,
         base.g,
-        base.gamma,
-        algebra=alg,
-        inner=default_inner(alg),
         a0=zero,
-        alpha_bump=_bump_shift_field(base.chart, alg),
+        alpha_bump=_bump_shift_field(alg),
     )
 
 
@@ -264,14 +251,14 @@ def smooth_tensor_field(chart: Chart, markers: tuple[str, ...], seed: int,
         # not depend on the batch it is evaluated in
         return jet.sin(sum(freq[..., mu] * u[mu] for mu in range(n)) + phase) * amp
 
-    return TensorFieldSpec(chart=chart, markers=markers, evaluator=ev)
+    return TensorFieldSpec(markers=markers, evaluator=ev)
 
 
 def smooth_connection_form(chart: Chart, algebra: LieAlgebra, seed: int,
                            amplitude: float = 0.5) -> LocalConnectionForm:
     """Deterministic smooth algebra-valued form."""
-    field = smooth_tensor_field(chart, (DOWN, LIE), seed, algebra, amplitude)
-    return LocalConnectionForm(chart=chart, algebra=algebra, evaluator=field.evaluator)
+    rows = smooth_tensor_field(chart, (DOWN, LIE), seed, algebra, amplitude)
+    return LocalConnectionForm(algebra=algebra, evaluator=rows.evaluator)
 
 
 _CATALOG = {

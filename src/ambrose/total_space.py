@@ -41,27 +41,31 @@ from .chart_calculus import (
     nan_max,
     torsion_field,
 )
-from .errors import RepMismatch, UnsupportedFieldKind
+from .errors import UnsupportedFieldKind
 from .homogeneity import TOLERANCES, VerificationReport, lh_fields, make_report
-from .lie_core import AdInvariantInner, LieAlgebra
+from .lie_core import AdInvariantInner, LieAlgebra, default_inner
 from .tensor_core import LIE, UP, axis_action, point_norms
 
 
 @dataclass(frozen=True)
 class TotalSpaceModel:
-    """Base chart with metric and linear connection, structure algebra with
-    invariant inner product, and a principal connection form."""
+    """Base chart with metric and linear connection, and a principal
+    connection form. The structure algebra is the form's, with its default
+    invariant inner product. The chart bounds the finite differences of the
+    case tables."""
 
     chart: Chart
     g: MetricField
     gamma: ConnectionCoeffs
-    algebra: LieAlgebra
-    inner: AdInvariantInner
     a: LocalConnectionForm
 
-    def __post_init__(self):
-        if self.a.algebra.labels != self.algebra.labels:
-            raise RepMismatch("connection form algebra differs from model algebra")
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.a.algebra
+
+    @property
+    def inner(self) -> AdInvariantInner:
+        return default_inner(self.a.algebra)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ tables.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import string
 from functools import lru_cache
@@ -66,13 +67,14 @@ from ambrose.chart_calculus import (
     torsion_field,
 )
 from ambrose.errors import (
+    AmbroseError,
     DegenerateMetric,
-    NotMetric,
     NotReductive,
     NumericalFailure,
     RepMismatch,
     UnsupportedFieldKind,
 )
+from ambrose.fixtures import Fixture
 from ambrose.homogeneity import (
     DerivativeTower,
     VerificationReport,
@@ -114,6 +116,40 @@ from ambrose.total_space import (
     bar_connection_apply,
     total_zero,
 )
+
+
+class NotMetric(AmbroseError):
+    """A connection failed the metric-compatibility precondition of an
+    oracle that reads it in orthonormal frames."""
+
+
+def warped_surface() -> Fixture:
+    """dr^2 + (r + r^3)^2 dtheta^2: Gauss curvature -6 / (1 + r^2) varies
+    with r, so towers at points of different r lie in different orbits."""
+    chart = Chart(dim=2, box=np.array([[0.5, 1.5], [0.0, 2 * np.pi]]), margin=0.05)
+
+    def ev(X):
+        r = X[0]
+        return jet.array([[1.0, 0.0], [0.0, (r + r**3) ** 2]])
+
+    return Fixture("warped_surface", {}, chart, MetricField(evaluator=ev))
+
+
+def bumped(fx: Fixture) -> Fixture:
+    """fx with its metric scaled by 1 + 0.2 sin(x_0) cos(x_1), and no
+    frame connection: a metric that is not locally homogeneous."""
+    def ev(X):
+        return fx.g.evaluator(X) * (1.0 + 0.2 * jet.sin(X[0]) * jet.cos(X[1]))
+
+    g = dataclasses.replace(fx.g, evaluator=ev)
+    return dataclasses.replace(fx, name="bumped_" + fx.name, g=g, frame_conn=None)
+
+
+def homothety(fx: Fixture, c: float) -> Fixture:
+    """fx with its metric g scaled to c^2 g: a homothety, so every verdict
+    on local homogeneity is fx's."""
+    ev = fx.g.evaluator
+    return dataclasses.replace(fx, g=dataclasses.replace(fx.g, evaluator=lambda X: c * c * ev(X)))
 
 
 def _christoffel_exprs(g: sp.Matrix, coords: tuple[sp.Symbol, ...]):
@@ -506,14 +542,13 @@ def frame_gauge_form(gamma: ConnectionCoeffs, g: MetricField,
             raise NotMetric("connection is not metric: gauge form not antisymmetric")
         return jet.einsum("pab,mab->mp", pinv, 0.5 * (w - w.transpose(0, 2, 1)))
 
-    return LocalConnectionForm(chart=g.chart, algebra=algebra, evaluator=ev)
+    return LocalConnectionForm(algebra=algebra, evaluator=ev)
 
 
 def difference_field(gamma1: ConnectionCoeffs, gamma0: ConnectionCoeffs) -> TensorFieldSpec:
     """The difference tensor S = Gamma1 - Gamma0 of two connections, read
     off both connections' memos."""
     return TensorFieldSpec(
-        chart=gamma1.chart,
         markers=(UP, DOWN, DOWN),
         evaluator=lambda X: (gamma1.jet_at(_base_points(X), X.order)
                              - gamma0.jet_at(_base_points(X), X.order)),
@@ -534,7 +569,7 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
     and non-finite when a residual is not."""
     points = np.atleast_2d(np.asarray(points, float))
     gamma0 = levi_civita(g)
-    g_field = TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
+    g_field = TensorFieldSpec(markers=(DOWN, DOWN), evaluator=g.evaluator)
     # S after both curvatures, so that it reads both connections' memos
     residuals = max_nabla_norms(gamma, {
         "nabla_g": g_field,
@@ -706,12 +741,13 @@ def frame_torsion(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
     return gam - gam.swapaxes(1, 2) - frame_structure_functions(conn, x)
 
 
-def fd_tower(sigma: tuple[TensorFieldSpec, ...], gamma: ConnectionCoeffs, kmax: int):
+def fd_tower(sigma: tuple[TensorFieldSpec, ...], gamma: ConnectionCoeffs, chart: Chart,
+             kmax: int):
     """(markers, x -> array) for sigma and its first kmax iterated covariant
-    derivatives, each level the FD of the one below."""
+    derivatives, each level the FD on the chart of the one below."""
 
     def nabla_fd(f, markers):
-        return lambda x: fd_partials(f, gamma.chart, x) + axis_action(
+        return lambda x: fd_partials(f, chart, x) + axis_action(
             markers, f(x), gamma.at(x).transpose(1, 0, 2), None)
 
     level = [(f.markers, lambda x, f=f: f.at(x).data) for f in sigma]
@@ -780,7 +816,7 @@ def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int) -> tuple[float,
         return float(np.linalg.norm(covariant_fd(fix, x, t_hat, rep, markers, b)))
 
     shift = norm(with_adjoint_rep(rep), beta_k, (DOWN, LIE))
-    levels = fd_tower(opozda_section_spec(fix.gamma), fix.gamma, singer_k + 1)
+    levels = fd_tower(opozda_section_spec(fix.gamma), fix.gamma, fix.chart, singer_k + 1)
     return shift, max(norm(rep, frame_expressed(f, m, fix.g), m) for m, f in levels)
 
 

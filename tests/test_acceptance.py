@@ -58,7 +58,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _metric_field(g) -> TensorFieldSpec:
-    return TensorFieldSpec(chart=g.chart, markers=(DOWN, DOWN), evaluator=g.evaluator)
+    return TensorFieldSpec(markers=(DOWN, DOWN), evaluator=g.evaluator)
 
 
 def _nabla_frame_norm(gamma: ConnectionCoeffs, field: TensorFieldSpec, g,
@@ -316,8 +316,7 @@ def test_criterion_09_triple_criteria():
 
 def test_criterion_10_total_space():
     fix = instantiate("hopf_monopole", {})
-    model = TotalSpaceModel(chart=fix.chart, g=fix.g, gamma=fix.gamma,
-                            algebra=fix.algebra, inner=fix.inner, a=fix.a0)
+    model = TotalSpaceModel(chart=fix.chart, g=fix.g, gamma=fix.gamma, a=fix.a0)
     lifts, funds = _frame_fields(model)
     frame = lifts + funds
     table_gap = 0.0

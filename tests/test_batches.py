@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, subspace_angles
 
-from ambrose import bundle_conn, chart_calculus, cli, homogeneity, jet
+from ambrose import bundle_conn, chart_calculus, cli, fixtures, homogeneity, jet
 from ambrose.bundle_conn import (
     LocalConnectionForm,
     bianchi_residual,
@@ -59,9 +59,15 @@ from ambrose.lie_core import (
 )
 from ambrose.tensor_core import DOWN, LIE, DenseTensor
 from ambrose.total_space import TotalSpaceModel, _check
-from oracles import adapted_shifts_loop, point_towers, rotated, stacked_levels
-from test_homogeneity import ADAPT_CASES, CHAIN_CASES, REP3, TRIPLE_CASES, bumped, flat_tower3
-from test_orbit_match import warped_surface
+from oracles import (
+    adapted_shifts_loop,
+    bumped,
+    point_towers,
+    rotated,
+    stacked_levels,
+    warped_surface,
+)
+from test_homogeneity import ADAPT_CASES, CHAIN_CASES, REP3, TRIPLE_CASES, flat_tower3
 from test_total_space import count_calls
 
 
@@ -176,7 +182,7 @@ class TestBatchParity:
         def ev(X):
             return X[0] ** 2 + X[1] ** 2 + X[2] ** 2 + (X[0] - a) ** 3
 
-        sigma = (TensorFieldSpec(fx.chart, (), ev),)
+        sigma = (TensorFieldSpec((), ev),)
         rep = frame_structure_rep(3)
         points = np.array([[a, 0.3, -0.4], [0.6, 0.2, 0.1], [a, -0.5, 0.35], [-0.3, 0.45, -0.2]])
         depths = []
@@ -333,8 +339,7 @@ class TestChecksOnABatch:
     @pytest.mark.parametrize("shift", [None, "parallel", "bump"])
     def test_total_space_check(self, shift):
         fx = instantiate("hopf_monopole", {})
-        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, algebra=fx.algebra,
-                                inner=fx.inner, a=fx.a0)
+        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
         a0 = None if shift is None else fx.a0.shifted(getattr(fx, f"alpha_{shift}"))
         points = sample_interior(fx.chart, self.POINTS, seed=7)
         batch = _check(model, a0, points, "").residuals
@@ -480,7 +485,7 @@ def counted_metric(calls):
         return ev(X)
 
     g = dataclasses.replace(fx.g, evaluator=counted)
-    return dataclasses.replace(fx, g=g, gamma=levi_civita(g))
+    return dataclasses.replace(fx, g=g)
 
 
 class TestEvaluationCounts:
@@ -519,25 +524,28 @@ class TestEvaluationCounts:
         evaluates the Levi-Civita one once per batch, at its points; the
         metric and the Christoffel symbols no more often. Through the
         difference tensor, each batch evaluated the canonical connection
-        too."""
+        too. The fixture derives both connections, so the builders it calls
+        are the ones recorded."""
         metric, connection, canonical = [], [], []
         christoffel = count_calls(monkeypatch, chart_calculus._christoffel_jet)
 
-        def recorded(conn, calls):
-            ev = conn.evaluator
+        def recorded(build, calls):
+            def built(source):
+                conn = build(source)
+                ev = conn.evaluator
 
-            def counted(X):
-                calls.append(X.value.shape[-1])
-                return ev(X)
+                def counted(X):
+                    calls.append(X.value.shape[-1])
+                    return ev(X)
 
-            return dataclasses.replace(conn, evaluator=counted)
+                return dataclasses.replace(conn, evaluator=counted)
 
-        def counted(name, params):
-            fx = counted_metric(metric)
-            return dataclasses.replace(fx, gamma=recorded(fx.gamma, connection),
-                                       gamma_canonical=recorded(fx.gamma_canonical, canonical))
+            return built
 
-        monkeypatch.setattr(cli, "instantiate", counted)
+        monkeypatch.setattr(fixtures, "levi_civita", recorded(fixtures.levi_civita, connection))
+        monkeypatch.setattr(fixtures, "frame_connection_field",
+                            recorded(fixtures.frame_connection_field, canonical))
+        monkeypatch.setattr(cli, "instantiate", lambda name, params: counted_metric(metric))
         code = cli.main(["--scenario", "adapt", "--fixture", "berger_sphere",
                          "--points", str(points)])
         capsys.readouterr()
@@ -691,15 +699,15 @@ def spoil_value(kind, bad, pts):
         return jet.Jet(c, g.n, g.order)
 
     g = dataclasses.replace(fx.g, evaluator=spoiled)
-    return dataclasses.replace(fx, g=g, gamma=levi_civita(g))
+    return dataclasses.replace(fx, g=g)
 
 
 # the error each spoiled metric value gives, point by point and in a batch
 SPOILED_VALUES = {
     "non-symmetric": "metric evaluator returned a non-symmetric matrix",
-    "nan": "metric evaluator returned a non-symmetric matrix",
-    "inf": "metric evaluator returned a non-symmetric matrix",
-    "-inf": "metric evaluator returned a non-symmetric matrix",
+    "nan": "metric evaluator returned non-finite values: nan",
+    "inf": "metric evaluator returned non-finite values: inf",
+    "-inf": "metric evaluator returned non-finite values: -inf",
     "indefinite": "metric not positive definite: Matrix is not positive definite",
 }
 
@@ -765,15 +773,14 @@ class TestSpoiledFormOfABatch:
         if scenario != "identities":
             def inst(name, params):
                 fx = instantiate(name, params)
-                a0 = LocalConnectionForm(fx.chart, fx.algebra,
-                                         spoiled_near(fx.a0.evaluator, pts, bad, value))
+                a0 = LocalConnectionForm(fx.algebra, spoiled_near(fx.a0.evaluator, pts, bad, value))
                 return dataclasses.replace(fx, a0=a0)
 
             monkeypatch.setattr(cli, "instantiate", inst)
         elif spoiled == "form":
             def form(chart, algebra, seed):
                 ev = smooth_connection_form(chart, algebra, seed).evaluator
-                return LocalConnectionForm(chart, algebra, spoiled_near(ev, pts, bad, value))
+                return LocalConnectionForm(algebra, spoiled_near(ev, pts, bad, value))
 
             monkeypatch.setattr(cli, "smooth_connection_form", form)
         else:
@@ -781,7 +788,7 @@ class TestSpoiledFormOfABatch:
                 f = smooth_tensor_field(chart, markers, seed, algebra)
                 if markers != (LIE,):
                     return f
-                return TensorFieldSpec(chart, markers, spoiled_near(f.evaluator, pts, bad, value))
+                return TensorFieldSpec(markers, spoiled_near(f.evaluator, pts, bad, value))
 
             monkeypatch.setattr(cli, "smooth_tensor_field", section)
         code = cli.main(["--scenario", scenario, "--fixture", fixture,

@@ -53,10 +53,7 @@ def hopf(charge=1):
 
 class TestLocalConnectionForm:
     def test_shape_validated(self):
-        chart = euclid_chart()
-        bad = LocalConnectionForm(
-            chart=chart, algebra=SU2, evaluator=lambda X: X.lift(np.zeros((3, 3)))
-        )
+        bad = LocalConnectionForm(algebra=SU2, evaluator=lambda X: X.lift(np.zeros((3, 3))))
         with pytest.raises(RepMismatch):
             bad.at(np.zeros(2))
 
@@ -126,15 +123,13 @@ class TestSectionsAndActions:
         """Constant connection and section on a flat chart: the derivative
         reduces to the pointwise bracket [a_mu, nu]."""
         fx = instantiate("trivial_bundle_flat", {"algebra": "su(2)"})
-        chart = fx.chart
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
         a = LocalConnectionForm(
-            chart=chart,
             algebra=SU2,
             evaluator=lambda X: X.lift(np.stack([e1, np.zeros(3)])),
         )
-        nu = TensorFieldSpec(chart=chart, markers=(LIE,), evaluator=lambda X: X.lift(e2))
+        nu = TensorFieldSpec(markers=(LIE,), evaluator=lambda X: X.lift(e2))
         out = covariant_derivative(fx.gamma, nu, np.zeros(2), a.ad_at)
         assert out.markers == (DOWN, LIE)
         # [e1, e2] = 2 e3 along direction 0; direction 1 has no connection

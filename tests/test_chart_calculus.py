@@ -177,7 +177,7 @@ class TestLeviCivitaAgainstOracle:
             calls.append(X)
             return fix.g.evaluator(X)
 
-        g = MetricField(chart=fix.chart, evaluator=ev)
+        g = MetricField(evaluator=ev)
         x = np.array([1.5, 1.3, 3.1])
         assert np.array_equal(curvature(levi_civita(g), x).data,
                               curvature(fix.gamma, x).data)
@@ -212,8 +212,7 @@ class TestCovariantDerivative:
     def test_metric_is_parallel(self):
         for name in ("round_sphere2", "hyperbolic_plane", "berger_sphere"):
             fix = instantiate(name, {})
-            g_field = TensorFieldSpec(chart=fix.chart, markers=(DOWN, DOWN),
-                                      evaluator=fix.g.evaluator)
+            g_field = TensorFieldSpec(markers=(DOWN, DOWN), evaluator=fix.g.evaluator)
             for x in sample_interior(fix.chart, 4, seed=8):
                 dg = covariant_derivative(fix.gamma, g_field, x)
                 assert dg.norm() < 1e-12
@@ -227,8 +226,8 @@ class TestCovariantDerivative:
         def v(X):
             return jet.array([jet.cos(X[1]), jet.sin(X[0])])
 
-        vf = TensorFieldSpec(chart=fix.chart, markers=(UP,), evaluator=v)
-        fvf = TensorFieldSpec(chart=fix.chart, markers=(UP,), evaluator=lambda X: f(X) * v(X))
+        vf = TensorFieldSpec(markers=(UP,), evaluator=v)
+        fvf = TensorFieldSpec(markers=(UP,), evaluator=lambda X: f(X) * v(X))
         x = np.array([1.2, 3.0])
         lhs = covariant_derivative(fix.gamma, fvf, x).data
         df = np.array(
@@ -344,7 +343,7 @@ class TestTorsionAndFrames:
         g[0, 1] = entry
         if not np.isfinite(entry):
             g[1, 0] = entry
-        metric = MetricField(chart, lambda X: X.lift(g))
+        metric = MetricField(lambda X: X.lift(g))
         with pytest.raises(DegenerateMetric):
             metric.at(np.zeros(2))
 
@@ -355,8 +354,7 @@ class TestTorsionAndFrames:
         coeffs[0, 0, 1] = entry
         if not np.isfinite(entry):
             coeffs[0, 1, 0] = entry
-        conn = ConnectionCoeffs(chart=chart, evaluator=lambda X: X.lift(coeffs),
-                                symmetric_flag=True)
+        conn = ConnectionCoeffs(evaluator=lambda X: X.lift(coeffs), symmetric_flag=True)
         with pytest.raises(BadParameters):
             conn.at(np.zeros(2))
 
@@ -364,8 +362,6 @@ class TestTorsionAndFrames:
         chart = Chart(dim=2, box=np.array([[-1.0, 1.0]] * 2), margin=0.05)
         bad = np.zeros((2, 2, 2))
         bad[0, 0, 1] = 1.0
-        conn = ConnectionCoeffs(
-            chart=chart, evaluator=lambda X: X.lift(bad), symmetric_flag=True
-        )
+        conn = ConnectionCoeffs(evaluator=lambda X: X.lift(bad), symmetric_flag=True)
         with pytest.raises(BadParameters):
             conn.at(np.zeros(2))

@@ -382,6 +382,17 @@ class TestMainExitCodes:
         assert data["flags"][0] == "numerical-failure"
         assert "solver diverged" in data["flags"][1]
 
+    def test_non_finite_metric_is_named(self, capsys):
+        """radius=1e300 overflows r^2 to inf: the run fails as numerical,
+        and its flag names the non-finite values, not an asymmetry."""
+        code = cli.main(["--scenario", "singer", "--fixture", "round_sphere2",
+                         "--param", "radius=1e300"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert data["pass"] is False
+        assert data["flags"] == ["numerical-failure",
+                                 "error: metric evaluator returned non-finite values: inf"]
+
     def test_selftest_passes(self, capsys):
         code = cli.main(["--scenario", "selftest"])
         data = json.loads(capsys.readouterr().out)

@@ -2,14 +2,29 @@
 metrics and coframes against finite differences, frame data, bundle data,
 and the seeded smooth-field helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ambrose import jet
-from ambrose.chart_calculus import curvature, fd_array, ortho_frame, sample_interior
+from ambrose.bundle_conn import LocalConnectionForm
+from ambrose.chart_calculus import (
+    ConnectionCoeffs,
+    FrameFieldConnection,
+    MetricField,
+    TensorFieldSpec,
+    curvature,
+    fd_array,
+    frame_connection_field,
+    levi_civita,
+    ortho_frame,
+    sample_interior,
+)
 from ambrose.errors import BadParameters, UnknownFixture
 from ambrose.fixtures import (
     MAX_ALGEBRA_DIM,
+    Fixture,
     fixture_names,
     instantiate,
     smooth_connection_form,
@@ -17,6 +32,7 @@ from ambrose.fixtures import (
 )
 from ambrose.lie_core import algebra_by_name
 from ambrose.tensor_core import DOWN, LIE, UP
+from ambrose.total_space import TotalSpaceModel
 from oracles import jet_partials
 
 ALL_NAMES = (
@@ -164,7 +180,7 @@ class TestRoundSphere3:
         fxb = instantiate("berger_sphere", {"lam": 1.0})
         x = np.array([1.0, 1.0, 1.0])
         assert np.allclose(fx3.g.at(x), fxb.g.at(x))
-        assert fx3.algebra is not None
+        assert fx3.frame_conn.coframe is fxb.frame_conn.coframe
         assert fx3.gamma_canonical is not None
 
 
@@ -190,7 +206,8 @@ class TestBundleData:
 
     def test_bundle_inner_is_default(self):
         fx = instantiate("hopf_monopole", {})
-        assert np.allclose(fx.inner.matrix, 8.0 * np.eye(3), atol=1e-9)
+        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
+        assert np.allclose(model.inner.matrix, 8.0 * np.eye(3), atol=1e-9)
 
     def test_trivial_bundle_other_algebra(self):
         fx = instantiate("trivial_bundle_flat", {"algebra": "so(3)"})
@@ -209,6 +226,52 @@ class TestBundleData:
     def test_base_fixtures_carry_no_bundle(self):
         fx = instantiate("round_sphere2", {})
         assert fx.a0 is None and fx.algebra is None
+
+
+class TestDerivedData:
+    """A field is its evaluator; a fixture is its chart, metric and bundle
+    data, and what follows from them is derived from them."""
+
+    @pytest.mark.parametrize("kind", [TensorFieldSpec, MetricField, ConnectionCoeffs,
+                                      FrameFieldConnection, LocalConnectionForm])
+    def test_no_field_stores_a_chart(self, kind):
+        assert "chart" not in {f.name for f in dataclasses.fields(kind)}
+
+    def test_fixture_takes_only_its_data(self):
+        assert [f.name for f in dataclasses.fields(Fixture) if f.init] == [
+            "name", "params", "chart", "g", "frame_conn", "a0", "alpha_parallel", "alpha_bump"]
+
+    def test_replaced_metric_rebuilds_gamma(self):
+        """replace(fx, g=...) gives the Levi-Civita connection of the new
+        metric, jet for jet."""
+        berger = instantiate("berger_sphere", {})
+        ev = berger.g.evaluator
+        bumped_g = dataclasses.replace(
+            berger.g, evaluator=lambda X: ev(X) * (1.0 + 0.2 * jet.sin(X[0]) * jet.cos(X[1])))
+        bumped = dataclasses.replace(berger, g=bumped_g)
+        x = sample_interior(berger.chart, 3, seed=5)
+        expect = levi_civita(bumped_g).jet_at(x, 2).c
+        assert np.array_equal(bumped.gamma.jet_at(x, 2).c, expect)
+        assert not np.allclose(berger.gamma.jet_at(x, 2).c, expect)
+        assert bumped.gamma.symmetric_flag
+
+    def test_replaced_frame_conn_rebuilds_gamma_canonical(self):
+        berger = instantiate("berger_sphere", {})
+        gamma = np.zeros((3, 3, 3))
+        gamma[0, 1, 2], gamma[0, 2, 1] = 1.0, -1.0
+        conn = dataclasses.replace(berger.frame_conn, gamma=gamma)
+        moved = dataclasses.replace(berger, frame_conn=conn)
+        x = sample_interior(berger.chart, 3, seed=5)
+        expect = frame_connection_field(conn).jet_at(x, 1).c
+        assert np.array_equal(moved.gamma_canonical.jet_at(x, 1).c, expect)
+        assert not np.allclose(berger.gamma_canonical.jet_at(x, 1).c, expect)
+        assert dataclasses.replace(berger, frame_conn=None).gamma_canonical is None
+
+    def test_algebra_is_the_forms(self):
+        fx = instantiate("trivial_bundle_flat", {"algebra": "so(3)"})
+        assert fx.algebra is fx.a0.algebra
+        assert dataclasses.replace(fx, a0=None).algebra is None
+        assert instantiate("berger_sphere", {}).algebra is None
 
 
 class TestSmoothFields:

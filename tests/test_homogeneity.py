@@ -15,7 +15,6 @@ from ambrose.chart_calculus import (
     CHUNK,
     ConnectionCoeffs,
     curvature_field,
-    frame_connection_field,
     frame_levels,
     levi_civita,
     nan_max,
@@ -23,7 +22,7 @@ from ambrose.chart_calculus import (
     sample_interior,
     torsion_field,
 )
-from ambrose.errors import DepthMismatch, NotMetric, NotReductive, NumericalFailure
+from ambrose.errors import DepthMismatch, NotReductive, NumericalFailure
 from ambrose.fixtures import fixture_names, instantiate
 from ambrose.homogeneity import (
     KMAX_CAP,
@@ -55,6 +54,8 @@ from ambrose.lie_core import (
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame, to_frame
 import oracles
 from oracles import (
+    NotMetric,
+    bumped,
     covariant_derivative,
     covariant_fd,
     degrees,
@@ -69,8 +70,8 @@ from oracles import (
     point_towers,
     rotated,
     tower_shift,
+    warped_surface,
 )
-from test_orbit_match import warped_surface
 from test_total_space import count_calls
 
 REP2 = frame_structure_rep(2)
@@ -160,7 +161,7 @@ class TestDerivativeTower:
         sigma = opozda_section_spec(gamma)
         x = sample_interior(fx.chart, 1, seed=3)[0]
         tower = build_tower(sigma, None, gamma, fx.g, x, 2)
-        ref = fd_tower(sigma, gamma, 2)
+        ref = fd_tower(sigma, gamma, fx.chart, 2)
         assert [t.markers for t in tower.up_to(2)] == [m for m, _ in ref]
         assert tower.entries[2][0].markers == (DOWN, DOWN) + sigma[0].markers
         assert len(sigma) == (1 if conn == "metric" else 2)
@@ -537,9 +538,7 @@ class TestGaugeForms:
 
     def test_non_metric_connection_rejected(self):
         fx = instantiate("round_sphere2", {})
-        zero_gamma = ConnectionCoeffs(
-            chart=fx.chart, evaluator=lambda X: X.lift(np.zeros((2, 2, 2)))
-        )
+        zero_gamma = ConnectionCoeffs(evaluator=lambda X: X.lift(np.zeros((2, 2, 2))))
         b = frame_gauge_form(zero_gamma, fx.g, REP2.vector)
         with pytest.raises(NotMetric):
             b.at(np.array([1.0, 1.0]))
@@ -555,18 +554,6 @@ def adapt_inputs(lam, x, depth=2):
     fx = instantiate("berger_sphere", {"lam": lam})
     tower = lc_tower(fx, x, kmax=depth)
     return fx, tower, stabilizer_chain(tower, REP3)
-
-
-def bumped(fx):
-    """fx with its metric scaled by 1 + 0.2 sin(x_0) cos(x_1), and that
-    metric's Levi-Civita connection: a metric that is not locally
-    homogeneous."""
-    def ev(X):
-        return fx.g.evaluator(X) * (1.0 + 0.2 * jet.sin(X[0]) * jet.cos(X[1]))
-
-    g = dataclasses.replace(fx.g, evaluator=ev)
-    return dataclasses.replace(fx, name="bumped_" + fx.name, g=g, gamma=levi_civita(g),
-                               frame_conn=None, gamma_canonical=None)
 
 
 def adapt_pair(fx, x):
@@ -625,7 +612,7 @@ class TestAdaptedConnection:
         """The oracle's difference tensor must be antisymmetric in the
         frames: a connection that is not metric raises NotMetric."""
         fx, tower, chain = adapt_inputs(2.0, BERGER_X[0])
-        zero = ConnectionCoeffs(chart=fx.chart, evaluator=lambda X: X.lift(np.zeros((3, 3, 3))))
+        zero = ConnectionCoeffs(evaluator=lambda X: X.lift(np.zeros((3, 3, 3))))
         with pytest.raises(NotMetric):
             list(difference_shifts([(tower, chain)], fx.gamma, difference_field(zero, fx.gamma),
                                    fx.g, REP3, self.INNER))
@@ -1047,7 +1034,7 @@ class TestEquivalence:
             shift = jet.sin(X[0]) * jet.einsum("m,kl,lj->kmj", [1.0, 0.0], ginv, eps)
             return gamma0.evaluator(X) + shift
 
-        gamma = ConnectionCoeffs(chart=fx.chart, evaluator=ev)
+        gamma = ConnectionCoeffs(evaluator=ev)
         pts = sample_interior(fx.chart, 3, seed=14)
         report = equivalence_check_c_c0(gamma, fx.g, pts)
         assert report.passed
@@ -1057,9 +1044,7 @@ class TestEquivalence:
 
     def test_non_metric_rejected(self):
         fx = instantiate("round_sphere2", {})
-        zero_gamma = ConnectionCoeffs(
-            chart=fx.chart, evaluator=lambda X: X.lift(np.zeros((2, 2, 2)))
-        )
+        zero_gamma = ConnectionCoeffs(evaluator=lambda X: X.lift(np.zeros((2, 2, 2))))
         with pytest.raises(NotMetric):
             equivalence_check_c_c0(zero_gamma, fx.g, np.array([[1.0, 1.0]]))
 
@@ -1141,19 +1126,19 @@ class TestParallelismCriteria:
 def spoil_metric_d2g(fx, spoil):
     """The fixture with the metric jet's second-order coefficients spoiled."""
     g = dataclasses.replace(fx.g, evaluator=spoil(fx.g.evaluator, 2))
-    return dataclasses.replace(fx, g=g, gamma=levi_civita(g))
+    return dataclasses.replace(fx, g=g)
 
 
 def spoil_metric_dg(fx, spoil):
     """The fixture with the metric jet's first-order coefficients spoiled."""
     g = dataclasses.replace(fx.g, evaluator=spoil(fx.g.evaluator, 1))
-    return dataclasses.replace(fx, g=g, gamma=levi_civita(g))
+    return dataclasses.replace(fx, g=g)
 
 
 def spoil_coframe_d2(fx, spoil):
     """The fixture with the canonical coframe jet's second-order coefficients spoiled."""
     conn = dataclasses.replace(fx.frame_conn, coframe=spoil(fx.frame_conn.coframe, 2))
-    return dataclasses.replace(fx, frame_conn=conn, gamma_canonical=frame_connection_field(conn))
+    return dataclasses.replace(fx, frame_conn=conn)
 
 
 # the inputs spoiled near a sample point, with the scenario that reads them
@@ -1185,7 +1170,7 @@ class TestFailClosed:
             a.c[..., near, 0] = np.nan
             return a
 
-        a = LocalConnectionForm(chart=fx.chart, algebra=fx.algebra, evaluator=ev)
+        a = LocalConnectionForm(algebra=fx.algebra, evaluator=ev)
         report = check_lh_triple(fx.g, fx.a0, fx.gamma, a, pts)
         assert not report.passed
         assert np.isnan(report.residuals["nabla_F"])

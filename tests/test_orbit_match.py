@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambrose import homogeneity, jet
-from ambrose.chart_calculus import Chart, MetricField, levi_civita, sample_interior
+from ambrose import homogeneity
+from ambrose.chart_calculus import sample_interior
 from ambrose.errors import BadParameters, RepMismatch
-from ambrose.fixtures import Fixture, instantiate
+from ambrose.fixtures import instantiate
 from ambrose.homogeneity import (
     DerivativeTower,
     group_action,
@@ -26,7 +26,7 @@ from ambrose.homogeneity import (
 )
 from ambrose.lie_core import algebra_by_name, frame_structure_rep, skew_exp
 from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame
-from oracles import apply_axis, exp_jacobian_series
+from oracles import apply_axis, exp_jacobian_series, warped_surface
 from test_total_space import count_calls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -166,19 +166,6 @@ class TestMatchDepth:
         assert workload.oracle(json.loads(workload.run(3))) is not None
         assert chains == []
         assert angles == []
-
-
-def warped_surface() -> Fixture:
-    """dr^2 + (r + r^3)^2 dtheta^2: Gauss curvature -6 / (1 + r^2) varies
-    with r, so towers at points of different r lie in different orbits."""
-    chart = Chart(dim=2, box=np.array([[0.5, 1.5], [0.0, 2 * np.pi]]), margin=0.05)
-
-    def ev(X):
-        r = X[0]
-        return jet.array([[1.0, 0.0], [0.0, (r + r**3) ** 2]])
-
-    g = MetricField(chart=chart, evaluator=ev)
-    return Fixture("warped_surface", {}, chart, g, levi_civita(g))
 
 
 def matches_at_singer_depth(fx, seed):

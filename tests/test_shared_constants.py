@@ -62,22 +62,24 @@ def counted_run(argv: str, capsys) -> tuple[int, str, Counter]:
     return code, capsys.readouterr().out, calls
 
 
-@pytest.mark.parametrize("argv, first", [
+@pytest.mark.parametrize("argv, first, unbuilt", [
     ("--scenario total-space --fixture hopf_monopole",
      {"build_parser", "algebra_by_name", "default_inner", "LieAlgebra.__post_init__",
-      "AdInvariantInner.__post_init__"}),
+      "AdInvariantInner.__post_init__"}, set()),
+    # berger_sphere carries no bundle, so no catalog algebra is looked up
     ("--scenario adapt --fixture berger_sphere",
-     {"build_parser", "so_generators", "algebra_from_matrices", "algebra_by_name",
+     {"build_parser", "so_generators", "algebra_from_matrices",
       "default_inner", "LieAlgebra.__post_init__", "LinearRep.__post_init__",
-      "AdInvariantInner.__post_init__"}),
+      "AdInvariantInner.__post_init__"}, {"algebra_by_name"}),
 ])
-def test_second_run_builds_no_constant(argv, first, capsys):
+def test_second_run_builds_no_constant(argv, first, unbuilt, capsys):
     """From empty caches, the first run builds its constants and the second
     builds none; both print the golden report."""
     for built_once in CACHES:
         built_once.cache_clear()
     runs = [counted_run(argv, capsys) for _ in range(2)]
     assert first <= set(runs[0][2])
+    assert not unbuilt & set(runs[0][2])
     assert runs[1][2] == Counter()
     golden = GOLDEN[argv]
     assert [(code, out) for code, out, _ in runs] == [(golden["exit"], golden["stdout"])] * 2

@@ -13,7 +13,7 @@ import pytest
 from ambrose import bundle_conn, chart_calculus, cli, tensor_core
 from ambrose.bundle_conn import LocalConnectionForm, curvature_form
 from ambrose.chart_calculus import curvature, sample_interior
-from ambrose.errors import RepMismatch, UnsupportedFieldKind
+from ambrose.errors import UnsupportedFieldKind
 from ambrose.fixtures import instantiate, smooth_connection_form
 from ambrose.homogeneity import check_lh_triple
 from ambrose.lie_core import algebra_by_name, default_inner
@@ -48,26 +48,27 @@ SU2 = algebra_by_name("su(2)")
 
 def hopf_model(charge=1):
     fx = instantiate("hopf_monopole", {"charge": charge})
-    model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma,
-                            algebra=fx.algebra, inner=fx.inner, a=fx.a0)
+    model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
     return model, fx
 
 
 def flat_model():
     fx = instantiate("trivial_bundle_flat", {})
-    model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma,
-                            algebra=fx.algebra, inner=fx.inner, a=fx.a0)
+    model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
     return model, fx
 
 
 class TestModelAndVectors:
-    def test_algebra_mismatch_rejected(self):
-        fx = instantiate("hopf_monopole", {})
-        with pytest.raises(RepMismatch):
-            TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma,
-                            algebra=algebra_by_name("so(3)"),
-                            inner=default_inner(algebra_by_name("so(3)")),
-                            a=fx.a0)
+    @pytest.mark.parametrize("algebra", ["su(2)", "so(3)", "su(2)+u(1)"])
+    def test_algebra_and_inner_are_the_forms(self, algebra):
+        """The model's algebra is its form's, one object, and its inner
+        product that algebra's default: there is no second copy to
+        disagree with the form."""
+        fx = instantiate("trivial_bundle_flat", {"algebra": algebra})
+        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
+        assert model.algebra is fx.a0.algebra
+        assert model.inner is default_inner(fx.a0.algebra)
+        assert [f.name for f in dataclasses.fields(TotalSpaceModel)] == ["chart", "g", "gamma", "a"]
 
     def test_total_vector_arithmetic(self):
         u = TotalVector(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
@@ -345,8 +346,7 @@ class TestParallelismChecks:
     def test_generic_connection_fails_hypotheses(self):
         fx = instantiate("hopf_monopole", {})
         wild = smooth_connection_form(fx.chart, SU2, seed=5)
-        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma,
-                                algebra=fx.algebra, inner=fx.inner, a=wild)
+        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=wild)
         pts = sample_interior(fx.chart, 1, seed=6)
         report = bar_parallelism_check(model, pts)
         assert not report.passed
@@ -394,8 +394,7 @@ def bar_norm2(model, x):
 def generic_model():
     fx = instantiate("hopf_monopole", {})
     wild = smooth_connection_form(fx.chart, SU2, seed=5)
-    return TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma,
-                           algebra=fx.algebra, inner=fx.inner, a=wild), fx
+    return TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=wild), fx
 
 
 class TestFrameTables:
@@ -462,7 +461,7 @@ def nan_form_fixture(bad, pts):
         a.c[..., near, 0] = np.nan
         return a
 
-    a = LocalConnectionForm(chart=fx.chart, algebra=fx.algebra, evaluator=ev)
+    a = LocalConnectionForm(algebra=fx.algebra, evaluator=ev)
     return dataclasses.replace(fx, a0=a)
 
 
