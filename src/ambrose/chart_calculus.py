@@ -8,8 +8,13 @@ evaluation: ``jet_at(x, order)`` is that jet, at the points x of shape
 single point. Connection coefficients, curvature, torsion and covariant
 derivatives are formulas over jets, one order lower per derivative.
 Everything lives on one coordinate chart; points are plain coordinate
-arrays. ``fd_array``, a Richardson-extrapolated central
-difference, is the tests' reference for those partials.
+arrays. ``fd_array``, a Richardson-extrapolated central difference, is the
+tests' reference for those partials; no code of the package calls it.
+
+A moving-frame connection, given by a coframe and its coefficients in the
+dual frame, is one formula (``_frame_connection_jet``): the canonical
+connections of the fixtures take constant coefficients, the adapted
+connection of a bundle's total space (total_space) coefficients that vary.
 
 A section, a tuple of fields, is differentiated in one place, frame_levels,
 which the towers and the residual checks read. The checks run on the batch
@@ -377,20 +382,20 @@ def torsion_field(conn: ConnectionCoeffs) -> TensorFieldSpec:
     )
 
 
-def _frame_connection_jet(conn: FrameFieldConnection, X: Jet) -> Jet:
+def _frame_connection_jet(X: Jet, th: Jet, gamma: Jet | np.ndarray) -> Jet:
     """Coordinate coefficients E a of a moving-frame connection, with
     a[k, mu, v] = d_mu th[k, v] + th[i, mu] th[l, v] gamma[k, i, l], from the
-    coframe one order higher than the coordinate jet X."""
-    points = _base_points(X)
-    th = conn.coframe(variables(points, X.order + 1))
+    coframe jet th one order higher than the coordinate jet X and the frame
+    coefficients gamma, a constant array or a jet."""
     low = th.truncate(X.order)
-    a = shift(th).transpose(1, 0, 2) + jet.einsum("ia,lv,kil->kav", low, low, conn.gamma)
-    return jet.einsum("lk,kav->lav", _inverse(low, points), a)
+    a = shift(th).transpose(1, 0, 2) + jet.einsum("ia,lv,kil->kav", low, low, gamma)
+    return jet.einsum("lk,kav->lav", _inverse(low, _base_points(X)), a)
 
 
 def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
     """Coordinate ConnectionCoeffs field for a moving-frame connection."""
-    return ConnectionCoeffs(evaluator=lambda X: _frame_connection_jet(conn, X))
+    return ConnectionCoeffs(evaluator=lambda X: _frame_connection_jet(
+        X, conn.coframe(variables(_base_points(X), X.order + 1)), conn.gamma))
 
 
 def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 
 import numpy as np
@@ -180,6 +180,12 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
+        # the keys are RunConfig's fields; a misspelt one is not ignored
+        known = [f.name for f in fields(RunConfig)]
+        unknown = sorted(set(base) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                              f"known: {', '.join(known)}")
     params = base.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config file params must be a JSON object")
@@ -454,7 +460,7 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
 def run_total_space(cfg: RunConfig) -> VerificationReport:
     fix = _fixture(cfg)
     _require_bundle(fix)
-    model = TotalSpaceModel(chart=fix.chart, g=fix.g, gamma=fix.gamma, a=fix.a0)
+    model = TotalSpaceModel(g=fix.g, gamma=fix.gamma, a=fix.a0)
     a0_ref = _reference_form(fix, cfg.params.get("alpha"), "alpha")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
     return total_space_check(model, a0_ref, points, fixture=fix.name)
@@ -500,8 +506,12 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
 
 
 def run_selftest(cfg: RunConfig) -> VerificationReport:
+    """The battery's sub-reports as one: their residuals and tolerances
+    under the scenario's prefix, the sorted union of their flags, and a pass
+    if every one passes."""
     residuals: dict[str, float] = {}
     tolerances: dict[str, float] = {}
+    flags: set[str] = set()
     passed = True
     for scenario, fixture, params in SELFTEST_BATTERY:
         sub = replace(
@@ -511,6 +521,7 @@ def run_selftest(cfg: RunConfig) -> VerificationReport:
         for key, value in rep.residuals.items():
             residuals[f"{scenario}.{key}"] = value
             tolerances[f"{scenario}.{key}"] = rep.tolerances[key]
+        flags.update(rep.flags)
         passed = passed and rep.passed
     return VerificationReport(
         scenario="selftest",
@@ -519,6 +530,7 @@ def run_selftest(cfg: RunConfig) -> VerificationReport:
         residuals=residuals,
         tolerances=tolerances,
         passed=passed,
+        flags=tuple(sorted(flags)),
     )
 
 

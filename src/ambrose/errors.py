@@ -48,10 +48,6 @@ class BadParameters(AmbroseError):
     """Fixture parameters outside their documented valid range."""
 
 
-class UnsupportedFieldKind(AmbroseError):
-    """Total-space field outside the generated class."""
-
-
 class ConfigError(AmbroseError):
     """CLI configuration is invalid (exit code 2)."""
 

@@ -181,6 +181,15 @@ def variables(x: np.ndarray, order: int) -> Jet:
     return Jet(c, n, order)
 
 
+def _embed(f: Jet, n: int) -> Jet:
+    """f, a jet in f.n variables, as a jet in the first f.n of n variables:
+    its partials along the others are 0."""
+    pos = {a: k for k, a in enumerate(_indices(n, f.order))}
+    c = np.zeros(f.c.shape[:-1] + (size(n, f.order),))
+    c[..., [pos[a + (0,) * (n - f.n)] for a in _indices(f.n, f.order)]] = f.c
+    return Jet(c, n, f.order)
+
+
 def array(rows) -> Jet:
     """A jet from a nested list of jets and numbers, like np.array; the
     order is the lowest among the jets."""

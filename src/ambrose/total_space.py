@@ -9,16 +9,17 @@ call per batch of at most CHUNK points. Their frame tuples are those
 tensors and the Jacobi sums of the structure constants, and the hypotheses
 are the tensors' norms, check_lh_triple's residuals.
 
-The per-tuple case tables (``bar_torsion_derivative``,
-``bar_curvature_derivative``) define those tuples on generated fields:
-horizontal lifts of base fields, fundamental fields of constant algebra
-elements, and vertical fields of adjoint sections.  Their vertical values
-track the provenance of each slot: adjoint-section slots differentiate by the
-bundle connection along horizontal directions and are inert vertically,
-while constant slots are inert horizontally and move by the bracket
-vertically.  The checks do not call them; the tests compare the criteria
-against them, with the partials of generated fields by finite differences,
-the one derivative by FD left in the package.
+``bar_torsion_derivative`` and ``bar_curvature_derivative`` define those
+tuples from the adapted connection itself, on the total space U x g with
+coordinates (x, y): a frame connection over the coframe {dx, omega},
+omega = Ad(exp(-y)) A + theta(y) dy (Kobayashi and Nomizu, Foundations of
+Differential Geometry I, ch. II), whose coefficients in the dual frame
+{d_mu^h, e_d*} are Gamma on horizontal triples and the structure constants
+on vertical ones. Its torsion and curvature towers are one frame_levels
+call, at base points lifted to y = 0: the connection and the metric
+g-bar = pi*g + <omega, omega> are invariant under the right action, so
+every norm is constant along a fibre. The checks do not call them; the
+tests compare the criteria against them.
 """
 
 from __future__ import annotations
@@ -29,32 +30,31 @@ from typing import Callable
 import numpy as np
 
 from . import jet
-from .bundle_conn import LocalConnectionForm, curvature_form
+from .bundle_conn import LocalConnectionForm
 from .chart_calculus import (
-    Chart,
     ConnectionCoeffs,
     MetricField,
-    curvature,
-    fd_array,
+    TensorFieldSpec,
+    _frame_connection_jet,
+    curvature_field,
     frame_levels,
+    frame_stacks,
     max_over_chunks,
     nan_max,
     torsion_field,
 )
-from .errors import UnsupportedFieldKind
 from .homogeneity import TOLERANCES, VerificationReport, lh_fields, make_report
+from .jet import Jet, variables
 from .lie_core import AdInvariantInner, LieAlgebra, default_inner
-from .tensor_core import LIE, UP, axis_action, point_norms
+from .tensor_core import point_norms
 
 
 @dataclass(frozen=True)
 class TotalSpaceModel:
-    """Base chart with metric and linear connection, and a principal
-    connection form. The structure algebra is the form's, with its default
-    invariant inner product. The chart bounds the finite differences of the
-    case tables."""
+    """Base metric and linear connection, and a principal connection form.
+    The structure algebra is the form's, with its default invariant inner
+    product."""
 
-    chart: Chart
     g: MetricField
     gamma: ConnectionCoeffs
     a: LocalConnectionForm
@@ -68,271 +68,114 @@ class TotalSpaceModel:
         return default_inner(self.a.algebra)
 
 
-@dataclass(frozen=True)
-class TotalVector:
-    """Full tangent value: horizontal part in base coordinates plus vertical
-    part in algebra coordinates."""
-
-    horizontal: np.ndarray
-    vertical: np.ndarray
-
-    def __add__(self, other: "TotalVector") -> "TotalVector":
-        return TotalVector(self.horizontal + other.horizontal,
-                           self.vertical + other.vertical)
-
-    def __sub__(self, other: "TotalVector") -> "TotalVector":
-        return TotalVector(self.horizontal - other.horizontal,
-                           self.vertical - other.vertical)
-
-
-def total_zero(model: TotalSpaceModel) -> TotalVector:
-    return TotalVector(np.zeros(model.chart.dim), np.zeros(model.algebra.dim))
-
-
-LIFT = "lift"
-FUNDAMENTAL = "fundamental"
-ADJOINT = "adjoint"
-
-
-@dataclass(frozen=True)
-class GeneratedField:
-    """Horizontal lift of a base field, fundamental field of a constant
-    algebra element, or vertical field of an adjoint section."""
-
-    kind: str
-    payload: np.ndarray | Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.kind not in (LIFT, FUNDAMENTAL, ADJOINT):
-            raise UnsupportedFieldKind(f"unknown field kind {self.kind!r}")
-        if self.kind == FUNDAMENTAL and callable(self.payload):
-            raise UnsupportedFieldKind("fundamental fields take a constant element")
-
-    def at(self, x: np.ndarray) -> np.ndarray:
-        if callable(self.payload):
-            return np.asarray(self.payload(np.asarray(x, float)), float)
-        return np.asarray(self.payload, float)
-
-    def value(self, model: TotalSpaceModel, x: np.ndarray) -> TotalVector:
-        v = self.at(x)
-        if self.kind == LIFT:
-            return TotalVector(v, np.zeros(model.algebra.dim))
-        return TotalVector(np.zeros(model.chart.dim), v)
-
-
-def _cov(model: TotalSpaceModel, f, marker: str, x: np.ndarray, xv: np.ndarray,
-         lie: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """Covariant derivative along vector xv at x of a field f, constant or
-    callable, whose one axis carries the given marker."""
-    x = np.asarray(x, float)
-    fv = np.asarray(f(x) if callable(f) else f, float)
-    df = np.zeros((model.chart.dim,) + fv.shape)
-    if callable(f):
-        # a third of fd_array's default step: the O(h^4) error falls from
-        # about 3e-10 to below 1e-11 while rounding stays smaller
-        df = np.stack([fd_array(f, model.chart, x, mu, step_scale=3e-4)
-                       for mu in range(model.chart.dim)])
-    mat = model.gamma.at(x).transpose(1, 0, 2)
-    return xv @ (df + axis_action((marker,), fv, mat, None if lie is None else lie(x)))
-
-
-def base_cov(model: TotalSpaceModel, h, x: np.ndarray,
-             xv: np.ndarray) -> np.ndarray:
-    """Base covariant derivative of the base field h along vector xv at x."""
-    return _cov(model, h, UP, x, xv)
-
-
-def conn_cov(model: TotalSpaceModel, nu, x: np.ndarray,
-             xv: np.ndarray) -> np.ndarray:
-    """Bundle covariant derivative of the adjoint section nu along xv at x."""
-    return _cov(model, nu, LIE, x, xv, model.a.ad_at)
-
-
-class VertExpr:
-    """Vertical value with provenance-aware derivative rules."""
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def d_h(self, model: TotalSpaceModel, x: np.ndarray,
-            xv: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def d_v(self, model: TotalSpaceModel, x: np.ndarray,
-            a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ConstVert(VertExpr):
-    def __init__(self, c: np.ndarray):
-        self.c = np.asarray(c, float)
-
-    def value(self, x):
-        return self.c
-
-    def d_h(self, model, x, xv):
-        return np.zeros_like(self.c)
-
-    def d_v(self, model, x, a):
-        return model.algebra.bracket(a, self.c)
-
-
-class SectionVert(VertExpr):
-    def __init__(self, nu: Callable[[np.ndarray], np.ndarray]):
-        self.nu = nu
-
-    def value(self, x):
-        return np.asarray(self.nu(np.asarray(x, float)), float)
-
-    def d_h(self, model, x, xv):
-        return conn_cov(model, self.nu, x, xv)
-
-    def d_v(self, model, x, a):
-        return np.zeros(model.algebra.dim)
-
-
-class BracketVert(VertExpr):
-    def __init__(self, left: VertExpr, right: VertExpr):
-        self.left = left
-        self.right = right
-
-    def d_h(self, model, x, xv):
-        return model.algebra.bracket(
-            self.left.d_h(model, x, xv), self.right.value(x)
-        ) + model.algebra.bracket(self.left.value(x), self.right.d_h(model, x, xv))
-
-    def d_v(self, model, x, a):
-        return model.algebra.bracket(
-            self.left.d_v(model, x, a), self.right.value(x)
-        ) + model.algebra.bracket(self.left.value(x), self.right.d_v(model, x, a))
-
-
-def bar_connection_apply(model: TotalSpaceModel, u: GeneratedField,
-                         v: GeneratedField, x: np.ndarray) -> TotalVector:
-    """Case table of the adapted connection on generated fields at x."""
-    x = np.asarray(x, float)
-    out = total_zero(model)
-    if u.kind == LIFT:
-        xv = u.at(x)
-        if v.kind == LIFT:
-            return TotalVector(base_cov(model, v.payload, x, xv),
-                               out.vertical)
-        if v.kind == ADJOINT:
-            return TotalVector(out.horizontal, conn_cov(model, v.payload, x, xv))
-        return out
-    w = u.at(x)
-    if v.kind == FUNDAMENTAL:
-        return TotalVector(out.horizontal, model.algebra.bracket(w, v.at(x)))
-    return out
-
-
-def _pair_torsion(model: TotalSpaceModel, uv: TotalVector, vv: TotalVector,
-                  x: np.ndarray) -> TotalVector:
-    t = torsion_field(model.gamma).at(x).data
-    f = curvature_form(model.a, x).data
-    h = np.einsum("kij,i,j->k", t, uv.horizontal, vv.horizontal)
-    w = np.einsum("ijc,i,j->c", f, uv.horizontal, vv.horizontal)
-    w = w + model.algebra.bracket(uv.vertical, vv.vertical)
-    return TotalVector(h, w)
-
-
-def _pair_curvature(model: TotalSpaceModel, uv: TotalVector, vv: TotalVector,
-                    wv: TotalVector, x: np.ndarray) -> TotalVector:
-    r = curvature(model.gamma, x).data
-    f = curvature_form(model.a, x).data
-    h = np.einsum("lkij,i,j,k->l", r, uv.horizontal, vv.horizontal, wv.horizontal)
-    fv = np.einsum("ijc,i,j->c", f, uv.horizontal, vv.horizontal)
-    return TotalVector(h, model.algebra.bracket(fv, wv.vertical))
-
-
 def _vertical_coframe(model: TotalSpaceModel) -> np.ndarray:
     # rows w -> orthonormal coordinates for the inner product
     return np.linalg.cholesky(model.inner.matrix).T
 
 
-def _bar_torsion_field(model: TotalSpaceModel, v: GeneratedField,
-                       w: GeneratedField):
-    """T-bar(v, w) as (horizontal base field, vertical expression)."""
-    if v.kind == LIFT and w.kind == LIFT:
-        def h_field(y):
-            t = torsion_field(model.gamma).at(y).data
-            return np.einsum("kij,i,j->k", t, v.at(y), w.at(y))
-
-        def nu_field(y):
-            f = curvature_form(model.a, y).data
-            return np.einsum("ijc,i,j->c", f, v.at(y), w.at(y))
-
-        return h_field, SectionVert(nu_field)
-    if v.kind == FUNDAMENTAL and w.kind == FUNDAMENTAL:
-        return None, ConstVert(
-            model.algebra.bracket(np.asarray(v.payload, float),
-                                  np.asarray(w.payload, float))
-        )
-    return None, None
+def _blocks(X: Jet, base: Jet, const: np.ndarray) -> Jet:
+    """A jet in the n + m coordinates X of U x g: the base jet, in the n
+    coordinates of U, on the first n indices of every axis, the constant
+    const on the last m, and 0 elsewhere."""
+    n = X.n - len(const)
+    c = np.zeros((X.n,) * const.ndim + X.c.shape[1:])
+    c[(slice(n),) * const.ndim] = jet._embed(base, X.n).c
+    c[(slice(n, None),) * const.ndim + (slice(None), 0)] = const[..., None]
+    return Jet(c, X.n, X.order)
 
 
-def _bar_curvature_field(model: TotalSpaceModel, v: GeneratedField,
-                         w: GeneratedField, z: GeneratedField):
-    """R-bar(v, w)z as (horizontal base field, vertical expression)."""
-    if v.kind != LIFT or w.kind != LIFT:
-        return None, None
-    if z.kind == LIFT:
-        def h_field(y):
-            r = curvature(model.gamma, y).data
-            return np.einsum("lkij,i,j,k->l", r, v.at(y), w.at(y), z.at(y))
-
-        return h_field, None
-
-    def f_field(y):
-        f = curvature_form(model.a, y).data
-        return np.einsum("ijc,i,j->c", f, v.at(y), w.at(y))
-
-    return None, BracketVert(SectionVert(f_field), ConstVert(z.payload))
+def _base(model: TotalSpaceModel, X: Jet) -> np.ndarray:
+    """The base points x of the coordinate jet X at points (x, 0)."""
+    return X.value.T[:, :X.n - model.algebra.dim]
 
 
-def _derive_output(model: TotalSpaceModel, h_field, vert: VertExpr | None,
-                   u: GeneratedField, x: np.ndarray) -> TotalVector:
-    """Covariant derivative of a case-table output field along frame field u."""
-    out = total_zero(model)
-    if u.kind == LIFT:
-        xv = u.at(x)
-        h = base_cov(model, h_field, x, xv) if h_field is not None else out.horizontal
-        w = vert.d_h(model, x, xv) if vert is not None else out.vertical
-        return TotalVector(h, w)
-    a = u.at(x)
-    w = vert.d_v(model, x, a) if vert is not None else out.vertical
-    return TotalVector(out.horizontal, w)
+def _coframe_jet(model: TotalSpaceModel, X: Jet) -> Jet:
+    """The coframe Theta = [[I, 0], [e^{-ad y} A(x), theta(y)]], rows dx and
+    omega, at points (x, 0): there ad y vanishes, so e^{-ad y} and
+    theta(y) = sum_k (-ad y)^k / (k + 1)! are polynomials to the jet's
+    order."""
+    s = model.algebra.structure
+    n = X.n - len(s)
+    neg_ad = jet.einsum("kij,i->kj", -s, X[n:])
+    term = X.lift(np.eye(len(s)))
+    exp_ad, theta = term, term
+    for k in range(1, X.order + 1):
+        term = jet.einsum("ij,jk->ik", term, neg_ad) * (1.0 / k)
+        exp_ad, theta = exp_ad + term, theta + term * (1.0 / (k + 1))
+    a = jet._embed(model.a.jet_at(_base(model, X), X.order), X.n)
+    c = np.zeros((X.n,) + X.c.shape)
+    c[:n, :n, :, 0] = np.eye(n)[..., None]
+    c[n:, :n] = jet.einsum("de,me->dm", exp_ad, a).c
+    c[n:, n:] = theta.c
+    return Jet(c, X.n, X.order)
 
 
-def bar_torsion_derivative(model: TotalSpaceModel, u: GeneratedField,
-                           v: GeneratedField, w: GeneratedField,
-                           x: np.ndarray) -> TotalVector:
-    """(del-bar T-bar)(u; v, w) on adapted frame fields."""
-    x = np.asarray(x, float)
-    h_field, vert = _bar_torsion_field(model, v, w)
-    term1 = _derive_output(model, h_field, vert, u, x)
-    dv = bar_connection_apply(model, u, v, x)
-    dw = bar_connection_apply(model, u, w, x)
-    term2 = _pair_torsion(model, dv, w.value(model, x), x)
-    term3 = _pair_torsion(model, v.value(model, x), dw, x)
-    return term1 - term2 - term3
+def _bar_connection(model: TotalSpaceModel) -> ConnectionCoeffs:
+    """The adapted connection in the coordinates of U x g, at points
+    (x, 0): the frame connection over Theta whose coefficients in the dual
+    frame {d_mu^h, e_d*} are Gamma(x) on horizontal triples, the structure
+    constants on vertical ones and 0 on the rest. So del-bar of lifts is
+    the lift of del, fundamental fields are horizontally parallel,
+    del-bar_{xi*} eta* = [xi, eta]* and del-bar_{xi*} Y^h = 0."""
+    def evaluate(X: Jet) -> Jet:
+        gamma = _blocks(X, model.gamma.jet_at(_base(model, X), X.order), model.algebra.structure)
+        return _frame_connection_jet(X, _coframe_jet(model, variables(X.value.T, X.order + 1)),
+                                     gamma)
+
+    return ConnectionCoeffs(evaluator=evaluate)
 
 
-def bar_curvature_derivative(model: TotalSpaceModel, u: GeneratedField,
-                             v: GeneratedField, w: GeneratedField,
-                             z: GeneratedField, x: np.ndarray) -> TotalVector:
-    """(del-bar R-bar)(u; v, w, z) on adapted frame fields."""
-    x = np.asarray(x, float)
-    h_field, vert = _bar_curvature_field(model, v, w, z)
-    term1 = _derive_output(model, h_field, vert, u, x)
-    dv = bar_connection_apply(model, u, v, x)
-    dw = bar_connection_apply(model, u, w, x)
-    dz = bar_connection_apply(model, u, z, x)
-    vv, wv, zv = (f.value(model, x) for f in (v, w, z))
-    term2 = _pair_curvature(model, dv, wv, zv, x)
-    term3 = _pair_curvature(model, vv, dw, zv, x)
-    term4 = _pair_curvature(model, vv, wv, dz, x)
-    return term1 - term2 - term3 - term4
+def _bar_metric(model: TotalSpaceModel) -> MetricField:
+    """g-bar = Theta^T diag(g(x), <,>) Theta, at points (x, 0)."""
+    def evaluate(X: Jet) -> Jet:
+        th = _coframe_jet(model, X)
+        return jet.einsum("ai,ab,bj->ij", th, _blocks(
+            X, model.g.jet_at(_base(model, X), X.order), model.inner.matrix), th)
+
+    return MetricField(evaluator=evaluate)
+
+
+def _lifted(model: TotalSpaceModel, points: np.ndarray) -> np.ndarray:
+    """The points (x, 0) of U x g over the base points x, shape (P, n)."""
+    return np.hstack([points, np.zeros((len(points), model.algebra.dim))])
+
+
+def _adapted_frames(model: TotalSpaceModel, points: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(coframes, frames) of the adapted orthonormal frames {E_a^h, C_d} at
+    the points (x, 0): coframe blockdiag(E's coframe, the vertical coframe)
+    Theta(x, 0), Theta(x, 0) = [[I, 0], [A(x), I]]."""
+    n, vc = points.shape[1], _vertical_coframe(model)
+    coframe = np.zeros((len(points), n + len(vc), n + len(vc)))
+    coframe[:, :n, :n] = frame_stacks(model.g, points)[0]
+    coframe[:, n:, :n] = np.einsum("de,mep->pdm", vc, model.a.jet_at(points, 0).value)
+    coframe[:, n:, n:] = vc
+    return coframe, np.linalg.inv(coframe)
+
+
+def _bar_tower(model: TotalSpaceModel, points: np.ndarray,
+               field: Callable[[ConnectionCoeffs], TensorFieldSpec]) -> list:
+    """Levels 0 and 1 of the tower of the adapted connection's field
+    (torsion_field or curvature_field) at the points (x, 0) over the base
+    points, in the adapted orthonormal frames."""
+    points = np.atleast_2d(np.asarray(points, float))
+    gamma = _bar_connection(model)
+    return frame_levels((field(gamma),), None, gamma, _bar_metric(model),
+                        _lifted(model, points), 1, _adapted_frames(model, points))
+
+
+def bar_torsion_derivative(model: TotalSpaceModel, points: np.ndarray) -> np.ndarray:
+    """del-bar T-bar at the points (x, 0) over the base points, point first,
+    in the adapted orthonormal frames: data[p, u, k, v, w] is component k
+    of (del-bar T-bar)(u; v, w)."""
+    return _bar_tower(model, points, torsion_field)[1][0][1]
+
+
+def bar_curvature_derivative(model: TotalSpaceModel, points: np.ndarray) -> np.ndarray:
+    """del-bar R-bar at the points (x, 0) over the base points, point first,
+    in the adapted orthonormal frames: data[p, u, l, k, v, w] is component
+    l of (del-bar R-bar)(u; v, w) applied to frame vector k."""
+    return _bar_tower(model, points, curvature_field)[1][0][1]
 
 
 # the residuals that are hypotheses of the total-space criteria
@@ -353,20 +196,17 @@ def _residuals(model: TotalSpaceModel, points: np.ndarray,
     (lh_fields) of the model's form a and the reference form a0 (a itself
     when there is none), under ad of a, point axis last. The hypotheses
     nabla_R, nabla_T, nabla_F and, given a0, alpha_parallel are the norms of
-    those four arrays, as check_lh_triple takes them. In the orthonormal
-    frames E_a of the base and C_d of the algebra, the nonzero frame tuples
-    of the case tables are those same tensors: del-bar T-bar is del T
-    horizontally and del F vertically on lift triples, and the Jacobi sum of
-    [C_k, [C_a, C_b]] on vertical triples; del-bar R-bar on (lift, lift,
-    lift, frame) tuples is del R for a lift E_d and [del F, C_d] for a
-    fundamental C_d. So nabla_bar_T is the norm of [del T, del F, Jacobi]
-    and nabla_bar_R that of [del R, [del F, C_d]], vertical parts in the
-    coframe of the inner product; and, given a0, distribution is the largest
-    vertical norm of (del alpha)(E_c; E_b), alpha = a - a0 the shift form.
-
-    The other tuples are exact zeros of the case tables, and so is the
-    fundamental/lift/lift/fundamental case of R-bar: its derivative
-    [F(E_a, E_b), [C_e, C_d]] cancels its Leibniz correction."""
+    those four arrays, as check_lh_triple takes them. In the adapted
+    orthonormal frames {E_a^h, C_d}, the components of bar_torsion_derivative
+    and bar_curvature_derivative that are not zero are those same tensors:
+    del-bar T-bar is del T horizontally and del F vertically on lift
+    triples, and the Jacobi sum of [C_k, [C_a, C_b]] on vertical triples;
+    del-bar R-bar on (lift, lift, lift, frame) tuples is del R for a lift
+    E_d and [del F, C_d] for a fundamental C_d. So nabla_bar_T is the norm
+    of [del T, del F, Jacobi] and nabla_bar_R that of [del R, [del F, C_d]],
+    vertical parts in the coframe of the inner product; and, given a0,
+    distribution is the largest vertical norm of (del alpha)(E_c; E_b),
+    alpha = a - a0 the shift form."""
     fields = lh_fields(model.gamma, model.a, model.a if a0 is None else a0)
     d = {name: jet.points_last(data) for name, (_, data) in zip(fields, frame_levels(
         tuple(fields.values()), model.a, model.gamma, model.g, points, 1)[1])}

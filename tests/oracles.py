@@ -27,12 +27,6 @@ change to orthonormal frames by one einsum per axis over point-last data,
 orbit_match's exp Jacobian by its power series, the Cauchy product table
 by sorting every pair of multi-indices, and the adapted connection's
 least-squares system by one solve per point.
-
-The total-space scaffolding at the end (generated-field constructors, the
-torsion, curvature and bracket case tables, the connection metric and the
-adapted frame fields) serves the per-tuple case tables of
-``ambrose.total_space``, against which the tests check its per-point frame
-tables.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ import sympy as sp
 from scipy.integrate import solve_ivp
 
 from ambrose import jet
-from ambrose.bundle_conn import LocalConnectionForm, curvature_form
+from ambrose.bundle_conn import LocalConnectionForm
 from ambrose.chart_calculus import (
     Chart,
     ConnectionCoeffs,
@@ -72,7 +66,6 @@ from ambrose.errors import (
     NotReductive,
     NumericalFailure,
     RepMismatch,
-    UnsupportedFieldKind,
 )
 from ambrose.fixtures import Fixture
 from ambrose.homogeneity import (
@@ -103,18 +96,6 @@ from ambrose.tensor_core import (
     axis_action,
     cholesky_frames,
     to_frame,
-)
-from ambrose.total_space import (
-    ADJOINT,
-    FUNDAMENTAL,
-    LIFT,
-    GeneratedField,
-    TotalSpaceModel,
-    TotalVector,
-    _pair_curvature,
-    _vertical_coframe,
-    bar_connection_apply,
-    total_zero,
 )
 
 
@@ -818,100 +799,3 @@ def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int) -> tuple[float,
     shift = norm(with_adjoint_rep(rep), beta_k, (DOWN, LIE))
     levels = fd_tower(opozda_section_spec(fix.gamma), fix.gamma, fix.chart, singer_k + 1)
     return shift, max(norm(rep, frame_expressed(f, m, fix.g), m) for m, f in levels)
-
-
-def lift(payload) -> GeneratedField:
-    return GeneratedField(LIFT, payload)
-
-
-def fundamental(c) -> GeneratedField:
-    return GeneratedField(FUNDAMENTAL, c)
-
-
-def xi(nu) -> GeneratedField:
-    return GeneratedField(ADJOINT, nu)
-
-
-def bar_torsion(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
-                x: np.ndarray) -> TotalVector:
-    """Torsion case table: horizontal pair gives base torsion plus curvature
-    form; mixed pairs vanish; vertical pairs give the bracket."""
-    x = np.asarray(x, float)
-    if u.kind == LIFT and v.kind == LIFT:
-        xv, yv = u.at(x), v.at(x)
-        t = torsion_field(model.gamma).at(x).data
-        f = curvature_form(model.a, x).data
-        return TotalVector(np.einsum("kij,i,j->k", t, xv, yv),
-                           np.einsum("ijc,i,j->c", f, xv, yv))
-    if u.kind != LIFT and v.kind != LIFT:
-        return TotalVector(np.zeros(model.chart.dim),
-                           model.algebra.bracket(u.at(x), v.at(x)))
-    return total_zero(model)
-
-
-def bracket_fields(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
-                   x: np.ndarray) -> TotalVector:
-    """Lie bracket of generated fields at x: base bracket minus the curvature
-    obstruction for lifts; fundamental pairs bracket in the algebra; a lift
-    and a fundamental field commute."""
-    x = np.asarray(x, float)
-    if u.kind == LIFT and v.kind == LIFT:
-        xv, yv = u.at(x), v.at(x)
-        n = model.chart.dim
-        du = fd_partials(u.payload, model.chart, x) if callable(u.payload) \
-            else np.zeros((n, n))
-        dv = fd_partials(v.payload, model.chart, x) if callable(v.payload) \
-            else np.zeros((n, n))
-        hx = np.einsum("m,mk->k", xv, dv) - np.einsum("m,mk->k", yv, du)
-        f = curvature_form(model.a, x).data
-        return TotalVector(hx, -np.einsum("ijc,i,j->c", f, xv, yv))
-    if u.kind == FUNDAMENTAL and v.kind == FUNDAMENTAL:
-        return TotalVector(np.zeros(model.chart.dim),
-                           model.algebra.bracket(u.at(x), v.at(x)))
-    if LIFT in (u.kind, v.kind) and FUNDAMENTAL in (u.kind, v.kind):
-        return total_zero(model)
-    raise UnsupportedFieldKind("bracket supports lift and fundamental fields")
-
-
-def bar_torsion_direct(model: TotalSpaceModel, u: GeneratedField,
-                       v: GeneratedField, x: np.ndarray) -> TotalVector:
-    """Torsion from its definition, for comparison against the case table."""
-    return (bar_connection_apply(model, u, v, x)
-            - bar_connection_apply(model, v, u, x)
-            - bracket_fields(model, u, v, x))
-
-
-def connection_metric(model: TotalSpaceModel, u: TotalVector, v: TotalVector,
-                      x: np.ndarray) -> float:
-    """g_A: base metric on horizontal parts plus the invariant inner product
-    on vertical parts."""
-    gx = model.g.at(np.asarray(x, float))
-    return float(u.horizontal @ gx @ v.horizontal
-                 + u.vertical @ model.inner.matrix @ v.vertical)
-
-
-def _frame_fields(model: TotalSpaceModel) -> tuple[list[GeneratedField], list[GeneratedField]]:
-    n = model.chart.dim
-    lifts = [
-        lift(lambda y, a=a: ortho_frame(model.g, y).frame[:, a]) for a in range(n)
-    ]
-    l_inv = np.linalg.inv(_vertical_coframe(model))
-    funds = [fundamental(l_inv[:, i]) for i in range(model.algebra.dim)]
-    return lifts, funds
-
-
-def _tv_norm2(model: TotalSpaceModel, tv: TotalVector, x: np.ndarray) -> float:
-    fr = ortho_frame(model.g, x)
-    h = fr.coframe @ tv.horizontal
-    w = _vertical_coframe(model) @ tv.vertical
-    return float(h @ h + w @ w)
-
-
-def bar_curvature(model: TotalSpaceModel, u: GeneratedField, v: GeneratedField,
-                  w: GeneratedField, x: np.ndarray) -> TotalVector:
-    """Curvature case table: nonzero only for horizontal direction pairs."""
-    x = np.asarray(x, float)
-    if u.kind != LIFT or v.kind != LIFT:
-        return total_zero(model)
-    uv, vv, wv = (f.value(model, x) for f in (u, v, w))
-    return _pair_curvature(model, uv, vv, wv, x)

@@ -26,7 +26,7 @@ from ambrose.chart_calculus import (
     sample_interior,
     torsion_field,
 )
-from ambrose.fixtures import fixture_names, instantiate
+from ambrose.fixtures import fixture_names, instantiate, smooth_connection_form
 from ambrose.homogeneity import (
     build_tower,
     check_lh_triple,
@@ -36,19 +36,22 @@ from ambrose.homogeneity import (
     tower_and_chain,
 )
 from ambrose.lie_core import frame_structure_rep
-from ambrose.tensor_core import DOWN, to_frame
+from ambrose.jet import points_last
+from ambrose.tensor_core import DOWN, point_norms, to_frame
 from ambrose.total_space import (
     TotalSpaceModel,
+    _bar_tower,
+    _residuals,
+    bar_curvature_derivative,
     bar_parallelism_check,
+    bar_torsion_derivative,
     distribution_parallel_check,
 )
 from oracles import (
-    _frame_fields,
-    bar_torsion,
-    bar_torsion_direct,
     covariant_derivative,
     equivalence_check_c_c0,
 )
+from test_total_space import base_level0, frame_brackets
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -316,20 +319,26 @@ def test_criterion_09_triple_criteria():
 
 def test_criterion_10_total_space():
     fix = instantiate("hopf_monopole", {})
-    model = TotalSpaceModel(chart=fix.chart, g=fix.g, gamma=fix.gamma, a=fix.a0)
-    lifts, funds = _frame_fields(model)
-    frame = lifts + funds
-    table_gap = 0.0
-    for x in sample_interior(fix.chart, 2, seed=2):
-        for u in frame:
-            for v in frame:
-                a = bar_torsion(model, u, v, x)
-                b = bar_torsion_direct(model, u, v, x)
-                table_gap = max(
-                    table_gap,
-                    float(np.abs(a.horizontal - b.horizontal).max()),
-                    float(np.abs(a.vertical - b.vertical).max()),
-                )
+    model = TotalSpaceModel(g=fix.g, gamma=fix.gamma, a=fix.a0)
+    generic = TotalSpaceModel(g=fix.g, gamma=fix.gamma,
+                              a=smooth_connection_form(fix.chart, fix.algebra, seed=5))
+    pts = sample_interior(fix.chart, 2, seed=2)
+    # the frame tables' norms against the manifold route's, point by point,
+    # relative above 1; and T-bar's closed form at level 0 in the adapted frames
+    table_gap = closed_gap = 0.0
+    for m in (model, generic):
+        route = [point_norms(points_last(bar(m, pts)))
+                 for bar in (bar_torsion_derivative, bar_curvature_derivative)]
+        for i, x in enumerate(pts):
+            res = _residuals(m, x)
+            for norms, key in zip(route, ("nabla_bar_T", "nabla_bar_R")):
+                table_gap = max(table_gap, abs(norms[i] - res[key]) / max(res[key], 1.0))
+        t_bar = _bar_tower(m, pts, torsion_field)[0][0][1]
+        t, _, f = base_level0(m, pts)
+        want = np.zeros_like(t_bar)
+        want[:, :2, :2, :2], want[:, 2:, :2, :2] = t, f
+        want[:, 2:, 2:, 2:] = frame_brackets(m)[0]
+        closed_gap = max(closed_gap, float(np.abs(t_bar - want).max()))
     pts2 = sample_interior(fix.chart, 2, seed=4)
     par = bar_parallelism_check(model, pts2)
     pts8 = sample_interior(fix.chart, 8, seed=42)
@@ -340,7 +349,8 @@ def test_criterion_10_total_space():
         model, fix.a0.shifted(fix.alpha_bump), pts8
     )
     ok = (
-        table_gap < 1e-6
+        table_gap < 1e-11
+        and closed_gap < 1e-13
         and par.passed
         and par.residuals["nabla_bar_T"] < 1e-5
         and par.residuals["nabla_bar_R"] < 1e-5
@@ -349,7 +359,8 @@ def test_criterion_10_total_space():
     )
     _verdict(
         10, "total-space connection", ok,
-        f"torsion table vs direct {table_gap:.2e} < 1e-6; "
+        f"frame tables vs manifold {table_gap:.2e} < 1e-11; T-bar closed form "
+        f"{closed_gap:.2e} < 1e-13; "
         f"dbar_T {par.residuals['nabla_bar_T']:.2e}, "
         f"dbar_R {par.residuals['nabla_bar_R']:.2e} < 1e-5; distribution "
         f"{dist_ok.residuals['distribution']:.2e} < 1e-5 parallel / "

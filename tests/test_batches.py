@@ -339,7 +339,7 @@ class TestChecksOnABatch:
     @pytest.mark.parametrize("shift", [None, "parallel", "bump"])
     def test_total_space_check(self, shift):
         fx = instantiate("hopf_monopole", {})
-        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
+        model = TotalSpaceModel(g=fx.g, gamma=fx.gamma, a=fx.a0)
         a0 = None if shift is None else fx.a0.shifted(getattr(fx, f"alpha_{shift}"))
         points = sample_interior(fx.chart, self.POINTS, seed=7)
         batch = _check(model, a0, points, "").residuals

@@ -1,6 +1,7 @@
 """Tests for the command line runner: configuration parsing, deterministic
 serialization, exit codes, report schema, and tolerance-name checks."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -119,6 +120,18 @@ class TestParseConfig:
             path.write_text(json.dumps({"scenario": "selftest", "tols": tols}))
             with pytest.raises(ConfigError):
                 cli.parse_config(["--config", str(path)])
+
+    def test_config_file_unknown_key_fails_closed(self, tmp_path, capsys):
+        """A misspelt key (tol for tols) is a config error naming the known
+        keys, not a run at the default tolerances that exits 0."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": "singer", "fixture": "round_sphere2",
+                                    "tol": {"nesting_angle": 1e-30}}))
+        assert cli.main(["--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "tol;" in out.err
+        assert "known: scenario, fixture, params, points, seed, tols, kmax, out" in out.err
 
     def test_config_file_seed_type_checked(self, tmp_path):
         path = tmp_path / "run.json"
@@ -400,6 +413,24 @@ class TestMainExitCodes:
         assert data["pass"] is True
         assert any(k.startswith("identities.") for k in data["residuals"])
         assert any(k.startswith("singer.") for k in data["residuals"])
+
+    def test_selftest_carries_sub_report_flags(self, monkeypatch, capsys):
+        """A flagged sub-report fails selftest and its flags are the
+        report's, sorted and once each: the residuals alone pass."""
+        singer = cli.RUNNERS["singer"]
+
+        def flagged(cfg):
+            rep = singer(cfg)
+            return dataclasses.replace(rep, flags=("truncated", "ambiguous", "truncated"),
+                                       passed=False)
+
+        monkeypatch.setitem(cli.RUNNERS, "singer", flagged)
+        code = cli.main(["--scenario", "selftest"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["pass"] is False
+        assert data["flags"] == ["ambiguous", "truncated"]
+        assert all(data["residuals"][k] <= 1e-8 * data["tolerances"][k] for k in data["residuals"])
 
     @pytest.mark.parametrize("scenario,param", [
         ("singer", "perturb=bump"),

@@ -206,7 +206,7 @@ class TestBundleData:
 
     def test_bundle_inner_is_default(self):
         fx = instantiate("hopf_monopole", {})
-        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
+        model = TotalSpaceModel(g=fx.g, gamma=fx.gamma, a=fx.a0)
         assert np.allclose(model.inner.matrix, 8.0 * np.eye(3), atol=1e-9)
 
     def test_trivial_bundle_other_algebra(self):

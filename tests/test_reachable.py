@@ -42,12 +42,7 @@ RUNS = [
 
 # functions that no run reaches, kept on purpose; the BENCHMARK.json
 # per-layer callables are exempt as well
-EXEMPT = {
-    "total_space.total_zero": "helper of the per-tuple case tables",
-    "total_space.bar_connection_apply": "helper of the per-tuple case tables",
-    "total_space.base_cov": "helper of the per-tuple case tables",
-    "total_space.conn_cov": "helper of the per-tuple case tables",
-}
+EXEMPT: dict[str, str] = {}
 
 
 # the caches of the constants built once per process

@@ -4,7 +4,8 @@ reads each module's syntax tree (ast), as test_imports does: it fails if a
 DerivativeTower is constructed anywhere but in the one-point API,
 build_tower and tower_and_chain, or if a module defines build_towers. And
 the scenarios that read towers, singer and adapt, share one pass: cli
-calls towers_and_chains at one site."""
+calls towers_and_chains at one site. No src function differentiates by
+finite differences: fd_array, the tests' reference, has no caller there."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,33 @@ def test_the_scan_counts_every_call_site():
               "def run_adapt():\n    *_, probe = homogeneity.towers_and_chains(p[:1])\n"
               "    return list(towers_and_chains(p[1:])), towers_and_chains\n")
     assert call_sites(source, "towers_and_chains") == 3
+
+
+def fd_callers(source: str) -> list[str]:
+    """The functions (or the module) that call fd_array, by name or
+    attribute."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and "fd_array" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_finite_differences_in_src(path):
+    assert fd_callers(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_an_fd_call():
+    source = ("def fd_array(f, chart, x, mu):\n    return f(x)\n\n"
+              "def partials(f, chart, x):\n    return [fd_array(f, chart, x, mu) for mu in (0, 1)]\n\n"
+              "D = chart_calculus.fd_array(f, chart, x, 0)\n")
+    assert fd_callers(source) == ["partials", "<module>"]

@@ -1,7 +1,8 @@
-"""Tests for the total-space model: the case tables of the adapted
-connection and of its torsion and curvature derivatives, the parallelism
-checks, and the horizontal-distribution criterion; and the test-only
-connection metric, torsion, curvature and bracket tables of the oracles."""
+"""Tests for the total-space model: the adapted connection on U x g, its
+torsion and curvature and their derivatives in the adapted orthonormal
+frames, judged by closed forms and judging the frame tables of the
+parallelism checks; the checks themselves, and the horizontal-distribution
+criterion."""
 
 import dataclasses
 import json
@@ -10,324 +11,333 @@ import sys
 import numpy as np
 import pytest
 
-from ambrose import bundle_conn, chart_calculus, cli, tensor_core
-from ambrose.bundle_conn import LocalConnectionForm, curvature_form
-from ambrose.chart_calculus import curvature, sample_interior
-from ambrose.errors import UnsupportedFieldKind
+from ambrose import bundle_conn, chart_calculus, cli, jet, tensor_core
+from ambrose.bundle_conn import LocalConnectionForm, curvature_form_field
+from ambrose.chart_calculus import (
+    FrameFieldConnection,
+    curvature_field,
+    frame_connection_field,
+    frame_levels,
+    sample_interior,
+    torsion_field,
+)
 from ambrose.fixtures import instantiate, smooth_connection_form
 from ambrose.homogeneity import check_lh_triple
 from ambrose.lie_core import algebra_by_name, default_inner
+from ambrose.tensor_core import point_norms
 from ambrose.total_space import (
-    GeneratedField,
     TotalSpaceModel,
-    TotalVector,
-    bar_connection_apply,
+    _adapted_frames,
+    _bar_connection,
+    _bar_metric,
+    _bar_tower,
+    _coframe_jet,
+    _lifted,
+    _residuals,
+    _vertical_coframe,
     bar_curvature_derivative,
     bar_parallelism_check,
     bar_torsion_derivative,
     distribution_parallel_check,
     total_space_check,
-    total_zero,
-    _residuals,
-)
-from oracles import (
-    _frame_fields,
-    _tv_norm2,
-    bar_curvature,
-    bar_torsion,
-    bar_torsion_direct,
-    bracket_fields,
-    connection_metric,
-    fundamental,
-    lift,
-    xi,
 )
 
 SU2 = algebra_by_name("su(2)")
 
 
+def model_of(fx, a=None, gamma=None):
+    return TotalSpaceModel(g=fx.g, gamma=fx.gamma if gamma is None else gamma,
+                           a=fx.a0 if a is None else a)
+
+
 def hopf_model(charge=1):
     fx = instantiate("hopf_monopole", {"charge": charge})
-    model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
-    return model, fx
+    return model_of(fx), fx
 
 
-def flat_model():
-    fx = instantiate("trivial_bundle_flat", {})
-    model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
-    return model, fx
+def flat_model(algebra="su(2)"):
+    fx = instantiate("trivial_bundle_flat", {"algebra": algebra})
+    return model_of(fx), fx
 
 
-class TestModelAndVectors:
+def generic_model(algebra="su(2)"):
+    fx = instantiate("hopf_monopole", {})
+    return model_of(fx, smooth_connection_form(fx.chart, algebra_by_name(algebra), seed=5)), fx
+
+
+def bump_model():
+    fx = instantiate("hopf_monopole", {})
+    return model_of(fx, fx.a0.shifted(fx.alpha_bump)), fx
+
+
+def berger_model():
+    """berger_sphere's torsionful canonical connection under a generic form."""
+    fx = instantiate("berger_sphere", {})
+    return model_of(fx, smooth_connection_form(fx.chart, SU2, seed=5), fx.gamma_canonical), fx
+
+
+def torsion_model():
+    """A metric connection on round_sphere3 whose torsion is not parallel:
+    constant coefficients, skew in their frame indices, over its
+    orthonormal su(2) coframe; under a generic form."""
+    fx = instantiate("round_sphere3", {})
+    coeffs = np.random.default_rng(3).normal(size=(3, 3, 3))
+    conn = FrameFieldConnection(coframe=fx.frame_conn.coframe,
+                                gamma=coeffs - coeffs.transpose(2, 1, 0))
+    return model_of(fx, smooth_connection_form(fx.chart, SU2, seed=5),
+                    frame_connection_field(conn)), fx
+
+
+MODELS = {
+    "hopf1": lambda: hopf_model(1), "hopf2": lambda: hopf_model(2),
+    "flat-su2": lambda: flat_model("su(2)"), "flat-so3": lambda: flat_model("so(3)"),
+    "flat-su2u1": lambda: flat_model("su(2)+u(1)"),
+    "generic-su2": lambda: generic_model("su(2)"),
+    "generic-su2u1": lambda: generic_model("su(2)+u(1)"),
+    "hopf-bump": bump_model, "berger-generic": berger_model, "sphere3-torsion": torsion_model,
+}
+CURVED = ["hopf1", "hopf2", "generic-su2", "generic-su2u1", "berger-generic", "sphere3-torsion"]
+
+
+def close(got, want, tol=1e-13):
+    """got equals want to tol relative to want's largest entry (absolute
+    below 1)."""
+    return np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+class TestModel:
     @pytest.mark.parametrize("algebra", ["su(2)", "so(3)", "su(2)+u(1)"])
     def test_algebra_and_inner_are_the_forms(self, algebra):
         """The model's algebra is its form's, one object, and its inner
         product that algebra's default: there is no second copy to
         disagree with the form."""
-        fx = instantiate("trivial_bundle_flat", {"algebra": algebra})
-        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=fx.a0)
+        model, fx = flat_model(algebra)
         assert model.algebra is fx.a0.algebra
         assert model.inner is default_inner(fx.a0.algebra)
-        assert [f.name for f in dataclasses.fields(TotalSpaceModel)] == ["chart", "g", "gamma", "a"]
-
-    def test_total_vector_arithmetic(self):
-        u = TotalVector(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        v = TotalVector(np.array([0.0, 2.0]), np.array([1.0, 0.0, 0.0]))
-        s = u + v
-        d = s - v
-        assert np.allclose(s.horizontal, [1.0, 2.0])
-        assert np.allclose(s.vertical, [1.0, 1.0, 0.0])
-        assert np.allclose(d.horizontal, u.horizontal)
-        assert np.allclose(d.vertical, u.vertical)
-
-    def test_generated_field_kinds(self):
-        with pytest.raises(UnsupportedFieldKind):
-            GeneratedField("mystery", np.zeros(2))
-        with pytest.raises(UnsupportedFieldKind):
-            fundamental(lambda x: np.zeros(3))
-
-    def test_generated_field_values(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        lv = lift(np.array([1.0, 2.0])).value(model, x)
-        assert np.allclose(lv.horizontal, [1.0, 2.0])
-        assert np.allclose(lv.vertical, 0.0)
-        fv = fundamental(np.array([0.0, 0.0, 1.0])).value(model, x)
-        assert np.allclose(fv.horizontal, 0.0)
-        assert np.allclose(fv.vertical, [0.0, 0.0, 1.0])
-        sv = xi(lambda y: np.array([y[0], 0.0, 0.0])).value(model, x)
-        assert np.allclose(sv.vertical, [1.0, 0.0, 0.0])
-
-    def test_total_zero(self):
-        model, _ = hopf_model()
-        z = total_zero(model)
-        assert z.horizontal.shape == (2,)
-        assert z.vertical.shape == (3,)
+        assert [f.name for f in dataclasses.fields(TotalSpaceModel)] == ["g", "gamma", "a"]
 
 
-class TestConnectionMetric:
-    def test_block_structure(self):
+def frame_fields(model, points):
+    """The frame {d_mu^h, e_d*} dual to the coframe Theta as a first-order
+    jet at the points (x, 0), and Theta's values there, point last."""
+    th = _coframe_jet(model, jet.variables(_lifted(model, points), 1))
+    return jet.inv(th), th.value
+
+
+def derivative_along(model, points, field):
+    """del-bar of a vector field jet (value shape (N,)) along each frame
+    vector, in the frame: out[a, i, P] is component a of del-bar_{E_i} V."""
+    e, th0 = frame_fields(model, points)
+    gbar = _bar_connection(model).jet_at(_lifted(model, points), 0).value
+    d = jet.shift(field).value + np.einsum("kmlP,lP->mkP", gbar, field.value)
+    return np.einsum("akP,miP,mkP->aiP", th0, e.value, d)
+
+
+class TestAdaptedConnection:
+    """The adapted connection on U x g, from its coframe Theta: the metric,
+    the brackets of the frame fields and the rules that define del-bar."""
+
+    @pytest.mark.parametrize("name", ["hopf1", "generic-su2u1", "berger-generic"])
+    def test_metric_blocks_and_orthonormal_frames(self, name):
+        """g-bar is g on the horizontal lifts, the inner product on the
+        fundamental fields and 0 between them; the adapted frames are
+        g-bar-orthonormal."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 4, seed=1)
+        n, m = fx.chart.dim, model.algebra.dim
+        gbar = jet.points_first(_bar_metric(model).jet_at(_lifted(model, pts), 0).value)
+        th_inv = np.linalg.inv(jet.points_first(frame_fields(model, pts)[1]))
+        blocks = np.einsum("pai,pab,pbj->pij", th_inv, gbar, th_inv)
+        want = np.zeros_like(blocks)
+        want[:, :n, :n] = jet.points_first(fx.g.jet_at(pts, 0).value)
+        want[:, n:, n:] = model.inner.matrix
+        assert close(blocks, want)
+        _, frame = _adapted_frames(model, pts)
+        gram = np.einsum("pai,pab,pbj->pij", frame, gbar, frame)
+        assert close(gram, np.broadcast_to(np.eye(n + m), gram.shape))
+
+    @pytest.mark.parametrize("name", ["hopf2", "generic-su2u1"])
+    def test_brackets_of_frame_fields(self, name):
+        """[d_i^h, d_j^h] = -F_ij*, [e_c*, e_d*] = [e_c, e_d]*, and lifts
+        commute with fundamental fields."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 4, seed=2)
+        n, s = fx.chart.dim, model.algebra.structure
+        e, th0 = frame_fields(model, pts)
+        de = jet.shift(e).value
+        br = np.einsum("miP,mkjP->kijP", e.value, de)
+        br = np.einsum("akP,kijP->aijP", th0, br - br.transpose(0, 2, 1, 3))
+        want = np.zeros_like(br)
+        f = curvature_form_field(model.a).jet_at(pts, 0).value
+        want[n:, :n, :n] = -f.transpose(2, 0, 1, 3)
+        want[n:, n:, n:] = s[..., None]
+        assert close(br, want)
+
+    def test_bracket_of_a_coordinate_lift(self):
+        """[x_1 d_0^h, d_1^h] = -d_0^h - x_1 F_01*."""
         model, fx = hopf_model()
-        x = np.array([1.2, 2.0])
-        gx = fx.g.at(x)
-        e0 = TotalVector(np.array([1.0, 0.0]), np.zeros(3))
-        e1 = TotalVector(np.array([0.0, 1.0]), np.zeros(3))
-        w1 = TotalVector(np.zeros(2), np.array([1.0, 0.0, 0.0]))
-        w2 = TotalVector(np.zeros(2), np.array([0.0, 1.0, 0.0]))
-        assert connection_metric(model, e0, e0, x) == pytest.approx(gx[0, 0])
-        assert connection_metric(model, e1, e1, x) == pytest.approx(gx[1, 1])
-        assert connection_metric(model, e0, w1, x) == 0.0
-        assert connection_metric(model, w1, w2, x) == pytest.approx(
-            model.inner.matrix[0, 1]
-        )
-        assert connection_metric(model, w1, w1, x) == pytest.approx(
-            model.inner.matrix[0, 0]
-        )
+        pts = sample_interior(fx.chart, 3, seed=3)
+        e, th0 = frame_fields(model, pts)
+        X = jet.variables(_lifted(model, pts), 1)
+        u, v = e[:, 0] * X[1], e[:, 1]
+        d_u, d_v = jet.shift(u).value, jet.shift(v).value
+        br = (np.einsum("mP,mkP->kP", u.value, d_v) - np.einsum("mP,mkP->kP", v.value, d_u))
+        br = np.einsum("akP,kP->aP", th0, br)
+        f = curvature_form_field(model.a).jet_at(pts, 0).value
+        want = np.zeros_like(br)
+        want[0] = -1.0
+        want[2:] = -pts[:, 1] * f[0, 1]
+        assert close(br, want)
 
-    def test_frame_fields_are_orthonormal(self):
-        model, fx = hopf_model()
-        lifts, funds = _frame_fields(model)
-        frame = lifts + funds
-        x = sample_interior(fx.chart, 1, seed=1)[0]
-        vals = [f.value(model, x) for f in frame]
-        gram = np.array(
-            [[connection_metric(model, u, v, x) for v in vals] for u in vals]
-        )
-        assert np.allclose(gram, np.eye(5), atol=1e-12)
+    @pytest.mark.parametrize("name", ["hopf1", "generic-su2u1", "berger-generic"])
+    def test_connection_rules(self, name):
+        """In the frame {d_mu^h, e_d*}: del-bar of lifts is the lift of del,
+        fundamental fields are horizontally parallel, del-bar_{e_c*} e_d* =
+        [e_c, e_d]* and del-bar_{e_c*} d_mu^h = 0."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 4, seed=4)
+        n, s = fx.chart.dim, model.algebra.structure
+        e = frame_fields(model, pts)[0]
+        got = np.stack([derivative_along(model, pts, e[:, j]) for j in range(len(e.value))],
+                       axis=2)
+        want = np.zeros_like(got)
+        want[:n, :n, :n] = model.gamma.jet_at(pts, 0).value
+        want[n:, n:, n:] = s[..., None]
+        assert close(got, want)
 
-    def test_norm_matches_metric(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 2.5])
-        tv = TotalVector(np.array([0.3, -0.7]), np.array([0.1, 0.2, -0.4]))
-        assert _tv_norm2(model, tv, x) == pytest.approx(
-            connection_metric(model, tv, tv, x)
-        )
-
-
-class TestConnectionCaseTable:
-    def test_lift_lift_is_base_derivative(self):
-        model, fx = hopf_model()
-        x = np.array([1.1, 2.2])
-        u = lift(np.array([1.0, 0.0]))
-        v = lift(np.array([0.0, 1.0]))
-        out = bar_connection_apply(model, u, v, x)
-        G = fx.gamma.at(x)
-        assert np.allclose(out.horizontal, G[:, 0, 1])
-        assert np.allclose(out.vertical, 0.0)
-
-    def test_lift_adjoint_is_bundle_derivative(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.5])
-        nu = np.array([0.0, 1.0, 0.0])
-        out = bar_connection_apply(model, lift(np.array([0.0, 1.0])),
-                                   xi(lambda y: nu), x)
-        av = model.a.at(x)
-        assert np.allclose(out.horizontal, 0.0)
-        assert np.allclose(out.vertical, SU2.bracket(av[1], nu), atol=1e-9)
-
-    def test_vertical_fundamental_is_bracket(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        out = bar_connection_apply(model, fundamental(e1), fundamental(e2), x)
-        assert np.allclose(out.vertical, [0.0, 0.0, 2.0])
-        out2 = bar_connection_apply(model, xi(lambda y: e1), fundamental(e2), x)
-        assert np.allclose(out2.vertical, [0.0, 0.0, 2.0])
-
-    def test_mixed_pairs_vanish(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        u = lift(np.array([1.0, 0.0]))
-        c = fundamental(np.array([1.0, 0.0, 0.0]))
-        for out in (bar_connection_apply(model, u, c, x),
-                    bar_connection_apply(model, c, u, x)):
-            assert np.allclose(out.horizontal, 0.0)
-            assert np.allclose(out.vertical, 0.0)
+    @pytest.mark.parametrize("name", ["hopf1", "generic-su2u1"])
+    def test_adjoint_section_derivative(self, name):
+        """The vertical field of an adjoint section nu, e^{-ad y} nu(x) on
+        the fundamental fields, has del-bar (d nu + [A, nu])* along the lifts
+        d_mu^h and 0 along the fundamental fields."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 3, seed=5)
+        n, s = fx.chart.dim, model.algebra.structure
+        m = len(s)
+        X = jet.variables(_lifted(model, pts), 1)
+        nu = jet.array([X[0] * X[1], X[1]] + [X[0] + 0.5] * (m - 2))
+        ad_y = jet.einsum("kij,i->kj", s, X[n:])
+        rotated = nu - jet.einsum("kj,j->k", ad_y, nu)  # e^{-ad y} nu to first order
+        field = jet.einsum("kd,d->k", frame_fields(model, pts)[0][:, n:], rotated)
+        got = derivative_along(model, pts, field)
+        x0, x1 = pts[:, 0], pts[:, 1]
+        dnu = np.zeros((n, m, len(pts)))
+        dnu[0, 0], dnu[1, 0], dnu[1, 1], dnu[0, 2:] = x1, x0, 1.0, 1.0
+        a = model.a.jet_at(pts, 0).value
+        want = np.zeros_like(got)
+        want[n:, :n] = (dnu + np.einsum("kij,miP,jP->mkP", s, a, nu.value)).transpose(1, 0, 2)
+        assert close(got, want)
 
 
-class TestTorsionAndCurvatureTables:
+def base_level0(model, pts):
+    """T, R and F at the points in g's Cholesky frames, F's algebra axis in
+    the coframe of the inner product, point first."""
+    fields = (torsion_field(model.gamma), curvature_field(model.gamma),
+              curvature_form_field(model.a))
+    t, r, f = (d for _, d in frame_levels(fields, model.a, model.gamma, model.g, pts, 1)[0])
+    return t, r, np.einsum("de,pije->pdij", _vertical_coframe(model), f)
+
+
+def frame_brackets(model):
+    """vc [C_a, C_b] in the adapted orthonormal basis C of the algebra, and
+    the matrices ad_c[d] X = vc [X, C_d] of orthonormal components X."""
+    vc = _vertical_coframe(model)
+    cm = np.linalg.inv(vc)
+    s = model.algebra.structure
+    return (np.einsum("pe,eij,ia,jb->pab", vc, s, cm, cm),
+            np.einsum("pe,eij,jd->pdi", vc, s, cm) @ cm[None])
+
+
+class TestTorsionAndCurvature:
+    """Level 0 of the towers of T-bar and R-bar in the adapted orthonormal
+    frames {E_a^h, C_d}: the closed forms of the adapted connection."""
+
     def test_horizontal_torsion_is_curvature_form(self):
-        model, _ = hopf_model(charge=2)
-        x = np.array([0.9, 2.0])
-        out = bar_torsion(model, lift(np.array([1.0, 0.0])),
-                          lift(np.array([0.0, 1.0])), x)
-        assert np.allclose(out.horizontal, 0.0, atol=1e-12)
-        assert np.allclose(out.vertical, [0.0, 0.0, np.sin(x[0])], atol=1e-12)
+        """T-bar(d_0^h, d_1^h) = F_01* = sin(x_0) e_3* at charge 2."""
+        model, fx = hopf_model(charge=2)
+        pts = sample_interior(fx.chart, 3, seed=6)
+        t = torsion_field(_bar_connection(model)).at(_lifted(model, pts[:1])).data
+        e, th0 = frame_fields(model, pts[:1])
+        out = th0[..., 0] @ np.einsum("kij,i,j->k", t, e.value[:, 0, 0], e.value[:, 1, 0])
+        assert close(out, np.array([0.0, 0.0, 0.0, 0.0, np.sin(pts[0, 0])]))
 
-    def test_vertical_torsion_is_bracket(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        out = bar_torsion(model, fundamental(np.array([1.0, 0.0, 0.0])),
-                          fundamental(np.array([0.0, 1.0, 0.0])), x)
-        assert np.allclose(out.vertical, [0.0, 0.0, 2.0])
+    @pytest.mark.parametrize("name", CURVED)
+    def test_torsion_closed_form(self, name):
+        """T-bar is [T, F] on lift pairs, the orthonormal structure
+        constants on vertical pairs and 0 on mixed pairs."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 4, seed=7)
+        n = fx.chart.dim
+        t_bar = _bar_tower(model, pts, torsion_field)[0][0][1]
+        t, _, f = base_level0(model, pts)
+        want = np.zeros_like(t_bar)
+        want[:, :n, :n, :n] = t
+        want[:, n:, :n, :n] = f
+        want[:, n:, n:, n:] = frame_brackets(model)[0]
+        assert close(t_bar, want)
 
-    def test_mixed_torsion_vanishes(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        out = bar_torsion(model, lift(np.array([1.0, 0.0])),
-                          fundamental(np.array([1.0, 0.0, 0.0])), x)
-        assert np.allclose(out.horizontal, 0.0)
-        assert np.allclose(out.vertical, 0.0)
+    @pytest.mark.parametrize("name", CURVED)
+    def test_curvature_closed_form(self, name):
+        """R-bar is R on lift triples and [F, C_d] in the vertical slot, and
+        0 when either 2-form slot is vertical."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 4, seed=8)
+        n = fx.chart.dim
+        r_bar = _bar_tower(model, pts, curvature_field)[0][0][1]
+        _, r, f = base_level0(model, pts)
+        want = np.zeros_like(r_bar)
+        want[:, :n, :n, :n, :n] = r
+        want[:, n:, n:, :n, :n] = np.einsum("qdi,pixy->pqdxy", frame_brackets(model)[1], f)
+        assert close(r_bar, want)
 
-    def test_torsion_table_matches_definition(self):
-        """The case table agrees with the definition applied to the adapted
-        orthonormal frame fields, for every pair."""
-        model, fx = hopf_model()
-        lifts, funds = _frame_fields(model)
-        frame = lifts + funds
-        x = sample_interior(fx.chart, 1, seed=2)[0]
-        for u in frame:
-            for v in frame:
-                table = bar_torsion(model, u, v, x)
-                direct = bar_torsion_direct(model, u, v, x)
-                assert np.abs(table.horizontal - direct.horizontal).max() < 1e-7
-                assert np.abs(table.vertical - direct.vertical).max() < 1e-7
-
-    def test_curvature_nonzero_only_for_horizontal_pairs(self):
-        model, _ = hopf_model()
-        x = np.array([1.3, 0.7])
-        u = lift(np.array([1.0, 0.0]))
-        v = lift(np.array([0.0, 1.0]))
-        c = fundamental(np.array([1.0, 0.0, 0.0]))
-        for bad in (bar_curvature(model, u, c, v, x),
-                    bar_curvature(model, c, u, v, x),
-                    bar_curvature(model, c, c, u, x)):
-            assert np.allclose(bad.horizontal, 0.0)
-            assert np.allclose(bad.vertical, 0.0)
-
-    def test_curvature_horizontal_slot(self):
-        model, fx = hopf_model()
-        x = np.array([1.3, 0.7])
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        w = np.array([1.0, 1.0])
-        out = bar_curvature(model, lift(u), lift(v), lift(w), x)
-        r = curvature(fx.gamma, x).data
-        expect = np.einsum("lkij,i,j,k->l", r, u, v, w)
-        assert np.allclose(out.horizontal, expect)
-        assert np.allclose(out.vertical, 0.0)
-
-    def test_curvature_vertical_slot(self):
-        model, _ = hopf_model()
-        x = np.array([1.3, 0.7])
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        c = np.array([1.0, 0.0, 0.0])
-        out = bar_curvature(model, lift(u), lift(v), fundamental(c), x)
-        f = curvature_form(model.a, x).data
-        fv = np.einsum("ijc,i,j->c", f, u, v)
-        assert np.allclose(out.horizontal, 0.0)
-        assert np.allclose(out.vertical, SU2.bracket(fv, c))
+    @pytest.mark.parametrize("name", ["flat-su2", "flat-so3", "flat-su2u1", "hopf1", "hopf2"])
+    def test_parallel_bundles(self, name):
+        """On flat bundles and on the monopoles, del-bar T-bar and del-bar
+        R-bar vanish in every component: vertical directions on horizontal
+        pairs included."""
+        model, fx = MODELS[name]()
+        pts = sample_interior(fx.chart, 4, seed=9)
+        assert np.abs(bar_torsion_derivative(model, pts)).max() < 1e-13
+        assert np.abs(bar_curvature_derivative(model, pts)).max() < 1e-13
 
 
-class TestBrackets:
-    def test_constant_lifts_bracket_to_vertical_curvature(self):
-        model, _ = hopf_model()
-        x = np.array([0.8, 1.9])
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        out = bracket_fields(model, lift(u), lift(v), x)
-        f = curvature_form(model.a, x).data
-        assert np.allclose(out.horizontal, 0.0)
-        assert np.allclose(out.vertical, -np.einsum("ijc,i,j->c", f, u, v))
-
-    def test_coordinate_lift_bracket(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 2.0])
-        u = lift(lambda y: np.array([y[1], 0.0]))
-        v = lift(lambda y: np.array([0.0, 1.0]))
-        out = bracket_fields(model, u, v, x)
-        # [y1 d0, d1] = -d0, plus the vertical curvature obstruction
-        assert np.allclose(out.horizontal, [-1.0, 0.0], atol=1e-9)
-
-    def test_fundamental_bracket(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        out = bracket_fields(model, fundamental(np.array([1.0, 0.0, 0.0])),
-                             fundamental(np.array([0.0, 1.0, 0.0])), x)
-        assert np.allclose(out.vertical, [0.0, 0.0, 2.0])
-
-    def test_lift_and_fundamental_commute(self):
-        model, _ = hopf_model()
-        x = np.array([1.0, 1.0])
-        out = bracket_fields(model, lift(np.array([1.0, 0.0])),
-                             fundamental(np.array([1.0, 0.0, 0.0])), x)
-        assert np.allclose(out.horizontal, 0.0)
-        assert np.allclose(out.vertical, 0.0)
-
-    def test_adjoint_fields_unsupported(self):
-        model, _ = hopf_model()
-        with pytest.raises(UnsupportedFieldKind):
-            bracket_fields(model, xi(lambda y: np.zeros(3)),
-                           lift(np.array([1.0, 0.0])), np.array([1.0, 1.0]))
+def bar_norms(model, pts):
+    """Each point's norm of del-bar T-bar and of del-bar R-bar, from the
+    manifold route."""
+    return (point_norms(jet.points_last(bar_torsion_derivative(model, pts))),
+            point_norms(jet.points_last(bar_curvature_derivative(model, pts))))
 
 
-class TestDerivativeVanishing:
-    def test_flat_bundle_exact_zero(self):
-        model, fx = flat_model()
-        lifts, funds = _frame_fields(model)
-        frame = lifts + funds
-        x = np.array([0.2, -0.3])
-        for u in frame:
-            for v in frame[:3]:
-                for w in frame[2:]:
-                    tv = bar_torsion_derivative(model, u, v, w, x)
-                    assert np.abs(tv.horizontal).max() < 1e-12
-                    assert np.abs(tv.vertical).max() < 1e-12
+class TestFrameTables:
+    """The frame tables of bar_parallelism_check against the manifold route
+    that defines them, point by point."""
 
-    def test_monopole_mixed_combination(self):
-        """A combination exercising the Leibniz corrections: vertical
-        direction, horizontal pair."""
-        model, fx = hopf_model()
-        x = sample_interior(fx.chart, 1, seed=3)[0]
-        lifts, funds = _frame_fields(model)
-        tv = bar_torsion_derivative(model, funds[0], lifts[0], lifts[1], x)
-        assert np.abs(tv.horizontal).max() < 1e-7
-        assert np.abs(tv.vertical).max() < 1e-7
-        rv = bar_curvature_derivative(model, funds[2], lifts[0], lifts[1],
-                                      funds[1], x)
-        assert np.abs(rv.vertical).max() < 1e-7
+    @pytest.mark.parametrize("name", MODELS)
+    def test_norms_match_manifold_route(self, name):
+        model, fx = MODELS[name]()
+        for seed in (8, 11):
+            pts = sample_interior(fx.chart, 3, seed=seed)
+            for i, new in enumerate(zip(*bar_norms(model, pts))):
+                res = _residuals(model, pts[i])
+                for got, ref in zip(new, (res["nabla_bar_T"], res["nabla_bar_R"])):
+                    if ref > 1e-8:
+                        assert got == pytest.approx(ref, rel=1e-12)
+                    else:
+                        assert got == pytest.approx(ref, abs=1e-11)
+
+    @pytest.mark.parametrize("algebra", ["su(2)", "so(3)", "su(2)+u(1)"])
+    def test_flat_bundle_tables_are_exact_zero(self, algebra):
+        model, fx = flat_model(algebra)
+        for x in sample_interior(fx.chart, 2, seed=8):
+            res = _residuals(model, x)
+            assert (res["nabla_bar_T"], res["nabla_bar_R"]) == (0.0, 0.0)
+
+    def test_generic_connection_residual(self):
+        model, fx = generic_model()
+        x = sample_interior(fx.chart, 1, seed=6)
+        res = _residuals(model, x)
+        for got in ((res["nabla_bar_T"], res["nabla_bar_R"]), bar_norms(model, x)):
+            assert np.ravel(got) == pytest.approx([11.8408, 11.8408], abs=1e-4)
 
 
 class TestParallelismChecks:
@@ -344,9 +354,7 @@ class TestParallelismChecks:
         assert report.flags == ()
 
     def test_generic_connection_fails_hypotheses(self):
-        fx = instantiate("hopf_monopole", {})
-        wild = smooth_connection_form(fx.chart, SU2, seed=5)
-        model = TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=wild)
+        model, fx = generic_model()
         pts = sample_interior(fx.chart, 1, seed=6)
         report = bar_parallelism_check(model, pts)
         assert not report.passed
@@ -370,59 +378,6 @@ class TestParallelismChecks:
         assert not report.passed
         assert "hypotheses-failed" in report.flags
         assert report.residuals["distribution"] > 1e-2
-
-
-def tuple_loop_norm2(model, x):
-    """The squared sums of del-bar T-bar and del-bar R-bar at x, from the
-    per-tuple case-table definitions."""
-    lifts, funds = _frame_fields(model)
-    frame = lifts + funds
-    acc_t = sum(_tv_norm2(model, bar_torsion_derivative(model, u, v, w, x), x)
-                for u in frame for v in frame for w in frame)
-    acc_r = sum(_tv_norm2(model, bar_curvature_derivative(model, u, v, w, z, x), x)
-                for u in frame for v in lifts for w in lifts for z in frame)
-    return acc_t, acc_r
-
-
-def bar_norm2(model, x):
-    """The squared sums of del-bar T-bar and del-bar R-bar at x, from the
-    frame tables on a batch of one."""
-    res = _residuals(model, x)
-    return res["nabla_bar_T"] ** 2, res["nabla_bar_R"] ** 2
-
-
-def generic_model():
-    fx = instantiate("hopf_monopole", {})
-    wild = smooth_connection_form(fx.chart, SU2, seed=5)
-    return TotalSpaceModel(chart=fx.chart, g=fx.g, gamma=fx.gamma, a=wild), fx
-
-
-class TestFrameTables:
-    """The frame tables of bar_parallelism_check against the per-tuple case
-    tables that define them."""
-
-    @pytest.mark.parametrize("make", [
-        lambda: hopf_model(charge=1), lambda: hopf_model(charge=2),
-        flat_model, generic_model,
-    ], ids=["hopf1", "hopf2", "flat", "generic"])
-    def test_squared_sums_match_tuple_loop(self, make):
-        model, fx = make()
-        for x in sample_interior(fx.chart, 2, seed=8):
-            for new, old in zip(bar_norm2(model, x), tuple_loop_norm2(model, x)):
-                assert new == pytest.approx(old, rel=1e-9, abs=1e-20)
-
-    def test_flat_bundle_sums_are_exact_zero(self):
-        model, fx = flat_model()
-        for x in sample_interior(fx.chart, 2, seed=8):
-            assert bar_norm2(model, x) == (0.0, 0.0)
-            assert tuple_loop_norm2(model, x) == (0.0, 0.0)
-
-    def test_generic_connection_residual(self):
-        model, fx = generic_model()
-        x = sample_interior(fx.chart, 1, seed=6)[0]
-        acc_t, acc_r = bar_norm2(model, x)
-        assert np.sqrt(acc_t) == pytest.approx(11.8408, abs=1e-4)
-        assert np.sqrt(acc_r) == pytest.approx(11.8408, abs=1e-4)
 
 
 class TestSharedNablaTensors:
@@ -500,8 +455,7 @@ def count_calls(monkeypatch, fn):
 class TestCallCounts:
     def test_total_space_calls_per_point(self, monkeypatch, capsys):
         """The checks difference nothing, and factor the orthonormal frames
-        once per batch of points; the per-tuple case tables take hundreds of
-        FD calls and thousands of frames per point."""
+        once per batch of points."""
         fd = count_calls(monkeypatch, chart_calculus.fd_array)
         frames = count_calls(monkeypatch, tensor_core.cholesky_frames)
         code = cli.main(["--scenario", "total-space", "--fixture", "hopf_monopole",
