@@ -25,7 +25,7 @@ from .chart_calculus import (
 from .errors import RepMismatch
 from .jet import Jet, shift
 from .lie_core import LieAlgebra
-from .tensor_core import DOWN, LIE, DenseTensor, axis_action, point_norms
+from .tensor_core import DOWN, LIE, axis_action, point_norms
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class LocalConnectionForm:
     def ad_jet(self, x: np.ndarray, order: int) -> Jet:
         """ad(a_mu) for each direction mu, as a jet: the action on lie axes."""
         return jet.einsum("kij,mi->mkj", self.algebra.structure, self.jet_at(x, order))
-
-    def ad_at(self, x: np.ndarray) -> np.ndarray:
-        return self.ad_jet(x, 0).value[..., 0]
 
     def shifted(self, alpha: TensorFieldSpec) -> "LocalConnectionForm":
         """The connection form plus an adjoint-valued 1-form."""
@@ -90,9 +87,10 @@ def _curvature_form_jet(a: LocalConnectionForm, x: np.ndarray, order: int) -> Je
     return da - da.transpose(1, 0, 2) + br
 
 
-def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> DenseTensor:
-    """F[mu, nu] = d_mu a_nu - d_nu a_mu + [a_mu, a_nu], adjoint-valued."""
-    return DenseTensor((DOWN, DOWN, LIE), _curvature_form_jet(a, x, 0).value[..., 0])
+def curvature_form(a: LocalConnectionForm, x: np.ndarray) -> np.ndarray:
+    """F[mu, nu] = d_mu a_nu - d_nu a_mu + [a_mu, a_nu], adjoint-valued,
+    markers (DOWN, DOWN, LIE)."""
+    return _curvature_form_jet(a, x, 0).value[..., 0]
 
 
 def curvature_form_field(a: LocalConnectionForm) -> TensorFieldSpec:

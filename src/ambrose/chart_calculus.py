@@ -49,9 +49,8 @@ from .errors import (
 from .jet import Jet, shift, variables
 from .tensor_core import (
     DOWN,
+    MARKERS,
     UP,
-    DenseTensor,
-    OrthoFrame,
     axis_action,
     cholesky_frames,
     point_norms,
@@ -216,6 +215,11 @@ class TensorFieldSpec:
     markers: tuple[str, ...]
     evaluator: Callable[[Jet], Jet]
 
+    def __post_init__(self):
+        for m in self.markers:
+            if m not in MARKERS:
+                raise AxisMismatch(f"unknown axis marker {m!r}")
+
     def jet_at(self, x: np.ndarray, order: int) -> Jet:
         t = self.evaluator(variables(x, order))
         if len(t.shape) != len(self.markers):
@@ -223,9 +227,6 @@ class TensorFieldSpec:
                 f"evaluator produced {len(t.shape)} axes, declared {len(self.markers)}"
             )
         return t
-
-    def at(self, x: np.ndarray) -> DenseTensor:
-        return DenseTensor(self.markers, self.jet_at(x, 0).value[..., 0])
 
 
 @dataclass(frozen=True)
@@ -362,10 +363,9 @@ def torsion_of(G: Jet) -> Jet:
     return G - G.transpose(0, 2, 1)
 
 
-def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> DenseTensor:
-    """Curvature of the connection at x."""
-    return DenseTensor((UP, DOWN, DOWN, DOWN),
-                       curvature_of(gamma.jet_at(x, 1)).value[..., 0])
+def curvature(gamma: ConnectionCoeffs, x: np.ndarray) -> np.ndarray:
+    """Curvature of the connection at x, markers (UP, DOWN, DOWN, DOWN)."""
+    return curvature_of(gamma.jet_at(x, 1)).value[..., 0]
 
 
 def curvature_field(gamma: ConnectionCoeffs) -> TensorFieldSpec:
@@ -398,10 +398,11 @@ def frame_connection_field(conn: FrameFieldConnection) -> ConnectionCoeffs:
         X, conn.coframe(variables(_base_points(X), X.order + 1)), conn.gamma))
 
 
-def ortho_frame(g: MetricField, x: np.ndarray) -> OrthoFrame:
-    """Cholesky orthonormal frame of g at the single point x."""
+def ortho_frame(g: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coframe, frame) of g's Cholesky orthonormal frame at the single
+    point x: frame_stacks on a batch of one."""
     coframe, frame = frame_stacks(g, x)
-    return OrthoFrame(_batch(x)[0], frame[0], coframe[0])
+    return coframe[0], frame[0]
 
 
 def frame_stacks(g: MetricField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,11 +426,11 @@ def ortho_frame_partial(g: MetricField,
     strict lower triangle and half the diagonal; coframe = L^T and
     frame = L^-T."""
     dg = shift(g.jet_at(x, 1)).value[..., 0]
-    fr = ortho_frame(g, x)
+    coframe, frame = ortho_frame(g, x)
     n = len(dg)
     phi = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-    dcoframe = (fr.coframe.T @ (phi * (fr.frame.T @ dg @ fr.frame))).transpose(0, 2, 1)
-    return -fr.frame @ dcoframe @ fr.frame, dcoframe
+    dcoframe = (coframe.T @ (phi * (frame.T @ dg @ frame))).transpose(0, 2, 1)
+    return -frame @ dcoframe @ frame, dcoframe
 
 
 def nan_max(values: Iterable[float] | np.ndarray) -> float:
@@ -454,18 +455,19 @@ def max_over_chunks(check: Callable[[np.ndarray], dict[str, float]],
 
 
 def frame_levels(fields: tuple[TensorFieldSpec, ...], form: LocalConnectionForm | None,
-                 gamma: ConnectionCoeffs, g: MetricField, points: np.ndarray, kmax: int,
+                 gamma: ConnectionCoeffs, g: MetricField | None, points: np.ndarray, kmax: int,
                  frames: tuple[np.ndarray, np.ndarray] | None = None,
                  ) -> list[list[tuple[tuple[str, ...], np.ndarray]]]:
     """Levels 0..kmax of a section at a batch of points, each a list of
-    (markers, data), one per field, data point-first in g's Cholesky frames
-    (or the (coframes, frames) stacks given). Level k + 1 is the covariant
-    derivative of level k: the shift of its jet, plus Gamma and ad of the
-    form (on LIE axes) acting on it. Gamma is evaluated first, at order
-    kmax + 1, the order a curvature field reads; the fields (order kmax),
-    ad (kmax - 1) and the frames read its, the metric's and the form's
-    memos, so each is evaluated once per batch. Each level is framed as soon
-    as it is built, and only one level's jet is held at a time."""
+    (markers, data), one per field, data point-first in g's Cholesky frames,
+    or in the (coframes, frames) stacks given, and then g is not read (it
+    may be None). Level k + 1 is the covariant derivative of level k: the
+    shift of its jet, plus Gamma and ad of the form (on LIE axes) acting on
+    it. Gamma is evaluated first, at order kmax + 1, the order a curvature
+    field reads; the fields (order kmax), ad (kmax - 1) and the frames read
+    its, the metric's and the form's memos, so each is evaluated once per
+    batch. Each level is framed as soon as it is built, and only one level's
+    jet is held at a time."""
     if kmax < 1:
         raise DepthMismatch("tower depth kmax must be at least 1")
     points = _batch(points)

@@ -10,6 +10,7 @@ rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,9 @@ def round_sphere2(radius: float = 1.0) -> Fixture:
     if not r > 0:
         raise BadParameters("sphere radius must be positive")
     r2 = r * r
+    # r^2 overflowed to inf, or underflowed to 0 or a subnormal with lost digits
+    if not sys.float_info.min <= r2 <= sys.float_info.max:
+        raise BadParameters(f"sphere radius {r!r} squared is not a finite normal float")
     g = MetricField(evaluator=lambda X: jet.array(
         [[r2, 0.0], [0.0, r2 * jet.sin(X[0]) ** 2]]))
     return Fixture("round_sphere2", {"radius": r}, _sphere2_chart(), g)

@@ -47,7 +47,6 @@ from .chart_calculus import (
     levi_civita,
     max_nabla_norms,
     nan_max,
-    ortho_frame,
     torsion_field,
 )
 from .errors import (
@@ -70,18 +69,11 @@ from .lie_core import (
     stacked_action_matrix,
     subalgebra_residuals,
 )
-from .tensor_core import (
-    DOWN,
-    LIE,
-    DenseTensor,
-    OrthoFrame,
-    axis_action,
-    point_norms,
-    to_frames,
-)
+from .tensor_core import DOWN, LIE, axis_action, point_norms, to_frames
 
 # a batch of towers, as frame_levels gives it: levels 0..kmax, each a list of
-# (markers, data), one per field, data of shape (P, dims...)
+# (markers, data), one per field, data of shape (P, dims...); one tower is a
+# batch of one
 Levels = list[list[tuple[tuple[str, ...], np.ndarray]]]
 
 KMAX_START = 2
@@ -118,25 +110,6 @@ TOLERANCES = {
         ("nabla_g", "bianchi_first", "bianchi_second", "curvature_variation",
          "connection_variation", "leibniz"), 1e-6),
 }
-
-
-@dataclass(frozen=True)
-class DerivativeTower:
-    """Iterated covariant derivatives of a section, frame-expressed at x."""
-
-    point: np.ndarray
-    frame: OrthoFrame
-    kmax: int
-    entries: tuple[tuple[DenseTensor, ...], ...]
-
-    def up_to(self, depth: int) -> list[DenseTensor]:
-        if depth >= len(self.entries):
-            raise DepthMismatch(f"tower has entries up to {len(self.entries) - 1}, need {depth}")
-        return [t for entry in self.entries[: depth + 1] for t in entry]
-
-    def levels(self) -> Levels:
-        """The tower as a batch of one, in frame_levels' layout."""
-        return [[(t.markers, t.data[None]) for t in entry] for entry in self.entries]
 
 
 @dataclass(frozen=True)
@@ -206,22 +179,17 @@ def make_report(scenario: str, fixture: str, points: np.ndarray,
 
 
 def build_tower(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
-                gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
-                kmax: int, frame: OrthoFrame | None = None) -> DerivativeTower:
+                gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray, kmax: int) -> Levels:
     """The derivative tower of the section sigma at the single point x:
     frame_levels 0..kmax on a batch of one, under Gamma0 and ad(b0) on LIE
-    axes, in g's Cholesky orthonormal frame or in the frame given."""
-    x = np.asarray(x, float)
-    stacks = None if frame is None else (frame.coframe[None], frame.frame[None])
-    levels = frame_levels(sigma, b0, gamma0, g, x[None], kmax, stacks)
-    # the tuples from lists (see jet.einsum)
-    return DerivativeTower(x, ortho_frame(g, x) if frame is None else frame, kmax, tuple(
-        [tuple([DenseTensor(m, data[0]) for m, data in lv]) for lv in levels]))
+    axes, in g's Cholesky orthonormal frame."""
+    return frame_levels(sigma, b0, gamma0, g, np.asarray(x, float)[None], kmax)
 
 
-def stabilizer_chain(tower: DerivativeTower, rep: TensorRep) -> StabilizerChain:
-    """The tower's stabilizer chain: stabilizer_chains on a batch of one."""
-    return stabilizer_chains(tower.levels(), rep)[0]
+def stabilizer_chain(tower: Levels, rep: TensorRep) -> StabilizerChain:
+    """The stabilizer chain of one tower, a batch of one: stabilizer_chains
+    on it."""
+    return stabilizer_chains(tower, rep)[0]
 
 
 def stabilizer_chains(levels: Levels, rep: TensorRep) -> list[StabilizerChain]:
@@ -352,12 +320,12 @@ def _chain(bases: list[np.ndarray], nesting: tuple[float, ...], subalgebra: tupl
 def tower_and_chain(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
                     gamma0: ConnectionCoeffs, g: MetricField, x: np.ndarray,
                     rep: TensorRep, kmax: int | None = None,
-                    ) -> tuple[DerivativeTower, StabilizerChain]:
-    """towers_and_chains at the single point x: its one build."""
-    x = np.asarray(x, float)
-    (_, levels, chains), = towers_and_chains(sigma, b0, gamma0, g, x[None], rep, kmax)
-    return DerivativeTower(x, ortho_frame(g, x), len(levels) - 1, tuple(
-        [tuple([DenseTensor(m, data[0]) for m, data in lv]) for lv in levels])), chains[0]
+                    ) -> tuple[Levels, StabilizerChain]:
+    """towers_and_chains at the single point x: its one build, the tower a
+    batch of one."""
+    (_, levels, chains), = towers_and_chains(sigma, b0, gamma0, g,
+                                             np.asarray(x, float)[None], rep, kmax)
+    return levels, chains[0]
 
 
 def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
@@ -401,40 +369,39 @@ def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionFor
 
 
 def group_action(theta: np.ndarray, rep: TensorRep,
-                 tensors: list[DenseTensor]) -> list[DenseTensor]:
-    """Action of exp(theta) on frame-expressed tensors, one exponential for
-    all of them (one more for the lie part): to_frames with coframe g and
-    frame g^T, g orthogonal as the generators are skew. A wrong axis dim,
-    or a lie axis without a lie rep, raises RepMismatch."""
+                 tensors: list[tuple[tuple[str, ...], np.ndarray]]) -> list[np.ndarray]:
+    """Action of exp(theta) on frame-expressed tensors (markers, data), one
+    exponential for all of them (one more for the lie part): to_frames with
+    coframe g and frame g^T, g orthogonal as the generators are skew. A
+    wrong axis dim, or a lie axis without a lie rep, raises RepMismatch."""
     theta = np.asarray(theta, float)
     g = skew_exp(rep.vector.matrix(theta))[None]
     g_lie = None if rep.lie is None else skew_exp(rep.lie.matrix(theta))[None]
-    if g_lie is None and any([LIE in t.markers for t in tensors]):
+    if g_lie is None and any([LIE in markers for markers, _ in tensors]):
         raise RepMismatch("tensor has lie axes but no lie representation")
     try:
-        return [DenseTensor(t.markers, to_frames(t.markers, t.data[None], g,
-                                                 g.transpose(0, 2, 1), g_lie)[0])
-                for t in tensors]
+        return [to_frames(markers, data[None], g, g.transpose(0, 2, 1), g_lie)[0]
+                for markers, data in tensors]
     except AxisMismatch as exc:
         raise RepMismatch(str(exc)) from exc
 
 
-def _even_rank_spectrum(t: DenseTensor) -> np.ndarray | None:
+def _even_rank_spectrum(markers: tuple[str, ...], data: np.ndarray) -> np.ndarray | None:
     """Sorted eigenvalues of the symmetrized square reshape, when invariant.
 
     Valid as a G-invariant only when the two axis-half patterns match kind by
     kind, so both halves transform by the same orthogonal factor."""
-    r = len(t.markers)
+    r = len(markers)
     if r == 0 or r % 2 != 0:
         return None
     half = r // 2
     for i in range(half):
-        if (t.markers[i] == LIE) != (t.markers[half + i] == LIE):
+        if (markers[i] == LIE) != (markers[half + i] == LIE):
             return None
-        if t.dims[i] != t.dims[half + i]:
+        if data.shape[i] != data.shape[half + i]:
             return None
-    d = int(np.prod(t.dims[:half]))
-    a = t.data.reshape(d, d)
+    d = int(np.prod(data.shape[:half]))
+    a = data.reshape(d, d)
     return np.sort(np.linalg.eigvalsh(0.5 * (a + a.T)))
 
 
@@ -450,50 +417,52 @@ def _exp_jacobian(ad: np.ndarray) -> np.ndarray:
     return skew_function(ad, lambda w: np.exp(-0.5j * w) * np.sinc(w / (2 * np.pi)))
 
 
-def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
-                depth: int) -> MatchResult:
+def orbit_match(t1: Levels, t2: Levels, rep: TensorRep, depth: int) -> MatchResult:
     """Search the identity component for a group element carrying t1's
-    entries up to ``depth`` onto t2's.
+    entries up to ``depth`` onto t2's, each tower a batch of one.
 
     Only the entries 0..depth are compared, as Singer's condition reads
-    them. There is no chain comparison: singer's dims-vary and singer-varies
-    flags judge whether the chains agree across points. A non-finite entry
-    among those compared raises BadParameters. After the norm and spectrum
-    prescreens, each start (theta = 0, then up to MATCH_STARTS - 1 uniform
-    draws in [-pi, pi]^m) runs Levenberg-Marquardt on the relative residual
-    r(theta) = (exp(theta) a - b) / sqrt(scale) over the entries. The action
-    is orthogonal, so pulling r back by exp(-theta) changes no norm:
-    exp(-theta) r(theta + d) = a - exp(-theta) b + A(a) J_r(theta) d to first
-    order, with A(a) the stacked action matrix at a, built once, and J_r the
-    right Jacobian of exp, phi(ad(-theta)) in closed form (_exp_jacobian).
-    Each trial theta takes one exponential for all entries. A start ends when a step decreases |r|^2 by less than a
-    relative STALL, when the damped linear model predicts no more than that
-    (the damping is exhausted), when a trial fails to lower an |r|^2 that
-    is already below the acceptance floor 0.01 * MATCH_TOL**2 (only
-    rounding moves it there, and the search stops after such a start), or
-    when the residual or the solve is not finite; a NaN never matches. The
-    damping also absorbs the stabilizer's rank deficiency, so theta is
-    unique only modulo the stabilizer. Orientation-reversing elements are not searched: towers related only by
-    one fail with reason "residual"."""
-    e1 = t1.up_to(depth)
-    e2 = t2.up_to(depth)
+    them; a depth beyond either tower raises DepthMismatch. There is no
+    chain comparison: singer's dims-vary and singer-varies flags judge
+    whether the chains agree across points. A non-finite entry among those
+    compared raises BadParameters. After the norm and spectrum prescreens,
+    each start (theta = 0, then up to MATCH_STARTS - 1 uniform draws in
+    [-pi, pi]^m) runs Levenberg-Marquardt on the relative residual r(theta)
+    = (exp(theta) a - b) / sqrt(scale) over the entries. The action is
+    orthogonal, so pulling r back by exp(-theta) changes no norm:
+    exp(-theta) r(theta + d) = a - exp(-theta) b + A(a) J_r(theta) d to
+    first order, with A(a) the stacked action matrix at a, built once, and
+    J_r the right Jacobian of exp, phi(ad(-theta)) in closed form
+    (_exp_jacobian). Each trial theta takes one exponential for all entries.
+    A start ends when a step decreases |r|^2 by less than a relative STALL,
+    when the damped linear model predicts no more than that (the damping is
+    exhausted), when a trial fails to lower an |r|^2 that is already below
+    the acceptance floor 0.01 * MATCH_TOL**2 (only rounding moves it there,
+    and the search stops after such a start), or when the residual or the
+    solve is not finite; a NaN never matches. The damping also absorbs the
+    stabilizer's rank deficiency, so theta is unique only modulo the
+    stabilizer. Orientation-reversing elements are not searched: towers
+    related only by one fail with reason "residual"."""
+    for t in (t1, t2):
+        if depth >= len(t):
+            raise DepthMismatch(f"tower has entries up to {len(t) - 1}, need {depth}")
+    e1, e2 = ([(m, data[0]) for level in t[:depth + 1] for m, data in level] for t in (t1, t2))
     if len(e1) != len(e2):
         raise DepthMismatch("towers have different component counts")
-    if not all(np.isfinite(t.data).all() for t in e1 + e2):
+    if not all(np.isfinite(data).all() for _, data in e1 + e2):
         raise BadParameters("tower entries are not finite")
 
-    scale = max(
-        sum(t.norm() ** 2 for t in e1), sum(t.norm() ** 2 for t in e2)
-    )
+    norms1, norms2 = ([float(np.linalg.norm(data)) for _, data in e] for e in (e1, e2))
+    scale = max(sum(v ** 2 for v in norms1), sum(v ** 2 for v in norms2))
     if scale < 1e-300:
         return MatchResult(True, np.zeros(rep.algebra.dim), 0.0)
     ref = float(np.sqrt(scale))
-    for a, b in zip(e1, e2):
-        if a.markers != b.markers or a.dims != b.dims:
+    for (ma, a), (mb, b), na, nb in zip(e1, e2, norms1, norms2):
+        if ma != mb or a.shape != b.shape:
             raise DepthMismatch("tower entries have mismatched shapes")
-        if abs(a.norm() - b.norm()) > 1e-5 * ref:
+        if abs(na - nb) > 1e-5 * ref:
             return MatchResult(False, None, np.inf, "prescreen-norm")
-        s1, s2 = _even_rank_spectrum(a), _even_rank_spectrum(b)
+        s1, s2 = _even_rank_spectrum(ma, a), _even_rank_spectrum(mb, b)
         if s1 is not None and np.abs(s1 - s2).max() > 1e-5 * ref:
             return MatchResult(False, None, np.inf, "prescreen-spectrum")
 
@@ -501,11 +470,11 @@ def orbit_match(t1: DerivativeTower, t2: DerivativeTower, rep: TensorRep,
     # |r|^2 at which a start is accepted and the search stops
     accept = 0.01 * MATCH_TOL**2
     weight = 1.0 / ref
-    a_flat = weight * np.concatenate([a.components for a in e1])
+    a_flat = weight * np.concatenate([a.reshape(-1) for _, a in e1])
     action = weight * stacked_action_matrix(e1, rep)
 
     def pulled_back(theta: np.ndarray) -> tuple[np.ndarray, float]:
-        moved = [b.components for b in group_action(-theta, rep, e2)]
+        moved = [b.reshape(-1) for b in group_action(-theta, rep, e2)]
         r = a_flat - weight * np.concatenate(moved)
         return r, float(r @ r)
 
@@ -568,11 +537,13 @@ def with_adjoint_rep(rep: TensorRep) -> TensorRep:
     return TensorRep(rep.algebra, rep.vector, rep.algebra.adjoint_rep())
 
 
-def gauge_residual(b: np.ndarray, rep: TensorRep, t: DenseTensor, nabla_t: np.ndarray) -> float:
-    """|nabla t + b . t| at a point in frame indices, nabla_t[a] the covariant
-    derivative of t along e_a and b[a] the shift there (axis_action)."""
+def gauge_residual(b: np.ndarray, rep: TensorRep, markers: tuple[str, ...], data: np.ndarray,
+                   nabla_t: np.ndarray) -> float:
+    """|nabla t + b . t| at a point in frame indices for the tensor t =
+    (markers, data), nabla_t[a] the covariant derivative of t along e_a and
+    b[a] the shift there (axis_action)."""
     lie = None if rep.lie is None else np.einsum("mi,iab->mab", b, rep.lie.matrices)
-    act = axis_action(t.markers, t.data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
+    act = axis_action(markers, data, np.einsum("mi,iab->mab", b, rep.vector.matrices), lie)
     return float(np.linalg.norm(nabla_t + act))
 
 
@@ -610,8 +581,12 @@ def _adapted_shifts(levels: Levels, chains: list[StabilizerChain], rep: TensorRe
                            axis=2)
         mat = np.concatenate([action_rows(mk, t, rep) for mk, t in tensors], axis=1)
         u, sing, vt = np.linalg.svd(mat, full_matrices=False)
-        pinv = ((vt[:, :m - dim_h].transpose(0, 2, 1) / sing[:, None, :m - dim_h])
-                @ u[:, :, :m - dim_h].transpose(0, 2, 1))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pinv = ((vt[:, :m - dim_h].transpose(0, 2, 1) / sing[:, None, :m - dim_h])
+                    @ u[:, :, :m - dim_h].transpose(0, 2, 1))
+        if not np.isfinite(pinv).all():
+            raise NumericalFailure("pseudo-inverse overflows: smallest kept singular value "
+                                   f"{sing[:, m - dim_h - 1].min():.3g}")
         pinv_t = pinv.transpose(0, 2, 1)
         beta = -v @ pinv_t
         resid = v + beta @ mat.transpose(0, 2, 1)

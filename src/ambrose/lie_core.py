@@ -19,7 +19,7 @@ from functools import cache, wraps
 import numpy as np
 
 from .errors import BadParameters, NotInvariant, RepMismatch
-from .tensor_core import LIE, UP, DenseTensor, _leibniz, axis_action, axis_stacks
+from .tensor_core import LIE, UP, _leibniz, axis_action, axis_stacks
 
 NULL_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -75,9 +75,6 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,i,j->k", self.structure, u, v)
 
     def ad(self, u: np.ndarray) -> np.ndarray:
         """Matrix of ad(u) in the basis: ad(u)[k, j] = c[k, i, j] u[i]."""
@@ -192,16 +189,16 @@ class TensorRep:
         return stacks
 
 
-def tensor_action(b: np.ndarray, eta: DenseTensor, rep: TensorRep) -> DenseTensor:
-    """Leibniz action of algebra element b through its matrices in ``rep``:
-    plus on value axes, minus transpose on covariant axes, adjoint action on
-    lie axes, summed over axes."""
+def tensor_action(b: np.ndarray, markers: tuple[str, ...], data: np.ndarray,
+                  rep: TensorRep) -> np.ndarray:
+    """Leibniz action of algebra element b through its matrices in ``rep``
+    on the tensor (markers, data): plus on value axes, minus transpose on
+    covariant axes, adjoint action on lie axes, summed over axes."""
     b = np.asarray(b, float)
     if b.shape != (rep.algebra.dim,):
         raise RepMismatch("algebra coordinates have the wrong length")
     mat_l = rep.lie.matrix(b)[None] if rep.lie is not None else None
-    return DenseTensor(eta.markers,
-                       axis_action(eta.markers, eta.data, rep.vector.matrix(b)[None], mat_l)[0])
+    return axis_action(markers, data, rep.vector.matrix(b)[None], mat_l)[0]
 
 
 def action_rows(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
@@ -216,10 +213,11 @@ def action_rows(markers: tuple[str, ...], data: np.ndarray, rep: TensorRep,
     return rows.reshape(rows.shape[0], rows.shape[1], -1).transpose(0, 2, 1)
 
 
-def stacked_action_matrix(tensors: list[DenseTensor], rep: TensorRep) -> np.ndarray:
+def stacked_action_matrix(tensors: list[tuple[tuple[str, ...], np.ndarray]],
+                          rep: TensorRep) -> np.ndarray:
     """Matrix whose column j stacks the action of basis element j on every
-    tensor: action_rows of each tensor as a batch of one."""
-    rows = [action_rows(t.markers, t.data[None], rep)[0] for t in tensors]
+    tensor (markers, data): action_rows of each tensor as a batch of one."""
+    rows = [action_rows(markers, data[None], rep)[0] for markers, data in tensors]
     return np.concatenate(rows) if rows else np.zeros((0, rep.algebra.dim))
 
 

@@ -1,9 +1,12 @@
-"""Dense multi-index tensor values at a point, orthonormal frames, and the
-two actions on tensor axes, each coded once.
+"""Tensors as (markers, data), orthonormal frames as (coframe, frame), and
+the two actions on tensor axes, each coded once.
 
 Axis markers tag each tensor axis as contravariant (UP), covariant (DOWN) or
-Lie-adjoint (LIE).  Components are stored row-major over the axis dims, so the
-flat serialization order is the C order of the backing array. The Lie-algebra
+Lie-adjoint (LIE); a tensor is its markers and an array with one axis per
+marker, and a batch of tensors leads with the point axis. Components are
+stored row-major over the axis dims, so the flat serialization order is the
+C order of the array. A frame is the pair (coframe, frame) of
+cholesky_frames, or a stack of them, one per point. The Lie-algebra
 action, the Leibniz rule summed over the axes (-M^T on DOWN ones), is
 ``_leibniz``: ``axis_action`` (arrays and jets) and ``lie_core.action_rows``
 call it. The group action, one matrix per axis kind, is ``to_frames``: the
@@ -13,7 +16,6 @@ frames and ``homogeneity.group_action`` call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,40 +26,7 @@ UP = "up"
 DOWN = "down"
 LIE = "lie"
 
-_MARKERS = (UP, DOWN, LIE)
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """Tensor value at a single point with explicit axis markers."""
-
-    markers: tuple[str, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        markers = tuple(self.markers)
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != len(markers):
-            raise AxisMismatch(
-                f"{data.ndim} array axes for {len(markers)} markers"
-            )
-        for m in markers:
-            if m not in _MARKERS:
-                raise AxisMismatch(f"unknown axis marker {m!r}")
-        object.__setattr__(self, "markers", markers)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def components(self) -> np.ndarray:
-        """Flat row-major component vector (the serialization layout)."""
-        return self.data.reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+MARKERS = (UP, DOWN, LIE)
 
 
 def axis_stacks(mat: np.ndarray | None, lie: np.ndarray | None) -> dict[str, np.ndarray]:
@@ -171,22 +140,6 @@ def _points_and_coefficients_first(c: np.ndarray) -> np.ndarray:
     return c.transpose([c.ndim - 2, c.ndim - 1, *range(c.ndim - 2)])
 
 
-@dataclass(frozen=True)
-class OrthoFrame:
-    """Orthonormal frame at a point: columns of ``frame`` are the frame vectors."""
-
-    point: np.ndarray
-    frame: np.ndarray
-    coframe: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, float))
-        object.__setattr__(self, "frame", np.asarray(self.frame, float))
-        object.__setattr__(self, "coframe", np.asarray(self.coframe, float))
-        if not (np.isfinite(self.frame).all() and np.isfinite(self.coframe).all()):
-            raise SingularFrame("frame/coframe has non-finite entries")
-
-
 def cholesky_frames(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(coframes, frames), each shape (P, d, d), of the Cholesky frame at
     each point from the metric values gs, shape (P, d, d), in one stacked
@@ -202,11 +155,11 @@ def cholesky_frames(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coframe, frame
 
 
-def to_frame(t: DenseTensor, f: OrthoFrame) -> DenseTensor:
-    """Express tensor-axis components in the frame basis (LIE axes
-    untouched): to_frames on a batch of one."""
-    return DenseTensor(t.markers, to_frames(t.markers, t.data[None], f.coframe[None],
-                                            f.frame[None])[0])
+def to_frame(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
+             frame: np.ndarray) -> np.ndarray:
+    """Tensor-axis components of one point's data in the frame (coframe,
+    frame), LIE axes untouched: to_frames on a batch of one."""
+    return to_frames(markers, data[None], coframe[None], frame[None])[0]
 
 
 def to_frames(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
@@ -237,8 +190,7 @@ def to_frames(markers: tuple[str, ...], data: np.ndarray, coframe: np.ndarray,
 
 
 def point_norms(data: np.ndarray) -> np.ndarray:
-    """The norm of each point's components of data, shape (dims..., P), as
-    DenseTensor.norm takes it: one dot product of that point's components,
-    in row-major order."""
+    """The norm of each point's components of data, shape (dims..., P): one
+    dot product of that point's components, in row-major order."""
     flat = np.ascontiguousarray(jet.points_first(data)).reshape(data.shape[-1], 1, -1)
     return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()

@@ -125,16 +125,6 @@ def _bar_connection(model: TotalSpaceModel) -> ConnectionCoeffs:
     return ConnectionCoeffs(evaluator=evaluate)
 
 
-def _bar_metric(model: TotalSpaceModel) -> MetricField:
-    """g-bar = Theta^T diag(g(x), <,>) Theta, at points (x, 0)."""
-    def evaluate(X: Jet) -> Jet:
-        th = _coframe_jet(model, X)
-        return jet.einsum("ai,ab,bj->ij", th, _blocks(
-            X, model.g.jet_at(_base(model, X), X.order), model.inner.matrix), th)
-
-    return MetricField(evaluator=evaluate)
-
-
 def _lifted(model: TotalSpaceModel, points: np.ndarray) -> np.ndarray:
     """The points (x, 0) of U x g over the base points x, shape (P, n)."""
     return np.hstack([points, np.zeros((len(points), model.algebra.dim))])
@@ -160,8 +150,8 @@ def _bar_tower(model: TotalSpaceModel, points: np.ndarray,
     points, in the adapted orthonormal frames."""
     points = np.atleast_2d(np.asarray(points, float))
     gamma = _bar_connection(model)
-    return frame_levels((field(gamma),), None, gamma, _bar_metric(model),
-                        _lifted(model, points), 1, _adapted_frames(model, points))
+    return frame_levels((field(gamma),), None, gamma, None, _lifted(model, points), 1,
+                        _adapted_frames(model, points))
 
 
 def bar_torsion_derivative(model: TotalSpaceModel, points: np.ndarray) -> np.ndarray:

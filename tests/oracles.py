@@ -17,9 +17,11 @@ S = Gamma_can - Gamma of a fixture's canonical connection, carried as a
 tower, which judges the beta that adapt constructs from the Levi-Civita
 tower alone; and the moving frame, whose Cholesky factor of a jet, frame
 jets and frame gauge forms make FD derivatives of frame-expressed fields
-covariant. So are the frame helpers that only tests use. Criterion 05's
-check that two condition systems on a metric connection agree reads the
-same difference tensor, and lives here with it.
+covariant. So are the frame helpers that only tests use, and the total
+space's metric g-bar, whose orthonormal frames are the adapted frames the
+manifold route reads. Criterion 05's check that two condition systems on a
+metric connection agree reads the same difference tensor, and lives here
+with it.
 
 Six earlier kernels judge their replacements: the matrix inverse of a
 jet by the Neumann series, the functions of one jet by Horner's rule, the
@@ -52,7 +54,6 @@ from ambrose.chart_calculus import (
     curvature_field,
     fd_array,
     frame_levels,
-    frame_stacks,
     levi_civita,
     max_nabla_norms,
     nabla,
@@ -69,7 +70,6 @@ from ambrose.errors import (
 )
 from ambrose.fixtures import Fixture
 from ambrose.homogeneity import (
-    DerivativeTower,
     VerificationReport,
     _adapted_shifts,
     gauge_residual,
@@ -87,16 +87,8 @@ from ambrose.lie_core import (
     stacked_action_matrix,
     tensor_action,
 )
-from ambrose.tensor_core import (
-    DOWN,
-    LIE,
-    UP,
-    DenseTensor,
-    OrthoFrame,
-    axis_action,
-    cholesky_frames,
-    to_frame,
-)
+from ambrose.tensor_core import DOWN, LIE, UP, axis_action, cholesky_frames, to_frame
+from ambrose.total_space import TotalSpaceModel, _base, _blocks, _coframe_jet
 
 
 class NotMetric(AmbroseError):
@@ -254,6 +246,11 @@ def transport_holonomy_angle(gamma_at, g_at, loop, span=(0.0, 1.0)) -> float:
     return float(np.arctan2(h1[1], h1[0]) - np.arctan2(h0[1], h0[0]))
 
 
+def field_at(t: TensorFieldSpec, x: np.ndarray) -> np.ndarray:
+    """A field's components at the single point x, its order-0 jet's value."""
+    return t.jet_at(x, 0).value[..., 0]
+
+
 def jet_partials(t: TensorFieldSpec, x: np.ndarray) -> np.ndarray:
     """out[mu] = d_mu of a field's components at the single point x, from its
     first-order jet."""
@@ -261,26 +258,26 @@ def jet_partials(t: TensorFieldSpec, x: np.ndarray) -> np.ndarray:
 
 
 def covariant_derivative(gamma: ConnectionCoeffs, t: TensorFieldSpec, x: np.ndarray,
-                         lie=None) -> DenseTensor:
-    """Covariant derivative of a tensor field at the single point x, the new
-    covariant axis leading, with ``lie(x)[mu]`` on the LIE axes."""
+                         form: LocalConnectionForm | None = None) -> np.ndarray:
+    """Covariant derivative of a tensor field at the single point x, markers
+    (DOWN,) + t.markers, the new covariant axis leading, with ad of the
+    form on the LIE axes."""
     x = np.asarray(x, float)
-    d = nabla(t.jet_at(x, 1), t.markers, gamma.at(x), None if lie is None else lie(x))
-    return DenseTensor((DOWN,) + tuple(t.markers), d.value[..., 0])
+    return nabla(t.jet_at(x, 1), t.markers, gamma.at(x),
+                 None if form is None else form.ad_jet(x, 0).value[..., 0]).value[..., 0]
 
 
 def exterior_cov_derivative(a: LocalConnectionForm, alpha: TensorFieldSpec,
-                            x: np.ndarray) -> DenseTensor:
-    """d^A alpha at the single point x for an adjoint-valued 1-form;
-    coordinate brackets vanish."""
+                            x: np.ndarray) -> np.ndarray:
+    """d^A alpha at the single point x for an adjoint-valued 1-form, markers
+    (DOWN, DOWN, LIE); coordinate brackets vanish."""
     if alpha.markers != (DOWN, LIE):
         raise RepMismatch("exterior_cov_derivative expects an adjoint-valued 1-form")
     x = np.asarray(x, float)
     dal = jet_partials(alpha, x)
-    alv = alpha.at(x).data
+    alv = field_at(alpha, x)
     br = np.einsum("kij,mi,nj->mnk", a.algebra.structure, a.at(x), alv)
-    d = dal - dal.transpose(1, 0, 2) + br - br.transpose(1, 0, 2)
-    return DenseTensor((DOWN, DOWN, LIE), d)
+    return dal - dal.transpose(1, 0, 2) + br - br.transpose(1, 0, 2)
 
 
 def fd_partials(f, chart: Chart, x: np.ndarray) -> np.ndarray:
@@ -298,8 +295,8 @@ def apply_axis(matrix: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
 
 def stacked_action_loop(tensors, rep) -> np.ndarray:
     """The stacked action matrix one generator at a time: column j stacks
-    tensor_action of basis element j on every tensor."""
-    cols = [np.concatenate([tensor_action(e, t, rep).components for t in tensors])
+    tensor_action of basis element j on every tensor (markers, data)."""
+    cols = [np.concatenate([tensor_action(e, m, t, rep).reshape(-1) for m, t in tensors])
             for e in np.eye(rep.algebra.dim)]
     return np.stack(cols, axis=1)
 
@@ -348,7 +345,7 @@ def subalgebra_residual_pairs(algebra, basis: np.ndarray) -> float:
     worst = 0.0
     for i in range(basis.shape[1]):
         for j in range(i + 1, basis.shape[1]):
-            w = algebra.bracket(basis[:, i], basis[:, j])
+            w = np.einsum("kij,i,j->k", algebra.structure, basis[:, i], basis[:, j])
             worst = max(worst, float(np.linalg.norm(w - basis @ (basis.T @ w))))
     return worst
 
@@ -395,16 +392,18 @@ def structure_constants_loop(mats: np.ndarray) -> np.ndarray:
     return c
 
 
-def frame_from_metric(g: np.ndarray, point: np.ndarray) -> OrthoFrame:
-    """Cholesky frame of the metric value g at a point."""
+def frame_from_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coframe, frame) of the Cholesky frame of the metric value g."""
     coframe, frame = cholesky_frames(np.asarray(g, float)[None])
-    return OrthoFrame(point, frame[0], coframe[0])
+    return coframe[0], frame[0]
 
 
-def rotated(frame: OrthoFrame, q: np.ndarray) -> OrthoFrame:
-    """Another valid orthonormal frame: the columns mixed by orthogonal q."""
+def rotated(frame: tuple[np.ndarray, np.ndarray], q: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Another valid orthonormal frame (coframe, frame): the frame's columns
+    mixed by orthogonal q."""
     q = np.asarray(q, float)
-    return OrthoFrame(frame.point, frame.frame @ q, q.T @ frame.coframe)
+    return q.T @ frame[0], frame[1] @ q
 
 
 def frame_at(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
@@ -574,30 +573,30 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
                               flags=flags if finite else flags + ("non-finite",))
 
 
-def point_towers(levels, g: MetricField, points: np.ndarray, frames=None) -> list:
-    """The DerivativeTower at each point of a batch of towers, the levels of
-    frame_levels cut point by point, in g's Cholesky frames or in the
-    frames given."""
-    if frames is None:
-        coframes, stacks = frame_stacks(g, points)
-        frames = [OrthoFrame(x, e, th) for x, th, e in zip(points, coframes, stacks)]
-    return [DerivativeTower(point=x, frame=fr, kmax=len(levels) - 1,
-                            entries=tuple(tuple(DenseTensor(m, data[p]) for m, data in lv)
-                                          for lv in levels))
-            for p, (x, fr) in enumerate(zip(points, frames))]
+def point_towers(levels) -> list:
+    """Each point's tower, a batch of one, from a batch of towers, the
+    levels of frame_levels."""
+    return [[[(m, data[p:p + 1]) for m, data in lv] for lv in levels]
+            for p in range(len(levels[0][0][1]))]
 
 
 def stacked_levels(towers) -> list:
-    """A batch of towers with equal entry shapes as frame_levels lays it
-    out: each entry's data stacked over the towers."""
-    return [[(t.markers, np.stack([tw.entries[k][i].data for tw in towers]))
-             for i, t in enumerate(entry)] for k, entry in enumerate(towers[0].entries)]
+    """Towers with equal entry shapes, each a batch of one, as one batch in
+    frame_levels' layout."""
+    return [[(m, np.concatenate([tw[k][i][1] for tw in towers])) for i, (m, _) in enumerate(level)]
+            for k, level in enumerate(towers[0])]
+
+
+def entries(tower, depth: int) -> list:
+    """The entries (markers, data) of levels 0..depth of one tower, a batch
+    of one, each at its point."""
+    return [(m, data[0]) for level in tower[:depth + 1] for m, data in level]
 
 
 def _entry_pairs(tower, depth: int):
     """(T, Tnext) for each entry T of levels 0..depth, Tnext one level up."""
-    entries = tower.up_to(depth + 1)
-    return list(zip(entries, entries[len(tower.entries[0]):]))
+    found = entries(tower, depth + 1)
+    return list(zip(found, found[len(tower[0]):]))
 
 
 def adapted_shifts_loop(pairs, rep, inner):
@@ -615,16 +614,16 @@ def adapted_shifts_loop(pairs, rep, inner):
             raise NotReductive(f"stabilizer at stage {chain.singer_k} is not a subalgebra: "
                                f"closure residual {chain.subalgebra[chain.singer_k]:.3g}")
         # the entries T of levels 0..singer_k, Tnext one level up, T2 two
-        entries = tower.up_to(chain.singer_k + 2)
-        per_level = len(tower.entries[0])
-        count = len(entries) - 2 * per_level
-        tensors, nexts, seconds = (entries[:count], entries[per_level:per_level + count],
-                                   entries[2 * per_level:])
-        n = len(tower.point)
-        v = np.concatenate([nxt.data.reshape(n, -1) for nxt in nexts], axis=1)
-        w = np.concatenate([t2.data.reshape(n, n, -1) for t2 in seconds], axis=2)
-        d = np.concatenate([action_rows(t.markers, nxt.data, rep)
-                            for t, nxt in zip(tensors, nexts)], axis=1)
+        found = entries(tower, chain.singer_k + 2)
+        per_level = len(tower[0])
+        count = len(found) - 2 * per_level
+        tensors, nexts, seconds = (found[:count], found[per_level:per_level + count],
+                                   found[2 * per_level:])
+        n = rep.vector.matrices.shape[-1]
+        v = np.concatenate([nxt.reshape(n, -1) for _, nxt in nexts], axis=1)
+        w = np.concatenate([t2.reshape(n, n, -1) for _, t2 in seconds], axis=2)
+        d = np.concatenate([action_rows(m, nxt, rep) for (m, _), (_, nxt) in zip(tensors, nexts)],
+                           axis=1)
         mat = stacked_action_matrix(tensors, rep)
         u, sing, vt = np.linalg.svd(mat, full_matrices=False)
         rank = h.shape[0] - h.shape[1]
@@ -644,7 +643,7 @@ def adapted_shifts_loop(pairs, rep, inner):
         # each entry's adapted derivative: V + M beta_k on levels 0..singer_k;
         # on level singer_k + 1, whose rows are those of level singer_k,
         # B_b = sum_j beta_k[b, j] X_j also acts on Tnext's leading axis
-        offsets = np.cumsum([0] + [t.data.size for t in tensors])
+        offsets = np.cumsum([0] + [t.size for _, t in tensors])
         top = offsets[count - per_level]
         upper = (w[:, :, top:] + (d[:, top:] @ beta_k.T).transpose(2, 0, 1)
                  - np.einsum("bj,jca,cr->bar", beta_k, rep.vector.matrices, v[:, top:]))
@@ -660,25 +659,24 @@ def entrywise_tower_residuals(pairs, rep, inner) -> list[float]:
     each pair's point: the largest |Tnext + beta_k . T| over the entries T
     of levels 0..singer_k + 1, beta_k acting on every axis of T through
     gauge_residual, the leading covariant axis of a derivative included."""
-    return [nan_max([gauge_residual(beta_k, rep, t, nxt.data)
-                     for t, nxt in _entry_pairs(tower, chain.singer_k + 1)])
+    return [nan_max([gauge_residual(beta_k, rep, m, t, nxt)
+                     for (m, t), (_, nxt) in _entry_pairs(tower, chain.singer_k + 1)])
             for (tower, chain), (beta_k, _, _) in zip(pairs,
                                                       adapted_shifts_loop(pairs, rep, inner))]
 
 
-def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: MetricField,
-                      rep, inner):
-    """(beta_k, nabla beta_k) at each pair's point from the difference
-    tensor S = Gamma_can - gamma of a metric connection Gamma_can: S is
-    carried as a tower of depth 1 in the pairs' frames, beta[a] is the so(n)
+def difference_shifts(pairs, points: np.ndarray, gamma: ConnectionCoeffs, s: TensorFieldSpec,
+                      g: MetricField, rep, inner):
+    """(beta_k, nabla beta_k) at each pair's point, the pairs' towers built
+    at the points in g's Cholesky frames, from the difference tensor
+    S = Gamma_can - gamma of a metric connection Gamma_can: S is carried as
+    a tower of depth 1 in the same frames, beta[a] is the so(n)
     coordinates of S(e_a), and level 1 gives its covariant derivative. Both
     are projected off the Singer-stage stabilizer h as adapt projects its
     own beta, with nabla h = -M^+ M(Tnext[b]) h. An S that is not
     antisymmetric in the frames raises NotMetric."""
-    frames = [tower.frame for tower, _ in pairs]
     (_, s_hat), (_, nabla_s_hat) = (level[0] for level in frame_levels(
-        (s,), None, gamma, g, np.array([f.point for f in frames]), 1,
-        (np.stack([f.coframe for f in frames]), np.stack([f.frame for f in frames]))))
+        (s,), None, gamma, g, points, 1))
     skew = np.abs(s_hat + s_hat.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3))
     if (skew > 1e-6 * np.maximum(1.0, np.abs(s_hat).max(axis=(1, 2, 3)))).any():
         raise NotMetric("connection is not metric: difference tensor not antisymmetric")
@@ -694,8 +692,8 @@ def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: Met
         pinv = (vt[:rank].T / sing[:rank]) @ u[:, :rank].T
         nabla_h = np.stack([
             -pinv @ stacked_action_matrix(
-                [DenseTensor(t.markers, nxt.data[b]) for t, nxt in zip(tensors, nexts)], rep) @ h
-            for b in range(len(tower.point))
+                [(m, nxt[b]) for (m, _), (_, nxt) in zip(tensors, nexts)], rep) @ h
+            for b in range(points.shape[1])
         ])
         m = inner.matrix
         coeff = np.linalg.solve(h.T @ m @ h, h.T @ m)
@@ -704,6 +702,18 @@ def difference_shifts(pairs, gamma: ConnectionCoeffs, s: TensorFieldSpec, g: Met
         nabla_proj = off + np.linalg.solve(m, off.transpose(0, 2, 1) @ m)
         yield (beta - beta @ proj.T,
                nabla_beta - nabla_beta @ proj.T - beta @ nabla_proj.transpose(0, 2, 1))
+
+
+def bar_metric(model: TotalSpaceModel) -> MetricField:
+    """g-bar = Theta^T diag(g(x), <,>) Theta on the total space U x g, at
+    points (x, 0): the metric whose orthonormal frames are the adapted
+    frames of total_space._adapted_frames."""
+    def evaluate(X: Jet) -> Jet:
+        th = _coframe_jet(model, X)
+        return jet.einsum("ai,ab,bj->ij", th, _blocks(
+            X, model.g.jet_at(_base(model, X), X.order), model.inner.matrix), th)
+
+    return MetricField(evaluator=evaluate)
 
 
 def frame_structure_functions(conn: FrameFieldConnection, x: np.ndarray) -> np.ndarray:
@@ -731,7 +741,7 @@ def fd_tower(sigma: tuple[TensorFieldSpec, ...], gamma: ConnectionCoeffs, chart:
         return lambda x: fd_partials(f, chart, x) + axis_action(
             markers, f(x), gamma.at(x).transpose(1, 0, 2), None)
 
-    level = [(f.markers, lambda x, f=f: f.at(x).data) for f in sigma]
+    level = [(f.markers, lambda x, f=f: field_at(f, x)) for f in sigma]
     out = list(level)
     for _ in range(kmax):
         level = [((DOWN,) + m, nabla_fd(f, m)) for m, f in level]
@@ -741,7 +751,7 @@ def fd_tower(sigma: tuple[TensorFieldSpec, ...], gamma: ConnectionCoeffs, chart:
 
 def frame_expressed(f, markers, g: MetricField):
     """x -> the callable coordinate field f re-expressed in the Cholesky frame."""
-    return lambda x: to_frame(DenseTensor(markers, f(x)), ortho_frame(g, x)).data
+    return lambda x: to_frame(markers, f(x), *ortho_frame(g, x))
 
 
 def gauge_derivative(b, rep, t_hat, markers, chart: Chart, x: np.ndarray) -> np.ndarray:
@@ -766,7 +776,7 @@ def tower_shift(fix, depth: int):
         key = y.tobytes()
         if key not in memo:
             pair = tower_and_chain(sigma, None, fix.gamma, fix.g, y, rep, kmax=depth)
-            memo[key] = _adapted_shifts(pair[0].levels(), [pair[1]], rep, inner)[0][0]
+            memo[key] = _adapted_shifts(pair[0], [pair[1]], rep, inner)[0][0]
         return memo[key]
 
     return beta_k
@@ -779,7 +789,7 @@ def covariant_fd(fix, x: np.ndarray, field, rep, markers, form=None) -> np.ndarr
     if form is None:
         form = frame_gauge_form(fix.gamma, fix.g, rep.vector).at
     d = gauge_derivative(form, rep, field, markers, fix.chart, x)
-    return np.tensordot(ortho_frame(fix.g, x).frame, d, axes=(0, 0))
+    return np.tensordot(ortho_frame(fix.g, x)[1], d, axes=(0, 0))
 
 
 def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int) -> tuple[float, float]:
@@ -791,7 +801,7 @@ def nested_fd_adapt_residuals(fix, x: np.ndarray, singer_k: int) -> tuple[float,
 
     def b(y):
         """The adapted connection's gauge form, b0 + beta_k in coordinates."""
-        return b0.at(y) + ortho_frame(fix.g, y).coframe.T @ beta_k(y)
+        return b0.at(y) + ortho_frame(fix.g, y)[0].T @ beta_k(y)
 
     def norm(rep, t_hat, markers):
         return float(np.linalg.norm(covariant_fd(fix, x, t_hat, rep, markers, b)))

@@ -26,6 +26,7 @@ from ambrose.chart_calculus import (
     TensorFieldSpec,
     curvature_field,
     frame_levels,
+    frame_stacks,
     levi_civita,
     max_nabla_norms,
     ortho_frame,
@@ -57,7 +58,7 @@ from ambrose.lie_core import (
     default_inner,
     frame_structure_rep,
 )
-from ambrose.tensor_core import DOWN, LIE, DenseTensor
+from ambrose.tensor_core import DOWN, LIE
 from ambrose.total_space import TotalSpaceModel, _check
 from oracles import (
     adapted_shifts_loop,
@@ -67,7 +68,7 @@ from oracles import (
     stacked_levels,
     warped_surface,
 )
-from test_homogeneity import ADAPT_CASES, CHAIN_CASES, REP3, TRIPLE_CASES, flat_tower3
+from test_homogeneity import ADAPT_CASES, CHAIN_CASES, REP3, TRIPLE_CASES, flat_tower3, lc_tower
 from test_total_space import count_calls
 
 
@@ -82,15 +83,13 @@ def close(a, b):
 
 
 def assert_same_tower(batched, single):
-    assert batched.kmax == single.kmax
-    np.testing.assert_array_equal(batched.point, single.point)
-    assert close(batched.frame.frame, single.frame.frame)
-    assert close(batched.frame.coframe, single.frame.coframe)
-    assert len(batched.entries) == len(single.entries)
-    for lb, ls in zip(batched.entries, single.entries):
-        assert [t.markers for t in lb] == [t.markers for t in ls]
-        for a, b in zip(lb, ls):
-            assert close(a.data, b.data)
+    """Two towers, each a batch of one: the same levels, markers and
+    entries."""
+    assert len(batched) == len(single)
+    for lb, ls in zip(batched, single):
+        assert [m for m, _ in lb] == [m for m, _ in ls]
+        for (_, a), (_, b) in zip(lb, ls):
+            assert a.shape == b.shape and close(a, b)
 
 
 def assert_same_chain(batched, single):
@@ -119,10 +118,11 @@ class TestBatchParity:
         sigma = opozda_section_spec(gamma)
         points = sample_interior(fx.chart, 8)
         for kmax in (2, 3):
-            towers = point_towers(frame_levels(sigma, None, gamma, fx.g, points, kmax), fx.g, points)
+            towers = point_towers(frame_levels(sigma, None, gamma, fx.g, points, kmax))
             assert len(towers) == len(points)
-            for x, tower in zip(points, towers):
+            for x, tower, *frame in zip(points, towers, *frame_stacks(fx.g, points)):
                 assert_same_tower(tower, build_tower(sigma, None, gamma, fx.g, x, kmax))
+                assert all(close(a, b) for a, b in zip(frame, ortho_frame(fx.g, x)))
 
     @pytest.mark.parametrize("name,params,dims", TRIPLE_CASES)
     def test_triple_towers(self, name, params, dims):
@@ -130,7 +130,7 @@ class TestBatchParity:
         fx = instantiate(name, params)
         sigma = (curvature_field(fx.gamma), curvature_form_field(fx.a0))
         points = sample_interior(fx.chart, 5)
-        towers = point_towers(frame_levels(sigma, fx.a0, fx.gamma, fx.g, points, 2), fx.g, points)
+        towers = point_towers(frame_levels(sigma, fx.a0, fx.gamma, fx.g, points, 2))
         for x, tower in zip(points, towers):
             assert_same_tower(tower, build_tower(sigma, fx.a0, fx.gamma, fx.g, x, 2))
 
@@ -142,12 +142,10 @@ class TestBatchParity:
         points = sample_interior(fx.chart, 4, seed=6)
         frames = [rotated(ortho_frame(fx.g, x), expm(rep.vector.matrix([0.3 * i, -0.7, 0.5])))
                   for i, x in enumerate(points)]
-        stacks = np.stack([f.coframe for f in frames]), np.stack([f.frame for f in frames])
-        towers = point_towers(frame_levels(sigma, None, fx.gamma, fx.g, points, 2, stacks), fx.g,
-                              points, frames)
+        stacks = tuple(np.stack(f) for f in zip(*frames))
+        towers = point_towers(frame_levels(sigma, None, fx.gamma, fx.g, points, 2, stacks))
         for x, fr, tower in zip(points, frames, towers):
-            assert tower.frame is fr
-            assert_same_tower(tower, build_tower(sigma, None, fx.gamma, fx.g, x, 2, frame=fr))
+            assert_same_tower(tower, lc_tower(fx, x, 2, frame=fr))
 
     def test_chunk_boundary(self):
         """More points than one batch holds: towers_and_chains yields batch
@@ -159,7 +157,7 @@ class TestBatchParity:
         batches = list(towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep))
         assert [len(todo) for todo, _, _ in batches] == [CHUNK, CHUNK, 3]
         pairs = [pair for todo, levels, chains in batches
-                 for pair in zip(point_towers(levels, fx.g, points[todo]), chains)]
+                 for pair in zip(point_towers(levels), chains)]
         assert len(pairs) == len(points)
         for x, (tower, chain) in zip(points, pairs):
             single, single_chain = tower_and_chain(sigma, None, fx.gamma, fx.g, x, rep)
@@ -210,7 +208,7 @@ class TestBatchParity:
         assert [len(levels[0][0][1]) for _, levels, _ in builds] == [2, 2]
         last = {}
         for todo, levels, built in builds:
-            last.update(zip(todo, zip(point_towers(levels, fx.g, points[todo]), built)))
+            last.update(zip(todo, zip(point_towers(levels), built)))
         pairs = [last[i] for i in range(len(points))]
         assert [chain.dims for _, chain in pairs] == [(3, 1, 1, 0), (3, 1, 0, 0, 0)] * 2
         assert [chain.singer_k for _, chain in pairs] == [1, 2, 1, 2]
@@ -242,7 +240,7 @@ class TestBatchedChains:
         levels = frame_levels(opozda_section_spec(gamma), None, gamma, fx.g, points, 2)
         chains = stabilizer_chains(levels, rep)
         assert [chain.dims for chain in chains] == [dims] * len(points)
-        for tower, chain in zip(point_towers(levels, fx.g, points), chains):
+        for tower, chain in zip(point_towers(levels), chains):
             assert_close_chain(chain, stabilizer_chain(tower, rep))
 
     @pytest.mark.parametrize("block", [1, 40, 700])
@@ -278,13 +276,13 @@ class TestBatchedChains:
     def test_ambiguous_flag_on_its_own_point(self):
         """A kernel dimension within a decade of the cutoff at the second
         point of three flags that point's chain alone."""
-        clean = DenseTensor((DOWN, DOWN), np.diag([1.0, 2.0, 3.0]))
+        clean = (DOWN, DOWN), np.diag([1.0, 2.0, 3.0])
         # the identity perturbed across the cutoff within a decade, as in
         # test_homogeneity's test_spectral_gap_ambiguity
         murky = np.eye(3)
         murky[2, 2] += 3e-8
         murky[0, 1] = murky[1, 0] = 5e-9
-        murky = DenseTensor((DOWN, DOWN), murky)
+        murky = (DOWN, DOWN), murky
         towers = [flat_tower3([(t,), (t,)]) for t in (clean, murky, clean)]
         chains = stabilizer_chains(stacked_levels(towers), frame_structure_rep(3))
         assert [chain.flags for chain in chains] == [(), ("ambiguous",), ()]
@@ -412,7 +410,7 @@ def adapt_batch(fx, count):
     points = sample_interior(fx.chart, count, seed=7)
     (_, levels, chains), = towers_and_chains(sigma, None, fx.gamma, fx.g, points, rep)
     assert all(len(levels) == chain.singer_k + 3 for chain in chains)
-    return levels, chains, list(zip(point_towers(levels, fx.g, points), chains))
+    return levels, chains, list(zip(point_towers(levels), chains))
 
 
 STACKED_CASES = [*[lambda name=name, params=params: instantiate(name, params)
@@ -434,19 +432,18 @@ class TestStackedAdaptSystem:
         shifts = []
         for p, ((tower, chain), (beta_o, nabla_beta_o, tower_o)) in enumerate(
                 zip(pairs, want, strict=True)):
-            scale = max(t.norm() for entry in tower.entries for t in entry)
+            scale = max(np.linalg.norm(t) for level in tower for _, t in level)
             assert np.abs(beta_k[p] - beta_o).max() <= 1e-12 * scale
             assert np.abs(nabla_beta_k[p] - nabla_beta_o).max() <= 1e-12 * scale
             assert abs(nabla_tower[p] - tower_o) <= 1e-12 * scale
-            shifts.append(gauge_residual(beta_o, adjoint, DenseTensor((DOWN, LIE), beta_o),
-                                         nabla_beta_o))
+            shifts.append(gauge_residual(beta_o, adjoint, (DOWN, LIE), beta_o, nabla_beta_o))
             one = adapted_residuals([[(m, data[p:p + 1]) for m, data in lv] for lv in levels],
                                     [chain], rep, inner)
             assert abs(one["nabla_beta"] - shifts[-1]) <= 1e-12 * scale
         got = adapted_residuals(levels, chains, rep, inner)
         assert got["nabla_tower"] == nabla_tower.max()
         assert abs(got["nabla_beta"] - max(shifts)) <= 1e-12 * max(
-            t.norm() for tower, _ in pairs for entry in tower.entries for t in entry)
+            np.linalg.norm(t) for tower, _ in pairs for level in tower for _, t in level)
 
     @pytest.mark.parametrize("count", [1, 3, 8])
     @pytest.mark.parametrize("make", STACKED_CASES,

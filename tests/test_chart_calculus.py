@@ -28,6 +28,7 @@ from ambrose.tensor_core import DOWN, UP
 
 from oracles import (
     covariant_derivative,
+    field_at,
     frame_at,
     frame_jet,
     frame_structure_functions,
@@ -158,7 +159,7 @@ class TestLeviCivitaAgainstOracle:
         fix = instantiate(name, params)
         _, rie_oracle = symbolic_geometry(*oracle_key)
         for x in sample_interior(fix.chart, 6, seed=6):
-            assert np.abs(curvature(fix.gamma, x).data - rie_oracle(x)).max() < 1e-10
+            assert np.abs(curvature(fix.gamma, x) - rie_oracle(x)).max() < 1e-10
 
     def test_christoffel_partial_matches_fd(self):
         fix = instantiate("round_sphere2", {})
@@ -179,15 +180,15 @@ class TestLeviCivitaAgainstOracle:
 
         g = MetricField(evaluator=ev)
         x = np.array([1.5, 1.3, 3.1])
-        assert np.array_equal(curvature(levi_civita(g), x).data,
-                              curvature(fix.gamma, x).data)
+        assert np.array_equal(curvature(levi_civita(g), x),
+                              curvature(fix.gamma, x))
         assert len(calls) == 1
 
     def test_lowered_sphere_curvature_sign(self):
         """R_theta-phi-theta-phi = +sin^2(theta) on the unit sphere."""
         fix = instantiate("round_sphere2", {})
         x = np.array([1.0, 0.5])
-        r = curvature(fix.gamma, x).data
+        r = curvature(fix.gamma, x)
         lowered = np.einsum("al,lkij->akij", fix.g.at(x), r)
         assert lowered[0, 1, 0, 1] == pytest.approx(np.sin(1.0) ** 2, abs=1e-12)
 
@@ -215,7 +216,7 @@ class TestCovariantDerivative:
             g_field = TensorFieldSpec(markers=(DOWN, DOWN), evaluator=fix.g.evaluator)
             for x in sample_interior(fix.chart, 4, seed=8):
                 dg = covariant_derivative(fix.gamma, g_field, x)
-                assert dg.norm() < 1e-12
+                assert np.linalg.norm(dg) < 1e-12
 
     def test_product_rule_on_scaled_vector(self):
         fix = instantiate("round_sphere2", {})
@@ -229,12 +230,12 @@ class TestCovariantDerivative:
         vf = TensorFieldSpec(markers=(UP,), evaluator=v)
         fvf = TensorFieldSpec(markers=(UP,), evaluator=lambda X: f(X) * v(X))
         x = np.array([1.2, 3.0])
-        lhs = covariant_derivative(fix.gamma, fvf, x).data
+        lhs = covariant_derivative(fix.gamma, fvf, x)
         df = np.array(
             [np.cos(x[0]) * np.cos(x[1]), -np.sin(x[0]) * np.sin(x[1])]
         )
         fx, vx = np.sin(x[0]) * np.cos(x[1]), np.array([np.cos(x[1]), np.sin(x[0])])
-        rhs = np.outer(df, vx) + fx * covariant_derivative(fix.gamma, vf, x).data
+        rhs = np.outer(df, vx) + fx * covariant_derivative(fix.gamma, vf, x)
         assert np.abs(lhs - rhs).max() < 1e-14
 
     def test_second_derivative_commutator_is_curvature(self):
@@ -249,7 +250,7 @@ class TestCovariantDerivative:
         dv = nabla(v(jet.variables(x, 2)), (UP,), G)
         ddv = nabla(dv, (DOWN, UP), G).value[..., 0]  # axes (i, j, k): del_i del_j v^k
         comm = ddv - ddv.swapaxes(0, 1)
-        r = curvature(fix.gamma, x).data
+        r = curvature(fix.gamma, x)
         expect = np.einsum("lkij,k->ijl", r, v(jet.variables(x, 0)).value[..., 0])
         assert np.abs(comm - expect).max() < 1e-12
 
@@ -258,7 +259,7 @@ class TestTorsionAndFrames:
     def test_levi_civita_torsion_free(self):
         fix = instantiate("berger_sphere", {})
         for x in sample_interior(fix.chart, 4, seed=9):
-            assert torsion_field(fix.gamma).at(x).norm() < 1e-12
+            assert np.linalg.norm(field_at(torsion_field(fix.gamma), x)) < 1e-12
 
     def test_su2_frame_structure_functions(self):
         """[e_i, e_j] = 2 eps_ijk e_k for the left-invariant frame."""
@@ -281,7 +282,7 @@ class TestTorsionAndFrames:
         assert t[2, 1, 0] == pytest.approx(2.0, abs=1e-12)
         th = fix.frame_conn.coframe(jet.variables(x, 0)).value[..., 0]
         E = frame_at(fix.frame_conn, x)
-        coord = torsion_field(fix.gamma_canonical).at(x).data
+        coord = field_at(torsion_field(fix.gamma_canonical), x)
         assert np.abs(np.einsum("kl,lmn,mi,nj->kij", th, coord, E, E) - t).max() < 1e-12
 
     def test_canonical_connection_parallelizes_the_frame(self):
@@ -326,10 +327,10 @@ class TestTorsionAndFrames:
         for mu in range(fix.chart.dim):
             dframe, dcoframe = dframes[mu], dcoframes[mu]
             fd_frame = fd_array(
-                lambda p: ortho_frame(fix.g, p).frame, fix.chart, x, mu
+                lambda p: ortho_frame(fix.g, p)[1], fix.chart, x, mu
             )
             fd_coframe = fd_array(
-                lambda p: ortho_frame(fix.g, p).coframe, fix.chart, x, mu
+                lambda p: ortho_frame(fix.g, p)[0], fix.chart, x, mu
             )
             assert np.abs(dframe - fd_frame).max() < 1e-9
             assert np.abs(dcoframe - fd_coframe).max() < 1e-9

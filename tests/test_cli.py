@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,15 +397,20 @@ class TestMainExitCodes:
         assert "solver diverged" in data["flags"][1]
 
     def test_non_finite_metric_is_named(self, capsys):
-        """radius=1e300 overflows r^2 to inf: the run fails as numerical,
-        and its flag names the non-finite values, not an asymmetry."""
-        code = cli.main(["--scenario", "singer", "--fixture", "round_sphere2",
-                         "--param", "radius=1e300"])
-        data = json.loads(capsys.readouterr().out)
-        assert code == 3
-        assert data["pass"] is False
-        assert data["flags"] == ["numerical-failure",
-                                 "error: metric evaluator returned non-finite values: inf"]
+        """radius=1e300 overflows r^2 to inf and radius=1e-300 underflows it
+        to 0: each is an out-of-range parameter, a configuration error that
+        names the radius, with no warning. test_batches' SPOILED_VALUES
+        names the non-finite metric values a run meets."""
+        for radius in ("1e300", "1e-300"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["--scenario", "singer", "--fixture", "round_sphere2",
+                                 "--param", f"radius={radius}"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "config error" in captured.err
+            assert f"sphere radius {float(radius)!r}" in captured.err
 
     def test_selftest_passes(self, capsys):
         code = cli.main(["--scenario", "selftest"])

@@ -17,7 +17,6 @@ from ambrose.chart_calculus import sample_interior
 from ambrose.errors import BadParameters, RepMismatch
 from ambrose.fixtures import instantiate
 from ambrose.homogeneity import (
-    DerivativeTower,
     group_action,
     opozda_section_spec,
     orbit_match,
@@ -25,8 +24,9 @@ from ambrose.homogeneity import (
     tower_and_chain,
 )
 from ambrose.lie_core import algebra_by_name, frame_structure_rep, skew_exp
-from ambrose.tensor_core import DOWN, LIE, UP, DenseTensor, OrthoFrame
-from oracles import apply_axis, exp_jacobian_series, warped_surface
+from ambrose.tensor_core import DOWN, LIE, UP
+from oracles import apply_axis, entries, exp_jacobian_series, warped_surface
+from test_homogeneity import flat_tower3
 from test_total_space import count_calls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,27 +47,20 @@ MARKERS = (((UP, DOWN, DOWN), (DOWN, DOWN)),
 
 def generic_tower(seed):
     rng = np.random.default_rng(seed)
-    entries = tuple(
-        tuple(DenseTensor(m, rng.standard_normal((3,) * len(m))) for m in level)
-        for level in MARKERS
-    )
-    fr = OrthoFrame(point=np.zeros(3), frame=np.eye(3), coframe=np.eye(3))
-    return DerivativeTower(point=np.zeros(3), frame=fr, kmax=1, entries=entries)
+    return flat_tower3([[(m, rng.standard_normal((3,) * len(m))) for m in level]
+                        for level in MARKERS])
 
 
 def transformed(tower, act):
-    return DerivativeTower(
-        point=tower.point, frame=tower.frame, kmax=tower.kmax,
-        entries=tuple(tuple(act(t) for t in level) for level in tower.entries),
-    )
+    """The tower with act(markers, data) applied to each entry."""
+    return flat_tower3([[(m, act(m, data[0])) for m, data in level] for level in tower])
 
 
-def mirrored(t):
+def mirrored(markers, data):
     """Every axis reflected by diag(1, 1, -1), which is not in SO(3)."""
-    data = t.data
     for ax in range(data.ndim):
         data = apply_axis(np.diag([1.0, 1.0, -1.0]), data, ax)
-    return DenseTensor(t.markers, data)
+    return data
 
 
 class TestOrbitMatchProperties:
@@ -75,12 +68,13 @@ class TestOrbitMatchProperties:
     @given(seed=seeds, theta=angles)
     def test_rotated_tower_matches(self, seed, theta):
         tower = generic_tower(seed)
-        rotated = transformed(tower, lambda t: group_action(np.array(theta), REP3, [t])[0])
+        rotated = transformed(tower, lambda m, t: group_action(np.array(theta), REP3, [(m, t)])[0])
         match = orbit_match(tower, rotated, REP3, depth=1)
         assert match.matched, match.reason
         assert match.residual < 1e-9
-        for a, b in zip(tower.up_to(1), rotated.up_to(1)):
-            assert np.linalg.norm(group_action(match.theta, REP3, [a])[0].data - b.data) < 1e-9 * b.norm()
+        for a, (_, b) in zip(entries(tower, 1), entries(rotated, 1)):
+            moved = group_action(match.theta, REP3, [a])[0]
+            assert np.linalg.norm(moved - b) < 1e-9 * np.linalg.norm(b)
 
     @PROPERTY_SLOW
     @given(seed=seeds)
@@ -114,13 +108,11 @@ class TestOrbitMatchProperties:
            flat=st.integers(0, 80), second=st.booleans())
     def test_nan_entry_never_matches(self, seed, level, entry, flat, second):
         tower = generic_tower(seed)
-        t = tower.entries[level][entry]
-        data = t.data.copy()
+        markers, data = tower[level][entry]
+        data = data.copy()
         data.flat[flat % data.size] = np.nan
-        levels = [list(lv) for lv in tower.entries]
-        levels[level][entry] = DenseTensor(t.markers, data)
-        poisoned = DerivativeTower(point=tower.point, frame=tower.frame, kmax=1,
-                                   entries=tuple(tuple(lv) for lv in levels))
+        poisoned = [list(lv) for lv in tower]
+        poisoned[level][entry] = markers, data
         pair = (tower, poisoned) if second else (poisoned, tower)
         # orbit_match rejects a non-finite entry before any search
         with pytest.raises(BadParameters):
@@ -133,10 +125,8 @@ def invariant_tower(level2):
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k], eps[j, i, k] = 1.0, -1.0
-    entries = ((DenseTensor((DOWN, DOWN), np.eye(3)),), (DenseTensor((DOWN,) * 3, eps),),
-               (DenseTensor((DOWN,) * 4, level2),))
-    fr = OrthoFrame(point=np.zeros(3), frame=np.eye(3), coframe=np.eye(3))
-    return DerivativeTower(point=np.zeros(3), frame=fr, kmax=2, entries=entries)
+    return flat_tower3([[((DOWN, DOWN), np.eye(3))], [((DOWN,) * 3, eps)],
+                        [((DOWN,) * 4, level2)]])
 
 
 class TestMatchDepth:
@@ -199,7 +189,7 @@ def random_tensors(rng, count):
     for _ in range(count):
         markers = tuple(rng.choice([UP, DOWN, LIE], size=rng.integers(0, 6)))
         dims = tuple(3 if m == LIE else 2 for m in markers)
-        out.append(DenseTensor(markers, rng.standard_normal(dims)))
+        out.append((markers, rng.standard_normal(dims)))
     return out
 
 
@@ -216,26 +206,25 @@ class TestGroupAction:
         tensors = random_tensors(rng, 12)
         moved = group_action(theta, REP_SU2, tensors)
         assert len(moved) == len(tensors)
-        for t, out in zip(tensors, moved):
-            data = t.data
-            for ax, m in enumerate(t.markers):
+        for (markers, t), out in zip(tensors, moved):
+            data = t
+            for ax, m in enumerate(markers):
                 data = apply_axis(gl if m == LIE else gv, data, ax)
-            assert out.markers == t.markers and out.dims == t.dims
-            assert np.linalg.norm(out.data - data) <= 1e-14 * t.norm()
+            assert out.shape == np.shape(t)
+            assert np.linalg.norm(out - data) <= 1e-14 * np.linalg.norm(t)
             # one call on many tensors is one call per tensor
-            assert np.array_equal(group_action(theta, REP_SU2, [t])[0].data, out.data)
+            assert np.array_equal(group_action(theta, REP_SU2, [(markers, t)])[0], out)
 
     def test_lie_axis_without_lie_rep_raises(self):
         with pytest.raises(RepMismatch):
-            group_action(np.zeros(3), REP3, [DenseTensor((DOWN, LIE), np.zeros((3, 3)))])
+            group_action(np.zeros(3), REP3, [((DOWN, LIE), np.zeros((3, 3)))])
 
     def test_wrong_axis_dim_raises_even_when_it_reshapes(self):
         # 12 components reshape to (3, 4), but the first axis has dim 2
-        t = DenseTensor((DOWN, DOWN), np.ones((2, 6)))
         with pytest.raises(RepMismatch):
-            group_action(np.zeros(3), REP3, [t])
+            group_action(np.zeros(3), REP3, [((DOWN, DOWN), np.ones((2, 6)))])
         with pytest.raises(RepMismatch):
-            group_action(np.zeros(4), REP_SU2, [DenseTensor((LIE,), np.ones(2))])
+            group_action(np.zeros(4), REP_SU2, [((LIE,), np.ones(2))])
 
     def test_one_exponential_per_residual_evaluation(self, monkeypatch):
         """The orbit-match workload's berger_sphere pair at seed 3: each
@@ -244,16 +233,16 @@ class TestGroupAction:
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
 
-        entries, acted, exps = [], [], []
+        seconds, acted, exps = [], [], []
         match, action, exp = homogeneity.orbit_match, homogeneity.group_action, homogeneity.skew_exp
 
         def counted_match(t1, t2, rep, depth):
             assert rep.lie is None
-            entries.append([id(t) for t in t2.up_to(depth)])
+            seconds.append([data for _, data in entries(t2, depth)])
             return match(t1, t2, rep, depth)
 
         def counted_action(theta, rep, tensors):
-            acted.append([id(t) for t in tensors])
+            acted.append([data for _, data in tensors])
             return action(theta, rep, tensors)
 
         def counted_exp(x):
@@ -266,8 +255,10 @@ class TestGroupAction:
         workload = workloads.WORKLOADS["orbit-match"]
         assert workload.fixture == "berger_sphere"
         assert workload.oracle(json.loads(workload.run(3))) is not None
-        assert len(entries) == 1 and len(entries[0]) == 2
-        assert acted and all(ids == entries[0] for ids in acted)
+        assert len(seconds) == 1 and len(seconds[0]) == 2
+        # every call acts on the entries of the second tower themselves
+        assert acted and all(len(data) == 2 and all(map(np.shares_memory, data, seconds[0]))
+                             for data in acted)
         assert len(exps) == len(acted)
         # a start that reaches the rounding floor ends there
         assert len(acted) <= 12

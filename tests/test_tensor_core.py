@@ -1,20 +1,21 @@
-"""Tests for dense tensor values, axis markers, contraction, and frames."""
+"""Tests for tensors as (markers, data), axis markers, contraction, and
+frames as (coframe, frame)."""
 
 import numpy as np
 import pytest
 
 from ambrose import jet
+from ambrose.chart_calculus import TensorFieldSpec
 from ambrose.errors import AxisMismatch, DegenerateMetric, SingularFrame
 from ambrose.tensor_core import (
     DOWN,
     LIE,
     UP,
-    DenseTensor,
-    OrthoFrame,
     _leibniz,
     axis_action,
     axis_stacks,
     cholesky_frames,
+    point_norms,
     to_frame,
     to_frames,
 )
@@ -32,22 +33,22 @@ def random_spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
-class TestDenseTensor:
+class TestMarkers:
+    """Markers enter with a tensor field: TensorFieldSpec checks them."""
+
     def test_marker_count_must_match_array_rank(self):
+        field = TensorFieldSpec((UP,), lambda X: X.lift(np.zeros((2, 2))))
         with pytest.raises(AxisMismatch):
-            DenseTensor((UP,), np.zeros((2, 2)))
+            field.jet_at(np.zeros(2), 0)
 
     def test_unknown_marker_rejected(self):
         with pytest.raises(AxisMismatch):
-            DenseTensor(("sideways",), np.zeros(2))
+            TensorFieldSpec(("sideways",), lambda X: X.lift(np.zeros(2)))
 
-    def test_components_are_row_major(self):
-        t = DenseTensor((UP, DOWN), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(t.components, [1.0, 2.0, 3.0, 4.0])
-
-    def test_norm(self):
-        a = DenseTensor((UP,), np.array([1.0, 2.0]))
-        assert a.norm() == pytest.approx(np.sqrt(5.0))
+    def test_point_norms(self):
+        """Each point's norm of point-last data, over its components."""
+        data = np.array([[[1.0, 0.0], [2.0, 3.0]], [[2.0, 0.0], [0.0, 4.0]]])
+        assert point_norms(data) == pytest.approx([3.0, 5.0])
 
 
 class TestContract:
@@ -63,26 +64,25 @@ class TestOrthoFrame:
     def test_cholesky_frame_orthonormalizes_the_metric(self, n):
         rng = np.random.default_rng(n)
         g = random_spd(rng, n)
-        fr = frame_from_metric(g, np.zeros(n))
-        assert np.allclose(fr.frame.T @ g @ fr.frame, np.eye(n), atol=1e-12)
-        assert np.allclose(fr.coframe @ fr.frame, np.eye(n), atol=1e-12)
+        coframe, frame = frame_from_metric(g)
+        assert np.allclose(frame.T @ g @ frame, np.eye(n), atol=1e-12)
+        assert np.allclose(coframe @ frame, np.eye(n), atol=1e-12)
 
     def test_degenerate_metric_rejected(self):
         with pytest.raises(DegenerateMetric):
-            frame_from_metric(np.diag([1.0, -1.0]), np.zeros(2))
+            frame_from_metric(np.diag([1.0, -1.0]))
 
     def test_nonfinite_frame_rejected(self):
         with pytest.raises(SingularFrame):
-            OrthoFrame(np.zeros(2), np.array([[np.inf, 0], [0, 1.0]]), np.eye(2))
+            cholesky_frames(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
 
     def test_rotated_frame_still_orthonormal(self):
         rng = np.random.default_rng(7)
         g = random_spd(rng, 3)
-        fr = frame_from_metric(g, np.zeros(3))
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        fr2 = rotated(fr, q)
-        assert np.allclose(fr2.frame.T @ g @ fr2.frame, np.eye(3), atol=1e-12)
-        assert np.allclose(fr2.coframe @ fr2.frame, np.eye(3), atol=1e-12)
+        coframe, frame = rotated(frame_from_metric(g), q)
+        assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
+        assert np.allclose(coframe @ frame, np.eye(3), atol=1e-12)
 
 
 def random_action(seed: int, matrices: str):
@@ -208,40 +208,36 @@ class TestFrameTransport:
         rng = np.random.default_rng(hash(markers) % 2**32)
         n, m = 3, 4
         dims = tuple(m if mk == LIE else n for mk in markers)
-        t = DenseTensor(markers, rng.normal(size=dims))
-        fr = frame_from_metric(random_spd(rng, n), np.zeros(n))
+        t = rng.normal(size=dims)
+        coframe, frame = frame_from_metric(random_spd(rng, n))
         # swapping frame and coframe gives the inverse change of basis
-        inverse = OrthoFrame(fr.point, fr.coframe, fr.frame)
-        back = to_frame(to_frame(t, fr), inverse)
-        assert np.allclose(back.data, t.data, atol=1e-12)
+        back = to_frame(markers, to_frame(markers, t, coframe, frame), frame, coframe)
+        assert np.allclose(back, t, atol=1e-12)
 
     def test_metric_becomes_identity_in_frame(self):
         rng = np.random.default_rng(11)
         g = random_spd(rng, 3)
-        fr = frame_from_metric(g, np.zeros(3))
-        ghat = to_frame(DenseTensor((DOWN, DOWN), g), fr)
-        assert np.allclose(ghat.data, np.eye(3), atol=1e-12)
+        ghat = to_frame((DOWN, DOWN), g, *frame_from_metric(g))
+        assert np.allclose(ghat, np.eye(3), atol=1e-12)
 
     def test_up_down_pairing_is_frame_invariant(self):
         rng = np.random.default_rng(12)
-        v = DenseTensor((UP,), rng.normal(size=3))
-        w = DenseTensor((DOWN,), rng.normal(size=3))
-        fr = frame_from_metric(random_spd(rng, 3), np.zeros(3))
-        raw = float(v.data @ w.data)
-        hat = float(to_frame(v, fr).data @ to_frame(w, fr).data)
+        v, w = rng.normal(size=3), rng.normal(size=3)
+        fr = frame_from_metric(random_spd(rng, 3))
+        raw = float(v @ w)
+        hat = float(to_frame((UP,), v, *fr) @ to_frame((DOWN,), w, *fr))
         assert hat == pytest.approx(raw, abs=1e-12)
 
     def test_lie_axes_untouched(self):
         rng = np.random.default_rng(13)
-        t = DenseTensor((LIE,), rng.normal(size=5))
-        fr = frame_from_metric(random_spd(rng, 2), np.zeros(2))
-        assert np.array_equal(to_frame(t, fr).data, t.data)
+        t = rng.normal(size=5)
+        fr = frame_from_metric(random_spd(rng, 2))
+        assert np.array_equal(to_frame((LIE,), t, *fr), t)
 
     def test_dim_mismatch_rejected(self):
-        t = DenseTensor((UP,), np.zeros(4))
-        fr = frame_from_metric(np.eye(3), np.zeros(3))
+        fr = frame_from_metric(np.eye(3))
         with pytest.raises(AxisMismatch):
-            to_frame(t, fr)
+            to_frame((UP,), np.zeros(4), *fr)
 
 
 class TestToFrames:

@@ -29,7 +29,6 @@ from ambrose.total_space import (
     TotalSpaceModel,
     _adapted_frames,
     _bar_connection,
-    _bar_metric,
     _bar_tower,
     _coframe_jet,
     _lifted,
@@ -41,6 +40,7 @@ from ambrose.total_space import (
     distribution_parallel_check,
     total_space_check,
 )
+from oracles import bar_metric, field_at
 
 SU2 = algebra_by_name("su(2)")
 
@@ -145,7 +145,7 @@ class TestAdaptedConnection:
         model, fx = MODELS[name]()
         pts = sample_interior(fx.chart, 4, seed=1)
         n, m = fx.chart.dim, model.algebra.dim
-        gbar = jet.points_first(_bar_metric(model).jet_at(_lifted(model, pts), 0).value)
+        gbar = jet.points_first(bar_metric(model).jet_at(_lifted(model, pts), 0).value)
         th_inv = np.linalg.inv(jet.points_first(frame_fields(model, pts)[1]))
         blocks = np.einsum("pai,pab,pbj->pij", th_inv, gbar, th_inv)
         want = np.zeros_like(blocks)
@@ -256,7 +256,7 @@ class TestTorsionAndCurvature:
         """T-bar(d_0^h, d_1^h) = F_01* = sin(x_0) e_3* at charge 2."""
         model, fx = hopf_model(charge=2)
         pts = sample_interior(fx.chart, 3, seed=6)
-        t = torsion_field(_bar_connection(model)).at(_lifted(model, pts[:1])).data
+        t = field_at(torsion_field(_bar_connection(model)), _lifted(model, pts[:1]))
         e, th0 = frame_fields(model, pts[:1])
         out = th0[..., 0] @ np.einsum("kij,i,j->k", t, e.value[:, 0, 0], e.value[:, 1, 0])
         assert close(out, np.array([0.0, 0.0, 0.0, 0.0, np.sin(pts[0, 0])]))

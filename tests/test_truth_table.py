@@ -65,6 +65,11 @@ ROWS = [
       for c in (1e-2, 1e3) for argv in (SINGER_METRIC, ADAPT)),
     *(row(argv, catalog("berger_sphere", {"lam": lam}), 0, f"berger_sphere-lam={lam}", ITEM_3)
       for lam in (0.1, 0.15, 0.2) for argv in (SINGER_METRIC, ADAPT)),
+    # a radius far from 1: singer at 1e150 passes; adapt's pseudo-inverse
+    # overflows at 1e150, and the deep levels overflow at 1e-100
+    *(row(argv, catalog("round_sphere2", {"radius": r}), 0, f"round_sphere2-radius={r:g}",
+          None if r > 1 and argv == SINGER_METRIC else ITEM_4)
+      for r in (1e150, 1e-100) for argv in (SINGER_METRIC, ADAPT)),
     *(row(argv, catalog(name), 0, name)
       for name in ("euclidean", "flat_torus", "round_sphere2", "hyperbolic_plane",
                    "round_sphere3", "berger_sphere", *BUNDLES)
