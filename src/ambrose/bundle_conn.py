@@ -110,12 +110,13 @@ def bianchi_residual(a: LocalConnectionForm, points: np.ndarray) -> float:
     return nan_max(point_norms(cyc))
 
 
-def curvature_variation_check(a: LocalConnectionForm, alpha: TensorFieldSpec,
-                              points: np.ndarray) -> float:
+def curvature_variation_check(a: LocalConnectionForm, a_prime: LocalConnectionForm,
+                              alpha: TensorFieldSpec, points: np.ndarray) -> float:
     """Largest residual over the points of F^{a+alpha} = F^a + d^a alpha +
     [alpha wedge alpha]/2, with d^a alpha = d alpha + [a wedge alpha] (the
-    coordinate brackets vanish)."""
-    f1 = _curvature_form_jet(a.shifted(alpha), points, 0).value
+    coordinate brackets vanish), a_prime = a.shifted(alpha) the caller's, so
+    that a batch evaluates it once."""
+    f1 = _curvature_form_jet(a_prime, points, 0).value
     f0 = _curvature_form_jet(a, points, 0).value
     al = alpha.jet_at(points, 1)
     dal, alv = shift(al).value, al.value

@@ -46,15 +46,11 @@ from .fixtures import (
 )
 from .homogeneity import (
     KMAX_CAP,
-    TOLERANCES,
-    VerificationReport,
     adapted_residuals,
     check_lh_triple,
     check_ls_triple,
-    make_report,
     opozda_section_spec,
     towers_and_chains,
-    verdict,
 )
 from .lie_core import (
     algebra_by_name,
@@ -63,6 +59,28 @@ from .lie_core import (
 )
 from .tensor_core import DOWN, LIE, point_norms
 from .total_space import TotalSpaceModel, total_space_check
+
+# Every report's residual keys with their default tolerances, by scenario.
+TOLERANCES = {
+    "singer": {"nesting_angle": 1e-6, "subalgebra": 1e-7},
+    "adapt": {"nabla_beta": 1e-5, "nabla_tower": 1e-5},
+    "check-lh-triple": dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "nabla_alpha"), 1e-5),
+    "check-ls-triple": dict.fromkeys(("nabla_Rg", "nabla_F0"), 1e-5),
+    "total-space": {
+        **dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "alpha_parallel"), 1e-6),
+        **dict.fromkeys(("nabla_bar_T", "nabla_bar_R", "distribution"), 1e-5),
+    },
+    "identities": dict.fromkeys(
+        ("nabla_g", "bianchi_first", "bianchi_second", "curvature_variation",
+         "connection_variation", "leibniz"), 1e-6),
+}
+# the total-space residuals that are hypotheses of its criteria, judged by
+# hypotheses_hold
+HYPOTHESES = ("nabla_R", "nabla_T", "nabla_F", "alpha_parallel")
+
+# flags that fail a report whatever its residuals
+BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed",
+             "numerical-failure")
 
 # The parameters a scenario reads itself (adapt, identities and selftest read
 # none); the rest go to the fixture, and another scenario's are rejected.
@@ -214,6 +232,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                     and any(k in ps for ps in SCENARIO_PARAMS.values()))
     if unread:
         raise ConfigError(f"scenario {scenario} does not read parameter(s) {', '.join(unread)}")
+    # only the scenarios that build a tower read kmax
+    if kmax is not None and scenario not in ("singer", "adapt", "selftest"):
+        raise ConfigError(f"scenario {scenario} builds no tower and does not read kmax")
     if scenario == "selftest":
         # its battery fixes the fixtures and their parameters
         for option, value in (("--fixture", fixture), ("--param", ", ".join(params))):
@@ -256,7 +277,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization
+# reports: deterministic serialization, and the verdict
 
 
 def _format_float(x: float) -> str:
@@ -297,34 +318,45 @@ def dumps_report(report: dict) -> str:
     return _encode(report) + "\n"
 
 
-def report_dict(rep: VerificationReport, params: dict) -> dict:
-    points = np.atleast_2d(np.asarray(rep.points, float))
+def verdict(residuals: dict[str, float], tolerances: dict[str, float],
+            flags: tuple[str, ...] | list[str] = ()) -> bool:
+    """Pass iff every residual is below its tolerance (NaN is not) and no
+    flag is in BAD_FLAGS."""
+    return (all(residuals[k] < tolerances[k] for k in tolerances)
+            and not any(f in BAD_FLAGS for f in flags))
+
+
+def hypotheses_hold(residuals: dict[str, float]) -> bool:
+    """Each total-space hypothesis among the residuals is within its
+    default tolerance, whatever the overrides (NaN is not)."""
+    tol = TOLERANCES["total-space"]
+    return all(residuals[k] <= tol[k] for k in HYPOTHESES if k in residuals)
+
+
+def make_report(cfg: RunConfig, points: np.ndarray, residuals: dict[str, float],
+                flags: tuple[str, ...] | list[str] = (),
+                stabilizer_dims: tuple[int, ...] | None = None,
+                singer_k: int | None = None) -> dict:
+    """The run's report, ready to serialize: each residual's tolerance is
+    its --tol override (a named key winning over ``default``) or else its
+    default in TOLERANCES, and ``pass`` is the verdict on them and the
+    flags."""
+    tols = cfg.tols
+    tolerances = {k: float(tols.get(k, tols.get("default", TOLERANCES[cfg.scenario][k])))
+                  for k in residuals}
+    points = np.atleast_2d(np.asarray(points, float))
     return {
-        "scenario": rep.scenario,
-        "fixture": rep.fixture,
-        "params": dict(params),
+        "scenario": cfg.scenario,
+        "fixture": cfg.fixture,
+        "params": dict(cfg.params),
         "points": [[float(v) for v in row] for row in points] if points.size else [],
-        "residuals": {k: float(v) for k, v in rep.residuals.items()},
-        "stabilizer_dims": (
-            list(rep.stabilizer_dims) if rep.stabilizer_dims is not None else None
-        ),
-        "singer_k": rep.singer_k,
-        "pass": bool(rep.passed),
-        "tolerances": {k: float(v) for k, v in rep.tolerances.items()},
-        "flags": list(rep.flags),
+        "residuals": {k: float(v) for k, v in residuals.items()},
+        "stabilizer_dims": list(stabilizer_dims) if stabilizer_dims is not None else None,
+        "singer_k": singer_k,
+        "pass": verdict(residuals, tolerances, flags),
+        "tolerances": tolerances,
+        "flags": list(flags),
     }
-
-
-def _retolerance(rep: VerificationReport, tols: dict) -> VerificationReport:
-    """Apply tolerance overrides and recompute the verdict: ``default`` sets
-    every tolerance of the report, and a named key wins over it."""
-    overrides = {k: tols.get(k, tols.get("default")) for k in rep.tolerances
-                 if k in tols or "default" in tols}
-    if not overrides:
-        return rep
-    tolerances = {**rep.tolerances, **overrides}
-    return replace(rep, tolerances=tolerances,
-                   passed=verdict(rep.residuals, tolerances, rep.flags))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +414,7 @@ def _connection_choice(fix: Fixture, params: dict):
     raise ConfigError(f"connection must be metric or canonical, got {choice!r}")
 
 
-def _tower_report(cfg: RunConfig, fix: Fixture, gamma0, rep, check) -> VerificationReport:
+def _tower_report(cfg: RunConfig, fix: Fixture, gamma0, rep, check) -> dict:
     """The report of singer or adapt from one pass over the sample points:
     the towers and chains of gamma0's section, each point built once by
     towers_and_chains (grown to singer_k + 2, or at --kmax), with the
@@ -406,12 +438,11 @@ def _tower_report(cfg: RunConfig, fix: Fixture, gamma0, rep, check) -> Verificat
     if len({singer_k for _, singer_k in stages}) > 1:
         flags.append("singer-varies")
     dims, singer_k = stages[0]
-    return make_report(cfg.scenario, fix.name, points, max_over_batches(rows), flags,
-                       singer_k=singer_k,
+    return make_report(cfg, points, max_over_batches(rows), flags, singer_k=singer_k,
                        stabilizer_dims=dims if singer_k is None else dims[:singer_k + 1])
 
 
-def run_singer(cfg: RunConfig) -> VerificationReport:
+def run_singer(cfg: RunConfig) -> dict:
     fix = _fixture(cfg)
     return _tower_report(cfg, fix, _connection_choice(fix, cfg.params), _frame_rep(fix, "singer"),
                          lambda levels, chains: {
@@ -419,23 +450,23 @@ def run_singer(cfg: RunConfig) -> VerificationReport:
                              "subalgebra": nan_max(s for ch in chains for s in ch.subalgebra)})
 
 
-def run_check_lh(cfg: RunConfig) -> VerificationReport:
+def run_check_lh(cfg: RunConfig) -> dict:
     fix = _fixture(cfg)
     _require_bundle(fix)
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return check_lh_triple(fix.g, a0, fix.gamma, fix.a0, points, fixture=fix.name)
+    return make_report(cfg, points, check_lh_triple(fix.g, a0, fix.gamma, fix.a0, points))
 
 
-def run_check_ls(cfg: RunConfig) -> VerificationReport:
+def run_check_ls(cfg: RunConfig) -> dict:
     fix = _fixture(cfg)
     _require_bundle(fix)
     a0 = _reference_form(fix, cfg.params.get("perturb"), "perturb")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return check_ls_triple(fix.g, a0, points, fixture=fix.name)
+    return make_report(cfg, points, check_ls_triple(fix.g, a0, points))
 
 
-def run_adapt(cfg: RunConfig) -> VerificationReport:
+def run_adapt(cfg: RunConfig) -> dict:
     """Construct the adapted connection of the Levi-Civita connection from
     its tower and check that it parallelizes its shift and the tower up to
     depth k_S + 1.
@@ -457,16 +488,18 @@ def run_adapt(cfg: RunConfig) -> VerificationReport:
                          adapted_residuals(levels, chains, rep, inner))
 
 
-def run_total_space(cfg: RunConfig) -> VerificationReport:
+def run_total_space(cfg: RunConfig) -> dict:
     fix = _fixture(cfg)
     _require_bundle(fix)
     model = TotalSpaceModel(g=fix.g, gamma=fix.gamma, a=fix.a0)
     a0_ref = _reference_form(fix, cfg.params.get("alpha"), "alpha")
     points = sample_interior(fix.chart, cfg.points, cfg.seed)
-    return total_space_check(model, a0_ref, points, fixture=fix.name)
+    residuals = total_space_check(model, a0_ref, points)
+    return make_report(cfg, points, residuals,
+                       [] if hypotheses_hold(residuals) else ["hypotheses-failed"])
 
 
-def run_identities(cfg: RunConfig) -> VerificationReport:
+def run_identities(cfg: RunConfig) -> dict:
     fix = _fixture(cfg)
     algebra = fix.algebra if fix.algebra is not None else algebra_by_name("su(2)")
     chart = fix.chart
@@ -497,41 +530,26 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
             "nabla_g": nan_max(point_norms(jet.points_last(derivatives[0][1]))),
             "bianchi_first": nan_max(point_norms(cyc)),
             "bianchi_second": bianchi_residual(a, batch),
-            "curvature_variation": curvature_variation_check(a, alpha, batch),
+            "curvature_variation": curvature_variation_check(a, a_prime, alpha, batch),
             "connection_variation": connection_variation_check(eta, a, a_prime, gamma, batch),
             "leibniz": leibniz_check(beta, eta, a, gamma, batch),
         }
 
-    return make_report("identities", fix.name, points, max_over_chunks(check, points))
+    return make_report(cfg, points, max_over_chunks(check, points))
 
 
-def run_selftest(cfg: RunConfig) -> VerificationReport:
-    """The battery's sub-reports as one: their residuals and tolerances
-    under the scenario's prefix, the sorted union of their flags, and a pass
-    if every one passes."""
-    residuals: dict[str, float] = {}
-    tolerances: dict[str, float] = {}
-    flags: set[str] = set()
-    passed = True
-    for scenario, fixture, params in SELFTEST_BATTERY:
-        sub = replace(
-            cfg, scenario=scenario, fixture=fixture, params=params, out=None
-        )
-        rep = _retolerance(RUNNERS[scenario](sub), sub.tols)
-        for key, value in rep.residuals.items():
-            residuals[f"{scenario}.{key}"] = value
-            tolerances[f"{scenario}.{key}"] = rep.tolerances[key]
-        flags.update(rep.flags)
-        passed = passed and rep.passed
-    return VerificationReport(
-        scenario="selftest",
-        fixture="",
-        points=np.zeros((0, 0)),
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=passed,
-        flags=tuple(sorted(flags)),
-    )
+def run_selftest(cfg: RunConfig) -> dict:
+    """The battery's reports as one: their residuals and tolerances under
+    the scenario's prefix, the sorted union of their flags, and a pass if
+    every one passes."""
+    subs = {scenario: RUNNERS[scenario](replace(cfg, scenario=scenario, fixture=fixture,
+                                                params=params, out=None))
+            for scenario, fixture, params in SELFTEST_BATTERY}
+    merged = {key: {f"{scenario}.{k}": v for scenario, sub in subs.items()
+                    for k, v in sub[key].items()} for key in ("residuals", "tolerances")}
+    flags = sorted({f for sub in subs.values() for f in sub["flags"]})
+    return {**make_report(cfg, [], {}, flags), **merged,
+            "pass": all(sub["pass"] for sub in subs.values())}
 
 
 RUNNERS = {
@@ -551,17 +569,7 @@ SCENARIOS = tuple(RUNNERS)
 
 
 def run_scenario(cfg: RunConfig) -> dict:
-    rep = RUNNERS[cfg.scenario](cfg)
-    # selftest has applied the overrides to each of its sub-reports
-    if cfg.scenario != "selftest":
-        rep = _retolerance(rep, cfg.tols)
-    return report_dict(rep, cfg.params)
-
-
-def _partial_report(cfg: RunConfig, exc: Exception) -> dict:
-    rep = make_report(cfg.scenario, cfg.fixture, np.zeros((0, 0)), {},
-                      ("numerical-failure", f"error: {exc}"))
-    return report_dict(rep, cfg.params)
+    return RUNNERS[cfg.scenario](cfg)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -585,7 +593,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (AmbroseError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        _emit(_partial_report(cfg, exc), cfg.out)
+        # the partial report: no residuals, the error among its flags
+        _emit(make_report(cfg, [], {}, ("numerical-failure", f"error: {exc}")), cfg.out)
         return 3
     _emit(report, cfg.out)
     return 0 if report["pass"] else 1

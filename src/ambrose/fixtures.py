@@ -187,9 +187,10 @@ def _parallel_shift_field() -> TensorFieldSpec:
     return TensorFieldSpec(markers=(DOWN, LIE), evaluator=ev)
 
 
-def _bump_shift_field(algebra: LieAlgebra) -> TensorFieldSpec:
-    """A localized non-parallel shift used as a negative control."""
-    c0, c1 = 0.5 * np.pi, np.pi
+def _bump_shift_field(algebra: LieAlgebra, centre: tuple[float, float]) -> TensorFieldSpec:
+    """A localized non-parallel shift used as a negative control, centred
+    at the centre of the fixture's chart box, where the sample points are."""
+    c0, c1 = centre
     corner = np.zeros((2, algebra.dim))
     corner[0, 0] = 1.0
 
@@ -210,7 +211,7 @@ def hopf_monopole(charge: int = 1) -> Fixture:
         base.g,
         a0=_monopole_form(algebra, charge),
         alpha_parallel=_parallel_shift_field() if charge == 1 else None,
-        alpha_bump=_bump_shift_field(algebra),
+        alpha_bump=_bump_shift_field(algebra, (0.5 * np.pi, np.pi)),
     )
 
 
@@ -228,7 +229,7 @@ def trivial_bundle_flat(algebra: str = "su(2)") -> Fixture:
         base.chart,
         base.g,
         a0=zero,
-        alpha_bump=_bump_shift_field(alg),
+        alpha_bump=_bump_shift_field(alg, (0.0, 0.0)),
     )
 
 

@@ -25,6 +25,9 @@ for X, Z in h and Y orthogonal to h (Tricerri and Vanhecke, LMS Lecture
 Notes 83, 1983). So the stabilizer chain records each level's closure
 residual beside its nesting angle, and the adapted connection checks the
 closure at the Singer stage and needs no basis of the complement.
+
+Every criterion here returns its residuals, a dict of floats by name; the
+tolerances and the verdict on them are the command line's (cli).
 """
 
 from __future__ import annotations
@@ -90,27 +93,6 @@ LM_ITERS = 100
 LM_DAMPING = (1e-3, 1e-9)
 STALL = 1e-3
 
-# flags that fail a report whatever its residuals
-BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed",
-             "numerical-failure")
-
-# Every report's residual keys with their default tolerances, by scenario.
-# total-space's nabla_R, nabla_T, nabla_F and alpha_parallel are the
-# hypotheses of its criteria.
-TOLERANCES = {
-    "singer": {"nesting_angle": 1e-6, "subalgebra": 1e-7},
-    "adapt": {"nabla_beta": 1e-5, "nabla_tower": 1e-5},
-    "check-lh-triple": dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "nabla_alpha"), 1e-5),
-    "check-ls-triple": dict.fromkeys(("nabla_Rg", "nabla_F0"), 1e-5),
-    "total-space": {
-        **dict.fromkeys(("nabla_R", "nabla_T", "nabla_F", "alpha_parallel"), 1e-6),
-        **dict.fromkeys(("nabla_bar_T", "nabla_bar_R", "distribution"), 1e-5),
-    },
-    "identities": dict.fromkeys(
-        ("nabla_g", "bianchi_first", "bianchi_second", "curvature_variation",
-         "connection_variation", "leibniz"), 1e-6),
-}
-
 
 @dataclass(frozen=True)
 class StabilizerChain:
@@ -134,48 +116,6 @@ class MatchResult:
     theta: np.ndarray | None
     residual: float
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    scenario: str
-    fixture: str
-    points: np.ndarray
-    residuals: dict[str, float]
-    tolerances: dict[str, float]
-    passed: bool
-    stabilizer_dims: tuple[int, ...] | None = None
-    singer_k: int | None = None
-    flags: tuple[str, ...] = ()
-
-
-def verdict(residuals: dict[str, float], tolerances: dict[str, float],
-            flags: tuple[str, ...] | list[str] = ()) -> bool:
-    """Pass iff every residual is below its tolerance (NaN is not) and no
-    flag is in BAD_FLAGS."""
-    return (all(residuals[k] < tolerances[k] for k in tolerances)
-            and not any(f in BAD_FLAGS for f in flags))
-
-
-def make_report(scenario: str, fixture: str, points: np.ndarray,
-                residuals: dict[str, float],
-                flags: tuple[str, ...] | list[str] = (),
-                stabilizer_dims: tuple[int, ...] | None = None,
-                singer_k: int | None = None) -> VerificationReport:
-    """The scenario's report: each residual gets its default tolerance from
-    TOLERANCES, and ``passed`` is the verdict on them and the flags."""
-    tolerances = {k: TOLERANCES[scenario][k] for k in residuals}
-    return VerificationReport(
-        scenario=scenario,
-        fixture=fixture,
-        points=points,
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=verdict(residuals, tolerances, flags),
-        stabilizer_dims=stabilizer_dims,
-        singer_k=singer_k,
-        flags=tuple(flags),
-    )
 
 
 def build_tower(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionForm | None,
@@ -204,12 +144,14 @@ def stabilizer_chains(levels: Levels, rep: TensorRep) -> list[StabilizerChain]:
     matrices one by one, so stacking changes no bit), the cutoff floored at each
     point's running sum of squared entry norms, so that levels which vanish
     in exact arithmetic do not present their rounding as full-rank columns.
-    One subalgebra_residuals call gives every kernel's closure."""
+    One subalgebra_residuals call gives every kernel's closure. The first
+    level whose entries, or the running sum of their squares, are not
+    finite raises NumericalFailure, before any action rows are built."""
     count, m = len(levels[0][0][1]), rep.algebra.dim
     r = np.zeros((count, 0, m))
     sq = np.zeros(count)
     factors, scales = [], []
-    for level in levels:
+    for k, level in enumerate(levels):
         for markers, data in level:
             step = max(jet.PRODUCT_BLOCK // (m * math.prod(data.shape[1:])), 1)
             blocks = []
@@ -217,7 +159,11 @@ def stabilizer_chains(levels: Levels, rep: TensorRep) -> list[StabilizerChain]:
                 points = slice(start, start + step)
                 block, factor = data[points], r[points]
                 flat = block.reshape(len(block), -1)
-                sq[points] += np.einsum("pi,pi->p", flat, flat)
+                with np.errstate(over="ignore"):
+                    sq[points] += np.einsum("pi,pi->p", flat, flat)
+                if not np.isfinite(sq[points]).all():
+                    raise NumericalFailure(f"tower level {k}: its entries or the running sum of "
+                                           "their squares are not finite")
                 for rows in _row_blocks(markers, block, rep):
                     # stacked column by column, the layout the QR reads
                     cols = np.concatenate([factor.transpose(0, 2, 1), rows.transpose(0, 2, 1)],
@@ -343,7 +289,9 @@ def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionFor
     one, the final points' slice. A batch has as many points as keep the
     largest level's jet at the deepest depth, its per-point elements times
     its jet coefficients, within jet.PRODUCT_BLOCK elements: at most CHUNK,
-    one at the least."""
+    one at the least. The levels are built with overflow and invalid values
+    left silent: stabilizer_chains names the first level that is not
+    finite."""
     points = np.atleast_2d(np.asarray(points, float))
     n, deepest = points.shape[1], KMAX_CAP if kmax is None else kmax
     lie = 1 if b0 is None else b0.algebra.dim
@@ -354,7 +302,8 @@ def towers_and_chains(sigma: tuple[TensorFieldSpec, ...], b0: LocalConnectionFor
         todo = list(range(start, min(start + step, len(points))))
         depth = KMAX_START if kmax is None else kmax
         while todo:
-            levels = frame_levels(sigma, b0, gamma0, g, points[todo], depth)
+            with np.errstate(over="ignore", invalid="ignore"):
+                levels = frame_levels(sigma, b0, gamma0, g, points[todo], depth)
             chains = stabilizer_chains(levels, rep)
             final = [p for p, chain in enumerate(chains) if depth == deepest
                      or chain.singer_k is not None and chain.singer_k + 2 <= depth]
@@ -666,14 +615,12 @@ def opozda_section_spec(gamma: ConnectionCoeffs) -> tuple[TensorFieldSpec, ...]:
 
 
 def check_lh_triple(g: MetricField, a0: LocalConnectionForm, gamma: ConnectionCoeffs,
-                    a: LocalConnectionForm, points: np.ndarray,
-                    fixture: str = "") -> VerificationReport:
+                    a: LocalConnectionForm, points: np.ndarray) -> dict[str, float]:
     """Locally homogeneous triple criterion for the metric g and the
     reference form a0: del R, del T, (del x del^A)F, (del x del^A)(A - A0)
-    all parallel, level 1 of the tower of lh_fields under ad of A."""
-    points = np.atleast_2d(np.asarray(points, float))
-    residuals = max_nabla_norms(gamma, lh_fields(gamma, a, a0), a, g, points)
-    return make_report("check-lh-triple", fixture, points, residuals)
+    all parallel, level 1 of the tower of lh_fields under ad of A. The
+    residuals are the largest norms of the four over the points."""
+    return max_nabla_norms(gamma, lh_fields(gamma, a, a0), a, g, points)
 
 
 def lh_fields(gamma: ConnectionCoeffs, a: LocalConnectionForm, a0: LocalConnectionForm,
@@ -690,10 +637,9 @@ def lh_fields(gamma: ConnectionCoeffs, a: LocalConnectionForm, a0: LocalConnecti
 
 
 def check_ls_triple(g: MetricField, a0: LocalConnectionForm, points: np.ndarray,
-                    fixture: str = "") -> VerificationReport:
-    """Locally symmetric triple criterion under the Levi-Civita connection."""
-    points = np.atleast_2d(np.asarray(points, float))
+                    ) -> dict[str, float]:
+    """Locally symmetric triple criterion under the Levi-Civita connection:
+    the largest norms over the points of del R^g and (del x del^A0)F0."""
     gamma = levi_civita(g)
-    residuals = max_nabla_norms(gamma, {"nabla_Rg": curvature_field(gamma),
-                                        "nabla_F0": curvature_form_field(a0)}, a0, g, points)
-    return make_report("check-ls-triple", fixture, points, residuals)
+    return max_nabla_norms(gamma, {"nabla_Rg": curvature_field(gamma),
+                                   "nabla_F0": curvature_form_field(a0)}, a0, g, points)

@@ -7,7 +7,8 @@ the same covariant derivatives as check_lh_triple's: del T, del R, del F and
 del(A - A0) in the orthonormal frames, level 1 of one ``frame_levels``
 call per batch of at most CHUNK points. Their frame tuples are those
 tensors and the Jacobi sums of the structure constants, and the hypotheses
-are the tensors' norms, check_lh_triple's residuals.
+are the tensors' norms, check_lh_triple's residuals. Each check returns its
+residuals by name; cli judges them, and flags a failed hypothesis.
 
 ``bar_torsion_derivative`` and ``bar_curvature_derivative`` define those
 tuples from the adapted connection itself, on the total space U x g with
@@ -43,7 +44,7 @@ from .chart_calculus import (
     nan_max,
     torsion_field,
 )
-from .homogeneity import TOLERANCES, VerificationReport, lh_fields, make_report
+from .homogeneity import lh_fields
 from .jet import Jet, variables
 from .lie_core import AdInvariantInner, LieAlgebra, default_inner
 from .tensor_core import point_norms
@@ -168,17 +169,6 @@ def bar_curvature_derivative(model: TotalSpaceModel, points: np.ndarray) -> np.n
     return _bar_tower(model, points, curvature_field)[1][0][1]
 
 
-# the residuals that are hypotheses of the total-space criteria
-HYPOTHESES = ("nabla_R", "nabla_T", "nabla_F", "alpha_parallel")
-
-
-def _hypotheses_hold(residuals: dict[str, float]) -> bool:
-    """Each hypothesis residual present is within its default tolerance (NaN
-    is not)."""
-    tol = TOLERANCES["total-space"]
-    return all(residuals[k] <= tol[k] for k in HYPOTHESES if k in residuals)
-
-
 def _residuals(model: TotalSpaceModel, points: np.ndarray,
                a0: LocalConnectionForm | None = None) -> dict[str, float]:
     """The largest of every total-space residual over a batch of points,
@@ -228,37 +218,24 @@ def _residuals(model: TotalSpaceModel, points: np.ndarray,
     return out
 
 
-def _check(model: TotalSpaceModel, a0: LocalConnectionForm | None,
-           points: np.ndarray, fixture: str,
-           keys: tuple[str, ...] | None = None) -> VerificationReport:
-    """The largest of each residual of _residuals over the points, in
-    batches of at most CHUNK (all of them, or the given keys), flagged when
-    a hypothesis fails."""
-    points = np.atleast_2d(np.asarray(points, float))
-    residuals = max_over_chunks(lambda batch: _residuals(model, batch, a0), points)
-    if keys is not None:
-        residuals = {k: residuals[k] for k in keys}
-    flags = [] if _hypotheses_hold(residuals) else ["hypotheses-failed"]
-    return make_report("total-space", fixture, points, residuals, flags)
-
-
 def total_space_check(model: TotalSpaceModel, a0: LocalConnectionForm,
-                      points: np.ndarray, fixture: str = "") -> VerificationReport:
+                      points: np.ndarray) -> dict[str, float]:
     """Both total-space criteria, bar_parallelism_check's and
-    distribution_parallel_check's, from one set of jets per batch of points."""
-    return _check(model, a0, points, fixture)
+    distribution_parallel_check's, with their hypotheses, from one set of
+    jets per batch of at most CHUNK points."""
+    return max_over_chunks(lambda batch: _residuals(model, batch, a0), points)
 
 
-def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray,
-                          fixture: str = "") -> VerificationReport:
+def bar_parallelism_check(model: TotalSpaceModel, points: np.ndarray) -> dict[str, float]:
     """Torsion and curvature of the adapted connection are parallel, given
-    the base parallelism hypotheses."""
-    return _check(model, None, points, fixture)
+    the base parallelism hypotheses nabla_R, nabla_T and nabla_F."""
+    return max_over_chunks(lambda batch: _residuals(model, batch), points)
 
 
 def distribution_parallel_check(model: TotalSpaceModel, a0: LocalConnectionForm,
-                                points: np.ndarray,
-                                fixture: str = "") -> VerificationReport:
+                                points: np.ndarray) -> dict[str, float]:
     """The reference horizontal distribution is parallel for the adapted
-    connection iff the shift form is parallel."""
-    return _check(model, a0, points, fixture, ("alpha_parallel", "distribution"))
+    connection iff the shift form is parallel: alpha_parallel and
+    distribution."""
+    residuals = total_space_check(model, a0, points)
+    return {k: residuals[k] for k in ("alpha_parallel", "distribution")}

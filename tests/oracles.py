@@ -69,13 +69,12 @@ from ambrose.errors import (
     RepMismatch,
 )
 from ambrose.fixtures import Fixture
+from ambrose.cli import TOLERANCES, verdict
 from ambrose.homogeneity import (
-    VerificationReport,
     _adapted_shifts,
     gauge_residual,
     opozda_section_spec,
     tower_and_chain,
-    verdict,
     with_adjoint_rep,
 )
 from ambrose.jet import Jet
@@ -538,16 +537,28 @@ def difference_field(gamma1: ConnectionCoeffs, gamma0: ConnectionCoeffs) -> Tens
 EQUIVALENCE_TOLERANCES = dict.fromkeys(("nabla_Rg", "nabla_S", "nabla_R", "nabla_T"), 1e-5)
 
 
+def passes(scenario: str, residuals: dict[str, float]) -> bool:
+    """cli's verdict on a criterion's residuals at the scenario's default
+    tolerances. A total-space hypothesis below its tolerance holds, so this
+    is also its hypotheses rule."""
+    return verdict(residuals, {k: TOLERANCES[scenario][k] for k in residuals})
+
+
+@dataclasses.dataclass(frozen=True)
+class EquivalenceReport:
+    residuals: dict[str, float]
+    passed: bool
+    flags: tuple[str, ...]
+
+
 def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
-                           points: np.ndarray, fixture: str = "",
-                           ) -> VerificationReport:
+                           points: np.ndarray) -> EquivalenceReport:
     """Two equivalent condition systems for a metric connection C vs C0.
 
     System one: del R^g = 0 and del (C - C0) = 0.  System two: del R^C = 0 and
     del T^C = 0.  Both use del = C. The report passes when the two systems
     agree and every residual is finite; its flags say which systems hold,
     and non-finite when a residual is not."""
-    points = np.atleast_2d(np.asarray(points, float))
     gamma0 = levi_civita(g)
     g_field = TensorFieldSpec(markers=(DOWN, DOWN), evaluator=g.evaluator)
     # S after both curvatures, so that it reads both connections' memos
@@ -567,10 +578,8 @@ def equivalence_check_c_c0(gamma: ConnectionCoeffs, g: MetricField,
     flags = ("systems-agree" if one == two else "systems-disagree",
              "system-one-holds" if one else "system-one-fails",
              "system-two-holds" if two else "system-two-fails")
-    return VerificationReport(scenario="equivalence-check", fixture=fixture, points=points,
-                              residuals=residuals, tolerances=tol,
-                              passed=one == two and finite,
-                              flags=flags if finite else flags + ("non-finite",))
+    return EquivalenceReport(residuals=residuals, passed=one == two and finite,
+                             flags=flags if finite else flags + ("non-finite",))
 
 
 def point_towers(levels) -> list:

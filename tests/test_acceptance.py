@@ -51,6 +51,7 @@ from oracles import (
     covariant_derivative,
     equivalence_check_c_c0,
     field_at,
+    passes,
 )
 from test_total_space import base_level0, frame_brackets
 
@@ -153,8 +154,8 @@ def test_criterion_03_identity_suite():
     worst = 0.0
     for fixture in ("round_sphere2", "round_sphere3"):
         rep = cli.run_identities(_cfg("identities", fixture))
-        worst = max(worst, max(rep.residuals.values()))
-        assert rep.passed, (fixture, rep.residuals)
+        worst = max(worst, max(rep["residuals"].values()))
+        assert rep["pass"], (fixture, rep["residuals"])
     ok = worst < 1e-6
     _verdict(
         3, "identity suite", ok,
@@ -196,12 +197,9 @@ def test_criterion_05_equivalence_agreement():
     for name in fixture_names():
         fix = instantiate(name, {})
         pts = sample_interior(fix.chart, 4, seed=5)
-        reports = [equivalence_check_c_c0(fix.gamma, fix.g, pts, fixture=name)]
+        reports = [equivalence_check_c_c0(fix.gamma, fix.g, pts)]
         if fix.gamma_canonical is not None:
-            reports.append(
-                equivalence_check_c_c0(fix.gamma_canonical, fix.g, pts,
-                                       fixture=name)
-            )
+            reports.append(equivalence_check_c_c0(fix.gamma_canonical, fix.g, pts))
         for rep in reports:
             assert "systems-agree" in rep.flags, (name, rep.flags, rep.residuals)
             assert rep.passed, (name, rep.flags)
@@ -290,14 +288,14 @@ def test_criterion_08_adapted_connection():
     ok = True
     for lam in (2.0, 0.5):
         rep = cli.run_adapt(_cfg("adapt", "berger_sphere", {"lam": lam}, points=2))
-        ok = ok and rep.singer_k is not None
-        ok = ok and rep.residuals["nabla_beta"] < 1e-5
-        ok = ok and rep.residuals["nabla_tower"] < 1e-5
+        ok = ok and rep["singer_k"] is not None
+        ok = ok and rep["residuals"]["nabla_beta"] < 1e-5
+        ok = ok and rep["residuals"]["nabla_tower"] < 1e-5
         if lam == 2.0:
-            ok = ok and rep.passed
+            ok = ok and rep["pass"]
         detail.append(
-            f"lam={lam}: shift {rep.residuals['nabla_beta']:.2e}, "
-            f"tower {rep.residuals['nabla_tower']:.2e}"
+            f"lam={lam}: shift {rep['residuals']['nabla_beta']:.2e}, "
+            f"tower {rep['residuals']['nabla_tower']:.2e}"
         )
     _verdict(8, "adapted connection", ok, "; ".join(detail) + " all < 1e-5")
 
@@ -307,16 +305,16 @@ def test_criterion_09_triple_criteria():
     pts = sample_interior(fix.chart, 8, seed=42)
     lh = check_lh_triple(fix.g, fix.a0, fix.gamma, fix.a0, pts)
     ls = check_ls_triple(fix.g, fix.a0, pts)
-    clean = max(max(lh.residuals.values()), max(ls.residuals.values()))
+    clean = max(max(lh.values()), max(ls.values()))
     bad = check_lh_triple(fix.g, fix.a0.shifted(fix.alpha_bump), fix.gamma, fix.a0, pts)
     ok = (
-        lh.passed and ls.passed and clean < 1e-5
-        and not bad.passed and bad.residuals["nabla_alpha"] > 1e-2
+        passes("check-lh-triple", lh) and passes("check-ls-triple", ls) and clean < 1e-5
+        and not passes("check-lh-triple", bad) and bad["nabla_alpha"] > 1e-2
     )
     _verdict(
         9, "bundle triple criteria", ok,
         f"monopole residuals {clean:.2e} < 1e-5 on both checks; bump shift "
-        f"residual {bad.residuals['nabla_alpha']:.2e} > 1e-2",
+        f"residual {bad['nabla_alpha']:.2e} > 1e-2",
     )
 
 
@@ -354,20 +352,20 @@ def test_criterion_10_total_space():
     ok = (
         table_gap < 1e-11
         and closed_gap < 1e-13
-        and par.passed
-        and par.residuals["nabla_bar_T"] < 1e-5
-        and par.residuals["nabla_bar_R"] < 1e-5
-        and dist_ok.residuals["distribution"] < 1e-5
-        and dist_bad.residuals["distribution"] > 1e-2
+        and passes("total-space", par)
+        and par["nabla_bar_T"] < 1e-5
+        and par["nabla_bar_R"] < 1e-5
+        and dist_ok["distribution"] < 1e-5
+        and dist_bad["distribution"] > 1e-2
     )
     _verdict(
         10, "total-space connection", ok,
         f"frame tables vs manifold {table_gap:.2e} < 1e-11; T-bar closed form "
         f"{closed_gap:.2e} < 1e-13; "
-        f"dbar_T {par.residuals['nabla_bar_T']:.2e}, "
-        f"dbar_R {par.residuals['nabla_bar_R']:.2e} < 1e-5; distribution "
-        f"{dist_ok.residuals['distribution']:.2e} < 1e-5 parallel / "
-        f"{dist_bad.residuals['distribution']:.2e} > 1e-2 bump",
+        f"dbar_T {par['nabla_bar_T']:.2e}, "
+        f"dbar_R {par['nabla_bar_R']:.2e} < 1e-5; distribution "
+        f"{dist_ok['distribution']:.2e} < 1e-5 parallel / "
+        f"{dist_bad['distribution']:.2e} > 1e-2 bump",
     )
 
 

@@ -222,7 +222,8 @@ class TestVariationIdentities:
 
     def test_curvature_variation(self):
         for x in self.points:
-            assert curvature_variation_check(self.a, self.alpha, x) < 1e-8
+            assert curvature_variation_check(self.a, self.a.shifted(self.alpha), self.alpha,
+                                             x) < 1e-8
 
     def test_connection_variation(self):
         eta = (

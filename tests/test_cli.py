@@ -1,7 +1,6 @@
 """Tests for the command line runner: configuration parsing, deterministic
 serialization, exit codes, report schema, and tolerance-name checks."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -13,9 +12,10 @@ import numpy as np
 import pytest
 
 from ambrose import cli
+from ambrose.cli import TOLERANCES
 from ambrose.errors import ConfigError, NumericalFailure
 from ambrose.fixtures import fixture_names
-from ambrose.homogeneity import KMAX_CAP, TOLERANCES, make_report
+from ambrose.homogeneity import KMAX_CAP
 
 REPORT_KEYS = {
     "scenario", "fixture", "params", "points", "residuals",
@@ -322,6 +322,38 @@ class TestMainExitCodes:
             "--kmax", str(KMAX_CAP),
         ]).kmax == KMAX_CAP
 
+    @pytest.mark.parametrize("scenario", ["check-lh-triple", "check-ls-triple", "total-space",
+                                          "identities"])
+    def test_kmax_where_no_tower_is_built_exits_two_before_work(self, scenario, monkeypatch,
+                                                                 capsys, tmp_path):
+        """A scenario that builds no tower refuses --kmax, by the flag or
+        the config file, before any work, where it ignored it."""
+        def never(cfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setitem(cli.RUNNERS, scenario, never)
+        args = ["--scenario", scenario, "--fixture", "hopf_monopole"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"kmax": 1}))
+        for extra in (["--kmax", "1"], ["--config", str(path)]):
+            assert cli.main(args + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "kmax" in captured.err and scenario in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scenario", ["singer", "adapt"])
+    def test_tower_overflow_names_its_level(self, scenario, capsys):
+        """At radius 1e-100 the curvature's squared norm overflows at level
+        0: with warnings as errors the run still ends with exit 3, and the
+        flag names the level."""
+        code = cli.main(["--scenario", scenario, "--fixture", "round_sphere2",
+                         "--param", "radius=1e-100"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert data["flags"] == ["numerical-failure", "error: tower level 0: its entries or "
+                                 "the running sum of their squares are not finite"]
+
     def test_points_above_cap_exits_two_before_work(self, monkeypatch, capsys, tmp_path):
         """A sample count above POINTS_CAP, by the flag or the config file,
         is a config error before the sampler allocates anything."""
@@ -426,9 +458,8 @@ class TestMainExitCodes:
         singer = cli.RUNNERS["singer"]
 
         def flagged(cfg):
-            rep = singer(cfg)
-            return dataclasses.replace(rep, flags=("truncated", "ambiguous", "truncated"),
-                                       passed=False)
+            return {**singer(cfg), "flags": ["truncated", "ambiguous", "truncated"],
+                    "pass": False}
 
         monkeypatch.setitem(cli.RUNNERS, "singer", flagged)
         code = cli.main(["--scenario", "selftest"])
@@ -593,17 +624,23 @@ class TestToleranceTable:
     def test_default_sets_every_key_and_a_named_key_wins(self, scenario):
         table = TOLERANCES[scenario]
         first = min(table)
-        rep = make_report(scenario, "", np.zeros((1, 2)),
-                          {k: 0.5 * t for k, t in table.items()})
-        assert rep.passed
-        assert rep.tolerances == table
-        tight = cli._retolerance(rep, {"default": 1e-30})
-        assert tight.tolerances == dict.fromkeys(table, 1e-30)
-        assert not tight.passed
-        mixed = cli._retolerance(rep, {"default": 1e-30, first: 1.0})
-        assert mixed.tolerances == {**dict.fromkeys(table, 1e-30), first: 1.0}
-        loose = cli._retolerance(rep, {"default": 1.0})
-        assert loose.passed
+        residuals = {k: 0.5 * t for k, t in table.items()}
+
+        def report(tols):
+            cfg = cli.RunConfig(scenario=scenario, fixture="", params={}, points=1, seed=0,
+                                tols=tols, kmax=None, out=None)
+            return cli.make_report(cfg, np.zeros((1, 2)), residuals)
+
+        rep = report({})
+        assert rep["pass"]
+        assert rep["tolerances"] == table
+        tight = report({"default": 1e-30})
+        assert tight["tolerances"] == dict.fromkeys(table, 1e-30)
+        assert not tight["pass"]
+        mixed = report({"default": 1e-30, first: 1.0})
+        assert mixed["tolerances"] == {**dict.fromkeys(table, 1e-30), first: 1.0}
+        loose = report({"default": 1.0})
+        assert loose["pass"]
 
 
 class TestDeterminism:

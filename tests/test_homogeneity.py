@@ -68,6 +68,7 @@ from oracles import (
     frame_gauge_form,
     gauge_derivative,
     nested_fd_adapt_residuals,
+    passes,
     point_towers,
     rotated,
     tower_shift,
@@ -1014,7 +1015,7 @@ class TestEquivalence:
     def test_symmetric_space_both_systems_hold(self):
         fx = instantiate("round_sphere2", {})
         pts = sample_interior(fx.chart, 4, seed=12)
-        report = equivalence_check_c_c0(fx.gamma, fx.g, pts, fixture="round_sphere2")
+        report = equivalence_check_c_c0(fx.gamma, fx.g, pts)
         assert report.passed
         assert "systems-agree" in report.flags
         assert "system-one-holds" in report.flags
@@ -1074,27 +1075,25 @@ class TestParallelismCriteria:
     def test_monopole_is_locally_homogeneous(self):
         fx = instantiate("hopf_monopole", {})
         pts = sample_interior(fx.chart, 4, seed=15)
-        report = check_lh_triple(fx.g, fx.a0, fx.gamma, fx.a0, pts,
-                                 fixture="hopf_monopole")
-        assert report.passed
-        assert set(report.residuals) == {"nabla_R", "nabla_T", "nabla_F",
-                                         "nabla_alpha"}
-        assert max(report.residuals.values()) < 1e-5
+        residuals = check_lh_triple(fx.g, fx.a0, fx.gamma, fx.a0, pts)
+        assert passes("check-lh-triple", residuals)
+        assert set(residuals) == {"nabla_R", "nabla_T", "nabla_F", "nabla_alpha"}
+        assert max(residuals.values()) < 1e-5
 
     def test_monopole_is_locally_symmetric(self):
         fx = instantiate("hopf_monopole", {})
         pts = sample_interior(fx.chart, 4, seed=16)
-        report = check_ls_triple(fx.g, fx.a0, pts, fixture="hopf_monopole")
-        assert report.passed
-        assert set(report.residuals) == {"nabla_Rg", "nabla_F0"}
+        residuals = check_ls_triple(fx.g, fx.a0, pts)
+        assert passes("check-ls-triple", residuals)
+        assert set(residuals) == {"nabla_Rg", "nabla_F0"}
 
     def test_bump_shift_breaks_homogeneity(self):
         fx = instantiate("hopf_monopole", {})
         shifted = fx.a0.shifted(fx.alpha_bump)
         pts = np.array([[0.5 * np.pi, np.pi], [1.2, 2.5]])
-        report = check_lh_triple(fx.g, fx.a0, fx.gamma, shifted, pts)
-        assert not report.passed
-        assert report.residuals["nabla_alpha"] > 1e-2
+        residuals = check_lh_triple(fx.g, fx.a0, fx.gamma, shifted, pts)
+        assert not passes("check-lh-triple", residuals)
+        assert residuals["nabla_alpha"] > 1e-2
 
     def test_parallel_shift_preserves_homogeneity(self):
         """Moving the reference form by a shift that is parallel for the live
@@ -1102,8 +1101,7 @@ class TestParallelismCriteria:
         fx = instantiate("hopf_monopole", {})
         moved = fx.a0.shifted(fx.alpha_parallel)
         pts = sample_interior(fx.chart, 3, seed=17)
-        report = check_lh_triple(fx.g, moved, fx.gamma, fx.a0, pts)
-        assert report.passed
+        assert passes("check-lh-triple", check_lh_triple(fx.g, moved, fx.gamma, fx.a0, pts))
 
     @pytest.mark.parametrize("perturb", ["none", "parallel", "bump"])
     def test_criterion_is_level_one_of_the_triple_tower(self, perturb):
@@ -1114,19 +1112,19 @@ class TestParallelismCriteria:
         fx = instantiate("hopf_monopole", {})
         a0 = fx.a0 if perturb == "none" else fx.a0.shifted(getattr(fx, f"alpha_{perturb}"))
         pts = sample_interior(fx.chart, 8)
-        report = check_lh_triple(fx.g, a0, fx.gamma, fx.a0, pts)
+        residuals = check_lh_triple(fx.g, a0, fx.gamma, fx.a0, pts)
         fields = lh_fields(fx.gamma, fx.a0, a0)
         levels = frame_levels(tuple(fields.values()), fx.a0, fx.gamma, fx.g, pts, 1)
-        assert report.residuals == {name: max(float(np.linalg.norm(d)) for d in data)
-                                    for (m, data), name in zip(levels[1], fields)}
-        assert (report.residuals["nabla_alpha"] > 1e-2) == (perturb == "bump")
+        assert residuals == {name: max(float(np.linalg.norm(d)) for d in data)
+                             for (m, data), name in zip(levels[1], fields)}
+        assert (residuals["nabla_alpha"] > 1e-2) == (perturb == "bump")
 
     def test_flat_bundle_symmetric(self):
         fx = instantiate("trivial_bundle_flat", {})
         pts = sample_interior(fx.chart, 3, seed=18)
-        report = check_ls_triple(fx.g, fx.a0, pts)
-        assert report.passed
-        assert max(report.residuals.values()) < 1e-10
+        residuals = check_ls_triple(fx.g, fx.a0, pts)
+        assert passes("check-ls-triple", residuals)
+        assert max(residuals.values()) < 1e-10
 
 
 def spoil_metric_d2g(fx, spoil):
@@ -1177,9 +1175,9 @@ class TestFailClosed:
             return a
 
         a = LocalConnectionForm(algebra=fx.algebra, evaluator=ev)
-        report = check_lh_triple(fx.g, fx.a0, fx.gamma, a, pts)
-        assert not report.passed
-        assert np.isnan(report.residuals["nabla_F"])
+        residuals = check_lh_triple(fx.g, fx.a0, fx.gamma, a, pts)
+        assert not passes("check-lh-triple", residuals)
+        assert np.isnan(residuals["nabla_F"])
 
     @pytest.mark.parametrize("bad", [0, 1])
     @pytest.mark.parametrize("argv,spoil,value", [

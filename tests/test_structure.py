@@ -6,7 +6,10 @@ fails if a module defines a class of a second layout, DerivativeTower,
 DenseTensor or OrthoFrame, or defines build_towers. And the scenarios that
 read towers, singer and adapt, share one pass: cli calls towers_and_chains
 at one site. No src function differentiates by finite differences:
-fd_array, the tests' reference, has no caller there."""
+fd_array, the tests' reference, has no caller there. And cli alone judges:
+no other module defines or binds TOLERANCES, BAD_FLAGS, verdict or
+make_report, or defines a class VerificationReport; the criteria return
+residuals."""
 
 import ast
 from pathlib import Path
@@ -102,3 +105,71 @@ def test_the_scan_finds_an_fd_call():
               "def partials(f, chart, x):\n    return [fd_array(f, chart, x, mu) for mu in (0, 1)]\n\n"
               "D = chart_calculus.fd_array(f, chart, x, 0)\n")
     assert fd_callers(source) == ["partials", "<module>"]
+
+
+JUDGE = {"TOLERANCES", "BAD_FLAGS", "verdict", "make_report", "VerificationReport"}
+
+
+def judge_bindings(source: str) -> list[str]:
+    """Each name of JUDGE that the source defines (a function or a class) or
+    binds (an assignment or an import), sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            continue
+        if name in JUDGE:
+            found.append(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=[p.name for p in MODULES if p.name != "cli.py"])
+def test_only_cli_judges(path):
+    assert judge_bindings(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_holds_the_judgement():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert judge_bindings(source) == ["BAD_FLAGS", "TOLERANCES", "make_report", "verdict"]
+
+
+# the judgement homogeneity held, and total_space imported, before cli owned
+# it (bodies abridged)
+JUDGING_HOMOGENEITY = """
+from dataclasses import dataclass
+
+BAD_FLAGS = ("ambiguous", "truncated", "dims-vary", "singer-varies", "hypotheses-failed",
+             "numerical-failure")
+TOLERANCES = {"singer": {"nesting_angle": 1e-6, "subalgebra": 1e-7}}
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    scenario: str
+    residuals: dict[str, float]
+    passed: bool
+
+
+def verdict(residuals, tolerances, flags=()):
+    return (all(residuals[k] < tolerances[k] for k in tolerances)
+            and not any(f in BAD_FLAGS for f in flags))
+
+
+def make_report(scenario, fixture, points, residuals, flags=()):
+    tolerances = {k: TOLERANCES[scenario][k] for k in residuals}
+    return VerificationReport(scenario, residuals, verdict(residuals, tolerances, flags))
+"""
+JUDGING_TOTAL_SPACE = "from .homogeneity import TOLERANCES, VerificationReport, lh_fields, make_report\n"
+
+
+def test_the_scan_finds_a_second_judge():
+    assert judge_bindings(JUDGING_HOMOGENEITY) == [
+        "BAD_FLAGS", "TOLERANCES", "VerificationReport", "make_report", "verdict"]
+    assert judge_bindings(JUDGING_TOTAL_SPACE) == [
+        "TOLERANCES", "VerificationReport", "make_report"]

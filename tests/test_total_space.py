@@ -40,7 +40,7 @@ from ambrose.total_space import (
     distribution_parallel_check,
     total_space_check,
 )
-from oracles import bar_metric, field_at
+from oracles import bar_metric, field_at, passes
 
 SU2 = algebra_by_name("su(2)")
 
@@ -344,40 +344,40 @@ class TestParallelismChecks:
     def test_monopole_passes(self):
         model, fx = hopf_model()
         pts = sample_interior(fx.chart, 2, seed=4)
-        report = bar_parallelism_check(model, pts, fixture="hopf_monopole")
-        assert report.passed
-        assert set(report.residuals) == {
+        residuals = bar_parallelism_check(model, pts)
+        assert passes("total-space", residuals)
+        assert set(residuals) == {
             "nabla_R", "nabla_T", "nabla_F", "nabla_bar_T", "nabla_bar_R",
         }
-        assert report.residuals["nabla_bar_T"] < 1e-5
-        assert report.residuals["nabla_bar_R"] < 1e-5
-        assert report.flags == ()
+        assert residuals["nabla_bar_T"] < 1e-5
+        assert residuals["nabla_bar_R"] < 1e-5
+        assert cli.hypotheses_hold(residuals)
 
     def test_generic_connection_fails_hypotheses(self):
         model, fx = generic_model()
         pts = sample_interior(fx.chart, 1, seed=6)
-        report = bar_parallelism_check(model, pts)
-        assert not report.passed
-        assert "hypotheses-failed" in report.flags
-        assert report.residuals["nabla_F"] > 1e-2
+        residuals = bar_parallelism_check(model, pts)
+        assert not passes("total-space", residuals)
+        assert not cli.hypotheses_hold(residuals)
+        assert residuals["nabla_F"] > 1e-2
 
     def test_distribution_parallel_reference(self):
         model, fx = hopf_model()
         moved = fx.a0.shifted(fx.alpha_parallel)
         pts = sample_interior(fx.chart, 3, seed=7)
-        report = distribution_parallel_check(model, moved, pts)
-        assert report.passed
-        assert report.residuals["alpha_parallel"] < 1e-9
-        assert report.residuals["distribution"] < 1e-5
+        residuals = distribution_parallel_check(model, moved, pts)
+        assert passes("total-space", residuals)
+        assert residuals["alpha_parallel"] < 1e-9
+        assert residuals["distribution"] < 1e-5
 
     def test_distribution_bump_reference(self):
         model, fx = hopf_model()
         moved = fx.a0.shifted(fx.alpha_bump)
         pts = np.array([[0.5 * np.pi, np.pi]])
-        report = distribution_parallel_check(model, moved, pts)
-        assert not report.passed
-        assert "hypotheses-failed" in report.flags
-        assert report.residuals["distribution"] > 1e-2
+        residuals = distribution_parallel_check(model, moved, pts)
+        assert not passes("total-space", residuals)
+        assert not cli.hypotheses_hold(residuals)
+        assert residuals["distribution"] > 1e-2
 
 
 class TestSharedNablaTensors:
@@ -396,8 +396,8 @@ class TestSharedNablaTensors:
         pts = sample_interior(fx.chart, 8, seed=42)
         shifts = [al for al in (fx.alpha_parallel, fx.alpha_bump) if al is not None]
         for a0 in [fx.a0] + [fx.a0.shifted(al) for al in shifts]:
-            res = total_space_check(model, a0, pts).residuals
-            lh = check_lh_triple(model.g, a0, model.gamma, model.a, pts).residuals
+            res = total_space_check(model, a0, pts)
+            lh = check_lh_triple(model.g, a0, model.gamma, model.a, pts)
             assert ([res[k] for k in ("nabla_R", "nabla_T", "nabla_F", "alpha_parallel")]
                     == [lh[k] for k in ("nabla_R", "nabla_T", "nabla_F", "nabla_alpha")])
             assert res["nabla_bar_R"] >= res["nabla_R"] * (1 - 1e-12)

@@ -7,7 +7,9 @@ injects a transformed fixture anywhere else. The transforms live in
 ``oracles``: the warped surface and the bump give metrics that are not
 locally homogeneous, a homothety g -> c^2 g keeps a locally homogeneous one
 so, and the Euler chart of the Berger sphere at small lambda is a locally
-homogeneous metric on a badly conditioned chart.
+homogeneous metric on a badly conditioned chart. The flat bundle's bump
+shift, centred in its chart, moves the reference form of check-lh-triple
+and the reference distribution of total-space off parallel.
 
 A row that the program gets wrong is a strict xfail whose reason names the
 ROADMAP item that mends it: when that item lands the row XPASSes, which
@@ -25,6 +27,8 @@ SINGER = ("--scenario", "singer")
 SINGER_METRIC = ("--scenario", "singer", "--param", "connection=metric")
 SINGER_CANONICAL = ("--scenario", "singer", "--param", "connection=canonical")
 ADAPT = ("--scenario", "adapt")
+LH_BUMP = ("--scenario", "check-lh-triple", "--param", "perturb=bump")
+TOTAL_SPACE_BUMP = ("--scenario", "total-space", "--param", "alpha=bump", "--points", "2")
 
 ITEM_2 = "ROADMAP item 2: singer does not check Singer's condition"
 ITEM_3 = "ROADMAP item 3: the coordinate Christoffel jets lose the deep levels' digits"
@@ -76,6 +80,11 @@ ROWS = [
       for argv in (SINGER_METRIC,
                    *((SINGER_CANONICAL,) if instantiate(name, {}).frame_conn else ()),
                    *(() if name in BUNDLES else (ADAPT,)))),
+    # the flat bundle's bump shift is not parallel, so neither is the
+    # reference form it moves, nor the reference distribution
+    *(row(argv, catalog("trivial_bundle_flat", {"algebra": algebra}), 1,
+          f"trivial_bundle_flat-{algebra}")
+      for algebra in ("su(2)", "so(3)", "su(2)+u(1)") for argv in (LH_BUMP, TOTAL_SPACE_BUMP)),
 ]
 
 
